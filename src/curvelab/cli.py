@@ -97,7 +97,10 @@ def farey_dist(s, t, fmt):
 
 
 def _farey_window(height: int, basepoint: str) -> Window:
-    base = farey_mod.Slope.parse(basepoint)
+    try:
+        base = farey_mod.Slope.parse(basepoint)
+    except ValueError as exc:
+        _fail(str(exc))
     text = cached_text(
         {"kind": "window", "instance": "farey", "height": height,
          "basepoint": str(base)},
@@ -330,14 +333,16 @@ def arc2_fill(arcs, word_bound, fmt):
 def _build_quotient(instance, height, matrix, power, conj_len, depth,
                     word_bound, sample_words):
     if instance == "farey":
-        base = farey_mod.IntMatrix.parse(matrix)
-        contract = quotient_mod.farey_contract(base)
         sample = _closure_sample(matrix, power, conj_len, depth)
+        contract = quotient_mod.farey_contract(farey_mod.IntMatrix.parse(matrix))
         w = _farey_window(height, "0/1")
     else:
         contract = quotient_mod.s5_contract()
         words = tuple(x for x in (sample_words or "").split(",") if x)
-        sample = quotient_mod.s5_sample(words)
+        try:
+            sample = quotient_mod.s5_sample(words)
+        except ValueError as exc:
+            _fail(str(exc))
         w = _s5_window(word_bound)
     return w, quotient_mod.build_quotient(w, sample, contract), contract
 

@@ -9,6 +9,14 @@ reduction terminates in that form), transporting the second curve's
 coordinates along the same flips, and reading off i(a, b) = 2 * w_E(b): the
 reduced curve can be drawn crossing b only along the two strands parallel to
 E, once per crossing of b with E, and w_E is minimal for normal coordinates.
+Each reduction is searched for once and kept as a flip program, a tuple of
+integer coordinate updates that replays without building triangulations.
+
+``intersection_number`` is the general path, and the oracle that faster
+special cases (such as the witness-word window edges in ``s5windows``) are
+tested against.  A ``NormalCurve`` is validated when it is made, so only
+raw coordinate tuples are checked on each call; both checks are memoized by
+coordinate vector, so each distinct curve is validated once.
 """
 
 from __future__ import annotations
@@ -21,10 +29,23 @@ from .triangulation import (
     BASE,
     NUM_EDGES,
     Coords,
+    FlipStep,
     Triangulation,
+    compile_flips,
     is_essential,
     is_valid_coords,
+    run_flip_program,
 )
+
+
+@lru_cache(maxsize=1 << 16)
+def _essential(coords: Coords) -> bool:
+    return is_essential(BASE, coords)
+
+
+@lru_cache(maxsize=1 << 16)
+def _valid_raw(coords: Coords) -> bool:
+    return is_valid_coords(BASE, coords)
 
 
 @dataclass(frozen=True)
@@ -39,7 +60,7 @@ class NormalCurve:
     witness: tuple[str, int] | None = None
 
     def __post_init__(self):
-        if not is_essential(BASE, self.coords):
+        if not _essential(self.coords):
             raise ValueError(f"coordinates {self.coords} are not an essential curve")
 
     def __eq__(self, other):
@@ -68,16 +89,19 @@ class NormalCurve:
         return NormalCurve(tuple(data["coords"]), witness)
 
 
+# The base edge whose disk neighborhood c_j bounds: E12, E34, E51, E23, E45.
+BASE_CURVE_EDGES = (0, 2, 4, 1, 3)
+
+
 def base_curves() -> tuple[NormalCurve, ...]:
     """The five curves c1..c5, cyclically adjacent in the curve graph.
 
     c_j bounds a disk around the puncture pair p_j, with consecutive pairs
     disjoint: p1={1,2}, p2={3,4}, p3={5,1}, p4={2,3}, p5={4,5}.
     """
-    boundary_edge = (0, 2, 4, 1, 3)  # E12, E34, E51, E23, E45
     return tuple(
         NormalCurve(BASE.neighborhood_pattern(e), witness=("", j + 1))
-        for j, e in enumerate(boundary_edge)
+        for j, e in enumerate(BASE_CURVE_EDGES)
     )
 
 
@@ -90,13 +114,14 @@ class ReductionError(RuntimeError):
 
 
 @lru_cache(maxsize=65536)
-def _reduce_to_boundary(coords: Coords) -> tuple[tuple[int, ...], int]:
-    """Flip sequence carrying coords to a neighborhood-boundary pattern.
+def _reduce_to_boundary(coords: Coords) -> tuple[tuple[FlipStep, ...], int]:
+    """Flip program carrying coords to a neighborhood-boundary pattern.
 
-    Returns (flips, edge) such that applying the flips from the base
-    triangulation turns coords into state.neighborhood_pattern(edge).
-    Best-first search on total weight; flips that reduce weight are always
-    explored, plateaus are crossed by the priority queue.
+    Returns (program, edge) such that replaying the program on coords gives
+    state.neighborhood_pattern(edge), where state is the triangulation the
+    program's flips lead to from the base one.  Best-first search on total
+    weight; flips that reduce weight are always explored, plateaus are
+    crossed by the priority queue.
     """
 
     def terminal_edge(state: Triangulation, cur: Coords) -> int | None:
@@ -123,7 +148,7 @@ def _reduce_to_boundary(coords: Coords) -> tuple[tuple[int, ...], int]:
             while node in parent:
                 node, flipped = parent[node]
                 flips.append(flipped)
-            return tuple(reversed(flips)), e
+            return compile_flips(tuple(reversed(flips))), e
         expansions += 1
         if expansions > 200_000:
             raise ReductionError(f"flip reduction did not terminate for {coords}")
@@ -140,24 +165,44 @@ def _reduce_to_boundary(coords: Coords) -> tuple[tuple[int, ...], int]:
     raise ReductionError(f"flip reduction exhausted the search space for {coords}")
 
 
+def _check_base_reductions() -> None:
+    """Each base curve c_j must be its own reduced form, at BASE_CURVE_EDGES.
+
+    s5windows reads i(g(c_j), v) as 2 * (g^-1 v)[BASE_CURVE_EDGES[j-1]],
+    which is exactly _intersection(c_j, g^-1 v) when this holds.
+    """
+    for curve, edge in zip(BASE_CURVES, BASE_CURVE_EDGES):
+        if _reduce_to_boundary(curve.coords) != ((), edge):
+            raise ReductionError(
+                f"base curve {curve.coords} does not reduce to edge {edge} "
+                "with an empty flip program"
+            )
+
+
+_check_base_reductions()
+
+
 @lru_cache(maxsize=1 << 20)
 def _intersection(a: Coords, b: Coords) -> int:
     if a == b:
         return 0
-    flips, edge = _reduce_to_boundary(a)
-    state, cur = BASE, b
-    for f in flips:
-        cur = state.flip_coords(f, cur)
-        state = state.flip(f)
-    return 2 * cur[edge]
+    program, edge = _reduce_to_boundary(a)
+    return 2 * run_flip_program(program, b)[edge]
+
+
+def _checked_coords(c: NormalCurve | Coords) -> Coords:
+    """Coordinates of an argument, validating raw tuples (once per tuple)."""
+    if isinstance(c, NormalCurve):
+        return c.coords
+    c = tuple(c)
+    if not _valid_raw(c):
+        raise ValueError("intersection_number requires valid normal coordinates")
+    return c
 
 
 def intersection_number(a: NormalCurve | Coords, b: NormalCurve | Coords) -> int:
     """Minimal geometric intersection number of two essential curves."""
-    ca = a.coords if isinstance(a, NormalCurve) else tuple(a)
-    cb = b.coords if isinstance(b, NormalCurve) else tuple(b)
-    if not is_valid_coords(BASE, ca) or not is_valid_coords(BASE, cb):
-        raise ValueError("intersection_number requires valid normal coordinates")
+    ca, cb = _checked_coords(a), _checked_coords(b)
     if ca <= cb:
         return _intersection(ca, cb)
     return _intersection(cb, ca)

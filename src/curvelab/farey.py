@@ -53,9 +53,11 @@ class Slope:
     @staticmethod
     def parse(text: str) -> "Slope":
         num, _, den = text.partition("/")
-        if not den:
-            raise ValueError(f"malformed slope {text!r}, expected 'p/q'")
-        return Slope.of(int(num), int(den))
+        try:
+            p, q = int(num), int(den)
+        except ValueError:
+            raise ValueError(f"malformed slope {text!r}, expected 'p/q'") from None
+        return Slope.of(p, q)
 
 
 INFINITY = Slope(1, 0)
@@ -124,10 +126,11 @@ class IntMatrix:
 
     @staticmethod
     def parse(text: str) -> "IntMatrix":
-        parts = [int(x) for x in text.split(",")]
-        if len(parts) != 4:
-            raise ValueError(f"malformed matrix {text!r}, expected 'a,b,c,d'")
-        return IntMatrix(*parts)
+        try:
+            a, b, c, d = (int(x) for x in text.split(","))
+        except ValueError:  # a non-integer entry, or not four of them
+            raise ValueError(f"malformed matrix {text!r}, expected 'a,b,c,d'") from None
+        return IntMatrix(a, b, c, d)
 
 
 IDENTITY = IntMatrix(1, 0, 0, 1)

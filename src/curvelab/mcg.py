@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .curves import BASE_CURVES, NormalCurve
-from .triangulation import BASE, NUM_EDGES, Coords, Triangulation
+from .triangulation import NUM_EDGES, Coords, FlipStep, compile_flips, run_flip_program
 
 WORD_ALPHABET = "aAbBcCdDr"
 
@@ -59,21 +59,11 @@ class Atom:
     vertex_perm: tuple[int, int, int, int, int]  # images of punctures 1..5
 
     @cached_property
-    def states(self) -> tuple[Triangulation, ...]:
-        out = [BASE]
-        for f in self.flips:
-            out.append(out[-1].flip(f))
-        return tuple(out)
+    def program(self) -> tuple[FlipStep, ...]:
+        return compile_flips(self.flips)
 
-    def apply(self, coords: Coords, inverse: bool = False) -> Coords:
-        if inverse:
-            cur = tuple(coords[self.relabel[e]] for e in range(NUM_EDGES))
-            for i in reversed(range(len(self.flips))):
-                cur = self.states[i + 1].flip_coords(self.flips[i], cur)
-            return cur
-        cur = coords
-        for i, f in enumerate(self.flips):
-            cur = self.states[i].flip_coords(f, cur)
+    def apply(self, coords: Coords) -> Coords:
+        cur = run_flip_program(self.program, coords)
         out = [0] * NUM_EDGES
         for e in range(NUM_EDGES):
             out[self.relabel[e]] = cur[e]

@@ -22,7 +22,7 @@ from typing import Any, Callable
 from . import farey as farey_mod
 from . import s5windows
 from .curves import intersection_number
-from .mcg import apply_word, invert_word, reduce_word
+from .mcg import WORD_ALPHABET, apply_word, invert_word, reduce_word
 from .window import Window
 
 
@@ -101,6 +101,8 @@ def s5_sample(words: tuple[str, ...] = ()) -> GenericSample:
     """An S0,5 sample from words, closed under inverses, identity removed."""
     closed: list[str] = []
     for w in words:
+        if not set(w) <= set(WORD_ALPHABET):
+            raise ValueError(f"sample word {w!r} is not over {WORD_ALPHABET!r}")
         for x in (reduce_word(w), reduce_word(invert_word(w))):
             if x and x not in closed:
                 closed.append(x)

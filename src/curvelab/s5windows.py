@@ -1,7 +1,8 @@
 """Windows, pentagons, and half-twist detection on the five-punctured sphere.
 
 Windows are generated by applying bounded-length generator words to the base
-pentagon (or to supplied seed curves); edges record disjointness.  Pentagons
+pentagon (or to supplied seed curves); edges record disjointness, read off
+the vertices' witness words rather than computed pair by pair.  Pentagons
 are chordless 5-cycles — since window edges capture all disjointness, a
 chordless cycle automatically has intersecting non-adjacent pairs, which is
 isometric embeddedness at the decidable level.  A half-twist pair about beta
@@ -13,14 +14,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .curves import BASE_CURVES, NormalCurve, intersection_number
+from .curves import BASE_CURVE_EDGES, BASE_CURVES, NormalCurve, intersection_number
 from .mcg import (
     HALF_TWIST_WORDS,
     WORD_ALPHABET,
-    act,
     apply_word,
     invert_word,
     orientation_parity,
+    reduce_word,
 )
 from .window import Window
 
@@ -53,39 +54,63 @@ def build_window(
     Vertices are ordered lexicographically by coordinates; each keeps the
     first witness found (breadth-first, letters in alphabet order), so the
     result is deterministic.
+
+    Edges come from the witnesses, not from ``intersection_number``: a
+    vertex u with witness (g, k) is g(c_k), so i(u, v) = i(c_k, g^-1 v), and
+    since c_k is its own flip-reduced form at edge e_k = BASE_CURVE_EDGES[k-1]
+    (checked when ``curves`` is imported) that is 2 * (g^-1 v)[e_k].  Each
+    pair is read through the vertex with the shorter witness.  Every seed's
+    witness is checked against its coordinates, since a wrong witness would
+    silently give wrong edges; ``intersection_number`` stays the oracle for
+    this in the tests.
     """
     found: dict[tuple, tuple[str, int]] = {}
-    frontier: list[NormalCurve] = []
+    frontier: list[tuple] = []
     for seed in seeds:
         if seed.witness is None:
             raise ValueError("window seeds must carry witness words")
+        word, base = seed.witness
+        if not (
+            1 <= base <= len(BASE_CURVES)
+            and apply_word(word, BASE_CURVES[base - 1].coords) == seed.coords
+        ):
+            raise ValueError(f"seed {seed.coords} is not {witness_str(seed.witness)}")
         if seed.coords not in found:
             found[seed.coords] = seed.witness
-            frontier.append(seed)
+            frontier.append(seed.coords)
+    # images of essential curves are essential, so no NormalCurve is built
+    # (and validated) per image; witnesses extend as in mcg.act
     for _ in range(word_bound):
         nxt = []
-        for curve in frontier:
+        for coords in frontier:
+            word, base = found[coords]
             for letter in WORD_ALPHABET:
-                image = act(letter, curve)
-                if image.coords not in found:
-                    found[image.coords] = image.witness
+                image = apply_word(letter, coords)
+                if image not in found:
+                    found[image] = (reduce_word(word + letter), base)
                     nxt.append(image)
         frontier = nxt
     vertices = tuple(sorted(found))
-    curves = [NormalCurve(c, found[c]) for c in vertices]
-    edges = tuple(
-        (i, j)
-        for i, j in combinations(range(len(vertices)), 2)
-        if intersection_number(curves[i], curves[j]) == 0
-    )
+    witnesses = [found[c] for c in vertices]
+    # (length of g, g^-1, e_k) for each vertex g(c_k)
+    readers = [
+        (len(word), invert_word(word), BASE_CURVE_EDGES[base - 1])
+        for word, base in witnesses
+    ]
+    edges = []
+    for i, j in combinations(range(len(vertices)), 2):
+        p, q = (j, i) if readers[j][0] < readers[i][0] else (i, j)
+        _, inverse, edge = readers[p]
+        if apply_word(inverse, vertices[q])[edge] == 0:
+            edges.append((i, j))
     basepoint = min(seed.coords for seed in seeds)
     return Window(
         instance=S5_INSTANCE,
         basepoint=basepoint,
         bound=word_bound,
         vertices=vertices,
-        edges=edges,
-        words=tuple(witness_str(found[c]) for c in vertices),
+        edges=tuple(edges),
+        words=tuple(witness_str(w) for w in witnesses),
     )
 
 
@@ -159,10 +184,8 @@ def half_twist_of(beta: NormalCurve, alpha: NormalCurve, sign: int) -> NormalCur
 # the second), beta in the second pentagon adjacent to delta (not in the
 # first).  Selected as the unique reading under which detection returns
 # exactly the half-twist pair on the base configuration; any other choice of
-# positions returns strictly different sets there (see derive.py).
+# positions returns a different set there (the tests check all nine).
 DETECTION_PATTERN = ("near_delta", "near_delta")
-
-_POSITION_INDEX = {"near_gamma": 1, "near_delta": 3, "opposite": 2}
 
 
 def _positions(pentagon: tuple[int, ...], g: int, d: int) -> dict[str, set[int]]:

@@ -5,7 +5,10 @@ trailing newline — so identical inputs produce byte-identical files.  The
 cache keys artifacts by the SHA-256 of their canonical build description,
 never by filename, so stale entries cannot be confused with current ones.
 The cache directory comes from the CURVELAB_CACHE environment variable; with
-no directory set, caching is disabled and everything is recomputed.
+no directory set, caching is disabled and everything is recomputed.  An
+entry that cannot be read back as canonical JSON is a miss and is rebuilt,
+and entries are written through a temporary file of their own and renamed
+into place, so concurrent writers never see each other's partial output.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -32,21 +36,41 @@ def cache_dir() -> Path | None:
     return Path(path) if path else None
 
 
+def _read_entry(path: Path) -> str | None:
+    """The entry's text, or None when it is missing, unreadable or corrupt."""
+    try:
+        text = path.read_text()
+        if canonical_json(json.loads(text)) == text:
+            return text
+    except (OSError, ValueError):
+        pass
+    return None
+
+
 def cached_text(key_obj, produce: Callable[[], str]) -> str:
     """The produced text, via the cache when one is configured.
 
     ``key_obj`` is any JSON-able description of the computation; the cache
-    file is named by its content hash.
+    file is named by its content hash.  ``produce`` must return canonical
+    JSON, which is also what a cache hit is checked to be.
     """
     directory = cache_dir()
     if directory is None:
         return produce()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{content_hash(key_obj)}.json"
-    if path.exists():
-        return path.read_text()
+    text = _read_entry(path)
+    if text is not None:
+        return text
     text = produce()
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+    with tempfile.NamedTemporaryFile(
+        "w", dir=directory, prefix=f"{path.stem}.", suffix=".tmp", delete=False
+    ) as tmp:
+        try:
+            tmp.write(text)
+            tmp.close()
+            os.replace(tmp.name, path)
+        except OSError:
+            os.unlink(tmp.name)
+            raise
     return text

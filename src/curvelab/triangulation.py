@@ -10,7 +10,9 @@ order, so glued sides run in opposite directions.
 
 Curves are coordinatised by their geometric intersection with the nine edges.
 An edge flip replaces the diagonal of the square formed by its two triangles;
-coordinates update by the tropical exchange max(a+c, b+d) - e.
+coordinates update by the tropical exchange max(a+c, b+d) - e.  A fixed
+sequence of flips compiles to a flip program, the integer updates alone,
+which transports coordinates without building the intermediate states.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ PUNCTURES = (1, 2, 3, 4, 5)
 NUM_EDGES = 9
 Coords = tuple[int, int, int, int, int, int, int, int, int]
 ZERO_COORDS: Coords = (0,) * NUM_EDGES
+
+# One step of a flip program: (e, x, y, z, w) sets coordinate e to
+# max(x + z, y + w) - e, the tropical exchange across a flip of edge e inside
+# the square with sides x, y, z, w (Triangulation.flip_quad).
+FlipStep = tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -154,6 +161,27 @@ def _base() -> Triangulation:
 BASE = _base()
 
 EDGE_NAMES = ("E12", "E23", "E34", "E45", "E51", "N13", "N14", "S13", "S14")
+
+
+def compile_flips(flips: tuple[int, ...]) -> tuple[FlipStep, ...]:
+    """The flip program of a flip sequence starting from the base triangulation."""
+    program, state = [], BASE
+    for f in flips:
+        program.append((f, *state.flip_quad(f)))
+        state = state.flip(f)
+    return tuple(program)
+
+
+def run_flip_program(program: tuple[FlipStep, ...], coords: Coords) -> list[int]:
+    """Coordinates after the flips of a program, as a list.
+
+    Equal to folding Triangulation.flip_coords over the flips the program
+    was compiled from.
+    """
+    cur = list(coords)
+    for e, x, y, z, w in program:
+        cur[e] = max(cur[x] + cur[z], cur[y] + cur[w]) - cur[e]
+    return cur
 
 
 def corner_counts(state: Triangulation, t: int, coords: Coords) -> tuple[int, int, int] | None:

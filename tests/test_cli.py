@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from curvelab import cli
-from curvelab.serialize import CACHE_ENV
+from curvelab.serialize import CACHE_ENV, cached_text, canonical_json, content_hash
 
 
 @pytest.fixture()
@@ -181,3 +181,58 @@ def test_determinism_byte_identical(runner):
     args = ["verify", "--height", "30", "--power", "8", "--conj-len", "1",
             "--suites", "simplicial,ball2", "--format", "json"]
     assert invoke(runner, args).output == invoke(runner, args).output
+
+
+@pytest.mark.parametrize("args", [
+    "farey window --height 5 --basepoint 1/x",
+    "farey window --height 5 --basepoint 0/0",
+    "quotient build --matrix 1,1,0",
+    "quotient build --matrix 1,x,0,1",
+    "verify --instance s5 --word-bound 1 --suites relations --sample zz",
+    "verify --instance s5 --word-bound 1 --suites simplicial --sample a,Z",
+])
+def test_malformed_input_exit_two_without_traceback(runner, args):
+    result = invoke(runner, args.split())
+    assert result.exit_code == cli.EXIT_IO_ERROR
+    assert "Traceback" not in result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("corrupt", [
+    b'{"vertices":[1,2',  # truncated
+    b"\xff\xfe not text",  # not UTF-8
+    b'{ "a": 1 }\n',  # JSON, but not canonical
+])
+def test_cache_rebuilds_corrupt_entry(tmp_path, monkeypatch, corrupt):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    key = {"kind": "test", "n": 1}
+    entry = tmp_path / f"{content_hash(key)}.json"
+    entry.write_bytes(corrupt)
+    good = canonical_json({"a": 1})
+    assert cached_text(key, lambda: good) == good
+    assert entry.read_text() == good
+    assert cached_text(key, lambda: pytest.fail("hit expected")) == good
+
+
+def test_cache_writes_through_unique_temporary(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    key = {"kind": "test", "n": 2}
+    # a concurrent writer's leftover under the old shared name is not touched
+    shared = tmp_path / f"{content_hash(key)}.tmp"
+    shared.mkdir()
+    good = canonical_json([1, 2, 3])
+    assert cached_text(key, lambda: good) == good
+    assert (tmp_path / f"{content_hash(key)}.json").read_text() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [shared.name, f"{content_hash(key)}.json"])
+
+
+def test_corrupt_window_cache_entry_is_rebuilt(runner, tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    args = ["s5", "ball", "--word-bound", "1"]
+    first = invoke(runner, args).output
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text(entry.read_text()[:40])
+    result = invoke(runner, args)
+    assert result.exit_code == 0 and result.output == first

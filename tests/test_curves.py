@@ -1,15 +1,21 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curvelab import curves
 from curvelab.curves import (
+    BASE_CURVE_EDGES,
     BASE_CURVES,
     BASE_CURVE_PAIRS,
     NormalCurve,
+    _reduce_to_boundary,
     disjoint,
     intersection_number,
 )
 from curvelab.mcg import apply_word
+from curvelab.triangulation import BASE, run_flip_program
 
 
 def test_base_curves_are_five_distinct():
@@ -70,3 +76,54 @@ def test_intersection_accepts_raw_coords():
     assert intersection_number(a.coords, b.coords) == 2
     with pytest.raises(ValueError):
         intersection_number((1, 0, 0, 0, 0, 0, 0, 0, 0), a.coords)
+
+
+@pytest.mark.parametrize("bad", [
+    (1, 0, 0, 0, 0, 0, 0, 0, 0),  # odd triangle sum
+    (-1, 0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 0, 1, 0, 1, 0, 1, 0),  # eight coordinates
+    (4, 0, 0, 0, 0, 0, 0, 0, 0),  # corner count below zero
+])
+def test_intersection_rejects_invalid_raw_coords(bad):
+    c = BASE_CURVES[0]
+    with pytest.raises(ValueError):
+        intersection_number(bad, c)
+    with pytest.raises(ValueError):
+        intersection_number(c.coords, bad)
+
+
+def test_normal_curves_are_not_revalidated(monkeypatch):
+    a, b = BASE_CURVES[0], BASE_CURVES[3]
+    expected = intersection_number(a, b)
+
+    def refuse(*_):
+        raise AssertionError("NormalCurve arguments were validated again")
+
+    monkeypatch.setattr(curves, "is_valid_coords", refuse)
+    curves._valid_raw.cache_clear()
+    assert intersection_number(a, b) == expected
+    with pytest.raises(AssertionError):
+        intersection_number(a.coords, b)
+
+
+def test_base_reduction_check_raises_on_mismatch(monkeypatch):
+    curves._check_base_reductions()
+    monkeypatch.setattr(curves, "BASE_CURVE_EDGES", BASE_CURVE_EDGES[1:] + BASE_CURVE_EDGES[:1])
+    with pytest.raises(curves.ReductionError):
+        curves._check_base_reductions()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flip_program_matches_triangulation_replay(w3, data):
+    a = w3.vertices[data.draw(st.integers(0, len(w3) - 1), label="a")]
+    b = w3.vertices[data.draw(st.integers(0, len(w3) - 1), label="b")]
+    program, edge = _reduce_to_boundary(a)
+    state, cur_a, cur_b = BASE, a, b
+    for e, *quad in program:
+        assert tuple(quad) == state.flip_quad(e)
+        cur_a, cur_b = state.flip_coords(e, cur_a), state.flip_coords(e, cur_b)
+        state = state.flip(e)
+    assert run_flip_program(program, b) == list(cur_b)
+    assert run_flip_program(program, a) == list(cur_a)
+    assert list(cur_a) == list(state.neighborhood_pattern(edge))

@@ -14,6 +14,7 @@ from curvelab.mcg import (
     reduce_word,
     witness_curve,
 )
+from curvelab.triangulation import BASE, run_flip_program
 
 SAMPLE = [c.coords for c in BASE_CURVES] + [
     apply_word(w, BASE_CURVES[0].coords) for w in ("ab", "cD", "rba", "abcd")
@@ -124,3 +125,13 @@ def test_orientation_parity():
 def test_alphabet_closed_under_inverse():
     assert set(invert_word(WORD_ALPHABET)) == set(WORD_ALPHABET)
     assert set(ATOMS) == set(WORD_ALPHABET)
+
+
+def test_atom_programs_match_triangulation_replay(w2):
+    for letter, atom in ATOMS.items():
+        for coords in w2.vertices:
+            state, cur = BASE, coords
+            for f in atom.flips:
+                cur = state.flip_coords(f, cur)
+                state = state.flip(f)
+            assert run_flip_program(atom.program, coords) == list(cur), letter

@@ -1,10 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from curvelab import s5windows
-from curvelab.curves import BASE_CURVES, intersection_number
-from curvelab.mcg import act, apply_word, invert_word
+from curvelab.curves import BASE_CURVES, NormalCurve, intersection_number
+from curvelab.mcg import WORD_ALPHABET, act, apply_word, invert_word
 from curvelab.s5windows import (
     build_window,
     canonical_cycle,
@@ -39,6 +40,56 @@ def test_window_edges_are_disjointness(w2):
     for i, j in random.Random(7).sample(list(w2.edges), 20):
         a, b = window_curve(w2, i), window_curve(w2, j)
         assert intersection_number(a, b) == 0
+
+
+def _oracle_mismatches(w, pairs):
+    """Pairs whose window edge disagrees with intersection_number == 0."""
+    edges = set(w.edges)
+    curves = [window_curve(w, i) for i in range(len(w))]
+    return [
+        (i, j) for i, j in pairs
+        if ((i, j) in edges) != (intersection_number(curves[i], curves[j]) == 0)
+    ]
+
+
+def test_witness_edges_match_oracle_all_pairs(w3):
+    assert _oracle_mismatches(w3, combinations(range(len(w3)), 2)) == []
+
+
+def _acceptance_conjugators():
+    # the words g of test_06 in test_acceptance, plus two fixed ones
+    rng = random.Random(0)
+    words = []
+    for _ in range(10):
+        words.append("".join(rng.choice(WORD_ALPHABET)
+                             for _ in range(rng.randint(0, 3))))
+    return sorted(set(words) | {"ab", "rC"})
+
+
+@pytest.mark.parametrize("g", _acceptance_conjugators())
+def test_witness_edges_match_oracle_moved_seeds(g):
+    w = build_window(2, seeds=tuple(act(g, c) for c in BASE_CURVES))
+    assert _oracle_mismatches(w, combinations(range(len(w)), 2)) == []
+
+
+def test_witness_edges_match_oracle_sampled_bound_four():
+    w4 = build_window(4)
+    rng = random.Random(4)
+    pairs = rng.sample(list(combinations(range(len(w4)), 2)), 2000)
+    pairs += rng.sample(list(w4.edges), 200)
+    assert _oracle_mismatches(w4, pairs) == []
+
+
+def test_build_window_rejects_wrong_seed_witness():
+    c1, c3 = BASE_CURVES[0], BASE_CURVES[2]
+    with pytest.raises(ValueError):
+        build_window(1, seeds=(NormalCurve(c1.coords, ("", 3)), c3))
+    with pytest.raises(ValueError):
+        build_window(1, seeds=(NormalCurve(c1.coords, ("", 0)),))
+    moved = act("ab", c1)
+    with pytest.raises(ValueError):
+        build_window(1, seeds=(NormalCurve(moved.coords, ("ba", 1)),))
+    assert len(build_window(1, seeds=(moved,))) > 1
 
 
 def test_window_words_witness_vertices(w2):
@@ -132,6 +183,19 @@ def test_detection_equivariant():
         w = build_window(2, seeds=seeds)
         moved = detect_half_twists(act(g, c1), act(g, c3), w)
         assert moved == {act(g, x) for x in base}
+
+
+def test_detection_pattern_is_the_unique_reading(w2, monkeypatch):
+    c1, c3 = BASE_CURVES[0], BASE_CURVES[2]
+    ia, ib = w2.index[c1.coords], w2.index[c3.coords]
+    expected = {w2.index[half_twist_of(c3, c1, s).coords] for s in (1, -1)}
+    positions = ("near_gamma", "near_delta", "opposite")
+    readings = []
+    for pattern in ((a, b) for a in positions for b in positions):
+        monkeypatch.setattr(s5windows, "DETECTION_PATTERN", pattern)
+        if s5windows.detect_half_twist_indices(w2, ia, ib) == expected:
+            readings.append(pattern)
+    assert readings == [("near_delta", "near_delta")]
 
 
 def test_witness_word_parsing():
