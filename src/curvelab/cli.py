@@ -172,6 +172,8 @@ def farey_closure(matrix, power, conj_len, depth, fmt):
 @_format_option()
 def farey_displacement(matrix, power, conj_len, depth, height, fmt):
     """Per-element window displacement of a closure sample."""
+    if height <= 0:
+        _fail("height must be positive")
     sample = _closure_sample(matrix, power, conj_len, depth)
     w = _farey_window(height, "0/1")
     report = farey_mod.displacement_report(sample, w)
@@ -252,6 +254,8 @@ def s5_halftwist(alpha, beta, word_bound, window_file, fmt):
     """Detect the half-twist pair about beta applied to alpha."""
     if (word_bound is None) == (window_file is None):
         _fail("give exactly one of --word-bound and --window")
+    if alpha == beta:
+        _fail("alpha and beta must be distinct")
     w = _s5_window(word_bound) if window_file is None else _load_window(window_file)
     if not (0 <= alpha < len(w) and 0 <= beta < len(w)):
         _fail("alpha and beta must be window vertex ids")
@@ -332,6 +336,10 @@ def arc2_fill(arcs, word_bound, fmt):
 
 def _build_quotient(instance, height, matrix, power, conj_len, depth,
                     word_bound, sample_words):
+    if height <= 0:
+        _fail("height must be positive")
+    if word_bound < 0:
+        _fail("word bound must be nonnegative")
     if instance == "farey":
         sample = _closure_sample(matrix, power, conj_len, depth)
         contract = quotient_mod.farey_contract(farey_mod.IntMatrix.parse(matrix))

@@ -2,8 +2,10 @@
 
 Vertices are slopes p/q in canonical form, with 1/0 playing the role of the
 slope at infinity.  Two slopes are adjacent when |p q' - q p'| = 1.  Distances
-are computed exactly by a pivot descent on continued-fraction children, and
-cross-checked against a breadth-first oracle on height-bounded windows.
+are computed exactly as shortest paths through the ladder of triangles read
+off a continued fraction, in time linear in its length and with no state
+kept between calls, and cross-checked against a breadth-first oracle on
+height-bounded windows.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections import deque
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .window import Window
@@ -157,72 +158,47 @@ def adjacent(s: Slope, t: Slope) -> bool:
     return abs(s.p * t.q - s.q * t.p) == 1
 
 
-_dist_inf_memo: dict[tuple[int, int], int] = {}
-
-
 def _distance_to_infinity(p: int, q: int) -> int:
-    """Graph distance from p/q to 1/0 in the Farey graph.
+    """Graph distance from p/q (q >= 0) to 1/0 in the Farey graph.
 
-    A path of length n from infinity to x is the same thing as an integer
-    continued fraction x = b0 + 1/(b1 + ... + 1/bn) with nonzero b1..bn, and
-    on geodesics the first entry may be taken to be floor(x) or ceil(x): the
-    edge from b to infinity separates the graph, so moving the entry further
-    from x cannot shorten the tail.  This gives a two-child descent with
-    strictly decreasing denominators.
+    The geodesics from 1/0 to p/q run through the ladder of triangles that
+    the hyperbolic geodesic between them crosses (Beardon, Hockman & Short,
+    *Geodesic continued fractions*, 2012).  With p/q = [a0; a1, ..., an],
+    the rungs of that ladder are the convergents c_k, and the intermediate
+    fractions between c_{k-1} and c_{k+1} form a path of a_{k+1} edges, each
+    vertex of it adjacent to c_k.  So d(c_{k+1}) = min(d(c_k) + 1,
+    d(c_{k-1}) + a_{k+1}), starting from d(1/0) = 0 and d(a0) = 1.
     """
-    def norm(p: int, q: int) -> tuple[int, int]:
-        # translate by an integer and negate so that 0 <= p < q
-        return (p % q, q)
-
     if q == 0:
         return 0
-    start = norm(p, q)
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node in _dist_inf_memo:
-            continue
-        p0, q0 = node
-        if q0 == 1 or p0 == 0 or p0 == 1 or p0 == q0 - 1:
-            # integers are adjacent to infinity; 1/q and (q-1)/q are one
-            # inversion away from an integer
-            _dist_inf_memo[node] = 1 if q0 == 1 else 2
-            continue
-        # children 1/x and 1/(x-1) for x = p0/q0 in (0,1)
-        children = [norm(q0, p0), norm(-q0, q0 - p0)]
-        missing = [ch for ch in children if ch not in _dist_inf_memo]
-        if missing:
-            stack.append(node)
-            stack.extend(missing)
-        else:
-            _dist_inf_memo[node] = 1 + min(_dist_inf_memo[ch] for ch in children)
-    return _dist_inf_memo[start]
+    prev, cur = 0, 1
+    p, q = q, p % q
+    while q:
+        a = p // q
+        p, q = q, p - a * q
+        prev, cur = cur, (cur + 1 if cur + 1 < prev + a else prev + a)
+    return cur
 
 
 def distance(s: Slope, t: Slope) -> int:
     """Exact Farey-graph distance, via a matrix moving t to infinity."""
     if s == t:
         return 0
-    # bottom row kills t; top row completes to determinant -1
-    g, a, b = _extended_gcd(t.p, t.q)
-    assert g == 1
-    m = IntMatrix(a, b, t.q, -t.p)
-    image = m.apply(s)
-    return _distance_to_infinity(image.p, image.q)
+    # bottom row (t.q, -t.p) kills t; top row (a, b) completes it to det -1
+    a, b = _bezout(t)
+    p, q = a * s.p + b * s.q, t.q * s.p - t.p * s.q
+    if q < 0:
+        p, q = -p, -q
+    return _distance_to_infinity(p, q)
 
 
-def _extended_gcd(x: int, y: int) -> tuple[int, int, int]:
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+def _bezout(s: Slope) -> tuple[int, int]:
+    """(a, b) with a s.p + b s.q = 1; pow raises ValueError unless the
+    slope is reduced."""
+    if s.q == 0:
+        return 1, 0
+    a = pow(s.p, -1, s.q)
+    return a, (1 - a * s.p) // s.q
 
 
 def slopes_of_height(height: int) -> list[Slope]:
@@ -233,6 +209,25 @@ def slopes_of_height(height: int) -> list[Slope]:
             if math.gcd(abs(p), q) == 1:
                 out.append(Slope(p, q))
     return sorted(out)
+
+
+def farey_neighbors(s: Slope, height: int) -> Iterator[Slope]:
+    """The Farey neighbours of s of height at most ``height``, each once."""
+    # the solutions (x, y) of s.p * y - s.q * x = 1 are (x0 + k p, y0 + k q)
+    # with a p + b q = 1, x0 = -b, y0 = a; those of = -1 are their negatives,
+    # so with |y| <= height they give every neighbour once
+    a, b = _bezout(s)
+    if s.q == 0:
+        ks = range(-height, height + 1)
+    else:
+        ks = range(-((height + a) // s.q), (height - a) // s.q + 1)
+    for k in ks:
+        x, y = k * s.p - b, k * s.q + a
+        if y < 0 or (y == 0 and x < 0):
+            x, y = -x, -y
+        t = Slope(x, y)
+        if t.height <= height:
+            yield t
 
 
 class BfsOracle:
@@ -248,37 +243,15 @@ class BfsOracle:
         self.height = height
         self.vertices = slopes_of_height(height)
         self.index = {s: i for i, s in enumerate(self.vertices)}
-        self.neighbors: list[list[int]] = [[] for _ in self.vertices]
-        for s, i in self.index.items():
-            for t in self._neighbor_slopes(s):
-                self.neighbors[i].append(self.index[t])
+        self.neighbors = [
+            [self.index[t] for t in farey_neighbors(s, height)]
+            for s in self.vertices
+        ]
+        self._distances: dict[Slope, tuple[int, ...]] = {}
 
-    def _neighbor_slopes(self, s: Slope) -> Iterator[Slope]:
-        # solutions of s.p * y - s.q * x = +-1 with max(|x|, y) <= height
-        g, a, b = _extended_gcd(s.p, s.q)
-        # base solution of p*y - q*x = 1: y = b', x = -a' with a p + b q = 1
-        x0, y0 = -b, a
-        for sign in (1, -1):
-            bx, by = sign * x0, sign * y0
-            # general solution (bx + k p, by + k q)
-            if s.q == 0:
-                ks = range(-self.height - 1, self.height + 2)
-            else:
-                lo = math.ceil((-self.height - by) / s.q)
-                hi = math.floor((self.height - by) / s.q)
-                ks = range(lo, hi + 1)
-            for k in ks:
-                x, y = bx + k * s.p, by + k * s.q
-                if y < 0 or (y == 0 and x < 0):
-                    x, y = -x, -y
-                if y == 0 and x != 1:
-                    continue
-                t = Slope(x, y)
-                if t.height <= self.height and t != s:
-                    yield t
-
-    @lru_cache(maxsize=None)
     def distances_from(self, s: Slope) -> tuple[int, ...]:
+        if s in self._distances:
+            return self._distances[s]
         dist = [-1] * len(self.vertices)
         src = self.index[s]
         dist[src] = 0
@@ -290,7 +263,8 @@ class BfsOracle:
                 if dist[j] < 0:
                     dist[j] = di
                     queue.append(j)
-        return tuple(dist)
+        self._distances[s] = result = tuple(dist)
+        return result
 
     def distance(self, s: Slope, t: Slope) -> int:
         d = self.distances_from(s)[self.index[t]]
@@ -304,12 +278,8 @@ def farey_window(height: int, basepoint: Slope = ZERO) -> Window:
     vertices = slopes_of_height(height)
     index = {s: i for i, s in enumerate(vertices)}
     edges = set()
-    oracle_free_neighbors = BfsOracle.__dict__["_neighbor_slopes"]
-    probe = BfsOracle.__new__(BfsOracle)
-    probe.height = height
-    for s in vertices:
-        i = index[s]
-        for t in oracle_free_neighbors(probe, s):
+    for i, s in enumerate(vertices):
+        for t in farey_neighbors(s, height):
             j = index[t]
             if i < j:
                 edges.add((i, j))

@@ -16,7 +16,7 @@ only {0, 1, 2}-certificates are decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Callable
 
 from . import farey as farey_mod
@@ -56,6 +56,7 @@ class InstanceContract:
 
 
 def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
+    @lru_cache(maxsize=4096)
     def action(word: str) -> Callable:
         m = farey_mod.word_matrix(word, base)
         return m.apply
@@ -269,7 +270,8 @@ def build_quotient(
             if ri != rj:
                 naive[max(ri, rj)] = min(ri, rj)
                 changed = True
-    assert all(find(i) == nfind(i) for i in range(n))
+    if any(find(i) != nfind(i) for i in range(n)):
+        raise RuntimeError("union-find partition disagrees with the naive closure")
 
     members: dict[int, list[int]] = {}
     for i in range(n):
@@ -293,7 +295,8 @@ def build_quotient(
                         seen[j] = contract.compose(seen[i], word)
                         nxt.append(j)
             frontier = nxt
-        assert set(seen) == set(m), "identification graph must connect each class"
+        if set(seen) != set(m):
+            raise RuntimeError("identification graph must connect each class")
         for i, word in seen.items():
             transporter[i] = word
 

@@ -2,13 +2,14 @@
 
 All artifacts are written as canonical JSON — sorted keys, fixed separators,
 trailing newline — so identical inputs produce byte-identical files.  The
-cache keys artifacts by the SHA-256 of their canonical build description,
-never by filename, so stale entries cannot be confused with current ones.
-The cache directory comes from the CURVELAB_CACHE environment variable; with
-no directory set, caching is disabled and everything is recomputed.  An
-entry that cannot be read back as canonical JSON is a miss and is rebuilt,
-and entries are written through a temporary file of their own and renamed
-into place, so concurrent writers never see each other's partial output.
+cache keys artifacts by the SHA-256 of their canonical build description and
+a cache version, never by filename, so stale entries, and entries written by
+older builders, cannot be confused with current ones.  The cache directory
+comes from the CURVELAB_CACHE environment variable; with no directory set,
+caching is disabled and everything is recomputed.  An entry that cannot be
+read back as canonical JSON is a miss and is rebuilt, and entries are
+written through a temporary file of their own and renamed into place, so
+concurrent writers never see each other's partial output.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from pathlib import Path
 from typing import Callable
 
 CACHE_ENV = "CURVELAB_CACHE"
+# Hashed into every cache key: raise it whenever a builder's output changes,
+# so that entries written by older code are misses.
+CACHE_VERSION = 1
 
 
 def canonical_json(obj) -> str:
@@ -28,7 +32,8 @@ def canonical_json(obj) -> str:
 
 
 def content_hash(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+    """The cache key of obj: SHA-256 of its canonical JSON and CACHE_VERSION."""
+    return hashlib.sha256(canonical_json([CACHE_VERSION, obj]).encode()).hexdigest()
 
 
 def cache_dir() -> Path | None:

@@ -79,8 +79,19 @@ def _lift_edge_at(q: QuotientWindow, contract: InstanceContract,
     u0, v0 = rep_edge[(ci, other_class)]
     # element carrying u0 to i: transporter(u0)^-1 then transporter(i)
     word = contract.compose(contract.invert(q.transporter[u0]), q.transporter[i])
+    if not word:
+        return q.window.vertices[v0], True
     v_key = contract.action(word)(q.window.vertices[v0])
     return v_key, v_key in q.window.index
+
+
+def _window_certifies_two(w: Window, i: int, m: int, v: int) -> bool:
+    """Whether the window alone shows d(i, v) = 2 along the path i, m, v.
+
+    A window is an induced subgraph, so a missing edge between distinct
+    vertices means distance at least 2, and the path gives at most 2.
+    """
+    return i != v and not w.has_edge(i, v) and w.has_edge(i, m) and w.has_edge(m, v)
 
 
 def check_simplicial(q: QuotientWindow, contract: InstanceContract) -> dict:
@@ -176,6 +187,8 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
             v_key, inside = _lift_edge_at(q, contract, rep_edge, m, b)
             if not inside:
                 truncated += 1
+                continue
+            if _window_certifies_two(w, i, m, q.window.index[v_key]):
                 continue
             d = contract.certificate(w.vertices[i], v_key, w)
             if d != 2:

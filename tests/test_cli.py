@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from curvelab import cli
+from curvelab import cli, serialize
 from curvelab.serialize import CACHE_ENV, cached_text, canonical_json, content_hash
 
 
@@ -190,6 +194,13 @@ def test_determinism_byte_identical(runner):
     "quotient build --matrix 1,x,0,1",
     "verify --instance s5 --word-bound 1 --suites relations --sample zz",
     "verify --instance s5 --word-bound 1 --suites simplicial --sample a,Z",
+    "verify --height 0 --suites simplicial",
+    "verify --height -3 --suites simplicial",
+    "verify --instance s5 --word-bound -1 --suites simplicial",
+    "quotient build --height 0",
+    "quotient build --instance s5 --word-bound -1",
+    "farey displacement --height 0",
+    "s5 halftwist --alpha 0 --beta 0 --word-bound 1",
 ])
 def test_malformed_input_exit_two_without_traceback(runner, args):
     result = invoke(runner, args.split())
@@ -226,6 +237,31 @@ def test_cache_writes_through_unique_temporary(tmp_path, monkeypatch):
     assert (tmp_path / f"{content_hash(key)}.json").read_text() == good
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [shared.name, f"{content_hash(key)}.json"])
+
+
+def test_cache_version_change_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    key = {"kind": "test", "n": 3}
+    old = canonical_json({"built": "old"})
+    assert cached_text(key, lambda: old) == old
+    assert cached_text(key, lambda: pytest.fail("hit expected")) == old
+    monkeypatch.setattr(serialize, "CACHE_VERSION", serialize.CACHE_VERSION + 1)
+    new = canonical_json({"built": "new"})
+    assert cached_text(key, lambda: new) == new
+
+
+def test_verify_output_survives_optimize_flag():
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    args = ["-m", "curvelab.cli", "verify", "--height", "20", "--power", "8",
+            "--conj-len", "1", "--suites", "simplicial,lift,ball2,covering",
+            "--format", "json"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *args], env=env,
+                       capture_output=True, text=True, check=True).stdout
+        for flags in ([], ["-O"])
+    )
+    assert plain and optimized == plain
 
 
 def test_corrupt_window_cache_entry_is_rebuilt(runner, tmp_path, monkeypatch):

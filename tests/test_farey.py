@@ -15,6 +15,7 @@ from curvelab.farey import (
     Slope,
     adjacent,
     distance,
+    farey_neighbors,
     farey_window,
     invert_word,
     sample_closure,
@@ -131,11 +132,53 @@ class TestDistance:
             assert adjacent(m.apply(s), m.apply(t)) == adjacent(s, t)
 
 
+def _neighbor(s: Slope, k: int) -> Slope:
+    """The k-th Farey neighbour of s, as the image of k/1 under a matrix
+    carrying 1/0 to s."""
+    if s.q == 0:
+        return Slope(k, 1)
+    b = pow(s.p, -1, s.q)
+    a = (s.p * b - 1) // s.q
+    return Slope.of(a + k * s.p, b + k * s.q)
+
+
+class TestLargeHeight:
+    """Properties of the ladder distance far beyond any BFS window."""
+
+    @given(slopes(10**6), slopes(10**6))
+    @settings(max_examples=300)
+    def test_symmetric_and_adjacency(self, s, t):
+        d = distance(s, t)
+        assert d == distance(t, s)
+        assert (d == 1) == adjacent(s, t)
+
+    @given(slopes(10**6), slopes(10**6))
+    @settings(max_examples=100)
+    def test_invariant_under_generators(self, s, t):
+        d = distance(s, t)
+        for m in GENERATORS.values():
+            assert distance(m.apply(s), m.apply(t)) == d
+
+    @given(slopes(10**6), slopes(10**6), st.integers(-10**6, 10**6))
+    @settings(max_examples=300)
+    def test_lipschitz_along_edges(self, s, t, k):
+        n = _neighbor(s, k)
+        assert adjacent(s, n)
+        assert abs(distance(n, t) - distance(s, t)) <= 1
+
+
 class TestOracle:
     def test_agrees_with_exact_distance(self):
         oracle = BfsOracle(16)
         for s, t in itertools.combinations(slopes_of_height(8), 2):
             assert oracle.distance(s, t) == distance(s, t), (s, t)
+
+    def test_neighbors_are_the_adjacent_slopes(self):
+        window = slopes_of_height(7)
+        for s in window:
+            expected = {t for t in window if adjacent(s, t)}
+            found = list(farey_neighbors(s, 7))
+            assert len(found) == len(set(found)) and set(found) == expected
 
     def test_stabilised_between_bounds(self):
         small, large = BfsOracle(12), BfsOracle(16)

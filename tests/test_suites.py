@@ -190,3 +190,32 @@ def test_report_shape(q30, fcontract):
     r = suites.check_simplicial(q30, fcontract)
     assert set(r) >= {"suite", "status", "eligible", "truncated", "witnesses"}
     assert r["status"] in ("pass", "fail", "out-of-hypothesis")
+
+
+@pytest.mark.parametrize("instance", ["farey-h20-k4", "s5-bound3-aa"])
+def test_window_distance_two_agrees_with_certificate(
+        monkeypatch, w3, fcontract, scontract, instance):
+    if instance == "farey-h20-k4":
+        w, contract = farey.farey_window(20), fcontract
+        sample = farey.sample_closure(farey.FareyClosureSpec(BASE, 4, 2))
+    else:
+        w, contract = w3, scontract
+        sample = quotient.s5_sample(("aa",))
+    q = quotient.build_quotient(w, sample, contract)
+
+    # record every distance-2 site the window certifies
+    certify = suites._window_certifies_two
+    sites = []
+
+    def spy(w_, i, m, v):
+        ok = certify(w_, i, m, v)
+        if ok:
+            sites.append((i, m, v))
+        return ok
+
+    monkeypatch.setattr(suites, "_window_certifies_two", spy)
+    suites.verify_lipschitz_lifting(w, q, contract)
+    assert len(sites) > 500
+    for i, m, v in sites:
+        assert w.has_edge(i, m) and w.has_edge(m, v)
+        assert contract.certificate(w.vertices[i], w.vertices[v], w) == 2
