@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .curves import NormalCurve, intersection_number
 from .triangulation import BASE, NUM_EDGES, Coords, corner_counts, is_essential
-from .window import Window
+from .window import DisjointSets, Window
 from . import s5windows
 
 
@@ -35,20 +35,7 @@ def arc_endpoints(coords: Coords) -> frozenset[int]:
     """
     if not is_essential(BASE, coords):
         raise ValueError("arc endpoints require an essential curve")
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
+    regions = DisjointSets()
     corner = {t: corner_counts(BASE, t, coords) for t in range(6)}
 
     def region(t: int, j: int, k: int):
@@ -68,21 +55,20 @@ def arc_endpoints(coords: Coords) -> frozenset[int]:
         (t1, j1), (t2, j2) = BASE.slots[e]
         x = coords[e]
         for k in range(x + 1):
-            union(region(t1, j1, k), region(t2, j2, x - k))
+            regions.union(region(t1, j1, k), region(t2, j2, x - k))
     # make the three deepest corner regions and the center one region
     for t in range(6):
         for c in range(3):
-            union((t, c, corner[t][c]), (t, "center"))
+            regions.union((t, c, corner[t][c]), (t, "center"))
     sides: dict = {}
     for t in range(6):
         for c in range(3):
-            root = find((t, c, 0))  # the region touching the corner vertex
+            root = regions.find((t, c, 0))  # the region touching the corner vertex
             sides.setdefault(root, set()).add(BASE.tri_corners[t][c])
-    components = list(sides.values())
-    assert len(components) == 2, f"curve complement has {len(components)} components"
-    two = min(components, key=len)
-    assert len(two) == 2 and len(max(components, key=len)) == 3
-    return frozenset(two)
+    sizes = sorted(len(side) for side in sides.values())
+    if sizes != [2, 3]:
+        raise RuntimeError(f"curve complement has sides of {sizes} punctures")
+    return frozenset(min(sides.values(), key=len))
 
 
 @dataclass(frozen=True)
@@ -159,7 +145,8 @@ def is_pentagon_set(arcs: list[Arc2Vertex]) -> bool:
 
 def pentagon_cycle(arcs: list[Arc2Vertex]) -> tuple[Arc2Vertex, ...]:
     """Order five pentagon vertices along their cycle, canonically."""
-    assert is_pentagon_set(arcs)
+    if not is_pentagon_set(arcs):
+        raise RuntimeError("pentagon_cycle needs a chordless 5-cycle")
     arcs = sorted(arcs)
     order = [arcs[0]]
     rest = arcs[1:]
@@ -168,9 +155,6 @@ def pentagon_cycle(arcs: list[Arc2Vertex]) -> tuple[Arc2Vertex, ...]:
         order.append(nxt)
         rest.remove(nxt)
     return tuple(order)
-
-
-CASE_KINDS = ("case1", "case2", "case3", "case4", "case5")
 
 
 @dataclass(frozen=True)
@@ -325,10 +309,11 @@ def fill_triangle(config: TriangleConfig, w: Window) -> dict:
         result = {"cells": "pentagons", "pentagons": _two_pentagon_fill(config, w)}
     else:
         result = {"cells": "pentagons", "pentagons": _four_pentagon_fill(config, w)}
-    pentagons = []
-    for pent in result["pentagons"]:
-        assert is_pentagon_set(list(pent))
-        pentagons.append([a.to_json() for a in pentagon_cycle(list(pent))])
+    # pentagon_cycle raises unless each cell is a chordless 5-cycle
+    pentagons = [
+        [a.to_json() for a in pentagon_cycle(list(pent))]
+        for pent in result["pentagons"]
+    ]
     return {
         "kind": config.kind,
         "arcs": [a.to_json() for a in config.arcs],

@@ -175,8 +175,10 @@ def farey_displacement(matrix, power, conj_len, depth, height, fmt):
     if height <= 0:
         _fail("height must be positive")
     sample = _closure_sample(matrix, power, conj_len, depth)
+    contract = quotient_mod.farey_contract(farey_mod.IntMatrix.parse(matrix))
     w = _farey_window(height, "0/1")
-    report = farey_mod.displacement_report(sample, w)
+    report = quotient_mod.displacement_report(
+        w, quotient_mod.sample_words(sample), contract)
 
     def text():
         lines = [f"{r['word']}: min {r['min']} at {r['argmin']}" for r in report]
@@ -209,7 +211,7 @@ def _load_window(path: str) -> Window:
     try:
         data = json.loads(Path(path).read_text())
         return Window.from_json(data, s5windows.parse_curve_key)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         _fail(f"cannot load window from {path}: {exc}")
 
 
@@ -385,7 +387,7 @@ def quotient_build(instance, height, matrix, power, conj_len, depth,
     )
     _emit(
         q.to_json(contract), fmt,
-        dot_fn=lambda: q.as_window(contract).to_dot(contract.key_str),
+        dot_fn=lambda: q.graph.to_dot(contract.key_str),
         text_fn=lambda: f"{instance} quotient: {len(q)} classes of "
                         f"{len(w)} vertices, min displacement "
                         f"{q.min_displacement}\n",
@@ -395,7 +397,7 @@ def quotient_build(instance, height, matrix, power, conj_len, depth,
 # ---------------------------------------------------------------- verify
 
 
-def _run_suite(name, w, q, contract, instance, seed):
+def _run_suite(name, w, q, contract, seed):
     if name == "simplicial":
         return suites.check_simplicial(q, contract)
     if name == "lipschitz-lifting":
@@ -440,7 +442,7 @@ def verify(instance, height, matrix, power, conj_len, depth,
         instance, height, matrix, power, conj_len, depth,
         word_bound, sample_words,
     )
-    reports = [_run_suite(n, w, q, contract, instance, seed) for n in names]
+    reports = [_run_suite(n, w, q, contract, seed) for n in names]
 
     if out_dir is not None:
         try:

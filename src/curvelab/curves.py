@@ -72,9 +72,6 @@ class NormalCurve:
     def __lt__(self, other: "NormalCurve"):
         return self.coords < other.coords
 
-    def weight(self) -> int:
-        return sum(self.coords)
-
     def to_json(self) -> dict:
         rec = {"coords": list(self.coords)}
         if self.witness is not None:
@@ -208,5 +205,6 @@ def intersection_number(a: NormalCurve | Coords, b: NormalCurve | Coords) -> int
     return _intersection(cb, ca)
 
 
-def disjoint(a: NormalCurve, b: NormalCurve) -> bool:
+def disjoint(a: NormalCurve | Coords, b: NormalCurve | Coords) -> bool:
+    """Adjacency in the curve graph: distinct curves that do not meet."""
     return a != b and intersection_number(a, b) == 0

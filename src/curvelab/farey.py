@@ -402,20 +402,3 @@ def sample_closure(spec: FareyClosureSpec) -> ClosureSample:
     ordered = tuple(sorted(elements.values(), key=lambda e: (len(e.word), e.word)))
     return ClosureSample("farey", ordered)
 
-
-def window_displacement(m: IntMatrix, window: Window) -> int:
-    """Minimum of the exact distance d(v, m v) over the window's vertices."""
-    return min(distance(v, m.apply(v)) for v in window.vertices)
-
-
-def displacement_report(sample: ClosureSample, window: Window) -> list[dict]:
-    """Per-element displacement over the window, with an argmin witness."""
-    report = []
-    for elem in sample.elements:
-        best, argmin = None, None
-        for v in window.vertices:
-            d = distance(v, elem.matrix.apply(v))
-            if best is None or d < best:
-                best, argmin = d, v
-        report.append({"word": elem.word, "min": best, "argmin": str(argmin)})
-    return report

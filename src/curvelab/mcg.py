@@ -79,9 +79,6 @@ class Atom:
         perm = tuple(other.vertex_perm[self.vertex_perm[v - 1] - 1] for v in range(1, 6))
         return Atom(flips, relabel, perm)
 
-    def puncture_image(self, v: int) -> int:
-        return self.vertex_perm[v - 1]
-
 
 IDENTITY_ATOM = Atom((), tuple(range(NUM_EDGES)), (1, 2, 3, 4, 5))
 

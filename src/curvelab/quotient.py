@@ -21,9 +21,9 @@ from typing import Any, Callable
 
 from . import farey as farey_mod
 from . import s5windows
-from .curves import intersection_number
+from .curves import disjoint
 from .mcg import WORD_ALPHABET, apply_word, invert_word, reduce_word
-from .window import Window
+from .window import DisjointSets, Window
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class InstanceContract:
 
     name: str
     key_str: Callable[[Any], str]
-    parse_key: Callable[[str], Any]
     adjacent: Callable[[Any, Any], bool]
     action: Callable[[str], Callable[[Any], Any]]  # word -> key map
     exact_distance: Callable[[Any, Any], int] | None = None
@@ -64,7 +63,6 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
     return InstanceContract(
         name="farey",
         key_str=str,
-        parse_key=farey_mod.Slope.parse,
         adjacent=farey_mod.adjacent,
         action=action,
         exact_distance=farey_mod.distance,
@@ -79,8 +77,7 @@ def s5_contract() -> InstanceContract:
     return InstanceContract(
         name="s5",
         key_str=s5windows.curve_key_str,
-        parse_key=s5windows.parse_curve_key,
-        adjacent=lambda a, b: a != b and intersection_number(a, b) == 0,
+        adjacent=disjoint,
         action=lambda word: (lambda coords: apply_word(word, coords)),
         exact_distance=None,
         invert=invert_word,
@@ -120,9 +117,11 @@ def sample_words(sample) -> tuple[str, ...]:
 class QuotientWindow:
     """A window modulo the in-window identifications of a sample.
 
-    Classes are indexed 0..k-1 in order of their minimum vertex key; the
-    representative of a class is its minimum vertex.  ``transporter[v]`` is a
-    word over sample elements with action(transporter[v])(rep key) = key of v.
+    Classes are indexed 0..k-1 in order of their least vertex index, which
+    is the order of their minimum vertex key since window vertices are
+    sorted; the representative of a class is its least vertex.
+    ``transporter[v]`` is a word over sample elements with
+    action(transporter[v])(rep key) = key of v.
     """
 
     window: Window
@@ -147,34 +146,14 @@ class QuotientWindow:
         return min(values) if values else None
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[set[int]] = [set() for _ in self.classes]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edge_set
-
-    def as_window(self, contract: InstanceContract) -> Window:
-        """The quotient graph as a Window keyed by class representatives."""
-        reps = [self.window.vertices[self.representative(c)] for c in range(len(self))]
-        order = sorted(range(len(self)), key=lambda c: reps[c])
-        rank = {c: k for k, c in enumerate(order)}
-        edges = tuple(sorted(
-            (min(rank[i], rank[j]), max(rank[i], rank[j])) for i, j in self.edges
-        ))
+    def graph(self) -> Window:
+        """The quotient graph: vertex c is the representative of class c."""
         return Window(
             instance=f"{self.instance}/quotient",
             basepoint=self.window.basepoint,
             bound=self.window.bound,
-            vertices=tuple(reps[c] for c in order),
-            edges=edges,
+            vertices=tuple(self.window.vertices[m[0]] for m in self.classes),
+            edges=self.edges,
         )
 
     def to_json(self, contract: InstanceContract) -> dict:
@@ -184,7 +163,7 @@ class QuotientWindow:
         return data
 
 
-def _displacement_report(
+def displacement_report(
     w: Window, words: tuple[str, ...], contract: InstanceContract
 ) -> tuple[dict, ...]:
     """Per element: the window minimum of d(v, n v) and its witness.
@@ -222,20 +201,14 @@ def build_quotient(
 ) -> QuotientWindow:
     """Union-find over all in-window identifications v ~ n(v).
 
-    Class representatives are deterministic (minimum key); transporter words
+    Class representatives are deterministic (least index); transporter words
     are found by breadth-first search over the identification graph from each
-    representative.  The partition is cross-checked against a brute-force
-    double loop over sample x vertices.
+    representative.  The partition is cross-checked against a second
+    union-find over the distinct identified pairs.
     """
     words = sample_words(sample)
     n = len(w)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    by_moves = DisjointSets(range(n))
 
     # identification graph: vertex -> [(image vertex, sample word)]
     moves: list[list[tuple[int, str]]] = [[] for _ in range(n)]
@@ -249,34 +222,15 @@ def build_quotient(
             moves[i].append((j, word))
             if i != j:
                 pairs.add((min(i, j), max(i, j)))
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+                by_moves.union(i, j)
 
-    # oracle equivalence: the same partition by naive closure of the pairs
-    naive = list(range(n))
-
-    def nfind(x: int) -> int:
-        while naive[x] != x:
-            naive[x] = naive[naive[x]]
-            x = naive[x]
-        return x
-
-    changed = True
-    while changed:
-        changed = False
-        for i, j in pairs:
-            ri, rj = nfind(i), nfind(j)
-            if ri != rj:
-                naive[max(ri, rj)] = min(ri, rj)
-                changed = True
-    if any(find(i) != nfind(i) for i in range(n)):
-        raise RuntimeError("union-find partition disagrees with the naive closure")
-
-    members: dict[int, list[int]] = {}
-    for i in range(n):
-        members.setdefault(find(i), []).append(i)
-    classes = tuple(tuple(sorted(m)) for m in sorted(members.values()))
+    by_pairs = DisjointSets(range(n))
+    for i, j in pairs:
+        by_pairs.union(i, j)
+    # both list each class in index order, and the classes by least index
+    classes = tuple(map(tuple, by_moves.groups()))
+    if classes != tuple(map(tuple, by_pairs.groups())):
+        raise RuntimeError("union-find partition disagrees with the identified pairs")
     class_of = [0] * n
     for c, m in enumerate(classes):
         for i in m:
@@ -318,5 +272,5 @@ def build_quotient(
         edges=tuple(sorted(qedges)),
         loops=tuple(sorted(loops)),
         transporter=tuple(transporter),
-        displacement=_displacement_report(w, words, contract),
+        displacement=displacement_report(w, words, contract),
     )

@@ -195,9 +195,10 @@ def _positions(pentagon: tuple[int, ...], g: int, d: int) -> dict[str, set[int]]
     k = cyc.index(g)
     if cyc[(k + 1) % n] == d:
         order = [cyc[(k + t) % n] for t in range(n)]
-    else:
-        assert cyc[(k - 1) % n] == d
+    elif cyc[(k - 1) % n] == d:
         order = [cyc[(k - t) % n] for t in range(n)]
+    else:
+        raise RuntimeError(f"({g}, {d}) is not an edge of pentagon {pentagon}")
     # order = [gamma, delta, x, y, z] with x adjacent to delta, z to gamma
     return {"near_delta": {order[2]}, "opposite": {order[3]}, "near_gamma": {order[4]}}
 

@@ -21,7 +21,7 @@ from itertools import combinations
 
 from . import s5windows
 from .quotient import InstanceContract, QuotientWindow
-from .window import Window
+from .window import DisjointSets, Window
 
 SIMPLICIAL_THRESHOLD = 3
 LIFTING_THRESHOLD = 8
@@ -51,7 +51,7 @@ def _report(suite: str, status: str, eligible: int, truncated: int,
     }
 
 
-def _edge_transport(q: QuotientWindow, contract: InstanceContract):
+def _edge_transport(q: QuotientWindow):
     """For each quotient edge and endpoint class, one witnessing window edge.
 
     Returns {(cls, other_cls): (u0, v0)} with u0 in cls, v0 in other_cls and
@@ -147,8 +147,8 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
             "edge": [key(w.vertices[i]), key(w.vertices[j])],
         })
 
-    rep_edge = _edge_transport(q, contract)
-    qadj = q.neighbors
+    rep_edge = _edge_transport(q)
+    qw = q.graph
     for ci, cj in q.edges:
         for a, b in ((ci, cj), (cj, ci)):
             for i in q.classes[a]:
@@ -168,11 +168,10 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
     sites = 0
     done: set[tuple[int, int]] = set()
     for mid in range(len(q)):
-        ns = qadj[mid]
-        for a, b in combinations(ns, 2):
-            if q.has_edge(a, b) or (min(a, b), max(a, b)) in done:
+        for a, b in combinations(qw.neighbors[mid], 2):
+            if qw.has_edge(a, b) or (a, b) in done:
                 continue
-            done.add((min(a, b), max(a, b)))
+            done.add((a, b))
             sites += 1
             if sites > MAX_SITES:
                 truncated += 1
@@ -240,9 +239,9 @@ def verify_ball2_isometry(w: Window, q: QuotientWindow,
         for i in q.classes[a]:
             for j in q.classes[b]:
                 eligible += 1
-                x, y = w.vertices[i], w.vertices[j]
-                if contract.adjacent(x, y):
+                if w.has_edge(i, j):  # the window is an induced subgraph
                     continue
+                x, y = w.vertices[i], w.vertices[j]
                 far = far_apart(x, y)
                 if far is None:
                     truncated += 1
@@ -266,8 +265,8 @@ def verify_local_covering(w: Window, q: QuotientWindow,
     key = contract.key_str
     witnesses = []
     eligible = truncated = 0
-    rep_edge = _edge_transport(q, contract)
-    qadj = q.neighbors
+    rep_edge = _edge_transport(q)
+    qw = q.graph
     for i in range(len(w)):
         eligible += 1
         ci = q.class_of[i]
@@ -280,7 +279,7 @@ def verify_local_covering(w: Window, q: QuotientWindow,
                     "neighbors": [key(w.vertices[by_class[cj]]), key(w.vertices[j])],
                 })
             by_class[cj] = j
-        for b in qadj[ci]:
+        for b in qw.neighbors[ci]:
             if b in by_class:
                 continue
             _, inside = _lift_edge_at(q, contract, rep_edge, i, b)
@@ -292,7 +291,7 @@ def verify_local_covering(w: Window, q: QuotientWindow,
                     "to_class": b,
                 })
         for j, k in combinations(w.neighbors[i], 2):
-            if q.has_edge(q.class_of[j], q.class_of[k]) and not w.has_edge(j, k):
+            if qw.has_edge(q.class_of[j], q.class_of[k]) and not w.has_edge(j, k):
                 witnesses.append({
                     "kind": "star-false-triangle", "at": key(w.vertices[i]),
                     "pair": [key(w.vertices[j]), key(w.vertices[k])],
@@ -318,7 +317,7 @@ def verify_unique_lift_orbit(w: Window, q: QuotientWindow,
     if len(cls) != len(set(cls)):
         raise ValueError("subgraph classes must be distinct")
     sub_edges = [(a, b) for a, b in combinations(range(len(cls)), 2)
-                 if q.has_edge(cls[a], cls[b])]
+                 if q.graph.has_edge(cls[a], cls[b])]
     lifts: list[tuple[int, ...]] = []
 
     def extend(assign: list[int]):
@@ -332,38 +331,30 @@ def verify_unique_lift_orbit(w: Window, q: QuotientWindow,
 
     extend([])
 
-    actions = [(word, contract.action(word)) for word in q.sample]
-    parent = list(range(len(lifts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    actions = [contract.action(word) for word in q.sample]
+    related = DisjointSets(range(len(lifts)))
     lift_index = {L: i for i, L in enumerate(lifts)}
     for idx, L in enumerate(lifts):
-        for _, fn in actions:
+        for fn in actions:
             image = tuple(q.window.index.get(fn(w.vertices[v])) for v in L)
             if None in image:
                 continue
             j = lift_index.get(image)
             if j is not None:
-                ra, rb = find(idx), find(j)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    orbits = len({find(i) for i in range(len(lifts))})
+                related.union(idx, j)
+    # each orbit is listed from its least lift index
+    orbit_reps = [m[0] for m in related.groups()]
+    orbits = len(orbit_reps)
     # zero lifts or several orbits are window/sample shortfalls, not lemma
     # violations: counted as truncated, with one witness lift per orbit
     witnesses = []
     truncated = 0
     if not lifts or orbits > 1:
         truncated = 1
-        reps = sorted({find(i) for i in range(len(lifts))})
         witnesses = [{
             "kind": "extra-orbit",
             "lift": [contract.key_str(w.vertices[v]) for v in lifts[r]],
-        } for r in reps]
+        } for r in orbit_reps]
     return _report(
         "unique-lift-orbit", "pass",
         eligible=1 if lifts and orbits == 1 else 0,
@@ -383,17 +374,15 @@ def transfer_pentagons(w: Window, q: QuotientWindow,
     witnesses = []
     eligible = truncated = 0
     up = s5windows.enumerate_pentagons(w)
-    qw = q.as_window(contract)
-    rep_key = {c: w.vertices[q.representative(c)] for c in range(len(q))}
-    q_index = {rep_key[c]: c for c in range(len(q))}
+    qw = q.graph
 
     def is_quotient_pentagon(cyc: tuple[int, ...]) -> bool:
         if len(set(cyc)) != 5:
             return False
         for k in range(5):
-            if not q.has_edge(cyc[k], cyc[(k + 1) % 5]):
+            if not qw.has_edge(cyc[k], cyc[(k + 1) % 5]):
                 return False
-            if q.has_edge(cyc[k], cyc[(k + 2) % 5]):
+            if qw.has_edge(cyc[k], cyc[(k + 2) % 5]):
                 return False
         return True
 
@@ -413,9 +402,8 @@ def transfer_pentagons(w: Window, q: QuotientWindow,
     down = s5windows.enumerate_pentagons(qw)
     boundary = _boundary_vertices(w)
     lifted = 0
-    for pent in down:
+    for classes in down:
         eligible += 1
-        classes = tuple(q_index[qw.vertices[v]] for v in pent)
         lift = _lift_cycle(w, q, classes)
         if lift is not None:
             lifted += 1
@@ -470,15 +458,7 @@ def detect_half_twists_quotient(alpha_class: int, beta_class: int,
     Contract: the result only ever contains the projections of the two
     half-twist images of a lift of alpha about a lift of beta.
     """
-    qw = q.as_window(contract)
-    rep_key = {c: q.window.vertices[q.representative(c)] for c in range(len(q))}
-    qw_index = {rep_key[c]: c for c in range(len(q))}
-    inv = {i: qw_index[qw.vertices[i]] for i in range(len(qw))}
-    wanted = {v: k for k, v in inv.items()}
-    detected = s5windows.detect_half_twist_indices(
-        qw, wanted[alpha_class], wanted[beta_class]
-    )
-    return {inv[g] for g in detected}
+    return s5windows.detect_half_twist_indices(q.graph, alpha_class, beta_class)
 
 
 def propagate_pentagon_map(q: QuotientWindow, contract: InstanceContract,
@@ -495,28 +475,20 @@ def propagate_pentagon_map(q: QuotientWindow, contract: InstanceContract,
     Returns the extended map, the frontier where detection ran out of
     window, and any inconsistency witnesses.
     """
-    qw = q.as_window(contract)
-    rep_key = {c: q.window.vertices[q.representative(c)] for c in range(len(q))}
-    qw_of = {c: qw.index[rep_key[c]] for c in range(len(q))}
-    cls_of = {v: c for c, v in qw_of.items()}
-
-    pentagons = [tuple(cls_of[v] for v in p) for p in s5windows.enumerate_pentagons(qw)]
+    qw = q.graph
+    pentagons = s5windows.enumerate_pentagons(qw)
     mapped = dict(seed)
     witnesses: list[dict] = []
     frontier: list[dict] = []
     reported: set[tuple[int, int]] = set()
     oriented = False
-    adj = {c: set() for c in range(len(q))}
-    for a, b in q.edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = [set(ns) for ns in qw.neighbors]
 
     detect_cache: dict[tuple[int, int], set[int]] = {}
 
     def detect(a: int, b: int) -> set[int]:
         if (a, b) not in detect_cache:
-            got = s5windows.detect_half_twist_indices(qw, qw_of[a], qw_of[b])
-            detect_cache[(a, b)] = {cls_of[v] for v in got}
+            detect_cache[(a, b)] = s5windows.detect_half_twist_indices(qw, a, b)
         return detect_cache[(a, b)]
 
     def consistent(gamma: int, image: int) -> bool:

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .window import DisjointSets
+
 PUNCTURES = (1, 2, 3, 4, 5)
 NUM_EDGES = 9
 Coords = tuple[int, int, int, int, int, int, int, int, int]
@@ -160,8 +162,6 @@ def _base() -> Triangulation:
 
 BASE = _base()
 
-EDGE_NAMES = ("E12", "E23", "E34", "E45", "E51", "N13", "N14", "S13", "S14")
-
 
 def compile_flips(flips: tuple[int, ...]) -> tuple[FlipStep, ...]:
     """The flip program of a flip sequence starting from the base triangulation."""
@@ -209,21 +209,7 @@ def count_components(state: Triangulation, coords: Coords) -> int:
     """
     if not is_valid_coords(state, coords):
         raise ValueError("invalid normal coordinates")
-    parent: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    arcs = DisjointSets()
     corner = {t: corner_counts(state, t, coords) for t in range(6)}
     # corner arcs: arc i at corner c of t crosses side c+2 at position i and
     # side c+1 at position (value of side c+1) - 1 - i
@@ -232,14 +218,13 @@ def count_components(state: Triangulation, coords: Coords) -> int:
         for c in range(3):
             s1, s2 = (c + 1) % 3, (c + 2) % 3
             for i in range(corner[t][c]):
-                union((t, s2, i), (t, s1, coords[edges[s1]] - 1 - i))
+                arcs.union((t, s2, i), (t, s1, coords[edges[s1]] - 1 - i))
     # gluing reverses the direction of travel along the edge
     for e in range(NUM_EDGES):
         (t1, j1), (t2, j2) = state.slots[e]
         for pos in range(coords[e]):
-            union((t1, j1, pos), (t2, j2, coords[e] - 1 - pos))
-    roots = {find(a) for a in parent}
-    return len(roots)
+            arcs.union((t1, j1, pos), (t2, j2, coords[e] - 1 - pos))
+    return len(arcs.groups())
 
 
 def is_essential(state: Triangulation, coords: Coords) -> bool:

@@ -3,14 +3,15 @@
 A window is a finite induced subgraph with a basepoint, canonically ordered
 vertex keys, and the bound (height or word length) that generated it.  It is
 the unit of computation everywhere: the ambient graphs have infinite balls,
-so finite induced subgraphs stand in for them.
+so finite induced subgraphs stand in for them.  The union-find that
+quotients, component counts and orbit checks share lives here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any, Callable, Hashable, Iterable
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,6 @@ class Window:
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edge_set
 
-    def word_of(self, i: int) -> str | None:
-        return self.words[i] if self.words is not None else None
-
     def to_json(self, key_str: Callable[[Any], str]) -> dict:
         verts = []
         for i, v in enumerate(self.vertices):
@@ -104,3 +102,34 @@ class Window:
             lines.append(f"  {i} -- {j};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+class DisjointSets:
+    """Union-find over hashable keys, each added on first use.
+
+    Keys are only hashed and tested for equality, never ordered, so they may
+    mix types.  ``groups()`` lists the classes in order of their first-added
+    key, each class in the order its keys were added.
+    """
+
+    def __init__(self, keys: Iterable[Hashable] = ()):
+        self.parent: dict = {k: k for k in keys}
+
+    def find(self, x: Hashable) -> Hashable:
+        parent = self.parent
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: Hashable, y: Hashable) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
+    def groups(self) -> list[list]:
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())

@@ -48,7 +48,8 @@ def test_01_farey_distance_oracle_equivalence():
 def test_02_farey_quotient_suites_pass(farey_scenario):
     t0 = time.monotonic()
     w, q, contract = (farey_scenario[k] for k in ("w", "q", "contract"))
-    report = farey.displacement_report(farey_scenario["sample"], w)
+    report = quotient.displacement_report(
+        w, quotient.sample_words(farey_scenario["sample"]), contract)
     assert len(report) == 16
     assert all(r["min"] >= 8 for r in report)
     runs = [

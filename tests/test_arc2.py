@@ -15,6 +15,7 @@ from curvelab.arc2 import (
 )
 from curvelab.curves import BASE_CURVES, BASE_CURVE_PAIRS, intersection_number
 from curvelab.mcg import act
+from curvelab.triangulation import BASE
 
 # One representative triple of arcs (by curve coordinates) per configuration
 # class, all drawn from the word-bound-2 window.
@@ -169,3 +170,35 @@ def test_pentagon_cycle_orders_the_cycle(w2):
     cyc = pentagon_cycle(arcs)
     for k in range(5):
         assert arc2.cs_adjacent(cyc[k], cyc[(k + 1) % 5])
+
+
+@pytest.mark.parametrize("sides", ["one-and-four", "three-sides"])
+def test_arc_endpoints_raises_on_wrong_complement(monkeypatch, sides):
+    # let a non-essential input through: a peripheral loop (sides of 1 and 4
+    # punctures) or the two-component multicurve c1 + c2 (three sides)
+    monkeypatch.setattr(arc2, "is_essential", lambda state, coords: True)
+    if sides == "one-and-four":
+        coords = BASE.peripheral_coords(1)
+    else:
+        coords = tuple(x + y for x, y in zip(BASE_CURVES[0].coords, BASE_CURVES[1].coords))
+    with pytest.raises(RuntimeError):
+        arc_endpoints.__wrapped__(coords)
+
+
+def test_pentagon_cycle_raises_on_non_pentagon(w2):
+    pent = s5windows.enumerate_pentagons(w2)[0]
+    arcs = [Arc2Vertex(s5windows.window_curve(w2, i)) for i in pent]
+    arcs[4] = arcs[0]
+    with pytest.raises(RuntimeError):
+        pentagon_cycle(arcs)
+
+
+def test_fill_triangle_raises_on_invalid_cell(monkeypatch, w2, w3):
+    cfg = classify_triangle(arcs_from(REPRESENTATIVES["case5"], w2), w3)
+    good = arc2._four_pentagon_fill(cfg, w3)
+    bad = [list(p) for p in good]
+    bad[1][0] = bad[0][0] if bad[1][0] != bad[0][0] else bad[0][1]
+    assert not is_pentagon_set(bad[1])
+    monkeypatch.setattr(arc2, "_four_pentagon_fill", lambda config, w: bad)
+    with pytest.raises(RuntimeError):
+        fill_triangle(cfg, w3)

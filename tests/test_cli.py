@@ -210,6 +210,27 @@ def test_malformed_input_exit_two_without_traceback(runner, args):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [
+    ["s5", "pentagons"],
+    ["s5", "halftwist", "--alpha", "0", "--beta", "1"],
+])
+@pytest.mark.parametrize("content", [
+    "[1,2]",  # a top-level array
+    '{"instance":"s5","basepoint":"0,0,1,0,1,0,1,0,1","bound":0,'
+    '"vertices":5,"edges":[]}',
+    '{"instance":"s5","basepoint":"0,0,1,0,1,0,1,0,1","bound":0,'
+    '"vertices":[{"id":0,"key":5}],"edges":[]}',
+], ids=["array", "vertices-number", "key-number"])
+def test_window_file_of_wrong_shape_exits_two(runner, tmp_path, command, content):
+    path = tmp_path / "window.json"
+    path.write_text(content)
+    result = invoke(runner, [*command, "--window", str(path)])
+    assert result.exit_code == cli.EXIT_IO_ERROR
+    assert "Traceback" not in result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("corrupt", [
     b'{"vertices":[1,2',  # truncated
     b"\xff\xfe not text",  # not UTF-8
@@ -253,15 +274,19 @@ def test_cache_version_change_is_a_miss(tmp_path, monkeypatch):
 def test_verify_output_survives_optimize_flag():
     env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-    args = ["-m", "curvelab.cli", "verify", "--height", "20", "--power", "8",
-            "--conj-len", "1", "--suites", "simplicial,lift,ball2,covering",
-            "--format", "json"]
-    plain, optimized = (
-        subprocess.run([sys.executable, *flags, *args], env=env,
-                       capture_output=True, text=True, check=True).stdout
-        for flags in ([], ["-O"])
-    )
-    assert plain and optimized == plain
+    verify = ["-m", "curvelab.cli", "verify", "--height", "20", "--power", "8",
+              "--conj-len", "1", "--suites", "simplicial,lift,ball2,covering",
+              "--format", "json"]
+    # the case5 triangle: a four-pentagon fill, every cell checked by arc2
+    fill = ["-m", "curvelab.cli", "arc2", "fill", "0,0,1,0,1,0,1,0,1",
+            "0,1,0,1,0,1,1,1,1", "2,1,1,1,1,1,0,3,2"]
+    for args in (verify, fill):
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, *args], env=env,
+                           capture_output=True, text=True, check=True).stdout
+            for flags in ([], ["-O"])
+        )
+        assert plain and optimized == plain
 
 
 def test_corrupt_window_cache_entry_is_rebuilt(runner, tmp_path, monkeypatch):

@@ -20,9 +20,9 @@ from curvelab.farey import (
     invert_word,
     sample_closure,
     slopes_of_height,
-    window_displacement,
     word_matrix,
 )
+from curvelab.quotient import displacement_report, farey_contract
 from curvelab.window import Window
 
 
@@ -242,15 +242,22 @@ class TestClosure:
         assert ClosureSample.from_json(sample.to_json()) == sample
 
 
+def window_displacement(word: str, base: IntMatrix, window: Window) -> int:
+    """Window minimum of d(v, m v) for the matrix of a word over t/T/u/U/j/a/A."""
+    (rec,) = displacement_report(window, (word,), farey_contract(base))
+    return rec["min"]
+
+
 class TestDisplacement:
     def test_identity_and_parabolic(self):
         w = farey_window(6)
-        assert window_displacement(IDENTITY, w) == 0
-        assert window_displacement(GENERATORS["t"], w) == 0
+        assert word_matrix("") == IDENTITY and word_matrix("t") == GENERATORS["t"]
+        assert window_displacement("", IDENTITY, w) == 0
+        assert window_displacement("t", IDENTITY, w) == 0
 
     def test_hyperbolic_example(self):
         w = farey_window(20)
-        assert window_displacement(IntMatrix(2, 1, 1, 1), w) == 1
+        assert window_displacement("a", IntMatrix(2, 1, 1, 1), w) == 1
 
     def test_conjugation_covariance(self):
         A = IntMatrix(2, 1, 1, 1)
@@ -263,4 +270,5 @@ class TestDisplacement:
             vertices=tuple(g.apply(v) for v in w.vertices),
             edges=w.edges,
         )
-        assert window_displacement(g * A * g.inverse(), translated) == window_displacement(A, w)
+        assert word_matrix("tuaUT", A) == g * A * g.inverse()
+        assert window_displacement("tuaUT", A, translated) == window_displacement("a", A, w)

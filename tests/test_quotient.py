@@ -92,7 +92,7 @@ def test_displacement_report(q20, sample, w20):
 
 
 def test_quotient_idempotent(q20, contract):
-    qw = q20.as_window(contract)
+    qw = q20.graph
     again = build_quotient(qw, GenericSample("farey", ()), contract)
     assert len(again) == len(q20)
     assert again.edges == qw.edges
@@ -102,15 +102,25 @@ def test_quotient_edges_project_window_edges(q20, w20):
     for i, j in w20.edges:
         ci, cj = q20.class_of[i], q20.class_of[j]
         if ci != cj:
-            assert q20.has_edge(ci, cj)
+            assert q20.graph.has_edge(ci, cj)
         else:
             assert (ci, i, j) in q20.loops
 
 
-def test_as_window_sorted(q20, contract):
-    qw = q20.as_window(contract)
+def test_as_window_sorted(q20, w3):
+    qw = q20.graph
     assert list(qw.vertices) == sorted(qw.vertices)
     assert qw.instance == "farey/quotient"
+    # vertex c of the quotient graph is the representative of class c, which
+    # is what lets suites use class indices as quotient-graph vertices
+    q3 = build_quotient(w3, s5_sample(("aa",)), s5_contract())
+    assert len(q3) < len(w3)
+    for q, w in ((q20, q20.window), (q3, w3)):
+        assert q.graph.vertices == tuple(
+            w.vertices[q.representative(c)] for c in range(len(q)))
+        assert list(q.graph.vertices) == sorted(q.graph.vertices)
+        assert q.graph.edges == q.edges
+    assert q3.graph.instance == "s5/quotient"
 
 
 def test_quotient_json(q20, contract, w20):

@@ -203,3 +203,10 @@ def test_witness_word_parsing():
     assert s5windows.parse_witness("c5") == ("", 5)
     assert s5windows.witness_str(("ab", 3)) == "ab.c3"
     assert s5windows.witness_str(("", 5)) == "c5"
+
+
+def test_positions_raise_unless_given_a_pentagon_edge():
+    pent = (0, 1, 2, 3, 4)
+    assert s5windows._positions(pent, 0, 4)["near_delta"] == {3}
+    with pytest.raises(RuntimeError):
+        s5windows._positions(pent, 0, 2)

@@ -90,7 +90,7 @@ def test_unique_lift_orbit_rejects_repeats(w30, q30, fcontract):
 
 
 def test_unique_lift_orbit_pentagon(w2, sq2, scontract):
-    qw = sq2.as_window(scontract)
+    qw = sq2.graph
     pent = s5windows.enumerate_pentagons(qw)[0]
     classes = tuple(
         sq2.class_of[sq2.window.index[qw.vertices[i]]] for i in pent
