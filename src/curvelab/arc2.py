@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .curves import NormalCurve, intersection_number
+from .curves import NormalCurve, disjoint, intersection_number
 from .triangulation import BASE, NUM_EDGES, Coords, corner_counts, is_essential
 from .window import DisjointSets, Window
 from . import s5windows
@@ -124,11 +124,6 @@ def epsilon_arc(x_i: Arc2Vertex, x_j: Arc2Vertex, w: Window) -> Arc2Vertex:
     return candidates[0]
 
 
-def cs_adjacent(a: Arc2Vertex, b: Arc2Vertex) -> bool:
-    """Adjacency in the curve graph: the carrying curves are disjoint."""
-    return a.curve != b.curve and intersection_number(a.curve, b.curve) == 0
-
-
 def is_pentagon_set(arcs: list[Arc2Vertex]) -> bool:
     """Five distinct curves forming a chordless 5-cycle under disjointness."""
     if len({a.curve.coords for a in arcs}) != 5:
@@ -136,7 +131,7 @@ def is_pentagon_set(arcs: list[Arc2Vertex]) -> bool:
     deg = [0] * 5
     edges = 0
     for (i, a), (j, b) in combinations(enumerate(arcs), 2):
-        if cs_adjacent(a, b):
+        if disjoint(a.curve, b.curve):
             deg[i] += 1
             deg[j] += 1
             edges += 1
@@ -151,7 +146,7 @@ def pentagon_cycle(arcs: list[Arc2Vertex]) -> tuple[Arc2Vertex, ...]:
     order = [arcs[0]]
     rest = arcs[1:]
     while rest:
-        nxt = min(a for a in rest if cs_adjacent(order[-1], a))
+        nxt = min(a for a in rest if disjoint(order[-1].curve, a.curve))
         order.append(nxt)
         rest.remove(nxt)
     return tuple(order)

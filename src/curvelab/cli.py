@@ -177,8 +177,7 @@ def farey_displacement(matrix, power, conj_len, depth, height, fmt):
     sample = _closure_sample(matrix, power, conj_len, depth)
     contract = quotient_mod.farey_contract(farey_mod.IntMatrix.parse(matrix))
     w = _farey_window(height, "0/1")
-    report = quotient_mod.displacement_report(
-        w, quotient_mod.sample_words(sample), contract)
+    report = quotient_mod.displacement_report(w, sample.words, contract)
 
     def text():
         lines = [f"{r['word']}: min {r['min']} at {r['argmin']}" for r in report]
@@ -198,6 +197,8 @@ def s5():
 
 
 def _s5_window(word_bound: int) -> Window:
+    if word_bound < 0:
+        _fail("word bound must be nonnegative")
     text = cached_text(
         {"kind": "window", "instance": "s5", "wordBound": word_bound},
         lambda: canonical_json(
@@ -220,8 +221,6 @@ def _load_window(path: str) -> Window:
 @_format_option()
 def s5_ball(word_bound, fmt):
     """Window of all images of the base pentagon under bounded words."""
-    if word_bound < 0:
-        _fail("word bound must be nonnegative")
     w = _s5_window(word_bound)
     _emit(
         w.to_json(s5windows.curve_key_str), fmt,
@@ -337,18 +336,18 @@ def arc2_fill(arcs, word_bound, fmt):
 
 
 def _build_quotient(instance, height, matrix, power, conj_len, depth,
-                    word_bound, sample_words):
+                    word_bound, sample_csv):
     if height <= 0:
         _fail("height must be positive")
     if word_bound < 0:
         _fail("word bound must be nonnegative")
     if instance == "farey":
-        sample = _closure_sample(matrix, power, conj_len, depth)
+        sample = _closure_sample(matrix, power, conj_len, depth).words
         contract = quotient_mod.farey_contract(farey_mod.IntMatrix.parse(matrix))
         w = _farey_window(height, "0/1")
     else:
         contract = quotient_mod.s5_contract()
-        words = tuple(x for x in (sample_words or "").split(",") if x)
+        words = tuple(x for x in (sample_csv or "").split(",") if x)
         try:
             sample = quotient_mod.s5_sample(words)
         except ValueError as exc:
@@ -365,7 +364,7 @@ quotient_options = [
     *closure_options,
     click.option("--word-bound", type=int, default=2, show_default=True,
                  help="s5 window word bound"),
-    click.option("--sample", "sample_words", default="",
+    click.option("--sample", "sample_csv", default="",
                  help="s5 sample words, comma separated"),
 ]
 
@@ -379,11 +378,11 @@ def quotient_group():
 @_with(quotient_options)
 @_format_option()
 def quotient_build(instance, height, matrix, power, conj_len, depth,
-                   word_bound, sample_words, fmt):
+                   word_bound, sample_csv, fmt):
     """Build the quotient window and its displacement report."""
     w, q, contract = _build_quotient(
         instance, height, matrix, power, conj_len, depth,
-        word_bound, sample_words,
+        word_bound, sample_csv,
     )
     _emit(
         q.to_json(contract), fmt,
@@ -409,7 +408,7 @@ def _run_suite(name, w, q, contract, seed):
     if name == "pentagon-transfer":
         return suites.transfer_pentagons(w, q, contract)
     if name == "support-sets":
-        return suites.check_support_sets(w, q, contract)
+        return suites.check_support_sets(w, q)
     if name == "relations":
         return suites.check_relations(seed=seed)
     raise AssertionError(name)
@@ -425,7 +424,7 @@ def _run_suite(name, w, q, contract, seed):
               help="seed for randomized relation checks")
 @_format_option(default="text")
 def verify(instance, height, matrix, power, conj_len, depth,
-           word_bound, sample_words, suite_csv, out_dir, seed, fmt):
+           word_bound, sample_csv, suite_csv, out_dir, seed, fmt):
     """Run verification suites over a window and its quotient."""
     names = []
     for raw in suite_csv.split(","):
@@ -440,7 +439,7 @@ def verify(instance, height, matrix, power, conj_len, depth,
 
     w, q, contract = _build_quotient(
         instance, height, matrix, power, conj_len, depth,
-        word_bound, sample_words,
+        word_bound, sample_csv,
     )
     reports = [_run_suite(n, w, q, contract, seed) for n in names]
 

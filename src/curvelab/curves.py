@@ -78,13 +78,6 @@ class NormalCurve:
             rec["witness"] = {"word": self.witness[0], "base": self.witness[1]}
         return rec
 
-    @staticmethod
-    def from_json(data: dict) -> "NormalCurve":
-        witness = None
-        if "witness" in data:
-            witness = (data["witness"]["word"], data["witness"]["base"])
-        return NormalCurve(tuple(data["coords"]), witness)
-
 
 # The base edge whose disk neighborhood c_j bounds: E12, E34, E51, E23, E45.
 BASE_CURVE_EDGES = (0, 2, 4, 1, 3)

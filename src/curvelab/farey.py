@@ -322,19 +322,18 @@ class ClosureElement:
 class ClosureSample:
     """Finite, word-length-bounded sample of a normal closure."""
 
-    instance: str
     elements: tuple[ClosureElement, ...]
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    @property
+    def words(self) -> tuple[str, ...]:
+        """The sample as the quotient machinery takes it."""
+        return tuple(e.word for e in self.elements)
+
     def to_json(self) -> list[dict]:
         return [{"word": e.word, "matrix": list(e.matrix.entries)} for e in self.elements]
-
-    @staticmethod
-    def from_json(data: list[dict]) -> "ClosureSample":
-        elems = tuple(ClosureElement(d["word"], IntMatrix(*d["matrix"])) for d in data)
-        return ClosureSample("farey", elems)
 
 
 def _conjugator_words(length: int) -> Iterator[str]:
@@ -400,5 +399,5 @@ def sample_closure(spec: FareyClosureSpec) -> ClosureSample:
                     elements[key] = ClosureElement(word, mat)
         frontier = nxt
     ordered = tuple(sorted(elements.values(), key=lambda e: (len(e.word), e.word)))
-    return ClosureSample("farey", ordered)
+    return ClosureSample(ordered)
 

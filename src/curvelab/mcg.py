@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .curves import BASE_CURVES, NormalCurve
+from .curves import NormalCurve
 from .triangulation import NUM_EDGES, Coords, FlipStep, compile_flips, run_flip_program
 
 WORD_ALPHABET = "aAbBcCdDr"
@@ -86,8 +86,9 @@ IDENTITY_ATOM = Atom((), tuple(range(NUM_EDGES)), (1, 2, 3, 4, 5))
 # i.e. the northern fan edges with the southern ones; no flips needed.
 R_ATOM = Atom((), (0, 1, 2, 3, 4, 7, 8, 5, 6), (1, 2, 3, 4, 5))
 
-# Derived encodings (see derive.py): the rotation rho advancing every
-# puncture by one, and the half-twist h1 exchanging punctures 1 and 2.
+# Derived encodings (re-derived by tests/test_derive.py): the rotation rho
+# advancing every puncture by one, and the half-twist h1 exchanging
+# punctures 1 and 2.
 RHO_ATOM = Atom(
     flips=(6, 5, 8, 7),
     relabel=(1, 2, 3, 4, 0, 5, 6, 7, 8),
@@ -185,8 +186,3 @@ def puncture_permutation(word: str) -> tuple[int, int, int, int, int]:
 def orientation_parity(word: str) -> int:
     """+1 for orientation-preserving words, -1 otherwise (counts 'r's)."""
     return -1 if word.count("r") % 2 else 1
-
-
-def witness_curve(word: str, base_index: int) -> NormalCurve:
-    """The curve word(c_{base_index}) with its witness attached."""
-    return act(word, BASE_CURVES[base_index - 1])

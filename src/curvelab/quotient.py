@@ -45,12 +45,14 @@ class InstanceContract:
             return self.exact_distance(a, b)
         if a == b:
             return 0
-        if self.adjacent(a, b):
-            return 1
         ia, ib = w.index.get(a), w.index.get(b)
-        if ia is not None and ib is not None:
-            if set(w.neighbors[ia]) & set(w.neighbors[ib]):
-                return 2
+        if ia is None or ib is None:
+            return 1 if self.adjacent(a, b) else None
+        # a window is an induced subgraph, so its edges decide adjacency
+        if w.has_edge(ia, ib):
+            return 1
+        if set(w.neighbors[ia]) & set(w.neighbors[ib]):
+            return 2
         return None
 
 
@@ -84,18 +86,7 @@ def s5_contract() -> InstanceContract:
     )
 
 
-@dataclass(frozen=True)
-class GenericSample:
-    """Inverse-closed, identity-free list of sample words for an instance."""
-
-    instance: str
-    words: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-def s5_sample(words: tuple[str, ...] = ()) -> GenericSample:
+def s5_sample(words: tuple[str, ...] = ()) -> tuple[str, ...]:
     """An S0,5 sample from words, closed under inverses, identity removed."""
     closed: list[str] = []
     for w in words:
@@ -104,13 +95,7 @@ def s5_sample(words: tuple[str, ...] = ()) -> GenericSample:
         for x in (reduce_word(w), reduce_word(invert_word(w))):
             if x and x not in closed:
                 closed.append(x)
-    return GenericSample("s5", tuple(closed))
-
-
-def sample_words(sample) -> tuple[str, ...]:
-    if isinstance(sample, GenericSample):
-        return sample.words
-    return tuple(e.word for e in sample.elements)
+    return tuple(closed)
 
 
 @dataclass(frozen=True)
@@ -126,7 +111,6 @@ class QuotientWindow:
 
     window: Window
     instance: str
-    sample: tuple[str, ...]
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
@@ -197,16 +181,19 @@ def displacement_report(
 
 
 def build_quotient(
-    w: Window, sample, contract: InstanceContract
+    w: Window, words: tuple[str, ...], contract: InstanceContract
 ) -> QuotientWindow:
     """Union-find over all in-window identifications v ~ n(v).
+
+    The sample is a tuple of words (``ClosureSample.words`` on the Farey
+    graph, ``s5_sample`` on the five-punctured sphere), each acting through
+    ``contract.action``.
 
     Class representatives are deterministic (least index); transporter words
     are found by breadth-first search over the identification graph from each
     representative.  The partition is cross-checked against a second
     union-find over the distinct identified pairs.
     """
-    words = sample_words(sample)
     n = len(w)
     by_moves = DisjointSets(range(n))
 
@@ -266,7 +253,6 @@ def build_quotient(
     return QuotientWindow(
         window=w,
         instance=contract.name,
-        sample=words,
         class_of=tuple(class_of),
         classes=classes,
         edges=tuple(sorted(qedges)),

@@ -21,7 +21,7 @@ from itertools import combinations
 
 from . import s5windows
 from .quotient import InstanceContract, QuotientWindow
-from .window import DisjointSets, Window
+from .window import Window
 
 SIMPLICIAL_THRESHOLD = 3
 LIFTING_THRESHOLD = 8
@@ -134,7 +134,9 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
     at every member of either endpoint class (edge-by-edge path lifting
     follows by induction); (c) every pair of classes at quotient distance 2
     admits a lift realizing true distance 2.  Lifts leaving the window are
-    truncated sites.
+    truncated sites.  In (c), a first lift that lands outside the middle
+    class (possible out of hypothesis) is an eligible ``geodesic-lift``
+    witness naming the class reached, never a truncated site.
     """
     key = contract.key_str
     witnesses = []
@@ -183,6 +185,15 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
                 truncated += 1
                 continue
             m = q.window.index[m_key]
+            if q.class_of[m] != mid:
+                witnesses.append({
+                    "kind": "geodesic-lift",
+                    "classes": [a, b],
+                    "lift": [key(w.vertices[i]), key(m_key)],
+                    "mid_class": mid,
+                    "reached_class": q.class_of[m],
+                })
+                continue
             v_key, inside = _lift_edge_at(q, contract, rep_edge, m, b)
             if not inside:
                 truncated += 1
@@ -219,8 +230,6 @@ def verify_ball2_isometry(w: Window, q: QuotientWindow,
     eligible = truncated = 0
 
     def far_apart(x, y) -> bool | None:
-        if contract.exact_distance is not None:
-            return contract.exact_distance(x, y) >= 5
         cert = contract.certificate(x, y, w)
         return None if cert is None else cert >= 5
 
@@ -299,67 +308,6 @@ def verify_local_covering(w: Window, q: QuotientWindow,
     return _report(
         "local-covering", _status(witnesses, q, LIFTING_THRESHOLD),
         eligible=eligible, truncated=truncated, witnesses=witnesses,
-    )
-
-
-def verify_unique_lift_orbit(w: Window, q: QuotientWindow,
-                             contract: InstanceContract,
-                             subgraph: tuple[int, ...]) -> dict:
-    """All in-window lifts of a small quotient subgraph lie in one orbit.
-
-    Lifts are found by backtracking over class members; two lifts are
-    related when a single sample element carries one to the other (pointwise)
-    and orbits are the transitive closure.  More than one orbit is recorded
-    as a truncated site with witnesses: the connecting element may simply
-    exceed the sample, which inspection distinguishes from window truncation.
-    """
-    cls = list(subgraph)
-    if len(cls) != len(set(cls)):
-        raise ValueError("subgraph classes must be distinct")
-    sub_edges = [(a, b) for a, b in combinations(range(len(cls)), 2)
-                 if q.graph.has_edge(cls[a], cls[b])]
-    lifts: list[tuple[int, ...]] = []
-
-    def extend(assign: list[int]):
-        k = len(assign)
-        if k == len(cls):
-            lifts.append(tuple(assign))
-            return
-        for v in q.classes[cls[k]]:
-            if all(w.has_edge(assign[a], v) for a, b in sub_edges if b == k):
-                extend(assign + [v])
-
-    extend([])
-
-    actions = [contract.action(word) for word in q.sample]
-    related = DisjointSets(range(len(lifts)))
-    lift_index = {L: i for i, L in enumerate(lifts)}
-    for idx, L in enumerate(lifts):
-        for fn in actions:
-            image = tuple(q.window.index.get(fn(w.vertices[v])) for v in L)
-            if None in image:
-                continue
-            j = lift_index.get(image)
-            if j is not None:
-                related.union(idx, j)
-    # each orbit is listed from its least lift index
-    orbit_reps = [m[0] for m in related.groups()]
-    orbits = len(orbit_reps)
-    # zero lifts or several orbits are window/sample shortfalls, not lemma
-    # violations: counted as truncated, with one witness lift per orbit
-    witnesses = []
-    truncated = 0
-    if not lifts or orbits > 1:
-        truncated = 1
-        witnesses = [{
-            "kind": "extra-orbit",
-            "lift": [contract.key_str(w.vertices[v]) for v in lifts[r]],
-        } for r in orbit_reps]
-    return _report(
-        "unique-lift-orbit", "pass",
-        eligible=1 if lifts and orbits == 1 else 0,
-        truncated=truncated, witnesses=witnesses,
-        lifts=len(lifts), orbits=orbits,
     )
 
 
@@ -450,19 +398,7 @@ def _lift_cycle(w: Window, q: QuotientWindow, classes: tuple[int, ...]):
     return extend([])
 
 
-def detect_half_twists_quotient(alpha_class: int, beta_class: int,
-                                q: QuotientWindow,
-                                contract: InstanceContract) -> set[int]:
-    """Classes admitting the two-pentagon configuration in the quotient.
-
-    Contract: the result only ever contains the projections of the two
-    half-twist images of a lift of alpha about a lift of beta.
-    """
-    return s5windows.detect_half_twist_indices(q.graph, alpha_class, beta_class)
-
-
-def propagate_pentagon_map(q: QuotientWindow, contract: InstanceContract,
-                           seed: dict[int, int],
+def propagate_pentagon_map(q: QuotientWindow, seed: dict[int, int],
                            first_choice: tuple[int, int] | None = None) -> dict:
     """Extend a pentagon-to-pentagon class map across half-twist detections.
 
@@ -631,8 +567,7 @@ def check_relations(seed: int = 0, curves: int = 100, length: int = 8) -> dict:
                    witnesses=witnesses, seed=seed)
 
 
-def check_support_sets(w: Window, q: QuotientWindow | None = None,
-                       contract: InstanceContract | None = None) -> dict:
+def check_support_sets(w: Window, q: QuotientWindow | None = None) -> dict:
     """Complexity-2 structure of the curve graph window.
 
     (a) no three pairwise-disjoint curves (pants decompositions have size 2);

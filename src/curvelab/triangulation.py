@@ -61,15 +61,20 @@ class Triangulation:
         return (u, v) if u <= v else (v, u)
 
     def validate(self) -> None:
-        assert len(self.tri_edges) == 6 and len(self.tri_corners) == 6
+        """Raise RuntimeError unless the gluing is a triangulated sphere."""
+        if len(self.tri_edges) != 6 or len(self.tri_corners) != 6:
+            raise RuntimeError("a triangulation needs six triangles")
         for e, slot in enumerate(self.slots):
-            assert len(slot) == 2, f"edge {e} appears {len(slot)} times"
+            if len(slot) != 2:
+                raise RuntimeError(f"edge {e} appears {len(slot)} times")
             (t1, j1), (t2, j2) = slot
             u1, v1 = self.side_ends(t1, j1)
             u2, v2 = self.side_ends(t2, j2)
-            assert (u1, v1) == (v2, u2), f"edge {e} glued with matching orientation"
+            if (u1, v1) != (v2, u2):
+                raise RuntimeError(f"edge {e} glued with matching orientation")
         # Euler characteristic of the sphere
-        assert len(PUNCTURES) - NUM_EDGES + len(self.tri_edges) == 2
+        if len(PUNCTURES) - NUM_EDGES + len(self.tri_edges) != 2:
+            raise RuntimeError("gluing is not a sphere")
 
     def flippable(self, e: int) -> bool:
         (t1, _), (t2, _) = self.slots[e]

@@ -27,7 +27,7 @@ def farey_scenario():
     w = farey.farey_window(55)
     sample = farey.sample_closure(farey.FareyClosureSpec(A_MATRIX, 8, 2))
     contract = quotient.farey_contract(A_MATRIX)
-    q = quotient.build_quotient(w, sample, contract)
+    q = quotient.build_quotient(w, sample.words, contract)
     return {"w": w, "sample": sample, "contract": contract, "q": q,
             "build_seconds": time.monotonic() - t0}
 
@@ -49,7 +49,7 @@ def test_02_farey_quotient_suites_pass(farey_scenario):
     t0 = time.monotonic()
     w, q, contract = (farey_scenario[k] for k in ("w", "q", "contract"))
     report = quotient.displacement_report(
-        w, quotient.sample_words(farey_scenario["sample"]), contract)
+        w, farey_scenario["sample"].words, contract)
     assert len(report) == 16
     assert all(r["min"] >= 8 for r in report)
     runs = [
@@ -69,7 +69,7 @@ def test_03_hypothesis_necessity_k1():
     w = farey.farey_window(55)
     sample = farey.sample_closure(farey.FareyClosureSpec(A_MATRIX, 1, 2))
     contract = quotient.farey_contract(A_MATRIX)
-    q = quotient.build_quotient(w, sample, contract)
+    q = quotient.build_quotient(w, sample.words, contract)
     assert q.min_displacement == 1
     r = suites.check_simplicial(q, contract)
     assert r["status"] == "out-of-hypothesis"
@@ -119,7 +119,7 @@ def test_07_quotient_transfer_and_detection(w2):
     c1, c3 = BASE_CURVES[0], BASE_CURVES[2]
     a_cls = q.class_of[w2.index[c1.coords]]
     b_cls = q.class_of[w2.index[c3.coords]]
-    detected = suites.detect_half_twists_quotient(a_cls, b_cls, q, contract)
+    detected = s5windows.detect_half_twist_indices(q.graph, a_cls, b_cls)
     upstairs = s5windows.detect_half_twists(c1, c3, w2)
     assert detected == {q.class_of[w2.index[g.coords]] for g in upstairs}
     assert len(detected) == 2

@@ -201,6 +201,8 @@ def test_determinism_byte_identical(runner):
     "quotient build --instance s5 --word-bound -1",
     "farey displacement --height 0",
     "s5 halftwist --alpha 0 --beta 0 --word-bound 1",
+    "s5 pentagons --word-bound -1",
+    "s5 halftwist --alpha 0 --beta 1 --word-bound -2",
 ])
 def test_malformed_input_exit_two_without_traceback(runner, args):
     result = invoke(runner, args.split())
@@ -208,6 +210,18 @@ def test_malformed_input_exit_two_without_traceback(runner, args):
     assert "Traceback" not in result.output
     lines = result.output.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    "verify --instance s5 --word-bound 4 --sample abc --suites lift",
+    "verify --height 20 --matrix 3,1,2,1 --power 2 --conj-len 1 --suites lift",
+])
+def test_lifting_out_of_hypothesis_reports_without_traceback(runner, args):
+    # in both runs a lifted edge leaves the class it was lifted over
+    result = invoke(runner, args.split())
+    assert result.exit_code in (0, cli.EXIT_SUITE_FAILURE)
+    assert "Traceback" not in result.output
+    assert result.output.startswith("lipschitz-lifting: ")
 
 
 @pytest.mark.parametrize("command", [

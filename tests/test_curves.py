@@ -65,12 +65,6 @@ def test_inessential_coords_rejected():
         NormalCurve((1, 0, 0, 0, 0, 0, 0, 0, 0))
 
 
-def test_curve_json_roundtrip():
-    c = BASE_CURVES[2]
-    assert NormalCurve.from_json(c.to_json()) == c
-    assert NormalCurve.from_json(c.to_json()).witness == c.witness
-
-
 def test_intersection_accepts_raw_coords():
     a, b = BASE_CURVES[0], BASE_CURVES[3]
     assert intersection_number(a.coords, b.coords) == 2

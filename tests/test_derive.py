@@ -1,21 +1,19 @@
-"""One-time derivation of the generator flip encodings.
+"""Re-derivation of the generator flip encodings shipped in mcg.py.
 
 Searches the flip graph of the base triangulation for shortest flip
 sequences whose final triangulation is combinatorially isomorphic to the
 base one (orientation-preservingly) under a prescribed puncture
 permutation.  Each hit yields a candidate Atom; candidates are then pinned
-behaviourally (action on the base pentagon, intersection numbers, order).
-
-Run as ``python -m curvelab.derive`` to print the tables shipped in mcg.py.
+behaviourally (action on the base pentagon, intersection numbers), and the
+shipped encodings must be among them.
 """
-
-from __future__ import annotations
 
 from collections import Counter
 
-from .curves import BASE_CURVES, intersection_number
-from .mcg import Atom
-from .triangulation import BASE, NUM_EDGES, Triangulation
+from curvelab import mcg
+from curvelab.curves import BASE_CURVES, intersection_number
+from curvelab.mcg import Atom
+from curvelab.triangulation import BASE, NUM_EDGES, Triangulation
 
 
 def _pair_counter(state: Triangulation, perm: dict[int, int] | None = None):
@@ -106,17 +104,6 @@ def find_candidates(perm: dict[int, int], max_depth: int = 8) -> list[Atom]:
     return []
 
 
-def action_signature(atom: Atom, depth: int = 2) -> tuple:
-    """Fingerprint of the action: images of base curves under short words."""
-    curves = [c.coords for c in BASE_CURVES]
-    images = [tuple(atom.apply(c) for c in curves)]
-    cur = images[0]
-    for _ in range(depth - 1):
-        cur = tuple(atom.apply(c) for c in cur)
-        images.append(cur)
-    return tuple(images)
-
-
 def pin_rho() -> list[Atom]:
     """Candidates for the rotation: advance every puncture by one and send
     the base pentagon around itself (c1 -> c4 -> c2 -> c5 -> c3 -> c1)."""
@@ -132,7 +119,7 @@ def pin_rho() -> list[Atom]:
     return out
 
 
-def pin_h1(rho: Atom) -> list[Atom]:
+def pin_h1() -> list[Atom]:
     """Candidates for the half-twist swapping punctures 1 and 2.
 
     Must fix the three base curves not crossing it (c1, c2, c5), move c3 and
@@ -153,18 +140,6 @@ def pin_h1(rho: Atom) -> list[Atom]:
     return out
 
 
-def main() -> None:
-    rho_candidates = pin_rho()
-    print(f"rho candidates: {len(rho_candidates)}")
-    for atom in rho_candidates:
-        print("  flips", atom.flips, "relabel", atom.relabel)
-    h1_candidates = pin_h1(rho_candidates[0])
-    print(f"h1 candidates: {len(h1_candidates)}")
-    for atom in h1_candidates:
-        print("  flips", atom.flips, "relabel", atom.relabel)
-        img = atom.apply(BASE_CURVES[3].coords)
-        print("    h(c4) =", img)
-
-
-if __name__ == "__main__":
-    main()
+def test_shipped_atoms_are_rederived():
+    assert mcg.RHO_ATOM in pin_rho()
+    assert mcg.H1_ATOM in pin_h1()

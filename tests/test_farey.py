@@ -9,7 +9,6 @@ from curvelab.farey import (
     INFINITY,
     ZERO,
     BfsOracle,
-    ClosureSample,
     FareyClosureSpec,
     IntMatrix,
     Slope,
@@ -235,11 +234,6 @@ class TestClosure:
         # inverse-closed
         for elem in sample.elements:
             assert elem.matrix.inverse().projective() in keys
-
-    def test_json_roundtrip(self):
-        A = IntMatrix(2, 1, 1, 1)
-        sample = sample_closure(FareyClosureSpec(A, 1, 1, 1))
-        assert ClosureSample.from_json(sample.to_json()) == sample
 
 
 def window_displacement(word: str, base: IntMatrix, window: Window) -> int:

@@ -12,7 +12,6 @@ from curvelab.mcg import (
     orientation_parity,
     puncture_permutation,
     reduce_word,
-    witness_curve,
 )
 from curvelab.triangulation import BASE, run_flip_program
 
@@ -108,12 +107,6 @@ def test_act_extends_witness():
     back = act("BA", c)
     assert back == BASE_CURVES[0]
     assert back.witness == ("", 1)
-
-
-def test_witness_curve():
-    c = witness_curve("a", 4)
-    assert c.coords == apply_word("a", BASE_CURVES[3].coords)
-    assert c.witness == ("a", 4)
 
 
 def test_orientation_parity():

@@ -2,7 +2,6 @@ import pytest
 
 from curvelab import farey, quotient
 from curvelab.quotient import (
-    GenericSample,
     build_quotient,
     farey_contract,
     s5_contract,
@@ -29,11 +28,11 @@ def sample():
 
 @pytest.fixture(scope="module")
 def q20(w20, sample, contract):
-    return build_quotient(w20, sample, contract)
+    return build_quotient(w20, sample.words, contract)
 
 
 def test_empty_sample_is_identity(w20, contract):
-    q = build_quotient(w20, GenericSample("farey", ()), contract)
+    q = build_quotient(w20, (), contract)
     assert len(q) == len(w20)
     assert all(len(m) == 1 for m in q.classes)
     assert q.edges == w20.edges
@@ -93,7 +92,7 @@ def test_displacement_report(q20, sample, w20):
 
 def test_quotient_idempotent(q20, contract):
     qw = q20.graph
-    again = build_quotient(qw, GenericSample("farey", ()), contract)
+    again = build_quotient(qw, (), contract)
     assert len(again) == len(q20)
     assert again.edges == qw.edges
 
@@ -132,9 +131,9 @@ def test_quotient_json(q20, contract, w20):
 
 def test_s5_sample_inverse_closed():
     s = s5_sample(("ab", "r"))
-    assert set(s.words) == {"ab", "BA", "r"}
-    assert s5_sample(()).words == ()
-    assert s5_sample(("aA",)).words == ()
+    assert set(s) == {"ab", "BA", "r"}
+    assert s5_sample(()) == ()
+    assert s5_sample(("aA",)) == ()
 
 
 def test_s5_contract_certificates():

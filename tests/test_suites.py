@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from curvelab import farey, quotient, s5windows, suites
@@ -20,13 +22,13 @@ def w30():
 @pytest.fixture(scope="module")
 def q30(w30, fcontract):
     sample = farey.sample_closure(farey.FareyClosureSpec(BASE, 8, 1))
-    return quotient.build_quotient(w30, sample, fcontract)
+    return quotient.build_quotient(w30, sample.words, fcontract)
 
 
 @pytest.fixture(scope="module")
 def q30_small(w30, fcontract):
     sample = farey.sample_closure(farey.FareyClosureSpec(BASE, 1, 1))
-    return quotient.build_quotient(w30, sample, fcontract)
+    return quotient.build_quotient(w30, sample.words, fcontract)
 
 
 @pytest.fixture(scope="module")
@@ -78,28 +80,6 @@ def test_local_covering_passes(w30, q30, fcontract):
     assert r["eligible"] == len(w30)
 
 
-def test_unique_lift_orbit_edge(w30, q30, fcontract):
-    r = suites.verify_unique_lift_orbit(w30, q30, fcontract, q30.edges[0])
-    assert r["status"] == "pass"
-    assert r["lifts"] >= 1
-
-
-def test_unique_lift_orbit_rejects_repeats(w30, q30, fcontract):
-    with pytest.raises(ValueError):
-        suites.verify_unique_lift_orbit(w30, q30, fcontract, (0, 0))
-
-
-def test_unique_lift_orbit_pentagon(w2, sq2, scontract):
-    qw = sq2.graph
-    pent = s5windows.enumerate_pentagons(qw)[0]
-    classes = tuple(
-        sq2.class_of[sq2.window.index[qw.vertices[i]]] for i in pent
-    )
-    r = suites.verify_unique_lift_orbit(w2, sq2, scontract, classes)
-    assert r["status"] == "pass"
-    assert r["orbits"] == 1 and r["lifts"] == 1
-
-
 def test_transfer_pentagons_empty_sample(w2, sq2, scontract):
     r = suites.transfer_pentagons(w2, sq2, scontract)
     assert r["status"] == "pass"
@@ -107,11 +87,11 @@ def test_transfer_pentagons_empty_sample(w2, sq2, scontract):
     assert r["witnesses"] == []
 
 
-def test_quotient_detection_matches_upstairs(w2, sq2, scontract):
+def test_quotient_detection_matches_upstairs(w2, sq2):
     c1, c3 = BASE_CURVES[0], BASE_CURVES[2]
     a_cls = sq2.class_of[w2.index[c1.coords]]
     b_cls = sq2.class_of[w2.index[c3.coords]]
-    detected = suites.detect_half_twists_quotient(a_cls, b_cls, sq2, scontract)
+    detected = s5windows.detect_half_twist_indices(sq2.graph, a_cls, b_cls)
     upstairs = s5windows.detect_half_twists(c1, c3, w2)
     projected = {sq2.class_of[w2.index[g.coords]] for g in upstairs}
     assert detected == projected
@@ -122,15 +102,15 @@ def _cls(sq2, w2, coords):
     return sq2.class_of[w2.index[coords]]
 
 
-def test_propagate_identity_seed(w2, sq2, scontract):
+def test_propagate_identity_seed(w2, sq2):
     seed = {_cls(sq2, w2, x.coords): _cls(sq2, w2, x.coords) for x in BASE_CURVES}
-    out = suites.propagate_pentagon_map(sq2, scontract, seed)
+    out = suites.propagate_pentagon_map(sq2, seed)
     assert out["witnesses"] == []
     assert all(k == v for k, v in out["map"].items())
     assert len(out["map"]) == len(sq2)
 
 
-def test_propagate_agrees_with_group_element(w2, sq2, scontract):
+def test_propagate_agrees_with_group_element(w2, sq2):
     g = "ab"
     seed = {
         _cls(sq2, w2, x.coords): _cls(sq2, w2, act(g, x).coords)
@@ -145,29 +125,29 @@ def test_propagate_agrees_with_group_element(w2, sq2, scontract):
                 bad.append(k)
         return bad
 
-    first = suites.propagate_pentagon_map(sq2, scontract, dict(seed))
+    first = suites.propagate_pentagon_map(sq2, dict(seed))
     assert first["witnesses"] == []
     bad = disagreeing(first)
     if bad:  # wrong global orientation: the hint flips it
         k0 = bad[0]
         img = act(g, s5windows.window_curve(w2, sq2.representative(k0))).coords
         hinted = suites.propagate_pentagon_map(
-            sq2, scontract, dict(seed), first_choice=(k0, _cls(sq2, w2, img))
+            sq2, dict(seed), first_choice=(k0, _cls(sq2, w2, img))
         )
         assert hinted["witnesses"] == []
         assert disagreeing(hinted) == []
 
 
-def test_propagate_reflection_swaps_detected_pair(w2, sq2, scontract):
+def test_propagate_reflection_swaps_detected_pair(w2, sq2):
     c1, c3 = BASE_CURVES[0], BASE_CURVES[2]
     seed = {_cls(sq2, w2, x.coords): _cls(sq2, w2, x.coords) for x in BASE_CURVES}
     det = sorted(
-        suites.detect_half_twists_quotient(
-            _cls(sq2, w2, c1.coords), _cls(sq2, w2, c3.coords), sq2, scontract
+        s5windows.detect_half_twist_indices(
+            sq2.graph, _cls(sq2, w2, c1.coords), _cls(sq2, w2, c3.coords)
         )
     )
     swapped = suites.propagate_pentagon_map(
-        sq2, scontract, dict(seed), first_choice=(det[0], det[1])
+        sq2, dict(seed), first_choice=(det[0], det[1])
     )
     assert swapped["witnesses"] == []
     assert swapped["map"][det[0]] == det[1]
@@ -178,8 +158,8 @@ def test_propagate_reflection_swaps_detected_pair(w2, sq2, scontract):
         assert _cls(sq2, w2, img) == v
 
 
-def test_support_sets_pass(w2, w3, sq2, scontract):
-    r = suites.check_support_sets(w2, sq2, scontract)
+def test_support_sets_pass(w2, w3, sq2):
+    r = suites.check_support_sets(w2, sq2)
     assert r["status"] == "pass"
     assert r["witnesses"] == []
     r3 = suites.check_support_sets(w3)
@@ -192,12 +172,48 @@ def test_report_shape(q30, fcontract):
     assert r["status"] in ("pass", "fail", "out-of-hypothesis")
 
 
+def test_every_suite_is_total_over_sample_sweep(w2, scontract):
+    # every sample word of length 1-3; out of hypothesis, lifts can leave
+    # the class they were lifted over, and no suite may crash on that
+    for n in (1, 2, 3):
+        for letters in product("abcdr", repeat=n):
+            word = "".join(letters)
+            q = quotient.build_quotient(w2, quotient.s5_sample((word,)), scontract)
+            for r in (
+                suites.check_simplicial(q, scontract),
+                suites.verify_lipschitz_lifting(w2, q, scontract),
+                suites.verify_ball2_isometry(w2, q, scontract),
+                suites.verify_local_covering(w2, q, scontract),
+                suites.transfer_pentagons(w2, q, scontract),
+                suites.check_support_sets(w2, q),
+            ):
+                assert set(r) >= {"suite", "status", "eligible", "truncated",
+                                  "witnesses"}, word
+                assert r["status"] in ("pass", "fail", "out-of-hypothesis"), word
+                assert r["eligible"] >= 0 and r["truncated"] >= 0, word
+
+
+def test_lifting_reports_lift_leaving_middle_class(w3, scontract):
+    q = quotient.build_quotient(w3, quotient.s5_sample(("ab",)), scontract)
+    r = suites.verify_lipschitz_lifting(w3, q, scontract)
+    assert r["status"] == "out-of-hypothesis"
+    left = [x for x in r["witnesses"] if "reached_class" in x]
+    assert left
+    for x in left:
+        assert x["kind"] == "geodesic-lift"
+        assert x["reached_class"] != x["mid_class"]
+        i, m = (w3.index[s5windows.parse_curve_key(k)] for k in x["lift"])
+        assert w3.has_edge(i, m)
+        assert q.class_of[i] == x["classes"][0]
+        assert q.class_of[m] == x["reached_class"]
+
+
 @pytest.mark.parametrize("instance", ["farey-h20-k4", "s5-bound3-aa"])
 def test_window_distance_two_agrees_with_certificate(
         monkeypatch, w3, fcontract, scontract, instance):
     if instance == "farey-h20-k4":
         w, contract = farey.farey_window(20), fcontract
-        sample = farey.sample_closure(farey.FareyClosureSpec(BASE, 4, 2))
+        sample = farey.sample_closure(farey.FareyClosureSpec(BASE, 4, 2)).words
     else:
         w, contract = w3, scontract
         sample = quotient.s5_sample(("aa",))

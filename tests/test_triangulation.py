@@ -18,6 +18,15 @@ def test_base_is_valid():
     BASE.validate()
 
 
+def test_validate_raises_on_matching_orientation():
+    # triangle 0 mirrored: same edges and punctures, reversed cyclic order,
+    # so edges 0 and 1 run the same way on both of their sides
+    edges = ((1, 0, 5),) + BASE.tri_edges[1:]
+    corners = ((1, 3, 2),) + BASE.tri_corners[1:]
+    with pytest.raises(RuntimeError, match="matching orientation"):
+        Triangulation(edges, corners).validate()
+
+
 def test_edge_endpoints():
     assert BASE.edge_endpoints(0) == (1, 2)
     assert BASE.edge_endpoints(2) == (3, 4)
