@@ -3,7 +3,8 @@
 JSON is the source of truth for every artifact; text output is a derived
 summary and DOT is available for graphs.  Identical invocations produce
 byte-identical artifacts.  Windows are cached by a content hash of their
-build description when CURVELAB_CACHE points at a directory.
+build description when CURVELAB_CACHE points at a directory, and built
+directly, with no JSON round trip, when it does not.
 
 Exit codes: 0 success (out-of-hypothesis included), 1 a verification suite
 failed, 2 malformed input or I/O error.
@@ -21,7 +22,7 @@ from . import arc2 as arc2_mod
 from . import farey as farey_mod
 from . import quotient as quotient_mod
 from . import s5windows, suites
-from .serialize import cached_text, canonical_json
+from .serialize import cache_dir, cached_text, canonical_json
 from .window import Window
 
 EXIT_SUITE_FAILURE = 1
@@ -96,19 +97,25 @@ def farey_dist(s, t, fmt):
     _emit({"s": str(a), "t": str(b), "distance": d}, fmt, text_fn=lambda: f"{d}\n")
 
 
+def _window(description: dict, build, key_str, str_key) -> Window:
+    """The window ``build()`` makes, read through the cache when one is set."""
+    if cache_dir() is None:
+        return build()
+    text = cached_text(description, lambda: canonical_json(build().to_json(key_str)))
+    return Window.from_json(json.loads(text), str_key)
+
+
 def _farey_window(height: int, basepoint: str) -> Window:
     try:
         base = farey_mod.Slope.parse(basepoint)
     except ValueError as exc:
         _fail(str(exc))
-    text = cached_text(
+    return _window(
         {"kind": "window", "instance": "farey", "height": height,
          "basepoint": str(base)},
-        lambda: canonical_json(
-            farey_mod.farey_window(height, base).to_json(str)
-        ),
+        lambda: farey_mod.farey_window(height, base),
+        str, farey_mod.Slope.parse,
     )
-    return Window.from_json(json.loads(text), farey_mod.Slope.parse)
 
 
 @farey.command("window")
@@ -199,13 +206,11 @@ def s5():
 def _s5_window(word_bound: int) -> Window:
     if word_bound < 0:
         _fail("word bound must be nonnegative")
-    text = cached_text(
+    return _window(
         {"kind": "window", "instance": "s5", "wordBound": word_bound},
-        lambda: canonical_json(
-            s5windows.build_window(word_bound).to_json(s5windows.curve_key_str)
-        ),
+        lambda: s5windows.build_window(word_bound),
+        s5windows.curve_key_str, s5windows.parse_curve_key,
     )
-    return Window.from_json(json.loads(text), s5windows.parse_curve_key)
 
 
 def _load_window(path: str) -> Window:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .window import Window
 
@@ -43,6 +43,16 @@ class Slope:
         if q < 0 or (q == 0 and p < 0):
             p, q = -p, -q
         return Slope(p, q)
+
+    @staticmethod
+    def _canonical(p: int, q: int) -> "Slope":
+        """A slope from a pair known to be reduced, with no gcd check."""
+        if q < 0 or (q == 0 and p < 0):
+            p, q = -p, -q
+        s = object.__new__(Slope)
+        object.__setattr__(s, "p", p)
+        object.__setattr__(s, "q", q)
+        return s
 
     @property
     def height(self) -> int:
@@ -113,7 +123,8 @@ class IntMatrix:
         return result
 
     def apply(self, s: Slope) -> Slope:
-        return Slope.of(self.a * s.p + self.b * s.q, self.c * s.p + self.d * s.q)
+        # a determinant +-1 matrix maps reduced pairs to reduced pairs
+        return Slope._canonical(self.a * s.p + self.b * s.q, self.c * s.p + self.d * s.q)
 
     def projective(self) -> tuple[int, int, int, int]:
         """Sign-normalised entries; matrices act on slopes through +-1."""
@@ -199,6 +210,98 @@ def _bezout(s: Slope) -> tuple[int, int]:
         return 1, 0
     a = pow(s.p, -1, s.q)
     return a, (1 - a * s.p) // s.q
+
+
+def displacement_measure(
+    slopes: Sequence[Slope],
+) -> Callable[[IntMatrix], Callable[[int], int]]:
+    """For a matrix m, the map i -> d(slopes[i], m slopes[i]).
+
+    The Bezout pair of each slope, found once, gives the matrix sending it
+    to 1/0; each distance is then ``distance(m s, s)`` in plain integers,
+    with no Slope built and no gcd taken.
+    """
+    table = [(s.p, s.q, *_bezout(s)) for s in slopes]
+
+    def of(m: IntMatrix) -> Callable[[int], int]:
+        ma, mb, mc, md = m.entries
+
+        def displacement(i: int) -> int:
+            p, q, a, b = table[i]
+            x, y = ma * p + mb * q, mc * p + md * q
+            top, bottom = a * x + b * y, q * x - p * y
+            if bottom < 0:
+                return _distance_to_infinity(-top, -bottom)
+            return _distance_to_infinity(top, bottom)
+
+        return displacement
+
+    return of
+
+
+# Walks longer than this give up: a fan of that many triangles on the axis
+# means an element far outside the samples this package draws.
+_AXIS_STEPS = 10_000
+
+
+def axis_displacement(m: IntMatrix) -> int | None:
+    """min over all slopes s of d(s, m s), for det 1 and |trace| > 2.
+
+    Such an m translates along its axis, and the Farey triangles the axis
+    crosses form an m-invariant ladder (C. Series, *The modular surface and
+    continued fractions*, 1985).  A slope v off the ladder is cut off from
+    it by a ladder edge {x, y}, and m v by {m x, m y}, so every path from v
+    to m v runs through both edges and d(v, m v) >= min(d(x, m x),
+    d(y, m y)) + 1.  The minimum is therefore attained on the ladder, and
+    by periodicity on one period of it.
+
+    The ladder's edges are those whose ends take opposite signs under the
+    form f(p, q) = c p^2 + (d - a) p q - b q^2 that vanishes at the fixed
+    points (Conway's river).  One is found among consecutive convergents of
+    a fixed point, and the walk stops at its image under m or m^-1.
+    Returns None for any other m, or if the walk is implausibly long.
+    """
+    if m.det != 1 or not m.is_hyperbolic():
+        return None
+    a, b, c, d = m.entries
+
+    def positive(p: int, q: int) -> bool:
+        return c * p * p + (d - a) * p * q - b * q * q > 0
+
+    # convergents of the fixed point (a - d + sqrt(disc)) / 2c, where
+    # (disc - P^2) / Q = 2b keeps the continued-fraction recurrence integral
+    disc = (a + d) ** 2 - 4
+    root = math.isqrt(disc)
+    big_p, big_q = a - d, 2 * c
+    prev, cur = (0, 1), (1, 0)
+    for _ in range(_AXIS_STEPS):
+        k = (big_p + root + (big_q < 0)) // big_q
+        big_p = k * big_q - big_p
+        big_q = (disc - big_p * big_p) // big_q
+        prev, cur = cur, (k * cur[0] + prev[0], k * cur[1] + prev[1])
+        if positive(*prev) != positive(*cur):
+            break
+    else:
+        return None
+
+    # walk the river from that edge: u on the positive side, w on the
+    # negative, and u + w always the next triangle's third vertex
+    u, w = (prev, cur) if positive(*prev) else (cur, prev)
+    start = (Slope.of(*u), Slope.of(*w))
+    ends = {(g.apply(start[0]), g.apply(start[1])) for g in (m, m.inverse())}
+    ladder = {u, w}
+    for _ in range(_AXIS_STEPS):
+        if (Slope.of(*u), Slope.of(*w)) in ends:
+            break
+        t = (u[0] + w[0], u[1] + w[1])
+        ladder.add(t)
+        if positive(*t):
+            u = t
+        else:
+            w = t
+    else:
+        return None
+    return min(distance(s, m.apply(s)) for s in (Slope.of(*v) for v in ladder))
 
 
 def slopes_of_height(height: int) -> list[Slope]:

@@ -3,14 +3,15 @@
 A closure sample (a finite, inverse-closed set of group elements standing in
 for a normal subgroup) identifies window vertices v ~ n(v) whenever both lie
 in the window.  The quotient window carries the partition into classes, the
-induced edges, per-element displacement reports, and a transporter word for
-every vertex: a sample word carrying the class representative to the vertex,
-which lets suites lift quotient edges exactly instead of guessing.
+induced edges, per-element displacement reports, and a transporter for
+every vertex: a product of sample elements carrying the class representative
+to the vertex, which lets suites lift quotient edges exactly instead of
+guessing.
 
-Instances are described by a small contract (key type, adjacency, action,
-available distance information) so the same machinery runs on the Farey
-graph, where distances are exact, and on the five-punctured sphere, where
-only {0, 1, 2}-certificates are decidable.
+Instances are described by a small contract (key type, adjacency, group
+elements and their action, available distance information) so the same
+machinery runs on the Farey graph, where distances are exact, and on the
+five-punctured sphere, where only {0, 1, 2}-certificates are decidable.
 """
 
 from __future__ import annotations
@@ -28,16 +29,27 @@ from .window import DisjointSets, Window
 
 @dataclass(frozen=True)
 class InstanceContract:
-    """What the quotient machinery needs to know about a curve graph."""
+    """What the quotient machinery needs to know about a curve graph.
+
+    Group elements are opaque here: ``element`` evaluates a word, ``act``
+    turns an element into a map on keys, and ``invert`` and ``compose``
+    multiply elements.
+    """
 
     name: str
     key_str: Callable[[Any], str]
     adjacent: Callable[[Any, Any], bool]
-    action: Callable[[str], Callable[[Any], Any]]  # word -> key map
+    element: Callable[[str], Any]
+    act: Callable[[Any], Callable[[Any], Any]]
+    invert: Callable[[Any], Any]
+    # compose(inner, outer): the element acting as "inner first, then outer"
+    compose: Callable[[Any, Any], Any]
     exact_distance: Callable[[Any, Any], int] | None = None
-    invert: Callable[[str], str] = lambda w: w
-    # compose(inner, outer): word acting as "inner first, then outer"
-    compose: Callable[[str, str], str] = lambda inner, outer: inner + outer
+    # window -> word -> (i -> d(v_i, g v_i), floor); certificates when None
+    measure: Callable[[Window], Callable[[str], tuple]] | None = None
+
+    def action(self, word: str) -> Callable[[Any], Any]:
+        return self.act(self.element(word))
 
     def certificate(self, a: Any, b: Any, w: Window) -> int | None:
         """Distance certificate: exact when available, else {0, 1, 2}."""
@@ -49,29 +61,53 @@ class InstanceContract:
         if ia is None or ib is None:
             return 1 if self.adjacent(a, b) else None
         # a window is an induced subgraph, so its edges decide adjacency
-        if w.has_edge(ia, ib):
+        adj = w.adjacency
+        if ib in adj[ia]:
             return 1
-        if set(w.neighbors[ia]) & set(w.neighbors[ib]):
+        if not adj[ia].isdisjoint(adj[ib]):
             return 2
         return None
+
+    def displacement(self, w: Window) -> Callable[[str], tuple]:
+        """Per word g: the map i -> d(v_i, g v_i) on window vertices, which
+        may answer None where nothing is certified, and a floor under
+        d(v, g v) over the whole graph, or None."""
+        if self.measure is not None:
+            return self.measure(w)
+
+        def per_word(word: str) -> tuple:
+            fn, vertices = self.action(word), w.vertices
+            return (lambda i: self.certificate(vertices[i], fn(vertices[i]), w)), None
+
+        return per_word
 
 
 def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
     @lru_cache(maxsize=4096)
-    def action(word: str) -> Callable:
-        m = farey_mod.word_matrix(word, base)
-        return m.apply
+    def element(word: str) -> farey_mod.IntMatrix:
+        return farey_mod.word_matrix(word, base)
+
+    def measure(w: Window) -> Callable[[str], tuple]:
+        of = farey_mod.displacement_measure(w.vertices)
+
+        def per_word(word: str) -> tuple:
+            m = element(word)
+            return of(m), farey_mod.axis_displacement(m)
+
+        return per_word
 
     return InstanceContract(
         name="farey",
         key_str=str,
         adjacent=farey_mod.adjacent,
-        action=action,
+        element=element,
+        act=lambda m: m.apply,
+        invert=farey_mod.IntMatrix.inverse,
+        # matrices act with the rightmost factor first, so "inner first"
+        # means outer on the left
+        compose=lambda inner, outer: outer * inner,
         exact_distance=farey_mod.distance,
-        invert=farey_mod.invert_word,
-        # matrix words multiply left to right and act with the rightmost
-        # factor first, so "inner first" means outer on the left
-        compose=lambda inner, outer: outer + inner,
+        measure=measure,
     )
 
 
@@ -80,9 +116,10 @@ def s5_contract() -> InstanceContract:
         name="s5",
         key_str=s5windows.curve_key_str,
         adjacent=disjoint,
-        action=lambda word: (lambda coords: apply_word(word, coords)),
-        exact_distance=None,
+        element=lambda word: word,
+        act=lambda word: (lambda coords: apply_word(word, coords)),
         invert=invert_word,
+        compose=lambda inner, outer: inner + outer,
     )
 
 
@@ -105,8 +142,9 @@ class QuotientWindow:
     Classes are indexed 0..k-1 in order of their least vertex index, which
     is the order of their minimum vertex key since window vertices are
     sorted; the representative of a class is its least vertex.
-    ``transporter[v]`` is a word over sample elements with
-    action(transporter[v])(rep key) = key of v.
+    ``transporter[v]`` is a product of sample elements, in the contract's
+    representation (a matrix on the Farey graph, a word on S0,5), with
+    act(transporter[v])(rep key) = key of v.
     """
 
     window: Window
@@ -115,7 +153,7 @@ class QuotientWindow:
     classes: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
     loops: tuple[tuple[int, int, int], ...]  # (class, vertex, vertex) collapsed edges
-    transporter: tuple[str, ...]
+    transporter: tuple
     displacement: tuple[dict, ...]
 
     def __len__(self) -> int:
@@ -155,21 +193,26 @@ def displacement_report(
     With exact distances the minimum is exact; otherwise only the {0, 1, 2}
     certificates contribute and vertices with no certificate are counted as
     distance >= 3, so ``min`` is a certified lower bound (argmin is null when
-    only the bound is attained).
+    only the bound is attained).  The scan keeps the first vertex attaining
+    the minimum, so it stops once the contract's floor for the element is
+    reached: no later vertex can change ``min`` or ``argmin``.
     """
+    measure = contract.displacement(w)
     report = []
     for word in words:
-        fn = contract.action(word)
+        displacement, floor = measure(word)
         best: int | None = None
         argmin = None
         bounded = False
-        for v in w.vertices:
-            d = contract.certificate(v, fn(v), w)
+        for i, v in enumerate(w.vertices):
+            d = displacement(i)
             if d is None:
                 bounded = True
                 continue
             if best is None or d < best:
                 best, argmin = d, v
+                if d == floor:
+                    break
         if best is None:
             best = 3 if bounded else None
         report.append({
@@ -186,10 +229,10 @@ def build_quotient(
     """Union-find over all in-window identifications v ~ n(v).
 
     The sample is a tuple of words (``ClosureSample.words`` on the Farey
-    graph, ``s5_sample`` on the five-punctured sphere), each acting through
-    ``contract.action``.
+    graph, ``s5_sample`` on the five-punctured sphere), each evaluated by
+    ``contract.element``.
 
-    Class representatives are deterministic (least index); transporter words
+    Class representatives are deterministic (least index); transporters
     are found by breadth-first search over the identification graph from each
     representative.  The partition is cross-checked against a second
     union-find over the distinct identified pairs.
@@ -197,16 +240,17 @@ def build_quotient(
     n = len(w)
     by_moves = DisjointSets(range(n))
 
-    # identification graph: vertex -> [(image vertex, sample word)]
-    moves: list[list[tuple[int, str]]] = [[] for _ in range(n)]
+    # identification graph: vertex -> [(image vertex, sample element)]
+    moves: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
     pairs: set[tuple[int, int]] = set()
     for word in words:
-        fn = contract.action(word)
+        g = contract.element(word)
+        fn = contract.act(g)
         for i, v in enumerate(w.vertices):
             j = w.index.get(fn(v))
             if j is None:
                 continue
-            moves[i].append((j, word))
+            moves[i].append((j, g))
             if i != j:
                 pairs.add((min(i, j), max(i, j)))
                 by_moves.union(i, j)
@@ -223,23 +267,24 @@ def build_quotient(
         for i in m:
             class_of[i] = c
 
-    transporter = [""] * n
+    identity = contract.element("")
+    transporter = [identity] * n
     for m in classes:
         rep = m[0]
-        seen = {rep: ""}
+        seen = {rep: identity}
         frontier = [rep]
         while frontier:
             nxt = []
             for i in frontier:
-                for j, word in moves[i]:
+                for j, g in moves[i]:
                     if j not in seen:
-                        seen[j] = contract.compose(seen[i], word)
+                        seen[j] = contract.compose(seen[i], g)
                         nxt.append(j)
             frontier = nxt
         if set(seen) != set(m):
             raise RuntimeError("identification graph must connect each class")
-        for i, word in seen.items():
-            transporter[i] = word
+        for i, g in seen.items():
+            transporter[i] = g
 
     loops = []
     qedges = set()

@@ -134,7 +134,7 @@ def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
 @lru_cache(maxsize=64)
 def enumerate_pentagons(w: Window) -> list[tuple[int, int, int, int, int]]:
     """All chordless 5-cycles, canonically represented and sorted."""
-    adj = [set(ns) for ns in w.neighbors]
+    adj = w.adjacency
     pentagons = set()
     n = len(w)
     for v0 in range(n):

@@ -3,8 +3,9 @@
 Every suite returns a report dict {suite, status, eligible, truncated,
 witnesses, ...}: ``eligible`` counts the sites actually tested, ``truncated``
 the sites excluded because the window ends before the check can be decided
-(locally infinite graphs force this bookkeeping), and ``witnesses`` carries
-falsifying data.  When violations occur while the sampled displacement is
+(locally infinite graphs force this bookkeeping; there is no cap on the
+sites a suite enumerates, so no site is excluded for any other reason), and
+``witnesses`` carries falsifying data.  When violations occur while the sampled displacement is
 below the governing threshold (3 for simpliciality, 8 for the lifting,
 2-ball, and covering statements), the status is ``out-of-hypothesis`` rather
 than ``fail``: the bound is a hypothesis and its necessity is worth
@@ -18,6 +19,7 @@ truncated, never silently assumed.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Callable
 
 from . import s5windows
 from .quotient import InstanceContract, QuotientWindow
@@ -25,9 +27,6 @@ from .window import Window
 
 SIMPLICIAL_THRESHOLD = 3
 LIFTING_THRESHOLD = 8
-
-# cap on enumerated sites per suite; the remainder is counted as truncated
-MAX_SITES = 500_000
 
 
 def _status(witnesses: list, q: QuotientWindow, threshold: int) -> str:
@@ -51,38 +50,40 @@ def _report(suite: str, status: str, eligible: int, truncated: int,
     }
 
 
-def _edge_transport(q: QuotientWindow):
-    """For each quotient edge and endpoint class, one witnessing window edge.
+def _edge_lifts(q: QuotientWindow, contract: InstanceContract):
+    """The lift of a quotient edge at a window vertex.
 
-    Returns {(cls, other_cls): (u0, v0)} with u0 in cls, v0 in other_cls and
-    (u0, v0) a window edge; transporters then carry the edge to any class
-    member exactly.
+    For each quotient edge and endpoint class one witnessing window edge
+    (u0, v0) is fixed, with u0 in the class.  The true neighbour of a member
+    i of that class over the other class is then the image of v0 under the
+    element carrying u0 to i (transporter of u0 inverted, then transporter
+    of i).  That map is built at most once per (u0, i), and not at all when
+    i is u0.  ``lift(i, other_class)`` returns the neighbour's key and its
+    window index, or None when it lies outside the window.
     """
+    w = q.window
+    class_of, vertices, index = q.class_of, w.vertices, w.index
     rep_edge: dict[tuple[int, int], tuple[int, int]] = {}
-    for i, j in q.window.edges:
-        ci, cj = q.class_of[i], q.class_of[j]
+    for i, j in w.edges:
+        ci, cj = class_of[i], class_of[j]
         if ci == cj:
             continue
         rep_edge.setdefault((ci, cj), (i, j))
         rep_edge.setdefault((cj, ci), (j, i))
-    return rep_edge
+    transports: dict[tuple[int, int], Callable] = {}
 
+    def lift(i: int, other_class: int):
+        u0, v0 = rep_edge[(class_of[i], other_class)]
+        if u0 == i:
+            return vertices[v0], v0
+        fn = transports.get((u0, i))
+        if fn is None:
+            g = contract.compose(contract.invert(q.transporter[u0]), q.transporter[i])
+            fn = transports[(u0, i)] = contract.act(g)
+        v_key = fn(vertices[v0])
+        return v_key, index.get(v_key)
 
-def _lift_edge_at(q: QuotientWindow, contract: InstanceContract,
-                  rep_edge, i: int, other_class: int):
-    """The true neighbor of window vertex i lying over other_class.
-
-    Obtained by transporting the witnessing window edge; returns the
-    neighbor's key and whether it lies in the window.
-    """
-    ci = q.class_of[i]
-    u0, v0 = rep_edge[(ci, other_class)]
-    # element carrying u0 to i: transporter(u0)^-1 then transporter(i)
-    word = contract.compose(contract.invert(q.transporter[u0]), q.transporter[i])
-    if not word:
-        return q.window.vertices[v0], True
-    v_key = contract.action(word)(q.window.vertices[v0])
-    return v_key, v_key in q.window.index
+    return lift
 
 
 def _window_certifies_two(w: Window, i: int, m: int, v: int) -> bool:
@@ -91,7 +92,8 @@ def _window_certifies_two(w: Window, i: int, m: int, v: int) -> bool:
     A window is an induced subgraph, so a missing edge between distinct
     vertices means distance at least 2, and the path gives at most 2.
     """
-    return i != v and not w.has_edge(i, v) and w.has_edge(i, m) and w.has_edge(m, v)
+    adj = w.adjacency
+    return i != v and v not in adj[i] and m in adj[i] and v in adj[m]
 
 
 def check_simplicial(q: QuotientWindow, contract: InstanceContract) -> dict:
@@ -134,9 +136,11 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
     at every member of either endpoint class (edge-by-edge path lifting
     follows by induction); (c) every pair of classes at quotient distance 2
     admits a lift realizing true distance 2.  Lifts leaving the window are
-    truncated sites.  In (c), a first lift that lands outside the middle
-    class (possible out of hypothesis) is an eligible ``geodesic-lift``
-    witness naming the class reached, never a truncated site.
+    truncated sites.  In (c), a lift that lands outside the class it was
+    taken over (possible out of hypothesis), first to the middle class or
+    then to the far one, is an eligible ``geodesic-lift`` witness naming
+    the class reached, never a truncated site, and no distance is measured
+    to it.
     """
     key = contract.key_str
     witnesses = []
@@ -149,65 +153,65 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
             "edge": [key(w.vertices[i]), key(w.vertices[j])],
         })
 
-    rep_edge = _edge_transport(q)
-    qw = q.graph
+    lift = _edge_lifts(q, contract)
+    adj, class_of, classes = w.adjacency, q.class_of, q.classes
     for ci, cj in q.edges:
         for a, b in ((ci, cj), (cj, ci)):
-            for i in q.classes[a]:
+            for i in classes[a]:
                 eligible += 1
-                v_key, inside = _lift_edge_at(q, contract, rep_edge, i, b)
-                if not inside:
+                v_key, v = lift(i, b)
+                if v is None:
                     truncated += 1
                     continue
-                v = q.window.index[v_key]
-                if not (w.has_edge(i, v) and q.class_of[v] == b):
+                if not (v in adj[i] and class_of[v] == b):
                     witnesses.append({
                         "kind": "edge-lift", "at": key(w.vertices[i]),
                         "to_class": b, "lift": key(v_key),
                     })
 
-    # distance-2 geodesics, exhaustively over class pairs
-    sites = 0
-    done: set[tuple[int, int]] = set()
-    for mid in range(len(q)):
-        for a, b in combinations(qw.neighbors[mid], 2):
-            if qw.has_edge(a, b) or (a, b) in done:
-                continue
-            done.add((a, b))
-            sites += 1
-            if sites > MAX_SITES:
-                truncated += 1
-                continue
-            eligible += 1
-            i = q.representative(a)
-            m_key, inside = _lift_edge_at(q, contract, rep_edge, i, mid)
-            if not inside:
-                truncated += 1
-                continue
-            m = q.window.index[m_key]
-            if q.class_of[m] != mid:
-                witnesses.append({
-                    "kind": "geodesic-lift",
-                    "classes": [a, b],
-                    "lift": [key(w.vertices[i]), key(m_key)],
-                    "mid_class": mid,
-                    "reached_class": q.class_of[m],
-                })
-                continue
-            v_key, inside = _lift_edge_at(q, contract, rep_edge, m, b)
-            if not inside:
-                truncated += 1
-                continue
-            if _window_certifies_two(w, i, m, q.window.index[v_key]):
-                continue
-            d = contract.certificate(w.vertices[i], v_key, w)
-            if d != 2:
-                witnesses.append({
-                    "kind": "geodesic-lift",
-                    "classes": [a, b],
-                    "lift": [key(w.vertices[i]), key(m_key), key(v_key)],
-                    "distance": d,
-                })
+    # distance-2 geodesics, exhaustively over class pairs a < b, each taken
+    # over its least common neighbour mid; a lift that leaves the class it
+    # was taken over (possible out of hypothesis) is a witness naming the
+    # class reached.  Witnesses are listed in (mid, a, b) order.
+    qw = q.graph
+    qadj = qw.adjacency
+    geodesic = []
+
+    def witness(mid, a, b, lifted, **extra):
+        geodesic.append(((mid, a, b), {
+            "kind": "geodesic-lift", "classes": [a, b],
+            "lift": [key(x) for x in lifted], **extra,
+        }))
+
+    for a in range(len(q)):
+        i = classes[a][0]
+        seen = set()
+        for mid in qw.neighbors[a]:
+            for b in qw.neighbors[mid]:
+                if b <= a or b in qadj[a] or b in seen:
+                    continue
+                seen.add(b)
+                eligible += 1
+                m_key, m = lift(i, mid)
+                if m is None:
+                    truncated += 1
+                elif class_of[m] != mid:
+                    witness(mid, a, b, (w.vertices[i], m_key),
+                            mid_class=mid, reached_class=class_of[m])
+                else:
+                    v_key, v = lift(m, b)
+                    if v is None:
+                        truncated += 1
+                    elif class_of[v] != b:
+                        witness(mid, a, b, (w.vertices[i], m_key, v_key),
+                                reached_class=class_of[v])
+                    elif not _window_certifies_two(w, i, m, v):
+                        d = contract.certificate(w.vertices[i], v_key, w)
+                        if d != 2:
+                            witness(mid, a, b, (w.vertices[i], m_key, v_key),
+                                    distance=d)
+    geodesic.sort(key=lambda site: site[0])
+    witnesses.extend(x for _, x in geodesic)
     return _report(
         "lipschitz-lifting", _status(witnesses, q, LIFTING_THRESHOLD),
         eligible=eligible, truncated=truncated, witnesses=witnesses,
@@ -244,11 +248,12 @@ def verify_ball2_isometry(w: Window, q: QuotientWindow,
                     "kind": "ball-injectivity",
                     "pair": [key(w.vertices[i]), key(w.vertices[j])],
                 })
+    adj = w.adjacency
     for a, b in q.edges:
         for i in q.classes[a]:
             for j in q.classes[b]:
                 eligible += 1
-                if w.has_edge(i, j):  # the window is an induced subgraph
+                if j in adj[i]:  # the window is an induced subgraph
                     continue
                 x, y = w.vertices[i], w.vertices[j]
                 far = far_apart(x, y)
@@ -274,14 +279,15 @@ def verify_local_covering(w: Window, q: QuotientWindow,
     key = contract.key_str
     witnesses = []
     eligible = truncated = 0
-    rep_edge = _edge_transport(q)
+    lift = _edge_lifts(q, contract)
     qw = q.graph
+    adj, qadj, class_of = w.adjacency, qw.adjacency, q.class_of
     for i in range(len(w)):
         eligible += 1
-        ci = q.class_of[i]
+        ci = class_of[i]
         by_class: dict[int, int] = {}
         for j in w.neighbors[i]:
-            cj = q.class_of[j]
+            cj = class_of[j]
             if cj in by_class:
                 witnesses.append({
                     "kind": "star-collapse", "at": key(w.vertices[i]),
@@ -291,8 +297,7 @@ def verify_local_covering(w: Window, q: QuotientWindow,
         for b in qw.neighbors[ci]:
             if b in by_class:
                 continue
-            _, inside = _lift_edge_at(q, contract, rep_edge, i, b)
-            if not inside:
+            if lift(i, b)[1] is None:
                 truncated += 1
             else:
                 witnesses.append({
@@ -300,7 +305,7 @@ def verify_local_covering(w: Window, q: QuotientWindow,
                     "to_class": b,
                 })
         for j, k in combinations(w.neighbors[i], 2):
-            if qw.has_edge(q.class_of[j], q.class_of[k]) and not w.has_edge(j, k):
+            if class_of[k] in qadj[class_of[j]] and k not in adj[j]:
                 witnesses.append({
                     "kind": "star-false-triangle", "at": key(w.vertices[i]),
                     "pair": [key(w.vertices[j]), key(w.vertices[k])],
@@ -418,7 +423,7 @@ def propagate_pentagon_map(q: QuotientWindow, seed: dict[int, int],
     frontier: list[dict] = []
     reported: set[tuple[int, int]] = set()
     oriented = False
-    adj = [set(ns) for ns in qw.neighbors]
+    adj = qw.adjacency
 
     detect_cache: dict[tuple[int, int], set[int]] = {}
 
@@ -582,9 +587,10 @@ def check_support_sets(w: Window, q: QuotientWindow | None = None) -> dict:
     boundary = _boundary_vertices(w)
     key = s5windows.curve_key_str
 
+    adj = w.adjacency
     for i, j in w.edges:
         eligible += 1
-        common = set(w.neighbors[i]) & set(w.neighbors[j])
+        common = adj[i] & adj[j]
         if common:
             k = min(common)
             witnesses.append({
@@ -596,8 +602,7 @@ def check_support_sets(w: Window, q: QuotientWindow | None = None) -> dict:
         for a, b in q.edges:
             eligible += 1
             found = any(
-                w.has_edge(i, j)
-                for i in q.classes[a] for j in q.classes[b]
+                j in adj[i] for i in q.classes[a] for j in q.classes[b]
             )
             if not found:
                 witnesses.append({"kind": "orbit-pair-no-representatives",
@@ -605,7 +610,7 @@ def check_support_sets(w: Window, q: QuotientWindow | None = None) -> dict:
 
     links: dict[frozenset, int] = {}
     for i in range(len(w)):
-        link = frozenset(w.neighbors[i])
+        link = adj[i]
         if link in links:
             other = links[link]
             if i in boundary or other in boundary:

@@ -9,7 +9,7 @@ quotients, component counts and orbit checks share lives here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable
 
@@ -58,11 +58,12 @@ class Window:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """The neighbours of each vertex as a set, for membership tests."""
+        return tuple(frozenset(ns) for ns in self.neighbors)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edge_set
+        return j in self.adjacency[i]
 
     def to_json(self, key_str: Callable[[Any], str]) -> dict:
         verts = []

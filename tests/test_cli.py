@@ -181,6 +181,28 @@ def test_cache_roundtrip_identical(runner, tmp_path, monkeypatch):
     assert first == second
 
 
+@pytest.mark.parametrize("args", [
+    ["--instance", "farey", "--height", "30", "--power", "6", "--conj-len", "1",
+     "--suites", "simplicial,lift,ball2,covering"],
+    ["--instance", "s5", "--word-bound", "2", "--sample", "aab",
+     "--suites", "simplicial,lift,ball2,covering,transfer,support,relations"],
+])
+def test_verify_out_identical_with_and_without_cache(runner, tmp_path, monkeypatch, args):
+    def run(name):
+        out = tmp_path / name
+        result = invoke(runner, ["verify", *args, "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return result.exit_code, result.stdout_bytes, files
+
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    direct = run("direct")
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+    cold, warm = run("cold"), run("warm")
+    assert list((tmp_path / "cache").glob("*.json"))
+    assert direct == cold == warm
+    assert len(direct[2]) >= 6
+
+
 def test_determinism_byte_identical(runner):
     args = ["verify", "--height", "30", "--power", "8", "--conj-len", "1",
             "--suites", "simplicial,ball2", "--format", "json"]

@@ -1,0 +1,148 @@
+"""The displacement report against a full window scan with plain distances.
+
+The report stops its scan once an element's floor, the minimum of d(v, m v)
+over one period of the ladder crossed by m's axis, is reached.  These tests
+check that the floor never exceeds the minimum that a scan of every window
+vertex with ``farey.distance`` finds, that the report is exactly that scan's
+first minimum, and that the scan stops early only when the floor is reached.
+"""
+
+import dataclasses
+import itertools
+
+import pytest
+
+from curvelab import farey, quotient
+from curvelab.farey import IntMatrix, Slope, axis_displacement, word_matrix
+
+# the farey-verify menu of the benchmark, as (matrix, power, conjugator length)
+MENU_SPECS = [
+    ("2,1,1,1", 8, 1), ("2,1,1,1", 6, 1), ("2,1,1,1", 4, 1),
+    ("3,2,1,1", 8, 1), ("3,2,1,1", 6, 1), ("3,2,1,1", 4, 1),
+    ("2,1,1,1", 8, 2), ("2,1,1,1", 6, 2), ("1,1,1,2", 8, 1),
+]
+SWEEP_MATRICES = ("2,1,1,1", "3,2,1,1", "1,1,1,2", "3,1,2,1")
+
+
+def plain_displacements(vertices, m: IntMatrix) -> list[int]:
+    return [farey.distance(v, m.apply(v)) for v in vertices]
+
+
+def check_report(w, sample, base, plain) -> int:
+    """Compare the report with the full scan; returns how many floors were
+    below the window minimum.  ``plain[word]`` lists d(v, m v) per vertex."""
+    evaluated: dict[str, int] = {}
+    contract = quotient.farey_contract(base)
+
+    def counting(win):
+        per_word = contract.displacement(win)
+
+        def wrapped(word):
+            fn, floor = per_word(word)
+
+            def counted(i):
+                evaluated[word] = evaluated.get(word, 0) + 1
+                return fn(i)
+
+            return counted, floor
+
+        return wrapped
+
+    report = quotient.displacement_report(
+        w, sample.words, dataclasses.replace(contract, measure=counting))
+    below = 0
+    for rec, elem in zip(report, sample.elements):
+        ds = plain[elem.word]
+        best = min(ds)
+        first = ds.index(best)
+        assert rec == {"word": elem.word, "min": best, "argmin": str(w.vertices[first])}
+        floor = axis_displacement(elem.matrix)
+        if floor is None or floor < best:
+            below += floor is not None
+            assert evaluated[elem.word] == len(w), elem.word  # no early stop
+        else:
+            assert floor == best, elem.word  # never above the window minimum
+            assert evaluated[elem.word] == first + 1, elem.word
+    return below
+
+
+@pytest.mark.parametrize("matrix,power,conj_len,height", [
+    (m, k, c, h) for m in SWEEP_MATRICES for k in (1, 2, 3) for c in (0, 1)
+    for h in (10, 20)
+])
+def test_floor_against_full_scan_sweep(matrix, power, conj_len, height):
+    base = IntMatrix.parse(matrix)
+    w = farey.farey_window(height)
+    sample = farey.sample_closure(farey.FareyClosureSpec(base, power, conj_len))
+    plain = {e.word: plain_displacements(w.vertices, e.matrix) for e in sample.elements}
+    check_report(w, sample, base, plain)
+
+
+@pytest.mark.parametrize("matrix,power,conj_len", [
+    ("2,1,1,1", 1, 1), ("3,2,1,1", 1, 1), ("2,1,1,1", 2, 1), ("2,1,1,1", 8, 1),
+])
+def test_floor_against_full_scan_depth_two(matrix, power, conj_len):
+    base = IntMatrix.parse(matrix)
+    w = farey.farey_window(20)
+    sample = farey.sample_closure(farey.FareyClosureSpec(base, power, conj_len, 2))
+    plain = {e.word: plain_displacements(w.vertices, e.matrix) for e in sample.elements}
+    check_report(w, sample, base, plain)
+    if power == 1:  # products of two conjugates can be parabolic or elliptic
+        assert any(axis_displacement(e.matrix) is None for e in sample.elements)
+
+
+@pytest.fixture(scope="module")
+def menu_windows():
+    return {h: farey.farey_window(h) for h in (30, 55, 110)}
+
+
+@pytest.mark.parametrize("matrix,power,conj_len", MENU_SPECS)
+def test_floor_against_full_scan_menu(menu_windows, matrix, power, conj_len):
+    # one plain scan at the largest height; the smaller windows are its
+    # height-bounded subsets, in the same sorted order.  Height 110 takes
+    # about a second per spec, so it is scanned for the in-hypothesis power
+    # only.
+    heights = (30, 55, 110) if power == 8 else (30, 55)
+    base = IntMatrix.parse(matrix)
+    sample = farey.sample_closure(farey.FareyClosureSpec(base, power, conj_len))
+    top = menu_windows[heights[-1]].vertices
+    full = {e.word: plain_displacements(top, e.matrix) for e in sample.elements}
+    for h in heights:
+        keep = [k for k, v in enumerate(top) if v.height <= h]
+        plain = {word: [ds[k] for k in keep] for word, ds in full.items()}
+        # in the menu the window attains the whole-graph minimum
+        assert check_report(menu_windows[h], sample, base, plain) == 0
+
+
+def test_floor_is_the_whole_graph_minimum():
+    # powers of the bases, their inverses and short conjugates: the floor is
+    # attained in a window big enough to contain a period of the ladder
+    slopes = farey.slopes_of_height(40)
+    for matrix in SWEEP_MATRICES:
+        base = IntMatrix.parse(matrix)
+        for k, word in itertools.product((1, 2, 4), ("", "t", "uj")):
+            g = word_matrix(word)
+            m = g * base ** k * g.inverse()
+            for x in (m, m.inverse()):
+                assert axis_displacement(x) == min(plain_displacements(slopes, x))
+
+
+def test_floor_undefined_off_hypothesis():
+    assert axis_displacement(farey.IDENTITY) is None
+    assert axis_displacement(word_matrix("t")) is None  # parabolic
+    assert axis_displacement(IntMatrix(0, -1, 1, 0)) is None  # elliptic
+    assert axis_displacement(IntMatrix(1, 1, 1, 0)) is None  # det -1
+    assert axis_displacement(IntMatrix(2, 1, 1, 1) ** 3 * IntMatrix(0, 1, 1, 0)) is None
+
+
+def test_integer_measure_matches_distance():
+    w = farey.farey_window(15)
+    of = farey.displacement_measure(w.vertices)
+    for word in ("", "a", "tua", "AjuT"):
+        m = word_matrix(word, IntMatrix(3, 2, 1, 1))
+        d = of(m)
+        assert [d(i) for i in range(len(w))] == plain_displacements(w.vertices, m)
+    translated = [Slope(-7, 3), Slope(1, 0), Slope(123, 457)]
+    m = IntMatrix(2, 1, 1, 1)
+    assert [farey.displacement_measure(translated)(m)(i) for i in range(3)] == \
+        plain_displacements(translated, m)

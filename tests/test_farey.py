@@ -91,6 +91,15 @@ class TestMatrix:
     def test_inverse(self, m):
         assert m * m.inverse() == IDENTITY
 
+    @given(matrices(length=24), slopes(10**9))
+    @settings(max_examples=500)
+    def test_apply_without_gcd_matches_slope_of(self, m, s):
+        # a determinant +-1 matrix maps reduced fractions to reduced ones
+        image = m.apply(s)
+        expected = Slope.of(m.a * s.p + m.b * s.q, m.c * s.p + m.d * s.q)
+        assert (image.p, image.q) == (expected.p, expected.q)
+        assert image == expected and hash(image) == hash(expected)
+
     def test_parse(self):
         assert IntMatrix.parse("2,1,1,1") == IntMatrix(2, 1, 1, 1)
         with pytest.raises(ValueError):

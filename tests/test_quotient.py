@@ -62,7 +62,7 @@ def test_transporters_carry_representative(q20, w20, contract):
     for m in q20.classes:
         rep = w20.vertices[m[0]]
         for i in m:
-            fn = contract.action(q20.transporter[i])
+            fn = contract.act(q20.transporter[i])
             assert fn(rep) == w20.vertices[i]
 
 
@@ -150,7 +150,8 @@ def test_s5_contract_certificates():
 def test_farey_contract_word_actions(contract):
     fn = contract.action("a")
     assert fn(farey.ZERO) == BASE.apply(farey.ZERO)
-    fn_inv = contract.action(contract.invert("a"))
+    a = contract.element("a")
+    fn_inv = contract.act(contract.invert(a))
     assert fn_inv(fn(farey.ZERO)) == farey.ZERO
-    composed = contract.action(contract.compose("a", "t"))
+    composed = contract.act(contract.compose(a, contract.element("t")))
     assert composed(farey.ZERO) == farey.GENERATORS["t"].apply(BASE.apply(farey.ZERO))

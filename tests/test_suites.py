@@ -197,7 +197,7 @@ def test_lifting_reports_lift_leaving_middle_class(w3, scontract):
     q = quotient.build_quotient(w3, quotient.s5_sample(("ab",)), scontract)
     r = suites.verify_lipschitz_lifting(w3, q, scontract)
     assert r["status"] == "out-of-hypothesis"
-    left = [x for x in r["witnesses"] if "reached_class" in x]
+    left = [x for x in r["witnesses"] if "mid_class" in x]
     assert left
     for x in left:
         assert x["kind"] == "geodesic-lift"
@@ -206,6 +206,37 @@ def test_lifting_reports_lift_leaving_middle_class(w3, scontract):
         assert w3.has_edge(i, m)
         assert q.class_of[i] == x["classes"][0]
         assert q.class_of[m] == x["reached_class"]
+    _check_second_lifts(w3, q, r)
+
+
+def _check_second_lifts(w, q, report):
+    """Witnesses whose second lift left the far class name the class it
+    reached; every distance reported is measured to the far class."""
+    second = []
+    for x in report["witnesses"]:
+        if x["kind"] != "geodesic-lift" or "mid_class" in x:
+            continue
+        i, m, v = (w.index[s5windows.parse_curve_key(k)] for k in x["lift"])
+        a, b = x["classes"]
+        assert w.has_edge(i, m) and w.has_edge(m, v)
+        assert q.class_of[i] == a
+        if "reached_class" in x:
+            second.append(x)
+            assert q.class_of[v] == x["reached_class"] != b
+            assert "distance" not in x
+        else:
+            assert q.class_of[v] == b
+    return second
+
+
+def test_lifting_reports_second_lift_leaving_far_class(w2, scontract):
+    # with sample aab at bound 2, the lift from the middle class can land in
+    # the first class again; it used to be reported as distance 0
+    q = quotient.build_quotient(w2, quotient.s5_sample(("aab",)), scontract)
+    r = suites.verify_lipschitz_lifting(w2, q, scontract)
+    second = _check_second_lifts(w2, q, r)
+    assert any(x["classes"] == [6, 9] and x["reached_class"] == 6 for x in second)
+    assert not any(x.get("distance") == 0 for x in r["witnesses"])
 
 
 @pytest.mark.parametrize("instance", ["farey-h20-k4", "s5-bound3-aa"])
@@ -235,3 +266,11 @@ def test_window_distance_two_agrees_with_certificate(
     for i, m, v in sites:
         assert w.has_edge(i, m) and w.has_edge(m, v)
         assert contract.certificate(w.vertices[i], w.vertices[v], w) == 2
+
+
+def test_no_distance_is_measured_across_classes_over_sample_sweep(w2, scontract):
+    for n in (1, 2, 3):
+        for letters in product("abcdr", repeat=n):
+            q = quotient.build_quotient(
+                w2, quotient.s5_sample(("".join(letters),)), scontract)
+            _check_second_lifts(w2, q, suites.verify_lipschitz_lifting(w2, q, scontract))

@@ -3,7 +3,8 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvelab.window import DisjointSets
+from curvelab import farey, s5windows
+from curvelab.window import DisjointSets, Window
 
 
 def bfs_components(keys, edges):
@@ -77,3 +78,26 @@ def test_keys_are_added_on_first_use():
     ds.union((0, "center"), (0, 1, 2))
     assert ds.find((3, 0, 0)) == (3, 0, 0)
     assert ds.groups() == [[(0, "center"), (0, 1, 2)], [(3, 0, 0)]]
+
+
+def test_json_round_trip_farey_windows():
+    for height in range(1, 56):
+        w = farey.farey_window(height)
+        assert Window.from_json(w.to_json(str), farey.Slope.parse) == w, height
+
+
+def test_json_round_trip_s5_windows(w2, w3):
+    for w in (s5windows.build_window(0), s5windows.build_window(1), w2, w3,
+              s5windows.build_window(4)):
+        back = Window.from_json(w.to_json(s5windows.curve_key_str),
+                                s5windows.parse_curve_key)
+        assert back == w, w.bound
+
+
+def test_adjacency_matches_edges():
+    w = farey.farey_window(9)
+    edges = set(w.edges)
+    for i in range(len(w)):
+        assert w.adjacency[i] == frozenset(w.neighbors[i])
+        for j in range(len(w)):
+            assert w.has_edge(i, j) == ((min(i, j), max(i, j)) in edges)
