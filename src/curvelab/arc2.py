@@ -246,23 +246,21 @@ def _four_pentagon_fill(config: TriangleConfig, w: Window) -> list[list[Arc2Vert
     ]
     hid = [w.index[a.curve.coords] for a in hexagon]
     delta = {tuple(sorted((hid[i], hid[(i + 1) % 6]))) for i in range(6)}
-    pentagons = s5windows.enumerate_pentagons(w)
-
-    def edges_of(p):
-        return {tuple(sorted((p[i], p[(i + 1) % 5]))) for i in range(5)}
-
-    cands = [(p, edges_of(p)) for p in pentagons]
-    by_edge: dict[tuple[int, int], list[int]] = {}
-    for idx, (_, es) in enumerate(cands):
-        for e in es & delta:
-            by_edge.setdefault(e, []).append(idx)
+    by_edge = s5windows.pentagons_by_edge(w)
+    # only pentagons through a hexagon edge can be chosen: they are numbered
+    # and their edge sets built once here, outside the search
+    cands = sorted({p for e in delta for p in by_edge.get(e, ())})
+    edges_of = [
+        {tuple(sorted((p[i], p[(i + 1) % 5]))) for i in range(5)} for p in cands
+    ]
+    through = {e: [idx for idx, es in enumerate(edges_of) if e in es] for e in delta}
     order = sorted(delta)
     solutions: list[tuple[tuple[int, ...], ...]] = []
 
     def valid(chosen: frozenset[int]) -> bool:
         count: dict[tuple[int, int], int] = {}
         for idx in chosen:
-            for e in cands[idx][1]:
+            for e in edges_of[idx]:
                 count[e] = count.get(e, 0) + 1
         return all(
             c == (1 if e in delta else 2) for e, c in count.items()
@@ -271,13 +269,13 @@ def _four_pentagon_fill(config: TriangleConfig, w: Window) -> list[list[Arc2Vert
     def dfs(i: int, chosen: frozenset[int]):
         if i == len(order):
             if len(chosen) == 4 and valid(chosen):
-                solutions.append(tuple(sorted(cands[idx][0] for idx in chosen)))
+                solutions.append(tuple(sorted(cands[idx] for idx in chosen)))
             return
         e = order[i]
-        if any(e in cands[idx][1] for idx in chosen):
+        if any(e in edges_of[idx] for idx in chosen):
             dfs(i + 1, chosen)
             return
-        for idx in by_edge.get(e, []):
+        for idx in through[e]:
             if idx not in chosen and len(chosen) < 4:
                 dfs(i + 1, chosen | {idx})
 

@@ -28,23 +28,24 @@ from .window import Window
 EXIT_SUITE_FAILURE = 1
 EXIT_IO_ERROR = 2
 
-SUITE_ALIASES = {
-    "simplicial": "simplicial",
-    "lift": "lipschitz-lifting",
-    "lifting": "lipschitz-lifting",
-    "lipschitz-lifting": "lipschitz-lifting",
-    "ball2": "ball2-isometry",
-    "ball2-isometry": "ball2-isometry",
-    "covering": "local-covering",
-    "local-covering": "local-covering",
-    "transfer": "pentagon-transfer",
-    "pentagon-transfer": "pentagon-transfer",
-    "support": "support-sets",
-    "support-sets": "support-sets",
-    "relations": "relations",
+# suite -> (its other names, the instances it runs on, its call); each call
+# looks its function up in ``suites`` when it runs, so a wrapper installed
+# there after import is the one called
+_ALL, _S5 = ("farey", "s5"), ("s5",)
+SUITES = {
+    "simplicial": ((), _ALL, lambda w, q, c, seed: suites.check_simplicial(q, c)),
+    "lipschitz-lifting": (("lift", "lifting"), _ALL, lambda w, q, c, seed:
+                          suites.verify_lipschitz_lifting(w, q, c)),
+    "ball2-isometry": (("ball2",), _ALL, lambda w, q, c, seed:
+                       suites.verify_ball2_isometry(w, q, c)),
+    "local-covering": (("covering",), _ALL, lambda w, q, c, seed:
+                       suites.verify_local_covering(w, q, c)),
+    "pentagon-transfer": (("transfer",), _S5, lambda w, q, c, seed:
+                          suites.transfer_pentagons(w, q, c)),
+    "support-sets": (("support",), _S5, lambda w, q, c, seed:
+                     suites.check_support_sets(w, q)),
+    "relations": ((), _S5, lambda w, q, c, seed: suites.check_relations(seed=seed)),
 }
-FAREY_SUITES = {"simplicial", "lipschitz-lifting", "ball2-isometry", "local-covering"}
-S5_SUITES = FAREY_SUITES | {"pentagon-transfer", "support-sets", "relations"}
 
 
 def _fail(message: str) -> None:
@@ -401,24 +402,6 @@ def quotient_build(instance, height, matrix, power, conj_len, depth,
 # ---------------------------------------------------------------- verify
 
 
-def _run_suite(name, w, q, contract, seed):
-    if name == "simplicial":
-        return suites.check_simplicial(q, contract)
-    if name == "lipschitz-lifting":
-        return suites.verify_lipschitz_lifting(w, q, contract)
-    if name == "ball2-isometry":
-        return suites.verify_ball2_isometry(w, q, contract)
-    if name == "local-covering":
-        return suites.verify_local_covering(w, q, contract)
-    if name == "pentagon-transfer":
-        return suites.transfer_pentagons(w, q, contract)
-    if name == "support-sets":
-        return suites.check_support_sets(w, q)
-    if name == "relations":
-        return suites.check_relations(seed=seed)
-    raise AssertionError(name)
-
-
 @main.command("verify")
 @_with(quotient_options)
 @click.option("--suites", "suite_csv", required=True,
@@ -434,19 +417,20 @@ def verify(instance, height, matrix, power, conj_len, depth,
     names = []
     for raw in suite_csv.split(","):
         raw = raw.strip()
-        if raw not in SUITE_ALIASES:
+        name = next((n for n, (aliases, _, _) in SUITES.items()
+                     if raw == n or raw in aliases), None)
+        if name is None:
             _fail(f"unknown suite {raw!r}")
-        names.append(SUITE_ALIASES[raw])
-    allowed = FAREY_SUITES if instance == "farey" else S5_SUITES
+        names.append(name)
     for name in names:
-        if name not in allowed:
+        if instance not in SUITES[name][1]:
             _fail(f"suite {name!r} is not available for instance {instance!r}")
 
     w, q, contract = _build_quotient(
         instance, height, matrix, power, conj_len, depth,
         word_bound, sample_csv,
     )
-    reports = [_run_suite(n, w, q, contract, seed) for n in names]
+    reports = [SUITES[n][2](w, q, contract, seed) for n in names]
 
     if out_dir is not None:
         try:

@@ -328,14 +328,13 @@ def farey_neighbors(s: Slope, height: int) -> Iterator[Slope]:
         x, y = k * s.p - b, k * s.q + a
         if y < 0 or (y == 0 and x < 0):
             x, y = -x, -y
-        t = Slope(x, y)
-        if t.height <= height:
-            yield t
+        if abs(x) <= height:
+            yield Slope(x, y)
 
 
 class BfsOracle:
-    """Independent distance oracle: breadth-first search on a height-bounded
-    induced subgraph of the Farey graph.
+    """Independent distance oracle: breadth-first search on the window of
+    all slopes of height at most ``height``.
 
     Distances are upper bounds in general; they stabilise to the true value
     once the ambient height bound is large enough, which the test suite checks
@@ -344,18 +343,15 @@ class BfsOracle:
 
     def __init__(self, height: int):
         self.height = height
-        self.vertices = slopes_of_height(height)
-        self.index = {s: i for i, s in enumerate(self.vertices)}
-        self.neighbors = [
-            [self.index[t] for t in farey_neighbors(s, height)]
-            for s in self.vertices
-        ]
+        window = farey_window(height)
+        self.index = window.index
+        self.neighbors = window.neighbors
         self._distances: dict[Slope, tuple[int, ...]] = {}
 
     def distances_from(self, s: Slope) -> tuple[int, ...]:
         if s in self._distances:
             return self._distances[s]
-        dist = [-1] * len(self.vertices)
+        dist = [-1] * len(self.neighbors)
         src = self.index[s]
         dist[src] = 0
         queue = deque([src])
@@ -380,18 +376,17 @@ def farey_window(height: int, basepoint: Slope = ZERO) -> Window:
     """The induced subgraph on all slopes of height <= height."""
     vertices = slopes_of_height(height)
     index = {s: i for i, s in enumerate(vertices)}
-    edges = set()
+    edges = []
     for i, s in enumerate(vertices):
-        for t in farey_neighbors(s, height):
-            j = index[t]
-            if i < j:
-                edges.add((i, j))
+        # each vertex's later neighbours, in order, keep the edges sorted
+        later = sorted(index[t] for t in farey_neighbors(s, height))
+        edges.extend((i, j) for j in later if j > i)
     return Window(
         instance="farey",
         basepoint=basepoint,
         bound=height,
         vertices=tuple(vertices),
-        edges=tuple(sorted(edges)),
+        edges=tuple(edges),
         words=None,
     )
 

@@ -24,7 +24,7 @@ from . import farey as farey_mod
 from . import s5windows
 from .curves import disjoint
 from .mcg import WORD_ALPHABET, apply_word, invert_word, reduce_word
-from .window import DisjointSets, Window
+from .window import Window
 
 
 @dataclass(frozen=True)
@@ -226,65 +226,45 @@ def displacement_report(
 def build_quotient(
     w: Window, words: tuple[str, ...], contract: InstanceContract
 ) -> QuotientWindow:
-    """Union-find over all in-window identifications v ~ n(v).
+    """The classes of the in-window identifications v ~ n(v), in one pass.
 
     The sample is a tuple of words (``ClosureSample.words`` on the Farey
     graph, ``s5_sample`` on the five-punctured sphere), each evaluated by
-    ``contract.element``.
-
-    Class representatives are deterministic (least index); transporters
-    are found by breadth-first search over the identification graph from each
-    representative.  The partition is cross-checked against a second
-    union-find over the distinct identified pairs.
+    ``contract.element``; RuntimeError unless every identification i -> j
+    has one j -> i.  A breadth-first search from each unvisited vertex, in
+    index order, gives a class and its members' transporters.
     """
     n = len(w)
-    by_moves = DisjointSets(range(n))
-
     # identification graph: vertex -> [(image vertex, sample element)]
     moves: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
-    pairs: set[tuple[int, int]] = set()
     for word in words:
         g = contract.element(word)
         fn = contract.act(g)
         for i, v in enumerate(w.vertices):
             j = w.index.get(fn(v))
-            if j is None:
-                continue
-            moves[i].append((j, g))
-            if i != j:
-                pairs.add((min(i, j), max(i, j)))
-                by_moves.union(i, j)
+            if j is not None:
+                moves[i].append((j, g))
 
-    by_pairs = DisjointSets(range(n))
-    for i, j in pairs:
-        by_pairs.union(i, j)
-    # both list each class in index order, and the classes by least index
-    classes = tuple(map(tuple, by_moves.groups()))
-    if classes != tuple(map(tuple, by_pairs.groups())):
-        raise RuntimeError("union-find partition disagrees with the identified pairs")
-    class_of = [0] * n
-    for c, m in enumerate(classes):
-        for i in m:
-            class_of[i] = c
+    identified = {(i, j) for i, out in enumerate(moves) for j, _ in out}
+    if any((j, i) not in identified for i, j in identified):
+        raise RuntimeError(f"sample {list(words)} is not closed under inverses")
 
-    identity = contract.element("")
-    transporter = [identity] * n
-    for m in classes:
-        rep = m[0]
-        seen = {rep: identity}
-        frontier = [rep]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j, g in moves[i]:
-                    if j not in seen:
-                        seen[j] = contract.compose(seen[i], g)
-                        nxt.append(j)
-            frontier = nxt
-        if set(seen) != set(m):
-            raise RuntimeError("identification graph must connect each class")
-        for i, g in seen.items():
-            transporter[i] = g
+    class_of = [-1] * n
+    transporter = [contract.element("")] * n
+    classes = []
+    for rep in range(n):
+        if class_of[rep] >= 0:
+            continue
+        c = len(classes)
+        class_of[rep] = c
+        members = [rep]
+        for i in members:  # grows as the search reaches new vertices
+            for j, g in moves[i]:
+                if class_of[j] < 0:
+                    class_of[j] = c
+                    transporter[j] = contract.compose(transporter[i], g)
+                    members.append(j)
+        classes.append(tuple(sorted(members)))
 
     loops = []
     qedges = set()
@@ -299,7 +279,7 @@ def build_quotient(
         window=w,
         instance=contract.name,
         class_of=tuple(class_of),
-        classes=classes,
+        classes=tuple(classes),
         edges=tuple(sorted(qedges)),
         loops=tuple(sorted(loops)),
         transporter=tuple(transporter),

@@ -154,6 +154,16 @@ def enumerate_pentagons(w: Window) -> list[tuple[int, int, int, int, int]]:
     return sorted(pentagons)
 
 
+def pentagons_by_edge(w: Window) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    """The pentagons through each edge (i, j), i < j, of w that lies on one."""
+    by_edge: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for pent in enumerate_pentagons(w):
+        for k in range(5):
+            e = (pent[k], pent[(k + 1) % 5])
+            by_edge.setdefault((min(e), max(e)), []).append(pent)
+    return by_edge
+
+
 def half_twist_word(beta: NormalCurve, sign: int) -> str:
     """Word realising the half-twist about beta for the chosen orientation."""
     if beta.witness is None:
@@ -209,15 +219,9 @@ def detect_half_twist_indices(w: Window, ia: int, ib: int) -> set[int]:
     Works on any window-shaped graph (including quotient graphs keyed by
     class representatives): only the adjacency structure is used.
     """
-    pentagons = enumerate_pentagons(w)
-    by_edge: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for pent in pentagons:
-        for k in range(5):
-            e = (pent[k], pent[(k + 1) % 5])
-            by_edge.setdefault((min(e), max(e)), []).append(pent)
     pos_a, pos_b = DETECTION_PATTERN
     detected: set[int] = set()
-    for (u, v), pents in by_edge.items():
+    for (u, v), pents in pentagons_by_edge(w).items():
         if len(pents) < 2:
             continue
         for gamma, delta in ((u, v), (v, u)):

@@ -1,15 +1,24 @@
 """Verification suites over a window and its quotient.
 
 Every suite returns a report dict {suite, status, eligible, truncated,
-witnesses, ...}: ``eligible`` counts the sites actually tested, ``truncated``
-the sites excluded because the window ends before the check can be decided
-(locally infinite graphs force this bookkeeping; there is no cap on the
-sites a suite enumerates, so no site is excluded for any other reason), and
-``witnesses`` carries falsifying data.  When violations occur while the sampled displacement is
-below the governing threshold (3 for simpliciality, 8 for the lifting,
-2-ball, and covering statements), the status is ``out-of-hypothesis`` rather
-than ``fail``: the bound is a hypothesis and its necessity is worth
-exhibiting, not hiding.
+witnesses, ...}.  ``truncated`` counts the sites left undecided because the
+window ends first (locally infinite graphs force this bookkeeping; there is
+no cap on the sites a suite enumerates, so no site is excluded for any other
+reason), and ``witnesses`` carries falsifying data.  What ``eligible``
+counts differs: lifting parts (b) and (c), ball2-isometry and
+pentagon-transfer count every site they reach, truncated ones included;
+support-sets counts only the sites it decides; local-covering counts
+vertices, while its ``truncated`` counts star edges whose lift leaves the
+window.
+
+When violations occur while the sampled displacement is below the
+governing threshold (3 for simpliciality, 8 for the lifting, 2-ball,
+covering and pentagon-transfer statements), the status is
+``out-of-hypothesis`` rather than ``fail``: the bound is a hypothesis and
+its necessity is worth exhibiting, not hiding.  On the five-punctured
+sphere the displacement of a nonempty sample is a certified lower bound of
+at most 3, so a threshold-8 suite there that finds a witness reports
+``out-of-hypothesis``, never ``fail``.
 
 Distance facts are exact on the Farey instance and {0, 1, 2}-certificates on
 the five-punctured sphere; checks that would need more are counted as

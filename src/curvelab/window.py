@@ -4,7 +4,7 @@ A window is a finite induced subgraph with a basepoint, canonically ordered
 vertex keys, and the bound (height or word length) that generated it.  It is
 the unit of computation everywhere: the ambient graphs have infinite balls,
 so finite induced subgraphs stand in for them.  The union-find that
-quotients, component counts and orbit checks share lives here too.
+triangulations and arc endpoints use lives here too.
 """
 
 from __future__ import annotations

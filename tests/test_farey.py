@@ -196,15 +196,17 @@ class TestOracle:
 
 class TestWindow:
     def test_height_window(self):
-        w = farey_window(3)
-        assert all(v.height <= 3 for v in w.vertices)
-        assert INFINITY in w and ZERO in w
-        for i, j in w.edges:
-            assert adjacent(w.vertices[i], w.vertices[j])
-        # completeness of the edge set
-        for s, t in itertools.combinations(w.vertices, 2):
-            if adjacent(s, t):
-                assert w.has_edge(w.index[s], w.index[t])
+        # checked against adjacent() pair by pair, not farey_neighbors, since
+        # BfsOracle searches this graph
+        for height in range(1, 16):
+            w = farey_window(height)
+            assert all(v.height <= height for v in w.vertices)
+            assert INFINITY in w and ZERO in w
+            # exactly the adjacent pairs, sorted, each once
+            pairs = itertools.combinations(range(len(w)), 2)
+            assert list(w.edges) == [
+                (i, j) for i, j in pairs if adjacent(w.vertices[i], w.vertices[j])
+            ], height
 
     def test_json_roundtrip(self):
         w = farey_window(3)

@@ -136,6 +136,19 @@ def test_s5_sample_inverse_closed():
     assert s5_sample(("aA",)) == ()
 
 
+@pytest.mark.parametrize("words", [("a",), ("aa", "tat")])
+def test_sample_not_closed_under_inverses_is_refused(w20, contract, words):
+    with pytest.raises(RuntimeError, match="not closed under inverses"):
+        build_quotient(w20, words, contract)
+
+
+def test_s5_sample_not_closed_under_inverses_is_refused(w2):
+    # the words as given, not passed through s5_sample, which closes them
+    with pytest.raises(RuntimeError, match="not closed under inverses"):
+        build_quotient(w2, ("ab",), s5_contract())
+    assert len(build_quotient(w2, s5_sample(("ab",)), s5_contract())) < len(w2)
+
+
 def test_s5_contract_certificates():
     from curvelab import s5windows
 
