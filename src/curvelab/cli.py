@@ -218,7 +218,8 @@ def _load_window(path: str) -> Window:
     try:
         data = json.loads(Path(path).read_text())
         return Window.from_json(data, s5windows.parse_curve_key)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            RecursionError) as exc:
         _fail(f"cannot load window from {path}: {exc}")
 
 
@@ -359,6 +360,10 @@ def _build_quotient(instance, height, matrix, power, conj_len, depth,
         except ValueError as exc:
             _fail(str(exc))
         w = _s5_window(word_bound)
+        try:  # a window read from the cache has its witnesses checked here
+            s5windows.witness_readers(w)
+        except ValueError as exc:
+            _fail(str(exc))
     return w, quotient_mod.build_quotient(w, sample, contract), contract
 
 

@@ -13,8 +13,12 @@ Each reduction is searched for once and kept as a flip program, a tuple of
 integer coordinate updates that replays without building triangulations.
 
 ``intersection_number`` is the general path, and the oracle that faster
-special cases (such as the witness-word window edges in ``s5windows``) are
-tested against.  A ``NormalCurve`` is validated when it is made, so only
+special cases are tested against.  Window edges and the S5 quotient
+contract read intersections off the vertices' witness words
+(``s5windows.witness_readers``), so flip search now serves only pairs of
+curves with no window witness (arc2's arc tests, ``half_twist_of``, a
+certificate between two curves outside the window) and the oracle tests.
+A ``NormalCurve`` is validated when it is made, so only
 raw coordinate tuples are checked on each call; both checks are memoized by
 coordinate vector, so each distinct curve is validated once.
 """

@@ -8,8 +8,8 @@ every vertex: a product of sample elements carrying the class representative
 to the vertex, which lets suites lift quotient edges exactly instead of
 guessing.
 
-Instances are described by a small contract (key type, adjacency, group
-elements and their action, available distance information) so the same
+Instances are described by a small contract (key type, group elements and
+their action, available distance or adjacency information) so the same
 machinery runs on the Farey graph, where distances are exact, and on the
 five-punctured sphere, where only {0, 1, 2}-certificates are decidable.
 """
@@ -22,7 +22,6 @@ from typing import Any, Callable
 
 from . import farey as farey_mod
 from . import s5windows
-from .curves import disjoint
 from .mcg import WORD_ALPHABET, apply_word, invert_word, reduce_word
 from .window import Window
 
@@ -38,13 +37,15 @@ class InstanceContract:
 
     name: str
     key_str: Callable[[Any], str]
-    adjacent: Callable[[Any, Any], bool]
     element: Callable[[str], Any]
     act: Callable[[Any], Callable[[Any], Any]]
     invert: Callable[[Any], Any]
     # compose(inner, outer): the element acting as "inner first, then outer"
     compose: Callable[[Any, Any], Any]
     exact_distance: Callable[[Any, Any], int] | None = None
+    # (window, a, b) -> adjacency of distinct a and b, not both window
+    # vertices; what certificates read when distances are not exact
+    adjacent: Callable[[Window, Any, Any], bool] | None = None
     # window -> word -> (i -> d(v_i, g v_i), floor); certificates when None
     measure: Callable[[Window], Callable[[str], tuple]] | None = None
 
@@ -59,7 +60,7 @@ class InstanceContract:
             return 0
         ia, ib = w.index.get(a), w.index.get(b)
         if ia is None or ib is None:
-            return 1 if self.adjacent(a, b) else None
+            return 1 if self.adjacent(w, a, b) else None
         # a window is an induced subgraph, so its edges decide adjacency
         adj = w.adjacency
         if ib in adj[ia]:
@@ -99,7 +100,6 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
     return InstanceContract(
         name="farey",
         key_str=str,
-        adjacent=farey_mod.adjacent,
         element=element,
         act=lambda m: m.apply,
         invert=farey_mod.IntMatrix.inverse,
@@ -112,14 +112,22 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
 
 
 def s5_contract() -> InstanceContract:
+    """The five-punctured sphere: curves are coordinate tuples, elements words.
+
+    Certificates come from window edges when both curves are window
+    vertices, and otherwise from ``s5windows.adjacent``, which reads the
+    window vertex's witness word; so the quotient build and the suites,
+    which always pass at least one window vertex, run no flip-reduction
+    search.
+    """
     return InstanceContract(
         name="s5",
         key_str=s5windows.curve_key_str,
-        adjacent=disjoint,
         element=lambda word: word,
         act=lambda word: (lambda coords: apply_word(word, coords)),
         invert=invert_word,
         compose=lambda inner, outer: inner + outer,
+        adjacent=s5windows.adjacent,
     )
 
 

@@ -2,11 +2,14 @@
 
 Windows are generated by applying bounded-length generator words to the base
 pentagon (or to supplied seed curves); edges record disjointness, read off
-the vertices' witness words rather than computed pair by pair.  Pentagons
-are chordless 5-cycles — since window edges capture all disjointness, a
-chordless cycle automatically has intersecting non-adjacent pairs, which is
-isometric embeddedness at the decidable level.  A half-twist pair about beta
-is detected purely combinatorially from two pentagons sharing an edge.
+the vertices' witness words rather than computed pair by pair.  The same
+per-window readers tell the S5 quotient contract whether a window vertex is
+disjoint from any curve at all, so checking a quotient needs no
+flip-reduction search.  Pentagons are chordless 5-cycles — since window
+edges capture all disjointness, a chordless cycle automatically has
+intersecting non-adjacent pairs, which is isometric embeddedness at the
+decidable level.  A half-twist pair about beta is detected purely
+combinatorially from two pentagons sharing an edge.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .curves import BASE_CURVE_EDGES, BASE_CURVES, NormalCurve, intersection_number
+from .curves import (
+    BASE_CURVE_EDGES,
+    BASE_CURVES,
+    NormalCurve,
+    disjoint,
+    intersection_number,
+)
 from .mcg import (
     HALF_TWIST_WORDS,
     WORD_ALPHABET,
@@ -46,6 +55,45 @@ def parse_witness(text: str) -> tuple[str, int]:
     return word, int(base.lstrip("c"))
 
 
+# where witness_readers keeps a window's readers: in the window's own
+# __dict__, as functools.cached_property does, so that a lookup never hashes
+# the window (a dataclass hash walks every vertex and edge)
+_READERS = "_witness_readers"
+
+
+def _readers(vertices, witnesses) -> tuple[tuple[str, int], ...]:
+    """The ``witness_readers`` of vertices with (word, base) witnesses."""
+    readers = []
+    for coords, (word, base) in zip(vertices, witnesses):
+        if not (
+            1 <= base <= len(BASE_CURVES)
+            and apply_word(word, BASE_CURVES[base - 1].coords) == coords
+        ):
+            raise ValueError(f"curve {coords} is not {witness_str((word, base))}")
+        readers.append((invert_word(word), BASE_CURVE_EDGES[base - 1]))
+    return tuple(readers)
+
+
+def witness_readers(w: Window) -> tuple[tuple[str, int], ...]:
+    """(g^-1, e_k) for each vertex v = g(c_k) of an S5 window, by index.
+
+    i(v, x) = i(c_k, g^-1 x) for any curve x, and c_k is its own
+    flip-reduced form at edge e_k = BASE_CURVE_EDGES[k-1] (checked when
+    ``curves`` is imported), so i(v, x) = 2 * apply_word(g^-1, x)[e_k].
+    Built once per window, when every witness is checked against its
+    vertex: a wrong witness (in a cached or hand-made window) raises
+    ValueError rather than giving wrong intersections.
+    ``intersection_number`` stays the oracle for this in the tests.
+    """
+    readers = w.__dict__.get(_READERS)
+    if readers is None:
+        if w.words is None:
+            raise ValueError("S5 windows need witness words")
+        readers = _readers(w.vertices, [parse_witness(t) for t in w.words])
+        w.__dict__[_READERS] = readers
+    return readers
+
+
 def build_window(
     word_bound: int, seeds: tuple[NormalCurve, ...] = BASE_CURVES
 ) -> Window:
@@ -55,26 +103,17 @@ def build_window(
     first witness found (breadth-first, letters in alphabet order), so the
     result is deterministic.
 
-    Edges come from the witnesses, not from ``intersection_number``: a
-    vertex u with witness (g, k) is g(c_k), so i(u, v) = i(c_k, g^-1 v), and
-    since c_k is its own flip-reduced form at edge e_k = BASE_CURVE_EDGES[k-1]
-    (checked when ``curves`` is imported) that is 2 * (g^-1 v)[e_k].  Each
-    pair is read through the vertex with the shorter witness.  Every seed's
-    witness is checked against its coordinates, since a wrong witness would
-    silently give wrong edges; ``intersection_number`` stays the oracle for
-    this in the tests.
+    Edges come from the witnesses, not from ``intersection_number``: each
+    pair is read through the ``witness_readers`` entry of the vertex with
+    the shorter witness.  The readers are kept on the window for the S5
+    contract, which reads adjacency to curves outside the window the same
+    way.
     """
     found: dict[tuple, tuple[str, int]] = {}
     frontier: list[tuple] = []
     for seed in seeds:
         if seed.witness is None:
             raise ValueError("window seeds must carry witness words")
-        word, base = seed.witness
-        if not (
-            1 <= base <= len(BASE_CURVES)
-            and apply_word(word, BASE_CURVES[base - 1].coords) == seed.coords
-        ):
-            raise ValueError(f"seed {seed.coords} is not {witness_str(seed.witness)}")
         if seed.coords not in found:
             found[seed.coords] = seed.witness
             frontier.append(seed.coords)
@@ -92,26 +131,40 @@ def build_window(
         frontier = nxt
     vertices = tuple(sorted(found))
     witnesses = [found[c] for c in vertices]
-    # (length of g, g^-1, e_k) for each vertex g(c_k)
-    readers = [
-        (len(word), invert_word(word), BASE_CURVE_EDGES[base - 1])
-        for word, base in witnesses
-    ]
+    readers = _readers(vertices, witnesses)
+    lengths = [len(word) for word, _ in witnesses]
     edges = []
     for i, j in combinations(range(len(vertices)), 2):
-        p, q = (j, i) if readers[j][0] < readers[i][0] else (i, j)
-        _, inverse, edge = readers[p]
+        p, q = (j, i) if lengths[j] < lengths[i] else (i, j)
+        inverse, edge = readers[p]
         if apply_word(inverse, vertices[q])[edge] == 0:
             edges.append((i, j))
     basepoint = min(seed.coords for seed in seeds)
-    return Window(
+    w = Window(
         instance=S5_INSTANCE,
         basepoint=basepoint,
         bound=word_bound,
         vertices=vertices,
         edges=tuple(edges),
-        words=tuple(witness_str(w) for w in witnesses),
+        words=tuple(witness_str(x) for x in witnesses),
     )
+    w.__dict__[_READERS] = readers
+    return w
+
+
+def adjacent(w: Window, a: tuple, b: tuple) -> bool:
+    """Disjointness of distinct curves a and b, given as coordinates.
+
+    Read off the witness of whichever is a vertex of w; a flip-reduction
+    search runs only when neither is.
+    """
+    i = w.index.get(a)
+    if i is None:
+        i, a, b = w.index.get(b), b, a
+        if i is None:
+            return disjoint(a, b)
+    inverse, edge = witness_readers(w)[i]
+    return apply_word(inverse, b)[edge] == 0
 
 
 def window_curve(w: Window, i: int) -> NormalCurve:
@@ -133,25 +186,31 @@ def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=64)
 def enumerate_pentagons(w: Window) -> list[tuple[int, int, int, int, int]]:
-    """All chordless 5-cycles, canonically represented and sorted."""
-    adj = w.adjacency
-    pentagons = set()
-    n = len(w)
-    for v0 in range(n):
-        for v1 in adj[v0]:
+    """All chordless 5-cycles, each once in its canonical form, sorted.
+
+    A cycle is walked from its least vertex v0 towards the smaller of v0's
+    two cycle neighbours (v1 < v4), which is its ``canonical_cycle``; every
+    step runs over sorted neighbour lists, so the cycles come out sorted.
+    """
+    nbrs, adj = w.neighbors, w.adjacency
+    pentagons = []
+    for v0 in range(len(w)):
+        a0 = adj[v0]
+        for v1 in nbrs[v0]:
             if v1 < v0:
                 continue
-            for v2 in adj[v1]:
-                if v2 <= v0 or v2 in adj[v0]:
+            a1 = adj[v1]
+            for v2 in nbrs[v1]:
+                if v2 <= v0 or v2 in a0:
                     continue
-                for v3 in adj[v2]:
-                    if v3 <= v0 or v3 in adj[v0] or v3 in adj[v1] or v3 == v1:
+                a2 = adj[v2]
+                for v3 in nbrs[v2]:
+                    if v3 <= v0 or v3 == v1 or v3 in a0 or v3 in a1:
                         continue
-                    for v4 in adj[v3] & adj[v0]:
-                        if v4 <= v0 or v4 in adj[v1] or v4 in adj[v2]:
-                            continue
-                        pentagons.add(canonical_cycle((v0, v1, v2, v3, v4)))
-    return sorted(pentagons)
+                    for v4 in nbrs[v3]:
+                        if v4 > v1 and v4 in a0 and v4 not in a1 and v4 not in a2:
+                            pentagons.append((v0, v1, v2, v3, v4))
+    return pentagons
 
 
 def pentagons_by_edge(w: Window) -> dict[tuple[int, int], list[tuple[int, ...]]]:

@@ -502,12 +502,63 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("entry", sorted(MENU))
-def test_verify_artifacts_byte_identical(entry, tmp_path):
-    args, stdout_digest, file_digests = MENU[entry]
-    result = CliRunner().invoke(cli.main, [*args, "--out", str(tmp_path)],
+def check_digests(args, stdout_digest, file_digests, out_dir):
+    result = CliRunner().invoke(cli.main, [*args, "--out", str(out_dir)],
                                 catch_exceptions=False)
     assert result.exit_code == 0
     assert sha256(result.stdout_bytes) == stdout_digest
-    written = {p.name: sha256(p.read_bytes()) for p in sorted(tmp_path.iterdir())}
+    written = {p.name: sha256(p.read_bytes()) for p in sorted(out_dir.iterdir())}
     assert written == file_digests
+
+
+@pytest.mark.parametrize("entry", sorted(MENU))
+def test_verify_artifacts_byte_identical(entry, tmp_path):
+    check_digests(*MENU[entry], tmp_path)
+
+
+# S5 verify at bound 2 with the sample "aab", outside the benchmark's menu;
+# digests recorded from the code that still decided out-of-window
+# adjacency by flip-reduction search
+B2_AAB = (
+    s5_args(2, "aab"),
+    "69b4038019a1c41cc85c64392c8d80fc3ae32a218665381166d20aad0b7c6bf8",
+    {
+        "quotient.json":
+            "f0d59fb2c70fe8c1f5178423dd0b75421158f5531635fdea9b9df25650abb877",
+        "report-ball2-isometry.json":
+            "fb13e8aea2fdffa4ea61c2ff9cc4908d71219ac4a2141190cd300be59aeb352e",
+        "report-lipschitz-lifting.json":
+            "5143fb8fc20057b8e98c98405b9f24789939f916828bf7c809deb35f9163a949",
+        "report-local-covering.json":
+            "4c09366df3441ba1ae031259f27df5f379b3687d62846c4a1985f1c23a371716",
+        "report-pentagon-transfer.json":
+            "9c19fb3c4aea1a04fbc65d4b145b56efc908036f7aa2ab19b6966e01639ccc4b",
+        "report-relations.json":
+            "45393a0ce07afa0a3558ca066608085595a59777210ad2aa5dfe7119c67587b4",
+        "report-simplicial.json":
+            "5af716ca21ec03af9ecb7dc4407cf16d1d3ef1d81e8ed6727522dd167a02be35",
+        "report-support-sets.json":
+            "385676fb651a97c5c1883d0274fc6506da7c8d37cf0f292fd9184da1a345375d",
+        "window.json":
+            "fd153c507c58aa4ae22a945fa7e36583938731362dbb25de4689e960eefa7d63",
+    },
+)
+
+
+@pytest.mark.parametrize("entry", ["b3-sabab", "b2-saab"])
+def test_s5_verify_runs_no_intersection_search(entry, tmp_path, monkeypatch):
+    """S5 verify reads every certificate off window edges and witness words.
+
+    Flip-reduction search and the intersection cache both raise here, so a
+    change that routes the verify path back through ``intersection_number``
+    fails even when an earlier test left the answer cached.
+    """
+    from curvelab import curves
+
+    def forbidden(*args):
+        raise AssertionError("S5 verify ran an intersection search")
+
+    monkeypatch.delenv("CURVELAB_CACHE", raising=False)
+    monkeypatch.setattr(curves, "_reduce_to_boundary", forbidden)
+    monkeypatch.setattr(curves, "_intersection", forbidden)
+    check_digests(*(B2_AAB if entry == "b2-saab" else MENU[entry]), tmp_path)

@@ -1,11 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelab import cli, serialize
 from curvelab.serialize import CACHE_ENV, cached_text, canonical_json, content_hash
@@ -256,7 +259,8 @@ def test_lifting_out_of_hypothesis_reports_without_traceback(runner, args):
     '"vertices":5,"edges":[]}',
     '{"instance":"s5","basepoint":"0,0,1,0,1,0,1,0,1","bound":0,'
     '"vertices":[{"id":0,"key":5}],"edges":[]}',
-], ids=["array", "vertices-number", "key-number"])
+    "[" * 100_000 + "]" * 100_000,  # deeper than the JSON decoder recurses
+], ids=["array", "vertices-number", "key-number", "deep"])
 def test_window_file_of_wrong_shape_exits_two(runner, tmp_path, command, content):
     path = tmp_path / "window.json"
     path.write_text(content)
@@ -333,3 +337,91 @@ def test_corrupt_window_cache_entry_is_rebuilt(runner, tmp_path, monkeypatch):
     entry.write_text(entry.read_text()[:40])
     result = invoke(runner, args)
     assert result.exit_code == 0 and result.output == first
+
+
+def assert_one_error_line(args):
+    result = CliRunner().invoke(cli.main, args, catch_exceptions=False)
+    assert result.exit_code == cli.EXIT_IO_ERROR, result.output
+    assert "Traceback" not in result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+
+
+def test_cached_window_with_wrong_witness_exits_two(runner, tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    args = ["verify", "--instance", "s5", "--word-bound", "2", "--sample", "aa",
+            "--suites", "simplicial"]
+    assert invoke(runner, args).exit_code == 0
+    (entry,) = tmp_path.glob("*.json")
+    data = json.loads(entry.read_text())
+    v = data["vertices"]
+    v[7]["word"], v[8]["word"] = v[8]["word"], v[7]["word"]
+    entry.write_text(canonical_json(data))
+    assert_one_error_line(args)
+
+
+# Fuzzing malformed input: each drawn value is malformed by construction,
+# and the CLI must answer exit 2 with one "error:" line and no traceback.
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+_KNOWN_SUITES = {n for name, (aliases, _, _) in cli.SUITES.items()
+                 for n in (name, *aliases)}
+
+
+@FUZZ
+@given(st.text("0123456789/-+x. ", max_size=10).filter(
+    lambda s: not re.fullmatch(r"\s*[+-]?\d+\s*/\s*[+-]?\d+\s*", s)))
+def test_fuzz_malformed_slope(text):
+    assert_one_error_line(["farey", "dist", "--", text, "1/0"])
+
+
+@FUZZ
+@given(st.text("0123456789,-+x ", max_size=14).filter(
+    lambda s: not re.fullmatch(r"\s*[+-]?\d+\s*(,\s*[+-]?\d+\s*){3}", s)))
+def test_fuzz_malformed_matrix(text):
+    assert_one_error_line(["quotient", "build", "--height", "3", "--power", "1",
+                           "--conj-len", "0", f"--matrix={text}"])
+
+
+@FUZZ
+@given(st.text("aAbBcCdDr,xyzE1 -", min_size=1, max_size=12).filter(
+    lambda s: set(s) - set("aAbBcCdDr,")))
+def test_fuzz_malformed_sample(text):
+    assert_one_error_line(["verify", "--instance", "s5", "--word-bound", "1",
+                           "--suites", "relations", f"--sample={text}"])
+
+
+@FUZZ
+@given(st.text("abcdilrstx-, ", max_size=14).filter(
+    lambda s: any(x.strip() not in _KNOWN_SUITES for x in s.split(","))))
+def test_fuzz_unknown_suite(text):
+    assert_one_error_line(["verify", "--instance", "s5", "--word-bound", "1",
+                           f"--suites={text}"])
+
+
+def _corrupt_window(kind, k):
+    data = json.loads(invoke(CliRunner(), ["s5", "ball", "--word-bound", "1"]).output)
+    edge, vertex = data["edges"][k % len(data["edges"])], data["vertices"][k % 15]
+    if kind == "reversed-edge":
+        edge.reverse()
+    elif kind == "edge-out-of-range":
+        edge[1] = len(data["vertices"]) + k
+    elif kind == "repeated-edge":
+        data["edges"].append(list(edge))
+    elif kind == "bad-key":
+        vertex["key"] = vertex["key"].replace(",", ";", 1 + k % 3)
+    else:
+        del data[("instance", "bound", "vertices", "edges")[k % 4]]
+    return json.dumps(data).encode()
+
+
+@FUZZ
+@given(st.one_of(
+    st.binary(max_size=40),
+    st.builds(_corrupt_window, st.sampled_from(
+        ["reversed-edge", "edge-out-of-range", "repeated-edge", "bad-key",
+         "missing-field"]), st.integers(0, 20)),
+))
+def test_fuzz_malformed_window_file(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "window.json"
+    path.write_bytes(content)
+    assert_one_error_line(["s5", "pentagons", "--window", str(path)])

@@ -210,3 +210,40 @@ def test_positions_raise_unless_given_a_pentagon_edge():
     assert s5windows._positions(pent, 0, 4)["near_delta"] == {3}
     with pytest.raises(RuntimeError):
         s5windows._positions(pent, 0, 2)
+
+
+def _pentagons_by_canonical_set(w):
+    """Reference enumeration: each chordless 5-cycle is walked in both
+    directions from its least vertex, canonicalised into a set, sorted."""
+    adj = w.adjacency
+    pentagons = set()
+    for v0 in range(len(w)):
+        for v1 in adj[v0]:
+            if v1 < v0:
+                continue
+            for v2 in adj[v1]:
+                if v2 <= v0 or v2 in adj[v0]:
+                    continue
+                for v3 in adj[v2]:
+                    if v3 <= v0 or v3 in adj[v0] or v3 in adj[v1] or v3 == v1:
+                        continue
+                    for v4 in adj[v3] & adj[v0]:
+                        if v4 <= v0 or v4 in adj[v1] or v4 in adj[v2]:
+                            continue
+                        pentagons.add(canonical_cycle((v0, v1, v2, v3, v4)))
+    return sorted(pentagons)
+
+
+@pytest.mark.parametrize("bound,sample", [
+    (2, None), (3, None), (4, None), (3, "aa"), (3, "abc"),
+])
+def test_pentagons_match_canonical_set_enumeration(w3, bound, sample):
+    from curvelab import quotient
+
+    g = w3 if bound == 3 else build_window(bound)
+    if sample is not None:
+        words = quotient.s5_sample((sample,))
+        g = quotient.build_quotient(g, words, quotient.s5_contract()).graph
+    pents = enumerate_pentagons(g)
+    assert pents == _pentagons_by_canonical_set(g)
+    assert all(canonical_cycle(p) == p for p in pents)
