@@ -13,6 +13,7 @@ tripod or pentagon fillings of the classes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -98,30 +99,36 @@ def arcs_disjoint(a: Arc2Vertex, b: Arc2Vertex) -> bool:
     return intersection_number(a.curve, b.curve) == 2 * shared
 
 
+def _vertex(w: Window, arc: Arc2Vertex) -> int:
+    """The window index of the arc's curve; an arc outside w is undecided."""
+    if arc.curve.coords not in w.index:
+        key = s5windows.curve_key_str(arc.curve.coords)
+        raise ValueError(f"arc {key} is not in the bound-{w.bound} window")
+    return w.index[arc.curve.coords]
+
+
 def epsilon_arc(x_i: Arc2Vertex, x_j: Arc2Vertex, w: Window) -> Arc2Vertex:
     """The unique arc with distinct endpoints in the complement of the two.
 
     The inputs must be interior-disjoint and share at least one endpoint
     (arcs with disjoint endpoint pairs are directly adjacent and need no
-    connector).  Searches the window and asserts uniqueness.
+    connector).  An arc sharing no endpoint with another is interior-disjoint
+    from it exactly when their curves are disjoint: the candidates are the
+    common window neighbours avoiding both endpoint pairs, and must be unique.
     """
     if not arcs_disjoint(x_i, x_j):
         raise ValueError("epsilon arc needs interior-disjoint arcs")
     if not x_i.endpoints & x_j.endpoints:
         raise ValueError("arcs with distinct endpoints are adjacent; no epsilon arc")
-    candidates = []
-    for k in range(len(w)):
-        arc = Arc2Vertex(s5windows.window_curve(w, k))
-        if arc.curve in (x_i.curve, x_j.curve):
-            continue
-        if arcs_disjoint(arc, x_i) and arcs_disjoint(arc, x_j):
-            if not (arc.endpoints & (x_i.endpoints | x_j.endpoints)):
-                candidates.append(arc)
+    i, j = _vertex(w, x_i), _vertex(w, x_j)
+    taken = x_i.endpoints | x_j.endpoints
+    candidates = [k for k in w.neighbors[i] if k in w.adjacency[j]
+                  and not arc_endpoints(w.vertices[k]) & taken]
     if len(candidates) != 1:
         raise ValueError(
             f"expected a unique epsilon arc, found {len(candidates)} in the window"
         )
-    return candidates[0]
+    return Arc2Vertex(s5windows.window_curve(w, candidates[0]))
 
 
 def is_pentagon_set(arcs: list[Arc2Vertex]) -> bool:
@@ -204,15 +211,17 @@ def classify_triangle(
 
 
 def _two_pentagon_fill(config: TriangleConfig, w: Window) -> list[list[Arc2Vertex]]:
-    """One auxiliary z closing two pentagons joined along two edges."""
-    eps_of = {
-        frozenset((0, 1)): config.epsilons[0],
-        frozenset((1, 2)): config.epsilons[1],
-        frozenset((0, 2)): config.epsilons[2],
-    }
-    used = {a.curve.coords for a in config.arcs} | {
-        e.curve.coords for e in config.epsilons
-    }
+    """One auxiliary z closing two pentagons joined along two edges.
+
+    Pivoting at x0, the pentagons are x0 e01 x1 e12 z and x0 e02 x2 e12 z.
+    Each holds a path from x0 to e12 through four of its vertices, so z is a
+    common window neighbour of x0 and e12.  Each 5-set is tested as a
+    chordless 5-cycle on the window adjacency, which is curve disjointness
+    because the window is induced; the least z over the three pivots wins.
+    """
+    eps_of = dict(zip(map(frozenset, [(0, 1), (1, 2), (0, 2)]), config.epsilons))
+    used = {_vertex(w, a) for a in config.arcs + config.epsilons}
+    adj = w.adjacency
     solutions = []
     for pivot in range(3):
         o1, o2 = sorted({0, 1, 2} - {pivot})
@@ -220,13 +229,14 @@ def _two_pentagon_fill(config: TriangleConfig, w: Window) -> list[list[Arc2Verte
         e01 = eps_of[frozenset((pivot, o1))]
         e12 = eps_of[frozenset((o1, o2))]
         e02 = eps_of[frozenset((pivot, o2))]
-        for k in range(len(w)):
-            if w.vertices[k] in used:
-                continue
-            z = Arc2Vertex(s5windows.window_curve(w, k))
-            first = [x0, x1, z, e01, e12]
-            second = [x0, x2, z, e02, e12]
-            if is_pentagon_set(first) and is_pentagon_set(second):
+        paths = [[w.index[a.curve.coords] for a in path]
+                 for path in ((x0, e01, x1, e12), (x0, e02, x2, e12))]
+        for k in adj[paths[0][0]] & adj[paths[0][3]] - used:
+            cells = [{*path, k} for path in paths]
+            # each cell has five vertices, each with two neighbours among them
+            if all([len(adj[v] & cell) for v in cell] == [2] * 5 for cell in cells):
+                z = Arc2Vertex(s5windows.window_curve(w, k))
+                first, second = [x0, x1, z, e01, e12], [x0, x2, z, e02, e12]
                 solutions.append((z.curve.coords, [first, second]))
     if not solutions:
         raise ValueError("no auxiliary arc closes the two pentagons in this window")
@@ -239,51 +249,39 @@ def _four_pentagon_fill(config: TriangleConfig, w: Window) -> list[list[Arc2Vert
     The hexagon x0 e01 x1 e12 x2 e02 is filled so that each of its edges lies
     in exactly one pentagon and every interior edge in exactly two; all
     solutions use one hub auxiliary in all four pentagons and three further
-    auxiliaries in two each."""
-    hexagon = [
-        config.arcs[0], config.epsilons[0], config.arcs[1],
-        config.epsilons[1], config.arcs[2], config.epsilons[2],
-    ]
-    hid = [w.index[a.curve.coords] for a in hexagon]
-    delta = {tuple(sorted((hid[i], hid[(i + 1) % 6]))) for i in range(6)}
+    auxiliaries in two each.  These are exact covers by window pentagons
+    through hexagon edges, searched by branching on the open demand (a bare
+    hexagon edge, or an interior edge covered once) with fewest pentagons
+    that over-cover no edge; every cover by four is listed and the least wins.
+    """
+    hexagon = [_vertex(w, a) for p in zip(config.arcs, config.epsilons) for a in p]
+    delta = {tuple(sorted((hexagon[i], hexagon[i - 1]))) for i in range(6)}
     by_edge = s5windows.pentagons_by_edge(w)
-    # only pentagons through a hexagon edge can be chosen: they are numbered
-    # and their edge sets built once here, outside the search
     cands = sorted({p for e in delta for p in by_edge.get(e, ())})
-    edges_of = [
-        {tuple(sorted((p[i], p[(i + 1) % 5]))) for i in range(5)} for p in cands
-    ]
-    through = {e: [idx for idx, es in enumerate(edges_of) if e in es] for e in delta}
-    order = sorted(delta)
+    edges_of = [{tuple(sorted((p[i], p[i - 1]))) for i in range(5)} for p in cands]
+    through: dict[tuple[int, int], list[int]] = {}
+    for idx, es in enumerate(edges_of):
+        for e in es:
+            through.setdefault(e, []).append(idx)
     solutions: list[tuple[tuple[int, ...], ...]] = []
 
-    def valid(chosen: frozenset[int]) -> bool:
-        count: dict[tuple[int, int], int] = {}
-        for idx in chosen:
-            for e in edges_of[idx]:
-                count[e] = count.get(e, 0) + 1
-        return all(
-            c == (1 if e in delta else 2) for e, c in count.items()
-        )
+    def cover(chosen: tuple[int, ...]):
+        count = Counter(e for idx in chosen for e in edges_of[idx])
+        full = {e for e, c in count.items() if c == (1 if e in delta else 2)}
+        demands = (delta | count.keys()) - full
+        if not demands and len(chosen) == 4:
+            solutions.append(tuple(sorted(cands[idx] for idx in chosen)))
+        elif demands and len(chosen) < 4:
+            fits = [[i for i in through.get(e, ()) if full.isdisjoint(edges_of[i])]
+                    for e in demands]
+            for idx in min(fits, key=len):
+                cover(chosen + (idx,))
 
-    def dfs(i: int, chosen: frozenset[int]):
-        if i == len(order):
-            if len(chosen) == 4 and valid(chosen):
-                solutions.append(tuple(sorted(cands[idx] for idx in chosen)))
-            return
-        e = order[i]
-        if any(e in edges_of[idx] for idx in chosen):
-            dfs(i + 1, chosen)
-            return
-        for idx in through[e]:
-            if idx not in chosen and len(chosen) < 4:
-                dfs(i + 1, chosen | {idx})
-
-    dfs(0, frozenset())
+    cover(())
     if not solutions:
         raise ValueError("no four-pentagon filling found in this window")
-    best = min(solutions)
-    return [[Arc2Vertex(s5windows.window_curve(w, v)) for v in p] for p in best]
+    return [[Arc2Vertex(s5windows.window_curve(w, v)) for v in pent]
+            for pent in min(solutions)]
 
 
 def fill_triangle(config: TriangleConfig, w: Window) -> dict:

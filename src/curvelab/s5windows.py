@@ -173,15 +173,18 @@ def window_curve(w: Window, i: int) -> NormalCurve:
 
 
 def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    """Least representative under rotation and reflection."""
-    best = None
-    n = len(cycle)
-    for seq in (cycle, tuple(reversed(cycle))):
-        for s in range(n):
-            rot = tuple(seq[(s + k) % n] for k in range(n))
-            if best is None or rot < best:
-                best = rot
-    return best
+    """Least representative under rotation and reflection.
+
+    The representative starts at an occurrence of the least entry, so only
+    the rotations starting there, read both ways, are compared.
+    """
+    low = min(cycle)
+    return min(
+        seq[s:] + seq[:s]
+        for seq in (tuple(cycle), tuple(reversed(cycle)))
+        for s, x in enumerate(seq)
+        if x == low
+    )
 
 
 @lru_cache(maxsize=64)

@@ -110,6 +110,21 @@ def test_epsilon_arc_avoids_endpoints(w3):
     assert arcs_disjoint(eps, c1) and arcs_disjoint(eps, c4)
 
 
+def test_epsilon_arc_outside_window_is_undecided(w2, w3):
+    # a bound-3 arc sharing an endpoint with c1, interior-disjoint from it
+    c1 = Arc2Vertex(BASE_CURVES[0])
+    beyond = [Arc2Vertex(s5windows.window_curve(w3, k))
+              for k in range(len(w3)) if w3.vertices[k] not in w2]
+    outside = next(a for a in beyond if a.endpoints & c1.endpoints and arcs_disjoint(a, c1))
+    key = s5windows.curve_key_str(outside.curve.coords)
+    for pair in ((c1, outside), (outside, c1)):
+        with pytest.raises(ValueError) as exc:
+            epsilon_arc(*pair, w2)
+        assert str(exc.value) == f"arc {key} is not in the bound-2 window"
+    # the pair itself is valid: in a window holding both arcs it is decided
+    assert isinstance(epsilon_arc(c1, outside, w3), Arc2Vertex)
+
+
 @pytest.mark.parametrize("label", sorted(REPRESENTATIVES))
 def test_classification(label, w2, w3):
     arcs = arcs_from(REPRESENTATIVES[label], w2)

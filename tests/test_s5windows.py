@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelab import s5windows
 from curvelab.curves import BASE_CURVES, NormalCurve, intersection_number
@@ -113,6 +115,19 @@ def test_canonical_cycle():
     assert canonical_cycle((3, 1, 2)) == (1, 2, 3)
     assert canonical_cycle((1, 3, 2)) == (1, 2, 3)
     assert canonical_cycle((5, 4, 3, 2, 1)) == (1, 2, 3, 4, 5)
+
+
+def all_rotations_canonical(cycle):
+    """The least of all rotations of the cycle and of its reversal."""
+    seqs = (tuple(cycle), tuple(reversed(cycle)))
+    return min(seq[s:] + seq[:s] for seq in seqs for s in range(len(seq)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+def test_canonical_cycle_matches_all_rotations(cycle):
+    # small entries repeat often, so the least entry occurs several times
+    assert canonical_cycle(tuple(cycle)) == all_rotations_canonical(cycle)
 
 
 def test_base_pentagon_is_the_unique_bound_zero_pentagon():
