@@ -267,9 +267,10 @@ def s5_halftwist(alpha, beta, word_bound, window_file, fmt):
     w = _s5_window(word_bound) if window_file is None else _load_window(window_file)
     if not (0 <= alpha < len(w) and 0 <= beta < len(w)):
         _fail("alpha and beta must be window vertex ids")
-    detected = sorted(
-        s5windows.detect_half_twist_indices(w, alpha, beta)
-    )
+    try:
+        detected = sorted(s5windows.detect_half_twists(w, alpha, beta))
+    except ValueError as exc:
+        _fail(str(exc))
     data = {
         "alpha": alpha,
         "beta": beta,

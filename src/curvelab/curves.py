@@ -2,54 +2,33 @@
 
 A curve is its normal-coordinate vector with respect to the base
 triangulation; coordinates are a complete isotopy invariant, so coordinate
-equality is isotopy.  Intersection numbers are computed by flip-reducing the
-first curve until it becomes the boundary of a disk neighborhood of a single
-edge E (every essential curve cuts off a twice-punctured disk, and weight
-reduction terminates in that form), transporting the second curve's
-coordinates along the same flips, and reading off i(a, b) = 2 * w_E(b): the
-reduced curve can be drawn crossing b only along the two strands parallel to
-E, once per crossing of b with E, and w_E is minimal for normal coordinates.
-Each reduction is searched for once and kept as a flip program, a tuple of
-integer coordinate updates that replays without building triangulations.
+equality is isotopy.  Every essential curve cuts off a twice-punctured disk,
+and the five base curves c_k bound disk neighbourhoods of base edges e_k.
 
-``intersection_number`` is the general path, and the oracle that faster
-special cases are tested against.  Window edges and the S5 quotient
-contract read intersections off the vertices' witness words
-(``s5windows.witness_readers``), so flip search now serves only pairs of
-curves with no window witness (arc2's arc tests, ``half_twist_of``, a
-certificate between two curves outside the window) and the oracle tests.
-A ``NormalCurve`` is validated when it is made, so only
-raw coordinate tuples are checked on each call; both checks are memoized by
-coordinate vector, so each distinct curve is validated once.
+Intersection numbers have one path: a curve carries a witness (g, k) with
+curve = g(c_k), and i(g(c_k), x) = i(c_k, g^-1 x) = 2 * (g^-1 x)[e_k], since
+the boundary of a disk neighbourhood of e_k crosses x along two strands
+parallel to e_k, once per crossing of x with e_k, and normal coordinates are
+minimal.  ``witness_reader`` checks a witness once and gives (g^-1, e_k);
+window edges and the S5 quotient contract use the same readers.  The
+flip-reduction search that computes i(a, b) from coordinates alone lives in
+the tests, as the oracle for this reading.
+A ``NormalCurve`` is validated when it is made, memoized by coordinate
+vector, so each distinct curve is validated once.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .triangulation import (
-    BASE,
-    NUM_EDGES,
-    Coords,
-    FlipStep,
-    Triangulation,
-    compile_flips,
-    is_essential,
-    is_valid_coords,
-    run_flip_program,
-)
+from .mcg import WORD_ALPHABET, apply_word, invert_word
+from .triangulation import BASE, Coords, is_essential
 
 
 @lru_cache(maxsize=1 << 16)
 def _essential(coords: Coords) -> bool:
     return is_essential(BASE, coords)
-
-
-@lru_cache(maxsize=1 << 16)
-def _valid_raw(coords: Coords) -> bool:
-    return is_valid_coords(BASE, coords)
 
 
 @dataclass(frozen=True)
@@ -103,105 +82,45 @@ BASE_CURVES = base_curves()
 BASE_CURVE_PAIRS = ((1, 2), (3, 4), (5, 1), (2, 3), (4, 5))
 
 
-class ReductionError(RuntimeError):
-    pass
+@lru_cache(maxsize=1 << 16)
+def witness_reader(coords: Coords, witness: tuple[str, int]) -> tuple[str, int]:
+    """(g^-1, e_k) for the curve coords = g(c_k) witnessed by (g, k).
 
-
-@lru_cache(maxsize=65536)
-def _reduce_to_boundary(coords: Coords) -> tuple[tuple[FlipStep, ...], int]:
-    """Flip program carrying coords to a neighborhood-boundary pattern.
-
-    Returns (program, edge) such that replaying the program on coords gives
-    state.neighborhood_pattern(edge), where state is the triangulation the
-    program's flips lead to from the base one.  Best-first search on total
-    weight; flips that reduce weight are always explored, plateaus are
-    crossed by the priority queue.
+    i(g(c_k), x) = i(c_k, g^-1 x) for any curve x, and c_k bounds a disk
+    neighbourhood of the base edge e_k = BASE_CURVE_EDGES[k-1], so
+    i(g(c_k), x) = 2 * (g^-1 x)[e_k].  Raises ValueError unless the witness
+    gives the curve, so a wrong witness never gives wrong intersections.
     """
-
-    def terminal_edge(state: Triangulation, cur: Coords) -> int | None:
-        for e in range(NUM_EDGES):
-            if cur[e] == 0:
-                u, v = state.edge_endpoints(e)
-                if u != v and cur == state.neighborhood_pattern(e):
-                    return e
-        return None
-
-    start = (BASE, coords)
-    parent: dict[tuple[Triangulation, Coords], tuple[tuple[Triangulation, Coords], int]] = {}
-    seen = {start}
-    heap: list[tuple[int, int, int, tuple[Triangulation, Coords]]] = []
-    counter = 0
-    heapq.heappush(heap, (sum(coords), 0, counter, start))
-    expansions = 0
-    while heap:
-        _, depth, _, node = heapq.heappop(heap)
-        state, cur = node
-        e = terminal_edge(state, cur)
-        if e is not None:
-            flips = []
-            while node in parent:
-                node, flipped = parent[node]
-                flips.append(flipped)
-            return compile_flips(tuple(reversed(flips))), e
-        expansions += 1
-        if expansions > 200_000:
-            raise ReductionError(f"flip reduction did not terminate for {coords}")
-        for f in range(NUM_EDGES):
-            if not state.flippable(f):
-                continue
-            nxt = (state.flip(f), state.flip_coords(f, cur))
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            parent[nxt] = (node, f)
-            counter += 1
-            heapq.heappush(heap, (sum(nxt[1]), depth + 1, counter, nxt))
-    raise ReductionError(f"flip reduction exhausted the search space for {coords}")
+    word, base = witness
+    if not (
+        1 <= base <= len(BASE_CURVES)
+        and set(word) <= set(WORD_ALPHABET)
+        and apply_word(word, BASE_CURVES[base - 1].coords) == coords
+    ):
+        raise ValueError(f"curve {coords} is not witnessed by {witness}")
+    return invert_word(word), BASE_CURVE_EDGES[base - 1]
 
 
-def _check_base_reductions() -> None:
-    """Each base curve c_j must be its own reduced form, at BASE_CURVE_EDGES.
-
-    s5windows reads i(g(c_j), v) as 2 * (g^-1 v)[BASE_CURVE_EDGES[j-1]],
-    which is exactly _intersection(c_j, g^-1 v) when this holds.
-    """
-    for curve, edge in zip(BASE_CURVES, BASE_CURVE_EDGES):
-        if _reduce_to_boundary(curve.coords) != ((), edge):
-            raise ReductionError(
-                f"base curve {curve.coords} does not reduce to edge {edge} "
-                "with an empty flip program"
-            )
-
-
-_check_base_reductions()
-
-
-@lru_cache(maxsize=1 << 20)
-def _intersection(a: Coords, b: Coords) -> int:
-    if a == b:
-        return 0
-    program, edge = _reduce_to_boundary(a)
-    return 2 * run_flip_program(program, b)[edge]
-
-
-def _checked_coords(c: NormalCurve | Coords) -> Coords:
-    """Coordinates of an argument, validating raw tuples (once per tuple)."""
-    if isinstance(c, NormalCurve):
-        return c.coords
-    c = tuple(c)
-    if not _valid_raw(c):
-        raise ValueError("intersection_number requires valid normal coordinates")
-    return c
+def _as_curve(c: NormalCurve | Coords) -> NormalCurve:
+    return c if isinstance(c, NormalCurve) else NormalCurve(tuple(c))
 
 
 def intersection_number(a: NormalCurve | Coords, b: NormalCurve | Coords) -> int:
-    """Minimal geometric intersection number of two essential curves."""
-    ca, cb = _checked_coords(a), _checked_coords(b)
-    if ca <= cb:
-        return _intersection(ca, cb)
-    return _intersection(cb, ca)
+    """Minimal geometric intersection number of two essential curves.
+
+    Read off the witness of a, or of b when a has none; raw coordinates
+    are validated as curves and have no witness.
+    """
+    a, b = _as_curve(a), _as_curve(b)
+    if a.witness is None:
+        a, b = b, a
+    if a.witness is None:
+        raise ValueError("intersection_number needs a curve with a witness word")
+    inverse, edge = witness_reader(a.coords, a.witness)
+    return 2 * apply_word(inverse, b.coords)[edge]
 
 
 def disjoint(a: NormalCurve | Coords, b: NormalCurve | Coords) -> bool:
     """Adjacency in the curve graph: distinct curves that do not meet."""
+    a, b = _as_curve(a), _as_curve(b)
     return a != b and intersection_number(a, b) == 0

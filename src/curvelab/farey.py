@@ -4,15 +4,14 @@ Vertices are slopes p/q in canonical form, with 1/0 playing the role of the
 slope at infinity.  Two slopes are adjacent when |p q' - q p'| = 1.  Distances
 are computed exactly as shortest paths through the ladder of triangles read
 off a continued fraction, in time linear in its length and with no state
-kept between calls, and cross-checked against a breadth-first oracle on
-height-bounded windows.
+kept between calls, and cross-checked in the tests against a
+breadth-first oracle on height-bounded windows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections import deque
 from typing import Callable, Iterator, Sequence
 
 from .window import Window
@@ -330,46 +329,6 @@ def farey_neighbors(s: Slope, height: int) -> Iterator[Slope]:
             x, y = -x, -y
         if abs(x) <= height:
             yield Slope(x, y)
-
-
-class BfsOracle:
-    """Independent distance oracle: breadth-first search on the window of
-    all slopes of height at most ``height``.
-
-    Distances are upper bounds in general; they stabilise to the true value
-    once the ambient height bound is large enough, which the test suite checks
-    by comparing two bounds.
-    """
-
-    def __init__(self, height: int):
-        self.height = height
-        window = farey_window(height)
-        self.index = window.index
-        self.neighbors = window.neighbors
-        self._distances: dict[Slope, tuple[int, ...]] = {}
-
-    def distances_from(self, s: Slope) -> tuple[int, ...]:
-        if s in self._distances:
-            return self._distances[s]
-        dist = [-1] * len(self.neighbors)
-        src = self.index[s]
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            i = queue.popleft()
-            di = dist[i] + 1
-            for j in self.neighbors[i]:
-                if dist[j] < 0:
-                    dist[j] = di
-                    queue.append(j)
-        self._distances[s] = result = tuple(dist)
-        return result
-
-    def distance(self, s: Slope, t: Slope) -> int:
-        d = self.distances_from(s)[self.index[t]]
-        if d < 0:
-            raise ValueError(f"{t} not reachable inside height-{self.height} window")
-        return d
 
 
 def farey_window(height: int, basepoint: Slope = ZERO) -> Window:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .curves import NormalCurve
 from .triangulation import NUM_EDGES, Coords, FlipStep, compile_flips, run_flip_program
 
 WORD_ALPHABET = "aAbBcCdDr"
@@ -101,16 +100,6 @@ H1_ATOM = Atom(
 )
 
 
-# The rotation advancing every puncture by one, as a word in the half-twists
-# (verified against RHO_ATOM on curve samples).
-RHO_WORD = "DCBA"
-
-# Word realising the half-twist about base curve c_j (c_j bounds the disk
-# around puncture pair BASE_CURVE_PAIRS[j-1]); c3 = {5,1} needs a conjugate
-# of h4 by the rotation.
-HALF_TWIST_WORDS = {1: "a", 2: "c", 3: "abcdd" + RHO_WORD, 4: "b", 5: "d"}
-
-
 def _conjugate(inner: Atom, by: Atom) -> Atom:
     """by . inner . by^-1 computed by composing atoms."""
     by_inv = _invert_atom(by)
@@ -167,22 +156,8 @@ def apply_word(word: str, coords: Coords) -> Coords:
     return cur
 
 
-def act(word: str, curve: NormalCurve) -> NormalCurve:
-    """Apply a word to a curve, extending its witness when present."""
-    coords = apply_word(word, curve.coords)
-    witness = None
-    if curve.witness is not None:
-        witness = (reduce_word(curve.witness[0] + word), curve.witness[1])
-    return NormalCurve(coords, witness)
-
-
 def puncture_permutation(word: str) -> tuple[int, int, int, int, int]:
     perm = IDENTITY_ATOM
     for ch in word:
         perm = perm.compose(ATOMS[ch])
     return perm.vertex_perm
-
-
-def orientation_parity(word: str) -> int:
-    """+1 for orientation-preserving words, -1 otherwise (counts 'r's)."""
-    return -1 if word.count("r") % 2 else 1

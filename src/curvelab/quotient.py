@@ -43,8 +43,9 @@ class InstanceContract:
     # compose(inner, outer): the element acting as "inner first, then outer"
     compose: Callable[[Any, Any], Any]
     exact_distance: Callable[[Any, Any], int] | None = None
-    # (window, a, b) -> adjacency of distinct a and b, not both window
-    # vertices; what certificates read when distances are not exact
+    # (window, a, b) -> adjacency of a window vertex a and a distinct curve
+    # b outside the window; what certificates read when distances are not
+    # exact (every caller passes a window vertex first)
     adjacent: Callable[[Window, Any, Any], bool] | None = None
     # window -> word -> (i -> d(v_i, g v_i), floor); certificates when None
     measure: Callable[[Window], Callable[[str], tuple]] | None = None
@@ -116,9 +117,7 @@ def s5_contract() -> InstanceContract:
 
     Certificates come from window edges when both curves are window
     vertices, and otherwise from ``s5windows.adjacent``, which reads the
-    window vertex's witness word; so the quotient build and the suites,
-    which always pass at least one window vertex, run no flip-reduction
-    search.
+    witness word of the first curve, a window vertex in every call.
     """
     return InstanceContract(
         name="s5",

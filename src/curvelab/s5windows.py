@@ -2,14 +2,14 @@
 
 Windows are generated by applying bounded-length generator words to the base
 pentagon (or to supplied seed curves); edges record disjointness, read off
-the vertices' witness words rather than computed pair by pair.  The same
+the vertices' witness words (``curves.witness_reader``).  The same
 per-window readers tell the S5 quotient contract whether a window vertex is
-disjoint from any curve at all, so checking a quotient needs no
-flip-reduction search.  Pentagons are chordless 5-cycles — since window
-edges capture all disjointness, a chordless cycle automatically has
+disjoint from any curve at all.  Pentagons are chordless 5-cycles — since
+window edges capture all disjointness, a chordless cycle automatically has
 intersecting non-adjacent pairs, which is isometric embeddedness at the
 decidable level.  A half-twist pair about beta is detected purely
-combinatorially from two pentagons sharing an edge.
+combinatorially from two pentagons sharing an edge, for curves alpha and
+beta meeting twice.
 """
 
 from __future__ import annotations
@@ -17,21 +17,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .curves import (
-    BASE_CURVE_EDGES,
-    BASE_CURVES,
-    NormalCurve,
-    disjoint,
-    intersection_number,
-)
-from .mcg import (
-    HALF_TWIST_WORDS,
-    WORD_ALPHABET,
-    apply_word,
-    invert_word,
-    orientation_parity,
-    reduce_word,
-)
+from .curves import BASE_CURVES, NormalCurve, intersection_number, witness_reader
+from .mcg import WORD_ALPHABET, apply_word, reduce_word
 from .window import Window
 
 S5_INSTANCE = "s5"
@@ -51,6 +38,8 @@ def witness_str(witness: tuple[str, int]) -> str:
 
 
 def parse_witness(text: str) -> tuple[str, int]:
+    if not isinstance(text, str):
+        raise ValueError(f"witness {text!r} is not text")
     word, _, base = text.rpartition(".") if "." in text else ("", "", text)
     return word, int(base.lstrip("c"))
 
@@ -59,37 +48,23 @@ def parse_witness(text: str) -> tuple[str, int]:
 # __dict__, as functools.cached_property does, so that a lookup never hashes
 # the window (a dataclass hash walks every vertex and edge)
 _READERS = "_witness_readers"
-
-
-def _readers(vertices, witnesses) -> tuple[tuple[str, int], ...]:
-    """The ``witness_readers`` of vertices with (word, base) witnesses."""
-    readers = []
-    for coords, (word, base) in zip(vertices, witnesses):
-        if not (
-            1 <= base <= len(BASE_CURVES)
-            and apply_word(word, BASE_CURVES[base - 1].coords) == coords
-        ):
-            raise ValueError(f"curve {coords} is not {witness_str((word, base))}")
-        readers.append((invert_word(word), BASE_CURVE_EDGES[base - 1]))
-    return tuple(readers)
+NO_WORDS = "S5 windows need witness words"
 
 
 def witness_readers(w: Window) -> tuple[tuple[str, int], ...]:
-    """(g^-1, e_k) for each vertex v = g(c_k) of an S5 window, by index.
+    """``curves.witness_reader`` (g^-1, e_k) of each vertex v = g(c_k) of an
+    S5 window, by index, so that i(v, x) = 2 * apply_word(g^-1, x)[e_k].
 
-    i(v, x) = i(c_k, g^-1 x) for any curve x, and c_k is its own
-    flip-reduced form at edge e_k = BASE_CURVE_EDGES[k-1] (checked when
-    ``curves`` is imported), so i(v, x) = 2 * apply_word(g^-1, x)[e_k].
     Built once per window, when every witness is checked against its
     vertex: a wrong witness (in a cached or hand-made window) raises
     ValueError rather than giving wrong intersections.
-    ``intersection_number`` stays the oracle for this in the tests.
     """
     readers = w.__dict__.get(_READERS)
     if readers is None:
         if w.words is None:
-            raise ValueError("S5 windows need witness words")
-        readers = _readers(w.vertices, [parse_witness(t) for t in w.words])
+            raise ValueError(NO_WORDS)
+        readers = tuple(witness_reader(v, parse_witness(t))
+                        for v, t in zip(w.vertices, w.words))
         w.__dict__[_READERS] = readers
     return readers
 
@@ -103,11 +78,10 @@ def build_window(
     first witness found (breadth-first, letters in alphabet order), so the
     result is deterministic.
 
-    Edges come from the witnesses, not from ``intersection_number``: each
-    pair is read through the ``witness_readers`` entry of the vertex with
-    the shorter witness.  The readers are kept on the window for the S5
-    contract, which reads adjacency to curves outside the window the same
-    way.
+    Edges come from the witnesses: each pair is read through the
+    ``witness_readers`` entry of the vertex with the shorter witness.  The
+    readers are kept on the window for the S5 contract, which reads
+    adjacency to curves outside the window the same way.
     """
     found: dict[tuple, tuple[str, int]] = {}
     frontier: list[tuple] = []
@@ -118,7 +92,7 @@ def build_window(
             found[seed.coords] = seed.witness
             frontier.append(seed.coords)
     # images of essential curves are essential, so no NormalCurve is built
-    # (and validated) per image; witnesses extend as in mcg.act
+    # (and validated) per image; a witness extends by the letter applied
     for _ in range(word_bound):
         nxt = []
         for coords in frontier:
@@ -131,7 +105,7 @@ def build_window(
         frontier = nxt
     vertices = tuple(sorted(found))
     witnesses = [found[c] for c in vertices]
-    readers = _readers(vertices, witnesses)
+    readers = tuple(witness_reader(v, x) for v, x in zip(vertices, witnesses))
     lengths = [len(word) for word, _ in witnesses]
     edges = []
     for i, j in combinations(range(len(vertices)), 2):
@@ -153,21 +127,18 @@ def build_window(
 
 
 def adjacent(w: Window, a: tuple, b: tuple) -> bool:
-    """Disjointness of distinct curves a and b, given as coordinates.
-
-    Read off the witness of whichever is a vertex of w; a flip-reduction
-    search runs only when neither is.
-    """
+    """Disjointness of a vertex a of w from a distinct curve b, both given
+    as coordinates, read off a's witness word."""
     i = w.index.get(a)
     if i is None:
-        i, a, b = w.index.get(b), b, a
-        if i is None:
-            return disjoint(a, b)
+        raise ValueError(f"curve {curve_key_str(a)} is not a window vertex")
     inverse, edge = witness_readers(w)[i]
     return apply_word(inverse, b)[edge] == 0
 
 
 def window_curve(w: Window, i: int) -> NormalCurve:
+    if w.words is None:
+        raise ValueError(NO_WORDS)
     word, base = parse_witness(w.words[i])
     return NormalCurve(w.vertices[i], (word, base))
 
@@ -216,39 +187,19 @@ def enumerate_pentagons(w: Window) -> list[tuple[int, int, int, int, int]]:
     return pentagons
 
 
-def pentagons_by_edge(w: Window) -> dict[tuple[int, int], list[tuple[int, ...]]]:
-    """The pentagons through each edge (i, j), i < j, of w that lies on one."""
+@lru_cache(maxsize=64)
+def pentagons_by_edge(w: Window) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
+    """The pentagons through each edge (i, j), i < j, of w that lies on one.
+
+    Memoized per window like ``enumerate_pentagons``; the values are tuples
+    so that no caller can change the shared map's pentagon lists.
+    """
     by_edge: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for pent in enumerate_pentagons(w):
         for k in range(5):
             e = (pent[k], pent[(k + 1) % 5])
             by_edge.setdefault((min(e), max(e)), []).append(pent)
-    return by_edge
-
-
-def half_twist_word(beta: NormalCurve, sign: int) -> str:
-    """Word realising the half-twist about beta for the chosen orientation."""
-    if beta.witness is None:
-        raise ValueError("half twists require a curve with a witness word")
-    u, base = beta.witness
-    exponent = sign * orientation_parity(u)
-    h = HALF_TWIST_WORDS[base]
-    return invert_word(u) + (h if exponent > 0 else invert_word(h)) + u
-
-
-def half_twist_of(beta: NormalCurve, alpha: NormalCurve, sign: int) -> NormalCurve:
-    """H_beta^sign(alpha), via the conjugated base half-twist."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +-1")
-    if intersection_number(alpha, beta) != 2:
-        raise ValueError("half-twist detection needs i(alpha, beta) = 2")
-    word = half_twist_word(beta, sign)
-    coords = apply_word(word, alpha.coords)
-    witness = None
-    if alpha.witness is not None:
-        wa, base = alpha.witness
-        witness = (wa + word, base)
-    return NormalCurve(coords, witness)
+    return {e: tuple(pents) for e, pents in by_edge.items()}
 
 
 # Arrangement of the two detecting pentagons: they share an edge
@@ -302,13 +253,14 @@ def detect_half_twist_indices(w: Window, ia: int, ib: int) -> set[int]:
     return detected
 
 
-def detect_half_twists(
-    alpha: NormalCurve, beta: NormalCurve, w: Window
-) -> set[NormalCurve]:
-    """All curves gamma admitting the two-pentagon configuration in w.
+def detect_half_twists(w: Window, ia: int, ib: int) -> set[int]:
+    """The half-twist pair about beta = vertex ib applied to alpha = vertex ia.
 
-    Contract: the result only ever contains the pair {H_beta(alpha),
-    H_beta^-1(alpha)} and equals it once w contains the detecting pentagons.
+    Refuses alpha and beta unless i(alpha, beta) = 2, the hypothesis under
+    which the result only ever contains H_beta(alpha) and H_beta^-1(alpha),
+    and equals that pair once w contains the detecting pentagons.
     """
-    detected = detect_half_twist_indices(w, w.index[alpha.coords], w.index[beta.coords])
-    return {window_curve(w, g) for g in detected}
+    n = intersection_number(window_curve(w, ia), window_curve(w, ib))
+    if n != 2:
+        raise ValueError(f"half-twist detection needs i(alpha, beta) = 2, not {n}")
+    return detect_half_twist_indices(w, ia, ib)

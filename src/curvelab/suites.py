@@ -412,130 +412,6 @@ def _lift_cycle(w: Window, q: QuotientWindow, classes: tuple[int, ...]):
     return extend([])
 
 
-def propagate_pentagon_map(q: QuotientWindow, seed: dict[int, int],
-                           first_choice: tuple[int, int] | None = None) -> dict:
-    """Extend a pentagon-to-pentagon class map across half-twist detections.
-
-    For every fully-mapped quotient pentagon and every non-adjacent pair
-    (alpha, beta) in it, the two detected classes on each side must
-    correspond; the assignment of the pair is forced by adjacency with
-    already-mapped classes (the disjointness disambiguation), by
-    ``first_choice`` (a (class, image) hint resolving the initial
-    orientation ambiguity), or failing those by the least-index rule.
-    Returns the extended map, the frontier where detection ran out of
-    window, and any inconsistency witnesses.
-    """
-    qw = q.graph
-    pentagons = s5windows.enumerate_pentagons(qw)
-    mapped = dict(seed)
-    witnesses: list[dict] = []
-    frontier: list[dict] = []
-    reported: set[tuple[int, int]] = set()
-    oriented = False
-    adj = qw.adjacency
-
-    detect_cache: dict[tuple[int, int], set[int]] = {}
-
-    def detect(a: int, b: int) -> set[int]:
-        if (a, b) not in detect_cache:
-            detect_cache[(a, b)] = s5windows.detect_half_twist_indices(qw, a, b)
-        return detect_cache[(a, b)]
-
-    def consistent(gamma: int, image: int) -> bool:
-        return all(
-            (x in adj[gamma]) == (mapped[x] in adj[image])
-            for x in mapped
-            if x != gamma
-        )
-
-    while True:
-        sites = set()
-        for pent in pentagons:
-            if all(v in mapped for v in pent):
-                for k in range(5):
-                    sites.add((pent[k], pent[(k + 2) % 5]))
-        forced = False
-        ambiguous: list[tuple[tuple[int, int], tuple]] = []
-        for alpha, beta in sorted(sites):
-            dom = detect(alpha, beta)
-            img = detect(mapped[alpha], mapped[beta])
-            if len(dom) != 2 or len(img) != 2:
-                if (alpha, beta) not in reported:
-                    reported.add((alpha, beta))
-                    frontier.append({
-                        "pair": [alpha, beta],
-                        "detected": sorted(dom), "image_detected": sorted(img),
-                    })
-                continue
-            g1, g2 = sorted(dom)
-            h1, h2 = sorted(img)
-            if g1 in mapped and g2 in mapped:
-                if {mapped[g1], mapped[g2]} != {h1, h2}:
-                    if (alpha, beta) not in reported:
-                        reported.add((alpha, beta))
-                        witnesses.append({
-                            "kind": "inconsistent-extension",
-                            "pair": [alpha, beta],
-                            "detected": [g1, g2], "image_detected": [h1, h2],
-                        })
-                continue
-            viable = []
-            for opt in (((g1, h1), (g2, h2)), ((g1, h2), (g2, h1))):
-                ok = True
-                for gamma, image in opt:
-                    if gamma in mapped:
-                        if mapped[gamma] != image:
-                            ok = False
-                    elif not consistent(gamma, image):
-                        ok = False
-                if ok:
-                    viable.append(opt)
-            if not viable:
-                if (alpha, beta) not in reported:
-                    reported.add((alpha, beta))
-                    witnesses.append({
-                        "kind": "inconsistent-extension",
-                        "pair": [alpha, beta],
-                        "detected": [g1, g2], "image_detected": [h1, h2],
-                    })
-            elif len(viable) == 1:
-                for gamma, image in viable[0]:
-                    if gamma not in mapped:
-                        mapped[gamma] = image
-                        forced = True
-            else:
-                ambiguous.append(((alpha, beta), tuple(viable)))
-        if forced:
-            continue
-        if not ambiguous:
-            break
-        # No forced progress.  The orientation of the extension is a single
-        # global choice, so at most one unforced assignment is ever made
-        # (honoring the hint); sites still ambiguous afterwards are
-        # disconnected from the seeded orientation by the window's edge and
-        # are left unmapped on the frontier.
-        if oriented:
-            for site, _ in ambiguous:
-                if site not in reported:
-                    reported.add(site)
-                    frontier.append({"pair": list(site), "kind": "ambiguous"})
-            break
-        chosen = None
-        if first_choice is not None:
-            for site, viable in ambiguous:
-                narrowed = [opt for opt in viable if first_choice in opt]
-                if narrowed:
-                    chosen = narrowed[0]
-                    break
-        if chosen is None:
-            chosen = ambiguous[0][1][0]
-        oriented = True
-        for gamma, image in chosen:
-            if gamma not in mapped:
-                mapped[gamma] = image
-    return {"map": mapped, "frontier": frontier, "witnesses": witnesses}
-
-
 def check_relations(seed: int = 0, curves: int = 100, length: int = 8) -> dict:
     """Generator relations as coordinate equalities on random curves.
 

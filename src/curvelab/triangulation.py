@@ -76,10 +76,6 @@ class Triangulation:
         if len(PUNCTURES) - NUM_EDGES + len(self.tri_edges) != 2:
             raise RuntimeError("gluing is not a sphere")
 
-    def flippable(self, e: int) -> bool:
-        (t1, _), (t2, _) = self.slots[e]
-        return t1 != t2
-
     def flip(self, e: int) -> "Triangulation":
         """Replace diagonal e = CA of the square ABCD by BD (same edge id)."""
         (t1, j1), (t2, j2) = self.slots[e]

@@ -14,8 +14,9 @@ from click.testing import CliRunner
 from curvelab import cli, farey, quotient, s5windows, suites
 from curvelab.arc2 import Arc2Vertex, classify_triangle, fill_triangle, is_pentagon_set
 from curvelab.curves import BASE_CURVES, intersection_number
-from curvelab.mcg import WORD_ALPHABET, act, invert_word
-from curvelab.s5windows import build_window, detect_half_twists, half_twist_of
+from curvelab.mcg import WORD_ALPHABET, invert_word
+from curvelab.s5windows import build_window
+from oracles import BfsOracle, act, detected_curves, half_twist_of
 
 A_MATRIX = farey.IntMatrix(2, 1, 1, 1)
 
@@ -34,7 +35,7 @@ def farey_scenario():
 
 def test_01_farey_distance_oracle_equivalence():
     t0 = time.monotonic()
-    oracle = farey.BfsOracle(36)
+    oracle = BfsOracle(36)
     slopes = farey.slopes_of_height(34)
     for s in slopes:
         from_s = oracle.distances_from(s)
@@ -100,7 +101,7 @@ def test_06_half_twist_detection_pairs():
                     for _ in range(rng.randint(0, 3)))
         alpha, beta = act(g, c1), act(g, c3)
         w = build_window(2, seeds=tuple(act(g, c) for c in BASE_CURVES))
-        detected = detect_half_twists(alpha, beta, w)
+        detected = detected_curves(alpha, beta, w)
         plus = half_twist_of(beta, alpha, 1)
         minus = half_twist_of(beta, alpha, -1)
         assert detected == {plus, minus} and len(detected) == 2, g
@@ -120,7 +121,7 @@ def test_07_quotient_transfer_and_detection(w2):
     a_cls = q.class_of[w2.index[c1.coords]]
     b_cls = q.class_of[w2.index[c3.coords]]
     detected = s5windows.detect_half_twist_indices(q.graph, a_cls, b_cls)
-    upstairs = s5windows.detect_half_twists(c1, c3, w2)
+    upstairs = detected_curves(c1, c3, w2)
     assert detected == {q.class_of[w2.index[g.coords]] for g in upstairs}
     assert len(detected) == 2
 

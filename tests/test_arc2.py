@@ -14,7 +14,7 @@ from curvelab.arc2 import (
     pentagon_cycle,
 )
 from curvelab.curves import BASE_CURVES, BASE_CURVE_PAIRS, disjoint, intersection_number
-from curvelab.mcg import act
+from oracles import act
 from curvelab.triangulation import BASE
 
 # One representative triple of arcs (by curve coordinates) per configuration

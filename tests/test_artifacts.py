@@ -549,16 +549,16 @@ B2_AAB = (
 def test_s5_verify_runs_no_intersection_search(entry, tmp_path, monkeypatch):
     """S5 verify reads every certificate off window edges and witness words.
 
-    Flip-reduction search and the intersection cache both raise here, so a
-    change that routes the verify path back through ``intersection_number``
-    fails even when an earlier test left the answer cached.
+    ``intersection_number`` raises here in every module that imports it, so
+    a change that routes the verify path through curve-level intersections
+    fails.
     """
-    from curvelab import curves
+    from curvelab import arc2, curves, s5windows
 
     def forbidden(*args):
-        raise AssertionError("S5 verify ran an intersection search")
+        raise AssertionError("S5 verify computed an intersection number")
 
     monkeypatch.delenv("CURVELAB_CACHE", raising=False)
-    monkeypatch.setattr(curves, "_reduce_to_boundary", forbidden)
-    monkeypatch.setattr(curves, "_intersection", forbidden)
+    for module in (curves, s5windows, arc2):
+        monkeypatch.setattr(module, "intersection_number", forbidden)
     check_digests(*(B2_AAB if entry == "b2-saab" else MENU[entry]), tmp_path)

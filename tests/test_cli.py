@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvelab import cli, serialize
+from curvelab import cli, s5windows, serialize
 from curvelab.serialize import CACHE_ENV, cached_text, canonical_json, content_hash
 
 
@@ -228,6 +228,7 @@ def test_determinism_byte_identical(runner):
     "s5 halftwist --alpha 0 --beta 0 --word-bound 1",
     "s5 pentagons --word-bound -1",
     "s5 halftwist --alpha 0 --beta 1 --word-bound -2",
+    "s5 halftwist --alpha 0 --beta 7 --word-bound 2",  # i(alpha, beta) = 4
 ])
 def test_malformed_input_exit_two_without_traceback(runner, args):
     result = invoke(runner, args.split())
@@ -267,6 +268,27 @@ def test_window_file_of_wrong_shape_exits_two(runner, tmp_path, command, content
     result = invoke(runner, [*command, "--window", str(path)])
     assert result.exit_code == cli.EXIT_IO_ERROR
     assert "Traceback" not in result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("edit", ["drop-words", "swap-words", "number-word"])
+def test_halftwist_window_without_true_witnesses_exits_two(runner, tmp_path, edit):
+    # detection reads i(alpha, beta) off a witness word, so it needs true ones
+    data = s5windows.build_window(2).to_json(s5windows.curve_key_str)
+    if edit == "drop-words":
+        for rec in data["vertices"]:
+            del rec["word"]
+    elif edit == "number-word":
+        data["vertices"][0]["word"] = 5
+    else:
+        first, second = data["vertices"][0], data["vertices"][2]
+        first["word"], second["word"] = second["word"], first["word"]
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(data))
+    args = ["s5", "halftwist", "--alpha", "0", "--beta", "2", "--window", str(path)]
+    result = invoke(runner, args)
+    assert result.exit_code == cli.EXIT_IO_ERROR
     lines = result.output.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
 

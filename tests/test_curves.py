@@ -10,12 +10,12 @@ from curvelab.curves import (
     BASE_CURVES,
     BASE_CURVE_PAIRS,
     NormalCurve,
-    _reduce_to_boundary,
     disjoint,
     intersection_number,
 )
 from curvelab.mcg import apply_word
 from curvelab.triangulation import BASE, run_flip_program
+from oracles import ReductionError, check_base_reductions, intersection, reduce_to_boundary
 
 
 def test_base_curves_are_five_distinct():
@@ -39,6 +39,7 @@ def test_self_intersection_zero():
     for c in BASE_CURVES:
         assert intersection_number(c, c) == 0
         assert not disjoint(c, c)
+        assert not disjoint(c, c.coords)
 
 
 def test_intersection_invariant_under_action():
@@ -48,14 +49,15 @@ def test_intersection_invariant_under_action():
         for a, b in pairs:
             ia = apply_word(w, a.coords)
             ib = apply_word(w, b.coords)
-            assert intersection_number(ia, ib) == intersection_number(a, b)
+            assert intersection(ia, ib) == intersection_number(a, b)
 
 
 def test_half_twist_moves_transverse_curve():
     c1, c4 = BASE_CURVES[0], BASE_CURVES[3]
     img = apply_word("a", c4.coords)
     assert img != c4.coords
-    assert intersection_number(img, c4.coords) == 2
+    assert intersection_number(img, c4) == 2
+    assert intersection(img, c4) == 2
 
 
 def test_inessential_coords_rejected():
@@ -66,10 +68,13 @@ def test_inessential_coords_rejected():
 
 
 def test_intersection_accepts_raw_coords():
+    # read through the witness of the other curve; two raw tuples have none
     a, b = BASE_CURVES[0], BASE_CURVES[3]
-    assert intersection_number(a.coords, b.coords) == 2
+    assert intersection_number(a, b.coords) == intersection_number(a.coords, b) == 2
+    with pytest.raises(ValueError, match="witness"):
+        intersection_number(a.coords, b.coords)
     with pytest.raises(ValueError):
-        intersection_number((1, 0, 0, 0, 0, 0, 0, 0, 0), a.coords)
+        intersection_number((1, 0, 0, 0, 0, 0, 0, 0, 0), a)
 
 
 @pytest.mark.parametrize("bad", [
@@ -93,18 +98,19 @@ def test_normal_curves_are_not_revalidated(monkeypatch):
     def refuse(*_):
         raise AssertionError("NormalCurve arguments were validated again")
 
-    monkeypatch.setattr(curves, "is_valid_coords", refuse)
-    curves._valid_raw.cache_clear()
+    monkeypatch.setattr(curves, "is_essential", refuse)
+    curves._essential.cache_clear()
     assert intersection_number(a, b) == expected
     with pytest.raises(AssertionError):
         intersection_number(a.coords, b)
 
 
-def test_base_reduction_check_raises_on_mismatch(monkeypatch):
-    curves._check_base_reductions()
-    monkeypatch.setattr(curves, "BASE_CURVE_EDGES", BASE_CURVE_EDGES[1:] + BASE_CURVE_EDGES[:1])
-    with pytest.raises(curves.ReductionError):
-        curves._check_base_reductions()
+def test_base_reduction_check_raises_on_mismatch():
+    # the base curves are their own reduced forms, which makes
+    # i(g(c_k), x) = 2 * (g^-1 x)[e_k] the flip search's answer
+    check_base_reductions(BASE_CURVE_EDGES)
+    with pytest.raises(ReductionError):
+        check_base_reductions(BASE_CURVE_EDGES[1:] + BASE_CURVE_EDGES[:1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,7 +118,7 @@ def test_base_reduction_check_raises_on_mismatch(monkeypatch):
 def test_flip_program_matches_triangulation_replay(w3, data):
     a = w3.vertices[data.draw(st.integers(0, len(w3) - 1), label="a")]
     b = w3.vertices[data.draw(st.integers(0, len(w3) - 1), label="b")]
-    program, edge = _reduce_to_boundary(a)
+    program, edge = reduce_to_boundary(a)
     state, cur_a, cur_b = BASE, a, b
     for e, *quad in program:
         assert tuple(quad) == state.flip_quad(e)

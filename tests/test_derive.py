@@ -11,9 +11,10 @@ shipped encodings must be among them.
 from collections import Counter
 
 from curvelab import mcg
-from curvelab.curves import BASE_CURVES, intersection_number
+from curvelab.curves import BASE_CURVES
 from curvelab.mcg import Atom
 from curvelab.triangulation import BASE, NUM_EDGES, Triangulation
+from oracles import flippable, intersection
 
 
 def _pair_counter(state: Triangulation, perm: dict[int, int] | None = None):
@@ -92,7 +93,7 @@ def find_candidates(perm: dict[int, int], max_depth: int = 8) -> list[Atom]:
             for f in range(NUM_EDGES):
                 if path and path[-1] == f:
                     continue
-                if not state.flippable(f):
+                if not flippable(state, f):
                     continue
                 path.append(f)
                 dfs(state.flip(f), path, remaining - 1)
@@ -132,9 +133,9 @@ def pin_h1() -> list[Atom]:
         if any(atom.apply(c) != c for c in (c1, c2, c5)):
             continue
         img = atom.apply(c4)
-        if img == c4 or intersection_number(img, c4) != 2:
+        if img == c4 or intersection(img, c4) != 2:
             continue
-        if intersection_number(img, c1) != 2:
+        if intersection(img, c1) != 2:
             continue
         out.append(atom)
     return out

@@ -8,7 +8,6 @@ from curvelab.farey import (
     IDENTITY,
     INFINITY,
     ZERO,
-    BfsOracle,
     FareyClosureSpec,
     IntMatrix,
     Slope,
@@ -23,6 +22,7 @@ from curvelab.farey import (
 )
 from curvelab.quotient import displacement_report, farey_contract
 from curvelab.window import Window
+from oracles import BfsOracle
 
 
 @st.composite

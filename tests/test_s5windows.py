@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from curvelab import s5windows
 from curvelab.curves import BASE_CURVES, NormalCurve, intersection_number
-from curvelab.mcg import WORD_ALPHABET, act, apply_word, invert_word
+from curvelab.mcg import WORD_ALPHABET, apply_word
 from curvelab.s5windows import (
     build_window,
     canonical_cycle,
     detect_half_twists,
     enumerate_pentagons,
-    half_twist_of,
     window_curve,
 )
 from curvelab.window import Window
+from oracles import act, detected_curves, half_twist_of, intersection
 
 EXPECTED_SIZES = {0: (5, 5, 1), 1: (15, 25, 21), 2: (41, 85, 97)}
 
@@ -41,16 +41,16 @@ def test_window_three_sizes(w3):
 def test_window_edges_are_disjointness(w2):
     for i, j in random.Random(7).sample(list(w2.edges), 20):
         a, b = window_curve(w2, i), window_curve(w2, j)
-        assert intersection_number(a, b) == 0
+        assert intersection(a, b) == 0
 
 
 def _oracle_mismatches(w, pairs):
-    """Pairs whose window edge disagrees with intersection_number == 0."""
+    """Pairs whose window edge disagrees with the flip search's i == 0."""
     edges = set(w.edges)
     curves = [window_curve(w, i) for i in range(len(w))]
     return [
         (i, j) for i, j in pairs
-        if ((i, j) in edges) != (intersection_number(curves[i], curves[j]) == 0)
+        if ((i, j) in edges) != (intersection(curves[i], curves[j]) == 0)
     ]
 
 
@@ -174,17 +174,17 @@ def test_half_twists_inverse_pair():
 def test_detection_on_base_pair(w2):
     c1, c3 = BASE_CURVES[0], BASE_CURVES[2]
     expected = {half_twist_of(c3, c1, 1), half_twist_of(c3, c1, -1)}
-    assert detect_half_twists(c1, c3, w2) == expected
+    assert detected_curves(c1, c3, w2) == expected
 
 
 def test_detection_stable_under_larger_window(w2, w3):
     c1, c3 = BASE_CURVES[0], BASE_CURVES[2]
-    assert detect_half_twists(c1, c3, w2) == detect_half_twists(c1, c3, w3)
+    assert detected_curves(c1, c3, w2) == detected_curves(c1, c3, w3)
 
 
 def test_detection_swapped_by_reflection(w2):
     c1, c3 = BASE_CURVES[0], BASE_CURVES[2]
-    detected = detect_half_twists(c1, c3, w2)
+    detected = detected_curves(c1, c3, w2)
     reflected = {act("r", g) for g in detected}
     assert reflected == detected
     assert act("r", half_twist_of(c3, c1, 1)) == half_twist_of(c3, c1, -1)
@@ -192,12 +192,33 @@ def test_detection_swapped_by_reflection(w2):
 
 def test_detection_equivariant():
     c1, c3 = BASE_CURVES[0], BASE_CURVES[2]
-    base = detect_half_twists(c1, c3, build_window(2))
+    base = detected_curves(c1, c3, build_window(2))
     for g in ("ab", "rC"):
         seeds = tuple(act(g, c) for c in BASE_CURVES)
         w = build_window(2, seeds=seeds)
-        moved = detect_half_twists(act(g, c1), act(g, c3), w)
+        moved = detected_curves(act(g, c1), act(g, c3), w)
         assert moved == {act(g, x) for x in base}
+
+
+def test_detection_entry_over_bound_two_window(w2):
+    # every ordered pair: refused unless i(alpha, beta) = 2, and otherwise
+    # nothing but H_beta(alpha) and H_beta^-1(alpha) is ever detected
+    curves = [window_curve(w2, i) for i in range(len(w2))]
+    refused = detected = whole = 0
+    for ia, ib in permutations(range(len(w2)), 2):
+        alpha, beta = curves[ia], curves[ib]
+        if intersection(alpha, beta) != 2:
+            with pytest.raises(ValueError, match=r"needs i\(alpha, beta\) = 2"):
+                detect_half_twists(w2, ia, ib)
+            refused += 1
+            continue
+        pair = {half_twist_of(beta, alpha, s).coords for s in (1, -1)}
+        found = {w2.vertices[g] for g in detect_half_twists(w2, ia, ib)}
+        assert found <= pair, (ia, ib)
+        detected += bool(found)
+        whole += found == pair
+    # 582 pairs meet twice; 174 of the refused ones used to detect curves
+    assert (refused, detected, whole) == (1058, 434, 94)
 
 
 def test_detection_pattern_is_the_unique_reading(w2, monkeypatch):

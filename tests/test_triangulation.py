@@ -12,6 +12,7 @@ from curvelab.triangulation import (
     is_essential,
     is_valid_coords,
 )
+from oracles import flippable
 
 
 def test_base_is_valid():
@@ -35,7 +36,7 @@ def test_edge_endpoints():
 
 
 def test_every_edge_flippable_in_base():
-    assert all(BASE.flippable(e) for e in range(NUM_EDGES))
+    assert all(flippable(BASE, e) for e in range(NUM_EDGES))
 
 
 def test_flip_involution():
@@ -78,7 +79,7 @@ def test_neighborhood_pattern_rejects_loops():
         cur = BASE
         reachable = True
         for e in seq:
-            if not cur.flippable(e):
+            if not flippable(cur, e):
                 reachable = False
                 break
             cur = cur.flip(e)

@@ -1,9 +1,10 @@
 """Adjacency read off witness words, against flip-reduction search.
 
 The S5 contract decides whether a window vertex v = g(c_k) is disjoint from
-a curve x as 2 * (g^-1 x)[e_k] == 0, with no flip-reduction search.  These
-tests compare that reading with ``intersection_number`` and ``disjoint``,
-which still search, and check that a wrong witness is refused.
+a curve x as 2 * (g^-1 x)[e_k] == 0, with no flip-reduction search, and
+``intersection_number`` reads every intersection the same way.  These tests
+compare that reading with the flip search kept in ``oracles``, and check
+that a wrong witness is refused.
 """
 
 import dataclasses
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvelab import quotient, s5windows
-from curvelab.curves import disjoint, intersection_number
+from curvelab.curves import NormalCurve, intersection_number
 from curvelab.mcg import WORD_ALPHABET, apply_word
 from curvelab.window import Window
+from oracles import disjoint, intersection
 
 # the samples of the benchmark's bound-3 s5-verify menu
 SAMPLES = ("aa", "r", "bb,dd", "abc", "cdcd", "aaaa", "abab")
@@ -56,9 +58,11 @@ def test_reading_matches_intersection_number(w4):
         x = apply_word(word, w4.vertices[rng.randrange(len(w4))])
         outside += x not in w4.index
         inverse, edge = readers[i]
-        assert 2 * apply_word(inverse, x)[edge] == intersection_number(w4.vertices[i], x)
+        expected = intersection(w4.vertices[i], x)
+        assert 2 * apply_word(inverse, x)[edge] == expected
+        assert intersection_number(s5windows.window_curve(w4, i), x) == expected
         if x != w4.vertices[i]:
-            assert s5windows.adjacent(w4, x, w4.vertices[i]) == disjoint(w4.vertices[i], x)
+            assert s5windows.adjacent(w4, w4.vertices[i], x) == (expected == 0)
     assert outside > 500
 
 
@@ -68,18 +72,15 @@ def test_intersection_invariant_under_words(w3, data):
     a = w3.vertices[data.draw(st.integers(0, len(w3) - 1), label="a")]
     b = w3.vertices[data.draw(st.integers(0, len(w3) - 1), label="b")]
     g = data.draw(st.text(WORD_ALPHABET, max_size=4), label="g")
-    assert intersection_number(apply_word(g, a), apply_word(g, b)) == \
-        intersection_number(a, b)
+    assert intersection(apply_word(g, a), apply_word(g, b)) == intersection(a, b)
 
 
-def test_neither_point_in_window_falls_back_to_search(w3):
+def test_neither_point_in_window_is_refused(w3):
+    # adjacency is read through the first point's witness; no search is left
     w1 = s5windows.build_window(1)
-    outer = [v for v in w3.vertices if v not in w1.index][:15]
-    contract = quotient.s5_contract()
-    certs = [contract.certificate(a, b, w1) for a in outer for b in outer if a != b]
-    assert certs == [1 if disjoint(a, b) else None
-                     for a in outer for b in outer if a != b]
-    assert 1 in certs and None in certs
+    a, b = [v for v in w3.vertices if v not in w1.index][:2]
+    with pytest.raises(ValueError, match="not a window vertex"):
+        quotient.s5_contract().certificate(a, b, w1)
 
 
 def test_readers_built_from_json_match_build(w3):
@@ -97,3 +98,8 @@ def test_wrong_witness_is_refused(w2):
         quotient.s5_contract().certificate(bad.vertices[7], image, bad)
     with pytest.raises(ValueError, match="witness words"):
         s5windows.witness_readers(dataclasses.replace(w2, words=None))
+    # a curve whose witness names another curve: read either way round
+    liar = NormalCurve(w2.vertices[7], s5windows.parse_witness(w2.words[8]))
+    for pair in ((liar, w2.vertices[0]), (w2.vertices[0], liar)):
+        with pytest.raises(ValueError, match="is not"):
+            intersection_number(*pair)
