@@ -5,10 +5,13 @@ and the reflection r (fixes every puncture and each of the five base curves,
 reversing orientation).  Each generator is encoded as an Atom: a fixed
 sequence of edge flips from the base triangulation followed by an edge
 relabelling that carries the flipped triangulation back onto the base one.
-The encodings were derived by searching the flip graph for combinatorial
-isomorphisms realising the required puncture permutations and are locked in
-place by the relation test suite (braid relations, far commutation, r^2 = 1,
-r h_i r = h_i^-1, and the action on the base pentagon).
+The half-twists are literal shortest encodings (4, 2, 4 and 2 flips), found
+by searching the flip graph for combinatorial isomorphisms realising the
+required puncture permutations.  The tests re-derive each one and certify
+it against the conjugate rho^i h1 rho^-i of h1 by the rotation rho (same
+puncture permutation and same images of c1, c2 and c4 determine an
+orientation-preserving mapping class), and the relation suite locks them in
+(braid relations, far commutation, r^2 = 1, r h_i r = h_i^-1).
 
 Words are strings over 'a','b','c','d' (h1..h4), 'A'..'D' (inverses), 'r'.
 """
@@ -68,42 +71,19 @@ class Atom:
             out[self.relabel[e]] = cur[e]
         return tuple(out)
 
-    def compose(self, other: "Atom") -> "Atom":
-        """The atom acting as self first, then other."""
-        unlabel = [0] * NUM_EDGES
-        for e in range(NUM_EDGES):
-            unlabel[self.relabel[e]] = e
-        flips = self.flips + tuple(unlabel[f] for f in other.flips)
-        relabel = tuple(other.relabel[self.relabel[e]] for e in range(NUM_EDGES))
-        perm = tuple(other.vertex_perm[self.vertex_perm[v - 1] - 1] for v in range(1, 6))
-        return Atom(flips, relabel, perm)
-
-
-IDENTITY_ATOM = Atom((), tuple(range(NUM_EDGES)), (1, 2, 3, 4, 5))
 
 # Reflection through the plane of the punctures: swaps the two hemispheres,
 # i.e. the northern fan edges with the southern ones; no flips needed.
 R_ATOM = Atom((), (0, 1, 2, 3, 4, 7, 8, 5, 6), (1, 2, 3, 4, 5))
 
-# Derived encodings (re-derived by tests/test_derive.py): the rotation rho
-# advancing every puncture by one, and the half-twist h1 exchanging
-# punctures 1 and 2.
-RHO_ATOM = Atom(
-    flips=(6, 5, 8, 7),
-    relabel=(1, 2, 3, 4, 0, 5, 6, 7, 8),
-    vertex_perm=(2, 3, 4, 5, 1),
-)
-H1_ATOM = Atom(
-    flips=(5, 6, 4, 8),
-    relabel=(0, 5, 2, 3, 8, 6, 4, 1, 7),
-    vertex_perm=(2, 1, 3, 4, 5),
-)
-
-
-def _conjugate(inner: Atom, by: Atom) -> Atom:
-    """by . inner . by^-1 computed by composing atoms."""
-    by_inv = _invert_atom(by)
-    return by_inv.compose(inner).compose(by)
+# Shortest flip encodings of the half-twists (re-derived and certified by
+# tests/test_derive.py); c is the least of its six 4-flip programs.
+_HALF_TWISTS = {
+    "a": Atom((5, 6, 4, 8), (0, 5, 2, 3, 8, 6, 4, 1, 7), (2, 1, 3, 4, 5)),
+    "b": Atom((7, 2), (7, 1, 5, 3, 4, 0, 6, 2, 8), (1, 3, 2, 4, 5)),
+    "c": Atom((5, 1, 8, 3), (0, 7, 2, 6, 4, 1, 5, 8, 3), (1, 2, 4, 3, 5)),
+    "d": Atom((6, 2), (0, 1, 8, 3, 6, 5, 2, 7, 4), (1, 2, 3, 5, 4)),
+}
 
 
 def _invert_atom(atom: Atom) -> Atom:
@@ -117,24 +97,6 @@ def _invert_atom(atom: Atom) -> Atom:
         inv_perm[atom.vertex_perm[v - 1] - 1] = v
     return Atom(flips, tuple(unlabel), tuple(inv_perm))
 
-
-def _power(atom: Atom, n: int) -> Atom:
-    out = IDENTITY_ATOM
-    base = atom if n >= 0 else _invert_atom(atom)
-    for _ in range(abs(n)):
-        out = out.compose(base)
-    return out
-
-
-def _build_half_twists() -> dict[str, Atom]:
-    out = {"a": H1_ATOM}
-    for i, letter in enumerate("bcd", start=1):
-        rho_i = _power(RHO_ATOM, i)
-        out[letter] = _conjugate(H1_ATOM, rho_i)
-    return out
-
-
-_HALF_TWISTS = _build_half_twists()
 
 ATOMS: dict[str, Atom] = {
     **_HALF_TWISTS,
@@ -157,7 +119,9 @@ def apply_word(word: str, coords: Coords) -> Coords:
 
 
 def puncture_permutation(word: str) -> tuple[int, int, int, int, int]:
-    perm = IDENTITY_ATOM
+    """Images of punctures 1..5 under the word (leftmost letter acts first)."""
+    perm = (1, 2, 3, 4, 5)
     for ch in word:
-        perm = perm.compose(ATOMS[ch])
-    return perm.vertex_perm
+        step = ATOMS[ch].vertex_perm
+        perm = tuple(step[p - 1] for p in perm)
+    return perm

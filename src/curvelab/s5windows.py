@@ -15,10 +15,11 @@ beta meeting twice.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
-from .curves import BASE_CURVES, NormalCurve, intersection_number, witness_reader
-from .mcg import WORD_ALPHABET, apply_word, reduce_word
+from .curves import (BASE_CURVE_PAIRS, BASE_CURVES, NormalCurve,
+                     intersection_number, witness_reader)
+from .mcg import WORD_ALPHABET, apply_word, puncture_permutation, reduce_word
 from .window import Window
 
 S5_INSTANCE = "s5"
@@ -82,6 +83,14 @@ def build_window(
     ``witness_readers`` entry of the vertex with the shorter witness.  The
     readers are kept on the window for the S5 contract, which reads
     adjacency to curves outside the window the same way.
+
+    Only pairs of curves cutting off disjoint puncture pairs are read.  Every
+    essential curve bounds a disk around two of the five punctures, and two
+    disjoint curves bound disjoint such disks: a disk inside the other would
+    hold the same two punctures, making the curves isotopic, and a disk
+    holding the other's three-punctured side would hold three punctures.  So
+    curves whose pairs overlap always meet.  The pair of g(c_k) is the image
+    of ``BASE_CURVE_PAIRS[k-1]`` under ``puncture_permutation(g)``.
     """
     found: dict[tuple, tuple[str, int]] = {}
     frontier: list[tuple] = []
@@ -107,12 +116,22 @@ def build_window(
     witnesses = [found[c] for c in vertices]
     readers = tuple(witness_reader(v, x) for v, x in zip(vertices, witnesses))
     lengths = [len(word) for word, _ in witnesses]
+    buckets: dict[int, list[int]] = {}
+    for i, (word, base) in enumerate(witnesses):
+        perm = puncture_permutation(word)
+        pair = sum(1 << perm[p - 1] for p in BASE_CURVE_PAIRS[base - 1])
+        buckets.setdefault(pair, []).append(i)
     edges = []
-    for i, j in combinations(range(len(vertices)), 2):
-        p, q = (j, i) if lengths[j] < lengths[i] else (i, j)
-        inverse, edge = readers[p]
-        if apply_word(inverse, vertices[q])[edge] == 0:
-            edges.append((i, j))
+    for (pair_a, xs), (pair_b, ys) in combinations(buckets.items(), 2):
+        if pair_a & pair_b:
+            continue
+        for i, j in product(xs, ys):
+            i, j = min(i, j), max(i, j)
+            p, q = (j, i) if lengths[j] < lengths[i] else (i, j)
+            inverse, edge = readers[p]
+            if apply_word(inverse, vertices[q])[edge] == 0:
+                edges.append((i, j))
+    edges.sort()
     basepoint = min(seed.coords for seed in seeds)
     w = Window(
         instance=S5_INSTANCE,

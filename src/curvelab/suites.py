@@ -412,6 +412,19 @@ def _lift_cycle(w: Window, q: QuotientWindow, classes: tuple[int, ...]):
     return extend([])
 
 
+# (name, left word, right word): the generator relations check_relations
+# tests as equal actions on curves
+RELATIONS = (
+    ("braid-ab", "aba", "bab"), ("braid-bc", "bcb", "cbc"),
+    ("braid-cd", "cdc", "dcd"),
+    ("commute-ac", "ac", "ca"), ("commute-ad", "ad", "da"),
+    ("commute-bd", "bd", "db"),
+    ("involution-r", "rr", ""),
+    ("conjugate-ra", "rar", "A"), ("conjugate-rb", "rbr", "B"),
+    ("conjugate-rc", "rcr", "C"), ("conjugate-rd", "rdr", "D"),
+)
+
+
 def check_relations(seed: int = 0, curves: int = 100, length: int = 8) -> dict:
     """Generator relations as coordinate equalities on random curves.
 
@@ -432,18 +445,9 @@ def check_relations(seed: int = 0, curves: int = 100, length: int = 8) -> dict:
                        for _ in range(rng.randint(1, length)))
         coords.append(apply_word(word, coords[rng.randrange(5)]))
 
-    relations = [
-        ("braid-ab", "aba", "bab"), ("braid-bc", "bcb", "cbc"),
-        ("braid-cd", "cdc", "dcd"),
-        ("commute-ac", "ac", "ca"), ("commute-ad", "ad", "da"),
-        ("commute-bd", "bd", "db"),
-        ("involution-r", "rr", ""),
-        ("conjugate-ra", "rar", "A"), ("conjugate-rb", "rbr", "B"),
-        ("conjugate-rc", "rcr", "C"), ("conjugate-rd", "rdr", "D"),
-    ]
     witnesses = []
     eligible = 0
-    for name, left, right in relations:
+    for name, left, right in RELATIONS:
         for c in coords:
             eligible += 1
             if apply_word(left, c) != apply_word(right, c):

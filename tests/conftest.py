@@ -11,3 +11,8 @@ def w2():
 @pytest.fixture(scope="session")
 def w3():
     return s5windows.build_window(3)
+
+
+@pytest.fixture(scope="session")
+def w4():
+    return s5windows.build_window(4)

@@ -6,7 +6,12 @@ fraction.  The tests check both against the slower methods kept here:
 
 - a best-first flip-reduction search that computes i(a, b) from normal
   coordinates alone, with no witness;
-- breadth-first search on height-bounded Farey windows.
+- breadth-first search on height-bounded Farey windows;
+- the half-twists h2..h4 built as conjugates rho^i h1 rho^-i of h1 by the
+  rotation rho, against which the shipped shortest encodings are certified;
+- the S5 window built with those letters and read over all pairs of
+  vertices, against which ``build_window``'s puncture-pair buckets are
+  checked.
 
 Also here: the mapping-class action on witnessed curves and the half-twist
 about a witnessed curve, which the tests use to build expected answers.
@@ -17,11 +22,26 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from functools import lru_cache
+from itertools import combinations
 
 from curvelab import farey
 from curvelab.curves import BASE_CURVE_EDGES, BASE_CURVES, NormalCurve
-from curvelab.mcg import apply_word, invert_word, reduce_word
-from curvelab.s5windows import detect_half_twists, window_curve
+from curvelab.mcg import (
+    ATOMS,
+    R_ATOM,
+    WORD_ALPHABET,
+    Atom,
+    _invert_atom,
+    apply_word,
+    invert_word,
+    reduce_word,
+)
+from curvelab.s5windows import (
+    S5_INSTANCE,
+    detect_half_twists,
+    window_curve,
+    witness_str,
+)
 from curvelab.triangulation import (
     BASE,
     NUM_EDGES,
@@ -31,6 +51,7 @@ from curvelab.triangulation import (
     compile_flips,
     run_flip_program,
 )
+from curvelab.window import Window
 
 
 # ---------------------------------------------------------------- flip search
@@ -129,6 +150,142 @@ def intersection(a: NormalCurve | Coords, b: NormalCurve | Coords) -> int:
 def disjoint(a: NormalCurve | Coords, b: NormalCurve | Coords) -> bool:
     """Distinct curves that do not meet, by flip search."""
     return _coords(a) != _coords(b) and intersection(a, b) == 0
+
+
+# ---------------------------------------------------------------- conjugation
+
+
+IDENTITY_ATOM = Atom((), tuple(range(NUM_EDGES)), (1, 2, 3, 4, 5))
+
+# The rotation rho advancing every puncture by one, and the half-twist h1
+# exchanging punctures 1 and 2, as derived by test_derive's flip search.
+RHO_ATOM = Atom(
+    flips=(6, 5, 8, 7),
+    relabel=(1, 2, 3, 4, 0, 5, 6, 7, 8),
+    vertex_perm=(2, 3, 4, 5, 1),
+)
+H1_ATOM = Atom(
+    flips=(5, 6, 4, 8),
+    relabel=(0, 5, 2, 3, 8, 6, 4, 1, 7),
+    vertex_perm=(2, 1, 3, 4, 5),
+)
+
+
+def compose(first: Atom, then: Atom) -> Atom:
+    """The atom acting as first, then as then."""
+    unlabel = [0] * NUM_EDGES
+    for e in range(NUM_EDGES):
+        unlabel[first.relabel[e]] = e
+    flips = first.flips + tuple(unlabel[f] for f in then.flips)
+    relabel = tuple(then.relabel[first.relabel[e]] for e in range(NUM_EDGES))
+    perm = tuple(then.vertex_perm[first.vertex_perm[v - 1] - 1] for v in range(1, 6))
+    return Atom(flips, relabel, perm)
+
+
+def word_atom(word: str) -> Atom:
+    """The shipped letters of a word composed into one atom."""
+    out = IDENTITY_ATOM
+    for ch in word:
+        out = compose(out, ATOMS[ch])
+    return out
+
+
+def conjugate(inner: Atom, by: Atom) -> Atom:
+    """by . inner . by^-1 computed by composing atoms."""
+    return compose(compose(_invert_atom(by), inner), by)
+
+
+def power(atom: Atom, n: int) -> Atom:
+    """atom^n for n >= 0."""
+    out = IDENTITY_ATOM
+    for _ in range(n):
+        out = compose(out, atom)
+    return out
+
+
+def conjugated_half_twists() -> dict[str, Atom]:
+    """h1 and its conjugates rho^i h1 rho^-i, i = 1, 2, 3, by letter."""
+    out = {"a": H1_ATOM}
+    for i, letter in enumerate("bcd", start=1):
+        out[letter] = conjugate(H1_ATOM, power(RHO_ATOM, i))
+    return out
+
+
+CONJUGATED_HALF_TWISTS = conjugated_half_twists()
+CONJUGATED_ATOMS: dict[str, Atom] = {
+    **CONJUGATED_HALF_TWISTS,
+    **{k.upper(): _invert_atom(v) for k, v in CONJUGATED_HALF_TWISTS.items()},
+    "r": R_ATOM,
+}
+
+
+def same_mapping_class(x: Atom, y: Atom) -> bool:
+    """Certificate that two orientation-preserving atoms are one mapping class.
+
+    If x and y have the same puncture permutation and the same images of c1,
+    c2 and c4, then q = y^-1 x is pure and fixes the pants decomposition
+    {c1, c2}, so q = T_c1^m T_c2^n.  Since i(c1, c4) = i(c2, c4) = 2,
+    i(q(c4), c4) >= 4|m| + 4|n|, and q(c4) = c4 forces m = n = 0.
+    """
+    c1, c2, _, c4, _ = (c.coords for c in BASE_CURVES)
+    return x.vertex_perm == y.vertex_perm and all(
+        x.apply(c) == y.apply(c) for c in (c1, c2, c4))
+
+
+@lru_cache(maxsize=1 << 16)
+def _conjugated_letter(letter: str, coords: Coords) -> Coords:
+    return CONJUGATED_ATOMS[letter].apply(coords)
+
+
+def conjugated_apply_word(word: str, coords: Coords) -> Coords:
+    """``mcg.apply_word`` through the conjugated letters."""
+    for ch in word:
+        coords = _conjugated_letter(ch, coords)
+    return coords
+
+
+def full_scan_window(
+    word_bound: int, seeds: tuple[NormalCurve, ...] = BASE_CURVES
+) -> Window:
+    """``build_window`` through the conjugated letters, reading every pair.
+
+    The same breadth-first search, and each pair of vertices read through
+    the witness of the one with the shorter word, with no puncture-pair
+    buckets.
+    """
+    found: dict[Coords, tuple[str, int]] = {}
+    frontier = []
+    for seed in seeds:
+        if seed.coords not in found:
+            found[seed.coords] = seed.witness
+            frontier.append(seed.coords)
+    for _ in range(word_bound):
+        nxt = []
+        for coords in frontier:
+            word, base = found[coords]
+            for letter in WORD_ALPHABET:
+                image = conjugated_apply_word(letter, coords)
+                if image not in found:
+                    found[image] = (reduce_word(word + letter), base)
+                    nxt.append(image)
+        frontier = nxt
+    vertices = tuple(sorted(found))
+    witnesses = [found[c] for c in vertices]
+    edges = []
+    for i, j in combinations(range(len(vertices)), 2):
+        p, q = (j, i) if len(witnesses[j][0]) < len(witnesses[i][0]) else (i, j)
+        word, base = witnesses[p]
+        image = conjugated_apply_word(invert_word(word), vertices[q])
+        if image[BASE_CURVE_EDGES[base - 1]] == 0:
+            edges.append((i, j))
+    return Window(
+        instance=S5_INSTANCE,
+        basepoint=min(seed.coords for seed in seeds),
+        bound=word_bound,
+        vertices=vertices,
+        edges=tuple(edges),
+        words=tuple(witness_str(x) for x in witnesses),
+    )
 
 
 # ---------------------------------------------------------------- the action

@@ -5,16 +5,28 @@ sequences whose final triangulation is combinatorially isomorphic to the
 base one (orientation-preservingly) under a prescribed puncture
 permutation.  Each hit yields a candidate Atom; candidates are then pinned
 behaviourally (action on the base pentagon, intersection numbers), and the
-shipped encodings must be among them.
+shipped encodings must be among them.  Each shipped half-twist must be the
+least, by (flips, relabel), of the shortest candidates that the certificate
+``oracles.same_mapping_class`` identifies with the conjugate of h1 by a
+power of the rotation, so a hand edit to an encoding fails here.
 """
 
 from collections import Counter
+
+import pytest
 
 from curvelab import mcg
 from curvelab.curves import BASE_CURVES
 from curvelab.mcg import Atom
 from curvelab.triangulation import BASE, NUM_EDGES, Triangulation
-from oracles import flippable, intersection
+from oracles import (
+    CONJUGATED_HALF_TWISTS,
+    H1_ATOM,
+    RHO_ATOM,
+    flippable,
+    intersection,
+    same_mapping_class,
+)
 
 
 def _pair_counter(state: Triangulation, perm: dict[int, int] | None = None):
@@ -141,6 +153,19 @@ def pin_h1() -> list[Atom]:
     return out
 
 
+def pin_half_twist(letter: str) -> list[Atom]:
+    """Shortest candidates certified equal to the conjugated half-twist."""
+    oracle = CONJUGATED_HALF_TWISTS[letter]
+    perm = {v: oracle.vertex_perm[v - 1] for v in range(1, 6)}
+    return [atom for atom in find_candidates(perm) if same_mapping_class(atom, oracle)]
+
+
 def test_shipped_atoms_are_rederived():
-    assert mcg.RHO_ATOM in pin_rho()
-    assert mcg.H1_ATOM in pin_h1()
+    assert RHO_ATOM in pin_rho()
+    assert H1_ATOM in pin_h1()
+
+
+@pytest.mark.parametrize("letter", "abcd")
+def test_shipped_half_twist_is_least_shortest_program(letter):
+    hits = pin_half_twist(letter)
+    assert mcg.ATOMS[letter] == min(hits, key=lambda a: (a.flips, a.relabel))

@@ -1,5 +1,9 @@
 from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from curvelab.curves import BASE_CURVES, intersection_number
 from curvelab.mcg import (
     ATOMS,
@@ -9,8 +13,21 @@ from curvelab.mcg import (
     puncture_permutation,
     reduce_word,
 )
+from curvelab.suites import RELATIONS
 from curvelab.triangulation import BASE, run_flip_program
-from oracles import HALF_TWIST_WORDS, RHO_WORD, act, intersection, orientation_parity
+from oracles import (
+    CONJUGATED_ATOMS,
+    CONJUGATED_HALF_TWISTS,
+    HALF_TWIST_WORDS,
+    RHO_ATOM,
+    RHO_WORD,
+    act,
+    conjugated_apply_word,
+    intersection,
+    orientation_parity,
+    same_mapping_class,
+    word_atom,
+)
 
 SAMPLE = [c.coords for c in BASE_CURVES] + [
     apply_word(w, BASE_CURVES[0].coords) for w in ("ab", "cD", "rba", "abcd")
@@ -125,3 +142,39 @@ def test_atom_programs_match_triangulation_replay(w2):
                 cur = state.flip_coords(f, cur)
                 state = state.flip(f)
             assert run_flip_program(atom.program, coords) == list(cur), letter
+
+
+def test_flip_counts():
+    counts = {letter: len(atom.flips) for letter, atom in ATOMS.items()}
+    assert counts == {"a": 4, "A": 4, "b": 2, "B": 2, "c": 4, "C": 4,
+                      "d": 2, "D": 2, "r": 0}
+
+
+@pytest.mark.parametrize("letter", "abcd")
+def test_half_twist_certified_by_conjugation(letter):
+    # Equal puncture permutations and equal images of c1, c2 and c4 make
+    # two orientation-preserving atoms one mapping class: their quotient is
+    # pure and fixes {c1, c2}, so it is T_c1^m T_c2^n, and it moves c4 unless
+    # m = n = 0, as i(T_c1^m T_c2^n(c4), c4) >= 4|m| + 4|n|.
+    assert same_mapping_class(ATOMS[letter], CONJUGATED_HALF_TWISTS[letter])
+
+
+def test_rho_word_is_the_rotation():
+    assert same_mapping_class(word_atom(RHO_WORD), RHO_ATOM)
+
+
+def test_letters_match_conjugation_on_bound_four(w4):
+    for letter in WORD_ALPHABET:
+        atom = CONJUGATED_ATOMS[letter]
+        for coords in w4.vertices:
+            assert apply_word(letter, coords) == atom.apply(coords), letter
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.text(alphabet=WORD_ALPHABET, max_size=8), st.sampled_from(BASE_CURVES))
+def test_relations_and_letters_on_random_curves(word, base):
+    coords = apply_word(word, base.coords)
+    for name, left, right in RELATIONS:
+        assert apply_word(left, coords) == apply_word(right, coords), name
+    for letter in WORD_ALPHABET:
+        assert apply_word(letter, coords) == conjugated_apply_word(letter, coords)

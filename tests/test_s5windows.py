@@ -6,17 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvelab import s5windows
-from curvelab.curves import BASE_CURVES, NormalCurve, intersection_number
-from curvelab.mcg import WORD_ALPHABET, apply_word
+from curvelab.arc2 import arc_endpoints
+from curvelab.curves import BASE_CURVE_PAIRS, BASE_CURVES, NormalCurve, intersection_number
+from curvelab.mcg import WORD_ALPHABET, apply_word, puncture_permutation
 from curvelab.s5windows import (
     build_window,
     canonical_cycle,
     detect_half_twists,
     enumerate_pentagons,
+    parse_witness,
     window_curve,
 )
 from curvelab.window import Window
-from oracles import act, detected_curves, half_twist_of, intersection
+from oracles import act, detected_curves, full_scan_window, half_twist_of, intersection
 
 EXPECTED_SIZES = {0: (5, 5, 1), 1: (15, 25, 21), 2: (41, 85, 97)}
 
@@ -70,8 +72,38 @@ def _acceptance_conjugators():
 
 @pytest.mark.parametrize("g", _acceptance_conjugators())
 def test_witness_edges_match_oracle_moved_seeds(g):
-    w = build_window(2, seeds=tuple(act(g, c) for c in BASE_CURVES))
+    seeds = tuple(act(g, c) for c in BASE_CURVES)
+    w = build_window(2, seeds=seeds)
     assert _oracle_mismatches(w, combinations(range(len(w)), 2)) == []
+    assert w == full_scan_window(2, seeds)
+
+
+@pytest.mark.parametrize("bound", range(5))
+def test_build_window_matches_full_scan(bound):
+    assert build_window(bound) == full_scan_window(bound)
+
+
+def test_adjacent_curves_cut_off_disjoint_pairs(w4):
+    # the pair build_window buckets a vertex by is the one the curve cuts off
+    pairs = [arc_endpoints(v) for v in w4.vertices]
+    for text, pair in zip(w4.words, pairs):
+        word, base = parse_witness(text)
+        perm = puncture_permutation(word)
+        assert {perm[p - 1] for p in BASE_CURVE_PAIRS[base - 1]} == pair
+    oracle = full_scan_window(4)
+    assert oracle.vertices == w4.vertices
+    assert not any(pairs[i] & pairs[j] for i, j in oracle.edges)
+
+
+def test_inverse_puncture_labels_would_lose_edges(monkeypatch):
+    def inverse_permutation(word):
+        perm = puncture_permutation(word)
+        return tuple(perm.index(v) + 1 for v in range(1, 6))
+
+    monkeypatch.setattr(s5windows, "puncture_permutation", inverse_permutation)
+    wrong, oracle = build_window(3), full_scan_window(3)
+    assert set(wrong.edges) < set(oracle.edges)
+    assert len(oracle.edges) - len(wrong.edges) == 64
 
 
 def test_witness_edges_match_oracle_sampled_bound_four():
@@ -190,14 +222,14 @@ def test_detection_swapped_by_reflection(w2):
     assert act("r", half_twist_of(c3, c1, 1)) == half_twist_of(c3, c1, -1)
 
 
-def test_detection_equivariant():
+@pytest.mark.parametrize("g", ["ab", "rC", *WORD_ALPHABET])
+def test_detection_equivariant(w2, g):
     c1, c3 = BASE_CURVES[0], BASE_CURVES[2]
-    base = detected_curves(c1, c3, build_window(2))
-    for g in ("ab", "rC"):
-        seeds = tuple(act(g, c) for c in BASE_CURVES)
-        w = build_window(2, seeds=seeds)
-        moved = detected_curves(act(g, c1), act(g, c3), w)
-        assert moved == {act(g, x) for x in base}
+    base = detected_curves(c1, c3, w2)
+    seeds = tuple(act(g, c) for c in BASE_CURVES)
+    w = build_window(2, seeds=seeds)
+    moved = detected_curves(act(g, c1), act(g, c3), w)
+    assert moved == {act(g, x) for x in base}
 
 
 def test_detection_entry_over_bound_two_window(w2):
