@@ -98,12 +98,23 @@ def farey_dist(s, t, fmt):
     _emit({"s": str(a), "t": str(b), "distance": d}, fmt, text_fn=lambda: f"{d}\n")
 
 
-def _window(description: dict, build, key_str, str_key) -> Window:
-    """The window ``build()`` makes, read through the cache when one is set."""
+def _window(description: dict, build, key_str, str_key, check=None) -> Window:
+    """The window ``build()`` makes, read through the cache when one is set.
+
+    A cached entry that is not a window, or that ``check`` refuses with a
+    ValueError, exits 2: it was edited by hand, since cached text is
+    canonical JSON written by ``build``.
+    """
     if cache_dir() is None:
         return build()
     text = cached_text(description, lambda: canonical_json(build().to_json(key_str)))
-    return Window.from_json(json.loads(text), str_key)
+    try:
+        w = Window.from_json(json.loads(text), str_key)
+        if check is not None:
+            check(w)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        _fail(f"cached window is not valid: {exc}")
+    return w
 
 
 def _farey_window(height: int, basepoint: str) -> Window:
@@ -111,11 +122,17 @@ def _farey_window(height: int, basepoint: str) -> Window:
         base = farey_mod.Slope.parse(basepoint)
     except ValueError as exc:
         _fail(str(exc))
+
+    def check(w: Window) -> None:
+        # the quotient build's lattice enumeration relies on this
+        if w.bound != height or w.vertices != tuple(farey_mod.slopes_of_height(height)):
+            raise ValueError(f"it does not hold exactly the slopes of height <= {height}")
+
     return _window(
         {"kind": "window", "instance": "farey", "height": height,
          "basepoint": str(base)},
         lambda: farey_mod.farey_window(height, base),
-        str, farey_mod.Slope.parse,
+        str, farey_mod.Slope.parse, check,
     )
 
 

@@ -313,6 +313,35 @@ def slopes_of_height(height: int) -> list[Slope]:
     return sorted(out)
 
 
+def window_images(m: IntMatrix, height: int) -> Iterator[tuple[Slope, Slope]]:
+    """The pairs (s, m s) with both slopes of height at most ``height``.
+
+    For each denominator q <= height the numerators p that qualify form one
+    integer interval, the intersection of |p| <= h, |a p + b q| <= h and
+    |c p + d q| <= h; the reduced p in it are exactly the slopes of the
+    window that m keeps in the window.  So the cost is O(height + hits),
+    with no slope applied that lands outside.  Pairs come with 1/0 first,
+    then in order of q and p.
+    """
+    a, b, c, d = m.entries
+    h = height
+    if abs(a) <= h and abs(c) <= h:
+        yield INFINITY, Slope._canonical(a, c)
+    for q in range(1, h + 1):
+        lo, hi = -h, h
+        for x, y in ((a, b * q), (c, d * q)):
+            # the p with |x p + y| <= h
+            if x > 0:
+                lo, hi = max(lo, -((h + y) // x)), min(hi, (h - y) // x)
+            elif x < 0:
+                lo, hi = max(lo, -((h - y) // -x)), min(hi, (h + y) // -x)
+            elif abs(y) > h:
+                lo, hi = 1, 0
+        for p in range(lo, hi + 1):
+            if math.gcd(p, q) == 1:
+                yield Slope._canonical(p, q), Slope._canonical(a * p + b * q, c * p + d * q)
+
+
 def farey_neighbors(s: Slope, height: int) -> Iterator[Slope]:
     """The Farey neighbours of s of height at most ``height``, each once."""
     # the solutions (x, y) of s.p * y - s.q * x = 1 are (x0 + k p, y0 + k q)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from . import farey as farey_mod
 from . import s5windows
@@ -32,7 +32,8 @@ class InstanceContract:
 
     Group elements are opaque here: ``element`` evaluates a word, ``act``
     turns an element into a map on keys, and ``invert`` and ``compose``
-    multiply elements.
+    multiply elements.  ``images(window, element)`` yields the index pairs
+    (i, j) with element(v_i) = v_j, each vertex i at most once.
     """
 
     name: str
@@ -42,6 +43,7 @@ class InstanceContract:
     invert: Callable[[Any], Any]
     # compose(inner, outer): the element acting as "inner first, then outer"
     compose: Callable[[Any, Any], Any]
+    images: Callable[[Window, Any], Iterable[tuple[int, int]]]
     exact_distance: Callable[[Any, Any], int] | None = None
     # (window, a, b) -> adjacency of a window vertex a and a distinct curve
     # b outside the window; what certificates read when distances are not
@@ -98,6 +100,13 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
 
         return per_word
 
+    def images(w: Window, m: farey_mod.IntMatrix) -> Iterator[tuple[int, int]]:
+        # the window holds every slope of height <= its bound, so the
+        # lattice enumeration finds each in-window image
+        index = w.index
+        for s, t in farey_mod.window_images(m, w.bound):
+            yield index[s], index[t]
+
     return InstanceContract(
         name="farey",
         key_str=str,
@@ -107,6 +116,7 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
         # matrices act with the rightmost factor first, so "inner first"
         # means outer on the left
         compose=lambda inner, outer: outer * inner,
+        images=images,
         exact_distance=farey_mod.distance,
         measure=measure,
     )
@@ -118,7 +128,16 @@ def s5_contract() -> InstanceContract:
     Certificates come from window edges when both curves are window
     vertices, and otherwise from ``s5windows.adjacent``, which reads the
     witness word of the first curve, a window vertex in every call.
+    In-window images are found by applying the word to every vertex.
     """
+
+    def images(w: Window, word: str) -> Iterator[tuple[int, int]]:
+        index = w.index
+        for i, v in enumerate(w.vertices):
+            j = index.get(apply_word(word, v))
+            if j is not None:
+                yield i, j
+
     return InstanceContract(
         name="s5",
         key_str=s5windows.curve_key_str,
@@ -126,6 +145,7 @@ def s5_contract() -> InstanceContract:
         act=lambda word: (lambda coords: apply_word(word, coords)),
         invert=invert_word,
         compose=lambda inner, outer: inner + outer,
+        images=images,
         adjacent=s5windows.adjacent,
     )
 
@@ -230,6 +250,19 @@ def displacement_report(
     return tuple(report)
 
 
+def identification_moves(
+    w: Window, words: tuple[str, ...], contract: InstanceContract
+) -> list[list[tuple[int, Any]]]:
+    """vertex i -> [(j, g)] for each sample element g with g v_i = v_j, in
+    sample order; a vertex has at most one move per element."""
+    moves: list[list[tuple[int, Any]]] = [[] for _ in range(len(w))]
+    for word in words:
+        g = contract.element(word)
+        for i, j in contract.images(w, g):
+            moves[i].append((j, g))
+    return moves
+
+
 def build_quotient(
     w: Window, words: tuple[str, ...], contract: InstanceContract
 ) -> QuotientWindow:
@@ -239,18 +272,13 @@ def build_quotient(
     graph, ``s5_sample`` on the five-punctured sphere), each evaluated by
     ``contract.element``; RuntimeError unless every identification i -> j
     has one j -> i.  A breadth-first search from each unvisited vertex, in
-    index order, gives a class and its members' transporters.
+    index order, gives a class and its members' transporters.  The search
+    follows each vertex's moves in sample order, and a vertex has at most
+    one move per element, so the order in which ``contract.images`` lists
+    pairs cannot change a transporter.
     """
     n = len(w)
-    # identification graph: vertex -> [(image vertex, sample element)]
-    moves: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
-    for word in words:
-        g = contract.element(word)
-        fn = contract.act(g)
-        for i, v in enumerate(w.vertices):
-            j = w.index.get(fn(v))
-            if j is not None:
-                moves[i].append((j, g))
+    moves = identification_moves(w, words, contract)
 
     identified = {(i, j) for i, out in enumerate(moves) for j, _ in out}
     if any((j, i) not in identified for i, j in identified):
@@ -271,7 +299,7 @@ def build_quotient(
                     class_of[j] = c
                     transporter[j] = contract.compose(transporter[i], g)
                     members.append(j)
-        classes.append(tuple(sorted(members)))
+        classes.append((rep,) if len(members) == 1 else tuple(sorted(members)))
 
     loops = []
     qedges = set()
@@ -280,7 +308,7 @@ def build_quotient(
         if ci == cj:
             loops.append((ci, i, j))
         else:
-            qedges.add((min(ci, cj), max(ci, cj)))
+            qedges.add((ci, cj) if ci < cj else (cj, ci))
 
     return QuotientWindow(
         window=w,

@@ -27,6 +27,7 @@ truncated, never silently assumed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations
 from typing import Callable
 
@@ -68,21 +69,26 @@ def _edge_lifts(q: QuotientWindow, contract: InstanceContract):
     element carrying u0 to i (transporter of u0 inverted, then transporter
     of i).  That map is built at most once per (u0, i), and not at all when
     i is u0.  ``lift(i, other_class)`` returns the neighbour's key and its
-    window index, or None when it lies outside the window.
+    window index, or None when it lies outside the window.  Two singleton
+    classes are joined by one window edge, so no witness is stored for them.
     """
     w = q.window
-    class_of, vertices, index = q.class_of, w.vertices, w.index
+    class_of, vertices, index, classes = q.class_of, w.vertices, w.index, q.classes
     rep_edge: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j in w.edges:
         ci, cj = class_of[i], class_of[j]
-        if ci == cj:
+        if ci == cj or len(classes[ci]) == len(classes[cj]) == 1:
             continue
         rep_edge.setdefault((ci, cj), (i, j))
         rep_edge.setdefault((cj, ci), (j, i))
     transports: dict[tuple[int, int], Callable] = {}
 
     def lift(i: int, other_class: int):
-        u0, v0 = rep_edge[(class_of[i], other_class)]
+        witness = rep_edge.get((class_of[i], other_class))
+        if witness is None:  # i and the one member of other_class
+            v0 = classes[other_class][0]
+            return vertices[v0], v0
+        u0, v0 = witness
         if u0 == i:
             return vertices[v0], v0
         fn = transports.get((u0, i))
@@ -150,6 +156,15 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
     then to the far one, is an eligible ``geodesic-lift`` witness naming
     the class reached, never a truncated site, and no distance is measured
     to it.
+
+    Sites at singleton classes are counted as eligible and decided without
+    a lift.  In (b), the lift at the only member of a class is the
+    representative window edge itself: adjacent, inside the window and in
+    the other class.  In (c), when the first class and the middle one are
+    singletons, both lifts are representative edges, and the window
+    certifies distance 2: the two ends are distinct, and not adjacent,
+    since every window edge between distinct classes is a quotient edge.
+    So every truncated site touches a class with more than one member.
     """
     key = contract.key_str
     witnesses = []
@@ -164,8 +179,12 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
 
     lift = _edge_lifts(q, contract)
     adj, class_of, classes = w.adjacency, q.class_of, q.classes
+    single = [len(members) == 1 for members in classes]
     for ci, cj in q.edges:
         for a, b in ((ci, cj), (cj, ci)):
+            if single[a]:
+                eligible += 1
+                continue
             for i in classes[a]:
                 eligible += 1
                 v_key, v = lift(i, b)
@@ -194,13 +213,17 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
 
     for a in range(len(q)):
         i = classes[a][0]
-        seen = set()
+        seen = set(qadj[a])
         for mid in qw.neighbors[a]:
-            for b in qw.neighbors[mid]:
-                if b <= a or b in qadj[a] or b in seen:
+            later = qw.neighbors[mid]
+            later = later[bisect_right(later, a):]
+            if single[a] and single[mid]:
+                seen.update(later)  # decided without a lift
+                continue
+            for b in later:
+                if b in seen:
                     continue
                 seen.add(b)
-                eligible += 1
                 m_key, m = lift(i, mid)
                 if m is None:
                     truncated += 1
@@ -219,6 +242,8 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
                         if d != 2:
                             witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                     distance=d)
+        # every site of a is a class b it saw beyond its own neighbours
+        eligible += len(seen) - len(qadj[a])
     geodesic.sort(key=lambda site: site[0])
     witnesses.extend(x for _, x in geodesic)
     return _report(
@@ -284,13 +309,18 @@ def verify_local_covering(w: Window, q: QuotientWindow,
                           contract: InstanceContract) -> dict:
     """Stars map isomorphically: injective on neighbors, surjective onto the
     quotient star, and triangle-reflecting (two neighbors with adjacent
-    classes must be adjacent; both lie in a 2-ball, so this is exact)."""
+    classes must be adjacent; both lie in a 2-ball, so this is exact).
+
+    The triangle scan skips a vertex whose neighbours all lie in singleton
+    classes: two singleton classes are adjacent exactly when their members
+    are, since quotient edges are the window edges between classes."""
     key = contract.key_str
     witnesses = []
     eligible = truncated = 0
     lift = _edge_lifts(q, contract)
     qw = q.graph
     adj, qadj, class_of = w.adjacency, qw.adjacency, q.class_of
+    single = [len(members) == 1 for members in q.classes]
     for i in range(len(w)):
         eligible += 1
         ci = class_of[i]
@@ -313,6 +343,8 @@ def verify_local_covering(w: Window, q: QuotientWindow,
                     "kind": "star-missing-edge", "at": key(w.vertices[i]),
                     "to_class": b,
                 })
+        if all(single[c] for c in by_class):
+            continue
         for j, k in combinations(w.neighbors[i], 2):
             if class_of[k] in qadj[class_of[j]] and k not in adj[j]:
                 witnesses.append({

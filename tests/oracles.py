@@ -11,7 +11,13 @@ fraction.  The tests check both against the slower methods kept here:
   rotation rho, against which the shipped shortest encodings are certified;
 - the S5 window built with those letters and read over all pairs of
   vertices, against which ``build_window``'s puncture-pair buckets are
-  checked.
+  checked;
+- the quotient's identifications found by applying every sample element
+  to every window vertex, against which the Farey lattice enumeration
+  (``farey.window_images``) is checked;
+- the lifting and local-covering suites deciding every site by lifting it,
+  with a witnessing edge stored for every pair of adjacent classes,
+  against which their singleton shortcuts are checked.
 
 Also here: the mapping-class action on witnessed curves and the half-twist
 about a witnessed curve, which the tests use to build expected answers.
@@ -25,6 +31,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from curvelab import farey
+from curvelab.suites import LIFTING_THRESHOLD, _report, _status, _window_certifies_two
 from curvelab.curves import BASE_CURVE_EDGES, BASE_CURVES, NormalCurve
 from curvelab.mcg import (
     ATOMS,
@@ -387,3 +394,173 @@ class BfsOracle:
         if d < 0:
             raise ValueError(f"{t} not reachable inside height-{self.height} window")
         return d
+
+
+# ---------------------------------------------------------------- quotients
+
+
+def apply_and_lookup_moves(w: Window, words, contract) -> list[list[tuple]]:
+    """``quotient.identification_moves`` by applying each sample element to
+    every window vertex and looking the image up."""
+    moves: list[list[tuple]] = [[] for _ in range(len(w))]
+    for word in words:
+        g = contract.element(word)
+        fn = contract.act(g)
+        for i, v in enumerate(w.vertices):
+            j = w.index.get(fn(v))
+            if j is not None:
+                moves[i].append((j, g))
+    return moves
+
+
+def _edge_lifts(q, contract):
+    """``suites._edge_lifts`` with a witnessing window edge stored for every
+    ordered pair of adjacent classes, singletons included."""
+    w = q.window
+    class_of, vertices, index = q.class_of, w.vertices, w.index
+    rep_edge = {}
+    for i, j in w.edges:
+        ci, cj = class_of[i], class_of[j]
+        if ci == cj:
+            continue
+        rep_edge.setdefault((ci, cj), (i, j))
+        rep_edge.setdefault((cj, ci), (j, i))
+    transports = {}
+
+    def lift(i: int, other_class: int):
+        u0, v0 = rep_edge[(class_of[i], other_class)]
+        if u0 == i:
+            return vertices[v0], v0
+        fn = transports.get((u0, i))
+        if fn is None:
+            g = contract.compose(contract.invert(q.transporter[u0]), q.transporter[i])
+            fn = transports[(u0, i)] = contract.act(g)
+        v_key = fn(vertices[v0])
+        return v_key, index.get(v_key)
+
+    return lift
+
+
+def per_site_lipschitz_lifting(w: Window, q, contract,
+                               truncated_sites: list | None = None) -> dict:
+    """``suites.verify_lipschitz_lifting`` lifting at every site.
+
+    Each truncated site is appended to ``truncated_sites`` when given, as
+    ("edge", a, b) for part (b) and ("geodesic", a, mid, b) for part (c).
+    """
+    key = contract.key_str
+    witnesses = []
+    eligible = truncated = 0
+    sites = [] if truncated_sites is None else truncated_sites
+
+    for c, i, j in q.loops:
+        eligible += 1
+        witnesses.append({
+            "kind": "collapsed-edge",
+            "edge": [key(w.vertices[i]), key(w.vertices[j])],
+        })
+
+    lift = _edge_lifts(q, contract)
+    adj, class_of, classes = w.adjacency, q.class_of, q.classes
+    for ci, cj in q.edges:
+        for a, b in ((ci, cj), (cj, ci)):
+            for i in classes[a]:
+                eligible += 1
+                v_key, v = lift(i, b)
+                if v is None:
+                    truncated += 1
+                    sites.append(("edge", a, b))
+                    continue
+                if not (v in adj[i] and class_of[v] == b):
+                    witnesses.append({
+                        "kind": "edge-lift", "at": key(w.vertices[i]),
+                        "to_class": b, "lift": key(v_key),
+                    })
+
+    qw = q.graph
+    qadj = qw.adjacency
+    geodesic = []
+
+    def witness(mid, a, b, lifted, **extra):
+        geodesic.append(((mid, a, b), {
+            "kind": "geodesic-lift", "classes": [a, b],
+            "lift": [key(x) for x in lifted], **extra,
+        }))
+
+    for a in range(len(q)):
+        i = classes[a][0]
+        seen = set()
+        for mid in qw.neighbors[a]:
+            for b in qw.neighbors[mid]:
+                if b <= a or b in qadj[a] or b in seen:
+                    continue
+                seen.add(b)
+                eligible += 1
+                m_key, m = lift(i, mid)
+                if m is None:
+                    truncated += 1
+                    sites.append(("geodesic", a, mid, b))
+                elif class_of[m] != mid:
+                    witness(mid, a, b, (w.vertices[i], m_key),
+                            mid_class=mid, reached_class=class_of[m])
+                else:
+                    v_key, v = lift(m, b)
+                    if v is None:
+                        truncated += 1
+                        sites.append(("geodesic", a, mid, b))
+                    elif class_of[v] != b:
+                        witness(mid, a, b, (w.vertices[i], m_key, v_key),
+                                reached_class=class_of[v])
+                    elif not _window_certifies_two(w, i, m, v):
+                        d = contract.certificate(w.vertices[i], v_key, w)
+                        if d != 2:
+                            witness(mid, a, b, (w.vertices[i], m_key, v_key),
+                                    distance=d)
+    geodesic.sort(key=lambda site: site[0])
+    witnesses.extend(x for _, x in geodesic)
+    return _report(
+        "lipschitz-lifting", _status(witnesses, q, LIFTING_THRESHOLD),
+        eligible=eligible, truncated=truncated, witnesses=witnesses,
+    )
+
+
+def per_site_local_covering(w: Window, q, contract) -> dict:
+    """``suites.verify_local_covering`` scanning every star's pairs."""
+    key = contract.key_str
+    witnesses = []
+    eligible = truncated = 0
+    lift = _edge_lifts(q, contract)
+    qw = q.graph
+    adj, qadj, class_of = w.adjacency, qw.adjacency, q.class_of
+    for i in range(len(w)):
+        eligible += 1
+        ci = class_of[i]
+        by_class: dict[int, int] = {}
+        for j in w.neighbors[i]:
+            cj = class_of[j]
+            if cj in by_class:
+                witnesses.append({
+                    "kind": "star-collapse", "at": key(w.vertices[i]),
+                    "neighbors": [key(w.vertices[by_class[cj]]), key(w.vertices[j])],
+                })
+            by_class[cj] = j
+        for b in qw.neighbors[ci]:
+            if b in by_class:
+                continue
+            if lift(i, b)[1] is None:
+                truncated += 1
+            else:
+                witnesses.append({
+                    "kind": "star-missing-edge", "at": key(w.vertices[i]),
+                    "to_class": b,
+                })
+        for j, k in combinations(w.neighbors[i], 2):
+            if class_of[k] in qadj[class_of[j]] and k not in adj[j]:
+                witnesses.append({
+                    "kind": "star-false-triangle", "at": key(w.vertices[i]),
+                    "pair": [key(w.vertices[j]), key(w.vertices[k])],
+                })
+    return _report(
+        "local-covering", _status(witnesses, q, LIFTING_THRESHOLD),
+        eligible=eligible, truncated=truncated, witnesses=witnesses,
+    )

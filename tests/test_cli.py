@@ -382,6 +382,50 @@ def test_cached_window_with_wrong_witness_exits_two(runner, tmp_path, monkeypatc
     assert_one_error_line(args)
 
 
+def _drop_last_vertex(data):
+    last = len(data["vertices"]) - 1
+    del data["vertices"][last]
+    data["edges"] = [e for e in data["edges"] if last not in e]
+
+
+def _raise_last_vertex(data):
+    data["vertices"][-1]["key"] = "9/1"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data["edges"].append([0, 999]),  # not a window
+    lambda data: data["vertices"].pop(),  # its edges now leave the window
+    _drop_last_vertex,  # a window, missing one slope
+    _raise_last_vertex,  # a window, with a slope above the bound
+    lambda data: data.update(bound=4),
+], ids=["edge-out-of-range", "dropped-vertex", "dropped-vertex-and-edges",
+        "slope-above-bound", "wrong-bound"])
+def test_hand_edited_farey_cache_entry_exits_two(runner, tmp_path, monkeypatch, edit):
+    # the lattice enumeration of in-window images needs every slope of
+    # height <= the bound, so a cached window must hold exactly those
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    args = ["verify", "--height", "3", "--power", "1", "--conj-len", "0",
+            "--suites", "simplicial"]
+    assert invoke(runner, args).exit_code == 0
+    (entry,) = tmp_path.glob("*.json")
+    data = json.loads(entry.read_text())
+    edit(data)
+    entry.write_text(canonical_json(data))
+    assert_one_error_line(args)
+    assert_one_error_line(["farey", "window", "--height", "3"])
+
+
+def test_hand_edited_s5_cache_entry_exits_two(runner, tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    args = ["s5", "ball", "--word-bound", "1"]
+    assert invoke(runner, args).exit_code == 0
+    (entry,) = tmp_path.glob("*.json")
+    data = json.loads(entry.read_text())
+    data["edges"].append([0, 999])
+    entry.write_text(canonical_json(data))
+    assert_one_error_line(args)
+
+
 # Fuzzing malformed input: each drawn value is malformed by construction,
 # and the CLI must answer exit 2 with one "error:" line and no traceback.
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True)

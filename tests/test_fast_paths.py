@@ -1,0 +1,181 @@
+"""The quotient's fast paths against the paths they replaced.
+
+``farey.window_images`` finds a Farey sample's in-window images by
+enumerating lattice points, and the lifting and local-covering suites decide
+the sites at singleton classes without lifting them.  Each must agree
+exactly with its oracle: applying every element to every vertex
+(``oracles.apply_and_lookup_moves``) and lifting at every site
+(``oracles.per_site_lipschitz_lifting``, ``oracles.per_site_local_covering``).
+"""
+
+import itertools
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curvelab import farey, quotient, suites
+from curvelab.farey import IntMatrix
+from curvelab.mcg import WORD_ALPHABET
+from oracles import (
+    apply_and_lookup_moves,
+    per_site_lipschitz_lifting,
+    per_site_local_covering,
+)
+from test_displacement import MENU_SPECS, SWEEP_MATRICES
+
+# old item 1's sweep: (matrix, power, conjugator length) at height 20
+SWEEP = [(m, k, c) for m in SWEEP_MATRICES for k in (1, 2, 4, 8) for c in (0, 1, 2)]
+
+# the bound-2 S5 words of test_suites' sample sweep
+S5_SWEEP = ["".join(x) for n in (1, 2, 3) for x in itertools.product("abcdr", repeat=n)]
+
+STATUSES = ("pass", "fail", "out-of-hypothesis")
+
+
+@lru_cache(maxsize=None)
+def window(height):
+    return farey.farey_window(height)
+
+
+def farey_case(matrix, power, conj_len, height, depth=1):
+    base = IntMatrix.parse(matrix)
+    spec = farey.FareyClosureSpec(base, power, conj_len, depth)
+    return window(height), farey.sample_closure(spec).words, quotient.farey_contract(base)
+
+
+def assert_moves_match(w, words, contract) -> int:
+    """Equal moves, in the same order; returns how many there are."""
+    moves = quotient.identification_moves(w, words, contract)
+    assert moves == apply_and_lookup_moves(w, words, contract)
+    return sum(map(len, moves))
+
+
+def assert_suites_match(w, q, contract) -> None:
+    """The shortcut suites equal their per-site oracles, and every quotient
+    suite of the instance is total."""
+    lifting = suites.verify_lipschitz_lifting(w, q, contract)
+    covering = suites.verify_local_covering(w, q, contract)
+    assert lifting == per_site_lipschitz_lifting(w, q, contract)
+    assert covering == per_site_local_covering(w, q, contract)
+    reports = [suites.check_simplicial(q, contract), lifting,
+               suites.verify_ball2_isometry(w, q, contract), covering]
+    if contract.name == "s5":
+        reports += [suites.transfer_pentagons(w, q, contract),
+                    suites.check_support_sets(w, q)]
+    for r in reports:
+        assert set(r) >= {"suite", "status", "eligible", "truncated", "witnesses"}
+        assert r["status"] in STATUSES
+        assert r["eligible"] >= 0 and r["truncated"] >= 0
+
+
+# ---------------------------------------------------------------- images
+
+
+@pytest.mark.parametrize("m", [
+    farey.IDENTITY, *farey.GENERATORS.values(), IntMatrix(2, 1, 1, 1),
+    IntMatrix(3, 1, 1, 0), IntMatrix(0, 1, -1, 3), IntMatrix(0, -1, 1, 0),
+    IntMatrix(-1, 0, 0, 1), IntMatrix(1000001, 1000000, 1, 1),
+], ids=str)
+def test_window_images_are_the_in_window_pairs(m):
+    for height in range(1, 7):
+        slopes = farey.slopes_of_height(height)
+        expected = {(s, m.apply(s)) for s in slopes if m.apply(s).height <= height}
+        pairs = list(farey.window_images(m, height))
+        assert len(pairs) == len(set(pairs)) and set(pairs) == expected
+
+
+@pytest.mark.parametrize("matrix,power,conj_len", SWEEP)
+def test_images_match_apply_and_lookup_sweep(matrix, power, conj_len):
+    moves = assert_moves_match(*farey_case(matrix, power, conj_len, 20))
+    assert moves > 0 or power > 1
+
+
+@pytest.mark.parametrize("height", [30, 55])
+@pytest.mark.parametrize("matrix,power,conj_len", MENU_SPECS)
+def test_images_match_apply_and_lookup_menu(matrix, power, conj_len, height):
+    assert_moves_match(*farey_case(matrix, power, conj_len, height))
+
+
+@pytest.mark.parametrize("matrix,power,conj_len,depth,height", [
+    ("3,1,1,0", 1, 1, 1, 20),  # determinant -1
+    ("3,1,1,0", 2, 2, 1, 20),
+    ("2,1,1,1", 1, 1, 2, 20),  # products of two conjugates
+    ("3,2,1,1", 2, 0, 2, 20),
+    ("2,1,1,1", 1, 1, 1, 1),  # the smallest windows
+    ("2,1,1,1", 1, 2, 1, 2),
+    ("3,1,1,0", 1, 1, 2, 3),
+    ("0,1,-1,3", 1, 1, 1, 20),  # zero entries
+    ("0,1,-1,3", 2, 2, 1, 20),
+    ("1000001,1000000,1,1", 1, 1, 1, 20),  # nothing lands in the window
+])
+def test_images_match_apply_and_lookup_edge_cases(matrix, power, conj_len, depth, height):
+    w, words, contract = farey_case(matrix, power, conj_len, height, depth)
+    assert_moves_match(w, words, contract)
+    assert_suites_match(w, quotient.build_quotient(w, words, contract), contract)
+
+
+# ---------------------------------------------------------------- suites
+
+
+@pytest.mark.parametrize("matrix,power,conj_len", SWEEP)
+def test_singleton_shortcuts_match_per_site_sweep(matrix, power, conj_len):
+    w, words, contract = farey_case(matrix, power, conj_len, 20)
+    assert_suites_match(w, quotient.build_quotient(w, words, contract), contract)
+
+
+def test_singleton_shortcuts_match_per_site_s5_sweep(w2):
+    contract = quotient.s5_contract()
+    for word in S5_SWEEP:
+        words = quotient.s5_sample((word,))
+        assert_moves_match(w2, words, contract)
+        assert_suites_match(w2, quotient.build_quotient(w2, words, contract), contract)
+
+
+@pytest.mark.parametrize("instance", ["farey-h55-k2-c2", "s5-bound3-aa"])
+def test_truncated_lifting_sites_touch_a_larger_class(w3, instance):
+    # the lifting suite decides singleton sites without a lift, so its
+    # truncated sites are all at classes with more than one member; the
+    # per-site path alone runs here, since the Farey case takes seconds
+    if instance.startswith("farey"):
+        w, words, contract = farey_case("2,1,1,1", 2, 2, 55)
+    else:
+        w, words, contract = w3, quotient.s5_sample(("aa",)), quotient.s5_contract()
+    q = quotient.build_quotient(w, words, contract)
+    sites = []
+    report = per_site_lipschitz_lifting(w, q, contract, sites)
+    assert len(sites) == report["truncated"] > 0
+    single = [len(members) == 1 for members in q.classes]
+    for kind, a, *rest in sites:
+        touched = (a,) if kind == "edge" else (a, rest[0])
+        assert not all(single[c] for c in touched), (kind, a, *rest)
+
+
+# ---------------------------------------------------------------- properties
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+# hyperbolic bases of determinant +-1 with entries in [-5, 5]
+SMALL_BASES = [
+    IntMatrix(*e) for e in itertools.product(range(-5, 6), repeat=4)
+    if abs(e[0] * e[3] - e[1] * e[2]) == 1 and abs(e[0] + e[3]) > 2
+]
+
+
+@PROPERTY
+@given(st.sampled_from(SMALL_BASES), st.integers(1, 20), st.integers(1, 8),
+       st.integers(0, 2))
+def test_farey_suites_total_and_fast_paths_exact(base, height, power, conj_len):
+    w, words, contract = farey_case(str(base), power, conj_len, height)
+    assert_moves_match(w, words, contract)
+    assert_suites_match(w, quotient.build_quotient(w, words, contract), contract)
+
+
+@PROPERTY
+@given(st.lists(st.text(WORD_ALPHABET, min_size=1, max_size=4), min_size=1, max_size=2))
+def test_s5_suites_total_and_fast_paths_exact(w2, words):
+    contract = quotient.s5_contract()
+    sample = quotient.s5_sample(tuple(words))
+    assert_moves_match(w2, sample, contract)
+    assert_suites_match(w2, quotient.build_quotient(w2, sample, contract), contract)
