@@ -55,7 +55,12 @@ def _fail(message: str) -> None:
 
 def _emit(data, fmt: str, text_fn=None, dot_fn=None) -> None:
     if fmt == "json":
-        click.echo(canonical_json(data), nl=False)
+        try:
+            text = canonical_json(data)
+        except ValueError:  # json refuses integers above the digit limit
+            _fail(f"an integer in the output has more than "
+                  f"{sys.get_int_max_str_digits()} digits; try --format text")
+        click.echo(text, nl=False)
     elif fmt == "dot":
         if dot_fn is None:
             _fail("dot output is only available for graphs")
@@ -122,6 +127,8 @@ def _farey_window(height: int, basepoint: str) -> Window:
         base = farey_mod.Slope.parse(basepoint)
     except ValueError as exc:
         _fail(str(exc))
+    if base.height > height:
+        _fail(f"basepoint {base} has height {base.height}, above --height {height}")
 
     def check(w: Window) -> None:
         # the quotient build's lattice enumeration relies on this

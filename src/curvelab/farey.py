@@ -115,10 +115,16 @@ class IntMatrix:
         return IntMatrix(self.d * det, -self.b * det, -self.c * det, self.a * det)
 
     def __pow__(self, n: int) -> "IntMatrix":
+        # square and multiply: O(log |n|) products
         base = self if n >= 0 else self.inverse()
+        n = abs(n)
         result = IDENTITY
-        for _ in range(abs(n)):
-            result = result * base
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def apply(self, s: Slope) -> Slope:
@@ -251,8 +257,10 @@ def axis_displacement(m: IntMatrix) -> int | None:
     continued fractions*, 1985).  A slope v off the ladder is cut off from
     it by a ladder edge {x, y}, and m v by {m x, m y}, so every path from v
     to m v runs through both edges and d(v, m v) >= min(d(x, m x),
-    d(y, m y)) + 1.  The minimum is therefore attained on the ladder, and
-    by periodicity on one period of it.
+    d(y, m y)) + 1.  So every slope attaining the minimum is a ladder
+    vertex, and since the ladder is the <m>-orbit of one period of it, the
+    minimisers are the orbits of that period's vertices at the minimum
+    (``window_minimisers`` reads them off).
 
     The ladder's edges are those whose ends take opposite signs under the
     form f(p, q) = c p^2 + (d - a) p q - b q^2 that vanishes at the fixed
@@ -260,6 +268,13 @@ def axis_displacement(m: IntMatrix) -> int | None:
     a fixed point, and the walk stops at its image under m or m^-1.
     Returns None for any other m, or if the walk is implausibly long.
     """
+    found = _period_minimisers(m)
+    return None if found is None else found[0]
+
+
+def _period_minimisers(m: IntMatrix) -> tuple[int, list[Slope]] | None:
+    """``axis_displacement`` and the vertices of the walked ladder period
+    that attain it, from one walk."""
     if m.det != 1 or not m.is_hyperbolic():
         return None
     a, b, c, d = m.entries
@@ -284,13 +299,15 @@ def axis_displacement(m: IntMatrix) -> int | None:
         return None
 
     # walk the river from that edge: u on the positive side, w on the
-    # negative, and u + w always the next triangle's third vertex
+    # negative, and u + w always the next triangle's third vertex; pairs
+    # stay reduced, since u and w are always adjacent
     u, w = (prev, cur) if positive(*prev) else (cur, prev)
-    start = (Slope.of(*u), Slope.of(*w))
-    ends = {(g.apply(start[0]), g.apply(start[1])) for g in (m, m.inverse())}
+    ends = {(Slope._canonical(ga * u[0] + gb * u[1], gc * u[0] + gd * u[1]),
+             Slope._canonical(ga * w[0] + gb * w[1], gc * w[0] + gd * w[1]))
+            for ga, gb, gc, gd in ((a, b, c, d), (d, -b, -c, a))}  # m, m^-1
     ladder = {u, w}
     for _ in range(_AXIS_STEPS):
-        if (Slope.of(*u), Slope.of(*w)) in ends:
+        if (Slope._canonical(*u), Slope._canonical(*w)) in ends:
             break
         t = (u[0] + w[0], u[1] + w[1])
         ladder.add(t)
@@ -300,17 +317,64 @@ def axis_displacement(m: IntMatrix) -> int | None:
             w = t
     else:
         return None
-    return min(distance(s, m.apply(s)) for s in (Slope.of(*v) for v in ladder))
+    period = list({Slope._canonical(*v) for v in ladder})
+    displacement = displacement_measure(period)(m)
+    ds = [displacement(i) for i in range(len(period))]
+    floor = min(ds)
+    return floor, [s for s, x in zip(period, ds) if x == floor]
+
+
+def window_minimisers(m: IntMatrix, height: int) -> tuple[int, set[Slope]] | None:
+    """``axis_displacement(m)`` and every slope of height <= ``height`` that
+    attains it, or None where the axis gives no minimum.
+
+    The minimisers are the <m>-orbits of the walked period's vertices at the
+    minimum.  With eigenvalues l and 1/l of m, |m^k v|^2 = A l^2k + B l^-2k
+    + C with A, B >= 0, which is convex in k; so a walk from v in either
+    direction stops once |m^k v|^2 exceeds 2 height^2, which every slope of
+    the window stays within, and does not decrease at the next step.
+    """
+    found = _period_minimisers(m)
+    if found is None:
+        return None
+    floor, period = found
+    a, b, c, d = m.entries
+    limit = 2 * height * height
+    out = set()
+    for s in period:
+        if s.height <= height:
+            out.add(s)
+        for ga, gb, gc, gd in ((a, b, c, d), (d, -b, -c, a)):  # m and m^-1
+            p, q = s.p, s.q
+            norm = p * p + q * q
+            while True:
+                p, q = ga * p + gb * q, gc * p + gd * q
+                nxt = p * p + q * q
+                if nxt >= norm > limit:
+                    break
+                norm = nxt
+                if abs(p) <= height and abs(q) <= height:
+                    out.add(Slope._canonical(p, q))
+    return floor, out
 
 
 def slopes_of_height(height: int) -> list[Slope]:
-    """All canonical slopes with max(|p|, q) <= height, sorted."""
-    out = [INFINITY]
-    for q in range(1, height + 1):
-        for p in range(-height, height + 1):
-            if math.gcd(abs(p), q) == 1:
-                out.append(Slope(p, q))
-    return sorted(out)
+    """All canonical slopes with max(|p|, q) <= height, in Slope order.
+
+    The pairs come out already sorted by p, then q, with 1/0 first among
+    p = 1, so each slope is built once, with no gcd check of its own.
+    """
+    out = []
+    for p in range(-height, height + 1):
+        if p == 1:
+            out.append(INFINITY)
+        if p == 0:
+            out.append(ZERO)
+            continue
+        n = abs(p)
+        out.extend(Slope._canonical(p, q) for q in range(1, height + 1)
+                   if math.gcd(n, q) == 1)
+    return out
 
 
 def window_images(m: IntMatrix, height: int) -> Iterator[tuple[Slope, Slope]]:
@@ -342,33 +406,35 @@ def window_images(m: IntMatrix, height: int) -> Iterator[tuple[Slope, Slope]]:
                 yield Slope._canonical(p, q), Slope._canonical(a * p + b * q, c * p + d * q)
 
 
-def farey_neighbors(s: Slope, height: int) -> Iterator[Slope]:
-    """The Farey neighbours of s of height at most ``height``, each once."""
-    # the solutions (x, y) of s.p * y - s.q * x = 1 are (x0 + k p, y0 + k q)
-    # with a p + b q = 1, x0 = -b, y0 = a; those of = -1 are their negatives,
-    # so with |y| <= height they give every neighbour once
-    a, b = _bezout(s)
-    if s.q == 0:
-        ks = range(-height, height + 1)
-    else:
-        ks = range(-((height + a) // s.q), (height - a) // s.q + 1)
-    for k in ks:
-        x, y = k * s.p - b, k * s.q + a
-        if y < 0 or (y == 0 and x < 0):
-            x, y = -x, -y
-        if abs(x) <= height:
-            yield Slope(x, y)
-
-
 def farey_window(height: int, basepoint: Slope = ZERO) -> Window:
     """The induced subgraph on all slopes of height <= height."""
     vertices = slopes_of_height(height)
-    index = {s: i for i, s in enumerate(vertices)}
+    index = {(s.p, s.q): i for i, s in enumerate(vertices)}
     edges = []
     for i, s in enumerate(vertices):
+        # the solutions (x, y) of p y - q x = 1 are (k p - b, k q + a) with
+        # a p + b q = 1; those of = -1 are their negatives, so the k with
+        # |x| <= height and |y| <= height give every neighbour once
+        p, q = s.p, s.q
+        a, b = _bezout(s)
+        lo, hi = -height, height
+        if q:
+            lo, hi = -((height + a) // q), (height - a) // q
+        if p > 0:
+            lo, hi = max(lo, -((height - b) // p)), min(hi, (height + b) // p)
+        elif p < 0:
+            lo, hi = max(lo, -((height + b) // -p)), min(hi, (height - b) // -p)
+        later = []
+        for k in range(lo, hi + 1):
+            x, y = k * p - b, k * q + a
+            if y < 0 or (y == 0 and x < 0):
+                x, y = -x, -y
+            j = index[x, y]
+            if j > i:
+                later.append(j)
         # each vertex's later neighbours, in order, keep the edges sorted
-        later = sorted(index[t] for t in farey_neighbors(s, height))
-        edges.extend((i, j) for j in later if j > i)
+        later.sort()
+        edges.extend((i, j) for j in later)
     return Window(
         instance="farey",
         basepoint=basepoint,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from . import farey as farey_mod
@@ -49,7 +50,10 @@ class InstanceContract:
     # b outside the window; what certificates read when distances are not
     # exact (every caller passes a window vertex first)
     adjacent: Callable[[Window, Any, Any], bool] | None = None
-    # window -> word -> (i -> d(v_i, g v_i), floor); certificates when None
+    # window -> word -> (i -> d(v_i, g v_i), found), where found is the
+    # window minimum with the least index attaining it, or None when the map
+    # is to be scanned (the map may be None when found is given); the
+    # certificates serve when measure is None
     measure: Callable[[Window], Callable[[str], tuple]] | None = None
 
     def action(self, word: str) -> Callable[[Any], Any]:
@@ -74,8 +78,9 @@ class InstanceContract:
 
     def displacement(self, w: Window) -> Callable[[str], tuple]:
         """Per word g: the map i -> d(v_i, g v_i) on window vertices, which
-        may answer None where nothing is certified, and a floor under
-        d(v, g v) over the whole graph, or None."""
+        may answer None where nothing is certified, and the window minimum
+        with the least index attaining it when the contract knows them
+        without a scan, else None."""
         if self.measure is not None:
             return self.measure(w)
 
@@ -92,11 +97,27 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
         return farey_mod.word_matrix(word, base)
 
     def measure(w: Window) -> Callable[[str], tuple]:
-        of = farey_mod.displacement_measure(w.vertices)
+        # a whole-graph minimiser in the window is a window minimiser, and
+        # it has at most the height of the window's highest slope, which is
+        # where the orbit walks stop; the per-vertex table is built only
+        # for a word that must be scanned
+        vs = w.vertices
+        height = max(max(map(abs, map(attrgetter("p"), vs)), default=0),
+                     max(map(attrgetter("q"), vs), default=0))
+        index = w.index
+        scan = None
 
         def per_word(word: str) -> tuple:
+            nonlocal scan
             m = element(word)
-            return of(m), farey_mod.axis_displacement(m)
+            found = farey_mod.window_minimisers(m, height)
+            if found is not None:
+                hits = [i for i in map(index.get, found[1]) if i is not None]
+                if hits:
+                    return None, (found[0], min(hits))
+            if scan is None:
+                scan = farey_mod.displacement_measure(w.vertices)
+            return scan(m), None
 
         return per_word
 
@@ -220,28 +241,29 @@ def displacement_report(
     With exact distances the minimum is exact; otherwise only the {0, 1, 2}
     certificates contribute and vertices with no certificate are counted as
     distance >= 3, so ``min`` is a certified lower bound (argmin is null when
-    only the bound is attained).  The scan keeps the first vertex attaining
-    the minimum, so it stops once the contract's floor for the element is
-    reached: no later vertex can change ``min`` or ``argmin``.
+    only the bound is attained).  ``argmin`` is the first window vertex
+    attaining the minimum.  Where the contract gives the minimum and that
+    vertex (on the Farey graph: a whole-graph minimiser of the axis ladder
+    lies in the window, ``farey.window_minimisers``) they are taken as
+    given; otherwise every window vertex is scanned.
     """
     measure = contract.displacement(w)
     report = []
     for word in words:
-        displacement, floor = measure(word)
-        best: int | None = None
-        argmin = None
-        bounded = False
-        for i, v in enumerate(w.vertices):
-            d = displacement(i)
-            if d is None:
-                bounded = True
-                continue
-            if best is None or d < best:
-                best, argmin = d, v
-                if d == floor:
-                    break
-        if best is None:
-            best = 3 if bounded else None
+        displacement, found = measure(word)
+        if found is not None:
+            best, first = found
+            argmin = w.vertices[first]
+        else:
+            best, argmin, bounded = None, None, False
+            for i, v in enumerate(w.vertices):
+                d = displacement(i)
+                if d is None:
+                    bounded = True
+                elif best is None or d < best:
+                    best, argmin = d, v
+            if best is None:
+                best = 3 if bounded else None
         report.append({
             "word": word,
             "min": best,

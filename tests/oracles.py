@@ -7,6 +7,8 @@ fraction.  The tests check both against the slower methods kept here:
 - a best-first flip-reduction search that computes i(a, b) from normal
   coordinates alone, with no witness;
 - breadth-first search on height-bounded Farey windows;
+- the Farey window built with a checked slope per neighbour and a sort,
+  against which ``farey.farey_window``'s integer-pair build is checked;
 - the half-twists h2..h4 built as conjugates rho^i h1 rho^-i of h1 by the
   rotation rho, against which the shipped shortest encodings are certified;
 - the S5 window built with those letters and read over all pairs of
@@ -26,6 +28,7 @@ about a witnessed curve, which the tests use to build expected answers.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
@@ -351,6 +354,56 @@ def detected_curves(alpha: NormalCurve, beta: NormalCurve, w) -> set[NormalCurve
     """``s5windows.detect_half_twists`` for two window curves, as curves."""
     found = detect_half_twists(w, w.index[alpha.coords], w.index[beta.coords])
     return {window_curve(w, g) for g in found}
+
+
+# ---------------------------------------------------------------- Farey windows
+
+
+def sorted_slopes_of_height(height: int) -> list[farey.Slope]:
+    """``farey.slopes_of_height`` by checking and sorting every slope."""
+    out = [farey.INFINITY]
+    for q in range(1, height + 1):
+        for p in range(-height, height + 1):
+            if math.gcd(abs(p), q) == 1:
+                out.append(farey.Slope(p, q))
+    return sorted(out)
+
+
+def farey_neighbors(s: farey.Slope, height: int):
+    """The Farey neighbours of s of height at most ``height``, each once."""
+    # the solutions (x, y) of s.p * y - s.q * x = 1 are (x0 + k p, y0 + k q)
+    # with a p + b q = 1, x0 = -b, y0 = a; those of = -1 are their negatives,
+    # so with |y| <= height they give every neighbour once
+    a, b = farey._bezout(s)
+    if s.q == 0:
+        ks = range(-height, height + 1)
+    else:
+        ks = range(-((height + a) // s.q), (height - a) // s.q + 1)
+    for k in ks:
+        x, y = k * s.p - b, k * s.q + a
+        if y < 0 or (y == 0 and x < 0):
+            x, y = -x, -y
+        if abs(x) <= height:
+            yield farey.Slope(x, y)
+
+
+def slope_neighbour_window(height: int, basepoint: farey.Slope = farey.ZERO) -> Window:
+    """``farey.farey_window`` with a checked Slope per neighbour, each
+    vertex's neighbours looked up and sorted."""
+    vertices = sorted_slopes_of_height(height)
+    index = {s: i for i, s in enumerate(vertices)}
+    edges = []
+    for i, s in enumerate(vertices):
+        later = sorted(index[t] for t in farey_neighbors(s, height))
+        edges.extend((i, j) for j in later if j > i)
+    return Window(
+        instance="farey",
+        basepoint=basepoint,
+        bound=height,
+        vertices=tuple(vertices),
+        edges=tuple(edges),
+        words=None,
+    )
 
 
 # ---------------------------------------------------------------- Farey BFS

@@ -562,3 +562,28 @@ def test_s5_verify_runs_no_intersection_search(entry, tmp_path, monkeypatch):
     for module in (curves, s5windows, arc2):
         monkeypatch.setattr(module, "intersection_number", forbidden)
     check_digests(*(B2_AAB if entry == "b2-saab" else MENU[entry]), tmp_path)
+
+
+# Farey commands at height 110, above the menu's largest height of 55;
+# stdout digests recorded from the code that built the window with a checked
+# slope per neighbour and a sort, and scanned the window for each
+# displacement minimum
+H110 = {
+    "window": (
+        ["farey", "window", "--height", "110"],
+        "f35f7fec873de08b8228705367ccfa092c52c2249e7fd2fa41d1c86b4f32fe0a",
+    ),
+    "displacement": (
+        ["farey", "displacement", "--height", "110", "--power", "8", "--conj-len", "2"],
+        "194180047002ce1a0fcf2249e5c68bb2c19a19a524afc453ac0c3e4e773c89b6",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(H110))
+def test_farey_h110_stdout_byte_identical(entry, monkeypatch):
+    monkeypatch.delenv("CURVELAB_CACHE", raising=False)
+    args, digest = H110[entry]
+    result = CliRunner().invoke(cli.main, args, catch_exceptions=False)
+    assert result.exit_code == 0
+    assert sha256(result.stdout_bytes) == digest

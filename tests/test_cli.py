@@ -48,6 +48,15 @@ def test_window_json_shape(runner):
     assert all(len(e) == 2 for e in data["edges"])
 
 
+@pytest.mark.parametrize("basepoint", ["1/0", "-2/1", "1/2"])
+def test_window_basepoint_of_the_window(runner, basepoint):
+    # a basepoint of height up to --height is one of the window's vertices
+    data = json.loads(invoke(runner, ["farey", "window", "--height", "2",
+                                      "--basepoint", basepoint]).output)
+    assert data["basepoint"] == basepoint
+    assert basepoint in {v["key"] for v in data["vertices"]}
+
+
 def test_window_dot(runner):
     result = invoke(runner, ["farey", "window", "--height", "3", "--format", "dot"])
     assert result.output.startswith("graph")
@@ -215,6 +224,8 @@ def test_determinism_byte_identical(runner):
 @pytest.mark.parametrize("args", [
     "farey window --height 5 --basepoint 1/x",
     "farey window --height 5 --basepoint 0/0",
+    "farey window --height 2 --basepoint 5/1",  # outside the window
+    "farey window --height 2 --basepoint -1/3",
     "quotient build --matrix 1,1,0",
     "quotient build --matrix 1,x,0,1",
     "verify --instance s5 --word-bound 1 --suites relations --sample zz",

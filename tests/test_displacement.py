@@ -1,10 +1,13 @@
 """The displacement report against a full window scan with plain distances.
 
-The report stops its scan once an element's floor, the minimum of d(v, m v)
-over one period of the ladder crossed by m's axis, is reached.  These tests
-check that the floor never exceeds the minimum that a scan of every window
-vertex with ``farey.distance`` finds, that the report is exactly that scan's
-first minimum, and that the scan stops early only when the floor is reached.
+An element's floor is the minimum of d(v, m v) over one period of the ladder
+crossed by m's axis, and every vertex attaining it lies in the ladder's
+<m>-orbit; the report reads the window's first such vertex off those orbits
+and scans the window only when none is in it.  These tests check that the
+floor never exceeds the minimum that a scan of every window vertex with
+``farey.distance`` finds, that the report is exactly that scan's first
+minimum, and that the report evaluates no vertex when a minimiser is in the
+window and every vertex otherwise.
 """
 
 import dataclasses
@@ -38,13 +41,15 @@ def check_report(w, sample, base, plain) -> int:
         per_word = contract.displacement(win)
 
         def wrapped(word):
-            fn, floor = per_word(word)
+            fn, found = per_word(word)
+            if fn is None:
+                return None, found
 
             def counted(i):
                 evaluated[word] = evaluated.get(word, 0) + 1
                 return fn(i)
 
-            return counted, floor
+            return counted, found
 
         return wrapped
 
@@ -59,10 +64,11 @@ def check_report(w, sample, base, plain) -> int:
         floor = axis_displacement(elem.matrix)
         if floor is None or floor < best:
             below += floor is not None
-            assert evaluated[elem.word] == len(w), elem.word  # no early stop
+            assert evaluated[elem.word] == len(w), elem.word  # a full scan
         else:
             assert floor == best, elem.word  # never above the window minimum
-            assert evaluated[elem.word] == first + 1, elem.word
+            # a minimiser is in the window: read off the ladder orbits
+            assert elem.word not in evaluated, elem.word
     return below
 
 
@@ -89,6 +95,41 @@ def test_floor_against_full_scan_depth_two(matrix, power, conj_len):
     check_report(w, sample, base, plain)
     if power == 1:  # products of two conjugates can be parabolic or elliptic
         assert any(axis_displacement(e.matrix) is None for e in sample.elements)
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+@pytest.mark.parametrize("matrix,power,conj_len,depth", [
+    ("2,1,1,1", 1, 1, 1),
+    ("3,2,1,1", 8, 2, 1),  # at height 1 some minimiser orbits miss the window
+    ("3,1,1,0", 1, 1, 1),  # determinant -1: no floor
+    ("3,1,1,0", 2, 1, 1),
+    ("2,1,1,1", 1, 1, 2),  # products of two conjugates
+    ("3,1,1,0", 1, 0, 2),
+])
+def test_report_in_the_smallest_windows(matrix, power, conj_len, depth, height):
+    base = IntMatrix.parse(matrix)
+    w = farey.farey_window(height)
+    sample = farey.sample_closure(farey.FareyClosureSpec(base, power, conj_len, depth))
+    plain = {e.word: plain_displacements(w.vertices, e.matrix) for e in sample.elements}
+    below = check_report(w, sample, base, plain)
+    floors = [axis_displacement(e.matrix) for e in sample.elements]
+    if base.det == -1 and power % 2 == 1 and depth == 1:
+        assert floors == [None] * len(floors)
+    if power == 8 and height == 1:
+        assert below > 0
+
+
+def test_report_reads_no_vertex_at_h220():
+    # each element of the h=220 verify scenario (K=8, c=2) has a minimiser
+    # in the window, so the report evaluates none of its 58,904 vertices
+    base = IntMatrix(2, 1, 1, 1)
+    w = farey.farey_window(220)
+    sample = farey.sample_closure(farey.FareyClosureSpec(base, 8, 2))
+    contract = quotient.farey_contract(base)
+    per_word = contract.displacement(w)
+    for elem in sample.elements:
+        fn, found = per_word(elem.word)
+        assert fn is None and found[0] == axis_displacement(elem.matrix)
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,11 @@
 import itertools
+import time
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from curvelab import cli
 from curvelab.farey import (
     GENERATORS,
     IDENTITY,
@@ -13,7 +16,6 @@ from curvelab.farey import (
     Slope,
     adjacent,
     distance,
-    farey_neighbors,
     farey_window,
     invert_word,
     sample_closure,
@@ -22,7 +24,7 @@ from curvelab.farey import (
 )
 from curvelab.quotient import displacement_report, farey_contract
 from curvelab.window import Window
-from oracles import BfsOracle
+from oracles import BfsOracle, farey_neighbors, slope_neighbour_window
 
 
 @st.composite
@@ -208,6 +210,17 @@ class TestWindow:
                 (i, j) for i, j in pairs if adjacent(w.vertices[i], w.vertices[j])
             ], height
 
+    @pytest.mark.parametrize("height", [*range(1, 61), 110])
+    def test_matches_the_slope_neighbour_window(self, height):
+        # the integer-pair build against a checked Slope per neighbour
+        w, expected = farey_window(height), slope_neighbour_window(height)
+        assert w.vertices == expected.vertices and w.edges == expected.edges
+        assert w == expected
+
+    @pytest.mark.parametrize("basepoint", [INFINITY, Slope(-3, 7), Slope(5, 2)])
+    def test_matches_the_slope_neighbour_window_at_other_basepoints(self, basepoint):
+        assert farey_window(9, basepoint) == slope_neighbour_window(9, basepoint)
+
     def test_json_roundtrip(self):
         w = farey_window(3)
         data = w.to_json(str)
@@ -227,6 +240,32 @@ class TestClosure:
         sample = sample_closure(FareyClosureSpec(A, 2, 0, 1))
         mats = {e.matrix.projective() for e in sample.elements}
         assert mats == {(A ** 2).projective(), (A ** -2).projective()}
+
+    @pytest.mark.parametrize("matrix", [IntMatrix(2, 1, 1, 1), IntMatrix(3, 1, 1, 0),
+                                        IntMatrix(0, -1, 1, 0), GENERATORS["j"]])
+    def test_power_is_the_repeated_product(self, matrix):
+        for n in range(-20, 21):
+            factor = matrix if n >= 0 else matrix.inverse()
+            expected = IDENTITY
+            for _ in range(abs(n)):
+                expected = expected * factor
+            assert matrix ** n == expected, n
+
+    def test_large_power_closure_is_fast(self):
+        # square and multiply: two products per bit of the exponent
+        runner = CliRunner()
+        start = time.perf_counter()
+        result = runner.invoke(cli.main, ["farey", "closure", "--power", "20000",
+                                          "--conj-len", "0", "--format", "text"],
+                               catch_exceptions=False)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0 and result.output == "closure sample: 2 elements\n"
+        # its JSON would hold integers of about 8,400 digits, above the
+        # interpreter's conversion limit: one error line, no traceback
+        result = runner.invoke(cli.main, ["farey", "closure", "--power", "20000",
+                                          "--conj-len", "0"], catch_exceptions=False)
+        assert result.exit_code == cli.EXIT_IO_ERROR
+        assert result.output.startswith("error: ") and len(result.output.splitlines()) == 1
 
     def test_rejects_parabolic_base(self):
         with pytest.raises(ValueError):

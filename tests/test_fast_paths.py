@@ -1,10 +1,12 @@
 """The quotient's fast paths against the paths they replaced.
 
 ``farey.window_images`` finds a Farey sample's in-window images by
-enumerating lattice points, and the lifting and local-covering suites decide
-the sites at singleton classes without lifting them.  Each must agree
-exactly with its oracle: applying every element to every vertex
-(``oracles.apply_and_lookup_moves``) and lifting at every site
+enumerating lattice points, the displacement report reads its minimum off
+the axis ladder, and the lifting and local-covering suites decide the sites
+at singleton classes without lifting them.  Each must agree exactly with its
+oracle: applying every element to every vertex
+(``oracles.apply_and_lookup_moves``), scanning every vertex with plain
+distances (``test_displacement.check_report``) and lifting at every site
 (``oracles.per_site_lipschitz_lifting``, ``oracles.per_site_local_covering``).
 """
 
@@ -23,7 +25,7 @@ from oracles import (
     per_site_lipschitz_lifting,
     per_site_local_covering,
 )
-from test_displacement import MENU_SPECS, SWEEP_MATRICES
+from test_displacement import MENU_SPECS, SWEEP_MATRICES, check_report, plain_displacements
 
 # old item 1's sweep: (matrix, power, conjugator length) at height 20
 SWEEP = [(m, k, c) for m in SWEEP_MATRICES for k in (1, 2, 4, 8) for c in (0, 1, 2)]
@@ -170,6 +172,10 @@ def test_farey_suites_total_and_fast_paths_exact(base, height, power, conj_len):
     w, words, contract = farey_case(str(base), power, conj_len, height)
     assert_moves_match(w, words, contract)
     assert_suites_match(w, quotient.build_quotient(w, words, contract), contract)
+    # the ladder report against a full scan with plain distances
+    sample = farey.sample_closure(farey.FareyClosureSpec(base, power, conj_len))
+    plain = {e.word: plain_displacements(w.vertices, e.matrix) for e in sample.elements}
+    check_report(w, sample, base, plain)
 
 
 @PROPERTY
