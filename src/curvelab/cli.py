@@ -2,9 +2,13 @@
 
 JSON is the source of truth for every artifact; text output is a derived
 summary and DOT is available for graphs.  Identical invocations produce
-byte-identical artifacts.  Windows are cached by a content hash of their
-build description when CURVELAB_CACHE points at a directory, and built
-directly, with no JSON round trip, when it does not.
+byte-identical artifacts.  Every window comes from ``_farey_window`` or
+``_s5_window``, which check their own arguments.  Farey windows are always
+built, since reading one back is slower than building it.  S5 windows are
+built, or read as JSON from a ``--window`` file or, when CURVELAB_CACHE
+points at a directory, from a cache entry keyed by their build description;
+either JSON goes through one reader, which exits 2 on a window that is
+malformed or whose witness words do not give its vertices.
 
 Exit codes: 0 success (out-of-hypothesis included), 1 a verification suite
 failed, 2 malformed input or I/O error.
@@ -103,44 +107,16 @@ def farey_dist(s, t, fmt):
     _emit({"s": str(a), "t": str(b), "distance": d}, fmt, text_fn=lambda: f"{d}\n")
 
 
-def _window(description: dict, build, key_str, str_key, check=None) -> Window:
-    """The window ``build()`` makes, read through the cache when one is set.
-
-    A cached entry that is not a window, or that ``check`` refuses with a
-    ValueError, exits 2: it was edited by hand, since cached text is
-    canonical JSON written by ``build``.
-    """
-    if cache_dir() is None:
-        return build()
-    text = cached_text(description, lambda: canonical_json(build().to_json(key_str)))
-    try:
-        w = Window.from_json(json.loads(text), str_key)
-        if check is not None:
-            check(w)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        _fail(f"cached window is not valid: {exc}")
-    return w
-
-
 def _farey_window(height: int, basepoint: str) -> Window:
+    if height <= 0:
+        _fail("height must be positive")
     try:
         base = farey_mod.Slope.parse(basepoint)
     except ValueError as exc:
         _fail(str(exc))
     if base.height > height:
         _fail(f"basepoint {base} has height {base.height}, above --height {height}")
-
-    def check(w: Window) -> None:
-        # the quotient build's lattice enumeration relies on this
-        if w.bound != height or w.vertices != tuple(farey_mod.slopes_of_height(height)):
-            raise ValueError(f"it does not hold exactly the slopes of height <= {height}")
-
-    return _window(
-        {"kind": "window", "instance": "farey", "height": height,
-         "basepoint": str(base)},
-        lambda: farey_mod.farey_window(height, base),
-        str, farey_mod.Slope.parse, check,
-    )
+    return farey_mod.farey_window(height, base)
 
 
 @farey.command("window")
@@ -149,8 +125,6 @@ def _farey_window(height: int, basepoint: str) -> Window:
 @_format_option()
 def farey_window_cmd(height, basepoint, fmt):
     """Induced subgraph on all slopes of height at most the bound."""
-    if height <= 0:
-        _fail("height must be positive")
     w = _farey_window(height, basepoint)
     _emit(
         w.to_json(str), fmt,
@@ -204,8 +178,6 @@ def farey_closure(matrix, power, conj_len, depth, fmt):
 @_format_option()
 def farey_displacement(matrix, power, conj_len, depth, height, fmt):
     """Per-element window displacement of a closure sample."""
-    if height <= 0:
-        _fail("height must be positive")
     sample = _closure_sample(matrix, power, conj_len, depth)
     contract = quotient_mod.farey_contract(farey_mod.IntMatrix.parse(matrix))
     w = _farey_window(height, "0/1")
@@ -228,23 +200,37 @@ def s5():
     """The curve graph of the five-punctured sphere."""
 
 
-def _s5_window(word_bound: int) -> Window:
-    if word_bound < 0:
-        _fail("word bound must be nonnegative")
-    return _window(
-        {"kind": "window", "instance": "s5", "wordBound": word_bound},
-        lambda: s5windows.build_window(word_bound),
-        s5windows.curve_key_str, s5windows.parse_curve_key,
-    )
+def _s5_window(word_bound: int | None, window_file: str | None = None) -> Window:
+    """The window of ``word_bound``, or the one in ``window_file``.
 
-
-def _load_window(path: str) -> Window:
+    Window JSON, from the file or a cache hit, is read here and nowhere
+    else.  It exits 2 when the JSON is not a window or its witness words do
+    not give its vertices; a cache hit must carry witness words, since
+    ``build_window`` wrote them.  A cache entry that is not canonical JSON
+    is a miss and is rebuilt.
+    """
+    if (word_bound is None) == (window_file is None):
+        _fail("give exactly one of --word-bound and --window")
+    if window_file is None:
+        if word_bound < 0:
+            _fail("word bound must be nonnegative")
+        if cache_dir() is None:
+            return s5windows.build_window(word_bound)
     try:
-        data = json.loads(Path(path).read_text())
-        return Window.from_json(data, s5windows.parse_curve_key)
+        if window_file is None:
+            text = cached_text(
+                {"kind": "window", "instance": "s5", "wordBound": word_bound},
+                lambda: canonical_json(s5windows.build_window(word_bound)
+                                       .to_json(s5windows.curve_key_str)))
+        else:
+            text = Path(window_file).read_text()
+        w = Window.from_json(json.loads(text), s5windows.parse_curve_key)
+        if window_file is None or w.words is not None:
+            s5windows.witness_readers(w)
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             RecursionError) as exc:
-        _fail(f"cannot load window from {path}: {exc}")
+        _fail(f"cannot load window from {window_file or 'the cache'}: {exc}")
+    return w
 
 
 @s5.command("ball")
@@ -268,9 +254,7 @@ def s5_ball(word_bound, fmt):
 @_format_option()
 def s5_pentagons(word_bound, window_file, fmt):
     """All embedded pentagons (chordless 5-cycles) of a window."""
-    if (word_bound is None) == (window_file is None):
-        _fail("give exactly one of --word-bound and --window")
-    w = _s5_window(word_bound) if window_file is None else _load_window(window_file)
+    w = _s5_window(word_bound, window_file)
     pents = s5windows.enumerate_pentagons(w)
     data = {"count": len(pents), "pentagons": [list(p) for p in pents]}
     _emit(data, fmt, text_fn=lambda: f"{len(pents)} pentagons\n")
@@ -284,11 +268,9 @@ def s5_pentagons(word_bound, window_file, fmt):
 @_format_option()
 def s5_halftwist(alpha, beta, word_bound, window_file, fmt):
     """Detect the half-twist pair about beta applied to alpha."""
-    if (word_bound is None) == (window_file is None):
-        _fail("give exactly one of --word-bound and --window")
     if alpha == beta:
         _fail("alpha and beta must be distinct")
-    w = _s5_window(word_bound) if window_file is None else _load_window(window_file)
+    w = _s5_window(word_bound, window_file)
     if not (0 <= alpha < len(w) and 0 <= beta < len(w)):
         _fail("alpha and beta must be window vertex ids")
     try:
@@ -369,10 +351,6 @@ def arc2_fill(arcs, word_bound, fmt):
 
 def _build_quotient(instance, height, matrix, power, conj_len, depth,
                     word_bound, sample_csv):
-    if height <= 0:
-        _fail("height must be positive")
-    if word_bound < 0:
-        _fail("word bound must be nonnegative")
     if instance == "farey":
         sample = _closure_sample(matrix, power, conj_len, depth).words
         contract = quotient_mod.farey_contract(farey_mod.IntMatrix.parse(matrix))
@@ -385,10 +363,6 @@ def _build_quotient(instance, height, matrix, power, conj_len, depth,
         except ValueError as exc:
             _fail(str(exc))
         w = _s5_window(word_bound)
-        try:  # a window read from the cache has its witnesses checked here
-            s5windows.witness_readers(w)
-        except ValueError as exc:
-            _fail(str(exc))
     return w, quotient_mod.build_quotient(w, sample, contract), contract
 
 

@@ -4,12 +4,15 @@ All artifacts are written as canonical JSON — sorted keys, fixed separators,
 trailing newline — so identical inputs produce byte-identical files.  The
 cache keys artifacts by the SHA-256 of their canonical build description and
 a cache version, never by filename, so stale entries, and entries written by
-older builders, cannot be confused with current ones.  The cache directory
-comes from the CURVELAB_CACHE environment variable; with no directory set,
-caching is disabled and everything is recomputed.  An entry that cannot be
-read back as canonical JSON is a miss and is rebuilt, and entries are
-written through a temporary file of their own and renamed into place, so
-concurrent writers never see each other's partial output.
+older builders, cannot be confused with current ones.  The CLI caches S5
+windows only: a Farey window is built faster than it is read back.  The
+cache directory comes from the CURVELAB_CACHE environment variable; with no
+directory set, caching is disabled and everything is recomputed.  An entry
+that cannot be read back as canonical JSON (unreadable, not UTF-8, not
+JSON, nested deeper than the decoder recurses, or not canonical) is a miss
+and is rebuilt, and entries are written through a temporary file of their
+own and renamed into place, so concurrent writers never see each other's
+partial output.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ def _read_entry(path: Path) -> str | None:
         text = path.read_text()
         if canonical_json(json.loads(text)) == text:
             return text
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         pass
     return None
 

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvelab import cli, s5windows, serialize
+from curvelab import cli, farey, s5windows, serialize
 from curvelab.serialize import CACHE_ENV, cached_text, canonical_json, content_hash
 
 
@@ -186,9 +186,15 @@ def test_verify_writes_artifacts(runner, tmp_path):
 
 def test_cache_roundtrip_identical(runner, tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
-    args = ["farey", "window", "--height", "12"]
+    args = ["s5", "ball", "--word-bound", "2"]
     first = invoke(runner, args).output
-    assert list((tmp_path / "cache").glob("*.json"))
+    # the name pins the S5 description and CACHE_VERSION, so entries that
+    # earlier code wrote under the same version stay hits
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    assert entry.name == (
+        "151282563015e82b433d06d6b14c52adbd83361a8a367d37e7f81866698c779d.json")
+    monkeypatch.setattr(s5windows, "build_window",
+                        lambda *a: pytest.fail("hit expected"))
     second = invoke(runner, args).output
     assert first == second
 
@@ -210,7 +216,9 @@ def test_verify_out_identical_with_and_without_cache(runner, tmp_path, monkeypat
     direct = run("direct")
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
     cold, warm = run("cold"), run("warm")
-    assert list((tmp_path / "cache").glob("*.json"))
+    # a Farey window is always built, so only the S5 window has an entry
+    entries = list((tmp_path / "cache").glob("*"))
+    assert len(entries) == (args[1] == "s5")
     assert direct == cold == warm
     assert len(direct[2]) >= 6
 
@@ -247,6 +255,20 @@ def test_malformed_input_exit_two_without_traceback(runner, args):
     assert "Traceback" not in result.output
     lines = result.output.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("args, other", [
+    ("verify --instance s5 --height 0 --word-bound 1 --sample aa "
+     "--suites simplicial", "--height 0"),
+    ("verify --instance farey --height 5 --power 1 --conj-len 0 --word-bound -1 "
+     "--suites simplicial", "--word-bound -1"),
+])
+def test_verify_ignores_the_other_instance_options(runner, args, other):
+    # each window helper checks only the option its instance reads
+    result = invoke(runner, args.split())
+    assert result.exit_code == 0
+    assert result.output.startswith("simplicial: ")
+    assert result.output == invoke(runner, args.replace(other + " ", "").split()).output
 
 
 @pytest.mark.parametrize("args", [
@@ -308,6 +330,7 @@ def test_halftwist_window_without_true_witnesses_exits_two(runner, tmp_path, edi
     b'{"vertices":[1,2',  # truncated
     b"\xff\xfe not text",  # not UTF-8
     b'{ "a": 1 }\n',  # JSON, but not canonical
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deeper-than-the-decoder"),
 ])
 def test_cache_rebuilds_corrupt_entry(tmp_path, monkeypatch, corrupt):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
@@ -372,8 +395,8 @@ def test_corrupt_window_cache_entry_is_rebuilt(runner, tmp_path, monkeypatch):
     assert result.exit_code == 0 and result.output == first
 
 
-def assert_one_error_line(args):
-    result = CliRunner().invoke(cli.main, args, catch_exceptions=False)
+def assert_one_error_line(args, env=None):
+    result = CliRunner(env=env).invoke(cli.main, args, catch_exceptions=False)
     assert result.exit_code == cli.EXIT_IO_ERROR, result.output
     assert "Traceback" not in result.output
     lines = result.output.splitlines()
@@ -411,19 +434,28 @@ def _raise_last_vertex(data):
     lambda data: data.update(bound=4),
 ], ids=["edge-out-of-range", "dropped-vertex", "dropped-vertex-and-edges",
         "slope-above-bound", "wrong-bound"])
-def test_hand_edited_farey_cache_entry_exits_two(runner, tmp_path, monkeypatch, edit):
-    # the lattice enumeration of in-window images needs every slope of
-    # height <= the bound, so a cached window must hold exactly those
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    args = ["verify", "--height", "3", "--power", "1", "--conj-len", "0",
-            "--suites", "simplicial"]
-    assert invoke(runner, args).exit_code == 0
-    (entry,) = tmp_path.glob("*.json")
-    data = json.loads(entry.read_text())
+def test_hand_edited_farey_cache_entry_is_ignored(runner, tmp_path, monkeypatch, edit):
+    # Farey windows are always built, so the lattice enumeration of in-window
+    # images always gets every slope of height <= the bound: an entry planted
+    # under the description Farey windows were once cached by is never read,
+    # and no entry is written
+    commands = [["verify", "--height", "3", "--power", "1", "--conj-len", "0",
+                 "--suites", "simplicial"],
+                ["farey", "window", "--height", "3"]]
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    uncached = [invoke(runner, args).output for args in commands]
+    data = farey.farey_window(3).to_json(str)
     edit(data)
+    description = {"kind": "window", "instance": "farey", "height": 3,
+                   "basepoint": "0/1"}
+    entry = tmp_path / f"{content_hash(description)}.json"
     entry.write_text(canonical_json(data))
-    assert_one_error_line(args)
-    assert_one_error_line(["farey", "window", "--height", "3"])
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    for args, expected in zip(commands, uncached):
+        result = invoke(runner, args)
+        assert result.exit_code == 0 and result.output == expected
+    assert list(tmp_path.iterdir()) == [entry]
+    assert entry.read_text() == canonical_json(data)
 
 
 def test_hand_edited_s5_cache_entry_exits_two(runner, tmp_path, monkeypatch):
@@ -433,6 +465,25 @@ def test_hand_edited_s5_cache_entry_exits_two(runner, tmp_path, monkeypatch):
     (entry,) = tmp_path.glob("*.json")
     data = json.loads(entry.read_text())
     data["edges"].append([0, 999])
+    entry.write_text(canonical_json(data))
+    assert_one_error_line(args)
+
+
+@pytest.mark.parametrize("edit", ["swap-words", "drop-words"])
+def test_s5_cache_entry_without_true_witnesses_exits_two(runner, tmp_path,
+                                                         monkeypatch, edit):
+    # every cache hit has its witnesses checked, whatever command reads it
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    args = ["s5", "ball", "--word-bound", "1"]
+    assert invoke(runner, args).exit_code == 0
+    (entry,) = tmp_path.glob("*.json")
+    data = json.loads(entry.read_text())
+    v = data["vertices"]
+    if edit == "swap-words":
+        v[7]["word"], v[8]["word"] = v[8]["word"], v[7]["word"]
+    else:
+        for rec in v:
+            del rec["word"]
     entry.write_text(canonical_json(data))
     assert_one_error_line(args)
 
@@ -491,14 +542,41 @@ def _corrupt_window(kind, k):
     return json.dumps(data).encode()
 
 
-@FUZZ
-@given(st.one_of(
+MALFORMED_WINDOWS = st.one_of(
     st.binary(max_size=40),
     st.builds(_corrupt_window, st.sampled_from(
         ["reversed-edge", "edge-out-of-range", "repeated-edge", "bad-key",
          "missing-field"]), st.integers(0, 20)),
-))
+)
+
+
+@FUZZ
+@given(MALFORMED_WINDOWS)
 def test_fuzz_malformed_window_file(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("fuzz") / "window.json"
     path.write_bytes(content)
     assert_one_error_line(["s5", "pentagons", "--window", str(path)])
+
+
+@FUZZ
+@given(MALFORMED_WINDOWS)
+def test_fuzz_malformed_window_cache_entry(tmp_path_factory, content):
+    # planted as canonical JSON where it parses, the draw is a hit that the
+    # reader refuses; otherwise it is a miss, and the entry is rebuilt
+    args = ["s5", "ball", "--word-bound", "1"]
+    fresh = CliRunner(env={CACHE_ENV: None}).invoke(cli.main, args).output
+    directory = tmp_path_factory.mktemp("cache")
+    description = {"kind": "window", "instance": "s5", "wordBound": 1}
+    entry = directory / f"{content_hash(description)}.json"
+    try:
+        planted = canonical_json(json.loads(content))
+    except ValueError:
+        entry.write_bytes(content)
+    else:
+        entry.write_text(planted)
+        assert_one_error_line(args, env={CACHE_ENV: str(directory)})
+        return
+    result = CliRunner(env={CACHE_ENV: str(directory)}).invoke(
+        cli.main, args, catch_exceptions=False)
+    assert result.exit_code == 0 and result.output == fresh
+    assert entry.read_text() == fresh
