@@ -26,7 +26,7 @@ from . import arc2 as arc2_mod
 from . import farey as farey_mod
 from . import quotient as quotient_mod
 from . import s5windows, suites
-from .serialize import cache_dir, cached_text, canonical_json
+from .serialize import cache_dir, cached_json, canonical_json
 from .window import Window
 
 EXIT_SUITE_FAILURE = 1
@@ -218,13 +218,13 @@ def _s5_window(word_bound: int | None, window_file: str | None = None) -> Window
             return s5windows.build_window(word_bound)
     try:
         if window_file is None:
-            text = cached_text(
+            data = cached_json(
                 {"kind": "window", "instance": "s5", "wordBound": word_bound},
-                lambda: canonical_json(s5windows.build_window(word_bound)
-                                       .to_json(s5windows.curve_key_str)))
+                lambda: s5windows.build_window(word_bound)
+                                 .to_json(s5windows.curve_key_str))
         else:
-            text = Path(window_file).read_text()
-        w = Window.from_json(json.loads(text), s5windows.parse_curve_key)
+            data = json.loads(Path(window_file).read_text())
+        w = Window.from_json(data, s5windows.parse_curve_key, s5windows.S5_INSTANCE)
         if window_file is None or w.words is not None:
             s5windows.witness_readers(w)
     except (OSError, ValueError, KeyError, TypeError, AttributeError,

@@ -13,15 +13,24 @@ puncture permutation and same images of c1, c2 and c4 determine an
 orientation-preserving mapping class), and the relation suite locks them in
 (braid relations, far commutation, r^2 = 1, r h_i r = h_i^-1).
 
+Each atom acts through a kernel: one straight-line function of the nine
+coordinates, generated from the atom's flips and relabelling on its first
+use, which does each flip's tropical exchange on locals and returns the
+relabelled tuple.  ``apply_word`` calls the letters' kernels one after the
+other and keeps no memo, since a kernel call costs about as much as a
+cache lookup would.  The tests check every kernel against a replay of the
+flips through ``Triangulation.flip_coords``.
+
 Words are strings over 'a','b','c','d' (h1..h4), 'A'..'D' (inverses), 'r'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from typing import Callable
 
-from .triangulation import NUM_EDGES, Coords, FlipStep, compile_flips, run_flip_program
+from .triangulation import NUM_EDGES, Coords, compile_flips
 
 WORD_ALPHABET = "aAbBcCdDr"
 
@@ -61,15 +70,26 @@ class Atom:
     vertex_perm: tuple[int, int, int, int, int]  # images of punctures 1..5
 
     @cached_property
-    def program(self) -> tuple[FlipStep, ...]:
-        return compile_flips(self.flips)
+    def kernel(self) -> Callable[[Coords], Coords]:
+        """The atom's action on normal coordinates, as generated code.
 
-    def apply(self, coords: Coords) -> Coords:
-        cur = run_flip_program(self.program, coords)
-        out = [0] * NUM_EDGES
+        Coordinate e lives in the local ``c{e}``; each flip step (e, x, y,
+        z, w) sets it to max(x + z, y + w) - e, written as a conditional
+        expression because a call to ``max`` costs more than the rest of
+        the step.  The result puts coordinate e at ``relabel[e]``.
+        """
+        names = ", ".join(f"c{e}" for e in range(NUM_EDGES))
+        lines = ["def kernel(coords):", f"    {names} = coords"]
+        for e, x, y, z, w in compile_flips(self.flips):
+            lines += [f"    s = c{x} + c{z}", f"    t = c{y} + c{w}",
+                      f"    c{e} = (s if s > t else t) - c{e}"]
+        unlabel = [0] * NUM_EDGES
         for e in range(NUM_EDGES):
-            out[self.relabel[e]] = cur[e]
-        return tuple(out)
+            unlabel[self.relabel[e]] = e
+        lines.append("    return (" + ", ".join(f"c{e}" for e in unlabel) + ")")
+        namespace: dict = {}
+        exec("\n".join(lines), namespace)
+        return namespace["kernel"]
 
 
 # Reflection through the plane of the punctures: swaps the two hemispheres,
@@ -105,17 +125,11 @@ ATOMS: dict[str, Atom] = {
 }
 
 
-@lru_cache(maxsize=1 << 20)
-def _apply_letter(letter: str, coords: Coords) -> Coords:
-    return ATOMS[letter].apply(coords)
-
-
 def apply_word(word: str, coords: Coords) -> Coords:
     """Apply a word (leftmost letter acts first) to normal coordinates."""
-    cur = coords
     for ch in word:
-        cur = _apply_letter(ch, cur)
-    return cur
+        coords = ATOMS[ch].kernel(coords)
+    return coords
 
 
 def puncture_permutation(word: str) -> tuple[int, int, int, int, int]:

@@ -22,7 +22,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 CACHE_ENV = "CURVELAB_CACHE"
 # Hashed into every cache key: raise it whenever a builder's output changes,
@@ -44,41 +44,35 @@ def cache_dir() -> Path | None:
     return Path(path) if path else None
 
 
-def _read_entry(path: Path) -> str | None:
-    """The entry's text, or None when it is missing, unreadable or corrupt."""
-    try:
-        text = path.read_text()
-        if canonical_json(json.loads(text)) == text:
-            return text
-    except (OSError, ValueError, RecursionError):
-        pass
-    return None
-
-
-def cached_text(key_obj, produce: Callable[[], str]) -> str:
-    """The produced text, via the cache when one is configured.
+def cached_json(key_obj, produce: Callable[[], Any]) -> Any:
+    """The produced JSON value, via the cache when one is configured.
 
     ``key_obj`` is any JSON-able description of the computation; the cache
-    file is named by its content hash.  ``produce`` must return canonical
-    JSON, which is also what a cache hit is checked to be.
+    file is named by its content hash and holds the value as canonical
+    JSON.  A hit hands back the value decoded while checking that the entry
+    is canonical, so it is decoded once.
     """
     directory = cache_dir()
     if directory is None:
         return produce()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{content_hash(key_obj)}.json"
-    text = _read_entry(path)
-    if text is not None:
-        return text
-    text = produce()
+    try:
+        text = path.read_text()
+        value = json.loads(text)
+        if canonical_json(value) == text:
+            return value
+    except (OSError, ValueError, RecursionError):
+        pass
+    value = produce()
     with tempfile.NamedTemporaryFile(
         "w", dir=directory, prefix=f"{path.stem}.", suffix=".tmp", delete=False
     ) as tmp:
         try:
-            tmp.write(text)
+            tmp.write(canonical_json(value))
             tmp.close()
             os.replace(tmp.name, path)
         except OSError:
             os.unlink(tmp.name)
             raise
-    return text
+    return value

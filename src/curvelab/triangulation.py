@@ -12,7 +12,8 @@ Curves are coordinatised by their geometric intersection with the nine edges.
 An edge flip replaces the diagonal of the square formed by its two triangles;
 coordinates update by the tropical exchange max(a+c, b+d) - e.  A fixed
 sequence of flips compiles to a flip program, the integer updates alone,
-which transports coordinates without building the intermediate states.
+from which ``mcg`` generates each generator's straight-line kernel; the
+tests keep a loop that runs a program step by step, as an oracle.
 """
 
 from __future__ import annotations
@@ -171,18 +172,6 @@ def compile_flips(flips: tuple[int, ...]) -> tuple[FlipStep, ...]:
         program.append((f, *state.flip_quad(f)))
         state = state.flip(f)
     return tuple(program)
-
-
-def run_flip_program(program: tuple[FlipStep, ...], coords: Coords) -> list[int]:
-    """Coordinates after the flips of a program, as a list.
-
-    Equal to folding Triangulation.flip_coords over the flips the program
-    was compiled from.
-    """
-    cur = list(coords)
-    for e, x, y, z, w in program:
-        cur[e] = max(cur[x] + cur[z], cur[y] + cur[w]) - cur[e]
-    return cur
 
 
 def corner_counts(state: Triangulation, t: int, coords: Coords) -> tuple[int, int, int] | None:

@@ -81,19 +81,39 @@ class Window:
         }
 
     @staticmethod
-    def from_json(data: dict, str_key: Callable[[str], Any]) -> "Window":
+    def from_json(data: dict, str_key: Callable[[str], Any], instance: str) -> "Window":
+        """The window that ``to_json`` wrote, checked as a window of ``instance``.
+
+        Raises ValueError unless the instance matches, the bound is a
+        nonnegative integer, the vertex ids are 0..n-1, the keys increase
+        strictly with the ids and the basepoint is a vertex; the
+        constructor checks the edges and the words.
+        """
+        if data["instance"] != instance:
+            raise ValueError(f"expected a {instance} window, got {data['instance']!r}")
+        bound = data["bound"]
+        if type(bound) is not int or bound < 0:
+            raise ValueError(f"bound {bound!r} is not a nonnegative integer")
         verts = sorted(data["vertices"], key=lambda r: r["id"])
+        if [r["id"] for r in verts] != list(range(len(verts))):
+            raise ValueError("vertex ids are not 0..n-1")
+        vertices = tuple(str_key(r["key"]) for r in verts)
+        if any(a >= b for a, b in zip(vertices, vertices[1:])):
+            raise ValueError("vertex keys do not increase strictly with their ids")
         words = None
         if verts and "word" in verts[0]:
             words = tuple(r["word"] for r in verts)
-        return Window(
-            instance=data["instance"],
+        w = Window(
+            instance=instance,
             basepoint=str_key(data["basepoint"]),
-            bound=data["bound"],
-            vertices=tuple(str_key(r["key"]) for r in verts),
+            bound=bound,
+            vertices=vertices,
             edges=tuple(tuple(e) for e in data["edges"]),
             words=words,
         )
+        if w.basepoint not in w:
+            raise ValueError(f"basepoint {data['basepoint']} is not a vertex")
+        return w
 
     def to_dot(self, key_str: Callable[[Any], str]) -> str:
         lines = [f'graph "{self.instance}" {{']

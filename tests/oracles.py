@@ -6,6 +6,9 @@ fraction.  The tests check both against the slower methods kept here:
 
 - a best-first flip-reduction search that computes i(a, b) from normal
   coordinates alone, with no witness;
+- each generator's action replayed flip by flip through
+  ``Triangulation.flip_coords``, with no generated code, against which
+  ``mcg``'s straight-line kernels are checked;
 - breadth-first search on height-bounded Farey windows;
 - the Farey window built with a checked slope per neighbour and a sort,
   against which ``farey.farey_window``'s integer-pair build is checked;
@@ -59,9 +62,52 @@ from curvelab.triangulation import (
     FlipStep,
     Triangulation,
     compile_flips,
-    run_flip_program,
 )
 from curvelab.window import Window
+
+
+# ---------------------------------------------------------------- flip replay
+
+
+def run_flip_program(program: tuple[FlipStep, ...], coords: Coords) -> list[int]:
+    """Coordinates after the flips of a program, as a list.
+
+    Equal to folding Triangulation.flip_coords over the flips the program
+    was compiled from.
+    """
+    cur = list(coords)
+    for e, x, y, z, w in program:
+        cur[e] = max(cur[x] + cur[z], cur[y] + cur[w]) - cur[e]
+    return cur
+
+
+@lru_cache(maxsize=4096)
+def flip_states(flips: tuple[int, ...]) -> tuple[Triangulation, ...]:
+    """The triangulation each flip of a sequence from the base one acts on."""
+    states, state = [], BASE
+    for f in flips:
+        states.append(state)
+        state = state.flip(f)
+    return tuple(states)
+
+
+def replay_atom(atom: Atom, coords: Coords) -> Coords:
+    """The atom's action with no generated code: Triangulation.flip_coords
+    folded over its flips from the base triangulation, then relabelled."""
+    cur = coords
+    for state, f in zip(flip_states(atom.flips), atom.flips):
+        cur = state.flip_coords(f, cur)
+    out = [0] * NUM_EDGES
+    for e in range(NUM_EDGES):
+        out[atom.relabel[e]] = cur[e]
+    return tuple(out)
+
+
+def replay_word(word: str, coords: Coords) -> Coords:
+    """``mcg.apply_word`` through ``replay_atom`` of the shipped letters."""
+    for ch in word:
+        coords = replay_atom(ATOMS[ch], coords)
+    return coords
 
 
 # ---------------------------------------------------------------- flip search
@@ -239,12 +285,12 @@ def same_mapping_class(x: Atom, y: Atom) -> bool:
     """
     c1, c2, _, c4, _ = (c.coords for c in BASE_CURVES)
     return x.vertex_perm == y.vertex_perm and all(
-        x.apply(c) == y.apply(c) for c in (c1, c2, c4))
+        replay_atom(x, c) == replay_atom(y, c) for c in (c1, c2, c4))
 
 
 @lru_cache(maxsize=1 << 16)
 def _conjugated_letter(letter: str, coords: Coords) -> Coords:
-    return CONJUGATED_ATOMS[letter].apply(coords)
+    return replay_atom(CONJUGATED_ATOMS[letter], coords)
 
 
 def conjugated_apply_word(word: str, coords: Coords) -> Coords:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvelab import cli, farey, s5windows, serialize
-from curvelab.serialize import CACHE_ENV, cached_text, canonical_json, content_hash
+from curvelab.serialize import CACHE_ENV, cached_json, canonical_json, content_hash
 
 
 @pytest.fixture()
@@ -337,10 +338,10 @@ def test_cache_rebuilds_corrupt_entry(tmp_path, monkeypatch, corrupt):
     key = {"kind": "test", "n": 1}
     entry = tmp_path / f"{content_hash(key)}.json"
     entry.write_bytes(corrupt)
-    good = canonical_json({"a": 1})
-    assert cached_text(key, lambda: good) == good
-    assert entry.read_text() == good
-    assert cached_text(key, lambda: pytest.fail("hit expected")) == good
+    good = {"a": 1}
+    assert cached_json(key, lambda: good) == good
+    assert entry.read_text() == canonical_json(good)
+    assert cached_json(key, lambda: pytest.fail("hit expected")) == good
 
 
 def test_cache_writes_through_unique_temporary(tmp_path, monkeypatch):
@@ -349,9 +350,9 @@ def test_cache_writes_through_unique_temporary(tmp_path, monkeypatch):
     # a concurrent writer's leftover under the old shared name is not touched
     shared = tmp_path / f"{content_hash(key)}.tmp"
     shared.mkdir()
-    good = canonical_json([1, 2, 3])
-    assert cached_text(key, lambda: good) == good
-    assert (tmp_path / f"{content_hash(key)}.json").read_text() == good
+    good = [1, 2, 3]
+    assert cached_json(key, lambda: good) == good
+    assert (tmp_path / f"{content_hash(key)}.json").read_text() == canonical_json(good)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [shared.name, f"{content_hash(key)}.json"])
 
@@ -359,12 +360,36 @@ def test_cache_writes_through_unique_temporary(tmp_path, monkeypatch):
 def test_cache_version_change_is_a_miss(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     key = {"kind": "test", "n": 3}
-    old = canonical_json({"built": "old"})
-    assert cached_text(key, lambda: old) == old
-    assert cached_text(key, lambda: pytest.fail("hit expected")) == old
+    old = {"built": "old"}
+    assert cached_json(key, lambda: old) == old
+    assert cached_json(key, lambda: pytest.fail("hit expected")) == old
     monkeypatch.setattr(serialize, "CACHE_VERSION", serialize.CACHE_VERSION + 1)
-    new = canonical_json({"built": "new"})
-    assert cached_text(key, lambda: new) == new
+    new = {"built": "new"}
+    assert cached_json(key, lambda: new) == new
+
+
+# SHA-256 of the stdout of `s5 ball --word-bound b`, b = 0..4, by the
+# CACHE_VERSION whose entries hold those windows.  When the window bytes
+# change, raise CACHE_VERSION, so that entries written by older code are
+# misses, and pin the new digests under it.
+S5_BALL_DIGESTS = {
+    1: (
+        "169a852475978c3d75149cd8b325a6247893af8d5e961cb06b857e76bc01240d",
+        "668d41764049eb8411a82d0c2c416dc6bfcb7a94427268e24886f159b2df4d0f",
+        "fd153c507c58aa4ae22a945fa7e36583938731362dbb25de4689e960eefa7d63",
+        "492e71a1c65f3a97dc753ec8568afb08f54cc09899d02125cd458fca485408b1",
+        "5cec5c5575ad46e68f25a5e1f588619f316c074c041d21caf7fe19d3a8e85cac",
+    ),
+}
+
+
+def test_cache_version_pins_the_window_bytes(runner, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    digests = tuple(
+        hashlib.sha256(invoke(runner, ["s5", "ball", "--word-bound", str(b)])
+                       .output.encode()).hexdigest()
+        for b in range(5))
+    assert digests == S5_BALL_DIGESTS.get(serialize.CACHE_VERSION)
 
 
 def test_verify_output_survives_optimize_flag():
@@ -537,6 +562,16 @@ def _corrupt_window(kind, k):
         data["edges"].append(list(edge))
     elif kind == "bad-key":
         vertex["key"] = vertex["key"].replace(",", ";", 1 + k % 3)
+    elif kind == "duplicate-key":
+        # a true witness word comes along, so only the repeat is wrong
+        data["vertices"].append({**vertex, "id": len(data["vertices"])})
+    elif kind == "wrong-instance":
+        data["instance"] = "farey"
+    elif kind == "bad-bound":
+        data["bound"] = (-7, 0.5, "1", None, True)[k % 5]
+    elif kind == "swapped-ids":
+        other = data["vertices"][(k + 1) % 15]
+        vertex["id"], other["id"] = other["id"], vertex["id"]
     else:
         del data[("instance", "bound", "vertices", "edges")[k % 4]]
     return json.dumps(data).encode()
@@ -546,8 +581,18 @@ MALFORMED_WINDOWS = st.one_of(
     st.binary(max_size=40),
     st.builds(_corrupt_window, st.sampled_from(
         ["reversed-edge", "edge-out-of-range", "repeated-edge", "bad-key",
+         "duplicate-key", "wrong-instance", "bad-bound", "swapped-ids",
          "missing-field"]), st.integers(0, 20)),
 )
+
+
+@pytest.mark.parametrize("kind", ["duplicate-key", "wrong-instance", "bad-bound",
+                                  "swapped-ids"])
+def test_edited_window_file_exits_two(tmp_path, kind):
+    # each edit keeps a true witness word on every vertex
+    path = tmp_path / "window.json"
+    path.write_bytes(_corrupt_window(kind, 0))
+    assert_one_error_line(["s5", "pentagons", "--window", str(path)])
 
 
 @FUZZ

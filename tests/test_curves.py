@@ -14,8 +14,14 @@ from curvelab.curves import (
     intersection_number,
 )
 from curvelab.mcg import apply_word
-from curvelab.triangulation import BASE, run_flip_program
-from oracles import ReductionError, check_base_reductions, intersection, reduce_to_boundary
+from curvelab.triangulation import BASE
+from oracles import (
+    ReductionError,
+    check_base_reductions,
+    intersection,
+    reduce_to_boundary,
+    run_flip_program,
+)
 
 
 def test_base_curves_are_five_distinct():

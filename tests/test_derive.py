@@ -25,6 +25,7 @@ from oracles import (
     RHO_ATOM,
     flippable,
     intersection,
+    replay_atom,
     same_mapping_class,
 )
 
@@ -125,7 +126,8 @@ def pin_rho() -> list[Atom]:
     out = []
     for atom in find_candidates(perm):
         if all(
-            atom.apply(BASE_CURVES[cycle[k]].coords) == BASE_CURVES[cycle[(k + 1) % 5]].coords
+            replay_atom(atom, BASE_CURVES[cycle[k]].coords)
+            == BASE_CURVES[cycle[(k + 1) % 5]].coords
             for k in range(5)
         ):
             out.append(atom)
@@ -142,9 +144,9 @@ def pin_h1() -> list[Atom]:
     c1, c2, c3, c4, c5 = (c.coords for c in BASE_CURVES)
     out = []
     for atom in find_candidates(perm):
-        if any(atom.apply(c) != c for c in (c1, c2, c5)):
+        if any(replay_atom(atom, c) != c for c in (c1, c2, c5)):
             continue
-        img = atom.apply(c4)
+        img = replay_atom(atom, c4)
         if img == c4 or intersection(img, c4) != 2:
             continue
         if intersection(img, c1) != 2:

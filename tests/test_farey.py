@@ -224,7 +224,7 @@ class TestWindow:
     def test_json_roundtrip(self):
         w = farey_window(3)
         data = w.to_json(str)
-        back = Window.from_json(data, Slope.parse)
+        back = Window.from_json(data, Slope.parse, "farey")
         assert back == w
 
 

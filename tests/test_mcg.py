@@ -14,7 +14,6 @@ from curvelab.mcg import (
     reduce_word,
 )
 from curvelab.suites import RELATIONS
-from curvelab.triangulation import BASE, run_flip_program
 from oracles import (
     CONJUGATED_ATOMS,
     CONJUGATED_HALF_TWISTS,
@@ -25,6 +24,8 @@ from oracles import (
     conjugated_apply_word,
     intersection,
     orientation_parity,
+    replay_atom,
+    replay_word,
     same_mapping_class,
     word_atom,
 )
@@ -134,14 +135,27 @@ def test_alphabet_closed_under_inverse():
     assert set(ATOMS) == set(WORD_ALPHABET)
 
 
-def test_atom_programs_match_triangulation_replay(w2):
+def test_kernels_match_triangulation_replay(w4):
     for letter, atom in ATOMS.items():
-        for coords in w2.vertices:
-            state, cur = BASE, coords
-            for f in atom.flips:
-                cur = state.flip_coords(f, cur)
-                state = state.flip(f)
-            assert run_flip_program(atom.program, coords) == list(cur), letter
+        for coords in w4.vertices:
+            assert atom.kernel(coords) == replay_atom(atom, coords), letter
+
+
+# words mixing single letters with the pseudo-Anosov aBcD, whose powers
+# grow the coordinates about fourfold a repeat: (aBcD)^8 c1 reaches 122,359
+GROWING_WORDS = st.lists(st.sampled_from([*WORD_ALPHABET, "aBcD"]),
+                         max_size=16).map("".join)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(GROWING_WORDS, st.sampled_from(BASE_CURVES))
+def test_kernels_match_triangulation_replay_on_random_curves(word, base):
+    # the curve comes from the replay alone, so a wrong kernel cannot
+    # choose the curves it is checked on
+    coords = replay_word(word, base.coords)
+    assert apply_word(word, base.coords) == coords
+    for letter, atom in ATOMS.items():
+        assert atom.kernel(coords) == replay_atom(atom, coords), letter
 
 
 def test_flip_counts():
@@ -167,7 +181,7 @@ def test_letters_match_conjugation_on_bound_four(w4):
     for letter in WORD_ALPHABET:
         atom = CONJUGATED_ATOMS[letter]
         for coords in w4.vertices:
-            assert apply_word(letter, coords) == atom.apply(coords), letter
+            assert apply_word(letter, coords) == replay_atom(atom, coords), letter
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -135,7 +135,7 @@ def test_window_words_witness_vertices(w2):
 
 def test_window_json_roundtrip(w2):
     data = w2.to_json(s5windows.curve_key_str)
-    back = Window.from_json(data, s5windows.parse_curve_key)
+    back = Window.from_json(data, s5windows.parse_curve_key, s5windows.S5_INSTANCE)
     assert back == w2
 
 

@@ -83,14 +83,14 @@ def test_keys_are_added_on_first_use():
 def test_json_round_trip_farey_windows():
     for height in range(1, 56):
         w = farey.farey_window(height)
-        assert Window.from_json(w.to_json(str), farey.Slope.parse) == w, height
+        assert Window.from_json(w.to_json(str), farey.Slope.parse, "farey") == w, height
 
 
 def test_json_round_trip_s5_windows(w2, w3):
     for w in (s5windows.build_window(0), s5windows.build_window(1), w2, w3,
               s5windows.build_window(4)):
         back = Window.from_json(w.to_json(s5windows.curve_key_str),
-                                s5windows.parse_curve_key)
+                                s5windows.parse_curve_key, s5windows.S5_INSTANCE)
         assert back == w, w.bound
 
 

@@ -85,7 +85,7 @@ def test_neither_point_in_window_is_refused(w3):
 
 def test_readers_built_from_json_match_build(w3):
     back = Window.from_json(w3.to_json(s5windows.curve_key_str),
-                            s5windows.parse_curve_key)
+                            s5windows.parse_curve_key, s5windows.S5_INSTANCE)
     assert s5windows.witness_readers(back) == s5windows.witness_readers(w3)
 
 
