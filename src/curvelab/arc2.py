@@ -15,72 +15,26 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .curves import NormalCurve, disjoint, intersection_number
-from .triangulation import BASE, NUM_EDGES, Coords, corner_counts, is_essential
-from .window import DisjointSets, Window
+from .window import Window
 from . import s5windows
-
-
-@lru_cache(maxsize=65536)
-def arc_endpoints(coords: Coords) -> frozenset[int]:
-    """The two punctures on the twice-punctured side of the curve.
-
-    Traces the complementary regions of the curve through the triangulation:
-    each triangle is cut into corner regions (one per arc depth) and a
-    central region, glued along edge segments; the curve's complement has
-    two components and the one containing exactly two punctures names the
-    arc.
-    """
-    if not is_essential(BASE, coords):
-        raise ValueError("arc endpoints require an essential curve")
-    regions = DisjointSets()
-    corner = {t: corner_counts(BASE, t, coords) for t in range(6)}
-
-    def region(t: int, j: int, k: int):
-        """Region touching segment k (0..x) along side j of triangle t."""
-        cu, cv = (j + 1) % 3, (j + 2) % 3
-        n_u = corner[t][cu]
-        if k < n_u:
-            return (t, cu, k)
-        x = coords[BASE.tri_edges[t][j]]
-        if k > n_u:
-            return (t, cv, x - k)
-        # between the two corner stacks: the central region (depth n_c of
-        # every corner is the same region)
-        return (t, "center")
-
-    for e in range(NUM_EDGES):
-        (t1, j1), (t2, j2) = BASE.slots[e]
-        x = coords[e]
-        for k in range(x + 1):
-            regions.union(region(t1, j1, k), region(t2, j2, x - k))
-    # make the three deepest corner regions and the center one region
-    for t in range(6):
-        for c in range(3):
-            regions.union((t, c, corner[t][c]), (t, "center"))
-    sides: dict = {}
-    for t in range(6):
-        for c in range(3):
-            root = regions.find((t, c, 0))  # the region touching the corner vertex
-            sides.setdefault(root, set()).add(BASE.tri_corners[t][c])
-    sizes = sorted(len(side) for side in sides.values())
-    if sizes != [2, 3]:
-        raise RuntimeError(f"curve complement has sides of {sizes} punctures")
-    return frozenset(min(sides.values(), key=len))
 
 
 @dataclass(frozen=True)
 class Arc2Vertex:
-    """An arc between two distinct punctures, carried by its curve."""
+    """An arc between two distinct punctures, carried by its curve.
+
+    The curve must carry a witness word that gives it, as every window
+    curve does: the arc's endpoints are read off the witness.
+    """
 
     curve: NormalCurve
 
     @property
     def endpoints(self) -> frozenset[int]:
-        return arc_endpoints(self.curve.coords)
+        return s5windows.puncture_pair(self.curve.witness)
 
     def __lt__(self, other: "Arc2Vertex"):
         return self.curve.coords < other.curve.coords
@@ -122,8 +76,9 @@ def epsilon_arc(x_i: Arc2Vertex, x_j: Arc2Vertex, w: Window) -> Arc2Vertex:
         raise ValueError("arcs with distinct endpoints are adjacent; no epsilon arc")
     i, j = _vertex(w, x_i), _vertex(w, x_j)
     taken = x_i.endpoints | x_j.endpoints
+    pair = s5windows.puncture_pair
     candidates = [k for k in w.neighbors[i] if k in w.adjacency[j]
-                  and not arc_endpoints(w.vertices[k]) & taken]
+                  and not pair(s5windows.parse_witness(w.words[k])) & taken]
     if len(candidates) != 1:
         raise ValueError(
             f"expected a unique epsilon arc, found {len(candidates)} in the window"

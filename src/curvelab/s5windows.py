@@ -2,7 +2,10 @@
 
 Windows are generated by applying bounded-length generator words to the base
 pentagon (or to supplied seed curves); edges record disjointness, read off
-the vertices' witness words (``curves.witness_reader``).  The same
+the vertices' witness words (``curves.witness_reader``).  The puncture
+pair a curve cuts off is read off its witness too (``puncture_pair``): the
+window build reads only pairs of curves with disjoint pairs, and the arc
+complex takes the pair as an arc's endpoints.  The same
 per-window readers tell the S5 quotient contract whether a window vertex is
 disjoint from any curve at all.  Pentagons are chordless 5-cycles — since
 window edges capture all disjointness, a chordless cycle automatically has
@@ -20,6 +23,7 @@ from itertools import combinations, product
 from .curves import (BASE_CURVE_PAIRS, BASE_CURVES, NormalCurve,
                      intersection_number, witness_reader)
 from .mcg import WORD_ALPHABET, apply_word, puncture_permutation, reduce_word
+from .triangulation import NUM_EDGES
 from .window import Window
 
 S5_INSTANCE = "s5"
@@ -30,7 +34,15 @@ def curve_key_str(coords) -> str:
 
 
 def parse_curve_key(text: str):
-    return tuple(int(x) for x in text.split(","))
+    """The coordinates a curve key names; ValueError unless it is nine
+    comma-separated integers."""
+    try:
+        coords = tuple(int(x) for x in text.split(","))
+    except (AttributeError, ValueError):
+        coords = ()
+    if len(coords) != NUM_EDGES:
+        raise ValueError(f"curve key {text!r} is not {NUM_EDGES} comma-separated integers")
+    return coords
 
 
 def witness_str(witness: tuple[str, int]) -> str:
@@ -43,6 +55,20 @@ def parse_witness(text: str) -> tuple[str, int]:
         raise ValueError(f"witness {text!r} is not text")
     word, _, base = text.rpartition(".") if "." in text else ("", "", text)
     return word, int(base.lstrip("c"))
+
+
+@lru_cache(maxsize=1 << 16)
+def puncture_pair(witness: tuple[str, int]) -> frozenset[int]:
+    """The two punctures cut off by the curve g(c_k) that (g, k) witnesses.
+
+    c_k bounds a disk around ``BASE_CURVE_PAIRS[k-1]``, and g carries that
+    disk, with its punctures, by ``puncture_permutation(g)``.  The witness
+    is trusted to give its curve, as the witnesses of a window checked by
+    ``witness_readers`` do.
+    """
+    word, base = witness
+    perm = puncture_permutation(word)
+    return frozenset(perm[p - 1] for p in BASE_CURVE_PAIRS[base - 1])
 
 
 # where witness_readers keeps a window's readers: in the window's own
@@ -89,8 +115,8 @@ def build_window(
     disjoint curves bound disjoint such disks: a disk inside the other would
     hold the same two punctures, making the curves isotopic, and a disk
     holding the other's three-punctured side would hold three punctures.  So
-    curves whose pairs overlap always meet.  The pair of g(c_k) is the image
-    of ``BASE_CURVE_PAIRS[k-1]`` under ``puncture_permutation(g)``.
+    curves whose pairs overlap always meet.  A vertex's pair is read off its
+    witness by ``puncture_pair``.
     """
     found: dict[tuple, tuple[str, int]] = {}
     frontier: list[tuple] = []
@@ -116,11 +142,9 @@ def build_window(
     witnesses = [found[c] for c in vertices]
     readers = tuple(witness_reader(v, x) for v, x in zip(vertices, witnesses))
     lengths = [len(word) for word, _ in witnesses]
-    buckets: dict[int, list[int]] = {}
-    for i, (word, base) in enumerate(witnesses):
-        perm = puncture_permutation(word)
-        pair = sum(1 << perm[p - 1] for p in BASE_CURVE_PAIRS[base - 1])
-        buckets.setdefault(pair, []).append(i)
+    buckets: dict[frozenset[int], list[int]] = {}
+    for i, witness in enumerate(witnesses):
+        buckets.setdefault(puncture_pair(witness), []).append(i)
     edges = []
     for (pair_a, xs), (pair_b, ys) in combinations(buckets.items(), 2):
         if pair_a & pair_b:

@@ -364,45 +364,40 @@ def transfer_pentagons(w: Window, q: QuotientWindow,
     Upstairs pentagons must project to chordless 5-cycles on distinct
     classes; every quotient pentagon must lift to a window pentagon, with
     boundary-touching classes counted as truncated when no lift exists.
+
+    Both sides are decided by membership between the two pentagon
+    enumerations, which hold canonical cycles.  An upstairs pentagon
+    projects to a quotient pentagon iff the canonical form of its class
+    cycle is a quotient pentagon.  A quotient pentagon lifts iff some
+    upstairs pentagon projects onto it: any window 5-cycle over it has
+    distinct vertices, and no chords, since a chord would project to a
+    chord of the quotient pentagon (quotient edges are the classes of
+    window edges), so it is an upstairs pentagon.
     """
     witnesses = []
     eligible = truncated = 0
     up = s5windows.enumerate_pentagons(w)
-    qw = q.graph
-
-    def is_quotient_pentagon(cyc: tuple[int, ...]) -> bool:
-        if len(set(cyc)) != 5:
-            return False
-        for k in range(5):
-            if not qw.has_edge(cyc[k], cyc[(k + 1) % 5]):
-                return False
-            if qw.has_edge(cyc[k], cyc[(k + 2) % 5]):
-                return False
-        return True
-
-    projected: dict[tuple[int, ...], int] = {}
+    down = s5windows.enumerate_pentagons(q.graph)
+    quotient_pentagons = set(down)
+    projected: set[tuple[int, ...]] = set()
     for pent in up:
         eligible += 1
-        cyc = tuple(q.class_of[v] for v in pent)
-        if not is_quotient_pentagon(cyc):
+        canon = s5windows.canonical_cycle(tuple(q.class_of[v] for v in pent))
+        if canon in quotient_pentagons:
+            projected.add(canon)
+        else:
             witnesses.append({
                 "kind": "projection-not-pentagon",
                 "pentagon": [contract.key_str(w.vertices[v]) for v in pent],
             })
-            continue
-        canon = s5windows.canonical_cycle(cyc)
-        projected[canon] = projected.get(canon, 0) + 1
 
-    down = s5windows.enumerate_pentagons(qw)
     boundary = _boundary_vertices(w)
     lifted = 0
     for classes in down:
         eligible += 1
-        lift = _lift_cycle(w, q, classes)
-        if lift is not None:
+        if classes in projected:
             lifted += 1
-            continue
-        if any(v in boundary for c in classes for v in q.classes[c]):
+        elif any(v in boundary for c in classes for v in q.classes[c]):
             truncated += 1
         else:
             witnesses.append({"kind": "pentagon-no-lift", "classes": list(classes)})
@@ -424,24 +419,6 @@ def _boundary_vertices(w: Window) -> set[int]:
         if len(word) >= w.bound:
             out.add(i)
     return out
-
-
-def _lift_cycle(w: Window, q: QuotientWindow, classes: tuple[int, ...]):
-    """A window cycle over the given class cycle, or None."""
-    n = len(classes)
-
-    def extend(assign: list[int]):
-        k = len(assign)
-        if k == n:
-            return assign if w.has_edge(assign[-1], assign[0]) else None
-        for v in q.classes[classes[k]]:
-            if k == 0 or w.has_edge(assign[-1], v):
-                got = extend(assign + [v])
-                if got is not None:
-                    return got
-        return None
-
-    return extend([])
 
 
 # (name, left word, right word): the generator relations check_relations

@@ -3,8 +3,8 @@
 A window is a finite induced subgraph with a basepoint, canonically ordered
 vertex keys, and the bound (height or word length) that generated it.  It is
 the unit of computation everywhere: the ambient graphs have infinite balls,
-so finite induced subgraphs stand in for them.  The union-find that
-triangulations and arc endpoints use lives here too.
+so finite induced subgraphs stand in for them.  Edge tests read
+``adjacency``.  The union-find that triangulations use lives here too.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class Window:
         """The neighbours of each vertex as a set, for membership tests."""
         return tuple(frozenset(ns) for ns in self.neighbors)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adjacency[i]
-
     def to_json(self, key_str: Callable[[Any], str]) -> dict:
         verts = []
         for i, v in enumerate(self.vertices):
@@ -86,8 +83,9 @@ class Window:
 
         Raises ValueError unless the instance matches, the bound is a
         nonnegative integer, the vertex ids are 0..n-1, the keys increase
-        strictly with the ids and the basepoint is a vertex; the
-        constructor checks the edges and the words.
+        strictly with the ids, each edge is two integers and the basepoint
+        is a vertex; the constructor checks the edges' range and order and
+        the words.
         """
         if data["instance"] != instance:
             raise ValueError(f"expected a {instance} window, got {data['instance']!r}")
@@ -100,6 +98,10 @@ class Window:
         vertices = tuple(str_key(r["key"]) for r in verts)
         if any(a >= b for a, b in zip(vertices, vertices[1:])):
             raise ValueError("vertex keys do not increase strictly with their ids")
+        edges = tuple(tuple(e) for e in data["edges"])
+        for e in edges:
+            if len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+                raise ValueError(f"edge {list(e)} is not two integers")
         words = None
         if verts and "word" in verts[0]:
             words = tuple(r["word"] for r in verts)
@@ -108,7 +110,7 @@ class Window:
             basepoint=str_key(data["basepoint"]),
             bound=bound,
             vertices=vertices,
-            edges=tuple(tuple(e) for e in data["edges"]),
+            edges=edges,
             words=words,
         )
         if w.basepoint not in w:

@@ -17,12 +17,19 @@ fraction.  The tests check both against the slower methods kept here:
 - the S5 window built with those letters and read over all pairs of
   vertices, against which ``build_window``'s puncture-pair buckets are
   checked;
+- the two punctures a curve cuts off, traced through the complementary
+  regions of its normal coordinates, against which
+  ``s5windows.puncture_pair``'s reading of witness words is checked;
 - the quotient's identifications found by applying every sample element
   to every window vertex, against which the Farey lattice enumeration
   (``farey.window_images``) is checked;
 - the lifting and local-covering suites deciding every site by lifting it,
   with a witnessing edge stored for every pair of adjacent classes,
-  against which their singleton shortcuts are checked.
+  against which their singleton shortcuts are checked;
+- the pentagon-transfer suite testing each projected cycle edge by edge
+  and searching each quotient pentagon for a window cycle over it, against
+  which its membership tests between the two pentagon enumerations are
+  checked.
 
 Also here: the mapping-class action on witnessed curves and the half-twist
 about a witnessed curve, which the tests use to build expected answers.
@@ -37,7 +44,13 @@ from functools import lru_cache
 from itertools import combinations
 
 from curvelab import farey
-from curvelab.suites import LIFTING_THRESHOLD, _report, _status, _window_certifies_two
+from curvelab.suites import (
+    LIFTING_THRESHOLD,
+    _boundary_vertices,
+    _report,
+    _status,
+    _window_certifies_two,
+)
 from curvelab.curves import BASE_CURVE_EDGES, BASE_CURVES, NormalCurve
 from curvelab.mcg import (
     ATOMS,
@@ -51,7 +64,9 @@ from curvelab.mcg import (
 )
 from curvelab.s5windows import (
     S5_INSTANCE,
+    canonical_cycle,
     detect_half_twists,
+    enumerate_pentagons,
     window_curve,
     witness_str,
 )
@@ -62,8 +77,10 @@ from curvelab.triangulation import (
     FlipStep,
     Triangulation,
     compile_flips,
+    corner_counts,
+    is_essential,
 )
-from curvelab.window import Window
+from curvelab.window import DisjointSets, Window
 
 
 # ---------------------------------------------------------------- flip replay
@@ -342,6 +359,56 @@ def full_scan_window(
         edges=tuple(edges),
         words=tuple(witness_str(x) for x in witnesses),
     )
+
+
+# ---------------------------------------------------------------- arc endpoints
+
+
+def arc_endpoints(coords: Coords) -> frozenset[int]:
+    """The two punctures on the twice-punctured side of the curve.
+
+    Traces the complementary regions of the curve through the triangulation:
+    each triangle is cut into corner regions (one per arc depth) and a
+    central region, glued along edge segments; the curve's complement has
+    two components and the one containing exactly two punctures names the
+    arc.
+    """
+    if not is_essential(BASE, coords):
+        raise ValueError("arc endpoints require an essential curve")
+    regions = DisjointSets()
+    corner = {t: corner_counts(BASE, t, coords) for t in range(6)}
+
+    def region(t: int, j: int, k: int):
+        """Region touching segment k (0..x) along side j of triangle t."""
+        cu, cv = (j + 1) % 3, (j + 2) % 3
+        n_u = corner[t][cu]
+        if k < n_u:
+            return (t, cu, k)
+        x = coords[BASE.tri_edges[t][j]]
+        if k > n_u:
+            return (t, cv, x - k)
+        # between the two corner stacks: the central region (depth n_c of
+        # every corner is the same region)
+        return (t, "center")
+
+    for e in range(NUM_EDGES):
+        (t1, j1), (t2, j2) = BASE.slots[e]
+        x = coords[e]
+        for k in range(x + 1):
+            regions.union(region(t1, j1, k), region(t2, j2, x - k))
+    # make the three deepest corner regions and the center one region
+    for t in range(6):
+        for c in range(3):
+            regions.union((t, c, corner[t][c]), (t, "center"))
+    sides: dict = {}
+    for t in range(6):
+        for c in range(3):
+            root = regions.find((t, c, 0))  # the region touching the corner vertex
+            sides.setdefault(root, set()).add(BASE.tri_corners[t][c])
+    sizes = sorted(len(side) for side in sides.values())
+    if sizes != [2, 3]:
+        raise RuntimeError(f"curve complement has sides of {sizes} punctures")
+    return frozenset(min(sides.values(), key=len))
 
 
 # ---------------------------------------------------------------- the action
@@ -662,4 +729,80 @@ def per_site_local_covering(w: Window, q, contract) -> dict:
     return _report(
         "local-covering", _status(witnesses, q, LIFTING_THRESHOLD),
         eligible=eligible, truncated=truncated, witnesses=witnesses,
+    )
+
+
+# ---------------------------------------------------------------- pentagon transfer
+
+
+def _lift_cycle(w: Window, q, classes: tuple[int, ...]):
+    """A window cycle over the given class cycle, or None."""
+    adj = w.adjacency
+    n = len(classes)
+
+    def extend(assign: list[int]):
+        k = len(assign)
+        if k == n:
+            return assign if assign[0] in adj[assign[-1]] else None
+        for v in q.classes[classes[k]]:
+            if k == 0 or v in adj[assign[-1]]:
+                got = extend(assign + [v])
+                if got is not None:
+                    return got
+        return None
+
+    return extend([])
+
+
+def transfer_pentagons(w: Window, q, contract) -> dict:
+    """``suites.transfer_pentagons`` testing each projected cycle's edges and
+    chords in the quotient graph, and searching each quotient pentagon for a
+    window cycle over it."""
+    witnesses = []
+    eligible = truncated = 0
+    up = enumerate_pentagons(w)
+    qw = q.graph
+    qadj = qw.adjacency
+
+    def is_quotient_pentagon(cyc: tuple[int, ...]) -> bool:
+        if len(set(cyc)) != 5:
+            return False
+        for k in range(5):
+            if cyc[(k + 1) % 5] not in qadj[cyc[k]]:
+                return False
+            if cyc[(k + 2) % 5] in qadj[cyc[k]]:
+                return False
+        return True
+
+    projected: dict[tuple[int, ...], int] = {}
+    for pent in up:
+        eligible += 1
+        cyc = tuple(q.class_of[v] for v in pent)
+        if not is_quotient_pentagon(cyc):
+            witnesses.append({
+                "kind": "projection-not-pentagon",
+                "pentagon": [contract.key_str(w.vertices[v]) for v in pent],
+            })
+            continue
+        canon = canonical_cycle(cyc)
+        projected[canon] = projected.get(canon, 0) + 1
+
+    down = enumerate_pentagons(qw)
+    boundary = _boundary_vertices(w)
+    lifted = 0
+    for classes in down:
+        eligible += 1
+        lift = _lift_cycle(w, q, classes)
+        if lift is not None:
+            lifted += 1
+            continue
+        if any(v in boundary for c in classes for v in q.classes[c]):
+            truncated += 1
+        else:
+            witnesses.append({"kind": "pentagon-no-lift", "classes": list(classes)})
+    return _report(
+        "pentagon-transfer", _status(witnesses, q, LIFTING_THRESHOLD),
+        eligible=eligible, truncated=truncated, witnesses=witnesses,
+        upstairs=len(up), downstairs=len(down), lifted=lifted,
+        projected_distinct=len(projected),
     )

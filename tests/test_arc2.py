@@ -2,10 +2,10 @@ from itertools import combinations
 
 import pytest
 
+import oracles
 from curvelab import arc2, s5windows
 from curvelab.arc2 import (
     Arc2Vertex,
-    arc_endpoints,
     arcs_disjoint,
     classify_triangle,
     epsilon_arc,
@@ -14,7 +14,7 @@ from curvelab.arc2 import (
     pentagon_cycle,
 )
 from curvelab.curves import BASE_CURVES, BASE_CURVE_PAIRS, disjoint, intersection_number
-from oracles import act
+from oracles import act, arc_endpoints
 from curvelab.triangulation import BASE
 
 # One representative triple of arcs (by curve coordinates) per configuration
@@ -69,6 +69,7 @@ def arcs_from(coords_triple, w):
 def test_base_curve_endpoints():
     for c, pair in zip(BASE_CURVES, BASE_CURVE_PAIRS):
         assert arc_endpoints(c.coords) == frozenset(pair)
+        assert Arc2Vertex(c).endpoints == frozenset(pair)
 
 
 def test_arc_endpoints_equivariant():
@@ -191,13 +192,13 @@ def test_pentagon_cycle_orders_the_cycle(w2):
 def test_arc_endpoints_raises_on_wrong_complement(monkeypatch, sides):
     # let a non-essential input through: a peripheral loop (sides of 1 and 4
     # punctures) or the two-component multicurve c1 + c2 (three sides)
-    monkeypatch.setattr(arc2, "is_essential", lambda state, coords: True)
+    monkeypatch.setattr(oracles, "is_essential", lambda state, coords: True)
     if sides == "one-and-four":
         coords = BASE.peripheral_coords(1)
     else:
         coords = tuple(x + y for x, y in zip(BASE_CURVES[0].coords, BASE_CURVES[1].coords))
     with pytest.raises(RuntimeError):
-        arc_endpoints.__wrapped__(coords)
+        arc_endpoints(coords)
 
 
 def test_pentagon_cycle_raises_on_non_pentagon(w2):

@@ -129,6 +129,15 @@ def test_arc2_rejects_malformed_key(runner):
     assert result.exit_code == cli.EXIT_IO_ERROR
 
 
+@pytest.mark.parametrize("key", ["1,2", "1,2,x", "0,0,1,0,1,0,1,0,1,0", "0,,1"])
+def test_arc2_fill_names_a_key_that_is_not_nine_integers(key):
+    result = CliRunner().invoke(cli.main, ["arc2", "fill", key, "3,4", "5,6"],
+                                catch_exceptions=False)
+    assert result.exit_code == cli.EXIT_IO_ERROR
+    assert result.output == (
+        f"error: curve key {key!r} is not 9 comma-separated integers\n")
+
+
 def test_quotient_build_json(runner):
     result = invoke(
         runner,
@@ -572,6 +581,8 @@ def _corrupt_window(kind, k):
     elif kind == "swapped-ids":
         other = data["vertices"][(k + 1) % 15]
         vertex["id"], other["id"] = other["id"], vertex["id"]
+    elif kind == "float-edge":
+        edge[:] = [float(x) for x in edge]
     else:
         del data[("instance", "bound", "vertices", "edges")[k % 4]]
     return json.dumps(data).encode()
@@ -582,12 +593,12 @@ MALFORMED_WINDOWS = st.one_of(
     st.builds(_corrupt_window, st.sampled_from(
         ["reversed-edge", "edge-out-of-range", "repeated-edge", "bad-key",
          "duplicate-key", "wrong-instance", "bad-bound", "swapped-ids",
-         "missing-field"]), st.integers(0, 20)),
+         "float-edge", "missing-field"]), st.integers(0, 20)),
 )
 
 
 @pytest.mark.parametrize("kind", ["duplicate-key", "wrong-instance", "bad-bound",
-                                  "swapped-ids"])
+                                  "swapped-ids", "float-edge"])
 def test_edited_window_file_exits_two(tmp_path, kind):
     # each edit keeps a true witness word on every vertex
     path = tmp_path / "window.json"

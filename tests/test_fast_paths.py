@@ -8,6 +8,10 @@ oracle: applying every element to every vertex
 (``oracles.apply_and_lookup_moves``), scanning every vertex with plain
 distances (``test_displacement.check_report``) and lifting at every site
 (``oracles.per_site_lipschitz_lifting``, ``oracles.per_site_local_covering``).
+The pentagon-transfer suite decides its sites by membership between the
+window's and the quotient's pentagon enumerations, and must agree with
+testing each projected cycle edge by edge and searching each quotient
+pentagon for a lift (``oracles.transfer_pentagons``).
 """
 
 import itertools
@@ -24,6 +28,7 @@ from oracles import (
     apply_and_lookup_moves,
     per_site_lipschitz_lifting,
     per_site_local_covering,
+    transfer_pentagons,
 )
 from test_displacement import MENU_SPECS, SWEEP_MATRICES, check_report, plain_displacements
 
@@ -56,7 +61,8 @@ def assert_moves_match(w, words, contract) -> int:
 
 def assert_suites_match(w, q, contract) -> None:
     """The shortcut suites equal their per-site oracles, and every quotient
-    suite of the instance is total."""
+    suite of the instance is total.  On S5 the pentagon-transfer suite also
+    equals its oracle, which tests each site edge by edge."""
     lifting = suites.verify_lipschitz_lifting(w, q, contract)
     covering = suites.verify_local_covering(w, q, contract)
     assert lifting == per_site_lipschitz_lifting(w, q, contract)
@@ -64,8 +70,9 @@ def assert_suites_match(w, q, contract) -> None:
     reports = [suites.check_simplicial(q, contract), lifting,
                suites.verify_ball2_isometry(w, q, contract), covering]
     if contract.name == "s5":
-        reports += [suites.transfer_pentagons(w, q, contract),
-                    suites.check_support_sets(w, q)]
+        transfer = suites.transfer_pentagons(w, q, contract)
+        assert transfer == transfer_pentagons(w, q, contract)
+        reports += [transfer, suites.check_support_sets(w, q)]
     for r in reports:
         assert set(r) >= {"suite", "status", "eligible", "truncated", "witnesses"}
         assert r["status"] in STATUSES

@@ -100,4 +100,4 @@ def test_adjacency_matches_edges():
     for i in range(len(w)):
         assert w.adjacency[i] == frozenset(w.neighbors[i])
         for j in range(len(w)):
-            assert w.has_edge(i, j) == ((min(i, j), max(i, j)) in edges)
+            assert (j in w.adjacency[i]) == ((min(i, j), max(i, j)) in edges)
