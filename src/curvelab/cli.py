@@ -26,7 +26,7 @@ from . import arc2 as arc2_mod
 from . import farey as farey_mod
 from . import quotient as quotient_mod
 from . import s5windows, suites
-from .serialize import cache_dir, cached_json, canonical_json
+from .serialize import cache_dir, cached_json, canonical_json, json_object
 from .window import Window
 
 EXIT_SUITE_FAILURE = 1
@@ -58,9 +58,9 @@ def _fail(message: str) -> None:
 
 
 def _emit(data, fmt: str, text_fn=None, dot_fn=None) -> None:
-    if fmt == "json":
+    if fmt == "json":  # data is a JSON value, or a window's or quotient's JSON text
         try:
-            text = canonical_json(data)
+            text = data if isinstance(data, str) else canonical_json(data)
         except ValueError:  # json refuses integers above the digit limit
             _fail(f"an integer in the output has more than "
                   f"{sys.get_int_max_str_digits()} digits; try --format text")
@@ -127,7 +127,7 @@ def farey_window_cmd(height, basepoint, fmt):
     """Induced subgraph on all slopes of height at most the bound."""
     w = _farey_window(height, basepoint)
     _emit(
-        w.to_json(str), fmt,
+        "".join(json_object(w.json_fields(str))), fmt,
         dot_fn=lambda: w.to_dot(str),
         text_fn=lambda: f"farey window height {height}: "
                         f"{len(w)} vertices, {len(w.edges)} edges\n",
@@ -220,8 +220,8 @@ def _s5_window(word_bound: int | None, window_file: str | None = None) -> Window
         if window_file is None:
             data = cached_json(
                 {"kind": "window", "instance": "s5", "wordBound": word_bound},
-                lambda: s5windows.build_window(word_bound)
-                                 .to_json(s5windows.curve_key_str))
+                lambda: "".join(json_object(s5windows.build_window(word_bound)
+                                            .json_fields(s5windows.curve_key_str))))
         else:
             data = json.loads(Path(window_file).read_text())
         w = Window.from_json(data, s5windows.parse_curve_key, s5windows.S5_INSTANCE)
@@ -240,7 +240,7 @@ def s5_ball(word_bound, fmt):
     """Window of all images of the base pentagon under bounded words."""
     w = _s5_window(word_bound)
     _emit(
-        w.to_json(s5windows.curve_key_str), fmt,
+        "".join(json_object(w.json_fields(s5windows.curve_key_str))), fmt,
         dot_fn=lambda: w.to_dot(s5windows.curve_key_str),
         text_fn=lambda: f"s5 window bound {word_bound}: "
                         f"{len(w)} vertices, {len(w.edges)} edges\n",
@@ -395,7 +395,7 @@ def quotient_build(instance, height, matrix, power, conj_len, depth,
         word_bound, sample_csv,
     )
     _emit(
-        q.to_json(contract), fmt,
+        "".join(json_object({**w.json_fields(contract.key_str), **q.json_fields()})), fmt,
         dot_fn=lambda: q.graph.to_dot(contract.key_str),
         text_fn=lambda: f"{instance} quotient: {len(q)} classes of "
                         f"{len(w)} vertices, min displacement "
@@ -440,10 +440,10 @@ def verify(instance, height, matrix, power, conj_len, depth,
         try:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            (out / "window.json").write_text(
-                canonical_json(w.to_json(contract.key_str)))
-            (out / "quotient.json").write_text(
-                canonical_json(q.to_json(contract)))
+            fields = w.json_fields(contract.key_str)  # serialized once for both
+            for name, extra in (("window.json", {}), ("quotient.json", q.json_fields())):
+                with open(out / name, "w") as fh:
+                    fh.writelines(json_object({**fields, **extra}))
             for rep in reports:
                 (out / f"report-{rep['suite']}.json").write_text(
                     canonical_json(rep))

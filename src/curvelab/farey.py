@@ -455,8 +455,10 @@ class FareyClosureSpec:
     product_depth: int = 1
 
     def __post_init__(self):
-        if self.power <= 0 or self.product_depth <= 0 or self.conjugator_length < 0:
-            raise ValueError("power and productDepth must be positive, conjugatorLength >= 0")
+        for opt, v, least in (("--power", self.power, 1), ("--depth", self.product_depth, 1),
+                              ("--conj-len", self.conjugator_length, 0)):
+            if v < least:  # each field named by the CLI option that sets it
+                raise ValueError(f"{opt} must be at least {least}, got {v}")
         if not self.base.is_hyperbolic():
             raise ValueError(
                 f"base matrix {self.base} has |trace| <= 2; the closure spec "

@@ -24,6 +24,7 @@ from typing import Any, Callable, Iterable, Iterator
 from . import farey as farey_mod
 from . import s5windows
 from .mcg import WORD_ALPHABET, apply_word, invert_word, reduce_word
+from .serialize import canonical_json, json_list
 from .window import Window
 
 
@@ -226,11 +227,12 @@ class QuotientWindow:
             edges=self.edges,
         )
 
-    def to_json(self, contract: InstanceContract) -> dict:
-        data = self.window.to_json(contract.key_str)
-        data["classes"] = [list(c) for c in self.classes]
-        data["displacement"] = list(self.displacement)
-        return data
+    def json_fields(self) -> dict[str, str]:
+        """The JSON text of the fields the quotient adds to ``Window.json_fields``."""
+        return {
+            "classes": json_list(json_list(map(str, c)) for c in self.classes),
+            "displacement": canonical_json(self.displacement)[:-1],  # no newline
+        }
 
 
 def displacement_report(

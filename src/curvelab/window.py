@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable
 
+from .serialize import json_list, json_str
+
 
 @dataclass(frozen=True)
 class Window:
@@ -62,24 +64,24 @@ class Window:
         """The neighbours of each vertex as a set, for membership tests."""
         return tuple(frozenset(ns) for ns in self.neighbors)
 
-    def to_json(self, key_str: Callable[[Any], str]) -> dict:
-        verts = []
-        for i, v in enumerate(self.vertices):
-            rec = {"id": i, "key": key_str(v)}
-            if self.words is not None:
-                rec["word"] = self.words[i]
-            verts.append(rec)
+    def json_fields(self, key_str: Callable[[Any], str]) -> dict[str, str]:
+        """The canonical JSON text of each top-level field of the window's
+        JSON, written from the tuples; ``serialize.json_object`` joins them."""
+        keys = map(json_str, map(key_str, self.vertices))
+        if self.words is not None:  # "word" sorts after "key"
+            keys = map('{},"word":{}'.format, keys, map(json_str, self.words))
+        records = (f'{{"id":{i},"key":{k}}}' for i, k in enumerate(keys))
         return {
-            "instance": self.instance,
-            "basepoint": key_str(self.basepoint),
-            "bound": self.bound,
-            "vertices": verts,
-            "edges": [list(e) for e in self.edges],
+            "basepoint": json_str(key_str(self.basepoint)),
+            "bound": str(self.bound),
+            "edges": json_list(f"[{i},{j}]" for i, j in self.edges),
+            "instance": json_str(self.instance),
+            "vertices": json_list(records),
         }
 
     @staticmethod
     def from_json(data: dict, str_key: Callable[[str], Any], instance: str) -> "Window":
-        """The window that ``to_json`` wrote, checked as a window of ``instance``.
+        """The window whose JSON ``json_fields`` wrote, checked as a window of ``instance``.
 
         Raises ValueError unless the instance matches, the bound is a
         nonnegative integer, the vertex ids are 0..n-1, the keys increase

@@ -29,7 +29,10 @@ fraction.  The tests check both against the slower methods kept here:
 - the pentagon-transfer suite testing each projected cycle edge by edge
   and searching each quotient pentagon for a window cycle over it, against
   which its membership tests between the two pentagon enumerations are
-  checked.
+  checked;
+- the window's and the quotient's JSON built as dict trees, whose
+  ``canonical_json`` is the byte oracle for the text that
+  ``Window.json_fields`` and ``QuotientWindow.json_fields`` write.
 
 Also here: the mapping-class action on witnessed curves and the half-twist
 about a witnessed curve, which the tests use to build expected answers.
@@ -467,6 +470,35 @@ def detected_curves(alpha: NormalCurve, beta: NormalCurve, w) -> set[NormalCurve
     """``s5windows.detect_half_twists`` for two window curves, as curves."""
     found = detect_half_twists(w, w.index[alpha.coords], w.index[beta.coords])
     return {window_curve(w, g) for g in found}
+
+
+# ---------------------------------------------------------------- JSON
+
+
+def window_json(w: Window, key_str) -> dict:
+    """The window's JSON object as a dict tree."""
+    verts = []
+    for i, v in enumerate(w.vertices):
+        rec = {"id": i, "key": key_str(v)}
+        if w.words is not None:
+            rec["word"] = w.words[i]
+        verts.append(rec)
+    return {
+        "instance": w.instance,
+        "basepoint": key_str(w.basepoint),
+        "bound": w.bound,
+        "vertices": verts,
+        "edges": [list(e) for e in w.edges],
+    }
+
+
+def quotient_json(q, key_str) -> dict:
+    """The quotient's JSON object as a dict tree: its window's, plus the
+    classes and the displacement report."""
+    data = window_json(q.window, key_str)
+    data["classes"] = [list(c) for c in q.classes]
+    data["displacement"] = list(q.displacement)
+    return data
 
 
 # ---------------------------------------------------------------- Farey windows

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from curvelab import cli, farey, s5windows, serialize
 from curvelab.serialize import CACHE_ENV, cached_json, canonical_json, content_hash
+from oracles import window_json
 
 
 @pytest.fixture()
@@ -267,6 +268,21 @@ def test_malformed_input_exit_two_without_traceback(runner, args):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("args, message", [
+    ("verify --height 5 --power 0 --suites simplicial",
+     "error: --power must be at least 1, got 0"),
+    ("verify --height 5 --depth -1 --suites simplicial",
+     "error: --depth must be at least 1, got -1"),
+    ("farey closure --conj-len -2",
+     "error: --conj-len must be at least 0, got -2"),
+], ids=["power", "depth", "conj-len"])
+def test_closure_option_error_names_the_option(args, message):
+    # the error names the option the user typed and its value
+    result = CliRunner().invoke(cli.main, args.split(), catch_exceptions=False)
+    assert result.exit_code == cli.EXIT_IO_ERROR
+    assert result.output.splitlines() == [message]
+
+
 @pytest.mark.parametrize("args, other", [
     ("verify --instance s5 --height 0 --word-bound 1 --sample aa "
      "--suites simplicial", "--height 0"),
@@ -318,7 +334,7 @@ def test_window_file_of_wrong_shape_exits_two(runner, tmp_path, command, content
 @pytest.mark.parametrize("edit", ["drop-words", "swap-words", "number-word"])
 def test_halftwist_window_without_true_witnesses_exits_two(runner, tmp_path, edit):
     # detection reads i(alpha, beta) off a witness word, so it needs true ones
-    data = s5windows.build_window(2).to_json(s5windows.curve_key_str)
+    data = window_json(s5windows.build_window(2), s5windows.curve_key_str)
     if edit == "drop-words":
         for rec in data["vertices"]:
             del rec["word"]
@@ -348,7 +364,7 @@ def test_cache_rebuilds_corrupt_entry(tmp_path, monkeypatch, corrupt):
     entry = tmp_path / f"{content_hash(key)}.json"
     entry.write_bytes(corrupt)
     good = {"a": 1}
-    assert cached_json(key, lambda: good) == good
+    assert cached_json(key, lambda: canonical_json(good)) == good
     assert entry.read_text() == canonical_json(good)
     assert cached_json(key, lambda: pytest.fail("hit expected")) == good
 
@@ -360,7 +376,7 @@ def test_cache_writes_through_unique_temporary(tmp_path, monkeypatch):
     shared = tmp_path / f"{content_hash(key)}.tmp"
     shared.mkdir()
     good = [1, 2, 3]
-    assert cached_json(key, lambda: good) == good
+    assert cached_json(key, lambda: canonical_json(good)) == good
     assert (tmp_path / f"{content_hash(key)}.json").read_text() == canonical_json(good)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [shared.name, f"{content_hash(key)}.json"])
@@ -370,11 +386,11 @@ def test_cache_version_change_is_a_miss(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     key = {"kind": "test", "n": 3}
     old = {"built": "old"}
-    assert cached_json(key, lambda: old) == old
+    assert cached_json(key, lambda: canonical_json(old)) == old
     assert cached_json(key, lambda: pytest.fail("hit expected")) == old
     monkeypatch.setattr(serialize, "CACHE_VERSION", serialize.CACHE_VERSION + 1)
     new = {"built": "new"}
-    assert cached_json(key, lambda: new) == new
+    assert cached_json(key, lambda: canonical_json(new)) == new
 
 
 # SHA-256 of the stdout of `s5 ball --word-bound b`, b = 0..4, by the
@@ -478,7 +494,7 @@ def test_hand_edited_farey_cache_entry_is_ignored(runner, tmp_path, monkeypatch,
                 ["farey", "window", "--height", "3"]]
     monkeypatch.delenv(CACHE_ENV, raising=False)
     uncached = [invoke(runner, args).output for args in commands]
-    data = farey.farey_window(3).to_json(str)
+    data = window_json(farey.farey_window(3), str)
     edit(data)
     description = {"kind": "window", "instance": "farey", "height": 3,
                    "basepoint": "0/1"}

@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 
 import pytest
@@ -23,6 +24,7 @@ from curvelab.farey import (
     word_matrix,
 )
 from curvelab.quotient import displacement_report, farey_contract
+from curvelab.serialize import json_object
 from curvelab.window import Window
 from oracles import BfsOracle, farey_neighbors, slope_neighbour_window
 
@@ -223,7 +225,7 @@ class TestWindow:
 
     def test_json_roundtrip(self):
         w = farey_window(3)
-        data = w.to_json(str)
+        data = json.loads("".join(json_object(w.json_fields(str))))
         back = Window.from_json(data, Slope.parse, "farey")
         assert back == w
 

@@ -1,0 +1,64 @@
+"""Memory and import gates, each measured in a fresh interpreter.
+
+Peak memory is the process's ``VmHWM`` from ``/proc/self/status``, read by
+the process itself at exit, so these gates run on Linux only.  The rusage
+``ru_maxrss`` of a child would not do: a child inherits its parent's
+high-water mark across fork and exec, so under pytest it measures pytest.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from curvelab import cli
+from curvelab.serialize import CACHE_ENV
+
+pytestmark = pytest.mark.skipif(
+    not Path("/proc/self/status").is_file(), reason="reads /proc/self/status")
+
+# runs the CLI with argv[1:] and prints the process's VmHWM in KiB last
+PEAK_PROBE = """
+import sys
+from curvelab import cli
+try:
+    cli.main(args=sys.argv[1:], prog_name="curvelab")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def fresh_python(*args: str) -> str:
+    """stdout of a new interpreter, with no site hooks, that imports
+    curvelab and click from where this process does."""
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *(p for p in sys.path if p and Path(p).is_dir())])
+    env["PYTHONHASHSEED"] = "0"
+    return subprocess.run([sys.executable, "-S", *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_verify_out_adds_little_to_the_peak(tmp_path):
+    args = ["verify", "--height", "110", "--power", "8", "--conj-len", "2",
+            "--suites", "simplicial,lift,ball2,covering"]
+    without = int(fresh_python("-c", PEAK_PROBE, *args).split()[-1])
+    with_out = int(fresh_python("-c", PEAK_PROBE, *args, "--out",
+                                str(tmp_path)).split()[-1])
+    assert (tmp_path / "quotient.json").is_file()
+    # writing the artifacts at h=110 once took 9.8 MB above the run without
+    assert with_out - without <= 3 * 1024, (without, with_out)
+
+
+def test_cli_import_loads_neither_openssl_nor_tempfile():
+    new = fresh_python("-c", "import sys\n"
+                             "before = set(sys.modules)\n"
+                             "import curvelab.cli\n"
+                             "print(*sorted(set(sys.modules) - before))").split()
+    assert "curvelab.serialize" in new
+    assert "_hashlib" not in new and "tempfile" not in new

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from curvelab import farey, quotient
@@ -7,6 +9,7 @@ from curvelab.quotient import (
     s5_contract,
     s5_sample,
 )
+from curvelab.serialize import json_object
 
 BASE = farey.IntMatrix(2, 1, 1, 1)
 
@@ -123,7 +126,8 @@ def test_as_window_sorted(q20, w3):
 
 
 def test_quotient_json(q20, contract, w20):
-    data = q20.to_json(contract)
+    data = json.loads("".join(json_object({**w20.json_fields(contract.key_str),
+                                           **q20.json_fields()})))
     assert data["classes"] == [list(m) for m in q20.classes]
     assert data["displacement"] == list(q20.displacement)
     assert len(data["vertices"]) == len(w20)
