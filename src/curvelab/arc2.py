@@ -77,7 +77,8 @@ def epsilon_arc(x_i: Arc2Vertex, x_j: Arc2Vertex, w: Window) -> Arc2Vertex:
     i, j = _vertex(w, x_i), _vertex(w, x_j)
     taken = x_i.endpoints | x_j.endpoints
     pair = s5windows.puncture_pair
-    candidates = [k for k in w.neighbors[i] if k in w.adjacency[j]
+    near_j = set(w.neighbors[j])
+    candidates = [k for k in w.neighbors[i] if k in near_j
                   and not pair(s5windows.parse_witness(w.words[k])) & taken]
     if len(candidates) != 1:
         raise ValueError(
@@ -171,12 +172,13 @@ def _two_pentagon_fill(config: TriangleConfig, w: Window) -> list[list[Arc2Verte
     Pivoting at x0, the pentagons are x0 e01 x1 e12 z and x0 e02 x2 e12 z.
     Each holds a path from x0 to e12 through four of its vertices, so z is a
     common window neighbour of x0 and e12.  Each 5-set is tested as a
-    chordless 5-cycle on the window adjacency, which is curve disjointness
-    because the window is induced; the least z over the three pivots wins.
+    chordless 5-cycle on the window's neighbour tuples, which record curve
+    disjointness because the window is induced; the least z over the three
+    pivots wins.
     """
     eps_of = dict(zip(map(frozenset, [(0, 1), (1, 2), (0, 2)]), config.epsilons))
     used = {_vertex(w, a) for a in config.arcs + config.epsilons}
-    adj = w.adjacency
+    nbrs = w.neighbors
     solutions = []
     for pivot in range(3):
         o1, o2 = sorted({0, 1, 2} - {pivot})
@@ -186,10 +188,11 @@ def _two_pentagon_fill(config: TriangleConfig, w: Window) -> list[list[Arc2Verte
         e02 = eps_of[frozenset((pivot, o2))]
         paths = [[w.index[a.curve.coords] for a in path]
                  for path in ((x0, e01, x1, e12), (x0, e02, x2, e12))]
-        for k in adj[paths[0][0]] & adj[paths[0][3]] - used:
+        for k in set(nbrs[paths[0][0]]).intersection(nbrs[paths[0][3]]) - used:
             cells = [{*path, k} for path in paths]
             # each cell has five vertices, each with two neighbours among them
-            if all([len(adj[v] & cell) for v in cell] == [2] * 5 for cell in cells):
+            if all([len(cell.intersection(nbrs[v])) for v in cell] == [2] * 5
+                   for cell in cells):
                 z = Arc2Vertex(s5windows.window_curve(w, k))
                 first, second = [x0, x1, z, e01, e12], [x0, x2, z, e02, e12]
                 solutions.append((z.curve.coords, [first, second]))

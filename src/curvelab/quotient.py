@@ -70,10 +70,10 @@ class InstanceContract:
         if ia is None or ib is None:
             return 1 if self.adjacent(w, a, b) else None
         # a window is an induced subgraph, so its edges decide adjacency
-        adj = w.adjacency
-        if ib in adj[ia]:
+        near = w.neighbors[ia]
+        if ib in near:
             return 1
-        if not adj[ia].isdisjoint(adj[ib]):
+        if not set(near).isdisjoint(w.neighbors[ib]):
             return 2
         return None
 
@@ -218,14 +218,24 @@ class QuotientWindow:
 
     @cached_property
     def graph(self) -> Window:
-        """The quotient graph: vertex c is the representative of class c."""
-        return Window(
+        """The quotient graph: vertex c is the representative of class c.
+
+        When no class merges, class c is vertex c, so the graph shares the
+        window's vertices and neighbour tuples rather than copying them.
+        """
+        w = self.window
+        merged = len(self.classes) < len(w)
+        graph = Window(
             instance=f"{self.instance}/quotient",
-            basepoint=self.window.basepoint,
-            bound=self.window.bound,
-            vertices=tuple(self.window.vertices[m[0]] for m in self.classes),
+            basepoint=w.basepoint,
+            bound=w.bound,
+            vertices=(tuple(w.vertices[m[0]] for m in self.classes) if merged
+                      else w.vertices),
             edges=self.edges,
         )
+        if not merged:
+            graph.__dict__["neighbors"] = w.neighbors  # as cached_property stores it
+        return graph
 
     def json_fields(self) -> dict[str, str]:
         """The JSON text of the fields the quotient adds to ``Window.json_fields``."""

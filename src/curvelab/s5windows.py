@@ -73,8 +73,11 @@ def puncture_pair(witness: tuple[str, int]) -> frozenset[int]:
 
 # where witness_readers keeps a window's readers: in the window's own
 # __dict__, as functools.cached_property does, so that a lookup never hashes
-# the window (a dataclass hash walks every vertex and edge)
+# the window (a dataclass hash walks every vertex and edge) and the memo
+# lives exactly as long as its window; the pentagon memos are kept the same way
 _READERS = "_witness_readers"
+_PENTAGONS = "_pentagons"
+_PENTAGONS_BY_EDGE = "_pentagons_by_edge"
 NO_WORDS = "S5 windows need witness words"
 
 
@@ -201,19 +204,31 @@ def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=64)
 def enumerate_pentagons(w: Window) -> list[tuple[int, int, int, int, int]]:
     """All chordless 5-cycles, each once in its canonical form, sorted.
 
     A cycle is walked from its least vertex v0 towards the smaller of v0's
     two cycle neighbours (v1 < v4), which is its ``canonical_cycle``; every
     step runs over sorted neighbour lists, so the cycles come out sorted.
+    The last step reads, for each v3, the later neighbours of v0 adjacent to
+    it, collected once per v0.  The chord tests read neighbour sets built
+    for the walk alone.  The list is memoized on the window and shared by
+    every caller.
     """
-    nbrs, adj = w.neighbors, w.adjacency
+    pentagons = w.__dict__.get(_PENTAGONS)
+    if pentagons is not None:
+        return pentagons
+    nbrs = w.neighbors
+    adj = [set(ns) for ns in nbrs]
     pentagons = []
-    for v0 in range(len(w)):
+    for v0, near in enumerate(nbrs):
         a0 = adj[v0]
-        for v1 in nbrs[v0]:
+        closing: dict[int, list[int]] = {}  # x -> [v4 > v0 adjacent to v0 and x]
+        for v4 in near:
+            if v4 > v0:
+                for x in nbrs[v4]:
+                    closing.setdefault(x, []).append(v4)
+        for v1 in near:
             if v1 < v0:
                 continue
             a1 = adj[v1]
@@ -222,27 +237,33 @@ def enumerate_pentagons(w: Window) -> list[tuple[int, int, int, int, int]]:
                     continue
                 a2 = adj[v2]
                 for v3 in nbrs[v2]:
-                    if v3 <= v0 or v3 == v1 or v3 in a0 or v3 in a1:
+                    last = closing.get(v3)
+                    if last is None or v3 <= v0 or v3 == v1 or v3 in a0 or v3 in a1:
                         continue
-                    for v4 in nbrs[v3]:
-                        if v4 > v1 and v4 in a0 and v4 not in a1 and v4 not in a2:
+                    for v4 in last:
+                        if v4 > v1 and v4 not in a1 and v4 not in a2:
                             pentagons.append((v0, v1, v2, v3, v4))
+    w.__dict__[_PENTAGONS] = pentagons
     return pentagons
 
 
-@lru_cache(maxsize=64)
 def pentagons_by_edge(w: Window) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
     """The pentagons through each edge (i, j), i < j, of w that lies on one.
 
-    Memoized per window like ``enumerate_pentagons``; the values are tuples
-    so that no caller can change the shared map's pentagon lists.
+    Memoized on the window like ``enumerate_pentagons``; the values are
+    tuples so that no caller can change the shared map's pentagon lists.
     """
+    memo = w.__dict__.get(_PENTAGONS_BY_EDGE)
+    if memo is not None:
+        return memo
     by_edge: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for pent in enumerate_pentagons(w):
         for k in range(5):
             e = (pent[k], pent[(k + 1) % 5])
             by_edge.setdefault((min(e), max(e)), []).append(pent)
-    return {e: tuple(pents) for e, pents in by_edge.items()}
+    memo = w.__dict__[_PENTAGONS_BY_EDGE] = {
+        e: tuple(pents) for e, pents in by_edge.items()}
+    return memo
 
 
 # Arrangement of the two detecting pentagons: they share an edge

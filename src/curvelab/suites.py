@@ -107,8 +107,8 @@ def _window_certifies_two(w: Window, i: int, m: int, v: int) -> bool:
     A window is an induced subgraph, so a missing edge between distinct
     vertices means distance at least 2, and the path gives at most 2.
     """
-    adj = w.adjacency
-    return i != v and v not in adj[i] and m in adj[i] and v in adj[m]
+    near = w.neighbors[i]
+    return i != v and v not in near and m in near and v in w.neighbors[m]
 
 
 def check_simplicial(q: QuotientWindow, contract: InstanceContract) -> dict:
@@ -178,7 +178,7 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
         })
 
     lift = _edge_lifts(q, contract)
-    adj, class_of, classes = w.adjacency, q.class_of, q.classes
+    nbrs, class_of, classes = w.neighbors, q.class_of, q.classes
     single = [len(members) == 1 for members in classes]
     for ci, cj in q.edges:
         for a, b in ((ci, cj), (cj, ci)):
@@ -191,7 +191,7 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
                 if v is None:
                     truncated += 1
                     continue
-                if not (v in adj[i] and class_of[v] == b):
+                if not (v in nbrs[i] and class_of[v] == b):
                     witnesses.append({
                         "kind": "edge-lift", "at": key(w.vertices[i]),
                         "to_class": b, "lift": key(v_key),
@@ -201,8 +201,7 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
     # over its least common neighbour mid; a lift that leaves the class it
     # was taken over (possible out of hypothesis) is a witness naming the
     # class reached.  Witnesses are listed in (mid, a, b) order.
-    qw = q.graph
-    qadj = qw.adjacency
+    qnbrs = q.graph.neighbors
     geodesic = []
 
     def witness(mid, a, b, lifted, **extra):
@@ -213,9 +212,9 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
 
     for a in range(len(q)):
         i = classes[a][0]
-        seen = set(qadj[a])
-        for mid in qw.neighbors[a]:
-            later = qw.neighbors[mid]
+        seen = set(qnbrs[a])
+        for mid in qnbrs[a]:
+            later = qnbrs[mid]
             later = later[bisect_right(later, a):]
             if single[a] and single[mid]:
                 seen.update(later)  # decided without a lift
@@ -243,7 +242,7 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
                             witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                     distance=d)
         # every site of a is a class b it saw beyond its own neighbours
-        eligible += len(seen) - len(qadj[a])
+        eligible += len(seen) - len(qnbrs[a])
     geodesic.sort(key=lambda site: site[0])
     witnesses.extend(x for _, x in geodesic)
     return _report(
@@ -282,12 +281,12 @@ def verify_ball2_isometry(w: Window, q: QuotientWindow,
                     "kind": "ball-injectivity",
                     "pair": [key(w.vertices[i]), key(w.vertices[j])],
                 })
-    adj = w.adjacency
+    nbrs = w.neighbors
     for a, b in q.edges:
         for i in q.classes[a]:
             for j in q.classes[b]:
                 eligible += 1
-                if j in adj[i]:  # the window is an induced subgraph
+                if j in nbrs[i]:  # the window is an induced subgraph
                     continue
                 x, y = w.vertices[i], w.vertices[j]
                 far = far_apart(x, y)
@@ -311,21 +310,22 @@ def verify_local_covering(w: Window, q: QuotientWindow,
     quotient star, and triangle-reflecting (two neighbors with adjacent
     classes must be adjacent; both lie in a 2-ball, so this is exact).
 
-    The triangle scan skips a vertex whose neighbours all lie in singleton
-    classes: two singleton classes are adjacent exactly when their members
-    are, since quotient edges are the window edges between classes."""
+    The triangle scan skips every pair of neighbours in singleton classes:
+    two singleton classes are adjacent exactly when their members are, since
+    quotient edges are the window edges between classes.  The pairs it reads
+    come in the order of ``itertools.combinations`` over the star."""
     key = contract.key_str
     witnesses = []
     eligible = truncated = 0
     lift = _edge_lifts(q, contract)
-    qw = q.graph
-    adj, qadj, class_of = w.adjacency, qw.adjacency, q.class_of
+    nbrs, qnbrs, class_of = w.neighbors, q.graph.neighbors, q.class_of
     single = [len(members) == 1 for members in q.classes]
     for i in range(len(w)):
         eligible += 1
         ci = class_of[i]
+        star = nbrs[i]
         by_class: dict[int, int] = {}
-        for j in w.neighbors[i]:
+        for j in star:
             cj = class_of[j]
             if cj in by_class:
                 witnesses.append({
@@ -333,7 +333,7 @@ def verify_local_covering(w: Window, q: QuotientWindow,
                     "neighbors": [key(w.vertices[by_class[cj]]), key(w.vertices[j])],
                 })
             by_class[cj] = j
-        for b in qw.neighbors[ci]:
+        for b in qnbrs[ci]:
             if b in by_class:
                 continue
             if lift(i, b)[1] is None:
@@ -343,14 +343,20 @@ def verify_local_covering(w: Window, q: QuotientWindow,
                     "kind": "star-missing-edge", "at": key(w.vertices[i]),
                     "to_class": b,
                 })
-        if all(single[c] for c in by_class):
+        merged = [p for p, j in enumerate(star) if not single[class_of[j]]]
+        if not merged:
             continue
-        for j, k in combinations(w.neighbors[i], 2):
-            if class_of[k] in qadj[class_of[j]] and k not in adj[j]:
-                witnesses.append({
-                    "kind": "star-false-triangle", "at": key(w.vertices[i]),
-                    "pair": [key(w.vertices[j]), key(w.vertices[k])],
-                })
+        larger = [star[p] for p in merged]
+        for p, j in enumerate(star):
+            cj = class_of[j]
+            # a neighbour in a singleton class pairs only with larger classes
+            later = larger[bisect_right(merged, p):] if single[cj] else star[p + 1:]
+            for k in later:
+                if class_of[k] in qnbrs[cj] and k not in nbrs[j]:
+                    witnesses.append({
+                        "kind": "star-false-triangle", "at": key(w.vertices[i]),
+                        "pair": [key(w.vertices[j]), key(w.vertices[k])],
+                    })
     return _report(
         "local-covering", _status(witnesses, q, LIFTING_THRESHOLD),
         eligible=eligible, truncated=truncated, witnesses=witnesses,
@@ -485,7 +491,8 @@ def check_support_sets(w: Window, q: QuotientWindow | None = None) -> dict:
     boundary = _boundary_vertices(w)
     key = s5windows.curve_key_str
 
-    adj = w.adjacency
+    nbrs = w.neighbors
+    adj = [set(ns) for ns in nbrs]  # for this call only
     for i, j in w.edges:
         eligible += 1
         common = adj[i] & adj[j]
@@ -506,9 +513,10 @@ def check_support_sets(w: Window, q: QuotientWindow | None = None) -> dict:
                 witnesses.append({"kind": "orbit-pair-no-representatives",
                                   "classes": [a, b]})
 
-    links: dict[frozenset, int] = {}
+    # sorted neighbour tuples are equal exactly when the links are
+    links: dict[tuple[int, ...], int] = {}
     for i in range(len(w)):
-        link = adj[i]
+        link = nbrs[i]
         if link in links:
             other = links[link]
             if i in boundary or other in boundary:
@@ -524,7 +532,7 @@ def check_support_sets(w: Window, q: QuotientWindow | None = None) -> dict:
             eligible += 1
 
     for i in range(len(w)):
-        if len(w.neighbors[i]) >= 2:
+        if len(nbrs[i]) >= 2:
             eligible += 1
         elif i in boundary:
             truncated += 1

@@ -3,8 +3,9 @@
 A window is a finite induced subgraph with a basepoint, canonically ordered
 vertex keys, and the bound (height or word length) that generated it.  It is
 the unit of computation everywhere: the ambient graphs have infinite balls,
-so finite induced subgraphs stand in for them.  Edge tests read
-``adjacency``.  The union-find that triangulations use lives here too.
+so finite induced subgraphs stand in for them.  ``neighbors`` is the one
+adjacency structure a window holds: sorted index tuples, which edge tests
+read by membership.  The union-find that triangulations use lives here too.
 """
 
 from __future__ import annotations
@@ -58,11 +59,6 @@ class Window:
             adj[i].append(j)
             adj[j].append(i)
         return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """The neighbours of each vertex as a set, for membership tests."""
-        return tuple(frozenset(ns) for ns in self.neighbors)
 
     def json_fields(self, key_str: Callable[[Any], str]) -> dict[str, str]:
         """The canonical JSON text of each top-level field of the window's

@@ -32,7 +32,10 @@ fraction.  The tests check both against the slower methods kept here:
   checked;
 - the window's and the quotient's JSON built as dict trees, whose
   ``canonical_json`` is the byte oracle for the text that
-  ``Window.json_fields`` and ``QuotientWindow.json_fields`` write.
+  ``Window.json_fields`` and ``QuotientWindow.json_fields`` write;
+- each vertex's neighbours as a set built from the edges alone
+  (``set_adjacency``), which the oracles and tests read for membership in
+  place of the sorted ``Window.neighbors`` tuples curvelab reads.
 
 Also here: the mapping-class action on witnessed curves and the half-twist
 about a witnessed curve, which the tests use to build expected answers.
@@ -472,6 +475,19 @@ def detected_curves(alpha: NormalCurve, beta: NormalCurve, w) -> set[NormalCurve
     return {window_curve(w, g) for g in found}
 
 
+# ---------------------------------------------------------------- adjacency
+
+
+def set_adjacency(w: Window) -> tuple[frozenset[int], ...]:
+    """The neighbours of each window vertex as a set, read off ``w.edges``
+    without ``w.neighbors``."""
+    adj: list[set[int]] = [set() for _ in w.vertices]
+    for i, j in w.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return tuple(map(frozenset, adj))
+
+
 # ---------------------------------------------------------------- JSON
 
 
@@ -659,7 +675,7 @@ def per_site_lipschitz_lifting(w: Window, q, contract,
         })
 
     lift = _edge_lifts(q, contract)
-    adj, class_of, classes = w.adjacency, q.class_of, q.classes
+    adj, class_of, classes = set_adjacency(w), q.class_of, q.classes
     for ci, cj in q.edges:
         for a, b in ((ci, cj), (cj, ci)):
             for i in classes[a]:
@@ -676,7 +692,7 @@ def per_site_lipschitz_lifting(w: Window, q, contract,
                     })
 
     qw = q.graph
-    qadj = qw.adjacency
+    qadj = set_adjacency(qw)
     geodesic = []
 
     def witness(mid, a, b, lifted, **extra):
@@ -729,7 +745,7 @@ def per_site_local_covering(w: Window, q, contract) -> dict:
     eligible = truncated = 0
     lift = _edge_lifts(q, contract)
     qw = q.graph
-    adj, qadj, class_of = w.adjacency, qw.adjacency, q.class_of
+    adj, qadj, class_of = set_adjacency(w), set_adjacency(qw), q.class_of
     for i in range(len(w)):
         eligible += 1
         ci = class_of[i]
@@ -767,9 +783,9 @@ def per_site_local_covering(w: Window, q, contract) -> dict:
 # ---------------------------------------------------------------- pentagon transfer
 
 
-def _lift_cycle(w: Window, q, classes: tuple[int, ...]):
-    """A window cycle over the given class cycle, or None."""
-    adj = w.adjacency
+def _lift_cycle(adj, q, classes: tuple[int, ...]):
+    """A window cycle over the given class cycle, or None; ``adj`` is the
+    window's ``set_adjacency``."""
     n = len(classes)
 
     def extend(assign: list[int]):
@@ -794,7 +810,7 @@ def transfer_pentagons(w: Window, q, contract) -> dict:
     eligible = truncated = 0
     up = enumerate_pentagons(w)
     qw = q.graph
-    qadj = qw.adjacency
+    qadj = set_adjacency(qw)
 
     def is_quotient_pentagon(cyc: tuple[int, ...]) -> bool:
         if len(set(cyc)) != 5:
@@ -821,10 +837,11 @@ def transfer_pentagons(w: Window, q, contract) -> dict:
 
     down = enumerate_pentagons(qw)
     boundary = _boundary_vertices(w)
+    adj = set_adjacency(w)
     lifted = 0
     for classes in down:
         eligible += 1
-        lift = _lift_cycle(w, q, classes)
+        lift = _lift_cycle(adj, q, classes)
         if lift is not None:
             lifted += 1
             continue

@@ -19,14 +19,15 @@ from curvelab.serialize import CACHE_ENV
 pytestmark = pytest.mark.skipif(
     not Path("/proc/self/status").is_file(), reason="reads /proc/self/status")
 
-# runs the CLI with argv[1:] and prints the process's VmHWM in KiB last
+# runs the CLI with argv[1:], if any, and prints the process's VmHWM in KiB last
 PEAK_PROBE = """
 import sys
 from curvelab import cli
-try:
-    cli.main(args=sys.argv[1:], prog_name="curvelab")
-except SystemExit as exc:
-    assert not exc.code, exc.code
+if sys.argv[1:]:
+    try:
+        cli.main(args=sys.argv[1:], prog_name="curvelab")
+    except SystemExit as exc:
+        assert not exc.code, exc.code
 with open("/proc/self/status") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
@@ -44,15 +45,28 @@ def fresh_python(*args: str) -> str:
                           capture_output=True, text=True).stdout
 
 
+VERIFY_110 = ["verify", "--height", "110", "--power", "8", "--conj-len", "2",
+              "--suites", "simplicial,lift,ball2,covering"]
+
+
+def peak_kib(*args: str) -> int:
+    """VmHWM of a fresh interpreter that imports the CLI and runs args."""
+    return int(fresh_python("-c", PEAK_PROBE, *args).split()[-1])
+
+
 def test_verify_out_adds_little_to_the_peak(tmp_path):
-    args = ["verify", "--height", "110", "--power", "8", "--conj-len", "2",
-            "--suites", "simplicial,lift,ball2,covering"]
-    without = int(fresh_python("-c", PEAK_PROBE, *args).split()[-1])
-    with_out = int(fresh_python("-c", PEAK_PROBE, *args, "--out",
-                                str(tmp_path)).split()[-1])
+    without = peak_kib(*VERIFY_110)
+    with_out = peak_kib(*VERIFY_110, "--out", str(tmp_path))
     assert (tmp_path / "quotient.json").is_file()
     # writing the artifacts at h=110 once took 9.8 MB above the run without
     assert with_out - without <= 3 * 1024, (without, with_out)
+
+
+def test_verify_peaks_little_above_the_import():
+    bare, run = peak_kib(), peak_kib(*VERIFY_110)
+    # with a frozenset per vertex beside the neighbour tuples, on the window
+    # and again on the quotient graph, the run peaked 25.2 MB above the import
+    assert run - bare <= 21 * 1024, (bare, run)
 
 
 def test_cli_import_loads_neither_openssl_nor_tempfile():

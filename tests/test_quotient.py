@@ -10,6 +10,7 @@ from curvelab.quotient import (
     s5_sample,
 )
 from curvelab.serialize import json_object
+from oracles import set_adjacency
 
 BASE = farey.IntMatrix(2, 1, 1, 1)
 
@@ -101,10 +102,11 @@ def test_quotient_idempotent(q20, contract):
 
 
 def test_quotient_edges_project_window_edges(q20, w20):
+    qadj = set_adjacency(q20.graph)
     for i, j in w20.edges:
         ci, cj = q20.class_of[i], q20.class_of[j]
         if ci != cj:
-            assert cj in q20.graph.adjacency[ci]
+            assert cj in qadj[ci]
         else:
             assert (ci, i, j) in q20.loops
 
@@ -123,6 +125,40 @@ def test_as_window_sorted(q20, w3):
         assert list(q.graph.vertices) == sorted(q.graph.vertices)
         assert q.graph.edges == q.edges
     assert q3.graph.instance == "s5/quotient"
+
+
+def assert_graph_neighbors(q) -> bool:
+    """The quotient graph's neighbours are those of the quotient edges, and
+    are the window's own tuples when no class merges; returns whether none
+    merged."""
+    w, qw = q.window, q.graph
+    assert qw.edges == q.edges
+    assert list(map(list, qw.neighbors)) == list(map(sorted, set_adjacency(qw)))
+    unmerged = len(q) == len(w)
+    if unmerged:
+        assert q.edges == w.edges
+        assert qw.vertices is w.vertices and qw.neighbors is w.neighbors
+    return unmerged
+
+
+@pytest.mark.parametrize("height", range(1, 61))
+def test_graph_neighbors_match_quotient_edges_farey(height, contract):
+    w = farey.farey_window(height)
+    for power in range(2, 9):
+        spec = farey.FareyClosureSpec(BASE, power, 1)
+        assert_graph_neighbors(build_quotient(w, farey.sample_closure(spec).words,
+                                              contract))
+
+
+@pytest.mark.parametrize("bound", range(4))
+def test_graph_neighbors_match_quotient_edges_s5(bound):
+    from curvelab import s5windows
+
+    w = s5windows.build_window(bound)
+    unmerged = {word: assert_graph_neighbors(
+        build_quotient(w, s5_sample((word,)), s5_contract()))
+        for word in ("", "aa", "abc")}
+    assert unmerged[""]  # the empty sample merges nothing
 
 
 def test_quotient_json(q20, contract, w20):

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from itertools import combinations, permutations
 
 import pytest
@@ -27,6 +29,7 @@ from oracles import (
     full_scan_window,
     half_twist_of,
     intersection,
+    set_adjacency,
 )
 
 EXPECTED_SIZES = {0: (5, 5, 1), 1: (15, 25, 21), 2: (41, 85, 97)}
@@ -183,11 +186,26 @@ def test_base_pentagon_is_the_unique_bound_zero_pentagon():
     assert coords == {c.coords for c in BASE_CURVES}
 
 
+def test_pentagon_memos_live_on_their_window():
+    w = build_window(1)
+    pents, by_edge = enumerate_pentagons(w), s5windows.pentagons_by_edge(w)
+    assert enumerate_pentagons(w) is pents
+    assert s5windows.pentagons_by_edge(w) is by_edge
+    other = build_window(1)  # equal to w, but its own memo
+    assert enumerate_pentagons(other) == pents
+    assert enumerate_pentagons(other) is not pents
+    alive = weakref.ref(w)
+    del w
+    gc.collect()
+    assert alive() is None  # no memo outside the window holds it
+
+
 def test_pentagons_are_chordless(w2):
+    adj = set_adjacency(w2)
     for pent in random.Random(3).sample(enumerate_pentagons(w2), 15):
         for k in range(5):
-            assert pent[(k + 1) % 5] in w2.adjacency[pent[k]]
-            assert pent[(k + 2) % 5] not in w2.adjacency[pent[k]]
+            assert pent[(k + 1) % 5] in adj[pent[k]]
+            assert pent[(k + 2) % 5] not in adj[pent[k]]
 
 
 def test_half_twist_of_guards():
@@ -296,7 +314,7 @@ def test_positions_raise_unless_given_a_pentagon_edge():
 def _pentagons_by_canonical_set(w):
     """Reference enumeration: each chordless 5-cycle is walked in both
     directions from its least vertex, canonicalised into a set, sorted."""
-    adj = w.adjacency
+    adj = set_adjacency(w)
     pentagons = set()
     for v0 in range(len(w)):
         for v1 in adj[v0]:

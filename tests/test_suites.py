@@ -5,7 +5,7 @@ import pytest
 from curvelab import farey, quotient, s5windows, suites
 from curvelab.curves import BASE_CURVES
 from curvelab.quotient import QuotientWindow
-from oracles import act, detected_curves
+from oracles import act, detected_curves, set_adjacency
 
 BASE = farey.IntMatrix(2, 1, 1, 1)
 
@@ -120,7 +120,7 @@ def propagate_pentagon_map(q: QuotientWindow, seed: dict[int, int],
     frontier: list[dict] = []
     reported: set[tuple[int, int]] = set()
     oriented = False
-    adj = qw.adjacency
+    adj = set_adjacency(qw)
 
     detect_cache: dict[tuple[int, int], set[int]] = {}
 
@@ -325,11 +325,12 @@ def test_lifting_reports_lift_leaving_middle_class(w3, scontract):
     assert r["status"] == "out-of-hypothesis"
     left = [x for x in r["witnesses"] if "mid_class" in x]
     assert left
+    adj = set_adjacency(w3)
     for x in left:
         assert x["kind"] == "geodesic-lift"
         assert x["reached_class"] != x["mid_class"]
         i, m = (w3.index[s5windows.parse_curve_key(k)] for k in x["lift"])
-        assert m in w3.adjacency[i]
+        assert m in adj[i]
         assert q.class_of[i] == x["classes"][0]
         assert q.class_of[m] == x["reached_class"]
     _check_second_lifts(w3, q, r)
@@ -339,12 +340,13 @@ def _check_second_lifts(w, q, report):
     """Witnesses whose second lift left the far class name the class it
     reached; every distance reported is measured to the far class."""
     second = []
+    adj = set_adjacency(w)
     for x in report["witnesses"]:
         if x["kind"] != "geodesic-lift" or "mid_class" in x:
             continue
         i, m, v = (w.index[s5windows.parse_curve_key(k)] for k in x["lift"])
         a, b = x["classes"]
-        assert m in w.adjacency[i] and v in w.adjacency[m]
+        assert m in adj[i] and v in adj[m]
         assert q.class_of[i] == a
         if "reached_class" in x:
             second.append(x)
@@ -389,8 +391,9 @@ def test_window_distance_two_agrees_with_certificate(
     monkeypatch.setattr(suites, "_window_certifies_two", spy)
     suites.verify_lipschitz_lifting(w, q, contract)
     assert len(sites) > 500
+    adj = set_adjacency(w)
     for i, m, v in sites:
-        assert m in w.adjacency[i] and v in w.adjacency[m]
+        assert m in adj[i] and v in adj[m]
         assert contract.certificate(w.vertices[i], w.vertices[v], w) == 2
 
 

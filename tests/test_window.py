@@ -100,7 +100,10 @@ def test_json_round_trip_s5_windows(w2, w3):
 def test_adjacency_matches_edges():
     w = farey.farey_window(9)
     edges = set(w.edges)
-    for i in range(len(w)):
-        assert w.adjacency[i] == frozenset(w.neighbors[i])
+    for i, near in enumerate(w.neighbors):
+        assert list(near) == sorted(set(near))  # sorted, no repeats
+        for j in near:
+            assert i in w.neighbors[j]  # symmetric
         for j in range(len(w)):
-            assert (j in w.adjacency[i]) == ((min(i, j), max(i, j)) in edges)
+            assert (j in near) == ((min(i, j), max(i, j)) in edges)
+    assert sum(map(len, w.neighbors)) == 2 * len(edges)
