@@ -10,7 +10,10 @@ pairs BEFORE first, odd pairs AFTER first):
 - curvebench: ``curvebench/run.py --workload W --seed S --seconds 40
   --trace 0`` from each tree, one seed per pair, for every workload; the
   end-to-end metrics are read off the run's last line.
-- CLI scenarios: one fresh interpreter per run with ``PYTHONHASHSEED=0`` and
+- CLI scenarios (``SCENARIOS``: Farey ``verify`` at heights 55, 110 and 220
+  with and without ``--out``, S5 ``verify --out`` and ``s5 ball`` at word
+  bounds 3, 4 and 5, ``farey window`` at height 220 and one case-5 ``arc2
+  fill``): one fresh interpreter per run with ``PYTHONHASHSEED=0`` and
   ``CURVELAB_CACHE`` unset.  Wall time is taken around the process, and
   peak memory is the process's own ``VmHWM`` (Linux), read at exit: the
   rusage ``ru_maxrss`` of a child carries the high-water mark of the
@@ -37,17 +40,30 @@ from pathlib import Path
 
 FAREY = "simplicial,lift,ball2,covering"
 S5 = "simplicial,lift,ball2,covering,transfer,support,relations"
+HEIGHTS, BOUNDS = (55, 110, 220), (3, 4, 5)
+
+
+def farey_verify(height: int) -> list[str]:
+    return ["verify", "--instance", "farey", "--height", str(height), "--power", "8",
+            "--conj-len", "2", "--suites", FAREY]
+
+
+def s5_verify(bound: int) -> list[str]:
+    return ["verify", "--instance", "s5", "--word-bound", str(bound), "--sample", "aa",
+            "--suites", S5]
+
+
+# name -> CLI arguments; a final "--out" is given a fresh directory per run
 SCENARIOS = {
-    f"farey verify h={h} --out": ["verify", "--instance", "farey", "--height", str(h),
-                                  "--power", "8", "--conj-len", "2", "--suites", FAREY,
-                                  "--out"]
-    for h in (55, 110, 220)
+    **{f"farey verify h={h}": farey_verify(h) for h in HEIGHTS},
+    **{f"farey verify h={h} --out": [*farey_verify(h), "--out"] for h in HEIGHTS},
+    **{f"s5 verify bound {b} aa --out": [*s5_verify(b), "--out"] for b in BOUNDS},
+    "farey window --height 220": ["farey", "window", "--height", "220"],
+    **{f"s5 ball --word-bound {b}": ["s5", "ball", "--word-bound", str(b)]
+       for b in BOUNDS},
+    "arc2 fill case5": ["arc2", "fill", "0,0,1,0,1,0,1,0,1", "0,1,0,1,0,1,1,1,1",
+                        "2,1,1,1,1,1,0,3,2"],
 }
-SCENARIOS["s5 verify bound 5 aa --out"] = [
-    "verify", "--instance", "s5", "--word-bound", "5", "--sample", "aa",
-    "--suites", S5, "--out"]
-SCENARIOS["farey window --height 220"] = ["farey", "window", "--height", "220"]
-SCENARIOS["s5 ball --word-bound 5"] = ["s5", "ball", "--word-bound", "5"]
 
 WORKLOADS = ("farey-verify", "s5-verify", "arc2-fill")
 END_TO_END = ("op_p50_ms", "op_tail_ms", "setup_s", "peak_rss_mb")
@@ -138,10 +154,11 @@ def scenario_run(tree: Path, args: list[str], work: Path) -> dict:
             "digests": {"stdout": sha256(proc.stdout), **files}}
 
 
-def scenario_pairs(trees: dict, pairs: int) -> dict:
+def scenario_pairs(trees: dict, pairs: int, scenarios: dict) -> dict:
+    """Each of ``scenarios`` (name -> CLI arguments) run ``pairs`` times per tree."""
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, args in SCENARIOS.items():
+        for name, args in scenarios.items():
             runs = {side: [] for side in trees}
             for pair in range(pairs):
                 for side in sides(pair):
@@ -179,7 +196,7 @@ def main(argv=None) -> None:
         "machine": f"{os.cpu_count()} cores, {sys.platform}, Python "
                    f"{sys.version.split()[0]}",
         "order": "alternated: even pairs before first, odd pairs after first",
-        "cli_scenarios": scenario_pairs(trees, args.scenario_pairs),
+        "cli_scenarios": scenario_pairs(trees, args.scenario_pairs, SCENARIOS),
     }
     if args.curvebench_pairs:
         report["curvebench"] = curvebench_pairs(trees, args.curvebench_pairs, args.seed)

@@ -37,18 +37,16 @@ EXIT_IO_ERROR = 2
 # there after import is the one called
 _ALL, _S5 = ("farey", "s5"), ("s5",)
 SUITES = {
-    "simplicial": ((), _ALL, lambda w, q, c, seed: suites.check_simplicial(q, c)),
-    "lipschitz-lifting": (("lift", "lifting"), _ALL, lambda w, q, c, seed:
-                          suites.verify_lipschitz_lifting(w, q, c)),
-    "ball2-isometry": (("ball2",), _ALL, lambda w, q, c, seed:
-                       suites.verify_ball2_isometry(w, q, c)),
-    "local-covering": (("covering",), _ALL, lambda w, q, c, seed:
-                       suites.verify_local_covering(w, q, c)),
-    "pentagon-transfer": (("transfer",), _S5, lambda w, q, c, seed:
-                          suites.transfer_pentagons(w, q, c)),
-    "support-sets": (("support",), _S5, lambda w, q, c, seed:
-                     suites.check_support_sets(w, q)),
-    "relations": ((), _S5, lambda w, q, c, seed: suites.check_relations(seed=seed)),
+    "simplicial": ((), _ALL, lambda q, seed: suites.check_simplicial(q)),
+    "lipschitz-lifting": (("lift", "lifting"), _ALL,
+                          lambda q, seed: suites.verify_lipschitz_lifting(q)),
+    "ball2-isometry": (("ball2",), _ALL, lambda q, seed: suites.verify_ball2_isometry(q)),
+    "local-covering": (("covering",), _ALL,
+                       lambda q, seed: suites.verify_local_covering(q)),
+    "pentagon-transfer": (("transfer",), _S5,
+                          lambda q, seed: suites.transfer_pentagons(q)),
+    "support-sets": (("support",), _S5, lambda q, seed: suites.check_support_sets(q)),
+    "relations": ((), _S5, lambda q, seed: suites.check_relations(seed)),
 }
 
 
@@ -93,7 +91,7 @@ def farey():
     """The Farey graph: slopes, distances, windows, closure samples."""
 
 
-@farey.command("dist")
+@farey.command("dist", context_settings={"ignore_unknown_options": True})
 @click.argument("s")
 @click.argument("t")
 @_format_option(default="text")
@@ -350,7 +348,7 @@ def arc2_fill(arcs, word_bound, fmt):
 
 
 def _build_quotient(instance, height, matrix, power, conj_len, depth,
-                    word_bound, sample_csv):
+                    word_bound, sample_csv) -> quotient_mod.QuotientWindow:
     if instance == "farey":
         sample = _closure_sample(matrix, power, conj_len, depth).words
         contract = quotient_mod.farey_contract(farey_mod.IntMatrix.parse(matrix))
@@ -363,7 +361,7 @@ def _build_quotient(instance, height, matrix, power, conj_len, depth,
         except ValueError as exc:
             _fail(str(exc))
         w = _s5_window(word_bound)
-    return w, quotient_mod.build_quotient(w, sample, contract), contract
+    return quotient_mod.build_quotient(w, sample, contract)
 
 
 quotient_options = [
@@ -390,15 +388,16 @@ def quotient_group():
 def quotient_build(instance, height, matrix, power, conj_len, depth,
                    word_bound, sample_csv, fmt):
     """Build the quotient window and its displacement report."""
-    w, q, contract = _build_quotient(
+    q = _build_quotient(
         instance, height, matrix, power, conj_len, depth,
         word_bound, sample_csv,
     )
+    key_str = q.contract.key_str
     _emit(
-        "".join(json_object({**w.json_fields(contract.key_str), **q.json_fields()})), fmt,
-        dot_fn=lambda: q.graph.to_dot(contract.key_str),
+        "".join(json_object({**q.window.json_fields(key_str), **q.json_fields()})), fmt,
+        dot_fn=lambda: q.graph.to_dot(key_str),
         text_fn=lambda: f"{instance} quotient: {len(q)} classes of "
-                        f"{len(w)} vertices, min displacement "
+                        f"{len(q.window)} vertices, min displacement "
                         f"{q.min_displacement}\n",
     )
 
@@ -430,17 +429,17 @@ def verify(instance, height, matrix, power, conj_len, depth,
         if instance not in SUITES[name][1]:
             _fail(f"suite {name!r} is not available for instance {instance!r}")
 
-    w, q, contract = _build_quotient(
+    q = _build_quotient(
         instance, height, matrix, power, conj_len, depth,
         word_bound, sample_csv,
     )
-    reports = [SUITES[n][2](w, q, contract, seed) for n in names]
+    reports = [SUITES[n][2](q, seed) for n in names]
 
     if out_dir is not None:
         try:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            fields = w.json_fields(contract.key_str)  # serialized once for both
+            fields = q.window.json_fields(q.contract.key_str)  # serialized once for both
             for name, extra in (("window.json", {}), ("quotient.json", q.json_fields())):
                 with open(out / name, "w") as fh:
                     fh.writelines(json_object({**fields, **extra}))

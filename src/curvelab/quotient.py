@@ -193,11 +193,12 @@ class QuotientWindow:
     sorted; the representative of a class is its least vertex.
     ``transporter[v]`` is a product of sample elements, in the contract's
     representation (a matrix on the Farey graph, a word on S0,5), with
-    act(transporter[v])(rep key) = key of v.
+    act(transporter[v])(rep key) = key of v.  ``contract`` is the one the
+    quotient was built with, so a quotient is all a suite needs.
     """
 
     window: Window
-    instance: str
+    contract: InstanceContract
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
@@ -226,7 +227,7 @@ class QuotientWindow:
         w = self.window
         merged = len(self.classes) < len(w)
         graph = Window(
-            instance=f"{self.instance}/quotient",
+            instance=f"{self.contract.name}/quotient",
             basepoint=w.basepoint,
             bound=w.bound,
             vertices=(tuple(w.vertices[m[0]] for m in self.classes) if merged
@@ -346,7 +347,7 @@ def build_quotient(
 
     return QuotientWindow(
         window=w,
-        instance=contract.name,
+        contract=contract,
         class_of=tuple(class_of),
         classes=tuple(classes),
         edges=tuple(sorted(qedges)),

@@ -1,15 +1,16 @@
-"""Verification suites over a window and its quotient.
+"""Verification suites, each over one quotient window.
 
-Every suite returns a report dict {suite, status, eligible, truncated,
-witnesses, ...}.  ``truncated`` counts the sites left undecided because the
-window ends first (locally infinite graphs force this bookkeeping; there is
-no cap on the sites a suite enumerates, so no site is excluded for any other
-reason), and ``witnesses`` carries falsifying data.  What ``eligible``
-counts differs: lifting parts (b) and (c), ball2-isometry and
-pentagon-transfer count every site they reach, truncated ones included;
-support-sets counts only the sites it decides; local-covering counts
-vertices, while its ``truncated`` counts star edges whose lift leaves the
-window.
+A suite takes only the ``QuotientWindow``, which holds its window and the
+contract it was built with.  Every suite returns a report dict {suite,
+status, eligible, truncated, witnesses, ...}.  ``truncated`` counts the
+sites left undecided because the window ends first (locally infinite graphs
+force this bookkeeping; there is no cap on the sites a suite enumerates, so
+no site is excluded for any other reason), and ``witnesses`` carries
+falsifying data.  What ``eligible`` counts differs: lifting parts (b) and
+(c), ball2-isometry and pentagon-transfer count every site they reach,
+truncated ones included; support-sets counts only the sites it decides;
+local-covering counts vertices, while its ``truncated`` counts star edges
+whose lift leaves the window.
 
 When violations occur while the sampled displacement is below the
 governing threshold (3 for simpliciality, 8 for the lifting, 2-ball,
@@ -32,7 +33,7 @@ from itertools import combinations
 from typing import Callable
 
 from . import s5windows
-from .quotient import InstanceContract, QuotientWindow
+from .quotient import QuotientWindow
 from .window import Window
 
 SIMPLICIAL_THRESHOLD = 3
@@ -60,7 +61,7 @@ def _report(suite: str, status: str, eligible: int, truncated: int,
     }
 
 
-def _edge_lifts(q: QuotientWindow, contract: InstanceContract):
+def _edge_lifts(q: QuotientWindow):
     """The lift of a quotient edge at a window vertex.
 
     For each quotient edge and endpoint class one witnessing window edge
@@ -72,7 +73,7 @@ def _edge_lifts(q: QuotientWindow, contract: InstanceContract):
     window index, or None when it lies outside the window.  Two singleton
     classes are joined by one window edge, so no witness is stored for them.
     """
-    w = q.window
+    w, contract = q.window, q.contract
     class_of, vertices, index, classes = q.class_of, w.vertices, w.index, q.classes
     rep_edge: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j in w.edges:
@@ -111,7 +112,7 @@ def _window_certifies_two(w: Window, i: int, m: int, v: int) -> bool:
     return i != v and v not in near and m in near and v in w.neighbors[m]
 
 
-def check_simplicial(q: QuotientWindow, contract: InstanceContract) -> dict:
+def check_simplicial(q: QuotientWindow) -> dict:
     """No identified pair is adjacent; no star maps two neighbors together.
 
     A collapsed window edge is a loop in the quotient; two distinct
@@ -119,8 +120,7 @@ def check_simplicial(q: QuotientWindow, contract: InstanceContract) -> dict:
     edge.  Both are ruled out by displacement >= 3.
     """
     witnesses = []
-    key = contract.key_str
-    w = q.window
+    w, key = q.window, q.contract.key_str
     for c, i, j in q.loops:
         witnesses.append({
             "kind": "loop", "class": c,
@@ -143,8 +143,7 @@ def check_simplicial(q: QuotientWindow, contract: InstanceContract) -> dict:
     )
 
 
-def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
-                             contract: InstanceContract) -> dict:
+def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
     """Edges project to edges; quotient edges and geodesics lift.
 
     (a) no window edge collapses to a point; (b) every quotient edge lifts
@@ -166,7 +165,7 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
     since every window edge between distinct classes is a quotient edge.
     So every truncated site touches a class with more than one member.
     """
-    key = contract.key_str
+    w, key = q.window, q.contract.key_str
     witnesses = []
     eligible = truncated = 0
 
@@ -177,7 +176,7 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
             "edge": [key(w.vertices[i]), key(w.vertices[j])],
         })
 
-    lift = _edge_lifts(q, contract)
+    lift = _edge_lifts(q)
     nbrs, class_of, classes = w.neighbors, q.class_of, q.classes
     single = [len(members) == 1 for members in classes]
     for ci, cj in q.edges:
@@ -237,7 +236,7 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
                         witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                 reached_class=class_of[v])
                     elif not _window_certifies_two(w, i, m, v):
-                        d = contract.certificate(w.vertices[i], v_key, w)
+                        d = q.contract.certificate(w.vertices[i], v_key, w)
                         if d != 2:
                             witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                     distance=d)
@@ -251,8 +250,7 @@ def verify_lipschitz_lifting(w: Window, q: QuotientWindow,
     )
 
 
-def verify_ball2_isometry(w: Window, q: QuotientWindow,
-                          contract: InstanceContract) -> dict:
+def verify_ball2_isometry(q: QuotientWindow) -> dict:
     """The projection is injective and distance-preserving on 2-balls.
 
     Reformulated over classes, which is exact and free of window-boundary
@@ -262,12 +260,12 @@ def verify_ball2_isometry(w: Window, q: QuotientWindow,
     common 2-ball centred on the short path).  Sites where the instance
     cannot certify "distance >= 5" are truncated, not passed.
     """
-    key = contract.key_str
+    w, key = q.window, q.contract.key_str
     witnesses = []
     eligible = truncated = 0
 
     def far_apart(x, y) -> bool | None:
-        cert = contract.certificate(x, y, w)
+        cert = q.contract.certificate(x, y, w)
         return None if cert is None else cert >= 5
 
     for members in q.classes:
@@ -304,8 +302,7 @@ def verify_ball2_isometry(w: Window, q: QuotientWindow,
     )
 
 
-def verify_local_covering(w: Window, q: QuotientWindow,
-                          contract: InstanceContract) -> dict:
+def verify_local_covering(q: QuotientWindow) -> dict:
     """Stars map isomorphically: injective on neighbors, surjective onto the
     quotient star, and triangle-reflecting (two neighbors with adjacent
     classes must be adjacent; both lie in a 2-ball, so this is exact).
@@ -314,10 +311,10 @@ def verify_local_covering(w: Window, q: QuotientWindow,
     two singleton classes are adjacent exactly when their members are, since
     quotient edges are the window edges between classes.  The pairs it reads
     come in the order of ``itertools.combinations`` over the star."""
-    key = contract.key_str
+    w, key = q.window, q.contract.key_str
     witnesses = []
     eligible = truncated = 0
-    lift = _edge_lifts(q, contract)
+    lift = _edge_lifts(q)
     nbrs, qnbrs, class_of = w.neighbors, q.graph.neighbors, q.class_of
     single = [len(members) == 1 for members in q.classes]
     for i in range(len(w)):
@@ -363,8 +360,7 @@ def verify_local_covering(w: Window, q: QuotientWindow,
     )
 
 
-def transfer_pentagons(w: Window, q: QuotientWindow,
-                       contract: InstanceContract) -> dict:
+def transfer_pentagons(q: QuotientWindow) -> dict:
     """Pentagons project to quotient pentagons and lift back.
 
     Upstairs pentagons must project to chordless 5-cycles on distinct
@@ -380,6 +376,7 @@ def transfer_pentagons(w: Window, q: QuotientWindow,
     chord of the quotient pentagon (quotient edges are the classes of
     window edges), so it is an upstairs pentagon.
     """
+    w, key = q.window, q.contract.key_str
     witnesses = []
     eligible = truncated = 0
     up = s5windows.enumerate_pentagons(w)
@@ -394,7 +391,7 @@ def transfer_pentagons(w: Window, q: QuotientWindow,
         else:
             witnesses.append({
                 "kind": "projection-not-pentagon",
-                "pentagon": [contract.key_str(w.vertices[v]) for v in pent],
+                "pentagon": [key(w.vertices[v]) for v in pent],
             })
 
     boundary = _boundary_vertices(w)
@@ -438,15 +435,16 @@ RELATIONS = (
     ("conjugate-ra", "rar", "A"), ("conjugate-rb", "rbr", "B"),
     ("conjugate-rc", "rcr", "C"), ("conjugate-rd", "rdr", "D"),
 )
+RELATION_CURVES, RELATION_WORD_LENGTH = 100, 8  # check_relations' random curves
 
 
-def check_relations(seed: int = 0, curves: int = 100, length: int = 8) -> dict:
+def check_relations(seed: int) -> dict:
     """Generator relations as coordinate equalities on random curves.
 
     Braid relations, far commutation, the reflection being an involution
     fixing the five base curves and conjugating each half-twist to its
-    inverse — checked on the base curves and ``curves`` random curves with
-    witness words of at most ``length`` letters, drawn from a seeded RNG.
+    inverse — checked on the base curves and ``RELATION_CURVES`` random curves
+    with words of at most ``RELATION_WORD_LENGTH`` letters, seeded by ``seed``.
     """
     import random
 
@@ -455,9 +453,9 @@ def check_relations(seed: int = 0, curves: int = 100, length: int = 8) -> dict:
 
     rng = random.Random(seed)
     coords = [c.coords for c in BASE_CURVES]
-    while len(coords) < 5 + curves:
+    while len(coords) < 5 + RELATION_CURVES:
         word = "".join(rng.choice(WORD_ALPHABET)
-                       for _ in range(rng.randint(1, length)))
+                       for _ in range(rng.randint(1, RELATION_WORD_LENGTH)))
         coords.append(apply_word(word, coords[rng.randrange(5)]))
 
     witnesses = []
@@ -476,16 +474,18 @@ def check_relations(seed: int = 0, curves: int = 100, length: int = 8) -> dict:
                    witnesses=witnesses, seed=seed)
 
 
-def check_support_sets(w: Window, q: QuotientWindow | None = None) -> dict:
-    """Complexity-2 structure of the curve graph window.
+def check_support_sets(q: QuotientWindow) -> dict:
+    """Complexity-2 structure of the curve graph window of ``q``.
 
     (a) no three pairwise-disjoint curves (pants decompositions have size 2);
     (b) orbit pairs joined by a quotient edge have in-window disjoint
-    representatives (by construction of quotient edges, re-verified);
+    representatives (``build_quotient`` makes each quotient edge from a
+    window edge, so each is an eligible site that holds);
     (c) distinct vertices have distinct in-window links, collisions at the
     window boundary being truncated; (d) every interior curve lies in two
     pants decompositions meeting exactly in it (two distinct neighbors).
     """
+    w = q.window
     witnesses = []
     eligible = truncated = 0
     boundary = _boundary_vertices(w)
@@ -502,16 +502,7 @@ def check_support_sets(w: Window, q: QuotientWindow | None = None) -> dict:
                 "kind": "triple-disjoint",
                 "curves": [key(w.vertices[v]) for v in (i, j, k)],
             })
-
-    if q is not None:
-        for a, b in q.edges:
-            eligible += 1
-            found = any(
-                j in adj[i] for i in q.classes[a] for j in q.classes[b]
-            )
-            if not found:
-                witnesses.append({"kind": "orbit-pair-no-representatives",
-                                  "classes": [a, b]})
+    eligible += len(q.edges)  # (b)
 
     # sorted neighbour tuples are equal exactly when the links are
     links: dict[tuple[int, ...], int] = {}

@@ -34,11 +34,12 @@ class Window:
     words: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        for i, j in self.edges:
-            if not (0 <= i < j < len(self.vertices)):
-                raise ValueError(f"malformed edge ({i}, {j})")
-        if len(set(self.edges)) != len(self.edges):
-            raise ValueError("parallel edges are not allowed")
+        n, last = len(self.vertices), (-1, -1)
+        for edge in self.edges:  # strictly increasing, so no parallel edges
+            i, j = edge
+            if not (0 <= i < j < n) or edge <= last:
+                raise ValueError(f"edge ({i}, {j}) is out of range or out of order")
+            last = edge
         if self.words is not None and len(self.words) != len(self.vertices):
             raise ValueError("words must align with vertices")
 

@@ -54,10 +54,10 @@ def test_02_farey_quotient_suites_pass(farey_scenario):
     assert len(report) == 16
     assert all(r["min"] >= 8 for r in report)
     runs = [
-        suites.check_simplicial(q, contract),
-        suites.verify_lipschitz_lifting(w, q, contract),
-        suites.verify_ball2_isometry(w, q, contract),
-        suites.verify_local_covering(w, q, contract),
+        suites.check_simplicial(q),
+        suites.verify_lipschitz_lifting(q),
+        suites.verify_ball2_isometry(q),
+        suites.verify_local_covering(q),
     ]
     for r in runs:
         assert r["status"] == "pass", r["suite"]
@@ -72,14 +72,14 @@ def test_03_hypothesis_necessity_k1():
     contract = quotient.farey_contract(A_MATRIX)
     q = quotient.build_quotient(w, sample.words, contract)
     assert q.min_displacement == 1
-    r = suites.check_simplicial(q, contract)
+    r = suites.check_simplicial(q)
     assert r["status"] == "out-of-hypothesis"
     assert any(wt["kind"] in ("loop", "parallel") for wt in r["witnesses"])
 
 
 def test_04_generator_relations():
     t0 = time.monotonic()
-    r = suites.check_relations(seed=0, curves=100, length=8)
+    r = suites.check_relations(seed=0)
     assert r["status"] == "pass"
     assert r["witnesses"] == []
     assert time.monotonic() - t0 < 120
@@ -114,7 +114,7 @@ def test_06_half_twist_detection_pairs():
 def test_07_quotient_transfer_and_detection(w2):
     contract = quotient.s5_contract()
     q = quotient.build_quotient(w2, quotient.s5_sample(), contract)
-    r = suites.transfer_pentagons(w2, q, contract)
+    r = suites.transfer_pentagons(q)
     assert r["status"] == "pass"
     assert r["upstairs"] == r["downstairs"] == r["lifted"]
     c1, c3 = BASE_CURVES[0], BASE_CURVES[2]
@@ -165,8 +165,10 @@ def test_08_arc_complex_fillings(w2, w3):
 
 
 def test_09_support_sets(w2, w3):
+    contract = quotient.s5_contract()
     for w in (w2, w3):
-        r = suites.check_support_sets(w)
+        r = suites.check_support_sets(
+            quotient.build_quotient(w, quotient.s5_sample(), contract))
         assert r["status"] == "pass"
         assert r["witnesses"] == []
         assert r["eligible"] > 0

@@ -42,6 +42,21 @@ def test_dist_bad_slope(runner):
     assert result.exit_code == cli.EXIT_IO_ERROR
 
 
+@pytest.mark.parametrize("s,t,expected", [("-1/2", "1/0", 2), ("-5/8", "1/0", 3),
+                                          ("2/5", "-3/7", 4), ("-2/5", "-1/2", 1)])
+def test_dist_negative_slopes_are_arguments(runner, s, t, expected):
+    # a leading minus is a slope's sign, not an option, with no "--" needed
+    assert expected == farey.distance(farey.Slope.parse(s), farey.Slope.parse(t))
+    result = invoke(runner, ["farey", "dist", s, t])
+    assert result.exit_code == 0 and result.output == f"{expected}\n"
+    result = invoke(runner, ["farey", "dist", s, t, "--format", "json"])
+    assert json.loads(result.output) == {"s": s, "t": t, "distance": expected}
+
+
+def test_dist_unknown_option_is_a_bad_slope():
+    assert_one_error_line(["farey", "dist", "-x", "1/0"])
+
+
 def test_window_json_shape(runner):
     result = invoke(runner, ["farey", "window", "--height", "5"])
     data = json.loads(result.output)
@@ -585,6 +600,9 @@ def _corrupt_window(kind, k):
         edge[1] = len(data["vertices"]) + k
     elif kind == "repeated-edge":
         data["edges"].append(list(edge))
+    elif kind == "swapped-edges":
+        edges, other = data["edges"], (k + 1) % len(data["edges"])
+        edges[k % len(edges)], edges[other] = edges[other], edge
     elif kind == "bad-key":
         vertex["key"] = vertex["key"].replace(",", ";", 1 + k % 3)
     elif kind == "duplicate-key":
@@ -607,14 +625,14 @@ def _corrupt_window(kind, k):
 MALFORMED_WINDOWS = st.one_of(
     st.binary(max_size=40),
     st.builds(_corrupt_window, st.sampled_from(
-        ["reversed-edge", "edge-out-of-range", "repeated-edge", "bad-key",
-         "duplicate-key", "wrong-instance", "bad-bound", "swapped-ids",
+        ["reversed-edge", "edge-out-of-range", "repeated-edge", "swapped-edges",
+         "bad-key", "duplicate-key", "wrong-instance", "bad-bound", "swapped-ids",
          "float-edge", "missing-field"]), st.integers(0, 20)),
 )
 
 
 @pytest.mark.parametrize("kind", ["duplicate-key", "wrong-instance", "bad-bound",
-                                  "swapped-ids", "float-edge"])
+                                  "swapped-ids", "float-edge", "swapped-edges"])
 def test_edited_window_file_exits_two(tmp_path, kind):
     # each edit keeps a true witness word on every vertex
     path = tmp_path / "window.json"

@@ -63,16 +63,16 @@ def assert_suites_match(w, q, contract) -> None:
     """The shortcut suites equal their per-site oracles, and every quotient
     suite of the instance is total.  On S5 the pentagon-transfer suite also
     equals its oracle, which tests each site edge by edge."""
-    lifting = suites.verify_lipschitz_lifting(w, q, contract)
-    covering = suites.verify_local_covering(w, q, contract)
+    lifting = suites.verify_lipschitz_lifting(q)
+    covering = suites.verify_local_covering(q)
     assert lifting == per_site_lipschitz_lifting(w, q, contract)
     assert covering == per_site_local_covering(w, q, contract)
-    reports = [suites.check_simplicial(q, contract), lifting,
-               suites.verify_ball2_isometry(w, q, contract), covering]
+    reports = [suites.check_simplicial(q), lifting,
+               suites.verify_ball2_isometry(q), covering]
     if contract.name == "s5":
-        transfer = suites.transfer_pentagons(w, q, contract)
+        transfer = suites.transfer_pentagons(q)
         assert transfer == transfer_pentagons(w, q, contract)
-        reports += [transfer, suites.check_support_sets(w, q)]
+        reports += [transfer, suites.check_support_sets(q)]
     for r in reports:
         assert set(r) >= {"suite", "status", "eligible", "truncated", "witnesses"}
         assert r["status"] in STATUSES

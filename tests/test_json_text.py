@@ -74,11 +74,12 @@ QUOTIENT_ENTRIES = {**{entry: args for entry, (args, _, _) in MENU.items()},
 @pytest.mark.parametrize("entry", sorted(QUOTIENT_ENTRIES))
 def test_quotient_text_matches_oracle(entry, monkeypatch):
     monkeypatch.delenv(CACHE_ENV, raising=False)
-    w, q, contract = _quotient_of(QUOTIENT_ENTRIES[entry])
-    fields = w.json_fields(contract.key_str)
-    assert "".join(json_object(fields)) == canonical_json(window_json(w, contract.key_str))
+    q = _quotient_of(QUOTIENT_ENTRIES[entry])
+    w, key_str = q.window, q.contract.key_str
+    fields = w.json_fields(key_str)
+    assert "".join(json_object(fields)) == canonical_json(window_json(w, key_str))
     text = "".join(json_object({**fields, **q.json_fields()}))
-    assert text == canonical_json(quotient_json(q, contract.key_str))
+    assert text == canonical_json(quotient_json(q, key_str))
 
 
 # every character class the ASCII escaping treats differently: quote,

@@ -9,8 +9,9 @@ from curvelab.quotient import (
     s5_contract,
     s5_sample,
 )
-from curvelab.serialize import json_object
+from curvelab.serialize import CACHE_ENV, json_object
 from oracles import set_adjacency
+from test_json_text import QUOTIENT_ENTRIES, _quotient_of
 
 BASE = farey.IntMatrix(2, 1, 1, 1)
 
@@ -141,13 +142,23 @@ def assert_graph_neighbors(q) -> bool:
     return unmerged
 
 
+def assert_edges_join_classes(q) -> None:
+    """The quotient edges are the class pairs of the window edges between
+    distinct classes: every quotient edge has a window edge between its two
+    classes, which is why support-sets counts its part (b) without a search,
+    and every window edge between distinct classes is a quotient edge."""
+    pairs = {tuple(sorted((q.class_of[i], q.class_of[j]))) for i, j in q.window.edges}
+    assert q.edges == tuple(sorted(p for p in pairs if p[0] != p[1]))
+
+
 @pytest.mark.parametrize("height", range(1, 61))
 def test_graph_neighbors_match_quotient_edges_farey(height, contract):
     w = farey.farey_window(height)
     for power in range(2, 9):
         spec = farey.FareyClosureSpec(BASE, power, 1)
-        assert_graph_neighbors(build_quotient(w, farey.sample_closure(spec).words,
-                                              contract))
+        q = build_quotient(w, farey.sample_closure(spec).words, contract)
+        assert_graph_neighbors(q)
+        assert_edges_join_classes(q)
 
 
 @pytest.mark.parametrize("bound", range(4))
@@ -155,10 +166,18 @@ def test_graph_neighbors_match_quotient_edges_s5(bound):
     from curvelab import s5windows
 
     w = s5windows.build_window(bound)
-    unmerged = {word: assert_graph_neighbors(
-        build_quotient(w, s5_sample((word,)), s5_contract()))
-        for word in ("", "aa", "abc")}
+    unmerged = {}
+    for word in ("", "aa", "abc"):
+        q = build_quotient(w, s5_sample((word,)), s5_contract())
+        unmerged[word] = assert_graph_neighbors(q)
+        assert_edges_join_classes(q)
     assert unmerged[""]  # the empty sample merges nothing
+
+
+@pytest.mark.parametrize("entry", sorted(QUOTIENT_ENTRIES))
+def test_quotient_edges_join_classes_of_artifact_entries(entry, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert_edges_join_classes(_quotient_of(QUOTIENT_ENTRIES[entry]))
 
 
 def test_quotient_json(q20, contract, w20):

@@ -42,47 +42,47 @@ def sq2(w2, scontract):
     return quotient.build_quotient(w2, quotient.s5_sample(), scontract)
 
 
-def test_simplicial_passes(q30, fcontract):
-    r = suites.check_simplicial(q30, fcontract)
+def test_simplicial_passes(q30):
+    r = suites.check_simplicial(q30)
     assert r["status"] == "pass"
     assert r["witnesses"] == []
     assert r["eligible"] == len(q30)
 
 
-def test_simplicial_out_of_hypothesis(q30_small, fcontract):
+def test_simplicial_out_of_hypothesis(q30_small):
     assert q30_small.min_displacement < suites.SIMPLICIAL_THRESHOLD
-    r = suites.check_simplicial(q30_small, fcontract)
+    r = suites.check_simplicial(q30_small)
     assert r["status"] == "out-of-hypothesis"
     assert any(wt["kind"] == "loop" for wt in r["witnesses"])
 
 
-def test_lipschitz_lifting_passes(w30, q30, fcontract):
-    r = suites.verify_lipschitz_lifting(w30, q30, fcontract)
+def test_lipschitz_lifting_passes(q30):
+    r = suites.verify_lipschitz_lifting(q30)
     assert r["status"] == "pass"
     assert r["witnesses"] == []
     assert r["eligible"] > 0
 
 
-def test_ball2_isometry_passes(w30, q30, fcontract):
-    r = suites.verify_ball2_isometry(w30, q30, fcontract)
+def test_ball2_isometry_passes(q30):
+    r = suites.verify_ball2_isometry(q30)
     assert r["status"] == "pass"
     assert r["witnesses"] == []
 
 
-def test_ball2_isometry_out_of_hypothesis(w30, q30_small, fcontract):
-    r = suites.verify_ball2_isometry(w30, q30_small, fcontract)
+def test_ball2_isometry_out_of_hypothesis(q30_small):
+    r = suites.verify_ball2_isometry(q30_small)
     assert r["status"] == "out-of-hypothesis"
 
 
-def test_local_covering_passes(w30, q30, fcontract):
-    r = suites.verify_local_covering(w30, q30, fcontract)
+def test_local_covering_passes(w30, q30):
+    r = suites.verify_local_covering(q30)
     assert r["status"] == "pass"
     assert r["witnesses"] == []
     assert r["eligible"] == len(w30)
 
 
-def test_transfer_pentagons_empty_sample(w2, sq2, scontract):
-    r = suites.transfer_pentagons(w2, sq2, scontract)
+def test_transfer_pentagons_empty_sample(sq2):
+    r = suites.transfer_pentagons(sq2)
     assert r["status"] == "pass"
     assert r["upstairs"] == r["downstairs"] == r["lifted"]
     assert r["witnesses"] == []
@@ -284,16 +284,17 @@ def test_propagate_reflection_swaps_detected_pair(w2, sq2):
         assert _cls(sq2, w2, img) == v
 
 
-def test_support_sets_pass(w2, w3, sq2):
-    r = suites.check_support_sets(w2, sq2)
+def test_support_sets_pass(w3, sq2, scontract):
+    r = suites.check_support_sets(sq2)
     assert r["status"] == "pass"
     assert r["witnesses"] == []
-    r3 = suites.check_support_sets(w3)
+    r3 = suites.check_support_sets(
+        quotient.build_quotient(w3, quotient.s5_sample(), scontract))
     assert r3["status"] == "pass"
 
 
-def test_report_shape(q30, fcontract):
-    r = suites.check_simplicial(q30, fcontract)
+def test_report_shape(q30):
+    r = suites.check_simplicial(q30)
     assert set(r) >= {"suite", "status", "eligible", "truncated", "witnesses"}
     assert r["status"] in ("pass", "fail", "out-of-hypothesis")
 
@@ -306,12 +307,12 @@ def test_every_suite_is_total_over_sample_sweep(w2, scontract):
             word = "".join(letters)
             q = quotient.build_quotient(w2, quotient.s5_sample((word,)), scontract)
             for r in (
-                suites.check_simplicial(q, scontract),
-                suites.verify_lipschitz_lifting(w2, q, scontract),
-                suites.verify_ball2_isometry(w2, q, scontract),
-                suites.verify_local_covering(w2, q, scontract),
-                suites.transfer_pentagons(w2, q, scontract),
-                suites.check_support_sets(w2, q),
+                suites.check_simplicial(q),
+                suites.verify_lipschitz_lifting(q),
+                suites.verify_ball2_isometry(q),
+                suites.verify_local_covering(q),
+                suites.transfer_pentagons(q),
+                suites.check_support_sets(q),
             ):
                 assert set(r) >= {"suite", "status", "eligible", "truncated",
                                   "witnesses"}, word
@@ -321,7 +322,7 @@ def test_every_suite_is_total_over_sample_sweep(w2, scontract):
 
 def test_lifting_reports_lift_leaving_middle_class(w3, scontract):
     q = quotient.build_quotient(w3, quotient.s5_sample(("ab",)), scontract)
-    r = suites.verify_lipschitz_lifting(w3, q, scontract)
+    r = suites.verify_lipschitz_lifting(q)
     assert r["status"] == "out-of-hypothesis"
     left = [x for x in r["witnesses"] if "mid_class" in x]
     assert left
@@ -361,7 +362,7 @@ def test_lifting_reports_second_lift_leaving_far_class(w2, scontract):
     # with sample aab at bound 2, the lift from the middle class can land in
     # the first class again; it used to be reported as distance 0
     q = quotient.build_quotient(w2, quotient.s5_sample(("aab",)), scontract)
-    r = suites.verify_lipschitz_lifting(w2, q, scontract)
+    r = suites.verify_lipschitz_lifting(q)
     second = _check_second_lifts(w2, q, r)
     assert any(x["classes"] == [6, 9] and x["reached_class"] == 6 for x in second)
     assert not any(x.get("distance") == 0 for x in r["witnesses"])
@@ -389,7 +390,7 @@ def test_window_distance_two_agrees_with_certificate(
         return ok
 
     monkeypatch.setattr(suites, "_window_certifies_two", spy)
-    suites.verify_lipschitz_lifting(w, q, contract)
+    suites.verify_lipschitz_lifting(q)
     assert len(sites) > 500
     adj = set_adjacency(w)
     for i, m, v in sites:
@@ -402,4 +403,4 @@ def test_no_distance_is_measured_across_classes_over_sample_sweep(w2, scontract)
         for letters in product("abcdr", repeat=n):
             q = quotient.build_quotient(
                 w2, quotient.s5_sample(("".join(letters),)), scontract)
-            _check_second_lifts(w2, q, suites.verify_lipschitz_lifting(w2, q, scontract))
+            _check_second_lifts(w2, q, suites.verify_lipschitz_lifting(q))
