@@ -56,9 +56,9 @@ def _fail(message: str) -> None:
 
 
 def _emit(data, fmt: str, text_fn=None, dot_fn=None) -> None:
-    if fmt == "json":  # data is a JSON value, or a window's or quotient's JSON text
+    if fmt == "json":  # data is a JSON value
         try:
-            text = data if isinstance(data, str) else canonical_json(data)
+            text = canonical_json(data)
         except ValueError:  # json refuses integers above the digit limit
             _fail(f"an integer in the output has more than "
                   f"{sys.get_int_max_str_digits()} digits; try --format text")
@@ -71,6 +71,16 @@ def _emit(data, fmt: str, text_fn=None, dot_fn=None) -> None:
         click.echo(text_fn() if text_fn else canonical_json(data), nl=False)
 
 
+def _emit_fields(fields_fn, fmt: str, text_fn, dot_fn) -> None:
+    """``_emit`` for a window or quotient, whose JSON is written piece by
+    piece from the field texts ``fields_fn()`` gives, never joined."""
+    if fmt == "json":
+        for piece in json_object(fields_fn()):
+            click.echo(piece, nl=False)
+    else:
+        _emit(None, fmt, text_fn, dot_fn)
+
+
 def _format_option(default: str = "json"):
     return click.option(
         "--format", "fmt", type=click.Choice(["json", "dot", "text"]),
@@ -78,7 +88,32 @@ def _format_option(default: str = "json"):
     )
 
 
-@click.group()
+# a group given no command prints its help: a usage error from click 8.2 on
+_NO_ARGS_IS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+def _one_line_usage_errors(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except _NO_ARGS_IS_HELP:
+        raise
+    except click.UsageError as exc:
+        _fail(exc.format_message())
+
+
+class _OneLineUsageErrors(click.Group):
+    """The root group: a malformed command line anywhere below it (an
+    unknown option or command, a bad value, an extra argument) prints one
+    ``error:`` line and exits 2, where click would print its usage block."""
+
+    def make_context(self, *args, **kwargs):
+        return _one_line_usage_errors(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _one_line_usage_errors(super().invoke, ctx)
+
+
+@click.group(cls=_OneLineUsageErrors)
 def main():
     """Exact-arithmetic laboratory for curve graphs and their quotients."""
 
@@ -124,8 +159,8 @@ def _farey_window(height: int, basepoint: str) -> Window:
 def farey_window_cmd(height, basepoint, fmt):
     """Induced subgraph on all slopes of height at most the bound."""
     w = _farey_window(height, basepoint)
-    _emit(
-        "".join(json_object(w.json_fields(str))), fmt,
+    _emit_fields(
+        lambda: w.json_fields(str), fmt,
         dot_fn=lambda: w.to_dot(str),
         text_fn=lambda: f"farey window height {height}: "
                         f"{len(w)} vertices, {len(w.edges)} edges\n",
@@ -237,8 +272,8 @@ def _s5_window(word_bound: int | None, window_file: str | None = None) -> Window
 def s5_ball(word_bound, fmt):
     """Window of all images of the base pentagon under bounded words."""
     w = _s5_window(word_bound)
-    _emit(
-        "".join(json_object(w.json_fields(s5windows.curve_key_str))), fmt,
+    _emit_fields(
+        lambda: w.json_fields(s5windows.curve_key_str), fmt,
         dot_fn=lambda: w.to_dot(s5windows.curve_key_str),
         text_fn=lambda: f"s5 window bound {word_bound}: "
                         f"{len(w)} vertices, {len(w.edges)} edges\n",
@@ -393,8 +428,8 @@ def quotient_build(instance, height, matrix, power, conj_len, depth,
         word_bound, sample_csv,
     )
     key_str = q.contract.key_str
-    _emit(
-        "".join(json_object({**q.window.json_fields(key_str), **q.json_fields()})), fmt,
+    _emit_fields(
+        lambda: {**q.window.json_fields(key_str), **q.json_fields()}, fmt,
         dot_fn=lambda: q.graph.to_dot(key_str),
         text_fn=lambda: f"{instance} quotient: {len(q)} classes of "
                         f"{len(q.window)} vertices, min displacement "

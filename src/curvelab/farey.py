@@ -11,7 +11,9 @@ breadth-first oracle on height-bounded windows.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 from .window import Window
@@ -19,9 +21,11 @@ from .window import Window
 FAREY_GENERATOR_ALPHABET = "tTuUj"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Slope:
-    """A reduced fraction p/q with q >= 0; the slope 1/0 is infinity."""
+    """A reduced fraction p/q with q >= 0; the slope 1/0 is infinity.
+
+    Slots keep a window's tens of thousands of slopes small."""
 
     p: int
     q: int
@@ -407,10 +411,13 @@ def window_images(m: IntMatrix, height: int) -> Iterator[tuple[Slope, Slope]]:
 
 
 def farey_window(height: int, basepoint: Slope = ZERO) -> Window:
-    """The induced subgraph on all slopes of height <= height."""
+    """The induced subgraph on all slopes of height <= height.
+
+    Each vertex's neighbours are enumerated in full, so the window is handed
+    its sorted neighbour rows along with the edges."""
     vertices = slopes_of_height(height)
     index = {(s.p, s.q): i for i, s in enumerate(vertices)}
-    edges = []
+    edges, rows = [], []
     for i, s in enumerate(vertices):
         # the solutions (x, y) of p y - q x = 1 are (k p - b, k q + a) with
         # a p + b q = 1; those of = -1 are their negatives, so the k with
@@ -424,18 +431,17 @@ def farey_window(height: int, basepoint: Slope = ZERO) -> Window:
             lo, hi = max(lo, -((height - b) // p)), min(hi, (height + b) // p)
         elif p < 0:
             lo, hi = max(lo, -((height + b) // -p)), min(hi, (height - b) // -p)
-        later = []
+        row = []
         for k in range(lo, hi + 1):
             x, y = k * p - b, k * q + a
             if y < 0 or (y == 0 and x < 0):
                 x, y = -x, -y
-            j = index[x, y]
-            if j > i:
-                later.append(j)
+            row.append(index[x, y])
+        row.sort()
+        rows.append(tuple(row))
         # each vertex's later neighbours, in order, keep the edges sorted
-        later.sort()
-        edges.extend((i, j) for j in later)
-    return Window(
+        edges.extend(zip(repeat(i), row[bisect_right(row, i):]))
+    w = Window(
         instance="farey",
         basepoint=basepoint,
         bound=height,
@@ -443,6 +449,8 @@ def farey_window(height: int, basepoint: Slope = ZERO) -> Window:
         edges=tuple(edges),
         words=None,
     )
+    w.__dict__["neighbors"] = tuple(rows)  # as cached_property stores it
+    return w
 
 
 @dataclass(frozen=True)

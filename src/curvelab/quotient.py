@@ -16,8 +16,10 @@ five-punctured sphere, where only {0, 1, 2}-certificates are decidable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator
 
@@ -25,7 +27,7 @@ from . import farey as farey_mod
 from . import s5windows
 from .mcg import WORD_ALPHABET, apply_word, invert_word, reduce_word
 from .serialize import canonical_json, json_list
-from .window import Window
+from .window import Window, in_row
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,9 @@ class InstanceContract:
     # is to be scanned (the map may be None when found is given); the
     # certificates serve when measure is None
     measure: Callable[[Window], Callable[[str], tuple]] | None = None
+    # window -> the number of vertex pairs at distance 2 in the window graph,
+    # counted without a walk; the lifting suite walks the pairs when None
+    distance_two_pairs: Callable[[Window], int] | None = None
 
     def action(self, word: str) -> Callable[[Any], Any]:
         return self.act(self.element(word))
@@ -71,7 +76,7 @@ class InstanceContract:
             return 1 if self.adjacent(w, a, b) else None
         # a window is an induced subgraph, so its edges decide adjacency
         near = w.neighbors[ia]
-        if ib in near:
+        if in_row(near, ib):
             return 1
         if not set(near).isdisjoint(w.neighbors[ib]):
             return 2
@@ -122,6 +127,19 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
 
         return per_word
 
+    def distance_two_pairs(w: Window) -> int:
+        # the window holds every slope of height <= its bound.  A vertex's
+        # neighbours are one Bezout progression, whose consecutive terms and
+        # no others are adjacent, so a vertex of degree d > 0 lies on d - 1
+        # of the T triangles.  A pair at distance 2 has one common neighbour,
+        # or two: the Farey apexes (p +- r)/(q +- s) of an edge.  The lower
+        # apex of an edge is no higher than its ends, so the D edges with
+        # both apexes in the window satisfy E + D = 3T, and the pairs number
+        # sum C(d, 2) - 3T - D = sum C(d, 2) - 6T + E.
+        degrees = list(map(len, w.neighbors))
+        triangles3 = sum(degrees) - len(degrees) + degrees.count(0)
+        return sum(d * (d - 1) for d in degrees) // 2 - 2 * triangles3 + len(w.edges)
+
     def images(w: Window, m: farey_mod.IntMatrix) -> Iterator[tuple[int, int]]:
         # the window holds every slope of height <= its bound, so the
         # lattice enumeration finds each in-window image
@@ -141,6 +159,7 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
         images=images,
         exact_distance=farey_mod.distance,
         measure=measure,
+        distance_two_pairs=distance_two_pairs,
     )
 
 
@@ -194,14 +213,15 @@ class QuotientWindow:
     ``transporter[v]`` is a product of sample elements, in the contract's
     representation (a matrix on the Farey graph, a word on S0,5), with
     act(transporter[v])(rep key) = key of v.  ``contract`` is the one the
-    quotient was built with, so a quotient is all a suite needs.
+    quotient was built with, so a quotient is all a suite needs.  The
+    quotient edges and neighbour rows are read off the window's rows when
+    first asked for; ``row(c)`` gives one row alone.
     """
 
     window: Window
     contract: InstanceContract
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
     loops: tuple[tuple[int, int, int], ...]  # (class, vertex, vertex) collapsed edges
     transporter: tuple
     displacement: tuple[dict, ...]
@@ -209,8 +229,114 @@ class QuotientWindow:
     def __len__(self) -> int:
         return len(self.classes)
 
-    def representative(self, c: int) -> int:
-        return self.classes[c][0]
+    @cached_property
+    def merged(self) -> tuple[int, ...]:
+        """The classes with more than one member, in order."""
+        return tuple(c for c, members in enumerate(self.classes) if len(members) > 1)
+
+    @cached_property
+    def near(self) -> frozenset[int]:
+        """The window vertices within one step of a merged class.
+
+        Away from them the quotient map is the identity on stars."""
+        near = set()
+        for c in self.merged:
+            for i in self.classes[c]:
+                near.add(i)
+                near.update(self.window.neighbors[i])
+        return frozenset(near)
+
+    def row(self, c: int) -> tuple[int, ...]:
+        """The sorted classes adjacent to class c, made once.  Away from the
+        merged classes it is the window row of c's member, renumbered: its
+        neighbours are singletons, whose classes keep the vertex order."""
+        row = self._rows.get(c)
+        if row is None:
+            members, nbrs = self.classes[c], self.window.neighbors
+            class_at = self.class_of.__getitem__
+            if members[0] not in self.near:
+                row = tuple(map(class_at, nbrs[members[0]]))
+            else:
+                row = set(map(class_at, nbrs[members[0]]))
+                for i in members[1:]:
+                    row.update(map(class_at, nbrs[i]))
+                row.discard(c)
+                row = tuple(sorted(row))
+            self._rows[c] = row
+        return row
+
+    @cached_property
+    def _rows(self) -> dict[int, tuple[int, ...]]:
+        return {}  # the rows ``row`` has made
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Every class's ``row``: the window's rows when no class merges."""
+        if not self.merged:
+            return self.window.neighbors
+        return tuple(map(self.row, range(len(self.classes))))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The quotient edges (c, d) with c < d, in order."""
+        if not self.merged:
+            return self.window.edges
+        edges = []
+        for c, row in enumerate(self.neighbors):
+            edges.extend(zip(repeat(c), row[bisect_right(row, c):]))
+        return tuple(edges)
+
+    @cached_property
+    def lift(self) -> Callable[[int, int], tuple]:
+        """The lift of a quotient edge at a window vertex.
+
+        For each quotient edge and endpoint class one witnessing window edge
+        (u0, v0) is fixed, with u0 in the class: the least window edge
+        between the two classes.  The true neighbour of a member i of that
+        class over the other class is then the image of v0 under the element
+        carrying u0 to i (transporter of u0 inverted, then transporter of
+        i).  That map is built at most once per (u0, i), and not at all when
+        i is u0.  ``lift(i, other_class)`` returns the neighbour's key and
+        its window index, or None when it lies outside the window.  Two
+        singleton classes are joined by one window edge, so witnesses are
+        read off the stars of merged classes' members alone.
+        """
+        w, contract = self.window, self.contract
+        class_of, classes = self.class_of, self.classes
+        vertices, index, nbrs = w.vertices, w.index, w.neighbors
+        least: dict[tuple[int, int], tuple[int, int]] = {}  # class pair -> window edge
+        for a in self.merged:
+            for u in classes[a]:
+                for v in nbrs[u]:
+                    b = class_of[v]
+                    if b != a:
+                        pair = (a, b) if a < b else (b, a)
+                        edge = (u, v) if u < v else (v, u)
+                        if least.get(pair, edge) >= edge:
+                            least[pair] = edge
+        rep_edge: dict[tuple[int, int], tuple[int, int]] = {}
+        for i, j in least.values():
+            rep_edge[class_of[i], class_of[j]] = (i, j)
+            rep_edge[class_of[j], class_of[i]] = (j, i)
+        transports: dict[tuple[int, int], Callable] = {}
+
+        def lift(i: int, other_class: int):
+            witness = rep_edge.get((class_of[i], other_class))
+            if witness is None:  # i and the one member of other_class
+                v0 = classes[other_class][0]
+                return vertices[v0], v0
+            u0, v0 = witness
+            if u0 == i:
+                return vertices[v0], v0
+            fn = transports.get((u0, i))
+            if fn is None:
+                transporter = self.transporter
+                g = contract.compose(contract.invert(transporter[u0]), transporter[i])
+                fn = transports[(u0, i)] = contract.act(g)
+            v_key = fn(vertices[v0])
+            return v_key, index.get(v_key)
+
+        return lift
 
     @property
     def min_displacement(self) -> int | None:
@@ -219,23 +345,19 @@ class QuotientWindow:
 
     @cached_property
     def graph(self) -> Window:
-        """The quotient graph: vertex c is the representative of class c.
-
-        When no class merges, class c is vertex c, so the graph shares the
-        window's vertices and neighbour tuples rather than copying them.
-        """
+        """The quotient graph: vertex c is the representative of class c,
+        and its neighbour tuples are ``neighbors``.  When no class merges,
+        class c is vertex c, so the graph shares the window's vertices."""
         w = self.window
-        merged = len(self.classes) < len(w)
         graph = Window(
             instance=f"{self.contract.name}/quotient",
             basepoint=w.basepoint,
             bound=w.bound,
-            vertices=(tuple(w.vertices[m[0]] for m in self.classes) if merged
+            vertices=(tuple(w.vertices[m[0]] for m in self.classes) if self.merged
                       else w.vertices),
             edges=self.edges,
         )
-        if not merged:
-            graph.__dict__["neighbors"] = w.neighbors  # as cached_property stores it
+        graph.__dict__["neighbors"] = self.neighbors  # as cached_property stores it
         return graph
 
     def json_fields(self) -> dict[str, str]:
@@ -251,11 +373,12 @@ def displacement_report(
 ) -> tuple[dict, ...]:
     """Per element: the window minimum of d(v, n v) and its witness.
 
-    With exact distances the minimum is exact; otherwise only the {0, 1, 2}
-    certificates contribute and vertices with no certificate are counted as
-    distance >= 3, so ``min`` is a certified lower bound (argmin is null when
-    only the bound is attained).  ``argmin`` is the first window vertex
-    attaining the minimum.  Where the contract gives the minimum and that
+    With exact distances the minimum is exact.  Otherwise only the {0, 1, 2}
+    certificates contribute.  A vertex with no certificate is at distance
+    >= 2, since 0 and 1 are always decided, so ``min`` is a certified lower
+    bound of at most 2: when no vertex is certified at <= 2 it is 2 with
+    argmin null.  ``argmin`` is the first window vertex attaining the
+    minimum.  Where the contract gives the minimum and that
     vertex (on the Farey graph: a whole-graph minimiser of the axis ladder
     lies in the window, ``farey.window_minimisers``) they are taken as
     given; otherwise every window vertex is scanned.
@@ -276,7 +399,7 @@ def displacement_report(
                 elif best is None or d < best:
                     best, argmin = d, v
             if best is None:
-                best = 3 if bounded else None
+                best = 2 if bounded else None
         report.append({
             "word": word,
             "min": best,
@@ -336,22 +459,16 @@ def build_quotient(
                     members.append(j)
         classes.append((rep,) if len(members) == 1 else tuple(sorted(members)))
 
-    loops = []
-    qedges = set()
-    for i, j in w.edges:
-        ci, cj = class_of[i], class_of[j]
-        if ci == cj:
-            loops.append((ci, i, j))
-        else:
-            qedges.add((ci, cj) if ci < cj else (cj, ci))
+    # a window edge collapses only inside a merged class
+    loops = sorted((c, i, j) for c, members in enumerate(classes) if len(members) > 1
+                   for i in members for j in w.neighbors[i] if j > i and class_of[j] == c)
 
     return QuotientWindow(
         window=w,
         contract=contract,
         class_of=tuple(class_of),
         classes=tuple(classes),
-        edges=tuple(sorted(qedges)),
-        loops=tuple(sorted(loops)),
+        loops=tuple(loops),
         transporter=tuple(transporter),
         displacement=displacement_report(w, words, contract),
     )

@@ -12,14 +12,28 @@ truncated ones included; support-sets counts only the sites it decides;
 local-covering counts vertices, while its ``truncated`` counts star edges
 whose lift leaves the window.
 
+Away from the merged classes the quotient map is the identity on stars, so
+no suite finds a witness or a truncation there.  The simplicial, lifting,
+2-ball and local-covering suites therefore read only the window vertices
+within one step of a merged class (``QuotientWindow.near``), the quotient
+edges at a merged class and the quotient rows (``QuotientWindow.row``) of
+the classes they reach, and count every other site: each vertex or class
+is one, each quotient edge between singleton classes (a window edge with
+no end in a merged class) is one 2-ball site and two lifting sites, and the
+distance-2 class pairs away from the merges are the window's pairs at
+distance 2, counted by the contract's ``distance_two_pairs`` (the Farey
+graph has it), less those near a merge.  Without that count, or where the
+merges reach most of the window, lifting walks every class.  Pentagon
+transfer and support sets read the whole window.
+
 When violations occur while the sampled displacement is below the
 governing threshold (3 for simpliciality, 8 for the lifting, 2-ball,
 covering and pentagon-transfer statements), the status is
 ``out-of-hypothesis`` rather than ``fail``: the bound is a hypothesis and
 its necessity is worth exhibiting, not hiding.  On the five-punctured
 sphere the displacement of a nonempty sample is a certified lower bound of
-at most 3, so a threshold-8 suite there that finds a witness reports
-``out-of-hypothesis``, never ``fail``.
+at most 2, so every suite there that weighs its witnesses against a
+threshold reports ``out-of-hypothesis``, never ``fail``.
 
 Distance facts are exact on the Farey instance and {0, 1, 2}-certificates on
 the five-punctured sphere; checks that would need more are counted as
@@ -30,11 +44,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import combinations
-from typing import Callable
 
 from . import s5windows
 from .quotient import QuotientWindow
-from .window import Window
+from .window import SHORT_ROW, Window, in_row
 
 SIMPLICIAL_THRESHOLD = 3
 LIFTING_THRESHOLD = 8
@@ -61,55 +74,48 @@ def _report(suite: str, status: str, eligible: int, truncated: int,
     }
 
 
-def _edge_lifts(q: QuotientWindow):
-    """The lift of a quotient edge at a window vertex.
-
-    For each quotient edge and endpoint class one witnessing window edge
-    (u0, v0) is fixed, with u0 in the class.  The true neighbour of a member
-    i of that class over the other class is then the image of v0 under the
-    element carrying u0 to i (transporter of u0 inverted, then transporter
-    of i).  That map is built at most once per (u0, i), and not at all when
-    i is u0.  ``lift(i, other_class)`` returns the neighbour's key and its
-    window index, or None when it lies outside the window.  Two singleton
-    classes are joined by one window edge, so no witness is stored for them.
-    """
-    w, contract = q.window, q.contract
-    class_of, vertices, index, classes = q.class_of, w.vertices, w.index, q.classes
-    rep_edge: dict[tuple[int, int], tuple[int, int]] = {}
-    for i, j in w.edges:
-        ci, cj = class_of[i], class_of[j]
-        if ci == cj or len(classes[ci]) == len(classes[cj]) == 1:
-            continue
-        rep_edge.setdefault((ci, cj), (i, j))
-        rep_edge.setdefault((cj, ci), (j, i))
-    transports: dict[tuple[int, int], Callable] = {}
-
-    def lift(i: int, other_class: int):
-        witness = rep_edge.get((class_of[i], other_class))
-        if witness is None:  # i and the one member of other_class
-            v0 = classes[other_class][0]
-            return vertices[v0], v0
-        u0, v0 = witness
-        if u0 == i:
-            return vertices[v0], v0
-        fn = transports.get((u0, i))
-        if fn is None:
-            g = contract.compose(contract.invert(q.transporter[u0]), q.transporter[i])
-            fn = transports[(u0, i)] = contract.act(g)
-        v_key = fn(vertices[v0])
-        return v_key, index.get(v_key)
-
-    return lift
-
-
 def _window_certifies_two(w: Window, i: int, m: int, v: int) -> bool:
     """Whether the window alone shows d(i, v) = 2 along the path i, m, v.
 
     A window is an induced subgraph, so a missing edge between distinct
     vertices means distance at least 2, and the path gives at most 2.
     """
-    near = w.neighbors[i]
-    return i != v and v not in near and m in near and v in w.neighbors[m]
+    near, far = w.neighbors[i], w.neighbors[m]
+    if len(near) < SHORT_ROW and len(far) < SHORT_ROW:  # as in_row, with no calls
+        return i != v and v not in near and m in near and v in far
+    return i != v and not in_row(near, v) and in_row(near, m) and in_row(far, v)
+
+
+def _merged_edges(q: QuotientWindow) -> list[tuple[int, int]]:
+    """The quotient edges with a merged endpoint class, in order."""
+    return sorted({(a, b) if a < b else (b, a) for a in q.merged for b in q.row(a)})
+
+
+def _singleton_edges(q: QuotientWindow) -> int:
+    """The number of the other quotient edges: each is one window edge
+    between two singleton classes."""
+    nbrs = q.window.neighbors
+    members = {i for c in q.merged for i in q.classes[c]}
+    touching = sum(len(nbrs[i]) for i in members)
+    inside = sum(j in members for i in members for j in nbrs[i])  # counted twice
+    return len(q.window.edges) - touching + inside // 2
+
+
+def _pairs_near(rows, near: set[int], merged) -> int:
+    """The pairs at distance 2 in the graph of the neighbour tuples ``rows``
+    with both ends in ``near``, or one end in ``merged``, a subset of it."""
+    twice = once = 0
+    for x in near:
+        reach = set()
+        for m in rows[x]:
+            reach.update(rows[m])
+        reach.difference_update(rows[x])
+        reach.discard(x)
+        inside = len(reach & near)
+        twice += inside
+        if x in merged:
+            once += len(reach) - inside
+    return twice // 2 + once
 
 
 def check_simplicial(q: QuotientWindow) -> dict:
@@ -117,7 +123,8 @@ def check_simplicial(q: QuotientWindow) -> dict:
 
     A collapsed window edge is a loop in the quotient; two distinct
     neighbors of one vertex falling into the same class create a parallel
-    edge.  Both are ruled out by displacement >= 3.
+    edge.  Both are ruled out by displacement >= 3.  Two neighbours share a
+    class only if it is merged, so only stars next to one are read.
     """
     witnesses = []
     w, key = q.window, q.contract.key_str
@@ -126,7 +133,7 @@ def check_simplicial(q: QuotientWindow) -> dict:
             "kind": "loop", "class": c,
             "edge": [key(w.vertices[i]), key(w.vertices[j])],
         })
-    for i in range(len(w)):
+    for i in sorted(q.near):
         seen: dict[int, int] = {}
         for j in w.neighbors[i]:
             c = q.class_of[j]
@@ -163,7 +170,15 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
     singletons, both lifts are representative edges, and the window
     certifies distance 2: the two ends are distinct, and not adjacent,
     since every window edge between distinct classes is a quotient edge.
-    So every truncated site touches a class with more than one member.
+    So every truncated site touches a class with more than one member, and
+    (c) walks only from the classes of ``q.near``.  The pairs it counts
+    there have both classes near a merge, or one class merged.  Every other
+    pair joins two singleton classes, one with only singleton neighbours,
+    and is at quotient distance 2 exactly when its two vertices are at
+    window distance 2; those pairs are counted as the window's pairs at
+    distance 2 (the contract's ``distance_two_pairs``) less the window's
+    pairs of the first two kinds.  Without that count, or where the merges
+    reach most of the window and a walk costs less, every class is walked.
     """
     w, key = q.window, q.contract.key_str
     witnesses = []
@@ -176,12 +191,13 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
             "edge": [key(w.vertices[i]), key(w.vertices[j])],
         })
 
-    lift = _edge_lifts(q)
+    lift = q.lift
     nbrs, class_of, classes = w.neighbors, q.class_of, q.classes
-    single = [len(members) == 1 for members in classes]
-    for ci, cj in q.edges:
+    merged = set(q.merged)
+    eligible += 2 * _singleton_edges(q)  # decided at both ends
+    for ci, cj in _merged_edges(q):
         for a, b in ((ci, cj), (cj, ci)):
-            if single[a]:
+            if a not in merged:
                 eligible += 1
                 continue
             for i in classes[a]:
@@ -190,17 +206,24 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
                 if v is None:
                     truncated += 1
                     continue
-                if not (v in nbrs[i] and class_of[v] == b):
+                if not (in_row(nbrs[i], v) and class_of[v] == b):
                     witnesses.append({
                         "kind": "edge-lift", "at": key(w.vertices[i]),
                         "to_class": b, "lift": key(v_key),
                     })
 
-    # distance-2 geodesics, exhaustively over class pairs a < b, each taken
-    # over its least common neighbour mid; a lift that leaves the class it
-    # was taken over (possible out of hypothesis) is a witness naming the
-    # class reached.  Witnesses are listed in (mid, a, b) order.
-    qnbrs = q.graph.neighbors
+    # distance-2 geodesics over class pairs a < b, each taken over its least
+    # common neighbour mid; a lift that leaves the class it was taken over
+    # (possible out of hypothesis) is a witness naming the class reached.
+    # Witnesses are listed in (mid, a, b) order.
+    count = q.contract.distance_two_pairs
+    if count is None or 2 * len(q.near) > len(w):  # walking every class costs less
+        row, starts, near, pairs = q.neighbors.__getitem__, range(len(q)), None, 0
+    else:
+        row, near = q.row, {class_of[i] for i in q.near}
+        starts = sorted(near)
+        members = {i for c in merged for i in classes[c]}
+        pairs = count(w) - _pairs_near(nbrs, set(q.near), members)
     geodesic = []
 
     def witness(mid, a, b, lifted, **extra):
@@ -209,13 +232,14 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
             "lift": [key(x) for x in lifted], **extra,
         }))
 
-    for a in range(len(q)):
+    for a in starts:
         i = classes[a][0]
-        seen = set(qnbrs[a])
-        for mid in qnbrs[a]:
-            later = qnbrs[mid]
+        row_a = row(a)
+        seen = set(row_a)
+        for mid in row_a:
+            later = row(mid)
             later = later[bisect_right(later, a):]
-            if single[a] and single[mid]:
+            if a not in merged and mid not in merged:
                 seen.update(later)  # decided without a lift
                 continue
             for b in later:
@@ -240,8 +264,14 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
                         if d != 2:
                             witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                     distance=d)
-        # every site of a is a class b it saw beyond its own neighbours
-        eligible += len(seen) - len(qnbrs[a])
+        seen.difference_update(row_a)  # the classes b > a at distance 2
+        if near is None:
+            pairs += len(seen)
+        else:
+            pairs += len(seen & near)
+            if a in merged:  # and, on either side, those away from every merge
+                pairs += len(set().union(*map(row, row_a)) - near)
+    eligible += pairs
     geodesic.sort(key=lambda site: site[0])
     witnesses.extend(x for _, x in geodesic)
     return _report(
@@ -258,7 +288,9 @@ def verify_ball2_isometry(q: QuotientWindow) -> dict:
     pair at distance <= 4, and a distance distortion is an adjacent class
     pair with a cross-distance in {2, 3, 4} (both endpoints then lie in a
     common 2-ball centred on the short path).  Sites where the instance
-    cannot certify "distance >= 5" are truncated, not passed.
+    cannot certify "distance >= 5" are truncated, not passed.  A quotient
+    edge between singleton classes is one window edge, a site decided
+    without a distance.
     """
     w, key = q.window, q.contract.key_str
     witnesses = []
@@ -268,8 +300,8 @@ def verify_ball2_isometry(q: QuotientWindow) -> dict:
         cert = q.contract.certificate(x, y, w)
         return None if cert is None else cert >= 5
 
-    for members in q.classes:
-        for i, j in combinations(members, 2):
+    for c in q.merged:
+        for i, j in combinations(q.classes[c], 2):
             eligible += 1
             far = far_apart(w.vertices[i], w.vertices[j])
             if far is None:
@@ -280,7 +312,8 @@ def verify_ball2_isometry(q: QuotientWindow) -> dict:
                     "pair": [key(w.vertices[i]), key(w.vertices[j])],
                 })
     nbrs = w.neighbors
-    for a, b in q.edges:
+    eligible += _singleton_edges(q)
+    for a, b in _merged_edges(q):
         for i in q.classes[a]:
             for j in q.classes[b]:
                 eligible += 1
@@ -307,18 +340,20 @@ def verify_local_covering(q: QuotientWindow) -> dict:
     quotient star, and triangle-reflecting (two neighbors with adjacent
     classes must be adjacent; both lie in a 2-ball, so this is exact).
 
-    The triangle scan skips every pair of neighbours in singleton classes:
-    two singleton classes are adjacent exactly when their members are, since
-    quotient edges are the window edges between classes.  The pairs it reads
-    come in the order of ``itertools.combinations`` over the star."""
+    Every window vertex is a site, but only stars next to a merged class
+    (``q.near``) are read: elsewhere the star's classes are its singleton
+    neighbours.  The triangle scan skips every pair of neighbours in
+    singleton classes: two singleton classes are adjacent exactly when
+    their members are, since quotient edges are the window edges between
+    classes.  The pairs it reads come in the order of
+    ``itertools.combinations`` over the star."""
     w, key = q.window, q.contract.key_str
     witnesses = []
-    eligible = truncated = 0
-    lift = _edge_lifts(q)
-    nbrs, qnbrs, class_of = w.neighbors, q.graph.neighbors, q.class_of
-    single = [len(members) == 1 for members in q.classes]
-    for i in range(len(w)):
-        eligible += 1
+    truncated = 0
+    lift = q.lift
+    nbrs, class_of = w.neighbors, q.class_of
+    merged = set(q.merged)
+    for i in sorted(q.near):
         ci = class_of[i]
         star = nbrs[i]
         by_class: dict[int, int] = {}
@@ -330,7 +365,7 @@ def verify_local_covering(q: QuotientWindow) -> dict:
                     "neighbors": [key(w.vertices[by_class[cj]]), key(w.vertices[j])],
                 })
             by_class[cj] = j
-        for b in qnbrs[ci]:
+        for b in q.row(ci):
             if b in by_class:
                 continue
             if lift(i, b)[1] is None:
@@ -340,23 +375,26 @@ def verify_local_covering(q: QuotientWindow) -> dict:
                     "kind": "star-missing-edge", "at": key(w.vertices[i]),
                     "to_class": b,
                 })
-        merged = [p for p, j in enumerate(star) if not single[class_of[j]]]
-        if not merged:
+        larger = [p for p, j in enumerate(star) if class_of[j] in merged]
+        if not larger:
             continue
-        larger = [star[p] for p in merged]
+        larger_star = [star[p] for p in larger]
         for p, j in enumerate(star):
             cj = class_of[j]
             # a neighbour in a singleton class pairs only with larger classes
-            later = larger[bisect_right(merged, p):] if single[cj] else star[p + 1:]
+            later = star[p + 1:] if cj in merged else larger_star[bisect_right(larger, p):]
+            if not later:
+                continue
+            row_j = q.row(cj)
             for k in later:
-                if class_of[k] in qnbrs[cj] and k not in nbrs[j]:
+                if class_of[k] in row_j and k not in nbrs[j]:
                     witnesses.append({
                         "kind": "star-false-triangle", "at": key(w.vertices[i]),
                         "pair": [key(w.vertices[j]), key(w.vertices[k])],
                     })
     return _report(
         "local-covering", _status(witnesses, q, LIFTING_THRESHOLD),
-        eligible=eligible, truncated=truncated, witnesses=witnesses,
+        eligible=len(q.window), truncated=truncated, witnesses=witnesses,
     )
 
 

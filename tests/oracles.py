@@ -26,6 +26,11 @@ fraction.  The tests check both against the slower methods kept here:
 - the lifting and local-covering suites deciding every site by lifting it,
   with a witnessing edge stored for every pair of adjacent classes,
   against which their singleton shortcuts are checked;
+- the simplicial, lifting, 2-ball and local-covering suites walking every
+  vertex, edge and distance-2 pair of the window and its quotient, with
+  neighbour tuples rebuilt from the edges, against which the suites that
+  read only the stars next to a merged class and count the rest are
+  checked;
 - the pentagon-transfer suite testing each projected cycle edge by edge
   and searching each quotient pentagon for a window cycle over it, against
   which its membership tests between the two pentagon enumerations are
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
@@ -52,6 +58,7 @@ from itertools import combinations
 from curvelab import farey
 from curvelab.suites import (
     LIFTING_THRESHOLD,
+    SIMPLICIAL_THRESHOLD,
     _boundary_vertices,
     _report,
     _status,
@@ -488,6 +495,12 @@ def set_adjacency(w: Window) -> tuple[frozenset[int], ...]:
     return tuple(map(frozenset, adj))
 
 
+def sorted_adjacency(w: Window) -> tuple[tuple[int, ...], ...]:
+    """The neighbours of each window vertex as a sorted tuple, read off
+    ``w.edges`` without ``w.neighbors``, which a builder may hand over."""
+    return tuple(tuple(sorted(a)) for a in set_adjacency(w))
+
+
 # ---------------------------------------------------------------- JSON
 
 
@@ -613,6 +626,11 @@ class BfsOracle:
 # ---------------------------------------------------------------- quotients
 
 
+def representative(q, c: int) -> int:
+    """The representative of class c of the quotient q: its least vertex."""
+    return q.classes[c][0]
+
+
 def apply_and_lookup_moves(w: Window, words, contract) -> list[list[tuple]]:
     """``quotient.identification_moves`` by applying each sample element to
     every window vertex and looking the image up."""
@@ -628,7 +646,7 @@ def apply_and_lookup_moves(w: Window, words, contract) -> list[list[tuple]]:
 
 
 def _edge_lifts(q, contract):
-    """``suites._edge_lifts`` with a witnessing window edge stored for every
+    """``QuotientWindow.lift`` with a witnessing window edge stored for every
     ordered pair of adjacent classes, singletons included."""
     w = q.window
     class_of, vertices, index = q.class_of, w.vertices, w.index
@@ -774,6 +792,268 @@ def per_site_local_covering(w: Window, q, contract) -> dict:
                     "kind": "star-false-triangle", "at": key(w.vertices[i]),
                     "pair": [key(w.vertices[j]), key(w.vertices[k])],
                 })
+    return _report(
+        "local-covering", _status(witnesses, q, LIFTING_THRESHOLD),
+        eligible=eligible, truncated=truncated, witnesses=witnesses,
+    )
+
+
+# ---------------------------------------------------------------- walked suites
+
+
+def walk_simplicial(q) -> dict:
+    """``suites.check_simplicial`` reading every star of the window.
+
+    No identified pair is adjacent; no star maps two neighbors together.
+
+    A collapsed window edge is a loop in the quotient; two distinct
+    neighbors of one vertex falling into the same class create a parallel
+    edge.  Both are ruled out by displacement >= 3.
+    """
+    witnesses = []
+    w, key = q.window, q.contract.key_str
+    for c, i, j in q.loops:
+        witnesses.append({
+            "kind": "loop", "class": c,
+            "edge": [key(w.vertices[i]), key(w.vertices[j])],
+        })
+    nbrs = sorted_adjacency(w)
+    for i in range(len(w)):
+        seen: dict[int, int] = {}
+        for j in nbrs[i]:
+            c = q.class_of[j]
+            if c in seen and q.class_of[i] != c:
+                witnesses.append({
+                    "kind": "parallel", "at": key(w.vertices[i]),
+                    "neighbors": [key(w.vertices[seen[c]]), key(w.vertices[j])],
+                })
+            else:
+                seen[c] = j
+    return _report(
+        "simplicial", _status(witnesses, q, SIMPLICIAL_THRESHOLD),
+        eligible=len(q), truncated=0, witnesses=witnesses,
+    )
+
+
+def walk_lipschitz_lifting(q) -> dict:
+    """``suites.verify_lipschitz_lifting`` walking every quotient edge and
+    every distance-2 pair of classes.
+
+    Edges project to edges; quotient edges and geodesics lift.
+
+    (a) no window edge collapses to a point; (b) every quotient edge lifts
+    at every member of either endpoint class (edge-by-edge path lifting
+    follows by induction); (c) every pair of classes at quotient distance 2
+    admits a lift realizing true distance 2.  Lifts leaving the window are
+    truncated sites.  In (c), a lift that lands outside the class it was
+    taken over (possible out of hypothesis), first to the middle class or
+    then to the far one, is an eligible ``geodesic-lift`` witness naming
+    the class reached, never a truncated site, and no distance is measured
+    to it.
+
+    Sites at singleton classes are counted as eligible and decided without
+    a lift.  In (b), the lift at the only member of a class is the
+    representative window edge itself: adjacent, inside the window and in
+    the other class.  In (c), when the first class and the middle one are
+    singletons, both lifts are representative edges, and the window
+    certifies distance 2: the two ends are distinct, and not adjacent,
+    since every window edge between distinct classes is a quotient edge.
+    So every truncated site touches a class with more than one member.
+    """
+    w, key = q.window, q.contract.key_str
+    witnesses = []
+    eligible = truncated = 0
+
+    for c, i, j in q.loops:
+        eligible += 1
+        witnesses.append({
+            "kind": "collapsed-edge",
+            "edge": [key(w.vertices[i]), key(w.vertices[j])],
+        })
+
+    lift = _edge_lifts(q, q.contract)
+    nbrs, class_of, classes = sorted_adjacency(w), q.class_of, q.classes
+    single = [len(members) == 1 for members in classes]
+    for ci, cj in q.edges:
+        for a, b in ((ci, cj), (cj, ci)):
+            if single[a]:
+                eligible += 1
+                continue
+            for i in classes[a]:
+                eligible += 1
+                v_key, v = lift(i, b)
+                if v is None:
+                    truncated += 1
+                    continue
+                if not (v in nbrs[i] and class_of[v] == b):
+                    witnesses.append({
+                        "kind": "edge-lift", "at": key(w.vertices[i]),
+                        "to_class": b, "lift": key(v_key),
+                    })
+
+    # distance-2 geodesics, exhaustively over class pairs a < b, each taken
+    # over its least common neighbour mid; a lift that leaves the class it
+    # was taken over (possible out of hypothesis) is a witness naming the
+    # class reached.  Witnesses are listed in (mid, a, b) order.
+    qnbrs = sorted_adjacency(q.graph)
+    geodesic = []
+
+    def witness(mid, a, b, lifted, **extra):
+        geodesic.append(((mid, a, b), {
+            "kind": "geodesic-lift", "classes": [a, b],
+            "lift": [key(x) for x in lifted], **extra,
+        }))
+
+    for a in range(len(q)):
+        i = classes[a][0]
+        seen = set(qnbrs[a])
+        for mid in qnbrs[a]:
+            later = qnbrs[mid]
+            later = later[bisect_right(later, a):]
+            if single[a] and single[mid]:
+                seen.update(later)  # decided without a lift
+                continue
+            for b in later:
+                if b in seen:
+                    continue
+                seen.add(b)
+                m_key, m = lift(i, mid)
+                if m is None:
+                    truncated += 1
+                elif class_of[m] != mid:
+                    witness(mid, a, b, (w.vertices[i], m_key),
+                            mid_class=mid, reached_class=class_of[m])
+                else:
+                    v_key, v = lift(m, b)
+                    if v is None:
+                        truncated += 1
+                    elif class_of[v] != b:
+                        witness(mid, a, b, (w.vertices[i], m_key, v_key),
+                                reached_class=class_of[v])
+                    elif not _window_certifies_two(w, i, m, v):
+                        d = q.contract.certificate(w.vertices[i], v_key, w)
+                        if d != 2:
+                            witness(mid, a, b, (w.vertices[i], m_key, v_key),
+                                    distance=d)
+        # every site of a is a class b it saw beyond its own neighbours
+        eligible += len(seen) - len(qnbrs[a])
+    geodesic.sort(key=lambda site: site[0])
+    witnesses.extend(x for _, x in geodesic)
+    return _report(
+        "lipschitz-lifting", _status(witnesses, q, LIFTING_THRESHOLD),
+        eligible=eligible, truncated=truncated, witnesses=witnesses,
+    )
+
+
+def walk_ball2_isometry(q) -> dict:
+    """``suites.verify_ball2_isometry`` reading every class and every
+    quotient edge.
+
+    The projection is injective and distance-preserving on 2-balls.
+
+    Reformulated over classes, which is exact and free of window-boundary
+    effects: an injectivity failure on some B(x, 2) is a distinct identified
+    pair at distance <= 4, and a distance distortion is an adjacent class
+    pair with a cross-distance in {2, 3, 4} (both endpoints then lie in a
+    common 2-ball centred on the short path).  Sites where the instance
+    cannot certify "distance >= 5" are truncated, not passed.
+    """
+    w, key = q.window, q.contract.key_str
+    witnesses = []
+    eligible = truncated = 0
+
+    def far_apart(x, y) -> bool | None:
+        cert = q.contract.certificate(x, y, w)
+        return None if cert is None else cert >= 5
+
+    for members in q.classes:
+        for i, j in combinations(members, 2):
+            eligible += 1
+            far = far_apart(w.vertices[i], w.vertices[j])
+            if far is None:
+                truncated += 1
+            elif not far:
+                witnesses.append({
+                    "kind": "ball-injectivity",
+                    "pair": [key(w.vertices[i]), key(w.vertices[j])],
+                })
+    nbrs = sorted_adjacency(w)
+    for a, b in q.edges:
+        for i in q.classes[a]:
+            for j in q.classes[b]:
+                eligible += 1
+                if j in nbrs[i]:  # the window is an induced subgraph
+                    continue
+                x, y = w.vertices[i], w.vertices[j]
+                far = far_apart(x, y)
+                if far is None:
+                    truncated += 1
+                elif not far:
+                    witnesses.append({
+                        "kind": "distance-distortion",
+                        "pair": [key(x), key(y)],
+                        "classes": [a, b],
+                    })
+    return _report(
+        "ball2-isometry", _status(witnesses, q, LIFTING_THRESHOLD),
+        eligible=eligible, truncated=truncated, witnesses=witnesses,
+    )
+
+
+def walk_local_covering(q) -> dict:
+    """``suites.verify_local_covering`` reading every star of the window.
+
+    Stars map isomorphically: injective on neighbors, surjective onto the
+    quotient star, and triangle-reflecting (two neighbors with adjacent
+    classes must be adjacent; both lie in a 2-ball, so this is exact).
+
+    The triangle scan skips every pair of neighbours in singleton classes:
+    two singleton classes are adjacent exactly when their members are, since
+    quotient edges are the window edges between classes.  The pairs it reads
+    come in the order of ``itertools.combinations`` over the star."""
+    w, key = q.window, q.contract.key_str
+    witnesses = []
+    eligible = truncated = 0
+    lift = _edge_lifts(q, q.contract)
+    nbrs, qnbrs, class_of = sorted_adjacency(w), sorted_adjacency(q.graph), q.class_of
+    single = [len(members) == 1 for members in q.classes]
+    for i in range(len(w)):
+        eligible += 1
+        ci = class_of[i]
+        star = nbrs[i]
+        by_class: dict[int, int] = {}
+        for j in star:
+            cj = class_of[j]
+            if cj in by_class:
+                witnesses.append({
+                    "kind": "star-collapse", "at": key(w.vertices[i]),
+                    "neighbors": [key(w.vertices[by_class[cj]]), key(w.vertices[j])],
+                })
+            by_class[cj] = j
+        for b in qnbrs[ci]:
+            if b in by_class:
+                continue
+            if lift(i, b)[1] is None:
+                truncated += 1
+            else:
+                witnesses.append({
+                    "kind": "star-missing-edge", "at": key(w.vertices[i]),
+                    "to_class": b,
+                })
+        merged = [p for p, j in enumerate(star) if not single[class_of[j]]]
+        if not merged:
+            continue
+        larger = [star[p] for p in merged]
+        for p, j in enumerate(star):
+            cj = class_of[j]
+            # a neighbour in a singleton class pairs only with larger classes
+            later = larger[bisect_right(merged, p):] if single[cj] else star[p + 1:]
+            for k in later:
+                if class_of[k] in qnbrs[cj] and k not in nbrs[j]:
+                    witnesses.append({
+                        "kind": "star-false-triangle", "at": key(w.vertices[i]),
+                        "pair": [key(w.vertices[j]), key(w.vertices[k])],
+                    })
     return _report(
         "local-covering", _status(witnesses, q, LIFTING_THRESHOLD),
         eligible=eligible, truncated=truncated, witnesses=witnesses,

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -460,12 +461,92 @@ def test_corrupt_window_cache_entry_is_rebuilt(runner, tmp_path, monkeypatch):
     assert result.exit_code == 0 and result.output == first
 
 
-def assert_one_error_line(args, env=None):
+def assert_one_error_line(args, env=None) -> str:
+    """The command line exits 2 with one ``error:`` line; returns the line."""
     result = CliRunner(env=env).invoke(cli.main, args, catch_exceptions=False)
     assert result.exit_code == cli.EXIT_IO_ERROR, result.output
     assert "Traceback" not in result.output
     lines = result.output.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+    return lines[0]
+
+
+def _commands(group=cli.main, path=()):
+    for name, cmd in sorted(group.commands.items()):
+        if isinstance(cmd, click.Group):
+            yield from _commands(cmd, (*path, name))
+        else:
+            yield (*path, name), cmd
+
+
+COMMANDS = dict(_commands())
+GROUPS = [()] + sorted({path[:-1] for path in COMMANDS if len(path) > 1})
+
+
+def _required(cmd) -> list[str]:
+    """The command's required options, each given a well-formed value."""
+    out = []
+    for p in cmd.params:
+        if isinstance(p, click.Option) and p.required:
+            out += [p.opts[0], "1" if p.type is click.INT else "simplicial"]
+    return out
+
+
+def _malformed(path, cmd) -> dict[str, list[str]]:
+    """Command lines that click itself refuses, by the form of the mistake."""
+    arguments = ["1/0"] * sum(p.nargs for p in cmd.params if isinstance(p, click.Argument))
+    forms = {
+        "unknown-option": [*path, *_required(cmd), "--hieght", "3", *arguments],
+        "extra-argument": [*path, *_required(cmd), *arguments, "extra"],
+        "bad-choice": [*path, *_required(cmd), "--format", "xml", *arguments],
+    }
+    ints = [p.opts[0] for p in cmd.params
+            if isinstance(p, click.Option) and p.type is click.INT]
+    if ints:
+        forms["bad-integer"] = [*path, *_required(cmd), ints[0], "abc", *arguments]
+    return forms
+
+
+@pytest.mark.parametrize("path", sorted(COMMANDS), ids=" ".join)
+def test_malformed_command_lines_give_one_error_line(path):
+    for args in _malformed(path, COMMANDS[path]).values():
+        assert_one_error_line(args)
+
+
+@pytest.mark.parametrize("path", GROUPS, ids=lambda path: " ".join(path) or "main")
+def test_unknown_command_gives_one_error_line(path):
+    assert assert_one_error_line([*path, "nosuch"]) == "error: No such command 'nosuch'."
+
+
+@pytest.mark.parametrize("args,line", [
+    (["farey", "window", "--hieght", "3"],
+     "error: No such option '--hieght'. Did you mean '--height'?"),
+    (["farey", "dist", "2/5", "1/0", "-x"], "error: Got unexpected extra argument (-x)"),
+    (["verify", "--suites", "simplicial", "--height", "abc"],
+     "error: Invalid value for '--height': 'abc' is not a valid integer."),
+    (["verify", "--suites", "simplicial", "--format", "xml"],
+     "error: Invalid value for '--format': 'xml' is not one of 'json', 'dot', 'text'."),
+    (["nosuch"], "error: No such command 'nosuch'."),
+])
+def test_usage_errors_name_the_mistake(args, line):
+    assert assert_one_error_line(args) == line
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(COMMANDS)),
+       st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=12))
+def test_unknown_option_names_give_one_error_line(path, name):
+    cmd = COMMANDS[path]
+    known = {opt for p in cmd.params for opt in p.opts} | {"--help"}
+    if f"--{name}" in known or cmd.context_settings.get("ignore_unknown_options"):
+        return
+    assert_one_error_line([*path, *_required(cmd), f"--{name}"])
+
+
+def test_help_is_unchanged(runner):
+    result = invoke(runner, ["farey", "window", "--help"])
+    assert result.exit_code == 0
+    assert result.output.startswith("Usage: main farey window [OPTIONS]")
 
 
 def test_cached_window_with_wrong_witness_exits_two(runner, tmp_path, monkeypatch):

@@ -8,15 +8,24 @@ floor never exceeds the minimum that a scan of every window vertex with
 ``farey.distance`` finds, that the report is exactly that scan's first
 minimum, and that the report evaluates no vertex when a minimiser is in the
 window and every vertex otherwise.
+
+On the five-punctured sphere only distances 0 and 1 are decided exactly, and
+2 where the window holds a common neighbour.  The report must state only
+that: its ``min`` is the least decided 0 or 1, else 2, and its ``argmin``
+attains it, as a search for common neighbours in the bound-5 window shows.
 """
 
 import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curvelab import farey, quotient
+import oracles
+from curvelab import farey, quotient, s5windows
 from curvelab.farey import IntMatrix, Slope, axis_displacement, word_matrix
+from curvelab.mcg import apply_word, reduce_word
 
 # the farey-verify menu of the benchmark, as (matrix, power, conjugator length)
 MENU_SPECS = [
@@ -187,3 +196,60 @@ def test_integer_measure_matches_distance():
     m = IntMatrix(2, 1, 1, 1)
     assert [farey.displacement_measure(translated)(m)(i) for i in range(3)] == \
         plain_displacements(translated, m)
+
+
+# ---------------------------------------------------------------- S5
+
+
+@pytest.fixture(scope="module")
+def s5_windows(w2, w3):
+    return {0: s5windows.build_window(0), 1: s5windows.build_window(1), 2: w2, 3: w3,
+            5: s5windows.build_window(5)}
+
+
+def s5_short_distances(w, w5, word: str) -> list[int | None]:
+    """Per vertex v of w: d(v, g v) for the word g where it is at most 2 as
+    shown here (0 when equal, 1 when disjoint by flip reduction, 2 through
+    a common neighbour in the bound-5 window w5), else None."""
+    out = []
+    for v in w.vertices:
+        u = apply_word(word, v)
+        if u == v:
+            out.append(0)
+        elif oracles.disjoint(v, u):
+            out.append(1)
+        elif any(s5windows.adjacent(w5, w5.vertices[x], u)
+                 for x in w5.neighbors[w5.index[v]]):
+            out.append(2)
+        else:
+            out.append(None)
+    return out
+
+
+def check_s5_report(w, w5, words) -> list[dict]:
+    report = quotient.displacement_report(w, words, quotient.s5_contract())
+    for r in report:
+        ds = s5_short_distances(w, w5, r["word"])
+        decided = [d for d in ds if d is not None and d <= 1]
+        assert r["min"] == min(decided, default=2), r
+        if r["argmin"] is not None:
+            at = w.index[s5windows.parse_curve_key(r["argmin"])]
+            assert ds[at] == r["min"], r
+    return list(report)
+
+
+def test_s5_report_floor_is_the_certified_two():
+    # at bound 2 no vertex of the window has a certified distance to its
+    # image under aCbdCb, but the bound-5 window shows some at distance 2
+    w, w5 = s5windows.build_window(2), s5windows.build_window(5)
+    sample = quotient.s5_sample(("aCbdCb",))
+    report = check_s5_report(w, w5, sample)
+    assert [(r["min"], r["argmin"]) for r in report] == [(2, None)] * 2
+    assert 2 in s5_short_distances(w, w5, "aCbdCb")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([0, 1, 2, 3]),
+       st.text("aAbBcCdD", min_size=4, max_size=12).map(reduce_word).filter(bool))
+def test_s5_report_states_only_certified_distances(s5_windows, bound, word):
+    check_s5_report(s5_windows[bound], s5_windows[5], quotient.s5_sample((word,)))

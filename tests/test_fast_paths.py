@@ -8,6 +8,11 @@ oracle: applying every element to every vertex
 (``oracles.apply_and_lookup_moves``), scanning every vertex with plain
 distances (``test_displacement.check_report``) and lifting at every site
 (``oracles.per_site_lipschitz_lifting``, ``oracles.per_site_local_covering``).
+The simplicial, lifting, 2-ball and local-covering suites read only the
+stars next to a merged class (``QuotientWindow.near``) and count the other
+sites; they must agree with the same suites walking every vertex, edge and
+distance-2 pair (``oracles.walk_*``), and the Farey count of distance-2
+pairs (``InstanceContract.distance_two_pairs``) with a walk of the window.
 The pentagon-transfer suite decides its sites by membership between the
 window's and the quotient's pentagon enumerations, and must agree with
 testing each projected cycle edge by edge and searching each quotient
@@ -28,9 +33,15 @@ from oracles import (
     apply_and_lookup_moves,
     per_site_lipschitz_lifting,
     per_site_local_covering,
+    sorted_adjacency,
     transfer_pentagons,
+    walk_ball2_isometry,
+    walk_lipschitz_lifting,
+    walk_local_covering,
+    walk_simplicial,
 )
 from test_displacement import MENU_SPECS, SWEEP_MATRICES, check_report, plain_displacements
+from test_quotient import assert_edges_join_classes
 
 # old item 1's sweep: (matrix, power, conjugator length) at height 20
 SWEEP = [(m, k, c) for m in SWEEP_MATRICES for k in (1, 2, 4, 8) for c in (0, 1, 2)]
@@ -59,16 +70,33 @@ def assert_moves_match(w, words, contract) -> int:
     return sum(map(len, moves))
 
 
+def walked_distance_two_pairs(w) -> int:
+    """The pairs at distance 2 in the window graph, by walking every vertex."""
+    rows, total = sorted_adjacency(w), 0
+    for x, row in enumerate(rows):
+        total += len(set().union(*map(rows.__getitem__, row)) - set(row) - {x})
+    return total // 2
+
+
 def assert_suites_match(w, q, contract) -> None:
-    """The shortcut suites equal their per-site oracles, and every quotient
-    suite of the instance is total.  On S5 the pentagon-transfer suite also
-    equals its oracle, which tests each site edge by edge."""
+    """The suites equal the walking oracles, lifting and local covering also
+    their per-site oracles, and every quotient suite of the instance is
+    total.  On S5 the pentagon-transfer suite also equals its oracle, which
+    tests each site edge by edge.  On the Farey graph the count of
+    distance-2 pairs equals the walk."""
+    simplicial = suites.check_simplicial(q)
     lifting = suites.verify_lipschitz_lifting(q)
+    ball2 = suites.verify_ball2_isometry(q)
     covering = suites.verify_local_covering(q)
+    assert simplicial == walk_simplicial(q)
+    assert ball2 == walk_ball2_isometry(q)
+    assert lifting == walk_lipschitz_lifting(q)
+    assert covering == walk_local_covering(q)
     assert lifting == per_site_lipschitz_lifting(w, q, contract)
     assert covering == per_site_local_covering(w, q, contract)
-    reports = [suites.check_simplicial(q), lifting,
-               suites.verify_ball2_isometry(q), covering]
+    if contract.distance_two_pairs is not None:
+        assert contract.distance_two_pairs(w) == walked_distance_two_pairs(w)
+    reports = [simplicial, lifting, ball2, covering]
     if contract.name == "s5":
         transfer = suites.transfer_pentagons(q)
         assert transfer == transfer_pentagons(w, q, contract)
@@ -132,6 +160,63 @@ def test_images_match_apply_and_lookup_edge_cases(matrix, power, conj_len, depth
 def test_singleton_shortcuts_match_per_site_sweep(matrix, power, conj_len):
     w, words, contract = farey_case(matrix, power, conj_len, 20)
     assert_suites_match(w, quotient.build_quotient(w, words, contract), contract)
+
+
+# the farey-verify menu of the benchmark (curvebench/workloads.py)
+FAREY_MENU = [(30, *spec) for spec in MENU_SPECS] + [(40, "2,1,1,1", 8, 1),
+                                                     (55, "2,1,1,1", 8, 1)]
+
+
+@pytest.mark.parametrize("height,matrix,power,conj_len", FAREY_MENU)
+def test_suites_match_walks_menu(height, matrix, power, conj_len):
+    w, words, contract = farey_case(matrix, power, conj_len, height)
+    assert_suites_match(w, quotient.build_quotient(w, words, contract), contract)
+
+
+def test_suites_match_walks_out_of_hypothesis():
+    # K=2 merges classes all over the window, so lifting walks every class
+    w, words, contract = farey_case("2,1,1,1", 2, 2, 30)
+    q = quotient.build_quotient(w, words, contract)
+    assert 2 * len(q.near) > len(w)
+    assert_suites_match(w, q, contract)
+    assert suites.verify_lipschitz_lifting(q)["status"] == "out-of-hypothesis"
+
+
+def test_lifts_are_taken_next_to_a_merge():
+    # the h=55 benchmark entry: 14 merged classes, whose one-step
+    # neighbourhood is a small part of the window
+    w, words, contract = farey_case("2,1,1,1", 8, 1, 55)
+    q = quotient.build_quotient(w, words, contract)
+    assert len(q.merged) == 14
+    members = {i for c in q.merged for i in q.classes[c]}
+    near = members.union(*map(w.neighbors.__getitem__, members))
+    assert q.near == near and 10 * len(near) < len(w)
+    lift, at = q.lift, []
+
+    def spy(i, other_class):
+        at.append(i)
+        return lift(i, other_class)
+
+    q.__dict__["lift"] = spy  # where cached_property stores it
+    for suite in (suites.check_simplicial, suites.verify_lipschitz_lifting,
+                  suites.verify_ball2_isometry, suites.verify_local_covering):
+        suite(q)
+    assert at and set(at) <= near
+    # the rows rebuilt near the merges and renumbered elsewhere are the
+    # rows of the quotient edges, which join the classes of window edges
+    assert q.neighbors == q.graph.neighbors == sorted_adjacency(q.graph)
+    assert_edges_join_classes(q)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 60))
+def test_window_rows_and_distance_two_count(height):
+    # farey_window hands its neighbour rows to the window; they and the
+    # count of distance-2 pairs must be those of the edges
+    w = farey.farey_window(height)
+    assert w.neighbors == sorted_adjacency(w)
+    count = quotient.farey_contract(IntMatrix(2, 1, 1, 1)).distance_two_pairs
+    assert count(w) == walked_distance_two_pairs(w)
 
 
 def test_singleton_shortcuts_match_per_site_s5_sweep(w2):

@@ -10,7 +10,7 @@ from curvelab.quotient import (
     s5_sample,
 )
 from curvelab.serialize import CACHE_ENV, json_object
-from oracles import set_adjacency
+from oracles import representative, set_adjacency
 from test_json_text import QUOTIENT_ENTRIES, _quotient_of
 
 BASE = farey.IntMatrix(2, 1, 1, 1)
@@ -122,7 +122,7 @@ def test_as_window_sorted(q20, w3):
     assert len(q3) < len(w3)
     for q, w in ((q20, q20.window), (q3, w3)):
         assert q.graph.vertices == tuple(
-            w.vertices[q.representative(c)] for c in range(len(q)))
+            w.vertices[representative(q, c)] for c in range(len(q)))
         assert list(q.graph.vertices) == sorted(q.graph.vertices)
         assert q.graph.edges == q.edges
     assert q3.graph.instance == "s5/quotient"

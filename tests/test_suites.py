@@ -5,7 +5,7 @@ import pytest
 from curvelab import farey, quotient, s5windows, suites
 from curvelab.curves import BASE_CURVES
 from curvelab.quotient import QuotientWindow
-from oracles import act, detected_curves, set_adjacency
+from oracles import act, detected_curves, representative, set_adjacency
 
 BASE = farey.IntMatrix(2, 1, 1, 1)
 
@@ -246,7 +246,7 @@ def test_propagate_agrees_with_group_element(w2, sq2):
     def disagreeing(out):
         bad = []
         for k, v in out["map"].items():
-            img = act(g, s5windows.window_curve(w2, sq2.representative(k))).coords
+            img = act(g, s5windows.window_curve(w2, representative(sq2, k))).coords
             if img in w2.index and _cls(sq2, w2, img) != v:
                 bad.append(k)
         return bad
@@ -256,7 +256,7 @@ def test_propagate_agrees_with_group_element(w2, sq2):
     bad = disagreeing(first)
     if bad:  # wrong global orientation: the hint flips it
         k0 = bad[0]
-        img = act(g, s5windows.window_curve(w2, sq2.representative(k0))).coords
+        img = act(g, s5windows.window_curve(w2, representative(sq2, k0))).coords
         hinted = propagate_pentagon_map(
             sq2, dict(seed), first_choice=(k0, _cls(sq2, w2, img))
         )
@@ -280,7 +280,7 @@ def test_propagate_reflection_swaps_detected_pair(w2, sq2):
     assert swapped["map"][det[1]] == det[0]
     # the swapped extension is the reflection's action
     for k, v in swapped["map"].items():
-        img = act("r", s5windows.window_curve(w2, sq2.representative(k))).coords
+        img = act("r", s5windows.window_curve(w2, representative(sq2, k))).coords
         assert _cls(sq2, w2, img) == v
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from curvelab import farey, s5windows
 from curvelab.serialize import json_object
-from curvelab.window import DisjointSets, Window
+from curvelab.window import DisjointSets, Window, in_row
 
 
 def bfs_components(keys, edges):
@@ -107,3 +107,10 @@ def test_adjacency_matches_edges():
         for j in range(len(w)):
             assert (j in near) == ((min(i, j), max(i, j)) in edges)
     assert sum(map(len, w.neighbors)) == 2 * len(edges)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sets(st.integers(-50, 50), max_size=40), st.integers(-60, 60))
+def test_in_row_is_membership(values, x):
+    row = tuple(sorted(values))
+    assert in_row(row, x) == (x in row)
