@@ -8,7 +8,11 @@ satisfy i(curve, curve') = 2 * (number of shared endpoints).
 
 Triangles of pairwise interior-disjoint arcs whose pairs all share an
 endpoint fall into five configuration classes; fillTriangle produces the
-tripod or pentagon fillings of the classes.
+tripod or pentagon fillings of the classes.  Once the three arcs are located
+in the window, a filling works on window indices: each cell is checked as a
+chordless 5-cycle on the window's rows, which record curve disjointness
+because the window is induced, and each vertex's record is written once,
+from the window's tuples.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .curves import NormalCurve, disjoint, intersection_number
+from .curves import NormalCurve, intersection_number
 from .window import Window
 from . import s5windows
 
@@ -35,9 +39,6 @@ class Arc2Vertex:
     @property
     def endpoints(self) -> frozenset[int]:
         return s5windows.puncture_pair(self.curve.witness)
-
-    def __lt__(self, other: "Arc2Vertex"):
-        return self.curve.coords < other.curve.coords
 
     def to_json(self) -> dict:
         rec = self.curve.to_json()
@@ -61,6 +62,23 @@ def _vertex(w: Window, arc: Arc2Vertex) -> int:
     return w.index[arc.curve.coords]
 
 
+# where _endpoints keeps a window's endpoint table: in the window's own
+# __dict__, as s5windows.witness_readers keeps its readers
+_ENDPOINTS = "_arc2_endpoints"
+
+
+def _endpoints(w: Window) -> tuple[frozenset[int], ...]:
+    """The endpoints of each window vertex's arc, by index, read off its
+    witness word once per window."""
+    ends = w.__dict__.get(_ENDPOINTS)
+    if ends is None:
+        if w.words is None:
+            raise ValueError(s5windows.NO_WORDS)
+        ends = w.__dict__[_ENDPOINTS] = tuple(
+            s5windows.puncture_pair(s5windows.parse_witness(t)) for t in w.words)
+    return ends
+
+
 def epsilon_arc(x_i: Arc2Vertex, x_j: Arc2Vertex, w: Window) -> Arc2Vertex:
     """The unique arc with distinct endpoints in the complement of the two.
 
@@ -76,43 +94,15 @@ def epsilon_arc(x_i: Arc2Vertex, x_j: Arc2Vertex, w: Window) -> Arc2Vertex:
         raise ValueError("arcs with distinct endpoints are adjacent; no epsilon arc")
     i, j = _vertex(w, x_i), _vertex(w, x_j)
     taken = x_i.endpoints | x_j.endpoints
-    pair = s5windows.puncture_pair
+    ends = _endpoints(w)
     near_j = set(w.neighbors[j])
-    candidates = [k for k in w.neighbors[i] if k in near_j
-                  and not pair(s5windows.parse_witness(w.words[k])) & taken]
+    candidates = [k for k in w.neighbors[i]
+                  if k in near_j and taken.isdisjoint(ends[k])]
     if len(candidates) != 1:
         raise ValueError(
             f"expected a unique epsilon arc, found {len(candidates)} in the window"
         )
     return Arc2Vertex(s5windows.window_curve(w, candidates[0]))
-
-
-def is_pentagon_set(arcs: list[Arc2Vertex]) -> bool:
-    """Five distinct curves forming a chordless 5-cycle under disjointness."""
-    if len({a.curve.coords for a in arcs}) != 5:
-        return False
-    deg = [0] * 5
-    edges = 0
-    for (i, a), (j, b) in combinations(enumerate(arcs), 2):
-        if disjoint(a.curve, b.curve):
-            deg[i] += 1
-            deg[j] += 1
-            edges += 1
-    return edges == 5 and all(d == 2 for d in deg)
-
-
-def pentagon_cycle(arcs: list[Arc2Vertex]) -> tuple[Arc2Vertex, ...]:
-    """Order five pentagon vertices along their cycle, canonically."""
-    if not is_pentagon_set(arcs):
-        raise RuntimeError("pentagon_cycle needs a chordless 5-cycle")
-    arcs = sorted(arcs)
-    order = [arcs[0]]
-    rest = arcs[1:]
-    while rest:
-        nxt = min(a for a in rest if disjoint(order[-1].curve, a.curve))
-        order.append(nxt)
-        rest.remove(nxt)
-    return tuple(order)
 
 
 @dataclass(frozen=True)
@@ -166,7 +156,12 @@ def classify_triangle(
     return TriangleConfig(tuple(arcs), kind, eps)
 
 
-def _two_pentagon_fill(config: TriangleConfig, w: Window) -> list[list[Arc2Vertex]]:
+def _boundary(config: TriangleConfig, w: Window) -> list[int]:
+    """The window indices of the delta-loop x0 e01 x1 e12 x2 e02."""
+    return [_vertex(w, a) for p in zip(config.arcs, config.epsilons) for a in p]
+
+
+def _two_pentagon_fill(config: TriangleConfig, w: Window) -> list[tuple[int, ...]]:
     """One auxiliary z closing two pentagons joined along two edges.
 
     Pivoting at x0, the pentagons are x0 e01 x1 e12 z and x0 e02 x2 e12 z.
@@ -174,34 +169,33 @@ def _two_pentagon_fill(config: TriangleConfig, w: Window) -> list[list[Arc2Verte
     common window neighbour of x0 and e12.  Each 5-set is tested as a
     chordless 5-cycle on the window's neighbour tuples, which record curve
     disjointness because the window is induced; the least z over the three
-    pivots wins.
+    pivots wins.  The pentagons are index cycles, in that order.
     """
-    eps_of = dict(zip(map(frozenset, [(0, 1), (1, 2), (0, 2)]), config.epsilons))
-    used = {_vertex(w, a) for a in config.arcs + config.epsilons}
+    loop = _boundary(config, w)
+    arcs, eps = loop[0::2], loop[1::2]  # eps: e01, e12, e02
+    eps_of = dict(zip(map(frozenset, [(0, 1), (1, 2), (0, 2)]), eps))
+    used = set(loop)
     nbrs = w.neighbors
     solutions = []
     for pivot in range(3):
         o1, o2 = sorted({0, 1, 2} - {pivot})
-        x0, x1, x2 = config.arcs[pivot], config.arcs[o1], config.arcs[o2]
+        x0, x1, x2 = arcs[pivot], arcs[o1], arcs[o2]
         e01 = eps_of[frozenset((pivot, o1))]
         e12 = eps_of[frozenset((o1, o2))]
         e02 = eps_of[frozenset((pivot, o2))]
-        paths = [[w.index[a.curve.coords] for a in path]
-                 for path in ((x0, e01, x1, e12), (x0, e02, x2, e12))]
-        for k in set(nbrs[paths[0][0]]).intersection(nbrs[paths[0][3]]) - used:
-            cells = [{*path, k} for path in paths]
+        paths = ((x0, e01, x1, e12), (x0, e02, x2, e12))
+        for z in set(nbrs[x0]).intersection(nbrs[e12]) - used:
+            cells = [{*path, z} for path in paths]
             # each cell has five vertices, each with two neighbours among them
             if all([len(cell.intersection(nbrs[v])) for v in cell] == [2] * 5
                    for cell in cells):
-                z = Arc2Vertex(s5windows.window_curve(w, k))
-                first, second = [x0, x1, z, e01, e12], [x0, x2, z, e02, e12]
-                solutions.append((z.curve.coords, [first, second]))
+                solutions.append((z, [(*path, z) for path in paths]))
     if not solutions:
         raise ValueError("no auxiliary arc closes the two pentagons in this window")
     return min(solutions)[1]
 
 
-def _four_pentagon_fill(config: TriangleConfig, w: Window) -> list[list[Arc2Vertex]]:
+def _four_pentagon_fill(config: TriangleConfig, w: Window) -> list[tuple[int, ...]]:
     """Exact disk filling of the chordless hexagon by four pentagons.
 
     The hexagon x0 e01 x1 e12 x2 e02 is filled so that each of its edges lies
@@ -210,9 +204,10 @@ def _four_pentagon_fill(config: TriangleConfig, w: Window) -> list[list[Arc2Vert
     auxiliaries in two each.  These are exact covers by window pentagons
     through hexagon edges, searched by branching on the open demand (a bare
     hexagon edge, or an interior edge covered once) with fewest pentagons
-    that over-cover no edge; every cover by four is listed and the least wins.
+    that over-cover no edge; every cover by four is listed and the least
+    wins.  The pentagons are the window's canonical index cycles.
     """
-    hexagon = [_vertex(w, a) for p in zip(config.arcs, config.epsilons) for a in p]
+    hexagon = _boundary(config, w)
     delta = {tuple(sorted((hexagon[i], hexagon[i - 1]))) for i in range(6)}
     by_edge = s5windows.pentagons_by_edge(w)
     cands = sorted({p for e in delta for p in by_edge.get(e, ())})
@@ -238,8 +233,32 @@ def _four_pentagon_fill(config: TriangleConfig, w: Window) -> list[list[Arc2Vert
     cover(())
     if not solutions:
         raise ValueError("no four-pentagon filling found in this window")
-    return [[Arc2Vertex(s5windows.window_curve(w, v)) for v in pent]
-            for pent in min(solutions)]
+    return list(min(solutions))
+
+
+def _pentagon(cycle: tuple[int, ...], nbrs) -> tuple[int, ...]:
+    """The index cycle in canonical order: from its least index towards the
+    lesser of that index's two cycle neighbours.  Index order is coordinate
+    order in an S5 window, so this is the cycle's canonical order by curve.
+    RuntimeError unless the cycle is a chordless 5-cycle of the rows
+    ``nbrs``: five distinct vertices, each adjacent to the one before it
+    and not to the one two before."""
+    if len(set(cycle)) != 5 or not all(
+        cycle[k - 1] in nbrs[v] and cycle[k - 2] not in nbrs[v]
+        for k, v in enumerate(cycle)
+    ):
+        raise RuntimeError(f"filling cell {list(cycle)} is not a chordless 5-cycle")
+    return s5windows.canonical_cycle(cycle)
+
+
+def _record(w: Window, v: int) -> dict:
+    """``Arc2Vertex.to_json`` of the window's arc at index v, written from
+    the window's tuples."""
+    ends = _endpoints(w)[v]
+    word, base = s5windows.parse_witness(w.words[v])
+    return {"coords": list(w.vertices[v]),
+            "witness": {"word": word, "base": base},
+            "endpoints": sorted(ends)}
 
 
 def fill_triangle(config: TriangleConfig, w: Window) -> dict:
@@ -247,27 +266,28 @@ def fill_triangle(config: TriangleConfig, w: Window) -> dict:
 
     Returns a JSON-ready description: the boundary loop, the tripod centre
     (coinciding epsilon) or the list of pentagons, each as an ordered cycle
-    of curve records; every pentagon is validated as a chordless 5-cycle.
+    of curve records.  The cells are found and checked on window indices:
+    each pentagon is validated as a chordless 5-cycle on the window's rows,
+    and ordered along its cycle from its least curve towards the lesser of
+    that curve's two neighbours.  Each vertex's record is written once per
+    filling, from the window's coordinates, witness word and endpoints, and
+    every place that vertex takes in the filling holds that one record.
     """
-    x0, x1, x2 = config.arcs
-    e01, e12, e02 = config.epsilons
-    boundary = [x0, e01, x1, e12, x2, e02]
-    if config.kind in ("case1", "case3"):
-        result = {"cells": "tripod", "center": e01.to_json(), "pentagons": []}
+    loop = _boundary(config, w)
+    tripod = config.kind in ("case1", "case3")
+    if tripod:
+        cells = []
     elif config.kind in ("case2", "case4"):
-        result = {"cells": "pentagons", "pentagons": _two_pentagon_fill(config, w)}
+        cells = _two_pentagon_fill(config, w)
     else:
-        result = {"cells": "pentagons", "pentagons": _four_pentagon_fill(config, w)}
-    # pentagon_cycle raises unless each cell is a chordless 5-cycle
-    pentagons = [
-        [a.to_json() for a in pentagon_cycle(list(pent))]
-        for pent in result["pentagons"]
-    ]
+        cells = _four_pentagon_fill(config, w)
+    cycles = [_pentagon(cell, w.neighbors) for cell in cells]
+    rec = {v: _record(w, v) for v in set(loop).union(*cycles)}
     return {
         "kind": config.kind,
-        "arcs": [a.to_json() for a in config.arcs],
-        "boundary": [a.to_json() for a in boundary],
-        "cells": result["cells"],
-        **({"center": result["center"]} if "center" in result else {}),
-        "pentagons": pentagons,
+        "arcs": [rec[v] for v in loop[0::2]],
+        "boundary": [rec[v] for v in loop],
+        "cells": "tripod" if tripod else "pentagons",
+        **({"center": rec[loop[1]]} if tripod else {}),
+        "pentagons": [[rec[v] for v in cycle] for cycle in cycles],
     }

@@ -118,9 +118,3 @@ def intersection_number(a: NormalCurve | Coords, b: NormalCurve | Coords) -> int
         raise ValueError("intersection_number needs a curve with a witness word")
     inverse, edge = witness_reader(a.coords, a.witness)
     return 2 * apply_word(inverse, b.coords)[edge]
-
-
-def disjoint(a: NormalCurve | Coords, b: NormalCurve | Coords) -> bool:
-    """Adjacency in the curve graph: distinct curves that do not meet."""
-    a, b = _as_curve(a), _as_curve(b)
-    return a != b and intersection_number(a, b) == 0

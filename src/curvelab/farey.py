@@ -366,8 +366,11 @@ def slopes_of_height(height: int) -> list[Slope]:
     """All canonical slopes with max(|p|, q) <= height, in Slope order.
 
     The pairs come out already sorted by p, then q, with 1/0 first among
-    p = 1, so each slope is built once, with no gcd check of its own.
+    p = 1, so each slope is built once, with no gcd check of its own.  Every
+    slope has height at least 1, so below 1 there are none.
     """
+    if height < 1:
+        return []
     out = []
     for p in range(-height, height + 1):
         if p == 1:
@@ -414,7 +417,10 @@ def farey_window(height: int, basepoint: Slope = ZERO) -> Window:
     """The induced subgraph on all slopes of height <= height.
 
     Each vertex's neighbours are enumerated in full, so the window is handed
-    its sorted neighbour rows along with the edges."""
+    its sorted neighbour rows along with the edges.  ValueError for a height
+    below 1: such a window would hold no slope, not even its basepoint."""
+    if height < 1:
+        raise ValueError(f"height must be positive, not {height}")
     vertices = slopes_of_height(height)
     index = {(s.p, s.q): i for i, s in enumerate(vertices)}
     edges, rows = [], []

@@ -412,13 +412,15 @@ def transfer_pentagons(q: QuotientWindow) -> dict:
     upstairs pentagon projects onto it: any window 5-cycle over it has
     distinct vertices, and no chords, since a chord would project to a
     chord of the quotient pentagon (quotient edges are the classes of
-    window edges), so it is an upstairs pentagon.
+    window edges), so it is an upstairs pentagon.  When no class merges, the
+    quotient graph shares the window's vertices and rows, so its pentagons
+    are the window's and are not walked again.
     """
     w, key = q.window, q.contract.key_str
     witnesses = []
     eligible = truncated = 0
     up = s5windows.enumerate_pentagons(w)
-    down = s5windows.enumerate_pentagons(q.graph)
+    down = s5windows.enumerate_pentagons(q.graph) if q.merged else up
     quotient_pentagons = set(down)
     projected: set[tuple[int, ...]] = set()
     for pent in up:

@@ -40,7 +40,11 @@ fraction.  The tests check both against the slower methods kept here:
   ``Window.json_fields`` and ``QuotientWindow.json_fields`` write;
 - each vertex's neighbours as a set built from the edges alone
   (``set_adjacency``), which the oracles and tests read for membership in
-  place of the sorted ``Window.neighbors`` tuples curvelab reads.
+  place of the sorted ``Window.neighbors`` tuples curvelab reads;
+- the curve-level pentagon test and cycle order (``is_pentagon_set``,
+  ``pentagon_cycle``), reading each pair's disjointness through a witness
+  word (``witness_disjoint``), against which ``arc2.fill_triangle``'s
+  cells, checked and ordered on the window's rows, are checked.
 
 Also here: the mapping-class action on witnessed curves and the half-twist
 about a witnessed curve, which the tests use to build expected answers.
@@ -64,7 +68,8 @@ from curvelab.suites import (
     _status,
     _window_certifies_two,
 )
-from curvelab.curves import BASE_CURVE_EDGES, BASE_CURVES, NormalCurve
+from curvelab.curves import (BASE_CURVE_EDGES, BASE_CURVES, NormalCurve,
+                             intersection_number)
 from curvelab.mcg import (
     ATOMS,
     R_ATOM,
@@ -482,6 +487,50 @@ def detected_curves(alpha: NormalCurve, beta: NormalCurve, w) -> set[NormalCurve
     return {window_curve(w, g) for g in found}
 
 
+# ---------------------------------------------------------------- arc complex
+
+
+def witness_disjoint(a: NormalCurve | Coords, b: NormalCurve | Coords) -> bool:
+    """Adjacency in the curve graph: distinct curves that do not meet, read
+    through a witness word by ``curves.intersection_number``."""
+    return _coords(a) != _coords(b) and intersection_number(a, b) == 0
+
+
+def is_pentagon_set(arcs) -> bool:
+    """Five distinct curves of ``arc2.Arc2Vertex`` arcs forming a chordless
+    5-cycle under disjointness."""
+    if len({a.curve.coords for a in arcs}) != 5:
+        return False
+    deg = [0] * 5
+    edges = 0
+    for (i, a), (j, b) in combinations(enumerate(arcs), 2):
+        if witness_disjoint(a.curve, b.curve):
+            deg[i] += 1
+            deg[j] += 1
+            edges += 1
+    return edges == 5 and all(d == 2 for d in deg)
+
+
+def pentagon_cycle(arcs) -> tuple:
+    """Five pentagon arcs along their cycle, canonically: from the least
+    curve, each step to the least remaining curve disjoint from the last."""
+    if not is_pentagon_set(arcs):
+        raise RuntimeError("pentagon_cycle needs a chordless 5-cycle")
+
+    def by_curve(a):
+        return a.curve.coords
+
+    arcs = sorted(arcs, key=by_curve)
+    order = [arcs[0]]
+    rest = arcs[1:]
+    while rest:
+        nxt = min((a for a in rest if witness_disjoint(order[-1].curve, a.curve)),
+                  key=by_curve)
+        order.append(nxt)
+        rest.remove(nxt)
+    return tuple(order)
+
+
 # ---------------------------------------------------------------- adjacency
 
 
@@ -535,7 +584,7 @@ def quotient_json(q, key_str) -> dict:
 
 def sorted_slopes_of_height(height: int) -> list[farey.Slope]:
     """``farey.slopes_of_height`` by checking and sorting every slope."""
-    out = [farey.INFINITY]
+    out = [farey.INFINITY] if height >= 1 else []
     for q in range(1, height + 1):
         for p in range(-height, height + 1):
             if math.gcd(abs(p), q) == 1:

@@ -12,11 +12,11 @@ import pytest
 from click.testing import CliRunner
 
 from curvelab import cli, farey, quotient, s5windows, suites
-from curvelab.arc2 import Arc2Vertex, classify_triangle, fill_triangle, is_pentagon_set
+from curvelab.arc2 import Arc2Vertex, classify_triangle, fill_triangle
 from curvelab.curves import BASE_CURVES, intersection_number
 from curvelab.mcg import WORD_ALPHABET, invert_word
 from curvelab.s5windows import build_window
-from oracles import BfsOracle, act, detected_curves, half_twist_of
+from oracles import BfsOracle, act, detected_curves, half_twist_of, is_pentagon_set
 
 A_MATRIX = farey.IntMatrix(2, 1, 1, 1)
 

@@ -10,11 +10,9 @@ from curvelab.arc2 import (
     classify_triangle,
     epsilon_arc,
     fill_triangle,
-    is_pentagon_set,
-    pentagon_cycle,
 )
-from curvelab.curves import BASE_CURVES, BASE_CURVE_PAIRS, disjoint, intersection_number
-from oracles import act, arc_endpoints
+from curvelab.curves import BASE_CURVES, BASE_CURVE_PAIRS, intersection_number
+from oracles import act, arc_endpoints, is_pentagon_set, pentagon_cycle, witness_disjoint
 from curvelab.triangulation import BASE
 
 # One representative triple of arcs (by curve coordinates) per configuration
@@ -185,7 +183,7 @@ def test_pentagon_cycle_orders_the_cycle(w2):
     arcs = [Arc2Vertex(s5windows.window_curve(w2, i)) for i in pent]
     cyc = pentagon_cycle(arcs)
     for k in range(5):
-        assert disjoint(cyc[k].curve, cyc[(k + 1) % 5].curve)
+        assert witness_disjoint(cyc[k].curve, cyc[(k + 1) % 5].curve)
 
 
 @pytest.mark.parametrize("sides", ["one-and-four", "three-sides"])
@@ -209,12 +207,24 @@ def test_pentagon_cycle_raises_on_non_pentagon(w2):
         pentagon_cycle(arcs)
 
 
+def test_cells_must_be_chordless_five_cycles():
+    # rows of the 5-cycle 0 1 2 3 4, and of the same cycle with the chord 0-2
+    ring = ((1, 4), (0, 2), (1, 3), (2, 4), (0, 3))
+    chord = ((1, 2, 4), (0, 2), (0, 1, 3), (2, 4), (0, 3))
+    for cycle in ((2, 3, 4, 0, 1), (3, 2, 1, 0, 4)):
+        assert arc2._pentagon(cycle, ring) == (0, 1, 2, 3, 4)
+    for cycle, rows in (((0, 1, 2, 3, 4), chord), ((0, 2, 1, 3, 4), ring),
+                        ((0, 1, 2, 3, 3), ring)):
+        with pytest.raises(RuntimeError):
+            arc2._pentagon(cycle, rows)
+
+
 def test_fill_triangle_raises_on_invalid_cell(monkeypatch, w2, w3):
     cfg = classify_triangle(arcs_from(REPRESENTATIVES["case5"], w2), w3)
     good = arc2._four_pentagon_fill(cfg, w3)
     bad = [list(p) for p in good]
     bad[1][0] = bad[0][0] if bad[1][0] != bad[0][0] else bad[0][1]
-    assert not is_pentagon_set(bad[1])
+    assert not is_pentagon_set([Arc2Vertex(s5windows.window_curve(w3, v)) for v in bad[1]])
     monkeypatch.setattr(arc2, "_four_pentagon_fill", lambda config, w: bad)
     with pytest.raises(RuntimeError):
         fill_triangle(cfg, w3)

@@ -6,7 +6,11 @@ triangle list of the bound-2 window.
 x0 and e12, and ``_four_pentagon_fill`` searches for an exact cover.  The
 references below are the earlier implementations, kept as oracles: a scan of
 every window vertex with curve-level tests, and a search over hexagon edges
-that checks edge counts only at its leaves.
+that checks edge counts only at its leaves.  ``fill_triangle`` checks and
+orders its cells on the window's rows and writes its records from the
+window's tuples; every cell is checked here against the curve-level
+``oracles.is_pentagon_set`` and ``oracles.pentagon_cycle``, and the records
+against the curves they name.
 """
 
 from collections import Counter
@@ -14,8 +18,10 @@ from itertools import combinations
 
 import pytest
 
-from curvelab import arc2, s5windows
-from curvelab.arc2 import Arc2Vertex, arcs_disjoint, is_pentagon_set
+from curvelab import arc2, curves, s5windows
+from curvelab.arc2 import Arc2Vertex, arcs_disjoint
+from curvelab.curves import NormalCurve
+from oracles import arc_endpoints, is_pentagon_set, pentagon_cycle
 from test_arc2_fillings import TRIANGLES
 
 
@@ -110,6 +116,16 @@ def window_ids(records, w):
     return [w.index[tuple(r["coords"])] for r in records]
 
 
+def arc_ids(arcs, w):
+    return [w.index[a.curve.coords] for a in arcs]
+
+
+def record_arc(rec):
+    """The arc a filling record names, carried by the curve its witness gives."""
+    witness = (rec["witness"]["word"], rec["witness"]["base"])
+    return Arc2Vertex(NormalCurve(tuple(rec["coords"]), witness))
+
+
 def cycle_edges(cycle):
     return [frozenset((cycle[k - 1], cycle[k])) for k in range(len(cycle))]
 
@@ -144,14 +160,19 @@ def triangles(w2, pairs):
     ]
 
 
-def recorded(w3, kinds):
+def recorded_triangles(w3, kinds=("case1", "case2", "case3", "case4", "case5",
+                                 "undecided")):
     for arcs, kind, _ in TRIANGLES:
         if kind in kinds:
-            triangle = tuple(
+            yield tuple(
                 Arc2Vertex(s5windows.window_curve(w3, w3.index[key]))
                 for key in map(s5windows.parse_curve_key, arcs)
             )
-            yield arc2.classify_triangle(triangle, w3)
+
+
+def recorded(w3, kinds):
+    for triangle in recorded_triangles(w3, kinds):
+        yield arc2.classify_triangle(triangle, w3)
 
 
 def test_epsilon_arc_matches_window_scan(w3, pairs):
@@ -168,16 +189,18 @@ def test_two_pentagon_fill_matches_vertex_scan(w3):
     configs = list(recorded(w3, ("case2", "case4")))
     assert len(configs) == 20
     for config in configs:
-        assert arc2._two_pentagon_fill(config, w3) == scan_two_pentagon_fill(config, w3)
+        fast = arc2._two_pentagon_fill(config, w3)
+        scan = scan_two_pentagon_fill(config, w3)
+        assert [sorted(cell) for cell in fast] == [sorted(arc_ids(c, w3)) for c in scan]
 
 
 def test_four_pentagon_fill_matches_leaf_checked_search(w3):
     configs = list(recorded(w3, ("case5",)))
     assert len(configs) == 6
     for config in configs:
-        assert arc2._four_pentagon_fill(config, w3) == leaf_checked_four_pentagon_fill(
-            config, w3
-        )
+        fast = arc2._four_pentagon_fill(config, w3)
+        leaf = leaf_checked_four_pentagon_fill(config, w3)
+        assert [list(cell) for cell in fast] == [arc_ids(c, w3) for c in leaf]
 
 
 def test_every_triangle_classifies_and_fills(w3, triangles):
@@ -206,3 +229,58 @@ def test_every_triangle_classifies_and_fills(w3, triangles):
     assert kinds == {"case1": 94, "case2": 308, "case3": 94, "case4": 290,
                      "case5": 76, "undecided": 120}
     assert sum(kinds.values()) == len(triangles) == 982
+
+
+def fillings(w3, triangles):
+    """The filling of every triangle that is decided in the bound-3 window."""
+    for triangle in triangles:
+        try:
+            yield arc2.fill_triangle(arc2.classify_triangle(triangle, w3), w3)
+        except ValueError:
+            continue
+
+
+def test_cells_are_curve_level_pentagons_in_cycle_order(w3, triangles):
+    """Each cell, checked and ordered on window rows, is a chordless 5-cycle
+    of curves under witness-read disjointness, in ``pentagon_cycle`` order;
+    each record's witness gives its curve and its endpoints are the curve's."""
+    cells, traced = 0, {}
+    for filling in fillings(w3, [*recorded_triangles(w3), *triangles]):
+        for cell in filling["pentagons"]:
+            arcs = [record_arc(rec) for rec in cell]
+            assert is_pentagon_set(arcs)
+            assert tuple(arcs) == pentagon_cycle(arcs)
+            cells += 1
+        for rec in [*filling["boundary"], *(r for c in filling["pentagons"] for r in c)]:
+            arc = record_arc(rec)
+            assert rec == arc.to_json()
+            coords = arc.curve.coords
+            if coords not in traced:
+                traced[coords] = arc_endpoints(coords)
+            assert frozenset(rec["endpoints"]) == traced[coords]
+    assert cells == 2 * (308 + 290) + 4 * 76 + 2 * (10 + 10) + 4 * 6
+
+
+def test_fill_triangle_computes_no_intersection_number(monkeypatch, w3, triangles):
+    """Cells are checked on window rows, so filling reads no intersection."""
+    configs = []
+    for triangle in [*recorded_triangles(w3), *triangles]:
+        try:
+            configs.append(arc2.classify_triangle(triangle, w3))
+        except ValueError:
+            continue
+    calls = []
+    real = curves.intersection_number
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (curves, arc2, s5windows):
+        monkeypatch.setattr(module, "intersection_number", counting)
+    kinds = Counter()
+    for config in configs:
+        arc2.fill_triangle(config, w3)
+        kinds[config.kind] += 1
+    assert calls == []
+    assert sorted(kinds) == ["case1", "case2", "case3", "case4", "case5"]

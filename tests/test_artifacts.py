@@ -564,6 +564,25 @@ def test_s5_verify_runs_no_intersection_search(entry, tmp_path, monkeypatch):
     check_digests(*(B2_AAB if entry == "b2-saab" else MENU[entry]), tmp_path)
 
 
+def test_s5_verify_walks_the_pentagons_once_when_nothing_merges(tmp_path, monkeypatch):
+    """A sample that merges no class leaves the quotient graph on the
+    window's vertices and rows, so pentagon transfer walks the window's
+    pentagons alone, and the reports keep their bytes."""
+    from curvelab import s5windows
+
+    real, walked = s5windows.enumerate_pentagons, []
+
+    def counting(w):
+        if s5windows._PENTAGONS not in w.__dict__:
+            walked.append(w.instance)
+        return real(w)
+
+    monkeypatch.delenv("CURVELAB_CACHE", raising=False)
+    monkeypatch.setattr(s5windows, "enumerate_pentagons", counting)
+    check_digests(*MENU["b3-snone"], tmp_path)
+    assert walked == ["s5"]
+
+
 # Farey commands at height 110, above the menu's largest height of 55;
 # stdout digests recorded from the code that built the window with a checked
 # slope per neighbour and a sort, and scanned the window for each

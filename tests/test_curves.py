@@ -10,13 +10,13 @@ from curvelab.curves import (
     BASE_CURVES,
     BASE_CURVE_PAIRS,
     NormalCurve,
-    disjoint,
     intersection_number,
 )
 from curvelab.mcg import apply_word
 from curvelab.triangulation import BASE
 from oracles import (
     ReductionError,
+    witness_disjoint,
     check_base_reductions,
     intersection,
     reduce_to_boundary,
@@ -44,8 +44,8 @@ def test_intersection_symmetric():
 def test_self_intersection_zero():
     for c in BASE_CURVES:
         assert intersection_number(c, c) == 0
-        assert not disjoint(c, c)
-        assert not disjoint(c, c.coords)
+        assert not witness_disjoint(c, c)
+        assert not witness_disjoint(c, c.coords)
 
 
 def test_intersection_invariant_under_action():

@@ -26,7 +26,8 @@ from curvelab.farey import (
 from curvelab.quotient import displacement_report, farey_contract
 from curvelab.serialize import json_object
 from curvelab.window import Window
-from oracles import BfsOracle, farey_neighbors, slope_neighbour_window
+from oracles import (BfsOracle, farey_neighbors, slope_neighbour_window,
+                     sorted_slopes_of_height)
 
 
 @st.composite
@@ -218,6 +219,18 @@ class TestWindow:
         w, expected = farey_window(height), slope_neighbour_window(height)
         assert w.vertices == expected.vertices and w.edges == expected.edges
         assert w == expected
+
+    @pytest.mark.parametrize("height", [-2, -1, 0, 1, 2, 7])
+    def test_slopes_of_height_are_the_slopes_up_to_it(self, height):
+        # 0/1 and 1/0 have height 1, so below 1 there are no slopes
+        slopes = slopes_of_height(height)
+        assert slopes == sorted_slopes_of_height(height)
+        assert all(s.height <= height for s in slopes)
+
+    @pytest.mark.parametrize("height", [-1, 0])
+    def test_window_below_height_one_is_refused(self, height):
+        with pytest.raises(ValueError, match=rf"^height must be positive, not {height}$"):
+            farey_window(height)
 
     @pytest.mark.parametrize("basepoint", [INFINITY, Slope(-3, 7), Slope(5, 2)])
     def test_matches_the_slope_neighbour_window_at_other_basepoints(self, basepoint):
