@@ -52,9 +52,6 @@ class NormalCurve:
     def __hash__(self):
         return hash(self.coords)
 
-    def __lt__(self, other: "NormalCurve"):
-        return self.coords < other.coords
-
     def to_json(self) -> dict:
         rec = {"coords": list(self.coords)}
         if self.witness is not None:

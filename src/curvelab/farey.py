@@ -173,11 +173,6 @@ def invert_word(word: str) -> str:
     return "".join(_INVERSE_LETTER[ch] for ch in reversed(word))
 
 
-def adjacent(s: Slope, t: Slope) -> bool:
-    """Farey adjacency: the pairing |p q' - q p'| equals 1."""
-    return abs(s.p * t.q - s.q * t.p) == 1
-
-
 def _distance_to_infinity(p: int, q: int) -> int:
     """Graph distance from p/q (q >= 0) to 1/0 in the Farey graph.
 
@@ -221,10 +216,8 @@ def _bezout(s: Slope) -> tuple[int, int]:
     return a, (1 - a * s.p) // s.q
 
 
-def displacement_measure(
-    slopes: Sequence[Slope],
-) -> Callable[[IntMatrix], Callable[[int], int]]:
-    """For a matrix m, the map i -> d(slopes[i], m slopes[i]).
+def displacement_measure(slopes: Sequence[Slope]) -> Callable[[IntMatrix], list[int]]:
+    """For a matrix m, the list of d(s, m s) over the slopes s, in order.
 
     The Bezout pair of each slope, found once, gives the matrix sending it
     to 1/0; each distance is then ``distance(m s, s)`` in plain integers,
@@ -232,18 +225,17 @@ def displacement_measure(
     """
     table = [(s.p, s.q, *_bezout(s)) for s in slopes]
 
-    def of(m: IntMatrix) -> Callable[[int], int]:
+    def of(m: IntMatrix) -> list[int]:
         ma, mb, mc, md = m.entries
-
-        def displacement(i: int) -> int:
-            p, q, a, b = table[i]
+        out = []
+        for p, q, a, b in table:
             x, y = ma * p + mb * q, mc * p + md * q
             top, bottom = a * x + b * y, q * x - p * y
             if bottom < 0:
-                return _distance_to_infinity(-top, -bottom)
-            return _distance_to_infinity(top, bottom)
-
-        return displacement
+                out.append(_distance_to_infinity(-top, -bottom))
+            else:
+                out.append(_distance_to_infinity(top, bottom))
+        return out
 
     return of
 
@@ -253,8 +245,9 @@ def displacement_measure(
 _AXIS_STEPS = 10_000
 
 
-def axis_displacement(m: IntMatrix) -> int | None:
-    """min over all slopes s of d(s, m s), for det 1 and |trace| > 2.
+def _period_minimisers(m: IntMatrix) -> tuple[int, list[Slope]] | None:
+    """min over all slopes s of d(s, m s), for det 1 and |trace| > 2, and
+    the vertices of one period of m's ladder that attain it.
 
     Such an m translates along its axis, and the Farey triangles the axis
     crosses form an m-invariant ladder (C. Series, *The modular surface and
@@ -272,13 +265,6 @@ def axis_displacement(m: IntMatrix) -> int | None:
     a fixed point, and the walk stops at its image under m or m^-1.
     Returns None for any other m, or if the walk is implausibly long.
     """
-    found = _period_minimisers(m)
-    return None if found is None else found[0]
-
-
-def _period_minimisers(m: IntMatrix) -> tuple[int, list[Slope]] | None:
-    """``axis_displacement`` and the vertices of the walked ladder period
-    that attain it, from one walk."""
     if m.det != 1 or not m.is_hyperbolic():
         return None
     a, b, c, d = m.entries
@@ -322,15 +308,15 @@ def _period_minimisers(m: IntMatrix) -> tuple[int, list[Slope]] | None:
     else:
         return None
     period = list({Slope._canonical(*v) for v in ladder})
-    displacement = displacement_measure(period)(m)
-    ds = [displacement(i) for i in range(len(period))]
+    ds = displacement_measure(period)(m)
     floor = min(ds)
     return floor, [s for s, x in zip(period, ds) if x == floor]
 
 
 def window_minimisers(m: IntMatrix, height: int) -> tuple[int, set[Slope]] | None:
-    """``axis_displacement(m)`` and every slope of height <= ``height`` that
-    attains it, or None where the axis gives no minimum.
+    """The least d(s, m s) over all slopes s and every slope of height <=
+    ``height`` that attains it, or None where ``_period_minimisers`` gives
+    no minimum.
 
     The minimisers are the <m>-orbits of the walked period's vertices at the
     minimum.  With eigenvalues l and 1/l of m, |m^k v|^2 = A l^2k + B l^-2k

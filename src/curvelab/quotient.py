@@ -9,9 +9,11 @@ to the vertex, which lets suites lift quotient edges exactly instead of
 guessing.
 
 Instances are described by a small contract (key type, group elements and
-their action, available distance or adjacency information) so the same
-machinery runs on the Farey graph, where distances are exact, and on the
-five-punctured sphere, where only {0, 1, 2}-certificates are decidable.
+their action, available distance or adjacency information, and each
+element's window displacement) so the same machinery runs on the Farey
+graph, where distances are exact, and on the five-punctured sphere, where
+only {0, 1, 2}-certificates are decidable.  Each instance finds its own
+displacement minima; ``displacement_report`` only writes them down.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ class InstanceContract:
     turns an element into a map on keys, and ``invert`` and ``compose``
     multiply elements.  ``images(window, element)`` yields the index pairs
     (i, j) with element(v_i) = v_j, each vertex i at most once.
+    ``displacement(window)`` answers, per word g, the window minimum of
+    d(v, g v) and the least index attaining it, or None where the minimum
+    is a certified floor that no vertex attains; ``displacement_report``
+    only writes these down.
     """
 
     name: str
@@ -48,22 +54,16 @@ class InstanceContract:
     # compose(inner, outer): the element acting as "inner first, then outer"
     compose: Callable[[Any, Any], Any]
     images: Callable[[Window, Any], Iterable[tuple[int, int]]]
+    # window -> word -> (min, least index attaining it, or None)
+    displacement: Callable[[Window], Callable[[str], tuple[int | None, int | None]]]
     exact_distance: Callable[[Any, Any], int] | None = None
     # (window, a, b) -> adjacency of a window vertex a and a distinct curve
     # b outside the window; what certificates read when distances are not
     # exact (every caller passes a window vertex first)
     adjacent: Callable[[Window, Any, Any], bool] | None = None
-    # window -> word -> (i -> d(v_i, g v_i), found), where found is the
-    # window minimum with the least index attaining it, or None when the map
-    # is to be scanned (the map may be None when found is given); the
-    # certificates serve when measure is None
-    measure: Callable[[Window], Callable[[str], tuple]] | None = None
     # window -> the number of vertex pairs at distance 2 in the window graph,
     # counted without a walk; the lifting suite walks the pairs when None
     distance_two_pairs: Callable[[Window], int] | None = None
-
-    def action(self, word: str) -> Callable[[Any], Any]:
-        return self.act(self.element(word))
 
     def certificate(self, a: Any, b: Any, w: Window) -> int | None:
         """Distance certificate: exact when available, else {0, 1, 2}."""
@@ -82,27 +82,13 @@ class InstanceContract:
             return 2
         return None
 
-    def displacement(self, w: Window) -> Callable[[str], tuple]:
-        """Per word g: the map i -> d(v_i, g v_i) on window vertices, which
-        may answer None where nothing is certified, and the window minimum
-        with the least index attaining it when the contract knows them
-        without a scan, else None."""
-        if self.measure is not None:
-            return self.measure(w)
-
-        def per_word(word: str) -> tuple:
-            fn, vertices = self.action(word), w.vertices
-            return (lambda i: self.certificate(vertices[i], fn(vertices[i]), w)), None
-
-        return per_word
-
 
 def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
     @lru_cache(maxsize=4096)
     def element(word: str) -> farey_mod.IntMatrix:
         return farey_mod.word_matrix(word, base)
 
-    def measure(w: Window) -> Callable[[str], tuple]:
+    def displacement(w: Window) -> Callable[[str], tuple[int | None, int | None]]:
         # a whole-graph minimiser in the window is a window minimiser, and
         # it has at most the height of the window's highest slope, which is
         # where the orbit walks stop; the per-vertex table is built only
@@ -113,17 +99,19 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
         index = w.index
         scan = None
 
-        def per_word(word: str) -> tuple:
+        def per_word(word: str) -> tuple[int | None, int | None]:
             nonlocal scan
             m = element(word)
             found = farey_mod.window_minimisers(m, height)
             if found is not None:
                 hits = [i for i in map(index.get, found[1]) if i is not None]
                 if hits:
-                    return None, (found[0], min(hits))
+                    return found[0], min(hits)
             if scan is None:
-                scan = farey_mod.displacement_measure(w.vertices)
-            return scan(m), None
+                scan = farey_mod.displacement_measure(vs)
+            ds = scan(m)
+            best = min(ds, default=None)
+            return best, None if best is None else ds.index(best)
 
         return per_word
 
@@ -157,8 +145,8 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
         # means outer on the left
         compose=lambda inner, outer: outer * inner,
         images=images,
+        displacement=displacement,
         exact_distance=farey_mod.distance,
-        measure=measure,
         distance_two_pairs=distance_two_pairs,
     )
 
@@ -169,7 +157,8 @@ def s5_contract() -> InstanceContract:
     Certificates come from window edges when both curves are window
     vertices, and otherwise from ``s5windows.adjacent``, which reads the
     witness word of the first curve, a window vertex in every call.
-    In-window images are found by applying the word to every vertex.
+    In-window images are found by applying the word to every vertex, and
+    displacements by certifying every vertex against its image.
     """
 
     def images(w: Window, word: str) -> Iterator[tuple[int, int]]:
@@ -179,7 +168,26 @@ def s5_contract() -> InstanceContract:
             if j is not None:
                 yield i, j
 
-    return InstanceContract(
+    def displacement(w: Window) -> Callable[[str], tuple[int | None, int | None]]:
+        vertices, certificate = w.vertices, contract.certificate
+
+        def per_word(word: str) -> tuple[int | None, int | None]:
+            best, first, bounded = None, None, False
+            for i, v in enumerate(vertices):
+                d = certificate(v, apply_word(word, v), w)
+                if d is None:
+                    bounded = True
+                elif best is None or d < best:
+                    best, first = d, i
+            if best is None and bounded:
+                # 0 and 1 are always decided, so an uncertified vertex is
+                # at distance >= 2: a floor that no vertex attains
+                best = 2
+            return best, first
+
+        return per_word
+
+    contract = InstanceContract(
         name="s5",
         key_str=s5windows.curve_key_str,
         element=lambda word: word,
@@ -187,8 +195,10 @@ def s5_contract() -> InstanceContract:
         invert=invert_word,
         compose=lambda inner, outer: inner + outer,
         images=images,
+        displacement=displacement,
         adjacent=s5windows.adjacent,
     )
+    return contract
 
 
 def s5_sample(words: tuple[str, ...] = ()) -> tuple[str, ...]:
@@ -371,39 +381,25 @@ class QuotientWindow:
 def displacement_report(
     w: Window, words: tuple[str, ...], contract: InstanceContract
 ) -> tuple[dict, ...]:
-    """Per element: the window minimum of d(v, n v) and its witness.
+    """Per element: the window minimum of d(v, n v) and its witness, as
+    ``contract.displacement`` gives them.
 
-    With exact distances the minimum is exact.  Otherwise only the {0, 1, 2}
-    certificates contribute.  A vertex with no certificate is at distance
-    >= 2, since 0 and 1 are always decided, so ``min`` is a certified lower
-    bound of at most 2: when no vertex is certified at <= 2 it is 2 with
-    argmin null.  ``argmin`` is the first window vertex attaining the
-    minimum.  Where the contract gives the minimum and that
-    vertex (on the Farey graph: a whole-graph minimiser of the axis ladder
-    lies in the window, ``farey.window_minimisers``) they are taken as
-    given; otherwise every window vertex is scanned.
+    With exact distances the minimum is exact.  On S0,5 only the {0, 1, 2}
+    certificates contribute, so ``min`` is a certified lower bound of at
+    most 2: when no vertex is certified at <= 2 it is 2 with argmin null.
+    ``argmin`` is the first window vertex attaining the minimum.  On the
+    Farey graph that vertex is read off the axis ladder when a whole-graph
+    minimiser lies in the window (``farey.window_minimisers``), and every
+    window vertex is scanned otherwise.
     """
-    measure = contract.displacement(w)
+    per_word = contract.displacement(w)
     report = []
     for word in words:
-        displacement, found = measure(word)
-        if found is not None:
-            best, first = found
-            argmin = w.vertices[first]
-        else:
-            best, argmin, bounded = None, None, False
-            for i, v in enumerate(w.vertices):
-                d = displacement(i)
-                if d is None:
-                    bounded = True
-                elif best is None or d < best:
-                    best, argmin = d, v
-            if best is None:
-                best = 2 if bounded else None
+        best, first = per_word(word)
         report.append({
             "word": word,
             "min": best,
-            "argmin": None if argmin is None else contract.key_str(argmin),
+            "argmin": None if first is None else contract.key_str(w.vertices[first]),
         })
     return tuple(report)
 

@@ -26,6 +26,12 @@ class Window:
     ``vertices`` holds canonical, hashable keys (slopes, coordinate tuples),
     sorted; ``edges`` holds index pairs (i, j) with i < j, sorted.  ``words``
     optionally gives a witness word per vertex (same indexing).
+
+    The constructor checks the edges (in range, strictly increasing) and the
+    length of ``words``.  Sorted keys are a promise of the builders
+    (``farey.farey_window``, ``s5windows.build_window``), checked only by
+    ``from_json``: a window of translated slopes, as a covariance test
+    builds, is accepted unsorted.
     """
 
     instance: str

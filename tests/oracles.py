@@ -47,7 +47,8 @@ fraction.  The tests check both against the slower methods kept here:
   cells, checked and ordered on the window's rows, are checked.
 
 Also here: the mapping-class action on witnessed curves and the half-twist
-about a witnessed curve, which the tests use to build expected answers.
+about a witnessed curve, which the tests use to build expected answers, and
+Farey adjacency and the whole-graph displacement floor of a matrix.
 """
 
 from __future__ import annotations
@@ -580,6 +581,18 @@ def quotient_json(q, key_str) -> dict:
 
 
 # ---------------------------------------------------------------- Farey windows
+
+
+def adjacent(s: farey.Slope, t: farey.Slope) -> bool:
+    """Farey adjacency: the pairing |p q' - q p'| equals 1."""
+    return abs(s.p * t.q - s.q * t.p) == 1
+
+
+def axis_displacement(m: farey.IntMatrix) -> int | None:
+    """min over all slopes s of d(s, m s), for det 1 and |trace| > 2, else
+    None: the floor that ``farey._period_minimisers`` finds on m's ladder."""
+    found = farey._period_minimisers(m)
+    return None if found is None else found[0]
 
 
 def sorted_slopes_of_height(height: int) -> list[farey.Slope]:

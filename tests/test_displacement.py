@@ -6,8 +6,10 @@ crossed by m's axis, and every vertex attaining it lies in the ladder's
 and scans the window only when none is in it.  These tests check that the
 floor never exceeds the minimum that a scan of every window vertex with
 ``farey.distance`` finds, that the report is exactly that scan's first
-minimum, and that the report evaluates no vertex when a minimiser is in the
-window and every vertex otherwise.
+minimum, and that the report scans the window exactly when no minimiser is
+in it.  Scans are observed through ``farey.displacement_measure``, which the
+tests replace with a wrapper that records each matrix measured over all of
+the window's vertices.
 
 On the five-punctured sphere only distances 0 and 1 are decided exactly, and
 2 where the window holds a common neighbour.  The report must state only
@@ -15,8 +17,8 @@ that: its ``min`` is the least decided 0 or 1, else 2, and its ``argmin``
 attains it, as a search for common neighbours in the bound-5 window shows.
 """
 
-import dataclasses
 import itertools
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,9 @@ from hypothesis import strategies as st
 
 import oracles
 from curvelab import farey, quotient, s5windows
-from curvelab.farey import IntMatrix, Slope, axis_displacement, word_matrix
+from curvelab.farey import IntMatrix, Slope, word_matrix
 from curvelab.mcg import apply_word, reduce_word
+from oracles import axis_displacement
 
 # the farey-verify menu of the benchmark, as (matrix, power, conjugator length)
 MENU_SPECS = [
@@ -40,30 +43,37 @@ def plain_displacements(vertices, m: IntMatrix) -> list[int]:
     return [farey.distance(v, m.apply(v)) for v in vertices]
 
 
+@contextmanager
+def observed_scans(w):
+    """The matrices m for which d(v, m v) is measured over every vertex v of
+    w, in order, while the block runs; a measure over any other slopes (a
+    ladder period) is not recorded."""
+    scanned = []
+    measure = farey.displacement_measure
+
+    def observing(slopes):
+        of = measure(slopes)
+        if tuple(slopes) != w.vertices:
+            return of
+
+        def observed(m):
+            ds = of(m)
+            assert len(ds) == len(w)
+            scanned.append(m)
+            return ds
+
+        return observed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(farey, "displacement_measure", observing)
+        yield scanned
+
+
 def check_report(w, sample, base, plain) -> int:
     """Compare the report with the full scan; returns how many floors were
     below the window minimum.  ``plain[word]`` lists d(v, m v) per vertex."""
-    evaluated: dict[str, int] = {}
-    contract = quotient.farey_contract(base)
-
-    def counting(win):
-        per_word = contract.displacement(win)
-
-        def wrapped(word):
-            fn, found = per_word(word)
-            if fn is None:
-                return None, found
-
-            def counted(i):
-                evaluated[word] = evaluated.get(word, 0) + 1
-                return fn(i)
-
-            return counted, found
-
-        return wrapped
-
-    report = quotient.displacement_report(
-        w, sample.words, dataclasses.replace(contract, measure=counting))
+    with observed_scans(w) as scanned:
+        report = quotient.displacement_report(w, sample.words, quotient.farey_contract(base))
     below = 0
     for rec, elem in zip(report, sample.elements):
         ds = plain[elem.word]
@@ -73,11 +83,11 @@ def check_report(w, sample, base, plain) -> int:
         floor = axis_displacement(elem.matrix)
         if floor is None or floor < best:
             below += floor is not None
-            assert evaluated[elem.word] == len(w), elem.word  # a full scan
+            assert scanned.count(elem.matrix) == 1, elem.word  # a full scan
         else:
             assert floor == best, elem.word  # never above the window minimum
             # a minimiser is in the window: read off the ladder orbits
-            assert elem.word not in evaluated, elem.word
+            assert elem.matrix not in scanned, elem.word
     return below
 
 
@@ -130,15 +140,14 @@ def test_report_in_the_smallest_windows(matrix, power, conj_len, depth, height):
 
 def test_report_reads_no_vertex_at_h220():
     # each element of the h=220 verify scenario (K=8, c=2) has a minimiser
-    # in the window, so the report evaluates none of its 58,904 vertices
+    # in the window, so the report scans none of its 58,904 vertices
     base = IntMatrix(2, 1, 1, 1)
     w = farey.farey_window(220)
     sample = farey.sample_closure(farey.FareyClosureSpec(base, 8, 2))
-    contract = quotient.farey_contract(base)
-    per_word = contract.displacement(w)
-    for elem in sample.elements:
-        fn, found = per_word(elem.word)
-        assert fn is None and found[0] == axis_displacement(elem.matrix)
+    with observed_scans(w) as scanned:
+        report = quotient.displacement_report(w, sample.words, quotient.farey_contract(base))
+    assert scanned == []
+    assert [r["min"] for r in report] == [axis_displacement(e.matrix) for e in sample.elements]
 
 
 @pytest.fixture(scope="module")
@@ -190,12 +199,10 @@ def test_integer_measure_matches_distance():
     of = farey.displacement_measure(w.vertices)
     for word in ("", "a", "tua", "AjuT"):
         m = word_matrix(word, IntMatrix(3, 2, 1, 1))
-        d = of(m)
-        assert [d(i) for i in range(len(w))] == plain_displacements(w.vertices, m)
+        assert of(m) == plain_displacements(w.vertices, m)
     translated = [Slope(-7, 3), Slope(1, 0), Slope(123, 457)]
     m = IntMatrix(2, 1, 1, 1)
-    assert [farey.displacement_measure(translated)(m)(i) for i in range(3)] == \
-        plain_displacements(translated, m)
+    assert farey.displacement_measure(translated)(m) == plain_displacements(translated, m)
 
 
 # ---------------------------------------------------------------- S5

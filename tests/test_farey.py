@@ -15,7 +15,6 @@ from curvelab.farey import (
     FareyClosureSpec,
     IntMatrix,
     Slope,
-    adjacent,
     distance,
     farey_window,
     invert_word,
@@ -26,8 +25,8 @@ from curvelab.farey import (
 from curvelab.quotient import displacement_report, farey_contract
 from curvelab.serialize import json_object
 from curvelab.window import Window
-from oracles import (BfsOracle, farey_neighbors, slope_neighbour_window,
-                     sorted_slopes_of_height)
+from oracles import (BfsOracle, adjacent, farey_neighbors,
+                     slope_neighbour_window, sorted_slopes_of_height)
 
 
 @st.composite

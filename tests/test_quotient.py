@@ -220,9 +220,9 @@ def test_s5_contract_certificates():
 
 
 def test_farey_contract_word_actions(contract):
-    fn = contract.action("a")
-    assert fn(farey.ZERO) == BASE.apply(farey.ZERO)
     a = contract.element("a")
+    fn = contract.act(a)
+    assert fn(farey.ZERO) == BASE.apply(farey.ZERO)
     fn_inv = contract.act(contract.invert(a))
     assert fn_inv(fn(farey.ZERO)) == farey.ZERO
     composed = contract.act(contract.compose(a, contract.element("t")))

@@ -1,0 +1,91 @@
+"""No code that nothing calls: every function in ``src/curvelab`` has a caller there.
+
+Every module-level function, every method of a class, and every function
+nested in one of them, defined in ``src/curvelab``, must be referenced
+somewhere else in ``src/curvelab``: by an ``ast.Name`` or an
+``ast.Attribute`` with its name.  Exempt are dunders, which Python calls;
+the click commands and groups, which the command line calls; and the
+functions the benchmark's layer tracer wraps (``test_layer_names.TARGETS``),
+which it finds by name even where only the tests call them.
+
+The gate matches by name only, not by binding.  A function that shares its
+name with another function or attribute escapes it: ``farey.adjacent``, which
+only the tests called, passed it because ``s5windows.adjacent`` is called.
+A reference in the function's own body counts too, so that an override
+calling ``super().invoke`` passes, and so does a helper that only calls
+itself.
+"""
+
+import ast
+from pathlib import Path
+
+from test_layer_names import TARGETS
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "curvelab"
+CLICK_DECORATORS = {"command", "group"}
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """The names that a Name or an Attribute in the tree refers to."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def is_click_command(fn: ast.FunctionDef) -> bool:
+    for dec in fn.decorator_list:
+        call = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(call, ast.Attribute) and call.attr in CLICK_DECORATORS:
+            return True
+    return False
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) for each function defined in the tree."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name, child
+                yield from walk(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, f"{prefix}{child.name}.")
+            else:
+                yield from walk(child, prefix)
+
+    yield from walk(tree, "")
+
+
+def uncalled(src: Path) -> list[str]:
+    """The functions under src that no code under src refers to by name."""
+    trees = {f"curvelab.{path.stem}": ast.parse(path.read_text(), str(path))
+             for path in sorted(src.glob("*.py"))}
+    names = set().union(*map(referenced_names, trees.values()))
+    exempt = set(TARGETS)
+    out = []
+    for module, tree in trees.items():
+        for qualname, fn in definitions(tree):
+            name = fn.name
+            if (name.startswith("__") and name.endswith("__")) or is_click_command(fn):
+                continue
+            if name not in names and (module, qualname) not in exempt:
+                out.append(f"{module}.{qualname}")
+    return out
+
+
+def test_every_function_has_a_caller_in_src():
+    assert uncalled(SRC) == []
+
+
+def test_an_uncalled_helper_is_flagged(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "farey.py", "a") as f:
+        f.write("\n\ndef _nobody_calls_me(x):\n    return x\n")
+    with open(tmp_path / "window.py", "a") as f:
+        f.write("\n\nclass _Unused:\n    def lonely(self):\n        return 0\n")
+    assert uncalled(tmp_path) == ["curvelab.farey._nobody_calls_me",
+                                  "curvelab.window._Unused.lonely"]
