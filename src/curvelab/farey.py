@@ -1,11 +1,14 @@
 """Exact model of the Farey complex and its GL(2,Z) mapping class action.
 
 Vertices are slopes p/q in canonical form, with 1/0 playing the role of the
-slope at infinity.  Two slopes are adjacent when |p q' - q p'| = 1.  Distances
-are computed exactly as shortest paths through the ladder of triangles read
-off a continued fraction, in time linear in its length and with no state
-kept between calls, and cross-checked in the tests against a
-breadth-first oracle on height-bounded windows.
+slope at infinity.  A slope is the integer pair (p, q): it hashes, compares
+and orders as the plain tuple (p, q) does, and is equal to it, so slopes
+must not share a dict or a set with other pairs.  Two slopes are adjacent
+when |p q' - q p'| = 1.  Distances are computed exactly as shortest paths
+through the ladder of triangles read off a continued fraction, in time
+linear in its length and with no state kept between calls, and
+cross-checked in the tests against a breadth-first oracle on
+height-bounded windows.
 """
 
 from __future__ import annotations
@@ -14,27 +17,35 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .window import Window
 
 FAREY_GENERATOR_ALPHABET = "tTuUj"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Slope:
-    """A reduced fraction p/q with q >= 0; the slope 1/0 is infinity.
-
-    Slots keep a window's tens of thousands of slopes small."""
-
+class _Pair(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
-        if self.q < 0 or math.gcd(abs(self.p), self.q) != 1:
-            raise ValueError(f"slope {self.p}/{self.q} is not canonical")
-        if self.q == 0 and self.p != 1:
+
+class Slope(_Pair):
+    """A reduced fraction p/q with q >= 0; the slope 1/0 is infinity.
+
+    A slope is the integer pair (p, q), a tuple: its hash, ``==`` and ``<``
+    are the tuple's, and Slope(1, 2) == (1, 2), so a dict or set holding
+    slopes must hold no other pairs.  The constructor checks that the pair
+    is canonical.  Hot integer code unpacks ``p, q = s`` rather than
+    reading the fields one by one."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> "Slope":
+        if q < 0 or math.gcd(abs(p), q) != 1:
+            raise ValueError(f"slope {p}/{q} is not canonical")
+        if q == 0 and p != 1:
             raise ValueError("the slope at infinity must be written 1/0")
+        return tuple.__new__(cls, (p, q))
 
     @staticmethod
     def of(p: int, q: int) -> "Slope":
@@ -52,17 +63,14 @@ class Slope:
         """A slope from a pair known to be reduced, with no gcd check."""
         if q < 0 or (q == 0 and p < 0):
             p, q = -p, -q
-        s = object.__new__(Slope)
-        object.__setattr__(s, "p", p)
-        object.__setattr__(s, "q", q)
-        return s
+        return tuple.__new__(Slope, (p, q))
 
     @property
     def height(self) -> int:
         return max(abs(self.p), self.q)
 
     def __str__(self) -> str:
-        return f"{self.p}/{self.q}"
+        return "%d/%d" % self
 
     @staticmethod
     def parse(text: str) -> "Slope":
@@ -133,7 +141,8 @@ class IntMatrix:
 
     def apply(self, s: Slope) -> Slope:
         # a determinant +-1 matrix maps reduced pairs to reduced pairs
-        return Slope._canonical(self.a * s.p + self.b * s.q, self.c * s.p + self.d * s.q)
+        p, q = s
+        return Slope._canonical(self.a * p + self.b * q, self.c * p + self.d * q)
 
     def projective(self) -> tuple[int, int, int, int]:
         """Sign-normalised entries; matrices act on slopes through +-1."""
@@ -199,21 +208,23 @@ def distance(s: Slope, t: Slope) -> int:
     """Exact Farey-graph distance, via a matrix moving t to infinity."""
     if s == t:
         return 0
-    # bottom row (t.q, -t.p) kills t; top row (a, b) completes it to det -1
-    a, b = _bezout(t)
-    p, q = a * s.p + b * s.q, t.q * s.p - t.p * s.q
+    sp, sq = s
+    tp, tq = t
+    # bottom row (tq, -tp) kills t; top row (a, b) completes it to det -1
+    a, b = _bezout(tp, tq)
+    p, q = a * sp + b * sq, tq * sp - tp * sq
     if q < 0:
         p, q = -p, -q
     return _distance_to_infinity(p, q)
 
 
-def _bezout(s: Slope) -> tuple[int, int]:
-    """(a, b) with a s.p + b s.q = 1; pow raises ValueError unless the
-    slope is reduced."""
-    if s.q == 0:
+def _bezout(p: int, q: int) -> tuple[int, int]:
+    """(a, b) with a p + b q = 1 for the slope p/q; pow raises ValueError
+    unless the slope is reduced."""
+    if q == 0:
         return 1, 0
-    a = pow(s.p, -1, s.q)
-    return a, (1 - a * s.p) // s.q
+    a = pow(p, -1, q)
+    return a, (1 - a * p) // q
 
 
 def displacement_measure(slopes: Sequence[Slope]) -> Callable[[IntMatrix], list[int]]:
@@ -223,7 +234,7 @@ def displacement_measure(slopes: Sequence[Slope]) -> Callable[[IntMatrix], list[
     to 1/0; each distance is then ``distance(m s, s)`` in plain integers,
     with no Slope built and no gcd taken.
     """
-    table = [(s.p, s.q, *_bezout(s)) for s in slopes]
+    table = [(p, q, *_bezout(p, q)) for p, q in slopes]
 
     def of(m: IntMatrix) -> list[int]:
         ma, mb, mc, md = m.entries
@@ -335,7 +346,7 @@ def window_minimisers(m: IntMatrix, height: int) -> tuple[int, set[Slope]] | Non
         if s.height <= height:
             out.add(s)
         for ga, gb, gc, gd in ((a, b, c, d), (d, -b, -c, a)):  # m and m^-1
-            p, q = s.p, s.q
+            p, q = s
             norm = p * p + q * q
             while True:
                 p, q = ga * p + gb * q, gc * p + gd * q
@@ -352,21 +363,21 @@ def slopes_of_height(height: int) -> list[Slope]:
     """All canonical slopes with max(|p|, q) <= height, in Slope order.
 
     The pairs come out already sorted by p, then q, with 1/0 first among
-    p = 1, so each slope is built once, with no gcd check of its own.  Every
-    slope has height at least 1, so below 1 there are none.
+    p = 1, so each slope is built once, with no gcd check of its own; p and
+    -p share one list of denominators.  Every slope has height at least 1,
+    so below 1 there are none.
     """
     if height < 1:
         return []
+    qs = range(1, height + 1)
+    coprime = [[q for q in qs if math.gcd(n, q) == 1]
+               for n in range(height + 1)]  # coprime[0] == [1], for 0/1
+    new = tuple.__new__
     out = []
     for p in range(-height, height + 1):
         if p == 1:
             out.append(INFINITY)
-        if p == 0:
-            out.append(ZERO)
-            continue
-        n = abs(p)
-        out.extend(Slope._canonical(p, q) for q in range(1, height + 1)
-                   if math.gcd(n, q) == 1)
+        out.extend(map(new, repeat(Slope), zip(repeat(p), coprime[abs(p)])))
     return out
 
 
@@ -402,35 +413,51 @@ def window_images(m: IntMatrix, height: int) -> Iterator[tuple[Slope, Slope]]:
 def farey_window(height: int, basepoint: Slope = ZERO) -> Window:
     """The induced subgraph on all slopes of height <= height.
 
-    Each vertex's neighbours are enumerated in full, so the window is handed
-    its sorted neighbour rows along with the edges.  ValueError for a height
-    below 1: such a window would hold no slope, not even its basepoint."""
+    Every slope p/q with p, q > 0 other than 1/1 is the mediant
+    (a + c)/(b + d) of the ends a/b < c/d of an interval of the
+    Stern-Brocot tree; those two are its only neighbours of lower height,
+    and all its others are higher (Graham, Knuth & Patashnik, *Concrete
+    Mathematics*, 1994, section 4.5).  Mirrored by p -> -p, the same holds
+    on the left.  So the window's edges are the five among the height-1
+    slopes -1/1, 0/1, 1/0 and 1/1 and the two down from each other slope,
+    2n - 3 in all.  The intervals are popped from a stack, starting from
+    [0/1, 1/1] and [1/1, 1/0]; a mediant above the height ends its subtree,
+    since the mediants under it are higher still.  Each edge goes straight
+    into both ends' rows, and again mirrored.  The window is handed its
+    sorted rows as ``neighbors`` and the slope-keyed dict the build looked
+    indices up in as ``index``.  ValueError for a height below 1: such a
+    window would hold no slope, not even its basepoint."""
     if height < 1:
         raise ValueError(f"height must be positive, not {height}")
     vertices = slopes_of_height(height)
-    index = {(s.p, s.q): i for i, s in enumerate(vertices)}
-    edges, rows = [], []
-    for i, s in enumerate(vertices):
-        # the solutions (x, y) of p y - q x = 1 are (k p - b, k q + a) with
-        # a p + b q = 1; those of = -1 are their negatives, so the k with
-        # |x| <= height and |y| <= height give every neighbour once
-        p, q = s.p, s.q
-        a, b = _bezout(s)
-        lo, hi = -height, height
-        if q:
-            lo, hi = -((height + a) // q), (height - a) // q
-        if p > 0:
-            lo, hi = max(lo, -((height - b) // p)), min(hi, (height + b) // p)
-        elif p < 0:
-            lo, hi = max(lo, -((height + b) // -p)), min(hi, (height - b) // -p)
-        row = []
-        for k in range(lo, hi + 1):
-            x, y = k * p - b, k * q + a
-            if y < 0 or (y == 0 and x < 0):
-                x, y = -x, -y
-            row.append(index[x, y])
+    index = dict(zip(vertices, range(len(vertices))))
+    rows = [[] for _ in vertices]
+    neg, zero, inf, one = index[-1, 1], index[0, 1], index[1, 0], index[1, 1]
+    for i, j in ((neg, zero), (neg, inf), (zero, inf), (zero, one), (inf, one)):
+        rows[i].append(j)
+        rows[j].append(i)
+    # an interval: its left end's p, q, index and mirror's index, then its right's
+    stack = [(0, 1, zero, zero, 1, 1, one, neg), (1, 1, one, neg, 1, 0, inf, inf)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        lp, lq, li, lj, rp, rq, ri, rj = pop()
+        p, q = lp + rp, lq + rq
+        if p > height or q > height:
+            continue
+        i, j = index[p, q], index[-p, q]
+        rows[i] = [li, ri]  # its lower neighbours, met before any higher one
+        rows[li].append(i)
+        rows[ri].append(i)
+        rows[j] = [lj, rj]
+        rows[lj].append(j)
+        rows[rj].append(j)
+        push((lp, lq, li, lj, p, q, i, j))
+        push((p, q, i, j, rp, rq, ri, rj))
+    edges = []
+    # the index's own ints, which the rows hold, and not a copy of each
+    for i, row in zip(index.values(), rows):
         row.sort()
-        rows.append(tuple(row))
+        rows[i] = row = tuple(row)
         # each vertex's later neighbours, in order, keep the edges sorted
         edges.extend(zip(repeat(i), row[bisect_right(row, i):]))
     w = Window(
@@ -441,7 +468,8 @@ def farey_window(height: int, basepoint: Slope = ZERO) -> Window:
         edges=tuple(edges),
         words=None,
     )
-    w.__dict__["neighbors"] = tuple(rows)  # as cached_property stores it
+    # as cached_property stores them
+    w.__dict__["neighbors"], w.__dict__["index"] = tuple(rows), index
     return w
 
 

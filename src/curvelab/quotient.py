@@ -373,7 +373,7 @@ class QuotientWindow:
     def json_fields(self) -> dict[str, str]:
         """The JSON text of the fields the quotient adds to ``Window.json_fields``."""
         return {
-            "classes": json_list(json_list(map(str, c)) for c in self.classes),
+            "classes": json_list("[" + ",".join(map(str, c)) + "]" for c in self.classes),
             "displacement": canonical_json(self.displacement)[:-1],  # no newline
         }
 

@@ -32,6 +32,11 @@ class Window:
     (``farey.farey_window``, ``s5windows.build_window``), checked only by
     ``from_json``: a window of translated slopes, as a covariance test
     builds, is accepted unsorted.
+
+    ``index`` (key -> vertex index) and ``neighbors`` are built from the
+    fields when first read.  ``farey.farey_window`` hands over both, the
+    sorted rows and the slope-keyed dict its build looked indices up in, so
+    neither is built a second time.
     """
 
     instance: str

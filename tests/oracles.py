@@ -11,7 +11,8 @@ fraction.  The tests check both against the slower methods kept here:
   ``mcg``'s straight-line kernels are checked;
 - breadth-first search on height-bounded Farey windows;
 - the Farey window built with a checked slope per neighbour and a sort,
-  against which ``farey.farey_window``'s integer-pair build is checked;
+  against which ``farey.farey_window``'s build off the Stern-Brocot tree
+  is checked;
 - the half-twists h2..h4 built as conjugates rho^i h1 rho^-i of h1 by the
   rotation rho, against which the shipped shortest encodings are certified;
 - the S5 window built with those letters and read over all pairs of
@@ -610,7 +611,7 @@ def farey_neighbors(s: farey.Slope, height: int):
     # the solutions (x, y) of s.p * y - s.q * x = 1 are (x0 + k p, y0 + k q)
     # with a p + b q = 1, x0 = -b, y0 = a; those of = -1 are their negatives,
     # so with |y| <= height they give every neighbour once
-    a, b = farey._bezout(s)
+    a, b = farey._bezout(s.p, s.q)
     if s.q == 0:
         ks = range(-height, height + 1)
     else:

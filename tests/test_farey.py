@@ -25,8 +25,8 @@ from curvelab.farey import (
 from curvelab.quotient import displacement_report, farey_contract
 from curvelab.serialize import json_object
 from curvelab.window import Window
-from oracles import (BfsOracle, adjacent, farey_neighbors,
-                     slope_neighbour_window, sorted_slopes_of_height)
+from oracles import (BfsOracle, adjacent, farey_neighbors, slope_neighbour_window,
+                     sorted_adjacency, sorted_slopes_of_height)
 
 
 @st.composite
@@ -64,6 +64,19 @@ class TestSlope:
     def test_parse_roundtrip(self):
         for text in ["1/0", "0/1", "-3/7", "2/5"]:
             assert str(Slope.parse(text)) == text
+
+    @given(slopes(), slopes())
+    def test_hash_equality_and_order_are_the_pairs(self, s, t):
+        # drawn at height 60, so that equal draws happen
+        pair_s, pair_t = (s.p, s.q), (t.p, t.q)
+        assert hash(s) == hash(pair_s) and s == pair_s
+        assert (s == t) == (pair_s == pair_t) and (s != t) == (pair_s != pair_t)
+        assert (s < t) == (pair_s < pair_t) and (s <= t) == (pair_s <= pair_t)
+        assert sorted([s, t]) == sorted([pair_s, pair_t])
+
+    def test_repr(self):
+        assert repr(Slope(-3, 7)) == "Slope(p=-3, q=7)"
+        assert repr(INFINITY) == "Slope(p=1, q=0)"
 
 
 class TestAdjacency:
@@ -198,6 +211,16 @@ class TestOracle:
             assert small.distance(s, t) == large.distance(s, t)
 
 
+def check_handed_over(w: Window) -> None:
+    """The rows and the index ``farey_window`` hands the window are the
+    ones it would build itself from its edges and vertices."""
+    assert {"neighbors", "index"} <= w.__dict__.keys()  # handed over, not built
+    assert w.neighbors == sorted_adjacency(w)
+    # a dict keyed by plain pairs would compare equal, so the keys' type too
+    assert w.index == {v: i for i, v in enumerate(w.vertices)}
+    assert all(type(v) is Slope for v in w.index)
+
+
 class TestWindow:
     def test_height_window(self):
         # checked against adjacent() pair by pair, not farey_neighbors, since
@@ -214,10 +237,24 @@ class TestWindow:
 
     @pytest.mark.parametrize("height", [*range(1, 61), 110])
     def test_matches_the_slope_neighbour_window(self, height):
-        # the integer-pair build against a checked Slope per neighbour
+        # the mediant build against a checked Slope per neighbour
         w, expected = farey_window(height), slope_neighbour_window(height)
         assert w.vertices == expected.vertices and w.edges == expected.edges
         assert w == expected
+        assert len(w.edges) == 2 * len(w) - 3
+        check_handed_over(w)
+
+    def test_each_slope_is_the_mediant_of_its_two_lower_neighbours(self):
+        # the Stern-Brocot fact the build rests on, read off the window
+        # built with a checked Slope per neighbour
+        w = slope_neighbour_window(40)
+        for s, row in zip(w.vertices, sorted_adjacency(w)):
+            if s.height < 2:
+                continue
+            lower = [w.vertices[j] for j in row if w.vertices[j].height < s.height]
+            assert len(lower) == 2, (s, lower)
+            (a, b), (c, d) = lower
+            assert s in (Slope.of(a + c, b + d), Slope.of(a - c, b - d)), (s, lower)
 
     @pytest.mark.parametrize("height", [-2, -1, 0, 1, 2, 7])
     def test_slopes_of_height_are_the_slopes_up_to_it(self, height):
@@ -233,7 +270,9 @@ class TestWindow:
 
     @pytest.mark.parametrize("basepoint", [INFINITY, Slope(-3, 7), Slope(5, 2)])
     def test_matches_the_slope_neighbour_window_at_other_basepoints(self, basepoint):
-        assert farey_window(9, basepoint) == slope_neighbour_window(9, basepoint)
+        w = farey_window(9, basepoint)
+        assert w == slope_neighbour_window(9, basepoint)
+        check_handed_over(w)
 
     def test_json_roundtrip(self):
         w = farey_window(3)

@@ -69,6 +69,17 @@ def test_verify_peaks_little_above_the_import():
     assert run - bare <= 21 * 1024, (bare, run)
 
 
+def test_farey_window_peaks_little_above_the_import():
+    bare, run = peak_kib(), peak_kib("farey", "window", "--height", "110")
+    # 10 runs each, MB of 1024 KiB above the import: the window built from
+    # each slope's neighbour progression, through a dict keyed by new (p, q)
+    # tuples, peaked 6.94-7.05 (median 6.96); the mediant build, which hands
+    # the window its slope-keyed dict as the index, 6.60-6.71.  The limit is
+    # the former median plus 10%.  Keeping a list of edge pairs besides
+    # peaked 8.4, and a second slope-keyed index on the window 7.66-7.82
+    assert run - bare <= 7.66 * 1024, (bare, run)
+
+
 def test_cli_import_loads_neither_openssl_nor_tempfile():
     new = fresh_python("-c", "import sys\n"
                              "before = set(sys.modules)\n"
