@@ -14,7 +14,6 @@ height-bounded windows.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -425,8 +424,9 @@ def farey_window(height: int, basepoint: Slope = ZERO) -> Window:
     since the mediants under it are higher still.  Each edge goes straight
     into both ends' rows, and again mirrored.  The window is handed its
     sorted rows as ``neighbors`` and the slope-keyed dict the build looked
-    indices up in as ``index``.  ValueError for a height below 1: such a
-    window would hold no slope, not even its basepoint."""
+    indices up in as ``index``; no edge list is made.  ValueError for a
+    height below 1: such a window would hold no slope, not even its
+    basepoint."""
     if height < 1:
         raise ValueError(f"height must be positive, not {height}")
     vertices = slopes_of_height(height)
@@ -453,23 +453,18 @@ def farey_window(height: int, basepoint: Slope = ZERO) -> Window:
         rows[rj].append(j)
         push((lp, lq, li, lj, p, q, i, j))
         push((p, q, i, j, rp, rq, ri, rj))
-    edges = []
-    # the index's own ints, which the rows hold, and not a copy of each
-    for i, row in zip(index.values(), rows):
+    for i, row in enumerate(rows):
         row.sort()
-        rows[i] = row = tuple(row)
-        # each vertex's later neighbours, in order, keep the edges sorted
-        edges.extend(zip(repeat(i), row[bisect_right(row, i):]))
+        rows[i] = tuple(row)  # each list freed as its tuple is made
     w = Window(
         instance="farey",
         basepoint=basepoint,
         bound=height,
         vertices=tuple(vertices),
-        edges=tuple(edges),
+        neighbors=tuple(rows),
         words=None,
     )
-    # as cached_property stores them
-    w.__dict__["neighbors"], w.__dict__["index"] = tuple(rows), index
+    w.__dict__["index"] = index  # as cached_property stores it
     return w
 
 

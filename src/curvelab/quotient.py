@@ -18,10 +18,8 @@ displacement minima; ``displacement_report`` only writes them down.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator
 
@@ -125,8 +123,9 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
         # both apexes in the window satisfy E + D = 3T, and the pairs number
         # sum C(d, 2) - 3T - D = sum C(d, 2) - 6T + E.
         degrees = list(map(len, w.neighbors))
-        triangles3 = sum(degrees) - len(degrees) + degrees.count(0)
-        return sum(d * (d - 1) for d in degrees) // 2 - 2 * triangles3 + len(w.edges)
+        ends = sum(degrees)  # 2E
+        triangles3 = ends - len(degrees) + degrees.count(0)
+        return sum(d * (d - 1) for d in degrees) // 2 - 2 * triangles3 + ends // 2
 
     def images(w: Window, m: farey_mod.IntMatrix) -> Iterator[tuple[int, int]]:
         # the window holds every slope of height <= its bound, so the
@@ -224,8 +223,8 @@ class QuotientWindow:
     representation (a matrix on the Farey graph, a word on S0,5), with
     act(transporter[v])(rep key) = key of v.  ``contract`` is the one the
     quotient was built with, so a quotient is all a suite needs.  The
-    quotient edges and neighbour rows are read off the window's rows when
-    first asked for; ``row(c)`` gives one row alone.
+    quotient's rows are read off the window's rows when first asked for;
+    ``row(c)`` gives one row alone, and ``graph`` holds them all.
     """
 
     window: Window
@@ -287,16 +286,6 @@ class QuotientWindow:
         return tuple(map(self.row, range(len(self.classes))))
 
     @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The quotient edges (c, d) with c < d, in order."""
-        if not self.merged:
-            return self.window.edges
-        edges = []
-        for c, row in enumerate(self.neighbors):
-            edges.extend(zip(repeat(c), row[bisect_right(row, c):]))
-        return tuple(edges)
-
-    @cached_property
     def lift(self) -> Callable[[int, int], tuple]:
         """The lift of a quotient edge at a window vertex.
 
@@ -356,19 +345,17 @@ class QuotientWindow:
     @cached_property
     def graph(self) -> Window:
         """The quotient graph: vertex c is the representative of class c,
-        and its neighbour tuples are ``neighbors``.  When no class merges,
-        class c is vertex c, so the graph shares the window's vertices."""
+        and its rows are ``neighbors``.  When no class merges, class c is
+        vertex c, so the graph shares the window's vertices and rows."""
         w = self.window
-        graph = Window(
+        return Window(
             instance=f"{self.contract.name}/quotient",
             basepoint=w.basepoint,
             bound=w.bound,
             vertices=(tuple(w.vertices[m[0]] for m in self.classes) if self.merged
                       else w.vertices),
-            edges=self.edges,
+            neighbors=self.neighbors,
         )
-        graph.__dict__["neighbors"] = self.neighbors  # as cached_property stores it
-        return graph
 
     def json_fields(self) -> dict[str, str]:
         """The JSON text of the fields the quotient adds to ``Window.json_fields``."""

@@ -109,8 +109,9 @@ def build_window(
     result is deterministic.
 
     Edges come from the witnesses: each pair is read through the
-    ``witness_readers`` entry of the vertex with the shorter witness.  The
-    readers are kept on the window for the S5 contract, which reads
+    ``witness_readers`` entry of the vertex with the shorter witness, and
+    each edge found goes into both ends' rows, sorted once all are read.
+    The readers are kept on the window for the S5 contract, which reads
     adjacency to curves outside the window the same way.
 
     Only pairs of curves cutting off disjoint puncture pairs are read.  Every
@@ -148,7 +149,7 @@ def build_window(
     buckets: dict[frozenset[int], list[int]] = {}
     for i, witness in enumerate(witnesses):
         buckets.setdefault(puncture_pair(witness), []).append(i)
-    edges = []
+    rows: list[list[int]] = [[] for _ in vertices]
     for (pair_a, xs), (pair_b, ys) in combinations(buckets.items(), 2):
         if pair_a & pair_b:
             continue
@@ -157,15 +158,15 @@ def build_window(
             p, q = (j, i) if lengths[j] < lengths[i] else (i, j)
             inverse, edge = readers[p]
             if apply_word(inverse, vertices[q])[edge] == 0:
-                edges.append((i, j))
-    edges.sort()
+                rows[i].append(j)
+                rows[j].append(i)
     basepoint = min(seed.coords for seed in seeds)
     w = Window(
         instance=S5_INSTANCE,
         basepoint=basepoint,
         bound=word_bound,
         vertices=vertices,
-        edges=tuple(edges),
+        neighbors=tuple(tuple(sorted(row)) for row in rows),
         words=tuple(witness_str(x) for x in witnesses),
     )
     w.__dict__[_READERS] = readers

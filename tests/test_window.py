@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from curvelab import farey, s5windows
 from curvelab.serialize import json_object
 from curvelab.window import DisjointSets, Window, in_row
+from oracles import rows_from_edges
 
 
 def bfs_components(keys, edges):
@@ -97,16 +98,24 @@ def test_json_round_trip_s5_windows(w2, w3):
         assert back == w, w.bound
 
 
-def test_adjacency_matches_edges():
-    w = farey.farey_window(9)
-    edges = set(w.edges)
-    for i, near in enumerate(w.neighbors):
-        assert list(near) == sorted(set(near))  # sorted, no repeats
-        for j in near:
-            assert i in w.neighbors[j]  # symmetric
-        for j in range(len(w)):
-            assert (j in near) == ((min(i, j), max(i, j)) in edges)
-    assert sum(map(len, w.neighbors)) == 2 * len(edges)
+@st.composite
+def simple_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return n, draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(simple_graphs())
+def test_edges_are_read_off_the_rows(graph):
+    # edges and the JSON edge text list each pair once, in order, and
+    # from_json builds the same rows back from them
+    n, edges = graph
+    w = Window("t", 0, 0, tuple(range(n)), rows_from_edges(n, edges))
+    assert w.edges == tuple(sorted(edges))
+    data = json.loads("".join(json_object(w.json_fields(str))))
+    assert data["edges"] == [list(e) for e in sorted(edges)]
+    assert Window.from_json(data, int, "t") == w
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
