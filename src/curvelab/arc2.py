@@ -12,7 +12,8 @@ tripod or pentagon fillings of the classes.  Once the three arcs are located
 in the window, a filling works on window indices: each cell is checked as a
 chordless 5-cycle on the window's rows, which record curve disjointness
 because the window is induced, and each vertex's record is written once,
-from the window's tuples.
+from the window's tuples, by ``record``, which also writes the arcs and
+epsilons that ``arc2 classify`` prints.
 """
 
 from __future__ import annotations
@@ -39,11 +40,6 @@ class Arc2Vertex:
     @property
     def endpoints(self) -> frozenset[int]:
         return s5windows.puncture_pair(self.curve.witness)
-
-    def to_json(self) -> dict:
-        rec = self.curve.to_json()
-        rec["endpoints"] = sorted(self.endpoints)
-        return rec
 
 
 def arcs_disjoint(a: Arc2Vertex, b: Arc2Vertex) -> bool:
@@ -251,9 +247,10 @@ def _pentagon(cycle: tuple[int, ...], nbrs) -> tuple[int, ...]:
     return s5windows.canonical_cycle(cycle)
 
 
-def _record(w: Window, v: int) -> dict:
-    """``Arc2Vertex.to_json`` of the window's arc at index v, written from
-    the window's tuples."""
+def record(w: Window, v: int) -> dict:
+    """The JSON record of the window's arc at index v: its curve's
+    coordinates and witness, and its endpoints, written from the window's
+    tuples.  Fillings and ``arc2 classify`` write every arc this way."""
     ends = _endpoints(w)[v]
     word, base = s5windows.parse_witness(w.words[v])
     return {"coords": list(w.vertices[v]),
@@ -282,7 +279,7 @@ def fill_triangle(config: TriangleConfig, w: Window) -> dict:
     else:
         cells = _four_pentagon_fill(config, w)
     cycles = [_pentagon(cell, w.neighbors) for cell in cells]
-    rec = {v: _record(w, v) for v in set(loop).union(*cycles)}
+    rec = {v: record(w, v) for v in set(loop).union(*cycles)}
     return {
         "kind": config.kind,
         "arcs": [rec[v] for v in loop[0::2]],

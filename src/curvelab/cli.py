@@ -352,11 +352,9 @@ def arc2_classify(arcs, word_bound, fmt):
         config = arc2_mod.classify_triangle(_parse_arcs(arcs, w), w)
     except ValueError as exc:
         _fail(str(exc))
-    data = {
-        "kind": config.kind,
-        "arcs": [a.to_json() for a in config.arcs],
-        "epsilons": [e.to_json() for e in config.epsilons],
-    }
+    records = [arc2_mod.record(w, w.index[a.curve.coords])
+               for a in (*config.arcs, *config.epsilons)]
+    data = {"kind": config.kind, "arcs": records[:3], "epsilons": records[3:]}
     _emit(data, fmt, text_fn=lambda: f"{config.kind}\n")
 
 

@@ -52,12 +52,6 @@ class NormalCurve:
     def __hash__(self):
         return hash(self.coords)
 
-    def to_json(self) -> dict:
-        rec = {"coords": list(self.coords)}
-        if self.witness is not None:
-            rec["witness"] = {"word": self.witness[0], "base": self.witness[1]}
-        return rec
-
 
 # The base edge whose disk neighborhood c_j bounds: E12, E34, E51, E23, E45.
 BASE_CURVE_EDGES = (0, 2, 4, 1, 3)

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from . import farey as farey_mod
 from . import s5windows
 from .mcg import WORD_ALPHABET, apply_word, invert_word, reduce_word
 from .serialize import canonical_json, json_list
-from .window import Window, in_row
+from .window import Window
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,6 @@ class InstanceContract:
     only writes these down.
     """
 
-    name: str
     key_str: Callable[[Any], str]
     element: Callable[[str], Any]
     act: Callable[[Any], Callable[[Any], Any]]
@@ -74,7 +72,7 @@ class InstanceContract:
             return 1 if self.adjacent(w, a, b) else None
         # a window is an induced subgraph, so its edges decide adjacency
         near = w.neighbors[ia]
-        if in_row(near, ib):
+        if ib in near:
             return 1
         if not set(near).isdisjoint(w.neighbors[ib]):
             return 2
@@ -87,26 +85,23 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
         return farey_mod.word_matrix(word, base)
 
     def displacement(w: Window) -> Callable[[str], tuple[int | None, int | None]]:
-        # a whole-graph minimiser in the window is a window minimiser, and
-        # it has at most the height of the window's highest slope, which is
-        # where the orbit walks stop; the per-vertex table is built only
-        # for a word that must be scanned
-        vs = w.vertices
-        height = max(max(map(abs, map(attrgetter("p"), vs)), default=0),
-                     max(map(attrgetter("q"), vs), default=0))
-        index = w.index
-        scan = None
+        # a whole-graph minimiser in the window is a window minimiser, so
+        # the minimum is exact on any window.  The orbit walks stop at height
+        # w.bound, so argmin is the least minimiser when w.bound is at least
+        # every slope's height, as in every window farey_window builds; the
+        # per-vertex table is built only for a word that must be scanned
+        index, scan = w.index, None
 
         def per_word(word: str) -> tuple[int | None, int | None]:
             nonlocal scan
             m = element(word)
-            found = farey_mod.window_minimisers(m, height)
+            found = farey_mod.window_minimisers(m, w.bound)
             if found is not None:
                 hits = [i for i in map(index.get, found[1]) if i is not None]
                 if hits:
                     return found[0], min(hits)
             if scan is None:
-                scan = farey_mod.displacement_measure(vs)
+                scan = farey_mod.displacement_measure(w.vertices)
             ds = scan(m)
             best = min(ds, default=None)
             return best, None if best is None else ds.index(best)
@@ -135,7 +130,6 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
             yield index[s], index[t]
 
     return InstanceContract(
-        name="farey",
         key_str=str,
         element=element,
         act=lambda m: m.apply,
@@ -187,7 +181,6 @@ def s5_contract() -> InstanceContract:
         return per_word
 
     contract = InstanceContract(
-        name="s5",
         key_str=s5windows.curve_key_str,
         element=lambda word: word,
         act=lambda word: (lambda coords: apply_word(word, coords)),
@@ -349,7 +342,7 @@ class QuotientWindow:
         vertex c, so the graph shares the window's vertices and rows."""
         w = self.window
         return Window(
-            instance=f"{self.contract.name}/quotient",
+            instance=f"{w.instance}/quotient",
             basepoint=w.basepoint,
             bound=w.bound,
             vertices=(tuple(w.vertices[m[0]] for m in self.classes) if self.merged

@@ -47,7 +47,7 @@ from itertools import combinations
 
 from . import s5windows
 from .quotient import QuotientWindow
-from .window import SHORT_ROW, Window, in_row
+from .window import Window
 
 SIMPLICIAL_THRESHOLD = 3
 LIFTING_THRESHOLD = 8
@@ -78,12 +78,11 @@ def _window_certifies_two(w: Window, i: int, m: int, v: int) -> bool:
     """Whether the window alone shows d(i, v) = 2 along the path i, m, v.
 
     A window is an induced subgraph, so a missing edge between distinct
-    vertices means distance at least 2, and the path gives at most 2.
+    vertices means distance at least 2, and the path gives at most 2.  The
+    rows are read with ``in``, as every edge test reads them.
     """
-    near, far = w.neighbors[i], w.neighbors[m]
-    if len(near) < SHORT_ROW and len(far) < SHORT_ROW:  # as in_row, with no calls
-        return i != v and v not in near and m in near and v in far
-    return i != v and not in_row(near, v) and in_row(near, m) and in_row(far, v)
+    near = w.neighbors[i]
+    return i != v and v not in near and m in near and v in w.neighbors[m]
 
 
 def _merged_edges(q: QuotientWindow) -> list[tuple[int, int]]:
@@ -206,7 +205,7 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
                 if v is None:
                     truncated += 1
                     continue
-                if not (in_row(nbrs[i], v) and class_of[v] == b):
+                if not (v in nbrs[i] and class_of[v] == b):
                     witnesses.append({
                         "kind": "edge-lift", "at": key(w.vertices[i]),
                         "to_class": b, "lift": key(v_key),

@@ -26,7 +26,6 @@ from .window import DisjointSets
 PUNCTURES = (1, 2, 3, 4, 5)
 NUM_EDGES = 9
 Coords = tuple[int, int, int, int, int, int, int, int, int]
-ZERO_COORDS: Coords = (0,) * NUM_EDGES
 
 # One step of a flip program: (e, x, y, z, w) sets coordinate e to
 # max(x + z, y + w) - e, the tropical exchange across a flip of edge e inside

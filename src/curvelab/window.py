@@ -5,13 +5,11 @@ vertex keys, and the bound (height or word length) that generated it.  It is
 the unit of computation everywhere: the ambient graphs have infinite balls,
 so finite induced subgraphs stand in for them.  ``neighbors`` is the one
 adjacency structure a window holds: sorted index tuples, which edge tests
-read by membership, by bisection (``in_row``) where a row may be long.  The
-union-find that triangulations use lives here too.
+read with ``in``.  The union-find that triangulations use lives here too.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable
@@ -137,20 +135,6 @@ class Window:
             lines.append(f"  {i} -- {j};")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-# rows shorter than this are scanned, which is cheaper there than bisection
-SHORT_ROW = 16
-
-
-def in_row(row: tuple[int, ...], x: int) -> bool:
-    """Whether x is in the sorted tuple ``row``: by a scan when the row is
-    short, by bisection when it is long, as the rows of 0/1 and 1/0 in a
-    Farey window of height h are, with about 2h vertices each."""
-    if len(row) < SHORT_ROW:
-        return x in row
-    k = bisect_left(row, x)
-    return k < len(row) and row[k] == x
 
 
 class DisjointSets:

@@ -38,11 +38,12 @@ fraction.  The tests check both against the slower methods kept here:
 - the window's and the quotient's JSON built as dict trees, whose
   ``canonical_json`` is the byte oracle for the text that
   ``Window.json_fields`` and ``QuotientWindow.json_fields`` write;
-- the shape every window's rows must have (``check_rows``): each row
-  strictly increasing, in range and loop-free, and the rows symmetric,
-  which the tests check on every builder's output, since the constructor
-  does not; the oracle windows build their rows from their own edges
-  (``rows_from_edges``), so edge content is checked against them;
+- the shape every window must have (``check_rows``): keys strictly
+  increasing, each row strictly increasing, in range and loop-free, and
+  the rows symmetric, which the tests check on every builder's output,
+  since the constructor does not; the oracle windows build their rows
+  from their own edges (``rows_from_edges``), so edge content is checked
+  against them;
 - the curve-level pentagon test and cycle order (``is_pentagon_set``,
   ``pentagon_cycle``), reading each pair's disjointness through a witness
   word (``witness_disjoint``), against which ``arc2.fill_triangle``'s
@@ -553,10 +554,12 @@ def rows_from_edges(n: int, edges) -> tuple[tuple[int, ...], ...]:
 
 
 def check_rows(w: Window) -> None:
-    """``w.neighbors`` has a row per vertex, each strictly increasing (so
-    no neighbour repeats), in range and without its own vertex, and j is
-    in row i exactly when i is in row j."""
-    n, rows = len(w), w.neighbors
+    """``w.vertices`` increase strictly, as ``QuotientWindow``'s class order
+    needs, and ``w.neighbors`` has a row per vertex, each strictly
+    increasing (so no neighbour repeats), in range and without its own
+    vertex, and j is in row i exactly when i is in row j."""
+    n, keys, rows = len(w), w.vertices, w.neighbors
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     assert len(rows) == n
     for i, row in enumerate(rows):
         assert all(a < b for a, b in zip(row, row[1:])), (i, row)

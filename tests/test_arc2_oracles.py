@@ -253,7 +253,8 @@ def test_cells_are_curve_level_pentagons_in_cycle_order(w3, triangles):
             cells += 1
         for rec in [*filling["boundary"], *(r for c in filling["pentagons"] for r in c)]:
             arc = record_arc(rec)
-            assert rec == arc.to_json()
+            assert set(rec) == {"coords", "witness", "endpoints"}
+            assert rec["endpoints"] == sorted(arc.endpoints)
             coords = arc.curve.coords
             if coords not in traced:
                 traced[coords] = arc_endpoints(coords)

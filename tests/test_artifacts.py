@@ -606,3 +606,43 @@ def test_farey_h110_stdout_byte_identical(entry, monkeypatch):
     result = CliRunner().invoke(cli.main, args, catch_exceptions=False)
     assert result.exit_code == 0
     assert sha256(result.stdout_bytes) == digest
+
+
+# arc2 classify, one triangle per kind (the representatives of
+# ``test_arc2``, classified in the default bound-3 window): the SHA-256 of
+# stdout, which holds the arcs' and epsilons' curve records; recorded from
+# the code that wrote each record through ``Arc2Vertex.to_json``
+ARC2_CLASSIFY = {
+    "case1": (("0,0,1,0,1,0,1,0,1", "0,1,0,1,0,1,1,1,1", "0,1,1,1,1,1,0,1,2"),
+              "8c2d708a9dd49a28af2216c048067160e14a87cdd1698b2b9e7f44d0689ba6c4"),
+    "case2": (("0,0,1,0,1,0,1,0,1", "0,1,0,1,0,1,1,1,1", "1,0,1,1,1,1,0,1,2"),
+              "e3f385b93d8e134448e4de840425f85594d23eca5de2adbf1c1ec6ab52c08892"),
+    "case3": (("0,0,1,0,1,0,1,0,1", "0,1,0,1,0,1,1,1,1", "0,1,2,1,2,1,1,1,3"),
+              "c717f8b7d8dc81132ac4d06b2ab37ac73d81c2b04e3002ab1ddbfd314ec7e11b"),
+    "case4": (("0,0,1,0,1,0,1,0,1", "0,1,0,1,0,1,1,1,1", "2,1,2,1,0,1,1,3,1"),
+              "1da7aed618aac4b3be893bd9808f60a3a3f9685e7223cd6e284754ef448e1052"),
+    "case5": (("0,0,1,0,1,0,1,0,1", "0,1,0,1,0,1,1,1,1", "2,1,1,1,1,1,0,3,2"),
+              "bba12cb461ec6f87a8157cbb184ef40aa0b008f5889a9600e95187c35d900378"),
+    "case5-all-equal": (
+        ("0,1,0,1,0,1,1,1,1", "0,1,2,1,2,1,1,1,3", "2,1,2,1,0,3,1,1,1"),
+        "eaec844681c5e7870fb165d6df6dcd0669b9cc8987353ef572cdd9fcd7318e58"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ARC2_CLASSIFY))
+def test_arc2_classify_stdout_byte_identical(label):
+    arcs, digest = ARC2_CLASSIFY[label]
+    result = CliRunner().invoke(cli.main, ["arc2", "classify", *arcs],
+                                catch_exceptions=False)
+    assert result.exit_code == 0
+    assert sha256(result.stdout_bytes) == digest
+
+
+def test_arc2_classify_undecided_exits_two():
+    # a triangle of the bound-2 window with no epsilon arc in the bound-3 one
+    result = CliRunner().invoke(
+        cli.main, ["arc2", "classify", "0,0,1,0,1,0,1,0,1", "1,0,2,1,2,1,3,1,1",
+                   "2,1,1,1,1,3,2,1,0"], catch_exceptions=False)
+    assert result.exit_code == cli.EXIT_IO_ERROR
+    assert result.stdout == ""
+    assert result.stderr == "error: expected a unique epsilon arc, found 0 in the window\n"

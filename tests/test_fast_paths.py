@@ -97,7 +97,7 @@ def assert_suites_match(w, q, contract) -> None:
     if contract.distance_two_pairs is not None:
         assert contract.distance_two_pairs(w) == walked_distance_two_pairs(w)
     reports = [simplicial, lifting, ball2, covering]
-    if contract.name == "s5":
+    if w.instance == "s5":
         transfer = suites.transfer_pentagons(q)
         assert transfer == transfer_pentagons(w, q, contract)
         reports += [transfer, suites.check_support_sets(q)]

@@ -125,6 +125,7 @@ def test_as_window_sorted(q20, w3):
             w.vertices[representative(q, c)] for c in range(len(q)))
         assert list(q.graph.vertices) == sorted(q.graph.vertices)
         check_rows(q.graph)
+        assert q.graph.instance == f"{q.window.instance}/quotient"
     assert q3.graph.instance == "s5/quotient"
 
 

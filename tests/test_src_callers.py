@@ -1,12 +1,16 @@
-"""No code that nothing calls: every function in ``src/curvelab`` has a caller there.
+"""No code that nothing calls: every function in ``src/curvelab`` has a
+caller there, and every module-level constant a reader.
 
 Every module-level function, every method of a class, and every function
 nested in one of them, defined in ``src/curvelab``, must be referenced
 somewhere else in ``src/curvelab``: by an ``ast.Name`` or an
-``ast.Attribute`` with its name.  Exempt are dunders, which Python calls;
-the click commands and groups, which the command line calls; and the
-functions the benchmark's layer tracer wraps (``test_layer_names.TARGETS``),
-which it finds by name even where only the tests call them.
+``ast.Attribute`` with its name that reads it.  Exempt are dunders, which
+Python calls; the click commands and groups, which the command line calls;
+and the functions the benchmark's layer tracer wraps
+(``test_layer_names.TARGETS``), which it finds by name even where only the
+tests call them.  Likewise every name that a module-level assignment binds
+must be read somewhere in ``src/curvelab``; dunders such as ``__version__``
+are exempt.
 
 The gate matches by name only, not by binding.  A function that shares its
 name with another function or attribute escapes it: ``farey.adjacent``, which
@@ -26,14 +30,18 @@ CLICK_DECORATORS = {"command", "group"}
 
 
 def referenced_names(tree: ast.Module) -> set[str]:
-    """The names that a Name or an Attribute in the tree refers to."""
+    """The names that a Name or an Attribute in the tree reads."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
     return names
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def is_click_command(fn: ast.FunctionDef) -> bool:
@@ -59,21 +67,47 @@ def definitions(tree: ast.Module):
     yield from walk(tree, "")
 
 
+def constants(tree: ast.Module):
+    """Each name that an assignment in the module's body binds."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name):
+                    yield node.id
+
+
+def parse(src: Path) -> dict[str, ast.Module]:
+    return {f"curvelab.{path.stem}": ast.parse(path.read_text(), str(path))
+            for path in sorted(src.glob("*.py"))}
+
+
 def uncalled(src: Path) -> list[str]:
     """The functions under src that no code under src refers to by name."""
-    trees = {f"curvelab.{path.stem}": ast.parse(path.read_text(), str(path))
-             for path in sorted(src.glob("*.py"))}
+    trees = parse(src)
     names = set().union(*map(referenced_names, trees.values()))
     exempt = set(TARGETS)
     out = []
     for module, tree in trees.items():
         for qualname, fn in definitions(tree):
-            name = fn.name
-            if (name.startswith("__") and name.endswith("__")) or is_click_command(fn):
+            if is_dunder(fn.name) or is_click_command(fn):
                 continue
-            if name not in names and (module, qualname) not in exempt:
+            if fn.name not in names and (module, qualname) not in exempt:
                 out.append(f"{module}.{qualname}")
     return out
+
+
+def unread(src: Path) -> list[str]:
+    """The module-level constants under src that no code under src reads."""
+    trees = parse(src)
+    names = set().union(*map(referenced_names, trees.values()))
+    return [f"{module}.{name}" for module, tree in trees.items()
+            for name in constants(tree) if not is_dunder(name) and name not in names]
 
 
 def test_every_function_has_a_caller_in_src():
@@ -89,3 +123,18 @@ def test_an_uncalled_helper_is_flagged(tmp_path):
         f.write("\n\nclass _Unused:\n    def lonely(self):\n        return 0\n")
     assert uncalled(tmp_path) == ["curvelab.farey._nobody_calls_me",
                                   "curvelab.window._Unused.lonely"]
+
+
+def test_every_constant_is_read_in_src():
+    assert unread(SRC) == []
+
+
+def test_an_unread_constant_is_flagged(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "triangulation.py", "a") as f:
+        f.write("\n\nNOBODY_READS_ME: tuple = (0,) * NUM_EDGES\n")
+    with open(tmp_path / "window.py", "a") as f:
+        f.write("\n\n_LEFT, _RIGHT = 1, 2\nprint(_RIGHT)\n__hidden__ = 3\n")
+    assert unread(tmp_path) == ["curvelab.triangulation.NOBODY_READS_ME",
+                                "curvelab.window._LEFT"]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from curvelab import farey, s5windows
 from curvelab.serialize import json_object
-from curvelab.window import DisjointSets, Window, in_row
+from curvelab.window import DisjointSets, Window
 from oracles import rows_from_edges
 
 
@@ -117,9 +117,3 @@ def test_edges_are_read_off_the_rows(graph):
     assert data["edges"] == [list(e) for e in sorted(edges)]
     assert Window.from_json(data, int, "t") == w
 
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sets(st.integers(-50, 50), max_size=40), st.integers(-60, 60))
-def test_in_row_is_membership(values, x):
-    row = tuple(sorted(values))
-    assert in_row(row, x) == (x in row)
