@@ -7,9 +7,10 @@ endpoints, and two arcs have disjoint interiors exactly when their curves
 satisfy i(curve, curve') = 2 * (number of shared endpoints).
 
 Triangles of pairwise interior-disjoint arcs whose pairs all share an
-endpoint fall into five configuration classes; fillTriangle produces the
+endpoint fall into five configuration classes; fill_triangle produces the
 tripod or pentagon fillings of the classes.  Once the three arcs are located
-in the window, a filling works on window indices: each cell is checked as a
+in the window, classification and filling work on window indices: a
+classified triangle is its delta-loop of indices, each cell is checked as a
 chordless 5-cycle on the window's rows, which record curve disjointness
 because the window is induced, and each vertex's record is written once,
 from the window's tuples, by ``record``, which also writes the arcs and
@@ -32,10 +33,16 @@ class Arc2Vertex:
     """An arc between two distinct punctures, carried by its curve.
 
     The curve must carry a witness word that gives it, as every window
-    curve does: the arc's endpoints are read off the witness.
+    curve does: the arc's endpoints are read off the witness, and a curve
+    without one is refused (ValueError).
     """
 
     curve: NormalCurve
+
+    def __post_init__(self):
+        if self.curve.witness is None:
+            key = s5windows.curve_key_str(self.curve.coords)
+            raise ValueError(f"arc {key} has no witness word")
 
     @property
     def endpoints(self) -> frozenset[int]:
@@ -75,22 +82,19 @@ def _endpoints(w: Window) -> tuple[frozenset[int], ...]:
     return ends
 
 
-def epsilon_arc(x_i: Arc2Vertex, x_j: Arc2Vertex, w: Window) -> Arc2Vertex:
-    """The unique arc with distinct endpoints in the complement of the two.
+def epsilon_arc(w: Window, i: int, j: int) -> int:
+    """The index of the unique arc with distinct endpoints in the complement
+    of window arcs i and j.
 
-    The inputs must be interior-disjoint and share at least one endpoint
-    (arcs with disjoint endpoint pairs are directly adjacent and need no
-    connector).  An arc sharing no endpoint with another is interior-disjoint
-    from it exactly when their curves are disjoint: the candidates are the
-    common window neighbours avoiding both endpoint pairs, and must be unique.
+    The two must be interior-disjoint and share an endpoint, as
+    ``classify_triangle`` checks (arcs with disjoint endpoint pairs are
+    directly adjacent and need no connector).  An arc sharing no endpoint
+    with another is interior-disjoint from it exactly when their curves are
+    disjoint: the candidates are the common window neighbours avoiding both
+    endpoint pairs, read from ``_endpoints(w)``, and must be unique.
     """
-    if not arcs_disjoint(x_i, x_j):
-        raise ValueError("epsilon arc needs interior-disjoint arcs")
-    if not x_i.endpoints & x_j.endpoints:
-        raise ValueError("arcs with distinct endpoints are adjacent; no epsilon arc")
-    i, j = _vertex(w, x_i), _vertex(w, x_j)
-    taken = x_i.endpoints | x_j.endpoints
     ends = _endpoints(w)
+    taken = ends[i] | ends[j]
     near_j = set(w.neighbors[j])
     candidates = [k for k in w.neighbors[i]
                   if k in near_j and taken.isdisjoint(ends[k])]
@@ -98,14 +102,15 @@ def epsilon_arc(x_i: Arc2Vertex, x_j: Arc2Vertex, w: Window) -> Arc2Vertex:
         raise ValueError(
             f"expected a unique epsilon arc, found {len(candidates)} in the window"
         )
-    return Arc2Vertex(s5windows.window_curve(w, candidates[0]))
+    return candidates[0]
 
 
 @dataclass(frozen=True)
 class TriangleConfig:
     """A classified triangle of pairwise interior-disjoint arcs.
 
-    The five kinds, by endpoint-sharing pattern of the arc pair-counts and
+    ``loop`` is its delta-loop x0 e01 x1 e12 x2 e02 of window indices.  The
+    five kinds, by endpoint-sharing pattern of the arc pair-counts and
     coincidence of the epsilon connectors:
       case1 — cyclic sharing through three punctures, epsilons coincide
       case2 — star: all three arcs share one common puncture
@@ -116,14 +121,15 @@ class TriangleConfig:
               joining the same pair); filled by four pentagons
     """
 
-    arcs: tuple[Arc2Vertex, Arc2Vertex, Arc2Vertex]
     kind: str
-    epsilons: tuple[Arc2Vertex, Arc2Vertex, Arc2Vertex]  # e01, e12, e02
+    loop: tuple[int, int, int, int, int, int]
 
 
 def classify_triangle(
     arcs: tuple[Arc2Vertex, Arc2Vertex, Arc2Vertex], w: Window
 ) -> TriangleConfig:
+    """The kind and delta-loop of a triangle: the guards read each pair's
+    curves once, then the arcs are located and the epsilon arcs found on indices."""
     if len({a.curve.coords for a in arcs}) != 3:
         raise ValueError("triangle requires three distinct arcs")
     for a, b in combinations(arcs, 2):
@@ -135,9 +141,9 @@ def classify_triangle(
             "a pair of arcs with distinct endpoints spans a single pentagon; "
             "only triples whose pairs all share an endpoint are classified"
         )
-    x0, x1, x2 = arcs
-    eps = (epsilon_arc(x0, x1, w), epsilon_arc(x1, x2, w), epsilon_arc(x0, x2, w))
-    coincide = len({e.curve.coords for e in eps}) == 1
+    x0, x1, x2 = (_vertex(w, a) for a in arcs)
+    e01, e12, e02 = epsilon_arc(w, x0, x1), epsilon_arc(w, x1, x2), epsilon_arc(w, x0, x2)
+    coincide = e01 == e12 == e02
     punctures = frozenset().union(*(a.endpoints for a in arcs))
     if sharing == [1, 1, 1] and len(punctures) == 4:
         kind = "case2"
@@ -149,12 +155,7 @@ def classify_triangle(
         kind = "case5"
     else:
         raise ValueError(f"unclassifiable endpoint pattern {sharing}")
-    return TriangleConfig(tuple(arcs), kind, eps)
-
-
-def _boundary(config: TriangleConfig, w: Window) -> list[int]:
-    """The window indices of the delta-loop x0 e01 x1 e12 x2 e02."""
-    return [_vertex(w, a) for p in zip(config.arcs, config.epsilons) for a in p]
+    return TriangleConfig(kind, (x0, e01, x1, e12, x2, e02))
 
 
 def _two_pentagon_fill(config: TriangleConfig, w: Window) -> list[tuple[int, ...]]:
@@ -167,10 +168,9 @@ def _two_pentagon_fill(config: TriangleConfig, w: Window) -> list[tuple[int, ...
     disjointness because the window is induced; the least z over the three
     pivots wins.  The pentagons are index cycles, in that order.
     """
-    loop = _boundary(config, w)
-    arcs, eps = loop[0::2], loop[1::2]  # eps: e01, e12, e02
+    arcs, eps = config.loop[0::2], config.loop[1::2]  # eps: e01, e12, e02
     eps_of = dict(zip(map(frozenset, [(0, 1), (1, 2), (0, 2)]), eps))
-    used = set(loop)
+    used = set(config.loop)
     nbrs = w.neighbors
     solutions = []
     for pivot in range(3):
@@ -203,8 +203,7 @@ def _four_pentagon_fill(config: TriangleConfig, w: Window) -> list[tuple[int, ..
     that over-cover no edge; every cover by four is listed and the least
     wins.  The pentagons are the window's canonical index cycles.
     """
-    hexagon = _boundary(config, w)
-    delta = {tuple(sorted((hexagon[i], hexagon[i - 1]))) for i in range(6)}
+    delta = {tuple(sorted((config.loop[i], config.loop[i - 1]))) for i in range(6)}
     by_edge = s5windows.pentagons_by_edge(w)
     cands = sorted({p for e in delta for p in by_edge.get(e, ())})
     edges_of = [{tuple(sorted((p[i], p[i - 1]))) for i in range(5)} for p in cands]
@@ -270,7 +269,7 @@ def fill_triangle(config: TriangleConfig, w: Window) -> dict:
     filling, from the window's coordinates, witness word and endpoints, and
     every place that vertex takes in the filling holds that one record.
     """
-    loop = _boundary(config, w)
+    loop = config.loop
     tripod = config.kind in ("case1", "case3")
     if tripod:
         cells = []

@@ -352,9 +352,9 @@ def arc2_classify(arcs, word_bound, fmt):
         config = arc2_mod.classify_triangle(_parse_arcs(arcs, w), w)
     except ValueError as exc:
         _fail(str(exc))
-    records = [arc2_mod.record(w, w.index[a.curve.coords])
-               for a in (*config.arcs, *config.epsilons)]
-    data = {"kind": config.kind, "arcs": records[:3], "epsilons": records[3:]}
+    data = {"kind": config.kind,
+            "arcs": [arc2_mod.record(w, v) for v in config.loop[0::2]],
+            "epsilons": [arc2_mod.record(w, v) for v in config.loop[1::2]]}
     _emit(data, fmt, text_fn=lambda: f"{config.kind}\n")
 
 

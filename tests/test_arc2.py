@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,7 @@ from curvelab.arc2 import (
     epsilon_arc,
     fill_triangle,
 )
-from curvelab.curves import BASE_CURVES, BASE_CURVE_PAIRS, intersection_number
+from curvelab.curves import BASE_CURVES, BASE_CURVE_PAIRS, NormalCurve, intersection_number
 from oracles import act, arc_endpoints, is_pentagon_set, pentagon_cycle, witness_disjoint
 from curvelab.triangulation import BASE
 
@@ -95,33 +96,76 @@ def test_arcs_disjoint_matches_intersection():
     assert not arcs_disjoint(c1, c1)
 
 
-def test_epsilon_arc_guards(w3):
-    c1, c2 = Arc2Vertex(BASE_CURVES[0]), Arc2Vertex(BASE_CURVES[1])
-    with pytest.raises(ValueError):
-        epsilon_arc(c1, c2, w3)  # endpoint pairs {1,2} and {3,4} are disjoint
+def test_classification_guards(w2, w3):
+    c1, c2, c4 = (Arc2Vertex(BASE_CURVES[k]) for k in (0, 1, 3))
+    # endpoint pairs {1,2} and {3,4} are disjoint: that pair needs no epsilon arc
+    with pytest.raises(ValueError) as exc:
+        classify_triangle((c1, c2, c4), w3)
+    assert str(exc.value) == (
+        "a pair of arcs with distinct endpoints spans a single pentagon; "
+        "only triples whose pairs all share an endpoint are classified")
+    # the case5 representative's third arc crosses c1, not c4, and meets c4
+    # at an endpoint
+    crossing = Arc2Vertex(s5windows.window_curve(w2, w2.index[REPRESENTATIVES["case5"][2]]))
+    assert crossing.endpoints & c4.endpoints and arcs_disjoint(crossing, c4)
+    with pytest.raises(ValueError) as exc:
+        classify_triangle((c1, c4, crossing), w3)
+    assert str(exc.value) == "triangle arcs must have pairwise disjoint interiors"
 
 
 def test_epsilon_arc_avoids_endpoints(w3):
     c1, c4 = Arc2Vertex(BASE_CURVES[0]), Arc2Vertex(BASE_CURVES[3])
-    eps = epsilon_arc(c1, c4, w3)
+    k = epsilon_arc(w3, w3.index[c1.curve.coords], w3.index[c4.curve.coords])
+    eps = Arc2Vertex(s5windows.window_curve(w3, k))
     union = c1.endpoints | c4.endpoints  # {1, 2, 3}
     assert not (eps.endpoints & union)
     assert arcs_disjoint(eps, c1) and arcs_disjoint(eps, c4)
 
 
 def test_epsilon_arc_outside_window_is_undecided(w2, w3):
-    # a bound-3 arc sharing an endpoint with c1, interior-disjoint from it
-    c1 = Arc2Vertex(BASE_CURVES[0])
-    beyond = [Arc2Vertex(s5windows.window_curve(w3, k))
-              for k in range(len(w3)) if w3.vertices[k] not in w2]
-    outside = next(a for a in beyond if a.endpoints & c1.endpoints and arcs_disjoint(a, c1))
+    # a triangle of bound-3 arcs whose third arc is beyond the bound-2 window;
+    # the first two have no epsilon arc in the bound-2 window
+    inside = arcs_from(((0, 1, 0, 1, 0, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1, 0, 3, 2)), w2)
+    outside = Arc2Vertex(s5windows.window_curve(w3, w3.index[(2, 0, 1, 2, 1, 2, 1, 2, 3)]))
+    assert outside.curve.coords not in w2.index
+    with pytest.raises(ValueError, match="expected a unique epsilon arc"):
+        epsilon_arc(w2, *(w2.index[a.curve.coords] for a in inside))
     key = s5windows.curve_key_str(outside.curve.coords)
-    for pair in ((c1, outside), (outside, c1)):
+    for k in range(3):
+        triangle = list(inside)
+        triangle.insert(k, outside)
         with pytest.raises(ValueError) as exc:
-            epsilon_arc(*pair, w2)
+            classify_triangle(tuple(triangle), w2)
+        # all three arcs are located before any epsilon arc is looked for
         assert str(exc.value) == f"arc {key} is not in the bound-2 window"
-    # the pair itself is valid: in a window holding both arcs it is decided
-    assert isinstance(epsilon_arc(c1, outside, w3), Arc2Vertex)
+    # the arcs themselves are valid: a window holding them decides the pairs
+    i, j = w3.index[inside[0].curve.coords], w3.index[outside.curve.coords]
+    assert isinstance(epsilon_arc(w3, i, j), int)
+
+
+def test_arc_without_witness_is_undecided():
+    curve = NormalCurve(BASE_CURVES[0].coords)
+    with pytest.raises(ValueError) as exc:
+        Arc2Vertex(curve)
+    key = s5windows.curve_key_str(curve.coords)
+    assert str(exc.value) == f"arc {key} has no witness word"
+
+
+@pytest.mark.parametrize("label", sorted(REPRESENTATIVES))
+def test_classification_reads_each_pair_once(monkeypatch, label, w2, w3):
+    arcs = arcs_from(REPRESENTATIVES[label], w2)
+    calls = Counter()
+
+    def counting(name, real):
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        return count
+
+    for name in ("intersection_number", "epsilon_arc"):
+        monkeypatch.setattr(arc2, name, counting(name, getattr(arc2, name)))
+    classify_triangle(arcs, w3)
+    assert calls == {"intersection_number": 3, "epsilon_arc": 3}
 
 
 @pytest.mark.parametrize("label", sorted(REPRESENTATIVES))
@@ -156,8 +200,6 @@ def test_fillings(label, w2, w3):
 
 
 def test_four_pentagon_fill_structure(w2, w3):
-    from collections import Counter
-
     arcs = arcs_from(REPRESENTATIVES["case5"], w2)
     cfg = classify_triangle(arcs, w3)
     out = fill_triangle(cfg, w3)

@@ -44,18 +44,18 @@ def scan_epsilon_arc(x_i, x_j, w):
 
 def scan_two_pentagon_fill(config, w):
     """Every window vertex tried as z, each 5-set tested with ``is_pentagon_set``."""
+    loop = [Arc2Vertex(s5windows.window_curve(w, v)) for v in config.loop]
+    arcs, epsilons = loop[0::2], loop[1::2]
     eps_of = {
-        frozenset((0, 1)): config.epsilons[0],
-        frozenset((1, 2)): config.epsilons[1],
-        frozenset((0, 2)): config.epsilons[2],
+        frozenset((0, 1)): epsilons[0],
+        frozenset((1, 2)): epsilons[1],
+        frozenset((0, 2)): epsilons[2],
     }
-    used = {a.curve.coords for a in config.arcs} | {
-        e.curve.coords for e in config.epsilons
-    }
+    used = {a.curve.coords for a in loop}
     solutions = []
     for pivot in range(3):
         o1, o2 = sorted({0, 1, 2} - {pivot})
-        x0, x1, x2 = config.arcs[pivot], config.arcs[o1], config.arcs[o2]
+        x0, x1, x2 = arcs[pivot], arcs[o1], arcs[o2]
         e01 = eps_of[frozenset((pivot, o1))]
         e12 = eps_of[frozenset((o1, o2))]
         e02 = eps_of[frozenset((pivot, o2))]
@@ -74,11 +74,7 @@ def scan_two_pentagon_fill(config, w):
 
 def leaf_checked_four_pentagon_fill(config, w):
     """Every pentagon through each uncovered hexagon edge, checked at the leaves."""
-    hexagon = [
-        config.arcs[0], config.epsilons[0], config.arcs[1],
-        config.epsilons[1], config.arcs[2], config.epsilons[2],
-    ]
-    hid = [w.index[a.curve.coords] for a in hexagon]
+    hid = config.loop
     delta = {tuple(sorted((hid[i], hid[(i + 1) % 6]))) for i in range(6)}
     by_edge = s5windows.pentagons_by_edge(w)
     cands = sorted({p for e in delta for p in by_edge.get(e, ())})
@@ -179,9 +175,10 @@ def test_epsilon_arc_matches_window_scan(w3, pairs):
     assert len(pairs) == 338
     found = 0
     for a, b in pairs:
-        fast = outcome(arc2.epsilon_arc, a, b, w3)
-        assert fast == outcome(scan_epsilon_arc, a, b, w3)
-        found += isinstance(fast, Arc2Vertex)
+        fast = outcome(arc2.epsilon_arc, w3, *arc_ids((a, b), w3))
+        scan = outcome(scan_epsilon_arc, a, b, w3)
+        assert fast == (scan if isinstance(scan, str) else arc_ids([scan], w3)[0])
+        found += isinstance(fast, int)
     assert 0 < found < len(pairs)  # both outcomes are exercised
 
 

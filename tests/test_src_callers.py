@@ -1,5 +1,6 @@
 """No code that nothing calls: every function in ``src/curvelab`` has a
-caller there, and every module-level constant a reader.
+caller there, every module-level constant a reader, and every import a
+reader in its own module.
 
 Every module-level function, every method of a class, and every function
 nested in one of them, defined in ``src/curvelab``, must be referenced
@@ -10,7 +11,9 @@ and the functions the benchmark's layer tracer wraps
 (``test_layer_names.TARGETS``), which it finds by name even where only the
 tests call them.  Likewise every name that a module-level assignment binds
 must be read somewhere in ``src/curvelab``; dunders such as ``__version__``
-are exempt.
+are exempt.  And every name that an import statement in a module binds,
+at any depth, must be read in that same module; ``from __future__``
+imports are exempt.
 
 The gate matches by name only, not by binding.  A function that shares its
 name with another function or attribute escapes it: ``farey.adjacent``, which
@@ -82,6 +85,16 @@ def constants(tree: ast.Module):
                     yield node.id
 
 
+def imports(tree: ast.Module):
+    """Each name that an import statement in the tree binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+
+
 def parse(src: Path) -> dict[str, ast.Module]:
     return {f"curvelab.{path.stem}": ast.parse(path.read_text(), str(path))
             for path in sorted(src.glob("*.py"))}
@@ -108,6 +121,12 @@ def unread(src: Path) -> list[str]:
     names = set().union(*map(referenced_names, trees.values()))
     return [f"{module}.{name}" for module, tree in trees.items()
             for name in constants(tree) if not is_dunder(name) and name not in names]
+
+
+def unused_imports(src: Path) -> list[str]:
+    """The imported names under src that their own module never reads."""
+    return [f"{module}.{name}" for module, tree in parse(src).items()
+            for name in imports(tree) if name not in referenced_names(tree)]
 
 
 def test_every_function_has_a_caller_in_src():
@@ -138,3 +157,18 @@ def test_an_unread_constant_is_flagged(tmp_path):
         f.write("\n\n_LEFT, _RIGHT = 1, 2\nprint(_RIGHT)\n__hidden__ = 3\n")
     assert unread(tmp_path) == ["curvelab.triangulation.NOBODY_READS_ME",
                                 "curvelab.window._LEFT"]
+
+
+def test_every_import_is_read_in_its_module():
+    assert unused_imports(SRC) == []
+
+
+def test_an_unused_import_is_flagged(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "window.py", "a") as f:
+        f.write("\n\nimport os.path\nfrom math import gcd as _gcd, lcm\nprint(lcm)\n")
+    with open(tmp_path / "farey.py", "a") as f:
+        f.write("\n\ndef _later():\n    import fractions\n    return 0\n")
+    assert unused_imports(tmp_path) == ["curvelab.farey.fractions",
+                                        "curvelab.window.os", "curvelab.window._gcd"]
