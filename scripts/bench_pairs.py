@@ -85,7 +85,9 @@ sys.stderr.write(f"VmHWM {hwm} {code}\\n")
 
 
 def summary(runs: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    """Median and quartiles of the runs; a single run is all three."""
+    q1, median, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
+                      if len(runs) > 1 else runs * 3)
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
             "runs": [round(x, 4) for x in runs]}
 

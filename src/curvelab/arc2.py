@@ -8,22 +8,24 @@ satisfy i(curve, curve') = 2 * (number of shared endpoints).
 
 Triangles of pairwise interior-disjoint arcs whose pairs all share an
 endpoint fall into five configuration classes; fill_triangle produces the
-tripod or pentagon fillings of the classes.  Once the three arcs are located
-in the window, classification and filling work on window indices: a
-classified triangle is its delta-loop of indices, each cell is checked as a
-chordless 5-cycle on the window's rows, which record curve disjointness
-because the window is induced, and each vertex's record is written once,
-from the window's tuples, by ``record``, which also writes the arcs and
-epsilons that ``arc2 classify`` prints.
+tripod or pentagon fillings of the classes.  Both read the window by index
+once the three arcs are found in it: the guards read each pair's
+intersection off the window's witness readers and the endpoints off a
+per-window table, a classified triangle is its delta-loop of indices, and
+each cell is tested as a chordless 5-cycle on the window's rows, which
+record curve disjointness because the window is induced.  ``record`` writes
+each vertex's record, fresh, from a per-window table of parsed witnesses
+and sorted endpoints; it also writes the arcs and epsilons that ``arc2
+classify`` prints.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from .curves import NormalCurve, intersection_number
+from .mcg import apply_word
 from .window import Window
 from . import s5windows
 
@@ -65,9 +67,10 @@ def _vertex(w: Window, arc: Arc2Vertex) -> int:
     return w.index[arc.curve.coords]
 
 
-# where _endpoints keeps a window's endpoint table: in the window's own
-# __dict__, as s5windows.witness_readers keeps its readers
+# where _endpoints and record keep their per-window tables: in the window's
+# own __dict__, as s5windows.witness_readers keeps its readers
 _ENDPOINTS = "_arc2_endpoints"
+_RECORDS = "_arc2_records"
 
 
 def _endpoints(w: Window) -> tuple[frozenset[int], ...]:
@@ -94,10 +97,9 @@ def epsilon_arc(w: Window, i: int, j: int) -> int:
     endpoint pairs, read from ``_endpoints(w)``, and must be unique.
     """
     ends = _endpoints(w)
-    taken = ends[i] | ends[j]
-    near_j = set(w.neighbors[j])
+    taken, near_j = ends[i] | ends[j], w.neighbors[j]
     candidates = [k for k in w.neighbors[i]
-                  if k in near_j and taken.isdisjoint(ends[k])]
+                  if taken.isdisjoint(ends[k]) and k in near_j]
     if len(candidates) != 1:
         raise ValueError(
             f"expected a unique epsilon arc, found {len(candidates)} in the window"
@@ -128,23 +130,46 @@ class TriangleConfig:
 def classify_triangle(
     arcs: tuple[Arc2Vertex, Arc2Vertex, Arc2Vertex], w: Window
 ) -> TriangleConfig:
-    """The kind and delta-loop of a triangle: the guards read each pair's
-    curves once, then the arcs are located and the epsilon arcs found on indices."""
-    if len({a.curve.coords for a in arcs}) != 3:
+    """The kind and delta-loop of a triangle.
+
+    When all three arcs are vertices of a window with witness words, each
+    guard pair's intersection is read once off the window's witness readers
+    and each endpoint off ``_endpoints(w)``; otherwise the guards read the
+    arcs' curves (``arcs_disjoint``) before ``_vertex`` refuses an outside
+    arc, or the epsilon search a window without words, so the errors come
+    in the same order.  The epsilon arcs are found on indices."""
+    coords = [a.curve.coords for a in arcs]
+    if len(set(coords)) != 3:
         raise ValueError("triangle requires three distinct arcs")
-    for a, b in combinations(arcs, 2):
-        if not arcs_disjoint(a, b):
-            raise ValueError("triangle arcs must have pairwise disjoint interiors")
-    sharing = sorted(len(a.endpoints & b.endpoints) for a, b in combinations(arcs, 2))
+    c0, c1, c2 = coords
+    x0, x1, x2 = located = w.index.get(c0), w.index.get(c1), w.index.get(c2)
+    if None in located or w.words is None:
+        disjoint = all(arcs_disjoint(a, b) for a, b in combinations(arcs, 2))
+        ends = [a.endpoints for a in arcs]
+        shared = [len(a & b) for a, b in combinations(ends, 2)]
+    else:
+        # i(g(c_k), y) = 2 * apply_word(g^-1, y)[e_k]: the pairs 01 and 02
+        # are read off x0's witness and 12 off x1's; the arcs are
+        # interior-disjoint when that is twice their shared endpoints
+        table, readers = _endpoints(w), s5windows.witness_readers(w)
+        ends = [table[x0], table[x1], table[x2]]
+        shared = [len(a & b) for a, b in combinations(ends, 2)]
+        (inv0, e0), (inv1, e1) = readers[x0], readers[x1]
+        disjoint = shared == [apply_word(inv0, c1)[e0], apply_word(inv0, c2)[e0],
+                              apply_word(inv1, c2)[e1]]
+    if not disjoint:
+        raise ValueError("triangle arcs must have pairwise disjoint interiors")
+    sharing = sorted(shared)
     if 0 in sharing:
         raise ValueError(
             "a pair of arcs with distinct endpoints spans a single pentagon; "
             "only triples whose pairs all share an endpoint are classified"
         )
-    x0, x1, x2 = (_vertex(w, a) for a in arcs)
+    if None in located:
+        x0, x1, x2 = (_vertex(w, a) for a in arcs)
     e01, e12, e02 = epsilon_arc(w, x0, x1), epsilon_arc(w, x1, x2), epsilon_arc(w, x0, x2)
     coincide = e01 == e12 == e02
-    punctures = frozenset().union(*(a.endpoints for a in arcs))
+    punctures = frozenset().union(*ends)
     if sharing == [1, 1, 1] and len(punctures) == 4:
         kind = "case2"
     elif sharing == [1, 1, 2]:
@@ -161,30 +186,29 @@ def classify_triangle(
 def _two_pentagon_fill(config: TriangleConfig, w: Window) -> list[tuple[int, ...]]:
     """One auxiliary z closing two pentagons joined along two edges.
 
-    Pivoting at x0, the pentagons are x0 e01 x1 e12 z and x0 e02 x2 e12 z.
-    Each holds a path from x0 to e12 through four of its vertices, so z is a
-    common window neighbour of x0 and e12.  Each 5-set is tested as a
-    chordless 5-cycle on the window's neighbour tuples, which record curve
-    disjointness because the window is induced; the least z over the three
+    Pivoting at x0, the pentagons are x0 e01 x1 e12 z and x0 e02 x2 e12 z:
+    the two ways round the delta-loop from x0 to the epsilon opposite it,
+    closed by a common window neighbour z of x0 and e12 outside the loop.
+    Such a path x0 e x e12 closed by z is a 5-cycle, and it is chordless on
+    the window's rows, which record curve disjointness because the window
+    is induced, exactly when x and e12 avoid x0 and e12 avoids e (checked
+    once per pivot), and z avoids e and x.  The least z over the three
     pivots wins.  The pentagons are index cycles, in that order.
     """
-    arcs, eps = config.loop[0::2], config.loop[1::2]  # eps: e01, e12, e02
-    eps_of = dict(zip(map(frozenset, [(0, 1), (1, 2), (0, 2)]), eps))
-    used = set(config.loop)
-    nbrs = w.neighbors
+    loop, nbrs = config.loop, w.neighbors
+    used = set(loop)
     solutions = []
-    for pivot in range(3):
-        o1, o2 = sorted({0, 1, 2} - {pivot})
-        x0, x1, x2 = arcs[pivot], arcs[o1], arcs[o2]
-        e01 = eps_of[frozenset((pivot, o1))]
-        e12 = eps_of[frozenset((o1, o2))]
-        e02 = eps_of[frozenset((pivot, o2))]
-        paths = ((x0, e01, x1, e12), (x0, e02, x2, e12))
-        for z in set(nbrs[x0]).intersection(nbrs[e12]) - used:
-            cells = [{*path, z} for path in paths]
-            # each cell has five vertices, each with two neighbours among them
-            if all([len(cell.intersection(nbrs[v])) for v in cell] == [2] * 5
-                   for cell in cells):
+    for p in (0, 2, 4):
+        turn = loop[p:] + loop[:p]  # x0 first
+        ahead, back = turn[:4], (turn[0], *turn[:2:-1])
+        # the way through the earlier of the other two arcs comes first
+        paths = (back, ahead) if p == 2 else (ahead, back)
+        x0, e12 = turn[0], turn[3]
+        if e12 in nbrs[x0] or any(x in nbrs[x0] or e12 in nbrs[e] for _, e, x, _ in paths):
+            continue
+        for z in nbrs[x0]:
+            if z in nbrs[e12] and z not in used and not any(
+                    z in nbrs[e] or z in nbrs[x] for _, e, x, _ in paths):
                 solutions.append((z, [(*path, z) for path in paths]))
     if not solutions:
         raise ValueError("no auxiliary arc closes the two pentagons in this window")
@@ -201,31 +225,37 @@ def _four_pentagon_fill(config: TriangleConfig, w: Window) -> list[tuple[int, ..
     through hexagon edges, searched by branching on the open demand (a bare
     hexagon edge, or an interior edge covered once) with fewest pentagons
     that over-cover no edge; every cover by four is listed and the least
-    wins.  The pentagons are the window's canonical index cycles.
+    wins, on edge bitmasks.  The pentagons are the window's canonical index
+    cycles.
     """
     delta = {tuple(sorted((config.loop[i], config.loop[i - 1]))) for i in range(6)}
     by_edge = s5windows.pentagons_by_edge(w)
     cands = sorted({p for e in delta for p in by_edge.get(e, ())})
-    edges_of = [{tuple(sorted((p[i], p[i - 1]))) for i in range(5)} for p in cands]
-    through: dict[tuple[int, int], list[int]] = {}
-    for idx, es in enumerate(edges_of):
-        for e in es:
-            through.setdefault(e, []).append(idx)
+    # one bit per edge of the hexagon and its pentagons, the hexagon's six lowest
+    bit = {e: k for k, e in enumerate(delta)}
+    hexagon = (1 << len(bit)) - 1
+    masks, through = [0] * len(cands), [[] for _ in bit]  # bit -> pentagons
+    for idx, p in enumerate(cands):
+        for a, b in zip(p, p[1:] + p[:1]):
+            k = bit.setdefault((a, b) if a < b else (b, a), len(through))
+            if k == len(through):
+                through.append([])
+            masks[idx] |= 1 << k
+            through[k].append(idx)
     solutions: list[tuple[tuple[int, ...], ...]] = []
 
-    def cover(chosen: tuple[int, ...]):
-        count = Counter(e for idx in chosen for e in edges_of[idx])
-        full = {e for e, c in count.items() if c == (1 if e in delta else 2)}
-        demands = (delta | count.keys()) - full
+    def cover(chosen: tuple[int, ...], once: int, twice: int):
+        full = (once & hexagon) | twice
+        demands = (hexagon | once) & ~full
         if not demands and len(chosen) == 4:
             solutions.append(tuple(sorted(cands[idx] for idx in chosen)))
         elif demands and len(chosen) < 4:
-            fits = [[i for i in through.get(e, ()) if full.isdisjoint(edges_of[i])]
-                    for e in demands]
+            fits = [[i for i in through[b] if not masks[i] & full]
+                    for b in range(demands.bit_length()) if demands >> b & 1]
             for idx in min(fits, key=len):
-                cover(chosen + (idx,))
+                cover(chosen + (idx,), once ^ masks[idx], twice | (once & masks[idx]))
 
-    cover(())
+    cover((), 0, 0)
     if not solutions:
         raise ValueError("no four-pentagon filling found in this window")
     return list(min(solutions))
@@ -249,12 +279,17 @@ def _pentagon(cycle: tuple[int, ...], nbrs) -> tuple[int, ...]:
 def record(w: Window, v: int) -> dict:
     """The JSON record of the window's arc at index v: its curve's
     coordinates and witness, and its endpoints, written from the window's
-    tuples.  Fillings and ``arc2 classify`` write every arc this way."""
-    ends = _endpoints(w)[v]
-    word, base = s5windows.parse_witness(w.words[v])
+    tuples.  Fillings and ``arc2 classify`` write every arc this way.  Each
+    record is built fresh, from the vertex's witness and endpoints, which
+    are parsed and sorted once per window vertex."""
+    table = w.__dict__.setdefault(_RECORDS, {})
+    if v not in table:
+        ends = _endpoints(w)[v]
+        table[v] = (*s5windows.parse_witness(w.words[v]), sorted(ends))
+    word, base, pair = table[v]
     return {"coords": list(w.vertices[v]),
             "witness": {"word": word, "base": base},
-            "endpoints": sorted(ends)}
+            "endpoints": list(pair)}
 
 
 def fill_triangle(config: TriangleConfig, w: Window) -> dict:

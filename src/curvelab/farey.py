@@ -548,13 +548,14 @@ def sample_closure(spec: FareyClosureSpec) -> ClosureSample:
     action factors through +-1) and the identity is excluded.
     """
     power_word = {1: "a" * spec.power, -1: "A" * spec.power}
+    powers = {sign: spec.base ** (sign * spec.power) for sign in (1, -1)}
     conjugates: list[ClosureElement] = []
     seen: set[tuple[int, int, int, int]] = set()
     for w in _conjugator_words(spec.conjugator_length):
         mw = word_matrix(w)
         mw_inv = mw.inverse()
         for sign in (1, -1):
-            mat = mw * (spec.base ** (sign * spec.power)) * mw_inv
+            mat = mw * powers[sign] * mw_inv
             key = mat.projective()
             if key in seen:
                 continue

@@ -241,11 +241,14 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
             if a not in merged and mid not in merged:
                 seen.update(later)  # decided without a lift
                 continue
+            lifted = None  # lift(i, mid), once the first unseen b needs it
             for b in later:
                 if b in seen:
                     continue
                 seen.add(b)
-                m_key, m = lift(i, mid)
+                if lifted is None:
+                    lifted = lift(i, mid)
+                m_key, m = lifted
                 if m is None:
                     truncated += 1
                 elif class_of[m] != mid:

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from itertools import combinations
 
@@ -153,6 +154,8 @@ def test_arc_without_witness_is_undecided():
 
 @pytest.mark.parametrize("label", sorted(REPRESENTATIVES))
 def test_classification_reads_each_pair_once(monkeypatch, label, w2, w3):
+    # window arcs: each guard pair is read once off the window's witness
+    # readers, and no intersection number is computed from the curves
     arcs = arcs_from(REPRESENTATIVES[label], w2)
     calls = Counter()
 
@@ -162,10 +165,26 @@ def test_classification_reads_each_pair_once(monkeypatch, label, w2, w3):
             return real(*args)
         return count
 
-    for name in ("intersection_number", "epsilon_arc"):
+    for name in ("apply_word", "intersection_number", "epsilon_arc"):
         monkeypatch.setattr(arc2, name, counting(name, getattr(arc2, name)))
     classify_triangle(arcs, w3)
-    assert calls == {"intersection_number": 3, "epsilon_arc": 3}
+    assert calls == {"apply_word": 3, "epsilon_arc": 3}
+    assert calls["intersection_number"] == 0
+
+
+def test_outside_arc_still_meets_the_disjointness_guard(w2, w3):
+    # an arc beyond the bound-2 window crossing c1: the curve-level guard
+    # refuses the triangle before the arc is found missing from the window
+    c1, c4 = Arc2Vertex(BASE_CURVES[0]), Arc2Vertex(BASE_CURVES[3])
+    outside = Arc2Vertex(s5windows.window_curve(w3, w3.index[(2, 0, 1, 2, 1, 2, 1, 2, 3)]))
+    assert outside.curve.coords not in w2.index
+    assert not arcs_disjoint(c1, outside) and arcs_disjoint(c4, outside)
+    for k in range(3):
+        triangle = [c1, c4]
+        triangle.insert(k, outside)
+        with pytest.raises(ValueError) as exc:
+            classify_triangle(tuple(triangle), w2)
+        assert str(exc.value) == "triangle arcs must have pairwise disjoint interiors"
 
 
 @pytest.mark.parametrize("label", sorted(REPRESENTATIVES))
@@ -212,6 +231,36 @@ def test_four_pentagon_fill_structure(w2, w3):
     assert aux == [2, 2, 2, 4]
     # every boundary arc appears, each in one or two pentagons
     assert all(counts[b] in (1, 2) for b in boundary)
+
+
+def test_window_without_words_keeps_the_error_order(w2, w3):
+    # the guards read the arcs' own curves; only the epsilon search needs words
+    bare = dataclasses.replace(w3, words=None)
+    c1, c4 = Arc2Vertex(BASE_CURVES[0]), Arc2Vertex(BASE_CURVES[3])
+    crossing = arcs_from(REPRESENTATIVES["case5"][2:], w2)[0]
+    with pytest.raises(ValueError) as exc:
+        classify_triangle((c1, c4, crossing), bare)
+    assert str(exc.value) == "triangle arcs must have pairwise disjoint interiors"
+    with pytest.raises(ValueError) as exc:
+        classify_triangle(arcs_from(REPRESENTATIVES["case1"], w2), bare)
+    assert str(exc.value) == s5windows.NO_WORDS
+
+
+def test_record_table_holds_one_entry_per_recorded_vertex():
+    # a fresh window, so that no other test's records are in its table
+    w = s5windows.build_window(1)
+    first = arc2.record(w, 0)
+    first["endpoints"].append(0)
+    first["witness"]["word"] = "x"
+    assert arc2.record(w, 0) == {
+        "coords": list(w.vertices[0]),
+        "witness": dict(zip(("word", "base"), s5windows.parse_witness(w.words[0]))),
+        "endpoints": sorted(arc2._endpoints(w)[0]),
+    }
+    for _ in range(2):
+        for v in range(len(w)):
+            arc2.record(w, v)
+    assert sorted(w.__dict__[arc2._RECORDS]) == list(range(len(w)))
 
 
 def test_fill_deterministic(w2, w3):

@@ -47,3 +47,11 @@ def test_scenarios_cover_the_north_star_list():
     for b in (3, 4, 5):
         assert {f"s5 verify bound {b} aa --out", f"s5 ball --word-bound {b}"} <= names
     assert {"farey window --height 220", "arc2 fill case5"} <= names
+
+
+def test_a_single_pair_is_its_own_median_and_quartiles():
+    bench = load_bench_pairs()
+    assert bench.summary([1.5]) == {"median": 1.5, "q1": 1.5, "q3": 1.5, "runs": [1.5]}
+    result = bench.compare([2.0], [1.0])
+    assert result["after_over_before"] == 0.5
+    assert (result["pairs_after_lower"], result["pairs"]) == (1, 1)

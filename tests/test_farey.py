@@ -320,6 +320,18 @@ class TestClosure:
         assert result.exit_code == cli.EXIT_IO_ERROR
         assert result.output.startswith("error: ") and len(result.output.splitlines()) == 1
 
+    @pytest.mark.parametrize("conj_len", [1, 2])
+    def test_base_power_is_taken_once_per_sign(self, monkeypatch, conj_len):
+        real, exponents = IntMatrix.__pow__, []
+
+        def counting(matrix, n):
+            exponents.append(n)
+            return real(matrix, n)
+
+        monkeypatch.setattr(IntMatrix, "__pow__", counting)
+        sample_closure(FareyClosureSpec(IntMatrix(2, 1, 1, 1), 6, conj_len, 2))
+        assert sorted(exponents) == [-6, 6]
+
     def test_rejects_parabolic_base(self):
         with pytest.raises(ValueError):
             FareyClosureSpec(GENERATORS["t"], 1, 0, 1)

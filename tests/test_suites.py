@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -61,6 +62,26 @@ def test_lipschitz_lifting_passes(q30):
     assert r["status"] == "pass"
     assert r["witnesses"] == []
     assert r["eligible"] > 0
+
+
+def test_lifting_lifts_each_middle_class_once_per_start(w30, fcontract):
+    # part (c) lifts a start class's first member over each middle class
+    # once, when the first unseen far class needs it, and not again for
+    # every far class over that middle class: 24,616 lifts went to 14,236
+    # on this quotient, over 3,324 distinct (vertex, class) pairs
+    sample = farey.sample_closure(farey.FareyClosureSpec(BASE, 4, 1))
+    q = quotient.build_quotient(w30, sample.words, fcontract)
+    real, calls = q.lift, Counter()
+
+    def counting(i, c):
+        calls[i, c] += 1
+        return real(i, c)
+
+    q.__dict__["lift"] = counting  # the cached property's slot
+    report = suites.verify_lipschitz_lifting(q)
+    assert (sum(calls.values()), len(calls)) == (14236, 3324)
+    fresh = quotient.build_quotient(w30, sample.words, fcontract)
+    assert report == suites.verify_lipschitz_lifting(fresh)
 
 
 def test_ball2_isometry_passes(q30):
