@@ -9,14 +9,14 @@ satisfy i(curve, curve') = 2 * (number of shared endpoints).
 Triangles of pairwise interior-disjoint arcs whose pairs all share an
 endpoint fall into five configuration classes; fill_triangle produces the
 tripod or pentagon fillings of the classes.  Both read the window by index
-once the three arcs are found in it: the guards read each pair's
-intersection off the window's witness readers and the endpoints off a
-per-window table, a classified triangle is its delta-loop of indices, and
+once the three arcs are found in it, through the S5 window's tables (one
+parse of its witness words, ``s5windows.witnesses``): the guards read each
+pair's intersection off the witness readers and the endpoints off the
+puncture pairs, a classified triangle is its delta-loop of indices, and
 each cell is tested as a chordless 5-cycle on the window's rows, which
 record curve disjointness because the window is induced.  ``record`` writes
-each vertex's record, fresh, from a per-window table of parsed witnesses
-and sorted endpoints; it also writes the arcs and epsilons that ``arc2
-classify`` prints.
+each vertex's record, fresh, from the same witnesses and pairs; it also
+writes the arcs and epsilons that ``arc2 classify`` prints.
 """
 
 from __future__ import annotations
@@ -67,24 +67,6 @@ def _vertex(w: Window, arc: Arc2Vertex) -> int:
     return w.index[arc.curve.coords]
 
 
-# where _endpoints and record keep their per-window tables: in the window's
-# own __dict__, as s5windows.witness_readers keeps its readers
-_ENDPOINTS = "_arc2_endpoints"
-_RECORDS = "_arc2_records"
-
-
-def _endpoints(w: Window) -> tuple[frozenset[int], ...]:
-    """The endpoints of each window vertex's arc, by index, read off its
-    witness word once per window."""
-    ends = w.__dict__.get(_ENDPOINTS)
-    if ends is None:
-        if w.words is None:
-            raise ValueError(s5windows.NO_WORDS)
-        ends = w.__dict__[_ENDPOINTS] = tuple(
-            s5windows.puncture_pair(s5windows.parse_witness(t)) for t in w.words)
-    return ends
-
-
 def epsilon_arc(w: Window, i: int, j: int) -> int:
     """The index of the unique arc with distinct endpoints in the complement
     of window arcs i and j.
@@ -94,9 +76,10 @@ def epsilon_arc(w: Window, i: int, j: int) -> int:
     directly adjacent and need no connector).  An arc sharing no endpoint
     with another is interior-disjoint from it exactly when their curves are
     disjoint: the candidates are the common window neighbours avoiding both
-    endpoint pairs, read from ``_endpoints(w)``, and must be unique.
+    endpoint pairs, read off ``s5windows.puncture_pairs``, and must be
+    unique.
     """
-    ends = _endpoints(w)
+    ends = s5windows.puncture_pairs(w)
     taken, near_j = ends[i] | ends[j], w.neighbors[j]
     candidates = [k for k in w.neighbors[i]
                   if taken.isdisjoint(ends[k]) and k in near_j]
@@ -134,7 +117,7 @@ def classify_triangle(
 
     When all three arcs are vertices of a window with witness words, each
     guard pair's intersection is read once off the window's witness readers
-    and each endpoint off ``_endpoints(w)``; otherwise the guards read the
+    and each endpoint off its puncture pairs; otherwise the guards read the
     arcs' curves (``arcs_disjoint``) before ``_vertex`` refuses an outside
     arc, or the epsilon search a window without words, so the errors come
     in the same order.  The epsilon arcs are found on indices."""
@@ -151,8 +134,8 @@ def classify_triangle(
         # i(g(c_k), y) = 2 * apply_word(g^-1, y)[e_k]: the pairs 01 and 02
         # are read off x0's witness and 12 off x1's; the arcs are
         # interior-disjoint when that is twice their shared endpoints
-        table, readers = _endpoints(w), s5windows.witness_readers(w)
-        ends = [table[x0], table[x1], table[x2]]
+        pairs, readers = s5windows.puncture_pairs(w), s5windows.witness_readers(w)
+        ends = [pairs[x0], pairs[x1], pairs[x2]]
         shared = [len(a & b) for a, b in combinations(ends, 2)]
         (inv0, e0), (inv1, e1) = readers[x0], readers[x1]
         disjoint = shared == [apply_word(inv0, c1)[e0], apply_word(inv0, c2)[e0],
@@ -278,18 +261,13 @@ def _pentagon(cycle: tuple[int, ...], nbrs) -> tuple[int, ...]:
 
 def record(w: Window, v: int) -> dict:
     """The JSON record of the window's arc at index v: its curve's
-    coordinates and witness, and its endpoints, written from the window's
-    tuples.  Fillings and ``arc2 classify`` write every arc this way.  Each
-    record is built fresh, from the vertex's witness and endpoints, which
-    are parsed and sorted once per window vertex."""
-    table = w.__dict__.setdefault(_RECORDS, {})
-    if v not in table:
-        ends = _endpoints(w)[v]
-        table[v] = (*s5windows.parse_witness(w.words[v]), sorted(ends))
-    word, base, pair = table[v]
+    coordinates and witness, and its endpoints, written fresh from the
+    window's tables.  Fillings and ``arc2 classify`` write every arc this
+    way."""
+    word, base = s5windows.witnesses(w)[v]
     return {"coords": list(w.vertices[v]),
             "witness": {"word": word, "base": base},
-            "endpoints": list(pair)}
+            "endpoints": sorted(s5windows.puncture_pairs(w)[v])}
 
 
 def fill_triangle(config: TriangleConfig, w: Window) -> dict:

@@ -11,7 +11,7 @@ either JSON goes through one reader, which exits 2 on a window that is
 malformed or whose witness words do not give its vertices.
 
 Exit codes: 0 success (out-of-hypothesis included), 1 a verification suite
-failed, 2 malformed input or I/O error.
+failed, 2 malformed input, I/O error or running out of memory.
 """
 
 from __future__ import annotations
@@ -92,28 +92,32 @@ def _format_option(default: str = "json"):
 _NO_ARGS_IS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
 
-def _one_line_usage_errors(call, *args, **kwargs):
+def _one_line_errors(call, *args, **kwargs):
     try:
         return call(*args, **kwargs)
     except _NO_ARGS_IS_HELP:
         raise
     except click.UsageError as exc:
         _fail(exc.format_message())
+    except MemoryError:
+        pass  # reported once the handler has let go of the failed frames
+    _fail("out of memory")
 
 
-class _OneLineUsageErrors(click.Group):
+class _OneLineErrors(click.Group):
     """The root group: a malformed command line anywhere below it (an
     unknown option or command, a bad value, an extra argument) prints one
-    ``error:`` line and exits 2, where click would print its usage block."""
+    ``error:`` line and exits 2, where click would print its usage block;
+    so does running out of memory, since exit 1 means a suite failed."""
 
     def make_context(self, *args, **kwargs):
-        return _one_line_usage_errors(super().make_context, *args, **kwargs)
+        return _one_line_errors(super().make_context, *args, **kwargs)
 
     def invoke(self, ctx):
-        return _one_line_usage_errors(super().invoke, ctx)
+        return _one_line_errors(super().invoke, ctx)
 
 
-@click.group(cls=_OneLineUsageErrors)
+@click.group(cls=_OneLineErrors)
 def main():
     """Exact-arithmetic laboratory for curve graphs and their quotients."""
 
@@ -163,7 +167,7 @@ def farey_window_cmd(height, basepoint, fmt):
         lambda: w.json_fields(str), fmt,
         dot_fn=lambda: w.to_dot(str),
         text_fn=lambda: f"farey window height {height}: "
-                        f"{len(w)} vertices, {len(w.edges)} edges\n",
+                        f"{len(w)} vertices, {sum(map(len, w.neighbors)) // 2} edges\n",
     )
 
 
@@ -276,7 +280,7 @@ def s5_ball(word_bound, fmt):
         lambda: w.json_fields(s5windows.curve_key_str), fmt,
         dot_fn=lambda: w.to_dot(s5windows.curve_key_str),
         text_fn=lambda: f"s5 window bound {word_bound}: "
-                        f"{len(w)} vertices, {len(w.edges)} edges\n",
+                        f"{len(w)} vertices, {sum(map(len, w.neighbors)) // 2} edges\n",
     )
 
 

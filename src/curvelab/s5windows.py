@@ -1,18 +1,18 @@
 """Windows, pentagons, and half-twist detection on the five-punctured sphere.
 
 Windows are generated by applying bounded-length generator words to the base
-pentagon (or to supplied seed curves); edges record disjointness, read off
-the vertices' witness words (``curves.witness_reader``).  The puncture
-pair a curve cuts off is read off its witness too (``puncture_pair``): the
-window build reads only pairs of curves with disjoint pairs, and the arc
-complex takes the pair as an arc's endpoints.  The same
-per-window readers tell the S5 quotient contract whether a window vertex is
-disjoint from any curve at all.  Pentagons are chordless 5-cycles — since
-window edges capture all disjointness, a chordless cycle automatically has
-intersecting non-adjacent pairs, which is isometric embeddedness at the
-decidable level.  A half-twist pair about beta is detected purely
-combinatorially from two pentagons sharing an edge, for curves alpha and
-beta meeting twice.
+pentagon (or to supplied seed curves); edges record disjointness.  Every fact
+of an S5 window that its witness words give is a per-window table read off
+one parse of them (``witnesses``): the readers that give intersection
+numbers (``curves.witness_reader``), to the S5 quotient contract too; the
+puncture pair each curve cuts off, which the window build compares before
+it reads a pair and the arc complex takes as an arc's endpoints; the
+boundary vertices; and each vertex's curve.  Pentagons are chordless
+5-cycles — since window edges capture all disjointness, a chordless cycle
+automatically has intersecting non-adjacent pairs, which is isometric
+embeddedness at the decidable level.  A half-twist pair about beta is
+detected purely combinatorially from two pentagons sharing an edge, for
+curves alpha and beta meeting twice.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .curves import (BASE_CURVE_PAIRS, BASE_CURVES, NormalCurve,
                      intersection_number, witness_reader)
 from .mcg import WORD_ALPHABET, apply_word, puncture_permutation, reduce_word
 from .triangulation import NUM_EDGES
-from .window import Window
+from .window import Window, per_window
 
 S5_INSTANCE = "s5"
 
@@ -71,32 +71,40 @@ def puncture_pair(witness: tuple[str, int]) -> frozenset[int]:
     return frozenset(perm[p - 1] for p in BASE_CURVE_PAIRS[base - 1])
 
 
-# where witness_readers keeps a window's readers: in the window's own
-# __dict__, as functools.cached_property does, so that a lookup never hashes
-# the window (a dataclass hash walks every vertex and edge) and the memo
-# lives exactly as long as its window; the pentagon memos are kept the same way
-_READERS = "_witness_readers"
-_PENTAGONS = "_pentagons"
-_PENTAGONS_BY_EDGE = "_pentagons_by_edge"
 NO_WORDS = "S5 windows need witness words"
 
 
-def witness_readers(w: Window) -> tuple[tuple[str, int], ...]:
-    """``curves.witness_reader`` (g^-1, e_k) of each vertex v = g(c_k) of an
-    S5 window, by index, so that i(v, x) = 2 * apply_word(g^-1, x)[e_k].
+@per_window
+def witnesses(w: Window) -> tuple[tuple[str, int], ...]:
+    """The witness (g, k) of each vertex g(c_k), by index: the window's
+    witness words, parsed once per window.  The other tables are read off
+    these."""
+    if w.words is None:
+        raise ValueError(NO_WORDS)
+    return tuple(map(parse_witness, w.words))
 
-    Built once per window, when every witness is checked against its
-    vertex: a wrong witness (in a cached or hand-made window) raises
-    ValueError rather than giving wrong intersections.
-    """
-    readers = w.__dict__.get(_READERS)
-    if readers is None:
-        if w.words is None:
-            raise ValueError(NO_WORDS)
-        readers = tuple(witness_reader(v, parse_witness(t))
-                        for v, t in zip(w.vertices, w.words))
-        w.__dict__[_READERS] = readers
-    return readers
+
+@per_window
+def witness_readers(w: Window) -> tuple[tuple[str, int], ...]:
+    """``curves.witness_reader`` (g^-1, e_k) of each vertex v = g(c_k), by
+    index, so that i(v, x) = 2 * apply_word(g^-1, x)[e_k].  Each witness is
+    checked against its vertex: a wrong one (in a cached or hand-made
+    window) raises ValueError rather than giving wrong intersections."""
+    return tuple(map(witness_reader, w.vertices, witnesses(w)))
+
+
+@per_window
+def puncture_pairs(w: Window) -> tuple[frozenset[int], ...]:
+    """The ``puncture_pair`` of each vertex, by index: the endpoints of its
+    arc in the arc complex."""
+    return tuple(map(puncture_pair, witnesses(w)))
+
+
+@per_window
+def boundary(w: Window) -> frozenset[int]:
+    """The vertices generated at the window's outermost word length, whose
+    sites the suites count as truncated."""
+    return frozenset(i for i, (word, _) in enumerate(witnesses(w)) if len(word) >= w.bound)
 
 
 def build_window(
@@ -111,8 +119,8 @@ def build_window(
     Edges come from the witnesses: each pair is read through the
     ``witness_readers`` entry of the vertex with the shorter witness, and
     each edge found goes into both ends' rows, sorted once all are read.
-    The readers are kept on the window for the S5 contract, which reads
-    adjacency to curves outside the window the same way.
+    The witnesses, readers and puncture pairs are handed over as the
+    window's tables, through which the S5 contract reads adjacency too.
 
     Only pairs of curves cutting off disjoint puncture pairs are read.  Every
     essential curve bounds a disk around two of the five punctures, and two
@@ -143,12 +151,13 @@ def build_window(
                     nxt.append(image)
         frontier = nxt
     vertices = tuple(sorted(found))
-    witnesses = [found[c] for c in vertices]
-    readers = tuple(witness_reader(v, x) for v, x in zip(vertices, witnesses))
+    witnesses = tuple(found[c] for c in vertices)
+    readers = tuple(map(witness_reader, vertices, witnesses))
+    pairs = tuple(map(puncture_pair, witnesses))
     lengths = [len(word) for word, _ in witnesses]
     buckets: dict[frozenset[int], list[int]] = {}
-    for i, witness in enumerate(witnesses):
-        buckets.setdefault(puncture_pair(witness), []).append(i)
+    for i, pair in enumerate(pairs):
+        buckets.setdefault(pair, []).append(i)
     rows: list[list[int]] = [[] for _ in vertices]
     for (pair_a, xs), (pair_b, ys) in combinations(buckets.items(), 2):
         if pair_a & pair_b:
@@ -169,7 +178,7 @@ def build_window(
         neighbors=tuple(tuple(sorted(row)) for row in rows),
         words=tuple(witness_str(x) for x in witnesses),
     )
-    w.__dict__[_READERS] = readers
+    w.__dict__.update(witnesses=witnesses, witness_readers=readers, puncture_pairs=pairs)
     return w
 
 
@@ -184,10 +193,7 @@ def adjacent(w: Window, a: tuple, b: tuple) -> bool:
 
 
 def window_curve(w: Window, i: int) -> NormalCurve:
-    if w.words is None:
-        raise ValueError(NO_WORDS)
-    word, base = parse_witness(w.words[i])
-    return NormalCurve(w.vertices[i], (word, base))
+    return NormalCurve(w.vertices[i], witnesses(w)[i])
 
 
 def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -205,6 +211,7 @@ def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
+@per_window
 def enumerate_pentagons(w: Window) -> list[tuple[int, int, int, int, int]]:
     """All chordless 5-cycles, each once in its canonical form, sorted.
 
@@ -213,12 +220,9 @@ def enumerate_pentagons(w: Window) -> list[tuple[int, int, int, int, int]]:
     step runs over sorted neighbour lists, so the cycles come out sorted.
     The last step reads, for each v3, the later neighbours of v0 adjacent to
     it, collected once per v0.  The chord tests read neighbour sets built
-    for the walk alone.  The list is memoized on the window and shared by
-    every caller.
+    for the walk alone.  The list is kept per window and shared by every
+    caller.
     """
-    pentagons = w.__dict__.get(_PENTAGONS)
-    if pentagons is not None:
-        return pentagons
     nbrs = w.neighbors
     adj = [set(ns) for ns in nbrs]
     pentagons = []
@@ -244,27 +248,22 @@ def enumerate_pentagons(w: Window) -> list[tuple[int, int, int, int, int]]:
                     for v4 in last:
                         if v4 > v1 and v4 not in a1 and v4 not in a2:
                             pentagons.append((v0, v1, v2, v3, v4))
-    w.__dict__[_PENTAGONS] = pentagons
     return pentagons
 
 
+@per_window
 def pentagons_by_edge(w: Window) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
     """The pentagons through each edge (i, j), i < j, of w that lies on one.
 
-    Memoized on the window like ``enumerate_pentagons``; the values are
-    tuples so that no caller can change the shared map's pentagon lists.
+    Kept per window like ``enumerate_pentagons``; the values are tuples so
+    that no caller can change the shared map's pentagon lists.
     """
-    memo = w.__dict__.get(_PENTAGONS_BY_EDGE)
-    if memo is not None:
-        return memo
     by_edge: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for pent in enumerate_pentagons(w):
         for k in range(5):
             e = (pent[k], pent[(k + 1) % 5])
             by_edge.setdefault((min(e), max(e)), []).append(pent)
-    memo = w.__dict__[_PENTAGONS_BY_EDGE] = {
-        e: tuple(pents) for e, pents in by_edge.items()}
-    return memo
+    return {e: tuple(pents) for e, pents in by_edge.items()}
 
 
 # Arrangement of the two detecting pentagons: they share an edge

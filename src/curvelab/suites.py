@@ -436,7 +436,7 @@ def transfer_pentagons(q: QuotientWindow) -> dict:
                 "pentagon": [key(w.vertices[v]) for v in pent],
             })
 
-    boundary = _boundary_vertices(w)
+    boundary = s5windows.boundary(w)
     lifted = 0
     for classes in down:
         eligible += 1
@@ -452,18 +452,6 @@ def transfer_pentagons(q: QuotientWindow) -> dict:
         upstairs=len(up), downstairs=len(down), lifted=lifted,
         projected_distinct=len(projected),
     )
-
-
-def _boundary_vertices(w: Window) -> set[int]:
-    """Vertices generated at the window's outermost word length."""
-    if w.words is None:
-        return set()
-    out = set()
-    for i in range(len(w)):
-        word, _ = s5windows.parse_witness(w.words[i])
-        if len(word) >= w.bound:
-            out.add(i)
-    return out
 
 
 # (name, left word, right word): the generator relations check_relations
@@ -530,7 +518,7 @@ def check_support_sets(q: QuotientWindow) -> dict:
     w = q.window
     witnesses = []
     eligible = truncated = 0
-    boundary = _boundary_vertices(w)
+    boundary = s5windows.boundary(w)
     key = s5windows.curve_key_str
 
     nbrs = w.neighbors

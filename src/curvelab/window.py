@@ -5,13 +5,14 @@ vertex keys, and the bound (height or word length) that generated it.  It is
 the unit of computation everywhere: the ambient graphs have infinite balls,
 so finite induced subgraphs stand in for them.  ``neighbors`` is the one
 adjacency structure a window holds: sorted index tuples, which edge tests
-read with ``in``.  The union-find that triangulations use lives here too.
+read with ``in``; ``per_window`` keeps on it the tables read off it.  The
+union-find that triangulations use lives here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Any, Callable, Hashable, Iterable
 
 from .serialize import json_list, json_str
@@ -135,6 +136,25 @@ class Window:
             lines.append(f"  {i} -- {j};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def per_window(build: Callable[[Window], Any]) -> Callable[[Window], Any]:
+    """``build`` as a per-window table: built on a window's first call and
+    kept in its ``__dict__`` under the builder's name, as a cached_property
+    keeps its value, so that a lookup never hashes the window (a dataclass
+    hash walks every vertex and row) and the table lives as long as the
+    window.  ``s5windows.build_window`` hands over the tables it made so."""
+    name = build.__name__
+
+    @wraps(build)
+    def table(w: Window):
+        try:
+            return w.__dict__[name]
+        except KeyError:
+            w.__dict__[name] = value = build(w)
+            return value
+
+    return table
 
 
 class DisjointSets:

@@ -67,7 +67,6 @@ from curvelab import farey
 from curvelab.suites import (
     LIFTING_THRESHOLD,
     SIMPLICIAL_THRESHOLD,
-    _boundary_vertices,
     _report,
     _status,
     _window_certifies_two,
@@ -86,6 +85,7 @@ from curvelab.mcg import (
 )
 from curvelab.s5windows import (
     S5_INSTANCE,
+    boundary,
     canonical_cycle,
     detect_half_twists,
     enumerate_pentagons,
@@ -1195,7 +1195,7 @@ def transfer_pentagons(w: Window, q, contract) -> dict:
         projected[canon] = projected.get(canon, 0) + 1
 
     down = enumerate_pentagons(qw)
-    boundary = _boundary_vertices(w)
+    outer = boundary(w)
     adj = set_adjacency(w)
     lifted = 0
     for classes in down:
@@ -1204,7 +1204,7 @@ def transfer_pentagons(w: Window, q, contract) -> dict:
         if lift is not None:
             lifted += 1
             continue
-        if any(v in boundary for c in classes for v in q.classes[c]):
+        if any(v in outer for c in classes for v in q.classes[c]):
             truncated += 1
         else:
             witnesses.append({"kind": "pentagon-no-lift", "classes": list(classes)})

@@ -246,21 +246,22 @@ def test_window_without_words_keeps_the_error_order(w2, w3):
     assert str(exc.value) == s5windows.NO_WORDS
 
 
-def test_record_table_holds_one_entry_per_recorded_vertex():
-    # a fresh window, so that no other test's records are in its table
+def test_records_are_written_fresh_and_keep_no_table():
+    # a fresh window, so that no other test's tables are on it
     w = s5windows.build_window(1)
+    tables = set(w.__dict__)
     first = arc2.record(w, 0)
     first["endpoints"].append(0)
     first["witness"]["word"] = "x"
+    witness = s5windows.parse_witness(w.words[0])
     assert arc2.record(w, 0) == {
         "coords": list(w.vertices[0]),
-        "witness": dict(zip(("word", "base"), s5windows.parse_witness(w.words[0]))),
-        "endpoints": sorted(arc2._endpoints(w)[0]),
+        "witness": dict(zip(("word", "base"), witness)),
+        "endpoints": sorted(s5windows.puncture_pair(witness)),
     }
-    for _ in range(2):
-        for v in range(len(w)):
-            arc2.record(w, v)
-    assert sorted(w.__dict__[arc2._RECORDS]) == list(range(len(w)))
+    for v in range(len(w)):
+        arc2.record(w, v)
+    assert set(w.__dict__) == tables  # read off the handed-over tables alone
 
 
 def test_fill_deterministic(w2, w3):

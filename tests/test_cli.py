@@ -107,6 +107,21 @@ def test_s5_ball_sizes(runner):
     assert len(data["edges"]) == 25
 
 
+@pytest.mark.parametrize("args, head", [
+    (["farey", "window", "--height", "20"], "farey window height 20"),
+    (["s5", "ball", "--word-bound", "2"], "s5 window bound 2"),
+])
+def test_text_output_counts_edges_from_the_rows(runner, monkeypatch, args, head):
+    data = json.loads(invoke(runner, args).output)
+    expected = f"{head}: {len(data['vertices'])} vertices, {len(data['edges'])} edges\n"
+
+    def unread(w):
+        raise AssertionError("text output read Window.edges")
+
+    monkeypatch.setattr(Window, "edges", property(unread))
+    assert invoke(runner, [*args, "--format", "text"]).output == expected
+
+
 def test_s5_pentagons_count(runner):
     result = invoke(runner, ["s5", "pentagons", "--word-bound", "1"])
     assert json.loads(result.output)["count"] == 21
@@ -471,6 +486,28 @@ def test_verify_output_survives_optimize_flag():
             for flags in ([], ["-O"])
         )
         assert plain and optimized == plain
+
+
+@pytest.mark.parametrize("args", [
+    ["farey", "window", "--height", "20000", "--format", "text"],
+    ["verify", "--height", "20000", "--suites", "simplicial"],
+], ids=["window", "verify"])
+def test_running_out_of_memory_is_one_error_line(args):
+    # the address-space limit is set in the child alone, before it starts
+    resource = pytest.importorskip("resource")
+    limit = 300 * 2**20
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-m", "curvelab.cli", *args], env=env,
+                            capture_output=True, text=True, timeout=120,
+                            preexec_fn=limited)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        cli.EXIT_IO_ERROR, "", "error: out of memory\n")
 
 
 def test_corrupt_window_cache_entry_is_rebuilt(runner, tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 """No code that nothing calls: every function in ``src/curvelab`` has a
 caller there, every module-level constant a reader, and every import a
-reader in its own module.
+reader in its own module; and no code writes into a window's
+``__dict__`` but the one per-window table helper and the builders'
+hand-overs.
 
 Every module-level function, every method of a class, and every function
 nested in one of them, defined in ``src/curvelab``, must be referenced
@@ -14,6 +16,13 @@ must be read somewhere in ``src/curvelab``; dunders such as ``__version__``
 are exempt.  And every name that an import statement in a module binds,
 at any depth, must be read in that same module; ``from __future__``
 imports are exempt.
+
+A write into a ``__dict__`` is any use of one but reading an item
+(``d[k]``, ``d.get(k)``, ``k in d``): an item assignment, a method such as
+``update`` or ``setdefault``, or an alias through which either could be
+made.  Only ``window.per_window`` and the hand-overs of
+``farey.farey_window`` (its index) and ``s5windows.build_window`` (its
+tables) may make one, so that a per-window table is kept one way.
 
 The gate matches by name only, not by binding.  A function that shares its
 name with another function or attribute escapes it: ``farey.adjacent``, which
@@ -30,6 +39,8 @@ from test_layer_names import TARGETS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "curvelab"
 CLICK_DECORATORS = {"command", "group"}
+DICT_WRITERS = {"curvelab.window.per_window.table", "curvelab.farey.farey_window",
+                "curvelab.s5windows.build_window"}
 
 
 def referenced_names(tree: ast.Module) -> set[str]:
@@ -129,6 +140,35 @@ def unused_imports(src: Path) -> list[str]:
             for name in imports(tree) if name not in referenced_names(tree)]
 
 
+def reads_an_item(node: ast.Attribute, parent: ast.AST) -> bool:
+    """Whether the use of ``node`` (a ``__dict__``) in ``parent`` only reads."""
+    if isinstance(parent, ast.Subscript):
+        return parent.value is node and isinstance(parent.ctx, ast.Load)
+    if isinstance(parent, ast.Attribute):
+        return parent.attr == "get"
+    return (isinstance(parent, ast.Compare) and node is not parent.left
+            and all(isinstance(op, (ast.In, ast.NotIn)) for op in parent.ops))
+
+
+def dict_writers(src: Path) -> list[str]:
+    """The functions under src, innermost first, that may write into a
+    ``__dict__``, apart from ``DICT_WRITERS``."""
+    out = []
+
+    def walk(node, scope, parent):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                and not reads_an_item(node, parent) and scope not in DICT_WRITERS):
+            out.append(scope)
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope, node)
+
+    for module, tree in parse(src).items():
+        walk(tree, module, None)
+    return out
+
+
 def test_every_function_has_a_caller_in_src():
     assert uncalled(SRC) == []
 
@@ -172,3 +212,21 @@ def test_an_unused_import_is_flagged(tmp_path):
         f.write("\n\ndef _later():\n    import fractions\n    return 0\n")
     assert unused_imports(tmp_path) == ["curvelab.farey.fractions",
                                         "curvelab.window.os", "curvelab.window._gcd"]
+
+
+def test_only_the_table_helper_and_hand_overs_write_a_window_dict():
+    assert dict_writers(SRC) == []
+
+
+def test_a_hand_written_table_is_flagged(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "arc2.py", "a") as f:
+        f.write("\n\ndef _memo(w):\n"
+                "    if '_t' not in w.__dict__:\n"
+                "        w.__dict__['_t'] = w.__dict__.get('_u')\n"
+                "    return w.__dict__.setdefault('_t', {})\n"
+                "\n\nclass _Keeper:\n    def keep(self, w):\n"
+                "        tables = w.__dict__\n        tables['_t'] = 0\n")
+    assert dict_writers(tmp_path) == ["curvelab.arc2._memo", "curvelab.arc2._memo",
+                                      "curvelab.arc2._Keeper.keep"]
