@@ -8,7 +8,7 @@ built, since reading one back is slower than building it.  S5 windows are
 built, or read as JSON from a ``--window`` file or, when CURVELAB_CACHE
 points at a directory, from a cache entry keyed by their build description;
 either JSON goes through one reader, which exits 2 on a window that is
-malformed or whose witness words do not give its vertices.
+malformed or whose witness words do not give its vertices (or a file's edges).
 
 Exit codes: 0 success (out-of-hypothesis included), 1 a verification suite
 failed, 2 malformed input, I/O error or running out of memory.
@@ -242,9 +242,11 @@ def _s5_window(word_bound: int | None, window_file: str | None = None) -> Window
 
     Window JSON, from the file or a cache hit, is read here and nowhere
     else.  It exits 2 when the JSON is not a window or its witness words do
-    not give its vertices; a cache hit must carry witness words, since
-    ``build_window`` wrote them.  A cache entry that is not canonical JSON
-    is a miss and is rebuilt.
+    not give its vertices.  A file with witness words has its rows read
+    anew from them, and exits 2 on a wrong pair; a file without is a bare
+    graph.  A cache hit must carry witness words, and its rows are trusted,
+    since ``build_window`` wrote them under their content's hash.  A cache
+    entry that is not canonical JSON is a miss and is rebuilt.
     """
     if (word_bound is None) == (window_file is None):
         _fail("give exactly one of --word-bound and --window")
@@ -262,8 +264,10 @@ def _s5_window(word_bound: int | None, window_file: str | None = None) -> Window
         else:
             data = json.loads(Path(window_file).read_text())
         w = Window.from_json(data, s5windows.parse_curve_key, s5windows.S5_INSTANCE)
-        if window_file is None or w.words is not None:
+        if window_file is None:
             s5windows.witness_readers(w)
+        elif w.words is not None:
+            s5windows.check_edges(w)
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             RecursionError) as exc:
         _fail(f"cannot load window from {window_file or 'the cache'}: {exc}")

@@ -16,8 +16,9 @@ orientation-preserving mapping class), and the relation suite locks them in
 Each atom acts through a kernel: one straight-line function of the nine
 coordinates, generated from the atom's flips and relabelling on its first
 use, which does each flip's tropical exchange on locals and returns the
-relabelled tuple.  ``apply_word`` calls the letters' kernels one after the
-other and keeps no memo, since a kernel call costs about as much as a
+relabelled tuple.  A kernel is applied to one curve (``apply_word``) or
+mapped over a list (``apply_word_many``, wherever one word meets many
+curves), and no memo is kept, since a kernel call costs about as much as a
 cache lookup would.  The tests check every kernel against a replay of the
 flips through ``Triangulation.flip_coords``.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 from .triangulation import NUM_EDGES, Coords, compile_flips
 
@@ -130,6 +131,14 @@ def apply_word(word: str, coords: Coords) -> Coords:
     for ch in word:
         coords = ATOMS[ch].kernel(coords)
     return coords
+
+
+def apply_word_many(word: str, curves: Iterable[Coords]) -> list[Coords]:
+    """``apply_word`` on each curve: each letter's kernel mapped over them all."""
+    curves = list(curves)
+    for ch in word:
+        curves = list(map(ATOMS[ch].kernel, curves))
+    return curves
 
 
 def puncture_permutation(word: str) -> tuple[int, int, int, int, int]:

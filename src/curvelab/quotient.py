@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from . import farey as farey_mod
 from . import s5windows
-from .mcg import WORD_ALPHABET, apply_word, invert_word, reduce_word
+from .mcg import WORD_ALPHABET, apply_word, apply_word_many, invert_word, reduce_word
 from .serialize import canonical_json, json_list
 from .window import Window
 
@@ -150,14 +150,15 @@ def s5_contract() -> InstanceContract:
     Certificates come from window edges when both curves are window
     vertices, and otherwise from ``s5windows.adjacent``, which reads the
     witness word of the first curve, a window vertex in every call.
-    In-window images are found by applying the word to every vertex, and
-    displacements by certifying every vertex against its image.
+    In-window images are found by mapping the word over every vertex at
+    once (``mcg.apply_word_many``), and displacements by certifying every
+    vertex against its image, mapped the same way.
     """
 
     def images(w: Window, word: str) -> Iterator[tuple[int, int]]:
         index = w.index
-        for i, v in enumerate(w.vertices):
-            j = index.get(apply_word(word, v))
+        for i, image in enumerate(apply_word_many(word, w.vertices)):
+            j = index.get(image)
             if j is not None:
                 yield i, j
 
@@ -166,8 +167,8 @@ def s5_contract() -> InstanceContract:
 
         def per_word(word: str) -> tuple[int | None, int | None]:
             best, first, bounded = None, None, False
-            for i, v in enumerate(vertices):
-                d = certificate(v, apply_word(word, v), w)
+            for i, (v, image) in enumerate(zip(vertices, apply_word_many(word, vertices))):
+                d = certificate(v, image, w)
                 if d is None:
                     bounded = True
                 elif best is None or d < best:

@@ -4,25 +4,27 @@ Windows are generated by applying bounded-length generator words to the base
 pentagon (or to supplied seed curves); edges record disjointness.  Every fact
 of an S5 window that its witness words give is a per-window table read off
 one parse of them (``witnesses``): the readers that give intersection
-numbers (``curves.witness_reader``), to the S5 quotient contract too; the
-puncture pair each curve cuts off, which the window build compares before
-it reads a pair and the arc complex takes as an arc's endpoints; the
-boundary vertices; and each vertex's curve.  Pentagons are chordless
-5-cycles — since window edges capture all disjointness, a chordless cycle
-automatically has intersecting non-adjacent pairs, which is isometric
-embeddedness at the decidable level.  A half-twist pair about beta is
-detected purely combinatorially from two pentagons sharing an edge, for
-curves alpha and beta meeting twice.
+numbers (``curves.witness_reader``), which read a window's pairs in groups,
+one per reader, and serve the S5 quotient contract too; the puncture pair
+each curve cuts off, which rules pairs out unread and gives an arc's
+endpoints in the arc complex; the boundary vertices; and each vertex's
+curve.  Pentagons are chordless 5-cycles — since window edges capture all
+disjointness, a chordless cycle automatically has intersecting non-adjacent
+pairs, which is isometric embeddedness at the decidable level.  A half-twist
+pair about beta is detected purely combinatorially from two pentagons
+sharing an edge, for curves alpha and beta meeting twice.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import compress
+from operator import itemgetter, not_
 
 from .curves import (BASE_CURVE_PAIRS, BASE_CURVES, NormalCurve,
                      intersection_number, witness_reader)
-from .mcg import WORD_ALPHABET, apply_word, puncture_permutation, reduce_word
+from .mcg import (WORD_ALPHABET, apply_word, apply_word_many, puncture_permutation,
+                  reduce_word)
 from .triangulation import NUM_EDGES
 from .window import Window, per_window
 
@@ -107,6 +109,41 @@ def boundary(w: Window) -> frozenset[int]:
     return frozenset(i for i, (word, _) in enumerate(witnesses(w)) if len(word) >= w.bound)
 
 
+def disjointness_rows(vertices, witnesses, readers, pairs) -> tuple[tuple[int, ...], ...]:
+    """The sorted rows of the disjointness graph of the curves ``vertices``,
+    read off their ``witnesses``, ``witness_readers`` and ``puncture_pairs``.
+
+    Each pair is read once, by its reader: the end with the lesser (witness
+    length, index).  Pairs are read in groups, one per reader: with the
+    vertices taken in that order, a reader's candidates are the later
+    members of the buckets whose puncture pairs are disjoint from its own,
+    and its inverse word is mapped over them in one ``apply_word_many``.
+
+    Only pairs of curves cutting off disjoint puncture pairs are read.  Every
+    essential curve bounds a disk around two of the five punctures, and two
+    disjoint curves bound disjoint such disks: a disk inside the other would
+    hold the same two punctures, making the curves isotopic, and a disk
+    holding the other's three-punctured side would hold three punctures.  So
+    curves whose pairs overlap always meet.
+    """
+    order = sorted(range(len(vertices)), key=lambda i: (len(witnesses[i][0]), i))
+    buckets: dict[frozenset[int], list[int]] = {}
+    for i in order:
+        buckets.setdefault(pairs[i], []).append(i)
+    disjoint = {pair: [other for other in buckets if not other & pair] for pair in buckets}
+    start = dict.fromkeys(buckets, 0)
+    rows: list[list[int]] = [[] for _ in vertices]
+    for p in order:
+        start[pairs[p]] += 1  # p leaves its bucket: later readers read after it
+        ids = [q for pair in disjoint[pairs[p]] for q in buckets[pair][start[pair]:]]
+        inverse, edge = readers[p]
+        images = apply_word_many(inverse, map(vertices.__getitem__, ids))
+        for q in compress(ids, map(not_, map(itemgetter(edge), images))):
+            rows[p].append(q)
+            rows[q].append(p)
+    return tuple(tuple(sorted(row)) for row in rows)
+
+
 def build_window(
     word_bound: int, seeds: tuple[NormalCurve, ...] = BASE_CURVES
 ) -> Window:
@@ -114,21 +151,12 @@ def build_window(
 
     Vertices are ordered lexicographically by coordinates; each keeps the
     first witness found (breadth-first, letters in alphabet order), so the
-    result is deterministic.
+    result is deterministic.  Each letter is mapped over the whole frontier.
 
-    Edges come from the witnesses: each pair is read through the
-    ``witness_readers`` entry of the vertex with the shorter witness, and
-    each edge found goes into both ends' rows, sorted once all are read.
-    The witnesses, readers and puncture pairs are handed over as the
-    window's tables, through which the S5 contract reads adjacency too.
-
-    Only pairs of curves cutting off disjoint puncture pairs are read.  Every
-    essential curve bounds a disk around two of the five punctures, and two
-    disjoint curves bound disjoint such disks: a disk inside the other would
-    hold the same two punctures, making the curves isotopic, and a disk
-    holding the other's three-punctured side would hold three punctures.  So
-    curves whose pairs overlap always meet.  A vertex's pair is read off its
-    witness by ``puncture_pair``.
+    Edges come from the witnesses, by ``disjointness_rows``: pairs are read
+    in groups, one per reader, the vertex with the shorter witness.  The
+    witnesses, readers and puncture pairs are handed over as the window's
+    tables, through which the S5 contract reads adjacency too.
     """
     found: dict[tuple, tuple[str, int]] = {}
     frontier: list[tuple] = []
@@ -142,10 +170,10 @@ def build_window(
     # (and validated) per image; a witness extends by the letter applied
     for _ in range(word_bound):
         nxt = []
-        for coords in frontier:
+        images = zip(*(apply_word_many(letter, frontier) for letter in WORD_ALPHABET))
+        for coords, row in zip(frontier, images):
             word, base = found[coords]
-            for letter in WORD_ALPHABET:
-                image = apply_word(letter, coords)
+            for letter, image in zip(WORD_ALPHABET, row):
                 if image not in found:
                     found[image] = (reduce_word(word + letter), base)
                     nxt.append(image)
@@ -154,32 +182,29 @@ def build_window(
     witnesses = tuple(found[c] for c in vertices)
     readers = tuple(map(witness_reader, vertices, witnesses))
     pairs = tuple(map(puncture_pair, witnesses))
-    lengths = [len(word) for word, _ in witnesses]
-    buckets: dict[frozenset[int], list[int]] = {}
-    for i, pair in enumerate(pairs):
-        buckets.setdefault(pair, []).append(i)
-    rows: list[list[int]] = [[] for _ in vertices]
-    for (pair_a, xs), (pair_b, ys) in combinations(buckets.items(), 2):
-        if pair_a & pair_b:
-            continue
-        for i, j in product(xs, ys):
-            i, j = min(i, j), max(i, j)
-            p, q = (j, i) if lengths[j] < lengths[i] else (i, j)
-            inverse, edge = readers[p]
-            if apply_word(inverse, vertices[q])[edge] == 0:
-                rows[i].append(j)
-                rows[j].append(i)
     basepoint = min(seed.coords for seed in seeds)
     w = Window(
         instance=S5_INSTANCE,
         basepoint=basepoint,
         bound=word_bound,
         vertices=vertices,
-        neighbors=tuple(tuple(sorted(row)) for row in rows),
+        neighbors=disjointness_rows(vertices, witnesses, readers, pairs),
         words=tuple(witness_str(x) for x in witnesses),
     )
     w.__dict__.update(witnesses=witnesses, witness_readers=readers, puncture_pairs=pairs)
     return w
+
+
+def check_edges(w: Window) -> None:
+    """Raise ValueError, naming one wrong pair, unless the rows of w are the
+    disjointness graph that its witness words give (``disjointness_rows``)."""
+    rows = disjointness_rows(w.vertices, witnesses(w), witness_readers(w), puncture_pairs(w))
+    for i, (row, true) in enumerate(zip(w.neighbors, rows)):
+        if row != true:
+            j = min(set(row).symmetric_difference(true))
+            raise ValueError(f"by the witness words, edge ({i}, {j}) joins curves that meet"
+                             if j in row else f"by the witness words, no edge joins "
+                             f"disjoint curves {i} and {j}")
 
 
 def adjacent(w: Window, a: tuple, b: tuple) -> bool:

@@ -792,6 +792,53 @@ def test_fuzz_malformed_window_file(tmp_path_factory, content):
     assert_one_error_line(["s5", "pentagons", "--window", str(path)])
 
 
+def _window_file_with_edges(path, edit) -> Path:
+    """The true bound-2 window file with its edges edited by ``edit``."""
+    data = window_json(s5windows.build_window(2), s5windows.curve_key_str)
+    data["edges"] = sorted(edit(list(map(tuple, data["edges"]))))
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda edges: [*edges, (0, 2)], "edge (0, 2) joins curves that meet"),
+    (lambda edges: edges[1:], "no edge joins disjoint curves 0 and 1"),
+], ids=["added-edge", "dropped-edge"])
+def test_window_file_with_wrong_edges_exits_two(tmp_path, edit, message):
+    # a true witness word on every vertex, the edges in order, one pair wrong
+    path = _window_file_with_edges(tmp_path / "window.json", edit)
+    line = assert_one_error_line(["s5", "pentagons", "--window", str(path)])
+    assert message in line
+
+
+def test_window_file_with_true_edges_or_no_words_is_read(runner, tmp_path):
+    # the true file gives the window's 97 pentagons; a file without witness
+    # words is a bare graph, read as its edges say
+    path = _window_file_with_edges(tmp_path / "window.json", lambda edges: edges)
+    result = invoke(runner, ["s5", "pentagons", "--window", str(path), "--format", "text"])
+    assert result.exit_code == 0 and result.output == "97 pentagons\n"
+    data = json.loads(path.read_text())
+    data["edges"] = data["edges"][1:]
+    for rec in data["vertices"]:
+        del rec["word"]
+    path.write_text(json.dumps(data))
+    result = invoke(runner, ["s5", "pentagons", "--window", str(path), "--format", "text"])
+    assert result.exit_code == 0 and result.output == "80 pentagons\n"
+
+
+@FUZZ
+@given(st.sets(st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(
+    lambda p: p[0] < p[1]), min_size=1, max_size=4))
+def test_fuzz_window_file_with_flipped_pairs(tmp_path_factory, flips):
+    # each flipped pair of the 41 vertices is an edge dropped or a non-edge
+    # added; the error names the least of them
+    path = _window_file_with_edges(tmp_path_factory.mktemp("flip") / "window.json",
+                                   lambda edges: set(edges) ^ flips)
+    line = assert_one_error_line(["s5", "pentagons", "--window", str(path)])
+    named = re.findall(r"\d+", line.rpartition("window.json: ")[2])[:2]
+    assert tuple(map(int, named)) == min(flips)
+
+
 @FUZZ
 @given(MALFORMED_WINDOWS)
 def test_fuzz_malformed_window_cache_entry(tmp_path_factory, content):
