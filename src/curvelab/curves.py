@@ -9,10 +9,10 @@ Intersection numbers have one path: a curve carries a witness (g, k) with
 curve = g(c_k), and i(g(c_k), x) = i(c_k, g^-1 x) = 2 * (g^-1 x)[e_k], since
 the boundary of a disk neighbourhood of e_k crosses x along two strands
 parallel to e_k, once per crossing of x with e_k, and normal coordinates are
-minimal.  ``witness_reader`` checks a witness once and gives (g^-1, e_k);
-window edges and the S5 quotient contract use the same readers.  The
-flip-reduction search that computes i(a, b) from coordinates alone lives in
-the tests, as the oracle for this reading.
+minimal.  ``witness_reader`` checks a witness and gives (g^-1, e_k); a window
+keeps one per vertex (``s5windows.witness_readers``).  The flip-reduction
+search that computes i(a, b) from coordinates alone lives in the tests, as
+the oracle for this reading.
 A ``NormalCurve`` is validated when it is made, memoized by coordinate
 vector, so each distinct curve is validated once.
 """
@@ -73,7 +73,6 @@ BASE_CURVES = base_curves()
 BASE_CURVE_PAIRS = ((1, 2), (3, 4), (5, 1), (2, 3), (4, 5))
 
 
-@lru_cache(maxsize=1 << 16)
 def witness_reader(coords: Coords, witness: tuple[str, int]) -> tuple[str, int]:
     """(g^-1, e_k) for the curve coords = g(c_k) witnessed by (g, k).
 

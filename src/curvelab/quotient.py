@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Callable, Iterable, Iterator
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import farey as farey_mod
 from . import s5windows
@@ -206,6 +207,15 @@ def s5_sample(words: tuple[str, ...] = ()) -> tuple[str, ...]:
     return tuple(closed)
 
 
+class Stars(NamedTuple):
+    """What ``QuotientWindow.stars`` reads off the merged members' stars."""
+
+    near: frozenset[int]  # the window vertices within one step of a merged class
+    loops: tuple[tuple[int, int, int], ...]  # collapsed edges (class, i, j), i < j, in order
+    least: dict  # sorted class pair -> least window edge joining them, one end merged
+    singleton_edges: int  # quotient edges between singleton classes, one window edge each
+
+
 @dataclass(frozen=True)
 class QuotientWindow:
     """A window modulo the in-window identifications of a sample.
@@ -216,16 +226,18 @@ class QuotientWindow:
     ``transporter[v]`` is a product of sample elements, in the contract's
     representation (a matrix on the Farey graph, a word on S0,5), with
     act(transporter[v])(rep key) = key of v.  ``contract`` is the one the
-    quotient was built with, so a quotient is all a suite needs.  The
-    quotient's rows are read off the window's rows when first asked for;
-    ``row(c)`` gives one row alone, and ``graph`` holds them all.
+    quotient was built with, so a quotient is all a suite needs.  Away from
+    the merged classes the quotient map is the identity on stars, so the
+    rest is read off the merged members' stars in one walk (``stars``) and
+    off the window's rows, when first asked for; ``row(c)`` gives one row
+    alone, and ``graph`` holds them all.
     """
 
     window: Window
     contract: InstanceContract
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    loops: tuple[tuple[int, int, int], ...]  # (class, vertex, vertex) collapsed edges
+    merged: tuple[int, ...]  # the classes with more than one member, in order
     transporter: tuple
     displacement: tuple[dict, ...]
 
@@ -233,21 +245,33 @@ class QuotientWindow:
         return len(self.classes)
 
     @cached_property
-    def merged(self) -> tuple[int, ...]:
-        """The classes with more than one member, in order."""
-        return tuple(c for c, members in enumerate(self.classes) if len(members) > 1)
+    def stars(self) -> Stars:
+        """One walk over the merged members' stars, in class, member and row
+        order, so loops come sorted; an edge of two merged members is taken
+        at its lower end only."""
+        class_of, classes, nbrs = self.class_of, self.classes, self.window.neighbors
+        near, loops, least, walked = set(), [], {}, 0
+        for a in self.merged:
+            for u in classes[a]:
+                near.add(u)
+                near.update(nbrs[u])
+                for v in nbrs[u]:
+                    b = class_of[v]
+                    if v < u and len(classes[b]) > 1:
+                        continue
+                    walked += 1
+                    if b == a:
+                        loops.append((a, u, v))
+                    else:
+                        pair = (a, b) if a < b else (b, a)
+                        edge = (u, v) if u < v else (v, u)
+                        if least.get(pair, edge) >= edge:
+                            least[pair] = edge
+        singles = sum(map(len, nbrs)) // 2 - walked  # the edges the walk missed
+        return Stars(frozenset(near), tuple(loops), least, singles)
 
-    @cached_property
-    def near(self) -> frozenset[int]:
-        """The window vertices within one step of a merged class.
-
-        Away from them the quotient map is the identity on stars."""
-        near = set()
-        for c in self.merged:
-            for i in self.classes[c]:
-                near.add(i)
-                near.update(self.window.neighbors[i])
-        return frozenset(near)
+    near = property(attrgetter("stars.near"))
+    loops = property(attrgetter("stars.loops"))
 
     def row(self, c: int) -> tuple[int, ...]:
         """The sorted classes adjacent to class c, made once.  Away from the
@@ -285,30 +309,20 @@ class QuotientWindow:
 
         For each quotient edge and endpoint class one witnessing window edge
         (u0, v0) is fixed, with u0 in the class: the least window edge
-        between the two classes.  The true neighbour of a member i of that
-        class over the other class is then the image of v0 under the element
-        carrying u0 to i (transporter of u0 inverted, then transporter of
-        i).  That map is built at most once per (u0, i), and not at all when
-        i is u0.  ``lift(i, other_class)`` returns the neighbour's key and
-        its window index, or None when it lies outside the window.  Two
-        singleton classes are joined by one window edge, so witnesses are
-        read off the stars of merged classes' members alone.
+        between the two classes (``stars.least``).  The true neighbour of a
+        member i of that class over the other class is then the image of v0
+        under the element carrying u0 to i (transporter of u0 inverted, then
+        transporter of i).  That map is built at most once per (u0, i), and
+        not at all when i is u0.  ``lift(i, other_class)`` returns the
+        neighbour's key and its window index, or None when it lies outside
+        the window.  Two singleton classes are joined by one window edge,
+        which is its own witness.
         """
         w, contract = self.window, self.contract
         class_of, classes = self.class_of, self.classes
-        vertices, index, nbrs = w.vertices, w.index, w.neighbors
-        least: dict[tuple[int, int], tuple[int, int]] = {}  # class pair -> window edge
-        for a in self.merged:
-            for u in classes[a]:
-                for v in nbrs[u]:
-                    b = class_of[v]
-                    if b != a:
-                        pair = (a, b) if a < b else (b, a)
-                        edge = (u, v) if u < v else (v, u)
-                        if least.get(pair, edge) >= edge:
-                            least[pair] = edge
+        vertices, index = w.vertices, w.index
         rep_edge: dict[tuple[int, int], tuple[int, int]] = {}
-        for i, j in least.values():
+        for i, j in self.stars.least.values():
             rep_edge[class_of[i], class_of[j]] = (i, j)
             rep_edge[class_of[j], class_of[i]] = (j, i)
         transports: dict[tuple[int, int], Callable] = {}
@@ -421,7 +435,7 @@ def build_quotient(
 
     class_of = [-1] * n
     transporter = [contract.element("")] * n
-    classes = []
+    classes, merged = [], []
     for rep in range(n):
         if class_of[rep] >= 0:
             continue
@@ -434,18 +448,16 @@ def build_quotient(
                     class_of[j] = c
                     transporter[j] = contract.compose(transporter[i], g)
                     members.append(j)
+        if len(members) > 1:
+            merged.append(c)
         classes.append((rep,) if len(members) == 1 else tuple(sorted(members)))
-
-    # a window edge collapses only inside a merged class
-    loops = sorted((c, i, j) for c, members in enumerate(classes) if len(members) > 1
-                   for i in members for j in w.neighbors[i] if j > i and class_of[j] == c)
 
     return QuotientWindow(
         window=w,
         contract=contract,
         class_of=tuple(class_of),
         classes=tuple(classes),
-        loops=tuple(loops),
+        merged=tuple(merged),
         transporter=tuple(transporter),
         displacement=displacement_report(w, words, contract),
     )

@@ -17,7 +17,6 @@ sharing an edge, for curves alpha and beta meeting twice.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress
 from operator import itemgetter, not_
 
@@ -32,7 +31,7 @@ S5_INSTANCE = "s5"
 
 
 def curve_key_str(coords) -> str:
-    return ",".join(str(x) for x in coords)
+    return ",".join(map(str, coords))
 
 
 def parse_curve_key(text: str):
@@ -59,7 +58,6 @@ def parse_witness(text: str) -> tuple[str, int]:
     return word, int(base.lstrip("c"))
 
 
-@lru_cache(maxsize=1 << 16)
 def puncture_pair(witness: tuple[str, int]) -> frozenset[int]:
     """The two punctures cut off by the curve g(c_k) that (g, k) witnesses.
 

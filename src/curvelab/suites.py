@@ -14,17 +14,20 @@ whose lift leaves the window.
 
 Away from the merged classes the quotient map is the identity on stars, so
 no suite finds a witness or a truncation there.  The simplicial, lifting,
-2-ball and local-covering suites therefore read only the window vertices
-within one step of a merged class (``QuotientWindow.near``), the quotient
-edges at a merged class and the quotient rows (``QuotientWindow.row``) of
-the classes they reach, and count every other site: each vertex or class
-is one, each quotient edge between singleton classes (a window edge with
-no end in a merged class) is one 2-ball site and two lifting sites, and the
-distance-2 class pairs away from the merges are the window's pairs at
-distance 2, counted by the contract's ``distance_two_pairs`` (the Farey
-graph has it), less those near a merge.  Without that count, or where the
-merges reach most of the window, lifting walks every class.  Pentagon
-transfer and support sets read the whole window.
+2-ball and local-covering suites therefore read what one walk over the
+merged members' stars gives (``QuotientWindow.stars``): the window vertices
+within one step of a merged class (``near``), the collapsed edges, and the
+quotient edges at a merged class, each with its least window edge.  They
+also read the quotient rows (``QuotientWindow.row``) of the classes they
+reach, and count every other site: each vertex or class is one, each
+quotient edge between singleton classes (a window edge with no end in a
+merged class, which the walk counts) is one 2-ball site and two lifting
+sites, and the distance-2 class pairs away from the merges are the
+window's pairs at distance 2, counted by the contract's
+``distance_two_pairs`` (the Farey graph has it), less those near a merge.
+Without that count, or where the merges reach most of the window, lifting
+walks every class.  Pentagon transfer and support sets read the whole
+window.
 
 When violations occur while the sampled displacement is below the
 governing threshold (3 for simpliciality, 8 for the lifting, 2-ball,
@@ -83,21 +86,6 @@ def _window_certifies_two(w: Window, i: int, m: int, v: int) -> bool:
     """
     near = w.neighbors[i]
     return i != v and v not in near and m in near and v in w.neighbors[m]
-
-
-def _merged_edges(q: QuotientWindow) -> list[tuple[int, int]]:
-    """The quotient edges with a merged endpoint class, in order."""
-    return sorted({(a, b) if a < b else (b, a) for a in q.merged for b in q.row(a)})
-
-
-def _singleton_edges(q: QuotientWindow) -> int:
-    """The number of the other quotient edges: each is one window edge
-    between two singleton classes."""
-    nbrs = q.window.neighbors
-    members = {i for c in q.merged for i in q.classes[c]}
-    touching = sum(len(nbrs[i]) for i in members)
-    inside = sum(j in members for i in members for j in nbrs[i])  # counted twice
-    return sum(map(len, nbrs)) // 2 - touching + inside // 2
 
 
 def _pairs_near(rows, near: set[int], merged) -> int:
@@ -193,8 +181,8 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
     lift = q.lift
     nbrs, class_of, classes = w.neighbors, q.class_of, q.classes
     merged = set(q.merged)
-    eligible += 2 * _singleton_edges(q)  # decided at both ends
-    for ci, cj in _merged_edges(q):
+    eligible += 2 * q.stars.singleton_edges  # decided at both ends
+    for ci, cj in sorted(q.stars.least):
         for a, b in ((ci, cj), (cj, ci)):
             if a not in merged:
                 eligible += 1
@@ -314,8 +302,8 @@ def verify_ball2_isometry(q: QuotientWindow) -> dict:
                     "pair": [key(w.vertices[i]), key(w.vertices[j])],
                 })
     nbrs = w.neighbors
-    eligible += _singleton_edges(q)
-    for a, b in _merged_edges(q):
+    eligible += q.stars.singleton_edges
+    for a, b in sorted(q.stars.least):
         for i in q.classes[a]:
             for j in q.classes[b]:
                 eligible += 1

@@ -121,7 +121,6 @@ def test_batched_paths_make_no_one_curve_calls(monkeypatch):
 
     for module in (mcg, curves, s5windows, quotient):
         monkeypatch.setattr(module, "apply_word", counting)
-    curves.witness_reader.cache_clear()
     w = s5windows.build_window(3)
     assert calls == {"witness_reader": len(w)}
     calls.clear()

@@ -13,6 +13,9 @@ stars next to a merged class (``QuotientWindow.near``) and count the other
 sites; they must agree with the same suites walking every vertex, edge and
 distance-2 pair (``oracles.walk_*``), and the Farey count of distance-2
 pairs (``InstanceContract.distance_two_pairs``) with a walk of the window.
+Those four suites read the merged members' stars in one walk
+(``QuotientWindow.stars``), which must agree with its plain definitions
+over every class, vertex and window edge.
 The pentagon-transfer suite decides its sites by membership between the
 window's and the quotient's pentagon enumerations, and must agree with
 testing each projected cycle edge by edge and searching each quotient
@@ -244,6 +247,59 @@ def test_truncated_lifting_sites_touch_a_larger_class(w3, instance):
     for kind, a, *rest in sites:
         touched = (a,) if kind == "edge" else (a, rest[0])
         assert not all(single[c] for c in touched), (kind, a, *rest)
+
+
+# ---------------------------------------------------------------- the star walk
+
+# the s5-verify menu of the benchmark: (word bound, sample words)
+S5_MENU = [(2, "aaaa"), (2, "abab"), (2, "ac"), (3, ""), (3, "aa"), (3, "r"),
+           (3, "bb,dd"), (3, "abc"), (3, "cdcd"), (3, "aaaa"), (3, "abab")]
+
+
+def assert_stars_match(q) -> None:
+    """``QuotientWindow.stars`` and ``merged`` equal their definitions, read
+    over every class, vertex and window edge."""
+    w, class_of, classes = q.window, q.class_of, q.classes
+    merged = [c for c, members in enumerate(classes) if len(members) > 1]
+    assert q.merged == tuple(merged)
+    big = [len(members) > 1 for members in classes]
+    near = {i for i in range(len(w))
+            if big[class_of[i]] or any(big[class_of[j]] for j in w.neighbors[i])}
+    loops, least, singleton_edges = [], {}, 0
+    for i, j in w.edges:  # in increasing order, so the first edge is the least
+        a, b = class_of[i], class_of[j]
+        if a == b:
+            loops.append((a, i, j))
+        elif big[a] or big[b]:
+            least.setdefault((min(a, b), max(a, b)), (i, j))
+        else:
+            singleton_edges += 1
+    assert q.stars == (frozenset(near), tuple(sorted(loops)), least, singleton_edges)
+    assert q.near is q.stars.near and q.loops is q.stars.loops
+
+
+@pytest.mark.parametrize("height,matrix,power,conj_len",
+                         FAREY_MENU + [(55, "2,1,1,1", 2, 2)])
+def test_star_walk_matches_definitions_farey(height, matrix, power, conj_len):
+    q = quotient.build_quotient(*farey_case(matrix, power, conj_len, height))
+    assert_stars_match(q)
+
+
+@pytest.mark.parametrize("bound,sample", S5_MENU)
+def test_star_walk_matches_definitions_s5(w2, w3, bound, sample):
+    words = quotient.s5_sample(tuple(x for x in sample.split(",") if x))
+    q = quotient.build_quotient(w2 if bound == 2 else w3, words, quotient.s5_contract())
+    assert_stars_match(q)
+
+
+def test_json_fields_leave_the_star_walk_unmade(w3):
+    # the quotient's JSON reads the classes and the displacement report only
+    for q in (quotient.build_quotient(*farey_case("2,1,1,1", 8, 1, 55)),
+              quotient.build_quotient(w3, quotient.s5_sample(("aa",)),
+                                      quotient.s5_contract())):
+        assert q.merged
+        q.json_fields()
+        assert "stars" not in q.__dict__  # where cached_property would keep it
 
 
 # ---------------------------------------------------------------- properties
