@@ -55,30 +55,32 @@ def _fail(message: str) -> None:
     sys.exit(EXIT_IO_ERROR)
 
 
-def _emit(data, fmt: str, text_fn=None, dot_fn=None) -> None:
-    if fmt == "json":  # data is a JSON value
+def _emit(data, fmt: str, text_fn, dot_fn=None) -> None:
+    """Write ``data`` in ``fmt``: a JSON value, or, for a window or quotient,
+    a function giving the field texts its JSON is written from piece by
+    piece, never joined."""
+    if fmt == "text":
+        click.echo(text_fn(), nl=False)
+    elif fmt == "dot":
+        if dot_fn is None:
+            _fail("dot output is only available for graphs")
+        click.echo(dot_fn(), nl=False)
+    elif callable(data):
+        for piece in json_object(data()):
+            click.echo(piece, nl=False)
+    else:
         try:
             text = canonical_json(data)
         except ValueError:  # json refuses integers above the digit limit
             _fail(f"an integer in the output has more than "
                   f"{sys.get_int_max_str_digits()} digits; try --format text")
         click.echo(text, nl=False)
-    elif fmt == "dot":
-        if dot_fn is None:
-            _fail("dot output is only available for graphs")
-        click.echo(dot_fn(), nl=False)
-    else:
-        click.echo(text_fn() if text_fn else canonical_json(data), nl=False)
 
 
-def _emit_fields(fields_fn, fmt: str, text_fn, dot_fn) -> None:
-    """``_emit`` for a window or quotient, whose JSON is written piece by
-    piece from the field texts ``fields_fn()`` gives, never joined."""
-    if fmt == "json":
-        for piece in json_object(fields_fn()):
-            click.echo(piece, nl=False)
-    else:
-        _emit(None, fmt, text_fn, dot_fn)
+def _emit_window(w: Window, fmt: str, key_str, title: str) -> None:
+    _emit(lambda: w.json_fields(key_str), fmt, dot_fn=lambda: w.to_dot(key_str),
+          text_fn=lambda: f"{title}: {len(w)} vertices, "
+                          f"{sum(map(len, w.neighbors)) // 2} edges\n")
 
 
 def _format_option(default: str = "json"):
@@ -162,22 +164,19 @@ def _farey_window(height: int, basepoint: str) -> Window:
 @_format_option()
 def farey_window_cmd(height, basepoint, fmt):
     """Induced subgraph on all slopes of height at most the bound."""
-    w = _farey_window(height, basepoint)
-    _emit_fields(
-        lambda: w.json_fields(str), fmt,
-        dot_fn=lambda: w.to_dot(str),
-        text_fn=lambda: f"farey window height {height}: "
-                        f"{len(w)} vertices, {sum(map(len, w.neighbors)) // 2} edges\n",
-    )
+    _emit_window(_farey_window(height, basepoint), fmt, str, f"farey window height {height}")
 
 
-def _closure_sample(matrix, power, conj_len, depth) -> farey_mod.ClosureSample:
+def _closure_sample(
+    matrix, power, conj_len, depth
+) -> tuple[farey_mod.IntMatrix, farey_mod.ClosureSample]:
+    """The base matrix and its closure sample."""
     try:
         base = farey_mod.IntMatrix.parse(matrix)
         spec = farey_mod.FareyClosureSpec(base, power, conj_len, depth)
     except ValueError as exc:
         _fail(str(exc))
-    return farey_mod.sample_closure(spec)
+    return base, farey_mod.sample_closure(spec)
 
 
 closure_options = [
@@ -202,7 +201,7 @@ def _with(options):
 @_format_option()
 def farey_closure(matrix, power, conj_len, depth, fmt):
     """Sample the normal closure of a hyperbolic matrix power."""
-    sample = _closure_sample(matrix, power, conj_len, depth)
+    _, sample = _closure_sample(matrix, power, conj_len, depth)
     _emit(
         sample.to_json(), fmt,
         text_fn=lambda: f"closure sample: {len(sample)} elements\n",
@@ -215,10 +214,9 @@ def farey_closure(matrix, power, conj_len, depth, fmt):
 @_format_option()
 def farey_displacement(matrix, power, conj_len, depth, height, fmt):
     """Per-element window displacement of a closure sample."""
-    sample = _closure_sample(matrix, power, conj_len, depth)
-    contract = quotient_mod.farey_contract(farey_mod.IntMatrix.parse(matrix))
+    base, sample = _closure_sample(matrix, power, conj_len, depth)
     w = _farey_window(height, "0/1")
-    report = quotient_mod.displacement_report(w, sample.words, contract)
+    report = quotient_mod.displacement_report(w, sample.words, quotient_mod.farey_contract(base))
 
     def text():
         lines = [f"{r['word']}: min {r['min']} at {r['argmin']}" for r in report]
@@ -279,13 +277,8 @@ def _s5_window(word_bound: int | None, window_file: str | None = None) -> Window
 @_format_option()
 def s5_ball(word_bound, fmt):
     """Window of all images of the base pentagon under bounded words."""
-    w = _s5_window(word_bound)
-    _emit_fields(
-        lambda: w.json_fields(s5windows.curve_key_str), fmt,
-        dot_fn=lambda: w.to_dot(s5windows.curve_key_str),
-        text_fn=lambda: f"s5 window bound {word_bound}: "
-                        f"{len(w)} vertices, {sum(map(len, w.neighbors)) // 2} edges\n",
-    )
+    _emit_window(_s5_window(word_bound), fmt, s5windows.curve_key_str,
+                 f"s5 window bound {word_bound}")
 
 
 @s5.command("pentagons")
@@ -391,8 +384,8 @@ def arc2_fill(arcs, word_bound, fmt):
 def _build_quotient(instance, height, matrix, power, conj_len, depth,
                     word_bound, sample_csv) -> quotient_mod.QuotientWindow:
     if instance == "farey":
-        sample = _closure_sample(matrix, power, conj_len, depth).words
-        contract = quotient_mod.farey_contract(farey_mod.IntMatrix.parse(matrix))
+        base, closure = _closure_sample(matrix, power, conj_len, depth)
+        sample, contract = closure.words, quotient_mod.farey_contract(base)
         w = _farey_window(height, "0/1")
     else:
         contract = quotient_mod.s5_contract()
@@ -434,7 +427,7 @@ def quotient_build(instance, height, matrix, power, conj_len, depth,
         word_bound, sample_csv,
     )
     key_str = q.contract.key_str
-    _emit_fields(
+    _emit(
         lambda: {**q.window.json_fields(key_str), **q.json_fields()}, fmt,
         dot_fn=lambda: q.graph.to_dot(key_str),
         text_fn=lambda: f"{instance} quotient: {len(q)} classes of "
@@ -458,6 +451,8 @@ def quotient_build(instance, height, matrix, power, conj_len, depth,
 def verify(instance, height, matrix, power, conj_len, depth,
            word_bound, sample_csv, suite_csv, out_dir, seed, fmt):
     """Run verification suites over a window and its quotient."""
+    if fmt == "dot":  # refused before anything is built or written
+        _fail("dot output is only available for graphs")
     names = []
     for raw in suite_csv.split(","):
         raw = raw.strip()

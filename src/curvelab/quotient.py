@@ -18,9 +18,11 @@ displacement minima; ``displacement_report`` only writes them down.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import attrgetter
+from itertools import accumulate, filterfalse
+from operator import attrgetter, sub
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import farey as farey_mod
@@ -230,7 +232,7 @@ class QuotientWindow:
     the merged classes the quotient map is the identity on stars, so the
     rest is read off the merged members' stars in one walk (``stars``) and
     off the window's rows, when first asked for; ``row(c)`` gives one row
-    alone, and ``graph`` holds them all.
+    alone, and ``graph`` holds them all.  No other table of rows is kept.
     """
 
     window: Window
@@ -297,13 +299,6 @@ class QuotientWindow:
         return {}  # the rows ``row`` has made
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Every class's ``row``: the window's rows when no class merges."""
-        if not self.merged:
-            return self.window.neighbors
-        return tuple(map(self.row, range(len(self.classes))))
-
-    @cached_property
     def lift(self) -> Callable[[int, int], tuple]:
         """The lift of a quotient edge at a window vertex.
 
@@ -353,7 +348,7 @@ class QuotientWindow:
     @cached_property
     def graph(self) -> Window:
         """The quotient graph: vertex c is the representative of class c,
-        and its rows are ``neighbors``.  When no class merges, class c is
+        and its rows are ``row``'s.  When no class merges, class c is
         vertex c, so the graph shares the window's vertices and rows."""
         w = self.window
         return Window(
@@ -362,7 +357,8 @@ class QuotientWindow:
             bound=w.bound,
             vertices=(tuple(w.vertices[m[0]] for m in self.classes) if self.merged
                       else w.vertices),
-            neighbors=self.neighbors,
+            neighbors=(tuple(map(self.row, range(len(self.classes)))) if self.merged
+                       else w.neighbors),
         )
 
     def json_fields(self) -> dict[str, str]:
@@ -399,65 +395,65 @@ def displacement_report(
     return tuple(report)
 
 
-def identification_moves(
-    w: Window, words: tuple[str, ...], contract: InstanceContract
-) -> list[list[tuple[int, Any]]]:
-    """vertex i -> [(j, g)] for each sample element g with g v_i = v_j, in
-    sample order; a vertex has at most one move per element."""
-    moves: list[list[tuple[int, Any]]] = [[] for _ in range(len(w))]
-    for word in words:
-        g = contract.element(word)
-        for i, j in contract.images(w, g):
-            moves[i].append((j, g))
-    return moves
-
-
 def build_quotient(
     w: Window, words: tuple[str, ...], contract: InstanceContract
 ) -> QuotientWindow:
-    """The classes of the in-window identifications v ~ n(v), in one pass.
+    """The classes of the in-window identifications v ~ n(v).
 
     The sample is a tuple of words (``ClosureSample.words`` on the Farey
     graph, ``s5_sample`` on the five-punctured sphere), each evaluated by
     ``contract.element``; RuntimeError unless every identification i -> j
-    has one j -> i.  A breadth-first search from each unvisited vertex, in
-    index order, gives a class and its members' transporters.  The search
-    follows each vertex's moves in sample order, and a vertex has at most
-    one move per element, so the order in which ``contract.images`` lists
-    pairs cannot change a transporter.
+    has one j -> i.  Moves are kept only for the vertices that some element
+    moves, and every member of a merged class has one, so a breadth-first
+    search from each unreached moved vertex, in index order, starts at its
+    class's least member and gives the class and its members'
+    transporters.  Every other vertex is a class of its own, numbered by
+    its index less the members absorbed before it.  The search follows each
+    vertex's moves in sample order, and a vertex has at most one move per
+    element, so the order in which ``contract.images`` lists pairs cannot
+    change a transporter.
     """
-    n = len(w)
-    moves = identification_moves(w, words, contract)
+    moves = defaultdict(list)  # i -> [(j, g)] for each element g with g v_i = v_j != v_i
+    for word in words:
+        g = contract.element(word)
+        for i, j in contract.images(w, g):
+            if i != j:
+                moves[i].append((j, g))
 
-    identified = {(i, j) for i, out in enumerate(moves) for j, _ in out}
+    identified = {(i, j) for i, out in moves.items() for j, _ in out}
     if any((j, i) not in identified for i, j in identified):
         raise RuntimeError(f"sample {list(words)} is not closed under inverses")
 
-    class_of = [-1] * n
+    n = len(w)
     transporter = [contract.element("")] * n
-    classes, merged = [], []
-    for rep in range(n):
-        if class_of[rep] >= 0:
+    absorbed = bytearray(n)  # 1 at each member of a merged class but its least
+    found = []  # each merged class's members, least first
+    for rep in sorted(moves):
+        if absorbed[rep]:
             continue
-        c = len(classes)
-        class_of[rep] = c
         members = [rep]
         for i in members:  # grows as the search reaches new vertices
             for j, g in moves[i]:
-                if class_of[j] < 0:
-                    class_of[j] = c
+                if j != rep and not absorbed[j]:
+                    absorbed[j] = 1
                     transporter[j] = contract.compose(transporter[i], g)
                     members.append(j)
-        if len(members) > 1:
-            merged.append(c)
-        classes.append((rep,) if len(members) == 1 else tuple(sorted(members)))
+        found.append(members)
+
+    class_of = list(map(sub, range(n), accumulate(absorbed)))
+    classes = list(zip(filterfalse(absorbed.__getitem__, range(n))))
+    for members in found:
+        c = class_of[members[0]]
+        classes[c] = tuple(sorted(members))
+        for i in members:
+            class_of[i] = c
 
     return QuotientWindow(
         window=w,
         contract=contract,
         class_of=tuple(class_of),
         classes=tuple(classes),
-        merged=tuple(merged),
+        merged=tuple(class_of[members[0]] for members in found),
         transporter=tuple(transporter),
         displacement=displacement_report(w, words, contract),
     )

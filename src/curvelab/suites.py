@@ -26,8 +26,9 @@ sites, and the distance-2 class pairs away from the merges are the
 window's pairs at distance 2, counted by the contract's
 ``distance_two_pairs`` (the Farey graph has it), less those near a merge.
 Without that count, or where the merges reach most of the window, lifting
-walks every class.  Pentagon transfer and support sets read the whole
-window.
+walks every class, row by row.  Pentagon transfer and support sets read the
+whole window; support sets count the quotient edges off the walk, as its
+singleton edges plus its least edges.
 
 When violations occur while the sampled displacement is below the
 governing threshold (3 for simpliciality, 8 for the lifting, 2-ball,
@@ -203,11 +204,11 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
     # common neighbour mid; a lift that leaves the class it was taken over
     # (possible out of hypothesis) is a witness naming the class reached.
     # Witnesses are listed in (mid, a, b) order.
-    count = q.contract.distance_two_pairs
+    count, row = q.contract.distance_two_pairs, q.row
     if count is None or 2 * len(q.near) > len(w):  # walking every class costs less
-        row, starts, near, pairs = q.neighbors.__getitem__, range(len(q)), None, 0
+        starts, near, pairs = range(len(q)), None, 0
     else:
-        row, near = q.row, {class_of[i] for i in q.near}
+        near = {class_of[i] for i in q.near}
         starts = sorted(near)
         members = {i for c in merged for i in classes[c]}
         pairs = count(w) - _pairs_near(nbrs, set(q.near), members)
@@ -521,7 +522,7 @@ def check_support_sets(q: QuotientWindow) -> dict:
                     "kind": "triple-disjoint",
                     "curves": [key(w.vertices[v]) for v in (i, j, k)],
                 })
-    eligible += sum(map(len, q.neighbors)) // 2  # (b)
+    eligible += q.stars.singleton_edges + len(q.stars.least)  # (b): the quotient edges
 
     # sorted neighbour tuples are equal exactly when the links are
     links: dict[tuple[int, ...], int] = {}

@@ -102,6 +102,7 @@ from curvelab.triangulation import (
     corner_counts,
     is_essential,
 )
+from curvelab.quotient import QuotientWindow, displacement_report
 from curvelab.window import DisjointSets, Window
 
 
@@ -711,8 +712,9 @@ def representative(q, c: int) -> int:
 
 
 def apply_and_lookup_moves(w: Window, words, contract) -> list[list[tuple]]:
-    """``quotient.identification_moves`` by applying each sample element to
-    every window vertex and looking the image up."""
+    """vertex i -> [(j, g)] for each sample element g with g v_i = v_j, fixed
+    points included, in sample order: each element applied to every window
+    vertex and the image looked up."""
     moves: list[list[tuple]] = [[] for _ in range(len(w))]
     for word in words:
         g = contract.element(word)
@@ -722,6 +724,43 @@ def apply_and_lookup_moves(w: Window, words, contract) -> list[list[tuple]]:
             if j is not None:
                 moves[i].append((j, g))
     return moves
+
+
+def reference_quotient(w: Window, words, contract, moves=None) -> QuotientWindow:
+    """``quotient.build_quotient`` by a search from every vertex: the moves
+    of every vertex (``apply_and_lookup_moves`` unless given), and a
+    breadth-first search from each unreached vertex in index order, so a
+    class is numbered when its least member is reached; a class with one
+    member is not merged, whatever its fixed points."""
+    if moves is None:
+        moves = apply_and_lookup_moves(w, words, contract)
+    identified = {(i, j) for i, out in enumerate(moves) for j, _ in out}
+    if any((j, i) not in identified for i, j in identified):
+        raise RuntimeError(f"sample {list(words)} is not closed under inverses")
+    class_of = [-1] * len(w)
+    transporter = [contract.element("")] * len(w)
+    classes = []
+    for rep in range(len(w)):
+        if class_of[rep] >= 0:
+            continue
+        class_of[rep] = c = len(classes)
+        members = [rep]
+        for i in members:
+            for j, g in moves[i]:
+                if class_of[j] < 0:
+                    class_of[j] = c
+                    transporter[j] = contract.compose(transporter[i], g)
+                    members.append(j)
+        classes.append(tuple(sorted(members)))
+    return QuotientWindow(
+        window=w,
+        contract=contract,
+        class_of=tuple(class_of),
+        classes=tuple(classes),
+        merged=tuple(c for c, members in enumerate(classes) if len(members) > 1),
+        transporter=tuple(transporter),
+        displacement=displacement_report(w, words, contract),
+    )
 
 
 def _edge_lifts(q, contract):

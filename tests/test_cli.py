@@ -227,6 +227,16 @@ def test_verify_writes_artifacts(runner, tmp_path):
     assert report["status"] == "pass"
 
 
+@pytest.mark.parametrize("instance", [["--height", "30"], ["--instance", "s5"]])
+def test_verify_dot_is_refused_before_anything_is_written(tmp_path, instance):
+    # dot output is only for graphs, and a verify run's reports are not one
+    out = tmp_path / "artifacts"
+    line = assert_one_error_line(["verify", *instance, "--suites", "simplicial",
+                                  "--out", str(out), "--format", "dot"])
+    assert line == "error: dot output is only available for graphs"
+    assert not out.exists()
+
+
 def test_cache_roundtrip_identical(runner, tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
     args = ["s5", "ball", "--word-bound", "2"]

@@ -5,7 +5,9 @@ enumerating lattice points, the displacement report reads its minimum off
 the axis ladder, and the lifting and local-covering suites decide the sites
 at singleton classes without lifting them.  Each must agree exactly with its
 oracle: applying every element to every vertex
-(``oracles.apply_and_lookup_moves``), scanning every vertex with plain
+(``oracles.apply_and_lookup_moves``), searching from every vertex for the
+classes that ``build_quotient`` finds from the moved vertices alone
+(``oracles.reference_quotient``), scanning every vertex with plain
 distances (``test_displacement.check_report``) and lifting at every site
 (``oracles.per_site_lipschitz_lifting``, ``oracles.per_site_local_covering``).
 The simplicial, lifting, 2-ball and local-covering suites read only the
@@ -37,6 +39,7 @@ from oracles import (
     check_rows,
     per_site_lipschitz_lifting,
     per_site_local_covering,
+    reference_quotient,
     transfer_pentagons,
     walk_ball2_isometry,
     walk_lipschitz_lifting,
@@ -66,11 +69,22 @@ def farey_case(matrix, power, conj_len, height, depth=1):
     return window(height), farey.sample_closure(spec).words, quotient.farey_contract(base)
 
 
-def assert_moves_match(w, words, contract) -> int:
-    """Equal moves, in the same order; returns how many there are."""
-    moves = quotient.identification_moves(w, words, contract)
-    assert moves == apply_and_lookup_moves(w, words, contract)
-    return sum(map(len, moves))
+def assert_build_matches(w, words, contract) -> quotient.QuotientWindow:
+    """``contract.images`` gives each element's in-window pairs, in the order
+    of the moves found by applying it to every vertex, and ``build_quotient``
+    equals the reference build field by field; returns the quotient."""
+    moves = apply_and_lookup_moves(w, words, contract)
+    images = [[] for _ in range(len(w))]
+    for word in words:
+        g = contract.element(word)
+        for i, j in contract.images(w, g):
+            images[i].append((j, g))
+    assert images == moves
+    q = quotient.build_quotient(w, words, contract)
+    reference = reference_quotient(w, words, contract, moves)
+    for field in ("class_of", "classes", "merged", "transporter", "displacement"):
+        assert getattr(q, field) == getattr(reference, field), field
+    return q
 
 
 def walked_distance_two_pairs(w) -> int:
@@ -128,14 +142,15 @@ def test_window_images_are_the_in_window_pairs(m):
 
 @pytest.mark.parametrize("matrix,power,conj_len", SWEEP)
 def test_images_match_apply_and_lookup_sweep(matrix, power, conj_len):
-    moves = assert_moves_match(*farey_case(matrix, power, conj_len, 20))
-    assert moves > 0 or power > 1
+    case = farey_case(matrix, power, conj_len, 20)
+    assert_build_matches(*case)
+    assert any(apply_and_lookup_moves(*case)) or power > 1
 
 
 @pytest.mark.parametrize("height", [30, 55])
 @pytest.mark.parametrize("matrix,power,conj_len", MENU_SPECS)
 def test_images_match_apply_and_lookup_menu(matrix, power, conj_len, height):
-    assert_moves_match(*farey_case(matrix, power, conj_len, height))
+    assert_build_matches(*farey_case(matrix, power, conj_len, height))
 
 
 @pytest.mark.parametrize("matrix,power,conj_len,depth,height", [
@@ -152,8 +167,7 @@ def test_images_match_apply_and_lookup_menu(matrix, power, conj_len, height):
 ])
 def test_images_match_apply_and_lookup_edge_cases(matrix, power, conj_len, depth, height):
     w, words, contract = farey_case(matrix, power, conj_len, height, depth)
-    assert_moves_match(w, words, contract)
-    assert_suites_match(w, quotient.build_quotient(w, words, contract), contract)
+    assert_suites_match(w, assert_build_matches(w, words, contract), contract)
 
 
 # ---------------------------------------------------------------- suites
@@ -226,8 +240,7 @@ def test_singleton_shortcuts_match_per_site_s5_sweep(w2):
     contract = quotient.s5_contract()
     for word in S5_SWEEP:
         words = quotient.s5_sample((word,))
-        assert_moves_match(w2, words, contract)
-        assert_suites_match(w2, quotient.build_quotient(w2, words, contract), contract)
+        assert_suites_match(w2, assert_build_matches(w2, words, contract), contract)
 
 
 @pytest.mark.parametrize("instance", ["farey-h55-k2-c2", "s5-bound3-aa"])
@@ -281,15 +294,41 @@ def assert_stars_match(q) -> None:
 @pytest.mark.parametrize("height,matrix,power,conj_len",
                          FAREY_MENU + [(55, "2,1,1,1", 2, 2)])
 def test_star_walk_matches_definitions_farey(height, matrix, power, conj_len):
-    q = quotient.build_quotient(*farey_case(matrix, power, conj_len, height))
-    assert_stars_match(q)
+    # K=2, c=2 at h=55 merges most of the window's vertices
+    assert_stars_match(assert_build_matches(*farey_case(matrix, power, conj_len, height)))
+
+
+def s5_menu_case(w2, w3, bound, sample):
+    words = quotient.s5_sample(tuple(x for x in sample.split(",") if x))
+    return w2 if bound == 2 else w3, words, quotient.s5_contract()
 
 
 @pytest.mark.parametrize("bound,sample", S5_MENU)
 def test_star_walk_matches_definitions_s5(w2, w3, bound, sample):
-    words = quotient.s5_sample(tuple(x for x in sample.split(",") if x))
-    q = quotient.build_quotient(w2 if bound == 2 else w3, words, quotient.s5_contract())
-    assert_stars_match(q)
+    assert_stars_match(assert_build_matches(*s5_menu_case(w2, w3, bound, sample)))
+
+
+def assert_support_sets_count_quotient_edges(q) -> None:
+    """Support-sets part (b) counts each quotient edge once.  Parts (a), (c)
+    and (d) read the window alone, and the quotient by the empty sample has
+    the window's edges, so the eligible counts differ by part (b)'s."""
+    unmerged = quotient.build_quotient(q.window, (), q.contract)
+    share = (suites.check_support_sets(q)["eligible"]
+             - suites.check_support_sets(unmerged)["eligible"])
+    assert share == len(q.graph.edges) - len(q.window.edges)
+
+
+@pytest.mark.parametrize("bound,sample", S5_MENU)
+def test_support_sets_count_quotient_edges_menu(w2, w3, bound, sample):
+    assert_support_sets_count_quotient_edges(
+        quotient.build_quotient(*s5_menu_case(w2, w3, bound, sample)))
+
+
+def test_support_sets_count_quotient_edges_sweep(w2):
+    contract = quotient.s5_contract()
+    for word in S5_SWEEP:
+        assert_support_sets_count_quotient_edges(
+            quotient.build_quotient(w2, quotient.s5_sample((word,)), contract))
 
 
 def test_json_fields_leave_the_star_walk_unmade(w3):
@@ -318,8 +357,7 @@ SMALL_BASES = [
        st.integers(0, 2))
 def test_farey_suites_total_and_fast_paths_exact(base, height, power, conj_len):
     w, words, contract = farey_case(str(base), power, conj_len, height)
-    assert_moves_match(w, words, contract)
-    assert_suites_match(w, quotient.build_quotient(w, words, contract), contract)
+    assert_suites_match(w, assert_build_matches(w, words, contract), contract)
     # the ladder report against a full scan with plain distances
     sample = farey.sample_closure(farey.FareyClosureSpec(base, power, conj_len))
     plain = {e.word: plain_displacements(w.vertices, e.matrix) for e in sample.elements}
@@ -327,9 +365,15 @@ def test_farey_suites_total_and_fast_paths_exact(base, height, power, conj_len):
 
 
 @PROPERTY
+@given(st.sampled_from(SMALL_BASES), st.integers(1, 40), st.integers(1, 8),
+       st.integers(0, 2))
+def test_build_matches_reference_farey(base, height, power, conj_len):
+    assert_build_matches(*farey_case(str(base), power, conj_len, height))
+
+
+@PROPERTY
 @given(st.lists(st.text(WORD_ALPHABET, min_size=1, max_size=4), min_size=1, max_size=2))
 def test_s5_suites_total_and_fast_paths_exact(w2, words):
     contract = quotient.s5_contract()
     sample = quotient.s5_sample(tuple(words))
-    assert_moves_match(w2, sample, contract)
-    assert_suites_match(w2, quotient.build_quotient(w2, sample, contract), contract)
+    assert_suites_match(w2, assert_build_matches(w2, sample, contract), contract)
