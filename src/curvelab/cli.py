@@ -61,9 +61,7 @@ def _emit(data, fmt: str, text_fn, dot_fn=None) -> None:
     piece, never joined."""
     if fmt == "text":
         click.echo(text_fn(), nl=False)
-    elif fmt == "dot":
-        if dot_fn is None:
-            _fail("dot output is only available for graphs")
+    elif fmt == "dot":  # only graphs take it (``_format_option``)
         click.echo(dot_fn(), nl=False)
     elif callable(data):
         for piece in json_object(data()):
@@ -83,10 +81,17 @@ def _emit_window(w: Window, fmt: str, key_str, title: str) -> None:
                           f"{sum(map(len, w.neighbors)) // 2} edges\n")
 
 
-def _format_option(default: str = "json"):
+def _refuse_dot(ctx, param, fmt: str) -> str:
+    if fmt == "dot":
+        _fail("dot output is only available for graphs")
+    return fmt
+
+
+def _format_option(default: str = "json", graph: bool = False):
+    """``--format``; a command that prints no graph refuses dot while parsing."""
     return click.option(
         "--format", "fmt", type=click.Choice(["json", "dot", "text"]),
-        default=default, show_default=True,
+        default=default, show_default=True, callback=None if graph else _refuse_dot,
     )
 
 
@@ -161,7 +166,7 @@ def _farey_window(height: int, basepoint: str) -> Window:
 @farey.command("window")
 @click.option("--height", type=int, required=True)
 @click.option("--basepoint", default="0/1", show_default=True)
-@_format_option()
+@_format_option(graph=True)
 def farey_window_cmd(height, basepoint, fmt):
     """Induced subgraph on all slopes of height at most the bound."""
     _emit_window(_farey_window(height, basepoint), fmt, str, f"farey window height {height}")
@@ -274,7 +279,7 @@ def _s5_window(word_bound: int | None, window_file: str | None = None) -> Window
 
 @s5.command("ball")
 @click.option("--word-bound", type=int, required=True)
-@_format_option()
+@_format_option(graph=True)
 def s5_ball(word_bound, fmt):
     """Window of all images of the base pentagon under bounded words."""
     _emit_window(_s5_window(word_bound), fmt, s5windows.curve_key_str,
@@ -418,7 +423,7 @@ def quotient_group():
 
 @quotient_group.command("build")
 @_with(quotient_options)
-@_format_option()
+@_format_option(graph=True)
 def quotient_build(instance, height, matrix, power, conj_len, depth,
                    word_bound, sample_csv, fmt):
     """Build the quotient window and its displacement report."""
@@ -451,8 +456,6 @@ def quotient_build(instance, height, matrix, power, conj_len, depth,
 def verify(instance, height, matrix, power, conj_len, depth,
            word_bound, sample_csv, suite_csv, out_dir, seed, fmt):
     """Run verification suites over a window and its quotient."""
-    if fmt == "dot":  # refused before anything is built or written
-        _fail("dot output is only available for graphs")
     names = []
     for raw in suite_csv.split(","):
         raw = raw.strip()

@@ -11,9 +11,9 @@ guessing.
 Instances are described by a small contract (key type, group elements and
 their action, available distance or adjacency information, and each
 element's window displacement) so the same machinery runs on the Farey
-graph, where distances are exact, and on the five-punctured sphere, where
-only {0, 1, 2}-certificates are decidable.  Each instance finds its own
-displacement minima; ``displacement_report`` only writes them down.
+graph, where distances are exact, and on the five-punctured sphere, where a
+certificate (floor, exact) may give only the floor 2.  Each instance finds
+its own displacement minima; ``displacement_report`` only writes them down.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, filterfalse
+from itertools import accumulate, filterfalse, repeat
 from operator import attrgetter, sub
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -40,9 +40,9 @@ class InstanceContract:
     turns an element into a map on keys, and ``invert`` and ``compose``
     multiply elements.  ``images(window, element)`` yields the index pairs
     (i, j) with element(v_i) = v_j, each vertex i at most once.
-    ``displacement(window)`` answers, per word g, the window minimum of
-    d(v, g v) and the least index attaining it, or None where the minimum
-    is a certified floor that no vertex attains; ``displacement_report``
+    ``displacement(window)`` answers, per word g, the least floor on
+    d(v, g v) over the window and the least index where that floor is
+    exact, or None where it is exact at no vertex; ``displacement_report``
     only writes these down.
     """
 
@@ -53,7 +53,7 @@ class InstanceContract:
     # compose(inner, outer): the element acting as "inner first, then outer"
     compose: Callable[[Any, Any], Any]
     images: Callable[[Window, Any], Iterable[tuple[int, int]]]
-    # window -> word -> (min, least index attaining it, or None)
+    # window -> word -> (least floor, least index where it is exact, or None)
     displacement: Callable[[Window], Callable[[str], tuple[int | None, int | None]]]
     exact_distance: Callable[[Any, Any], int] | None = None
     # (window, a, b) -> adjacency of a window vertex a and a distinct curve
@@ -64,22 +64,22 @@ class InstanceContract:
     # counted without a walk; the lifting suite walks the pairs when None
     distance_two_pairs: Callable[[Window], int] | None = None
 
-    def certificate(self, a: Any, b: Any, w: Window) -> int | None:
-        """Distance certificate: exact when available, else {0, 1, 2}."""
+    def certificate(self, a: Any, b: Any, w: Window) -> tuple[int, bool]:
+        """(floor, exact): a lower bound on d(a, b) and whether it is d(a, b).
+        Exact with exact distances, else at 0, 1, and at 2 through a common
+        window neighbour; other distinct non-adjacent curves have the floor 2."""
         if self.exact_distance is not None:
-            return self.exact_distance(a, b)
+            return self.exact_distance(a, b), True
         if a == b:
-            return 0
+            return 0, True
         ia, ib = w.index.get(a), w.index.get(b)
         if ia is None or ib is None:
-            return 1 if self.adjacent(w, a, b) else None
+            return (1, True) if self.adjacent(w, a, b) else (2, False)
         # a window is an induced subgraph, so its edges decide adjacency
         near = w.neighbors[ia]
         if ib in near:
-            return 1
-        if not set(near).isdisjoint(w.neighbors[ib]):
-            return 2
-        return None
+            return 1, True
+        return 2, not set(near).isdisjoint(w.neighbors[ib])
 
 
 def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
@@ -169,18 +169,9 @@ def s5_contract() -> InstanceContract:
         vertices, certificate = w.vertices, contract.certificate
 
         def per_word(word: str) -> tuple[int | None, int | None]:
-            best, first, bounded = None, None, False
-            for i, (v, image) in enumerate(zip(vertices, apply_word_many(word, vertices))):
-                d = certificate(v, image, w)
-                if d is None:
-                    bounded = True
-                elif best is None or d < best:
-                    best, first = d, i
-            if best is None and bounded:
-                # 0 and 1 are always decided, so an uncertified vertex is
-                # at distance >= 2: a floor that no vertex attains
-                best = 2
-            return best, first
+            certs = list(map(certificate, vertices, apply_word_many(word, vertices), repeat(w)))
+            best = min(certs, default=(None,))[0]  # the least floor
+            return best, certs.index((best, True)) if (best, True) in certs else None
 
         return per_word
 
@@ -375,10 +366,9 @@ def displacement_report(
     """Per element: the window minimum of d(v, n v) and its witness, as
     ``contract.displacement`` gives them.
 
-    With exact distances the minimum is exact.  On S0,5 only the {0, 1, 2}
-    certificates contribute, so ``min`` is a certified lower bound of at
-    most 2: when no vertex is certified at <= 2 it is 2 with argmin null.
-    ``argmin`` is the first window vertex attaining the minimum.  On the
+    ``min`` is the least floor on d(v, n v) over the window and ``argmin``
+    the first window vertex where that floor is exact, null when none is.
+    With exact distances the minimum is exact; on S0,5 it is at most 2.  On the
     Farey graph that vertex is read off the axis ladder when a whole-graph
     minimiser lies in the window (``farey.window_minimisers``), and every
     window vertex is scanned otherwise.

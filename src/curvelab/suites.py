@@ -35,13 +35,13 @@ governing threshold (3 for simpliciality, 8 for the lifting, 2-ball,
 covering and pentagon-transfer statements), the status is
 ``out-of-hypothesis`` rather than ``fail``: the bound is a hypothesis and
 its necessity is worth exhibiting, not hiding.  On the five-punctured
-sphere the displacement of a nonempty sample is a certified lower bound of
-at most 2, so every suite there that weighs its witnesses against a
-threshold reports ``out-of-hypothesis``, never ``fail``.
+sphere the displacement of a nonempty sample is a floor of at most 2, so
+every suite there that weighs its witnesses against a threshold reports
+``out-of-hypothesis``, never ``fail``.
 
-Distance facts are exact on the Farey instance and {0, 1, 2}-certificates on
-the five-punctured sphere; checks that would need more are counted as
-truncated, never silently assumed.
+Distances are read as ``contract.certificate`` floors, exact on the Farey
+instance and at most 2 on the five-punctured sphere; a site that an inexact
+floor cannot decide is counted as truncated, never silently assumed.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
     taken over (possible out of hypothesis), first to the middle class or
     then to the far one, is an eligible ``geodesic-lift`` witness naming
     the class reached, never a truncated site, and no distance is measured
-    to it.
+    to it.  A (c) site whose distance has only a floor is truncated.
 
     Sites at singleton classes are counted as eligible and decided without
     a lift.  In (b), the lift at the only member of a class is the
@@ -251,8 +251,10 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
                         witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                 reached_class=class_of[v])
                     elif not _window_certifies_two(w, i, m, v):
-                        d = q.contract.certificate(w.vertices[i], v_key, w)
-                        if d != 2:
+                        d, exact = q.contract.certificate(w.vertices[i], v_key, w)
+                        if not exact:
+                            truncated += 1
+                        elif d != 2:
                             witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                     distance=d)
         seen.difference_update(row_a)  # the classes b > a at distance 2
@@ -278,8 +280,8 @@ def verify_ball2_isometry(q: QuotientWindow) -> dict:
     effects: an injectivity failure on some B(x, 2) is a distinct identified
     pair at distance <= 4, and a distance distortion is an adjacent class
     pair with a cross-distance in {2, 3, 4} (both endpoints then lie in a
-    common 2-ball centred on the short path).  Sites where the instance
-    cannot certify "distance >= 5" are truncated, not passed.  A quotient
+    common 2-ball centred on the short path).  A site whose floor is below 5
+    and not exact is truncated, not passed.  A quotient
     edge between singleton classes is one window edge, a site decided
     without a distance.
     """
@@ -288,8 +290,8 @@ def verify_ball2_isometry(q: QuotientWindow) -> dict:
     eligible = truncated = 0
 
     def far_apart(x, y) -> bool | None:
-        cert = q.contract.certificate(x, y, w)
-        return None if cert is None else cert >= 5
+        d, exact = q.contract.certificate(x, y, w)
+        return None if d < 5 and not exact else d >= 5
 
     for c in q.merged:
         for i, j in combinations(q.classes[c], 2):

@@ -862,8 +862,11 @@ def per_site_lipschitz_lifting(w: Window, q, contract,
                         witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                 reached_class=class_of[v])
                     elif not _window_certifies_two(w, i, m, v):
-                        d = contract.certificate(w.vertices[i], v_key, w)
-                        if d != 2:
+                        d, exact = contract.certificate(w.vertices[i], v_key, w)
+                        if not exact:
+                            truncated += 1
+                            sites.append(("geodesic", a, mid, b))
+                        elif d != 2:
                             witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                     distance=d)
     geodesic.sort(key=lambda site: site[0])
@@ -1049,8 +1052,10 @@ def walk_lipschitz_lifting(q) -> dict:
                         witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                 reached_class=class_of[v])
                     elif not _window_certifies_two(w, i, m, v):
-                        d = q.contract.certificate(w.vertices[i], v_key, w)
-                        if d != 2:
+                        d, exact = q.contract.certificate(w.vertices[i], v_key, w)
+                        if not exact:
+                            truncated += 1
+                        elif d != 2:
                             witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                     distance=d)
         # every site of a is a class b it saw beyond its own neighbours
@@ -1081,8 +1086,8 @@ def walk_ball2_isometry(q) -> dict:
     eligible = truncated = 0
 
     def far_apart(x, y) -> bool | None:
-        cert = q.contract.certificate(x, y, w)
-        return None if cert is None else cert >= 5
+        d, exact = q.contract.certificate(x, y, w)
+        return None if d < 5 and not exact else d >= 5
 
     for members in q.classes:
         for i, j in combinations(members, 2):

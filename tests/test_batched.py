@@ -86,14 +86,15 @@ def reference_images(w, word):
 
 
 def reference_displacement(w, word, contract):
-    best, first, bounded = None, None, False
+    # the least floor, and the first vertex where a certificate is exact at it
+    best, first = None, None
     for i, v in enumerate(w.vertices):
-        d = contract.certificate(v, apply_word(word, v), w)
-        if d is None:
-            bounded = True
-        elif best is None or d < best:
-            best, first = d, i
-    return (2 if best is None and bounded else best), first
+        d, exact = contract.certificate(v, apply_word(word, v), w)
+        if best is None or d < best:
+            best, first = d, None
+        if d == best and exact and first is None:
+            first = i
+    return best, first
 
 
 @pytest.mark.parametrize("bound,sample", S5_MENU)

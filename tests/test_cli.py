@@ -237,6 +237,36 @@ def test_verify_dot_is_refused_before_anything_is_written(tmp_path, instance):
     assert not out.exists()
 
 
+# the commands whose output is not a graph, each with well-formed arguments
+NO_GRAPH_COMMANDS = {
+    "farey dist": ["farey", "dist", "2/5", "1/0"],
+    "farey closure": ["farey", "closure"],
+    "farey displacement": ["farey", "displacement", "--height", "30"],
+    "s5 pentagons": ["s5", "pentagons", "--word-bound", "5"],
+    "s5 halftwist": ["s5", "halftwist", "--alpha", "0", "--beta", "1", "--word-bound", "2"],
+    "arc2 classify": ["arc2", "classify", "1,0", "0,1", "1,1"],
+    "arc2 fill": ["arc2", "fill", "1,0", "0,1", "1,1"],
+    "verify": ["verify", "--instance", "s5", "--suites", "simplicial", "--out", "artifacts"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_GRAPH_COMMANDS))
+def test_dot_is_refused_while_parsing(tmp_path, monkeypatch, command):
+    # dot output is only for graphs: refused before any window or sample is
+    # built, or any artifact written
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before dot was refused")
+
+    for module, name in ((farey, "farey_window"), (farey, "sample_closure"),
+                         (s5windows, "build_window")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    line = assert_one_error_line([*NO_GRAPH_COMMANDS[command], "--format", "dot"])
+    assert line == "error: dot output is only available for graphs"
+    assert not list(tmp_path.iterdir())
+
+
 def test_cache_roundtrip_identical(runner, tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
     args = ["s5", "ball", "--word-bound", "2"]

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from curvelab import farey, quotient, s5windows
+from curvelab import farey, quotient, s5windows, suites
 from curvelab.farey import IntMatrix, Slope, word_matrix
 from curvelab.mcg import apply_word, reduce_word
 from oracles import axis_displacement
@@ -253,6 +253,43 @@ def test_s5_report_floor_is_the_certified_two():
     report = check_s5_report(w, w5, sample)
     assert [(r["min"], r["argmin"]) for r in report] == [(2, None)] * 2
     assert 2 in s5_short_distances(w, w5, "aCbdCb")
+
+
+def test_s5_floor_is_read_only_from_the_certificate(monkeypatch, w2, w3, w4):
+    # raising the S5 floor from 2 to 3 in the certificate alone raises the
+    # report's floor and changes nothing that an exact distance decides
+    cases = [(w2, "aCbdCb"), (w3, "aa"), (w3, "abc"), (w3, "cdcd"), (w4, "aa")]
+
+    def run():
+        """Per case: the displacement report, and ball2's and lifting's
+        eligible, truncated and witnesses.  An argmin is named only where
+        its vertex's certificate is exact at the minimum."""
+        out = []
+        for w, word in cases:
+            contract = quotient.s5_contract()
+            q = quotient.build_quotient(w, quotient.s5_sample((word,)), contract)
+            for r in q.displacement:
+                if r["argmin"] is not None:
+                    v = s5windows.parse_curve_key(r["argmin"])
+                    cert = contract.certificate(v, apply_word(r["word"], v), w)
+                    assert cert == (r["min"], True)
+            reports = suites.verify_ball2_isometry(q), suites.verify_lipschitz_lifting(q)
+            sites = [[r[k] for k in ("eligible", "truncated", "witnesses")] for r in reports]
+            out.append(([(r["min"], r["argmin"]) for r in q.displacement], sites))
+        return out
+
+    before = run()
+    real = quotient.InstanceContract.certificate
+
+    def floor_three(self, a, b, w):
+        cert = real(self, a, b, w)
+        return (3, False) if cert == (2, False) else cert
+
+    monkeypatch.setattr(quotient.InstanceContract, "certificate", floor_three)
+    after = run()
+    assert before[0][0] == [(2, None)] * 2 and after[0][0] == [(3, None)] * 2
+    assert [x[0] for x in after[1:]] == [x[0] for x in before[1:]]
+    assert [x[1] for x in after] == [x[1] for x in before]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

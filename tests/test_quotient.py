@@ -208,14 +208,27 @@ def test_s5_sample_not_closed_under_inverses_is_refused(w2):
 
 
 def test_s5_contract_certificates():
+    # every ordered pair of the bound-1 window, against the window's rows:
+    # equal, an edge and a common neighbour are exact; the rest is a floor
     from curvelab import s5windows
 
     w = s5windows.build_window(1)
     c = s5_contract()
-    a, b = w.vertices[0], w.vertices[1]
-    cert = c.certificate(a, b, w)
-    assert cert in (0, 1, 2, None)
-    assert c.certificate(a, a, w) == 0
+    rows = [set(row) for row in w.neighbors]
+    seen = set()
+    for i, a in enumerate(w.vertices):
+        for j, b in enumerate(w.vertices):
+            if i == j:
+                expected = (0, True)
+            elif j in rows[i]:
+                expected = (1, True)
+            elif rows[i] & rows[j]:
+                expected = (2, True)
+            else:
+                expected = (2, False)
+            assert c.certificate(a, b, w) == expected, (i, j)
+            seen.add(expected)
+    assert seen == {(0, True), (1, True), (2, True), (2, False)}
 
 
 def test_farey_contract_word_actions(contract):

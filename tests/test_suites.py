@@ -416,12 +416,46 @@ def test_window_distance_two_agrees_with_certificate(
     adj = set_adjacency(w)
     for i, m, v in sites:
         assert m in adj[i] and v in adj[m]
-        assert contract.certificate(w.vertices[i], w.vertices[v], w) == 2
+        assert contract.certificate(w.vertices[i], w.vertices[v], w) == (2, True)
 
 
-def test_no_distance_is_measured_across_classes_over_sample_sweep(w2, scontract):
-    for n in (1, 2, 3):
-        for letters in product("abcdr", repeat=n):
-            q = quotient.build_quotient(
-                w2, quotient.s5_sample(("".join(letters),)), scontract)
-            _check_second_lifts(w2, q, suites.verify_lipschitz_lifting(q))
+def test_no_distance_is_measured_across_classes_over_sample_sweep(
+        monkeypatch, w2, scontract):
+    quotients = [
+        quotient.build_quotient(w2, quotient.s5_sample(("".join(letters),)), scontract)
+        for n in (1, 2, 3) for letters in product("abcdr", repeat=n)]
+    real, answers = quotient.InstanceContract.certificate, []
+
+    def spy(self, a, b, w):
+        answers.append(real(self, a, b, w))
+        return answers[-1]
+
+    monkeypatch.setattr(quotient.InstanceContract, "certificate", spy)
+    reports = [suites.verify_lipschitz_lifting(q) for q in quotients]
+    for q, r in zip(quotients, reports):
+        _check_second_lifts(w2, q, r)
+    # lifting never reads an undecided distance; with the window's own
+    # distance-2 check skipped, every lifted (c) site asks the certificate,
+    # which decides each one at 2, so no report changes
+    monkeypatch.setattr(suites, "_window_certifies_two", lambda *args: False)
+    assert [suites.verify_lipschitz_lifting(q) for q in quotients] == reports
+    assert len(answers) > 500
+    assert set(answers) == {(2, True)}
+
+
+def test_lifting_truncates_a_distance_with_only_a_floor(monkeypatch, w2, scontract):
+    # a (c) site whose certificate is only a floor is truncated, never a witness
+    q = quotient.build_quotient(w2, quotient.s5_sample(("aab",)), scontract)
+    before = suites.verify_lipschitz_lifting(q)
+    answers = []
+
+    def floor(self, a, b, w):
+        answers.append((a, b))
+        return 2, False
+
+    monkeypatch.setattr(suites, "_window_certifies_two", lambda *args: False)
+    monkeypatch.setattr(quotient.InstanceContract, "certificate", floor)
+    after = suites.verify_lipschitz_lifting(q)
+    assert answers
+    assert after["truncated"] == before["truncated"] + len(answers)
+    assert (after["eligible"], after["witnesses"]) == (before["eligible"], before["witnesses"])
