@@ -13,22 +13,18 @@ minimal.  ``witness_reader`` checks a witness and gives (g^-1, e_k); a window
 keeps one per vertex (``s5windows.witness_readers``).  The flip-reduction
 search that computes i(a, b) from coordinates alone lives in the tests, as
 the oracle for this reading.
-A ``NormalCurve`` is validated when it is made, memoized by coordinate
-vector, so each distinct curve is validated once.
+A ``NormalCurve`` is coordinates and an optional witness, and is not
+checked when it is made: every curve the program makes is an image g(c_k)
+of a base curve, hence essential, and the one check on it is its witness
+word.  The essentiality test on coordinates alone lives in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .mcg import WORD_ALPHABET, apply_word, invert_word
-from .triangulation import BASE, Coords, is_essential
-
-
-@lru_cache(maxsize=1 << 16)
-def _essential(coords: Coords) -> bool:
-    return is_essential(BASE, coords)
+from .triangulation import BASE, Coords
 
 
 @dataclass(frozen=True)
@@ -41,10 +37,6 @@ class NormalCurve:
 
     coords: Coords
     witness: tuple[str, int] | None = None
-
-    def __post_init__(self):
-        if not _essential(self.coords):
-            raise ValueError(f"coordinates {self.coords} are not an essential curve")
 
     def __eq__(self, other):
         return isinstance(other, NormalCurve) and self.coords == other.coords
@@ -99,7 +91,7 @@ def intersection_number(a: NormalCurve | Coords, b: NormalCurve | Coords) -> int
     """Minimal geometric intersection number of two essential curves.
 
     Read off the witness of a, or of b when a has none; raw coordinates
-    are validated as curves and have no witness.
+    have no witness and are trusted to be a curve.
     """
     a, b = _as_curve(a), _as_curve(b)
     if a.witness is None:

@@ -164,8 +164,8 @@ def build_window(
         if seed.coords not in found:
             found[seed.coords] = seed.witness
             frontier.append(seed.coords)
-    # images of essential curves are essential, so no NormalCurve is built
-    # (and validated) per image; a witness extends by the letter applied
+    # a curve is kept as its coordinates and a witness, which extends by the
+    # letter applied; witness_reader checks each witness below
     for _ in range(word_bound):
         nxt = []
         images = zip(*(apply_word_many(letter, frontier) for letter in WORD_ALPHABET))

@@ -39,9 +39,11 @@ sphere the displacement of a nonempty sample is a floor of at most 2, so
 every suite there that weighs its witnesses against a threshold reports
 ``out-of-hypothesis``, never ``fail``.
 
-Distances are read as ``contract.certificate`` floors, exact on the Farey
-instance and at most 2 on the five-punctured sphere; a site that an inexact
-floor cannot decide is counted as truncated, never silently assumed.
+Only the 2-ball suite reads distances, as ``contract.certificate`` floors,
+exact on the Farey instance and at most 2 on the five-punctured sphere; a
+site that an inexact floor cannot decide is counted as truncated, never
+silently assumed.  The lifting suite's geodesics are decided by the
+window's own edges.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from itertools import combinations
 
 from . import s5windows
 from .quotient import QuotientWindow
-from .window import Window
 
 SIMPLICIAL_THRESHOLD = 3
 LIFTING_THRESHOLD = 8
@@ -76,17 +77,6 @@ def _report(suite: str, status: str, eligible: int, truncated: int,
         "witnesses": witnesses,
         **extra,
     }
-
-
-def _window_certifies_two(w: Window, i: int, m: int, v: int) -> bool:
-    """Whether the window alone shows d(i, v) = 2 along the path i, m, v.
-
-    A window is an induced subgraph, so a missing edge between distinct
-    vertices means distance at least 2, and the path gives at most 2.  The
-    rows are read with ``in``, as every edge test reads them.
-    """
-    near = w.neighbors[i]
-    return i != v and v not in near and m in near and v in w.neighbors[m]
 
 
 def _pairs_near(rows, near: set[int], merged) -> int:
@@ -149,7 +139,11 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
     taken over (possible out of hypothesis), first to the middle class or
     then to the far one, is an eligible ``geodesic-lift`` witness naming
     the class reached, never a truncated site, and no distance is measured
-    to it.  A (c) site whose distance has only a floor is truncated.
+    to it.  A (c) lift that stays in its classes is a path i, m, v of
+    window edges, since each lift carries an edge to an edge.  Its ends lie
+    in distinct classes that are not adjacent, so they are distinct and not
+    adjacent, and the window itself shows distance 2: no certificate is
+    read.
 
     Sites at singleton classes are counted as eligible and decided without
     a lift.  In (b), the lift at the only member of a class is the
@@ -250,13 +244,6 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
                     elif class_of[v] != b:
                         witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                 reached_class=class_of[v])
-                    elif not _window_certifies_two(w, i, m, v):
-                        d, exact = q.contract.certificate(w.vertices[i], v_key, w)
-                        if not exact:
-                            truncated += 1
-                        elif d != 2:
-                            witness(mid, a, b, (w.vertices[i], m_key, v_key),
-                                    distance=d)
         seen.difference_update(row_a)  # the classes b > a at distance 2
         if near is None:
             pairs += len(seen)

@@ -14,14 +14,17 @@ coordinates update by the tropical exchange max(a+c, b+d) - e.  A fixed
 sequence of flips compiles to a flip program, the integer updates alone,
 from which ``mcg`` generates each generator's straight-line kernel; the
 tests keep a loop that runs a program step by step, as an oracle.
+
+Nothing here tests whether a vector is the coordinates of an essential
+curve: every curve the program makes is an image of a base curve under a
+witness word.  The tests keep that test (corner counts, one component, not
+a loop around a puncture) as an oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-
-from .window import DisjointSets
 
 PUNCTURES = (1, 2, 3, 4, 5)
 NUM_EDGES = 9
@@ -116,10 +119,6 @@ class Triangulation:
         u, w = self.edge_endpoints(e)
         return (u == v) + (w == v)
 
-    def peripheral_coords(self, v: int) -> Coords:
-        """Coordinates of the (inessential) loop around one puncture."""
-        return tuple(self.ends_at(e, v) for e in range(NUM_EDGES))
-
     def neighborhood_pattern(self, e: int) -> Coords:
         """Coordinates of the boundary of a disk neighborhood of edge e.
 
@@ -171,55 +170,3 @@ def compile_flips(flips: tuple[int, ...]) -> tuple[FlipStep, ...]:
         program.append((f, *state.flip_quad(f)))
         state = state.flip(f)
     return tuple(program)
-
-
-def corner_counts(state: Triangulation, t: int, coords: Coords) -> tuple[int, int, int] | None:
-    """Arcs cutting each corner of triangle t, or None if coords are invalid."""
-    x = [coords[e] for e in state.tri_edges[t]]
-    if (x[0] + x[1] + x[2]) % 2:
-        return None
-    n = tuple((x[(j + 1) % 3] + x[(j + 2) % 3] - x[j]) // 2 for j in range(3))
-    return n if all(c >= 0 for c in n) else None
-
-
-def is_valid_coords(state: Triangulation, coords: Coords) -> bool:
-    if len(coords) != NUM_EDGES or any(c < 0 for c in coords):
-        return False
-    return all(corner_counts(state, t, coords) is not None for t in range(6))
-
-
-def count_components(state: Triangulation, coords: Coords) -> int:
-    """Number of connected components of the multicurve with these coords.
-
-    Crossing points along each side are matched to corner arcs inside the
-    triangle (positions run along the side's direction; the first block
-    belongs to the corner at the side's start) and across the gluing (which
-    reverses positions).
-    """
-    if not is_valid_coords(state, coords):
-        raise ValueError("invalid normal coordinates")
-    arcs = DisjointSets()
-    corner = {t: corner_counts(state, t, coords) for t in range(6)}
-    # corner arcs: arc i at corner c of t crosses side c+2 at position i and
-    # side c+1 at position (value of side c+1) - 1 - i
-    for t in range(6):
-        edges = state.tri_edges[t]
-        for c in range(3):
-            s1, s2 = (c + 1) % 3, (c + 2) % 3
-            for i in range(corner[t][c]):
-                arcs.union((t, s2, i), (t, s1, coords[edges[s1]] - 1 - i))
-    # gluing reverses the direction of travel along the edge
-    for e in range(NUM_EDGES):
-        (t1, j1), (t2, j2) = state.slots[e]
-        for pos in range(coords[e]):
-            arcs.union((t1, j1, pos), (t2, j2, coords[e] - 1 - pos))
-    return len(arcs.groups())
-
-
-def is_essential(state: Triangulation, coords: Coords) -> bool:
-    """Valid, connected, and not a loop around a single puncture."""
-    if not is_valid_coords(state, coords) or not any(coords):
-        return False
-    if any(coords == state.peripheral_coords(v) for v in PUNCTURES):
-        return False
-    return count_components(state, coords) == 1

@@ -5,15 +5,14 @@ vertex keys, and the bound (height or word length) that generated it.  It is
 the unit of computation everywhere: the ambient graphs have infinite balls,
 so finite induced subgraphs stand in for them.  ``neighbors`` is the one
 adjacency structure a window holds: sorted index tuples, which edge tests
-read with ``in``; ``per_window`` keeps on it the tables read off it.  The
-union-find that triangulations use lives here too.
+read with ``in``; ``per_window`` keeps on it the tables read off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable
 
 from .serialize import json_list, json_str
 
@@ -155,34 +154,3 @@ def per_window(build: Callable[[Window], Any]) -> Callable[[Window], Any]:
             return value
 
     return table
-
-
-class DisjointSets:
-    """Union-find over hashable keys, each added on first use.
-
-    Keys are only hashed and tested for equality, never ordered, so they may
-    mix types.  ``groups()`` lists the classes in order of their first-added
-    key, each class in the order its keys were added.
-    """
-
-    def __init__(self, keys: Iterable[Hashable] = ()):
-        self.parent: dict = {k: k for k in keys}
-
-    def find(self, x: Hashable) -> Hashable:
-        parent = self.parent
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: Hashable, y: Hashable) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def groups(self) -> list[list]:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())

@@ -18,6 +18,10 @@ fraction.  The tests check both against the slower methods kept here:
 - the S5 window built with those letters and read over all pairs of
   vertices, against which ``build_window``'s puncture-pair buckets are
   checked;
+- the essentiality test on normal coordinates (``is_essential``), which
+  ``NormalCurve`` does not run, since every curve the program makes is an
+  image of a base curve; the oracles run it on each raw tuple they take
+  and each curve they make (``essential_curve``);
 - the two punctures a curve cuts off, traced through the complementary
   regions of its normal coordinates, against which
   ``s5windows.puncture_pair``'s reading of witness words is checked;
@@ -62,6 +66,7 @@ from bisect import bisect_right
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
+from typing import Hashable, Iterable
 
 from curvelab import farey
 from curvelab.suites import (
@@ -69,7 +74,6 @@ from curvelab.suites import (
     SIMPLICIAL_THRESHOLD,
     _report,
     _status,
-    _window_certifies_two,
 )
 from curvelab.curves import (BASE_CURVE_EDGES, BASE_CURVES, NormalCurve,
                              intersection_number)
@@ -95,15 +99,14 @@ from curvelab.s5windows import (
 from curvelab.triangulation import (
     BASE,
     NUM_EDGES,
+    PUNCTURES,
     Coords,
     FlipStep,
     Triangulation,
     compile_flips,
-    corner_counts,
-    is_essential,
 )
 from curvelab.quotient import QuotientWindow, displacement_report
-from curvelab.window import DisjointSets, Window
+from curvelab.window import Window
 
 
 # ---------------------------------------------------------------- flip replay
@@ -231,7 +234,7 @@ def check_base_reductions(edges: tuple[int, ...] = BASE_CURVE_EDGES) -> None:
 
 def _coords(c: NormalCurve | Coords) -> Coords:
     """Coordinates of a curve; raw tuples must be essential curves."""
-    return c.coords if isinstance(c, NormalCurve) else NormalCurve(tuple(c)).coords
+    return c.coords if isinstance(c, NormalCurve) else essential_curve(tuple(c)).coords
 
 
 def intersection(a: NormalCurve | Coords, b: NormalCurve | Coords) -> int:
@@ -347,7 +350,7 @@ def full_scan_window(
 
     The same breadth-first search, and each pair of vertices read through
     the witness of the one with the shorter word, with no puncture-pair
-    buckets.
+    buckets.  Each image is checked to be an essential curve.
     """
     found: dict[Coords, tuple[str, int]] = {}
     frontier = []
@@ -362,6 +365,7 @@ def full_scan_window(
             for letter in WORD_ALPHABET:
                 image = conjugated_apply_word(letter, coords)
                 if image not in found:
+                    essential_curve(image)
                     found[image] = (reduce_word(word + letter), base)
                     nxt.append(image)
         frontier = nxt
@@ -382,6 +386,105 @@ def full_scan_window(
         neighbors=rows_from_edges(len(vertices), edges),
         words=tuple(witness_str(x) for x in witnesses),
     )
+
+
+# ---------------------------------------------------------------- essential curves
+
+
+class DisjointSets:
+    """Union-find over hashable keys, each added on first use.
+
+    Keys are only hashed and tested for equality, never ordered, so they may
+    mix types.  ``groups()`` lists the classes in order of their first-added
+    key, each class in the order its keys were added.
+    """
+
+    def __init__(self, keys: Iterable[Hashable] = ()):
+        self.parent: dict = {k: k for k in keys}
+
+    def find(self, x: Hashable) -> Hashable:
+        parent = self.parent
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: Hashable, y: Hashable) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
+    def groups(self) -> list[list]:
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
+
+
+def corner_counts(state: Triangulation, t: int, coords: Coords) -> tuple[int, int, int] | None:
+    """Arcs cutting each corner of triangle t, or None if coords are invalid."""
+    x = [coords[e] for e in state.tri_edges[t]]
+    if (x[0] + x[1] + x[2]) % 2:
+        return None
+    n = tuple((x[(j + 1) % 3] + x[(j + 2) % 3] - x[j]) // 2 for j in range(3))
+    return n if all(c >= 0 for c in n) else None
+
+
+def is_valid_coords(state: Triangulation, coords: Coords) -> bool:
+    if len(coords) != NUM_EDGES or any(c < 0 for c in coords):
+        return False
+    return all(corner_counts(state, t, coords) is not None for t in range(6))
+
+
+def peripheral_coords(state: Triangulation, v: int) -> Coords:
+    """Coordinates of the (inessential) loop around one puncture."""
+    return tuple(state.ends_at(e, v) for e in range(NUM_EDGES))
+
+
+def count_components(state: Triangulation, coords: Coords) -> int:
+    """Number of connected components of the multicurve with these coords.
+
+    Crossing points along each side are matched to corner arcs inside the
+    triangle (positions run along the side's direction; the first block
+    belongs to the corner at the side's start) and across the gluing (which
+    reverses positions).
+    """
+    if not is_valid_coords(state, coords):
+        raise ValueError("invalid normal coordinates")
+    arcs = DisjointSets()
+    corner = {t: corner_counts(state, t, coords) for t in range(6)}
+    # corner arcs: arc i at corner c of t crosses side c+2 at position i and
+    # side c+1 at position (value of side c+1) - 1 - i
+    for t in range(6):
+        edges = state.tri_edges[t]
+        for c in range(3):
+            s1, s2 = (c + 1) % 3, (c + 2) % 3
+            for i in range(corner[t][c]):
+                arcs.union((t, s2, i), (t, s1, coords[edges[s1]] - 1 - i))
+    # gluing reverses the direction of travel along the edge
+    for e in range(NUM_EDGES):
+        (t1, j1), (t2, j2) = state.slots[e]
+        for pos in range(coords[e]):
+            arcs.union((t1, j1, pos), (t2, j2, coords[e] - 1 - pos))
+    return len(arcs.groups())
+
+
+def is_essential(state: Triangulation, coords: Coords) -> bool:
+    """Valid, connected, and not a loop around a single puncture."""
+    if not is_valid_coords(state, coords) or not any(coords):
+        return False
+    if any(coords == peripheral_coords(state, v) for v in PUNCTURES):
+        return False
+    return count_components(state, coords) == 1
+
+
+def essential_curve(coords: Coords, witness: tuple[str, int] | None = None) -> NormalCurve:
+    """The curve with these coordinates, refused (ValueError) unless they
+    are an essential curve, which ``NormalCurve`` does not check."""
+    if not is_essential(BASE, coords):
+        raise ValueError(f"coordinates {coords} are not an essential curve")
+    return NormalCurve(coords, witness)
 
 
 # ---------------------------------------------------------------- arc endpoints
@@ -438,12 +541,13 @@ def arc_endpoints(coords: Coords) -> frozenset[int]:
 
 
 def act(word: str, curve: NormalCurve) -> NormalCurve:
-    """Apply a word to a curve, extending its witness when present."""
+    """Apply a word to a curve, extending its witness when present; the
+    image is checked to be an essential curve."""
     coords = apply_word(word, curve.coords)
     witness = None
     if curve.witness is not None:
         witness = (reduce_word(curve.witness[0] + word), curve.witness[1])
-    return NormalCurve(coords, witness)
+    return essential_curve(coords, witness)
 
 
 def orientation_parity(word: str) -> int:
@@ -483,7 +587,7 @@ def half_twist_of(beta: NormalCurve, alpha: NormalCurve, sign: int) -> NormalCur
     if alpha.witness is not None:
         wa, base = alpha.witness
         witness = (wa + word, base)
-    return NormalCurve(coords, witness)
+    return essential_curve(coords, witness)
 
 
 def detected_curves(alpha: NormalCurve, beta: NormalCurve, w) -> set[NormalCurve]:
@@ -763,6 +867,19 @@ def reference_quotient(w: Window, words, contract, moves=None) -> QuotientWindow
     )
 
 
+def window_certifies_two(w: Window, i: int, m: int, v: int) -> bool:
+    """Whether the window alone shows d(i, v) = 2 along the path i, m, v.
+
+    A window is an induced subgraph, so a missing edge between distinct
+    vertices means distance at least 2, and the path gives at most 2.  The
+    lifting oracles ask the contract's certificate only where this fails;
+    the tests check that it never does, which is why
+    ``suites.verify_lipschitz_lifting`` reads no certificate.
+    """
+    near = w.neighbors[i]
+    return i != v and v not in near and m in near and v in w.neighbors[m]
+
+
 def _edge_lifts(q, contract):
     """``QuotientWindow.lift`` with a witnessing window edge stored for every
     ordered pair of adjacent classes, singletons included."""
@@ -861,7 +978,7 @@ def per_site_lipschitz_lifting(w: Window, q, contract,
                     elif class_of[v] != b:
                         witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                 reached_class=class_of[v])
-                    elif not _window_certifies_two(w, i, m, v):
+                    elif not window_certifies_two(w, i, m, v):
                         d, exact = contract.certificate(w.vertices[i], v_key, w)
                         if not exact:
                             truncated += 1
@@ -1051,7 +1168,7 @@ def walk_lipschitz_lifting(q) -> dict:
                     elif class_of[v] != b:
                         witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                 reached_class=class_of[v])
-                    elif not _window_certifies_two(w, i, m, v):
+                    elif not window_certifies_two(w, i, m, v):
                         d, exact = q.contract.certificate(w.vertices[i], v_key, w)
                         if not exact:
                             truncated += 1

