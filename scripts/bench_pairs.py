@@ -12,9 +12,10 @@ pairs BEFORE first, odd pairs AFTER first):
   end-to-end metrics are read off the run's last line.
 - CLI scenarios (``SCENARIOS``: Farey ``verify`` at heights 55, 110 and 220
   with and without ``--out``, S5 ``verify --out`` and ``s5 ball`` at word
-  bounds 3, 4 and 5, ``farey window`` at height 220 and one case-5 ``arc2
-  fill``): one fresh interpreter per run with ``PYTHONHASHSEED=0`` and
-  ``CURVELAB_CACHE`` unset.  Wall time is taken around the process, and
+  bounds 3, 4 and 5, ``farey window`` at height 220, one case-5 ``arc2
+  fill`` and ``farey dist``, whose wall time is mostly start-up): one fresh
+  interpreter per run with ``PYTHONHASHSEED=0`` and ``CURVELAB_CACHE``
+  unset.  Wall time is taken around the process, and
   peak memory is the process's own ``VmHWM`` (Linux), read at exit: the
   rusage ``ru_maxrss`` of a child carries the high-water mark of the
   process it was forked from.  The SHA-256 of stdout and of every ``--out``
@@ -63,6 +64,7 @@ SCENARIOS = {
        for b in BOUNDS},
     "arc2 fill case5": ["arc2", "fill", "0,0,1,0,1,0,1,0,1", "0,1,0,1,0,1,1,1,1",
                         "2,1,1,1,1,1,0,3,2"],
+    "farey dist 2/5 1/0": ["farey", "dist", "2/5", "1/0"],
 }
 
 WORKLOADS = ("farey-verify", "s5-verify", "arc2-fill")

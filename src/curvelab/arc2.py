@@ -21,8 +21,8 @@ writes the arcs and epsilons that ``arc2 classify`` prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .curves import NormalCurve, intersection_number
 from .mcg import apply_word
@@ -30,8 +30,11 @@ from .window import Window
 from . import s5windows
 
 
-@dataclass(frozen=True)
-class Arc2Vertex:
+class _Arc(NamedTuple):
+    curve: NormalCurve
+
+
+class Arc2Vertex(_Arc):
     """An arc between two distinct punctures, carried by its curve.
 
     The curve must carry a witness word that gives it, as every window
@@ -39,12 +42,12 @@ class Arc2Vertex:
     without one is refused (ValueError).
     """
 
-    curve: NormalCurve
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.curve.witness is None:
-            key = s5windows.curve_key_str(self.curve.coords)
-            raise ValueError(f"arc {key} has no witness word")
+    def __new__(cls, curve: NormalCurve) -> "Arc2Vertex":
+        if curve.witness is None:
+            raise ValueError(f"arc {s5windows.curve_key_str(curve.coords)} has no witness word")
+        return tuple.__new__(cls, (curve,))
 
     @property
     def endpoints(self) -> frozenset[int]:
@@ -90,8 +93,7 @@ def epsilon_arc(w: Window, i: int, j: int) -> int:
     return candidates[0]
 
 
-@dataclass(frozen=True)
-class TriangleConfig:
+class TriangleConfig(NamedTuple):
     """A classified triangle of pairwise interior-disjoint arcs.
 
     ``loop`` is its delta-loop x0 e01 x1 e12 x2 e02 of window indices.  The

@@ -9,6 +9,7 @@ built, or read as JSON from a ``--window`` file or, when CURVELAB_CACHE
 points at a directory, from a cache entry keyed by their build description;
 either JSON goes through one reader, which exits 2 on a window that is
 malformed or whose witness words do not give its vertices (or a file's edges).
+Only the ``arc2`` commands import ``arc2``; the others start without it.
 
 Exit codes: 0 success (out-of-hypothesis included), 1 a verification suite
 failed, 2 malformed input, I/O error or running out of memory.
@@ -22,7 +23,6 @@ from pathlib import Path
 
 import click
 
-from . import arc2 as arc2_mod
 from . import farey as farey_mod
 from . import quotient as quotient_mod
 from . import s5windows, suites
@@ -337,6 +337,7 @@ def arc2():
 
 
 def _parse_arcs(keys: tuple[str, ...], w: Window):
+    from . import arc2 as arc2_mod
     arcs = []
     for key in keys:
         coords = s5windows.parse_curve_key(key)
@@ -353,6 +354,7 @@ def _parse_arcs(keys: tuple[str, ...], w: Window):
 @_format_option()
 def arc2_classify(arcs, word_bound, fmt):
     """Classify a triangle of arcs, given as three comma-coordinate keys."""
+    from . import arc2 as arc2_mod
     w = _s5_window(word_bound)
     try:
         config = arc2_mod.classify_triangle(_parse_arcs(arcs, w), w)
@@ -370,6 +372,7 @@ def arc2_classify(arcs, word_bound, fmt):
 @_format_option()
 def arc2_fill(arcs, word_bound, fmt):
     """Fill the delta-loop of a triangle of arcs with tripod or pentagons."""
+    from . import arc2 as arc2_mod
     w = _s5_window(word_bound)
     try:
         config = arc2_mod.classify_triangle(_parse_arcs(arcs, w), w)

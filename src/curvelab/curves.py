@@ -21,14 +21,13 @@ word.  The essentiality test on coordinates alone lives in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .mcg import WORD_ALPHABET, apply_word, invert_word
 from .triangulation import BASE, Coords
 
 
-@dataclass(frozen=True)
-class NormalCurve:
+class NormalCurve(NamedTuple):
     """An essential simple closed curve in normal coordinates.
 
     ``witness`` optionally records provenance: a word in the mapping class
@@ -40,6 +39,9 @@ class NormalCurve:
 
     def __eq__(self, other):
         return isinstance(other, NormalCurve) and self.coords == other.coords
+
+    def __ne__(self, other):  # the tuple's own would compare the witnesses too
+        return not self == other
 
     def __hash__(self):
         return hash(self.coords)

@@ -14,7 +14,6 @@ height-bounded windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -85,18 +84,23 @@ INFINITY = Slope(1, 0)
 ZERO = Slope(0, 1)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """A 2x2 integer matrix of determinant +-1, acting on slopes."""
-
+class _Entries(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
-        if self.det not in (1, -1):
-            raise ValueError(f"matrix {self.entries} has determinant {self.det}")
+
+class IntMatrix(_Entries):
+    """A 2x2 integer matrix of determinant +-1, acting on slopes: the tuple
+    (a, b, c, d) of its entries, with the tuple's hash and ``==``."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "IntMatrix":
+        if a * d - b * c not in (1, -1):
+            raise ValueError(f"matrix {(a, b, c, d)} has determinant {a * d - b * c}")
+        return tuple.__new__(cls, (a, b, c, d))
 
     @property
     def entries(self) -> tuple[int, int, int, int]:
@@ -468,38 +472,44 @@ def farey_window(height: int, basepoint: Slope = ZERO) -> Window:
     return w
 
 
-@dataclass(frozen=True)
-class FareyClosureSpec:
-    """Sampling parameters for the normal closure of a matrix power."""
-
+class _ClosureParameters(NamedTuple):
     base: IntMatrix
     power: int
     conjugator_length: int
     product_depth: int = 1
 
-    def __post_init__(self):
-        for opt, v, least in (("--power", self.power, 1), ("--depth", self.product_depth, 1),
-                              ("--conj-len", self.conjugator_length, 0)):
+
+class FareyClosureSpec(_ClosureParameters):
+    """Sampling parameters for the normal closure of a matrix power."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "FareyClosureSpec":
+        spec = super().__new__(cls, *args, **kwargs)
+        for opt, v, least in (("--power", spec.power, 1), ("--depth", spec.product_depth, 1),
+                              ("--conj-len", spec.conjugator_length, 0)):
             if v < least:  # each field named by the CLI option that sets it
                 raise ValueError(f"{opt} must be at least {least}, got {v}")
-        if not self.base.is_hyperbolic():
+        if not spec.base.is_hyperbolic():
             raise ValueError(
-                f"base matrix {self.base} has |trace| <= 2; the closure spec "
+                f"base matrix {spec.base} has |trace| <= 2; the closure spec "
                 "requires a hyperbolic (pseudo-Anosov) base"
             )
+        return spec
 
 
-@dataclass(frozen=True)
-class ClosureElement:
+class ClosureElement(NamedTuple):
     word: str
     matrix: IntMatrix
 
 
-@dataclass(frozen=True)
 class ClosureSample:
     """Finite, word-length-bounded sample of a normal closure."""
 
-    elements: tuple[ClosureElement, ...]
+    __slots__ = ("elements",)
+
+    def __init__(self, elements: tuple[ClosureElement, ...]):
+        self.elements = elements
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -27,7 +27,6 @@ Words are strings over 'a','b','c','d' (h1..h4), 'A'..'D' (inverses), 'r'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -58,7 +57,6 @@ def reduce_word(word: str) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
 class Atom:
     """A mapping class as flips-then-relabel from the base triangulation.
 
@@ -66,9 +64,13 @@ class Atom:
     triangulation is carried to; ``vertex_perm[v]`` the image of puncture v.
     """
 
-    flips: tuple[int, ...]
-    relabel: tuple[int, ...]
-    vertex_perm: tuple[int, int, int, int, int]  # images of punctures 1..5
+    def __init__(self, flips: tuple[int, ...], relabel: tuple[int, ...],
+                 vertex_perm: tuple[int, int, int, int, int]):  # images of punctures 1..5
+        self.flips, self.relabel, self.vertex_perm = flips, relabel, vertex_perm
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Atom and (self.flips, self.relabel, self.vertex_perm) == (
+            other.flips, other.relabel, other.vertex_perm)
 
     @cached_property
     def kernel(self) -> Callable[[Coords], Coords]:

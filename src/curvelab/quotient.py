@@ -19,7 +19,6 @@ its own displacement minima; ``displacement_report`` only writes them down.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, filterfalse, repeat
 from operator import attrgetter, sub
@@ -32,8 +31,7 @@ from .serialize import canonical_json, json_list
 from .window import Window
 
 
-@dataclass(frozen=True)
-class InstanceContract:
+class InstanceContract(NamedTuple):
     """What the quotient machinery needs to know about a curve graph.
 
     Group elements are opaque here: ``element`` evaluates a word, ``act``
@@ -209,7 +207,6 @@ class Stars(NamedTuple):
     singleton_edges: int  # quotient edges between singleton classes, one window edge each
 
 
-@dataclass(frozen=True)
 class QuotientWindow:
     """A window modulo the in-window identifications of a sample.
 
@@ -226,13 +223,13 @@ class QuotientWindow:
     alone, and ``graph`` holds them all.  No other table of rows is kept.
     """
 
-    window: Window
-    contract: InstanceContract
-    class_of: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-    merged: tuple[int, ...]  # the classes with more than one member, in order
-    transporter: tuple
-    displacement: tuple[dict, ...]
+    def __init__(self, window: Window, contract: InstanceContract, class_of: tuple[int, ...],
+                 classes: tuple[tuple[int, ...], ...], merged: tuple[int, ...],
+                 transporter: tuple, displacement: tuple[dict, ...]):
+        self.window, self.contract, self.class_of = window, contract, class_of
+        self.classes = classes
+        self.merged = merged  # the classes with more than one member, in order
+        self.transporter, self.displacement = transporter, displacement
 
     def __len__(self) -> int:
         return len(self.classes)

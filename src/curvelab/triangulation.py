@@ -23,7 +23,6 @@ a loop around a puncture) as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 PUNCTURES = (1, 2, 3, 4, 5)
@@ -36,12 +35,19 @@ Coords = tuple[int, int, int, int, int, int, int, int, int]
 FlipStep = tuple[int, int, int, int, int]
 
 
-@dataclass(frozen=True)
 class Triangulation:
     """Combinatorial state: per-triangle edge labels and corner punctures."""
 
-    tri_edges: tuple[tuple[int, int, int], ...]
-    tri_corners: tuple[tuple[int, int, int], ...]
+    def __init__(self, tri_edges: tuple[tuple[int, int, int], ...],
+                 tri_corners: tuple[tuple[int, int, int], ...]):
+        self.tri_edges, self.tri_corners = tri_edges, tri_corners
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is Triangulation and self.tri_edges == other.tri_edges
+                and self.tri_corners == other.tri_corners)
+
+    def __hash__(self) -> int:
+        return hash((self.tri_edges, self.tri_corners))
 
     @cached_property
     def slots(self) -> tuple[tuple[tuple[int, int], ...], ...]:

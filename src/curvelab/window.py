@@ -10,14 +10,13 @@ read with ``in``; ``per_window`` keeps on it the tables read off it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, wraps
+from operator import attrgetter
 from typing import Any, Callable
 
 from .serialize import json_list, json_str
 
 
-@dataclass(frozen=True)
 class Window:
     """Finite induced subgraph of a curve graph.
 
@@ -27,28 +26,30 @@ class Window:
     ``edges``, the pairs (i, j) with i < j in order, is read off the rows
     anew each time it is asked for, which only DOT and text output do.
 
-    The constructor checks only that there is a row, and a word if any, per
-    vertex.  Sorted keys, and rows sorted, in range, loop-free and
-    symmetric, are a promise of the builders (``farey.farey_window``,
-    ``s5windows.build_window``, ``QuotientWindow.graph``), which the tests
-    check; ``from_json``, the one door for outside windows, checks them.  A
-    window of translated slopes, as a covariance test builds, is accepted
-    unsorted.  ``index`` (key -> vertex index) is built when first read, or
-    handed over by ``farey.farey_window``.
+    The constructor sets the fields, which nothing changes later, and checks
+    only that there is a row, and a word if any, per vertex.  Sorted keys,
+    and rows sorted, in range, loop-free and symmetric, are a promise of the
+    builders (``farey.farey_window``, ``s5windows.build_window``,
+    ``QuotientWindow.graph``), which the tests check; ``from_json``, the one
+    door for outside windows, checks them.  A window of translated slopes,
+    as a covariance test builds, is accepted unsorted.  ``index`` (key ->
+    vertex index) is built when first read, or handed over by
+    ``farey.farey_window``; it and the ``per_window`` tables live in the
+    window's ``__dict__``.  ``==`` compares the fields, and a window is not
+    hashable.
     """
 
-    instance: str
-    basepoint: Any
-    bound: int
-    vertices: tuple
-    neighbors: tuple[tuple[int, ...], ...]
-    words: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if len(self.neighbors) != len(self.vertices):
+    def __init__(self, instance: str, basepoint: Any, bound: int, vertices: tuple,
+                 neighbors: tuple[tuple[int, ...], ...], words: tuple[str, ...] | None = None):
+        if len(neighbors) != len(vertices):
             raise ValueError("neighbors must align with vertices")
-        if self.words is not None and len(self.words) != len(self.vertices):
+        if words is not None and len(words) != len(vertices):
             raise ValueError("words must align with vertices")
+        self.instance, self.basepoint, self.bound = instance, basepoint, bound
+        self.vertices, self.neighbors, self.words = vertices, neighbors, words
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Window and _FIELDS(self) == _FIELDS(other)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -137,12 +138,15 @@ class Window:
         return "\n".join(lines) + "\n"
 
 
+_FIELDS = attrgetter("instance", "basepoint", "bound", "vertices", "neighbors", "words")
+
+
 def per_window(build: Callable[[Window], Any]) -> Callable[[Window], Any]:
     """``build`` as a per-window table: built on a window's first call and
     kept in its ``__dict__`` under the builder's name, as a cached_property
-    keeps its value, so that a lookup never hashes the window (a dataclass
-    hash walks every vertex and row) and the table lives as long as the
-    window.  ``s5windows.build_window`` hands over the tables it made so."""
+    keeps its value, so that a lookup is one dict read and the table lives
+    as long as the window.  ``s5windows.build_window`` hands over the tables
+    it made so."""
     name = build.__name__
 
     @wraps(build)

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from itertools import combinations
 
@@ -16,6 +15,7 @@ from curvelab.arc2 import (
 from curvelab.curves import BASE_CURVES, BASE_CURVE_PAIRS, NormalCurve, intersection_number
 from oracles import act, arc_endpoints, is_pentagon_set, pentagon_cycle, witness_disjoint
 from curvelab.triangulation import BASE
+from curvelab.window import Window
 
 # One representative triple of arcs (by curve coordinates) per configuration
 # class, all drawn from the word-bound-2 window.
@@ -235,7 +235,7 @@ def test_four_pentagon_fill_structure(w2, w3):
 
 def test_window_without_words_keeps_the_error_order(w2, w3):
     # the guards read the arcs' own curves; only the epsilon search needs words
-    bare = dataclasses.replace(w3, words=None)
+    bare = Window(w3.instance, w3.basepoint, w3.bound, w3.vertices, w3.neighbors)
     c1, c4 = Arc2Vertex(BASE_CURVES[0]), Arc2Vertex(BASE_CURVES[3])
     crossing = arcs_from(REPRESENTATIVES["case5"][2:], w2)[0]
     with pytest.raises(ValueError) as exc:

@@ -87,3 +87,10 @@ def test_cli_import_loads_neither_openssl_nor_tempfile():
                              "print(*sorted(set(sys.modules) - before))").split()
     assert "curvelab.serialize" in new
     assert "_hashlib" not in new and "tempfile" not in new
+    # nor dataclasses, whose generated methods took 15 ms of every start,
+    # nor arc2, which only the arc2 commands read; it still imports alone
+    assert "dataclasses" not in new and "curvelab.arc2" not in new
+    alone = fresh_python("-c", "import sys\n"
+                               "from curvelab import arc2\n"
+                               "print(*sys.modules)").split()
+    assert "curvelab.arc2" in alone and "dataclasses" not in alone

@@ -7,7 +7,6 @@ compare that reading with the flip search kept in ``oracles``, and check
 that a wrong witness is refused.
 """
 
-import dataclasses
 import json
 import random
 
@@ -33,8 +32,7 @@ def w4():
 
 def search_contract():
     """The S5 contract deciding out-of-window adjacency by flip search."""
-    return dataclasses.replace(
-        quotient.s5_contract(), adjacent=lambda w, a, b: disjoint(a, b))
+    return quotient.s5_contract()._replace(adjacent=lambda w, a, b: disjoint(a, b))
 
 
 @pytest.mark.parametrize("sample", SAMPLES)
@@ -95,12 +93,13 @@ def test_readers_built_from_json_match_build(w3):
 def test_wrong_witness_is_refused(w2):
     words = list(w2.words)
     words[7], words[8] = words[8], words[7]
-    bad = dataclasses.replace(w2, words=tuple(words))
+    bad = Window(w2.instance, w2.basepoint, w2.bound, w2.vertices, w2.neighbors, tuple(words))
     image = apply_word("ab", bad.vertices[7])
     with pytest.raises(ValueError, match="is not"):
         quotient.s5_contract().certificate(bad.vertices[7], image, bad)
     with pytest.raises(ValueError, match="witness words"):
-        s5windows.witness_readers(dataclasses.replace(w2, words=None))
+        s5windows.witness_readers(
+            Window(w2.instance, w2.basepoint, w2.bound, w2.vertices, w2.neighbors))
     # a curve whose witness names another curve: read either way round
     liar = NormalCurve(w2.vertices[7], s5windows.parse_witness(w2.words[8]))
     for pair in ((liar, w2.vertices[0]), (w2.vertices[0], liar)):
