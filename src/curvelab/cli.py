@@ -174,7 +174,7 @@ def farey_window_cmd(height, basepoint, fmt):
 
 def _closure_sample(
     matrix, power, conj_len, depth
-) -> tuple[farey_mod.IntMatrix, farey_mod.ClosureSample]:
+) -> tuple[farey_mod.IntMatrix, tuple[farey_mod.ClosureElement, ...]]:
     """The base matrix and its closure sample."""
     try:
         base = farey_mod.IntMatrix.parse(matrix)
@@ -208,7 +208,7 @@ def farey_closure(matrix, power, conj_len, depth, fmt):
     """Sample the normal closure of a hyperbolic matrix power."""
     _, sample = _closure_sample(matrix, power, conj_len, depth)
     _emit(
-        sample.to_json(), fmt,
+        [{"word": word, "matrix": list(m)} for word, m in sample], fmt,
         text_fn=lambda: f"closure sample: {len(sample)} elements\n",
     )
 
@@ -221,7 +221,8 @@ def farey_displacement(matrix, power, conj_len, depth, height, fmt):
     """Per-element window displacement of a closure sample."""
     base, sample = _closure_sample(matrix, power, conj_len, depth)
     w = _farey_window(height, "0/1")
-    report = quotient_mod.displacement_report(w, sample.words, quotient_mod.farey_contract(base))
+    words = tuple(e.word for e in sample)
+    report = quotient_mod.displacement_report(w, words, quotient_mod.farey_contract(base))
 
     def text():
         lines = [f"{r['word']}: min {r['min']} at {r['argmin']}" for r in report]
@@ -256,12 +257,13 @@ def _s5_window(word_bound: int | None, window_file: str | None = None) -> Window
     if window_file is None:
         if word_bound < 0:
             _fail("word bound must be nonnegative")
-        if cache_dir() is None:
+        directory = cache_dir()
+        if directory is None:
             return s5windows.build_window(word_bound)
     try:
         if window_file is None:
             data = cached_json(
-                {"kind": "window", "instance": "s5", "wordBound": word_bound},
+                directory, {"kind": "window", "instance": "s5", "wordBound": word_bound},
                 lambda: "".join(json_object(s5windows.build_window(word_bound)
                                             .json_fields(s5windows.curve_key_str))))
         else:
@@ -393,7 +395,8 @@ def _build_quotient(instance, height, matrix, power, conj_len, depth,
                     word_bound, sample_csv) -> quotient_mod.QuotientWindow:
     if instance == "farey":
         base, closure = _closure_sample(matrix, power, conj_len, depth)
-        sample, contract = closure.words, quotient_mod.farey_contract(base)
+        sample = tuple(e.word for e in closure)
+        contract = quotient_mod.farey_contract(base)
         w = _farey_window(height, "0/1")
     else:
         contract = quotient_mod.s5_contract()

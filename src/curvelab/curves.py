@@ -85,17 +85,9 @@ def witness_reader(coords: Coords, witness: tuple[str, int]) -> tuple[str, int]:
     return invert_word(word), BASE_CURVE_EDGES[base - 1]
 
 
-def _as_curve(c: NormalCurve | Coords) -> NormalCurve:
-    return c if isinstance(c, NormalCurve) else NormalCurve(tuple(c))
-
-
-def intersection_number(a: NormalCurve | Coords, b: NormalCurve | Coords) -> int:
-    """Minimal geometric intersection number of two essential curves.
-
-    Read off the witness of a, or of b when a has none; raw coordinates
-    have no witness and are trusted to be a curve.
-    """
-    a, b = _as_curve(a), _as_curve(b)
+def intersection_number(a: NormalCurve, b: NormalCurve) -> int:
+    """Minimal geometric intersection number of two essential curves, read
+    off the witness of a, or of b when a has none."""
     if a.witness is None:
         a, b = b, a
     if a.witness is None:

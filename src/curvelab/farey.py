@@ -103,10 +103,6 @@ class IntMatrix(_Entries):
         return tuple.__new__(cls, (a, b, c, d))
 
     @property
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    @property
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
@@ -149,13 +145,13 @@ class IntMatrix(_Entries):
 
     def projective(self) -> tuple[int, int, int, int]:
         """Sign-normalised entries; matrices act on slopes through +-1."""
-        for x in self.entries:
+        for x in self:
             if x != 0:
-                return self.entries if x > 0 else tuple(-y for y in self.entries)
+                return tuple(self) if x > 0 else tuple(-y for y in self)
         raise AssertionError("zero matrix")
 
     def __str__(self) -> str:
-        return ",".join(str(x) for x in self.entries)
+        return ",".join(map(str, self))
 
     @staticmethod
     def parse(text: str) -> "IntMatrix":
@@ -240,7 +236,7 @@ def displacement_measure(slopes: Sequence[Slope]) -> Callable[[IntMatrix], list[
     table = [(p, q, *_bezout(p, q)) for p, q in slopes]
 
     def of(m: IntMatrix) -> list[int]:
-        ma, mb, mc, md = m.entries
+        ma, mb, mc, md = m
         out = []
         for p, q, a, b in table:
             x, y = ma * p + mb * q, mc * p + md * q
@@ -281,7 +277,7 @@ def _period_minimisers(m: IntMatrix) -> tuple[int, list[Slope]] | None:
     """
     if m.det != 1 or not m.is_hyperbolic():
         return None
-    a, b, c, d = m.entries
+    a, b, c, d = m
 
     def positive(p: int, q: int) -> bool:
         return c * p * p + (d - a) * p * q - b * q * q > 0
@@ -342,7 +338,7 @@ def window_minimisers(m: IntMatrix, height: int) -> tuple[int, set[Slope]] | Non
     if found is None:
         return None
     floor, period = found
-    a, b, c, d = m.entries
+    a, b, c, d = m
     limit = 2 * height * height
     out = set()
     for s in period:
@@ -394,7 +390,7 @@ def window_images(m: IntMatrix, height: int) -> Iterator[tuple[Slope, Slope]]:
     with no slope applied that lands outside.  Pairs come with 1/0 first,
     then in order of q and p.
     """
-    a, b, c, d = m.entries
+    a, b, c, d = m
     h = height
     if abs(a) <= h and abs(c) <= h:
         yield INFINITY, Slope._canonical(a, c)
@@ -406,8 +402,7 @@ def window_images(m: IntMatrix, height: int) -> Iterator[tuple[Slope, Slope]]:
                 lo, hi = max(lo, -((h + y) // x)), min(hi, (h - y) // x)
             elif x < 0:
                 lo, hi = max(lo, -((h - y) // -x)), min(hi, (h + y) // -x)
-            elif abs(y) > h:
-                lo, hi = 1, 0
+            # x == 0 cuts nothing: det +-1 then makes |y| = q <= h
         for p in range(lo, hi + 1):
             if math.gcd(p, q) == 1:
                 yield Slope._canonical(p, q), Slope._canonical(a * p + b * q, c * p + d * q)
@@ -503,26 +498,6 @@ class ClosureElement(NamedTuple):
     matrix: IntMatrix
 
 
-class ClosureSample:
-    """Finite, word-length-bounded sample of a normal closure."""
-
-    __slots__ = ("elements",)
-
-    def __init__(self, elements: tuple[ClosureElement, ...]):
-        self.elements = elements
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @property
-    def words(self) -> tuple[str, ...]:
-        """The sample as the quotient machinery takes it."""
-        return tuple(e.word for e in self.elements)
-
-    def to_json(self) -> list[dict]:
-        return [{"word": e.word, "matrix": list(e.matrix.entries)} for e in self.elements]
-
-
 def _conjugator_words(length: int) -> Iterator[str]:
     frontier = [""]
     yield ""
@@ -550,8 +525,9 @@ def word_matrix(word: str, base: IntMatrix | None = None) -> IntMatrix:
     return m
 
 
-def sample_closure(spec: FareyClosureSpec) -> ClosureSample:
-    """All products of at most product_depth conjugates w A^{+-K} w^{-1}.
+def sample_closure(spec: FareyClosureSpec) -> tuple[ClosureElement, ...]:
+    """All products of at most product_depth conjugates w A^{+-K} w^{-1},
+    shortest word first, then in word order.
 
     Conjugators w range over words of length <= conjugator_length in the
     GL(2,Z) generators.  Elements are deduplicated projectively (the slope
@@ -586,6 +562,5 @@ def sample_closure(spec: FareyClosureSpec) -> ClosureSample:
                 if key != identity_key and key not in elements:
                     elements[key] = ClosureElement(word, mat)
         frontier = nxt
-    ordered = tuple(sorted(elements.values(), key=lambda e: (len(e.word), e.word)))
-    return ClosureSample(ordered)
+    return tuple(sorted(elements.values(), key=lambda e: (len(e.word), e.word)))
 

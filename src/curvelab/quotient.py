@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import cached_property, lru_cache
 from itertools import accumulate, filterfalse, repeat
-from operator import attrgetter, sub
+from operator import sub
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import farey as farey_mod
@@ -153,7 +153,9 @@ def s5_contract() -> InstanceContract:
     witness word of the first curve, a window vertex in every call.
     In-window images are found by mapping the word over every vertex at
     once (``mcg.apply_word_many``), and displacements by certifying every
-    vertex against its image, mapped the same way.
+    vertex against its image, mapped the same way.  At a floor of 2 the
+    first vertex exact at 2 is named, by its certificate or by meeting its
+    image twice, as its witness reads i(v, g v).
     """
 
     def images(w: Window, word: str) -> Iterator[tuple[int, int]]:
@@ -167,9 +169,18 @@ def s5_contract() -> InstanceContract:
         vertices, certificate = w.vertices, contract.certificate
 
         def per_word(word: str) -> tuple[int | None, int | None]:
-            certs = list(map(certificate, vertices, apply_word_many(word, vertices), repeat(w)))
+            images = apply_word_many(word, vertices)
+            certs = list(map(certificate, vertices, images, repeat(w)))
             best = min(certs, default=(None,))[0]  # the least floor
-            return best, certs.index((best, True)) if (best, True) in certs else None
+            if best != 2:
+                return best, certs.index((best, True)) if (best, True) in certs else None
+            # i(v, g v) = 2 makes d(v, g v) = 2: the boundary of the
+            # twice-punctured side of a neighbourhood of v and g v misses both
+            readers = s5windows.witness_readers(w)
+            for i, (cert, (inverse, edge)) in enumerate(zip(certs, readers)):
+                if cert == (2, True) or apply_word(inverse, images[i])[edge] == 1:
+                    return 2, i
+            return 2, None
 
         return per_word
 
@@ -260,9 +271,6 @@ class QuotientWindow:
         singles = sum(map(len, nbrs)) // 2 - walked  # the edges the walk missed
         return Stars(frozenset(near), tuple(loops), least, singles)
 
-    near = property(attrgetter("stars.near"))
-    loops = property(attrgetter("stars.loops"))
-
     def row(self, c: int) -> tuple[int, ...]:
         """The sorted classes adjacent to class c, made once.  Away from the
         merged classes it is the window row of c's member, renumbered: its
@@ -271,7 +279,7 @@ class QuotientWindow:
         if row is None:
             members, nbrs = self.classes[c], self.window.neighbors
             class_at = self.class_of.__getitem__
-            if members[0] not in self.near:
+            if members[0] not in self.stars.near:
                 row = tuple(map(class_at, nbrs[members[0]]))
             else:
                 row = set(map(class_at, nbrs[members[0]]))
@@ -387,14 +395,14 @@ def build_quotient(
 ) -> QuotientWindow:
     """The classes of the in-window identifications v ~ n(v).
 
-    The sample is a tuple of words (``ClosureSample.words`` on the Farey
-    graph, ``s5_sample`` on the five-punctured sphere), each evaluated by
-    ``contract.element``; RuntimeError unless every identification i -> j
-    has one j -> i.  Moves are kept only for the vertices that some element
-    moves, and every member of a merged class has one, so a breadth-first
-    search from each unreached moved vertex, in index order, starts at its
-    class's least member and gives the class and its members'
-    transporters.  Every other vertex is a class of its own, numbered by
+    The sample is a tuple of words (the words of ``farey.sample_closure``'s
+    elements on the Farey graph, ``s5_sample`` on the five-punctured
+    sphere), each evaluated by ``contract.element``; RuntimeError unless
+    every identification i -> j has one j -> i.  Moves are kept only for the
+    vertices that some element moves, and every member of a merged class has
+    one, so a breadth-first search from each unreached moved vertex, in
+    index order, starts at its class's least member and gives the class and
+    its members' transporters.  Every other vertex is a class of its own, numbered by
     its index less the members absorbed before it.  The search follows each
     vertex's moves in sample order, and a vertex has at most one move per
     element, so the order in which ``contract.images`` lists pairs cannot

@@ -62,17 +62,16 @@ def cache_dir() -> Path | None:
     return Path(path) if path else None
 
 
-def cached_json(key_obj, produce: Callable[[], str]) -> Any:
-    """The JSON value whose canonical text ``produce`` returns, via the cache.
+def cached_json(directory: Path, key_obj, produce: Callable[[], str]) -> Any:
+    """The JSON value whose canonical text ``produce`` returns, via the cache
+    in ``directory`` (``cache_dir()``, read by the caller, who builds
+    directly when there is none).
 
     ``key_obj`` is any JSON-able description of the computation; the cache
     file is named by its content hash and holds the produced text.  A hit
     hands back the value decoded while checking that the entry is
     canonical, so it is decoded once; a miss decodes the text it writes.
     """
-    directory = cache_dir()
-    if directory is None:
-        return json.loads(produce())
     import tempfile
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{content_hash(key_obj)}.json"

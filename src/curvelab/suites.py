@@ -106,12 +106,12 @@ def check_simplicial(q: QuotientWindow) -> dict:
     """
     witnesses = []
     w, key = q.window, q.contract.key_str
-    for c, i, j in q.loops:
+    for c, i, j in q.stars.loops:
         witnesses.append({
             "kind": "loop", "class": c,
             "edge": [key(w.vertices[i]), key(w.vertices[j])],
         })
-    for i in sorted(q.near):
+    for i in sorted(q.stars.near):
         seen: dict[int, int] = {}
         for j in w.neighbors[i]:
             c = q.class_of[j]
@@ -153,12 +153,12 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
     certifies distance 2: the two ends are distinct, and not adjacent,
     since every window edge between distinct classes is a quotient edge.
     So every truncated site touches a class with more than one member, and
-    (c) walks only from the classes of ``q.near``.  The pairs it counts
-    there have both classes near a merge, or one class merged.  Every other
-    pair joins two singleton classes, one with only singleton neighbours,
-    and is at quotient distance 2 exactly when its two vertices are at
-    window distance 2; those pairs are counted as the window's pairs at
-    distance 2 (the contract's ``distance_two_pairs``) less the window's
+    (c) walks only from the classes of ``q.stars.near``.  The pairs it
+    counts there have both classes near a merge, or one class merged.
+    Every other pair joins two singleton classes, one with only singleton
+    neighbours, and is at quotient distance 2 exactly when its two vertices
+    are at window distance 2; those pairs are counted as the window's pairs
+    at distance 2 (the contract's ``distance_two_pairs``) less the window's
     pairs of the first two kinds.  Without that count, or where the merges
     reach most of the window and a walk costs less, every class is walked.
     """
@@ -166,7 +166,7 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
     witnesses = []
     eligible = truncated = 0
 
-    for c, i, j in q.loops:
+    for c, i, j in q.stars.loops:
         eligible += 1
         witnesses.append({
             "kind": "collapsed-edge",
@@ -199,13 +199,13 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
     # (possible out of hypothesis) is a witness naming the class reached.
     # Witnesses are listed in (mid, a, b) order.
     count, row = q.contract.distance_two_pairs, q.row
-    if count is None or 2 * len(q.near) > len(w):  # walking every class costs less
+    if count is None or 2 * len(q.stars.near) > len(w):  # walking every class costs less
         starts, near, pairs = range(len(q)), None, 0
     else:
-        near = {class_of[i] for i in q.near}
+        near = {class_of[i] for i in q.stars.near}
         starts = sorted(near)
         members = {i for c in merged for i in classes[c]}
-        pairs = count(w) - _pairs_near(nbrs, set(q.near), members)
+        pairs = count(w) - _pairs_near(nbrs, set(q.stars.near), members)
     geodesic = []
 
     def witness(mid, a, b, lifted, **extra):
@@ -321,8 +321,8 @@ def verify_local_covering(q: QuotientWindow) -> dict:
     classes must be adjacent; both lie in a 2-ball, so this is exact).
 
     Every window vertex is a site, but only stars next to a merged class
-    (``q.near``) are read: elsewhere the star's classes are its singleton
-    neighbours.  The triangle scan skips every pair of neighbours in
+    (``q.stars.near``) are read: elsewhere the star's classes are its
+    singleton neighbours.  The triangle scan skips every pair of neighbours in
     singleton classes: two singleton classes are adjacent exactly when
     their members are, since quotient edges are the window edges between
     classes.  The pairs it reads come in the order of
@@ -333,7 +333,7 @@ def verify_local_covering(q: QuotientWindow) -> dict:
     lift = q.lift
     nbrs, class_of = w.neighbors, q.class_of
     merged = set(q.merged)
-    for i in sorted(q.near):
+    for i in sorted(q.stars.near):
         ci = class_of[i]
         star = nbrs[i]
         by_class: dict[int, int] = {}

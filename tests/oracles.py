@@ -599,10 +599,10 @@ def detected_curves(alpha: NormalCurve, beta: NormalCurve, w) -> set[NormalCurve
 # ---------------------------------------------------------------- arc complex
 
 
-def witness_disjoint(a: NormalCurve | Coords, b: NormalCurve | Coords) -> bool:
+def witness_disjoint(a: NormalCurve, b: NormalCurve) -> bool:
     """Adjacency in the curve graph: distinct curves that do not meet, read
     through a witness word by ``curves.intersection_number``."""
-    return _coords(a) != _coords(b) and intersection_number(a, b) == 0
+    return a.coords != b.coords and intersection_number(a, b) == 0
 
 
 def is_pentagon_set(arcs) -> bool:
@@ -920,7 +920,7 @@ def per_site_lipschitz_lifting(w: Window, q, contract,
     eligible = truncated = 0
     sites = [] if truncated_sites is None else truncated_sites
 
-    for c, i, j in q.loops:
+    for c, i, j in q.stars.loops:
         eligible += 1
         witnesses.append({
             "kind": "collapsed-edge",
@@ -1050,7 +1050,7 @@ def walk_simplicial(q) -> dict:
     """
     witnesses = []
     w, key = q.window, q.contract.key_str
-    for c, i, j in q.loops:
+    for c, i, j in q.stars.loops:
         witnesses.append({
             "kind": "loop", "class": c,
             "edge": [key(w.vertices[i]), key(w.vertices[j])],
@@ -1102,7 +1102,7 @@ def walk_lipschitz_lifting(q) -> dict:
     witnesses = []
     eligible = truncated = 0
 
-    for c, i, j in q.loops:
+    for c, i, j in q.stars.loops:
         eligible += 1
         witnesses.append({
             "kind": "collapsed-edge",

@@ -28,7 +28,7 @@ def farey_scenario():
     w = farey.farey_window(55)
     sample = farey.sample_closure(farey.FareyClosureSpec(A_MATRIX, 8, 2))
     contract = quotient.farey_contract(A_MATRIX)
-    q = quotient.build_quotient(w, sample.words, contract)
+    q = quotient.build_quotient(w, tuple(e.word for e in sample), contract)
     return {"w": w, "sample": sample, "contract": contract, "q": q,
             "build_seconds": time.monotonic() - t0}
 
@@ -50,7 +50,7 @@ def test_02_farey_quotient_suites_pass(farey_scenario):
     t0 = time.monotonic()
     w, q, contract = (farey_scenario[k] for k in ("w", "q", "contract"))
     report = quotient.displacement_report(
-        w, farey_scenario["sample"].words, contract)
+        w, tuple(e.word for e in farey_scenario["sample"]), contract)
     assert len(report) == 16
     assert all(r["min"] >= 8 for r in report)
     runs = [
@@ -70,7 +70,7 @@ def test_03_hypothesis_necessity_k1():
     w = farey.farey_window(55)
     sample = farey.sample_closure(farey.FareyClosureSpec(A_MATRIX, 1, 2))
     contract = quotient.farey_contract(A_MATRIX)
-    q = quotient.build_quotient(w, sample.words, contract)
+    q = quotient.build_quotient(w, tuple(e.word for e in sample), contract)
     assert q.min_displacement == 1
     r = suites.check_simplicial(q)
     assert r["status"] == "out-of-hypothesis"

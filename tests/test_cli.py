@@ -90,6 +90,23 @@ def test_closure_sample_size(runner):
     assert len(json.loads(result.output)) == 16
 
 
+# SHA-256 of the stdout of `farey closure` with these arguments; the last
+# sample holds elements of determinant -1.
+CLOSURE_DIGESTS = {
+    "": "c87f138343b66c644137250d1b2c5329eb273c771d9b07bb57877f07061f6975",
+    "--conj-len 2 --depth 2": "b82f74bae92b38e7c0210f2e49387ec723db468d34af197c328642834b63f9f3",
+    "--format text": "eeb071db2bd8798fffb34a85748475616d5b4bb2eced893dad3f8a7ea0a150bf",
+    "--matrix 3,1,1,0 --power 3 --conj-len 1":
+        "822853762849b321d6940faad0725111630fa2ef0912b9ef5a4824fe1909e960",
+}
+
+
+@pytest.mark.parametrize("args", CLOSURE_DIGESTS)
+def test_closure_output_is_pinned(runner, args):
+    output = invoke(runner, ["farey", "closure", *args.split()]).output
+    assert hashlib.sha256(output.encode()).hexdigest() == CLOSURE_DIGESTS[args]
+
+
 def test_displacement_minimum(runner):
     result = invoke(
         runner,
@@ -451,39 +468,36 @@ def test_halftwist_window_without_true_witnesses_exits_two(runner, tmp_path, edi
     b'{ "a": 1 }\n',  # JSON, but not canonical
     pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deeper-than-the-decoder"),
 ])
-def test_cache_rebuilds_corrupt_entry(tmp_path, monkeypatch, corrupt):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+def test_cache_rebuilds_corrupt_entry(tmp_path, corrupt):
     key = {"kind": "test", "n": 1}
     entry = tmp_path / f"{content_hash(key)}.json"
     entry.write_bytes(corrupt)
     good = {"a": 1}
-    assert cached_json(key, lambda: canonical_json(good)) == good
+    assert cached_json(tmp_path, key, lambda: canonical_json(good)) == good
     assert entry.read_text() == canonical_json(good)
-    assert cached_json(key, lambda: pytest.fail("hit expected")) == good
+    assert cached_json(tmp_path, key, lambda: pytest.fail("hit expected")) == good
 
 
-def test_cache_writes_through_unique_temporary(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+def test_cache_writes_through_unique_temporary(tmp_path):
     key = {"kind": "test", "n": 2}
     # a concurrent writer's leftover under the old shared name is not touched
     shared = tmp_path / f"{content_hash(key)}.tmp"
     shared.mkdir()
     good = [1, 2, 3]
-    assert cached_json(key, lambda: canonical_json(good)) == good
+    assert cached_json(tmp_path, key, lambda: canonical_json(good)) == good
     assert (tmp_path / f"{content_hash(key)}.json").read_text() == canonical_json(good)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [shared.name, f"{content_hash(key)}.json"])
 
 
 def test_cache_version_change_is_a_miss(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     key = {"kind": "test", "n": 3}
     old = {"built": "old"}
-    assert cached_json(key, lambda: canonical_json(old)) == old
-    assert cached_json(key, lambda: pytest.fail("hit expected")) == old
+    assert cached_json(tmp_path, key, lambda: canonical_json(old)) == old
+    assert cached_json(tmp_path, key, lambda: pytest.fail("hit expected")) == old
     monkeypatch.setattr(serialize, "CACHE_VERSION", serialize.CACHE_VERSION + 1)
     new = {"built": "new"}
-    assert cached_json(key, lambda: canonical_json(new)) == new
+    assert cached_json(tmp_path, key, lambda: canonical_json(new)) == new
 
 
 # SHA-256 of the stdout of `s5 ball --word-bound b`, b = 0..4, by the

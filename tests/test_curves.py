@@ -8,6 +8,7 @@ from curvelab.curves import (
     BASE_CURVE_EDGES,
     BASE_CURVES,
     BASE_CURVE_PAIRS,
+    NormalCurve,
     intersection_number,
 )
 from curvelab.mcg import apply_word
@@ -45,7 +46,7 @@ def test_self_intersection_zero():
     for c in BASE_CURVES:
         assert intersection_number(c, c) == 0
         assert not witness_disjoint(c, c)
-        assert not witness_disjoint(c, c.coords)
+        assert not witness_disjoint(c, NormalCurve(c.coords))
 
 
 def test_intersection_invariant_under_action():
@@ -62,7 +63,7 @@ def test_half_twist_moves_transverse_curve():
     c1, c4 = BASE_CURVES[0], BASE_CURVES[3]
     img = apply_word("a", c4.coords)
     assert img != c4.coords
-    assert intersection_number(img, c4) == 2
+    assert intersection_number(NormalCurve(img), c4) == 2
     assert intersection(img, c4) == 2
 
 
@@ -74,12 +75,13 @@ def test_base_curves_and_window_vertices_are_essential(w4):
     assert all(is_essential(BASE, v) for v in w4.vertices)
 
 
-def test_intersection_accepts_raw_coords():
-    # read through the witness of the other curve; two raw tuples have none
+def test_intersection_reads_either_witness():
+    # read through the witness of the other curve; two bare curves have none
     a, b = BASE_CURVES[0], BASE_CURVES[3]
-    assert intersection_number(a, b.coords) == intersection_number(a.coords, b) == 2
+    bare_a, bare_b = NormalCurve(a.coords), NormalCurve(b.coords)
+    assert intersection_number(a, bare_b) == intersection_number(bare_a, b) == 2
     with pytest.raises(ValueError, match="witness"):
-        intersection_number(a.coords, b.coords)
+        intersection_number(bare_a, bare_b)
 
 
 @pytest.mark.parametrize("bad", [

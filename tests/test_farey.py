@@ -285,13 +285,13 @@ class TestClosure:
     def test_minimal_spec(self):
         A = IntMatrix(2, 1, 1, 1)
         sample = sample_closure(FareyClosureSpec(A, 1, 0, 1))
-        mats = {e.matrix.projective() for e in sample.elements}
+        mats = {e.matrix.projective() for e in sample}
         assert mats == {A.projective(), A.inverse().projective()}
 
     def test_power_two(self):
         A = IntMatrix(2, 1, 1, 1)
         sample = sample_closure(FareyClosureSpec(A, 2, 0, 1))
-        mats = {e.matrix.projective() for e in sample.elements}
+        mats = {e.matrix.projective() for e in sample}
         assert mats == {(A ** 2).projective(), (A ** -2).projective()}
 
     @pytest.mark.parametrize("matrix", [IntMatrix(2, 1, 1, 1), IntMatrix(3, 1, 1, 0),
@@ -341,13 +341,13 @@ class TestClosure:
         sample = sample_closure(FareyClosureSpec(A, 6, 2, 2))
         assert len(sample) > 0
         keys = set()
-        for elem in sample.elements:
+        for elem in sample:
             assert elem.matrix.is_hyperbolic()
             assert word_matrix(elem.word, base=A) == elem.matrix
             keys.add(elem.matrix.projective())
         assert IDENTITY.projective() not in keys
         # inverse-closed
-        for elem in sample.elements:
+        for elem in sample:
             assert elem.matrix.inverse().projective() in keys
 
 

@@ -11,7 +11,7 @@ classes that ``build_quotient`` finds from the moved vertices alone
 distances (``test_displacement.check_report``) and lifting at every site
 (``oracles.per_site_lipschitz_lifting``, ``oracles.per_site_local_covering``).
 The simplicial, lifting, 2-ball and local-covering suites read only the
-stars next to a merged class (``QuotientWindow.near``) and count the other
+stars next to a merged class (``stars.near``) and count the other
 sites; they must agree with the same suites walking every vertex, edge and
 distance-2 pair (``oracles.walk_*``), and the Farey count of distance-2
 pairs (``InstanceContract.distance_two_pairs``) with a walk of the window.
@@ -66,7 +66,8 @@ def window(height):
 def farey_case(matrix, power, conj_len, height, depth=1):
     base = IntMatrix.parse(matrix)
     spec = farey.FareyClosureSpec(base, power, conj_len, depth)
-    return window(height), farey.sample_closure(spec).words, quotient.farey_contract(base)
+    words = tuple(e.word for e in farey.sample_closure(spec))
+    return window(height), words, quotient.farey_contract(base)
 
 
 def assert_build_matches(w, words, contract) -> quotient.QuotientWindow:
@@ -194,7 +195,7 @@ def test_suites_match_walks_out_of_hypothesis():
     # K=2 merges classes all over the window, so lifting walks every class
     w, words, contract = farey_case("2,1,1,1", 2, 2, 30)
     q = quotient.build_quotient(w, words, contract)
-    assert 2 * len(q.near) > len(w)
+    assert 2 * len(q.stars.near) > len(w)
     assert_suites_match(w, q, contract)
     assert suites.verify_lipschitz_lifting(q)["status"] == "out-of-hypothesis"
 
@@ -207,7 +208,7 @@ def test_lifts_are_taken_next_to_a_merge():
     assert len(q.merged) == 14
     members = {i for c in q.merged for i in q.classes[c]}
     near = members.union(*map(w.neighbors.__getitem__, members))
-    assert q.near == near and 10 * len(near) < len(w)
+    assert q.stars.near == near and 10 * len(near) < len(w)
     lift, at = q.lift, []
 
     def spy(i, other_class):
@@ -288,7 +289,6 @@ def assert_stars_match(q) -> None:
         else:
             singleton_edges += 1
     assert q.stars == (frozenset(near), tuple(sorted(loops)), least, singleton_edges)
-    assert q.near is q.stars.near and q.loops is q.stars.loops
 
 
 @pytest.mark.parametrize("height,matrix,power,conj_len",
@@ -360,7 +360,7 @@ def test_farey_suites_total_and_fast_paths_exact(base, height, power, conj_len):
     assert_suites_match(w, assert_build_matches(w, words, contract), contract)
     # the ladder report against a full scan with plain distances
     sample = farey.sample_closure(farey.FareyClosureSpec(base, power, conj_len))
-    plain = {e.word: plain_displacements(w.vertices, e.matrix) for e in sample.elements}
+    plain = {e.word: plain_displacements(w.vertices, e.matrix) for e in sample}
     check_report(w, sample, base, plain)
 
 

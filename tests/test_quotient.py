@@ -33,7 +33,7 @@ def sample():
 
 @pytest.fixture(scope="module")
 def q20(w20, sample, contract):
-    return build_quotient(w20, sample.words, contract)
+    return build_quotient(w20, tuple(e.word for e in sample), contract)
 
 
 def test_empty_sample_is_identity(w20, contract):
@@ -41,7 +41,7 @@ def test_empty_sample_is_identity(w20, contract):
     assert len(q) == len(w20)
     assert all(len(m) == 1 for m in q.classes)
     assert q.graph.edges == w20.edges
-    assert q.loops == ()
+    assert q.stars.loops == ()
     assert q.displacement == ()
 
 
@@ -74,7 +74,7 @@ def test_transporters_carry_representative(q20, w20, contract):
 def test_classes_match_sample_orbits(q20, w20, sample, contract):
     # direct double loop over sample x vertices
     identified = set()
-    for elem in sample.elements:
+    for elem in sample:
         for i, v in enumerate(w20.vertices):
             img = elem.matrix.apply(v)
             j = w20.index.get(img)
@@ -88,7 +88,7 @@ def test_classes_match_sample_orbits(q20, w20, sample, contract):
 
 def test_displacement_report(q20, sample, w20):
     assert len(q20.displacement) == len(sample)
-    for rec, elem in zip(q20.displacement, sample.elements):
+    for rec, elem in zip(q20.displacement, sample):
         assert rec["word"] == elem.word
         argmin = farey.Slope.parse(rec["argmin"])
         assert farey.distance(argmin, elem.matrix.apply(argmin)) == rec["min"]
@@ -109,7 +109,7 @@ def test_quotient_edges_project_window_edges(q20, w20):
         if ci != cj:
             assert cj in qadj[ci]
         else:
-            assert (ci, i, j) in q20.loops
+            assert (ci, i, j) in q20.stars.loops
 
 
 def test_as_window_sorted(q20, w3):
@@ -155,7 +155,8 @@ def test_graph_neighbors_match_quotient_edges_farey(height, contract):
     w = farey.farey_window(height)
     for power in range(2, 9):
         spec = farey.FareyClosureSpec(BASE, power, 1)
-        q = build_quotient(w, farey.sample_closure(spec).words, contract)
+        words = tuple(e.word for e in farey.sample_closure(spec))
+        q = build_quotient(w, words, contract)
         assert_graph_neighbors(q)
         assert_edges_join_classes(q)
 

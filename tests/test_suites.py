@@ -26,13 +26,13 @@ def w30():
 @pytest.fixture(scope="module")
 def q30(w30, fcontract):
     sample = farey.sample_closure(farey.FareyClosureSpec(BASE, 8, 1))
-    return quotient.build_quotient(w30, sample.words, fcontract)
+    return quotient.build_quotient(w30, tuple(e.word for e in sample), fcontract)
 
 
 @pytest.fixture(scope="module")
 def q30_small(w30, fcontract):
     sample = farey.sample_closure(farey.FareyClosureSpec(BASE, 1, 1))
-    return quotient.build_quotient(w30, sample.words, fcontract)
+    return quotient.build_quotient(w30, tuple(e.word for e in sample), fcontract)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,7 @@ def test_lifting_lifts_each_middle_class_once_per_start(w30, fcontract):
     # every far class over that middle class: 24,616 lifts went to 14,236
     # on this quotient, over 3,324 distinct (vertex, class) pairs
     sample = farey.sample_closure(farey.FareyClosureSpec(BASE, 4, 1))
-    q = quotient.build_quotient(w30, sample.words, fcontract)
+    q = quotient.build_quotient(w30, tuple(e.word for e in sample), fcontract)
     real, calls = q.lift, Counter()
 
     def counting(i, c):
@@ -82,7 +82,7 @@ def test_lifting_lifts_each_middle_class_once_per_start(w30, fcontract):
     q.__dict__["lift"] = counting  # the cached property's slot
     report = suites.verify_lipschitz_lifting(q)
     assert (sum(calls.values()), len(calls)) == (14236, 3324)
-    fresh = quotient.build_quotient(w30, sample.words, fcontract)
+    fresh = quotient.build_quotient(w30, tuple(e.word for e in sample), fcontract)
     assert report == suites.verify_lipschitz_lifting(fresh)
 
 
@@ -396,7 +396,8 @@ def test_window_distance_two_agrees_with_certificate(
         monkeypatch, w3, fcontract, scontract, instance):
     if instance == "farey-h20-k4":
         w, contract = farey.farey_window(20), fcontract
-        sample = farey.sample_closure(farey.FareyClosureSpec(BASE, 4, 2)).words
+        spec = farey.FareyClosureSpec(BASE, 4, 2)
+        sample = tuple(e.word for e in farey.sample_closure(spec))
     else:
         w, contract = w3, scontract
         sample = quotient.s5_sample(("aa",))

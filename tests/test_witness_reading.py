@@ -60,7 +60,7 @@ def test_reading_matches_intersection_number(w4):
         inverse, edge = readers[i]
         expected = intersection(w4.vertices[i], x)
         assert 2 * apply_word(inverse, x)[edge] == expected
-        assert intersection_number(s5windows.window_curve(w4, i), x) == expected
+        assert intersection_number(s5windows.window_curve(w4, i), NormalCurve(x)) == expected
         if x != w4.vertices[i]:
             assert s5windows.adjacent(w4, w4.vertices[i], x) == (expected == 0)
     assert outside > 500
@@ -102,6 +102,7 @@ def test_wrong_witness_is_refused(w2):
             Window(w2.instance, w2.basepoint, w2.bound, w2.vertices, w2.neighbors))
     # a curve whose witness names another curve: read either way round
     liar = NormalCurve(w2.vertices[7], s5windows.parse_witness(w2.words[8]))
-    for pair in ((liar, w2.vertices[0]), (w2.vertices[0], liar)):
+    bare = NormalCurve(w2.vertices[0])
+    for pair in ((liar, bare), (bare, liar)):
         with pytest.raises(ValueError, match="is not"):
             intersection_number(*pair)
