@@ -12,7 +12,8 @@ pairs BEFORE first, odd pairs AFTER first):
   end-to-end metrics are read off the run's last line.
 - CLI scenarios (``SCENARIOS``: Farey ``verify`` at heights 55, 110 and 220
   with and without ``--out``, S5 ``verify --out`` and ``s5 ball`` at word
-  bounds 3, 4 and 5, ``farey window`` at height 220, one case-5 ``arc2
+  bounds 3, 4 and 5, a witness-heavy S5 ``verify --out`` (sample ``cdcd``
+  at word bound 4), ``farey window`` at height 220, one case-5 ``arc2
   fill``, ``farey dist``, whose wall time is mostly start-up, and ``farey
   closure`` and ``farey displacement``, which read a closure sample): one
   fresh interpreter per run with ``PYTHONHASHSEED=0`` and
@@ -50,8 +51,8 @@ def farey_verify(height: int) -> list[str]:
             "--conj-len", "2", "--suites", FAREY]
 
 
-def s5_verify(bound: int) -> list[str]:
-    return ["verify", "--instance", "s5", "--word-bound", str(bound), "--sample", "aa",
+def s5_verify(bound: int, sample: str = "aa") -> list[str]:
+    return ["verify", "--instance", "s5", "--word-bound", str(bound), "--sample", sample,
             "--suites", S5]
 
 
@@ -60,6 +61,7 @@ SCENARIOS = {
     **{f"farey verify h={h}": farey_verify(h) for h in HEIGHTS},
     **{f"farey verify h={h} --out": [*farey_verify(h), "--out"] for h in HEIGHTS},
     **{f"s5 verify bound {b} aa --out": [*s5_verify(b), "--out"] for b in BOUNDS},
+    "s5 verify bound 4 cdcd --out": [*s5_verify(4, "cdcd"), "--out"],
     "farey window --height 220": ["farey", "window", "--height", "220"],
     **{f"s5 ball --word-bound {b}": ["s5", "ball", "--word-bound", str(b)]
        for b in BOUNDS},

@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import farey as farey_mod
 from . import s5windows
-from .mcg import WORD_ALPHABET, apply_word, apply_word_many, invert_word, reduce_word
+from .mcg import WORD_ALPHABET, apply_word, invert_word, reduce_word
 from .serialize import canonical_json, json_list
 from .window import Window
 
@@ -151,16 +151,16 @@ def s5_contract() -> InstanceContract:
     Certificates come from window edges when both curves are window
     vertices, and otherwise from ``s5windows.adjacent``, which reads the
     witness word of the first curve, a window vertex in every call.
-    In-window images are found by mapping the word over every vertex at
-    once (``mcg.apply_word_many``), and displacements by certifying every
-    vertex against its image, mapped the same way.  At a floor of 2 the
-    first vertex exact at 2 is named, by its certificate or by meeting its
-    image twice, as its witness reads i(v, g v).
+    Both in-window images and displacements read the word's image of every
+    vertex, mapped over the window at once and once per window
+    (``s5windows.word_images``); displacements certify each vertex against
+    its image.  At a floor of 2 the first vertex exact at 2 is named, by its
+    certificate or by meeting its image twice, as its witness reads i(v, g v).
     """
 
     def images(w: Window, word: str) -> Iterator[tuple[int, int]]:
         index = w.index
-        for i, image in enumerate(apply_word_many(word, w.vertices)):
+        for i, image in enumerate(s5windows.word_images(w, word)):
             j = index.get(image)
             if j is not None:
                 yield i, j
@@ -169,7 +169,7 @@ def s5_contract() -> InstanceContract:
         vertices, certificate = w.vertices, contract.certificate
 
         def per_word(word: str) -> tuple[int | None, int | None]:
-            images = apply_word_many(word, vertices)
+            images = s5windows.word_images(w, word)
             certs = list(map(certificate, vertices, images, repeat(w)))
             best = min(certs, default=(None,))[0]  # the least floor
             if best != 2:
@@ -232,6 +232,9 @@ class QuotientWindow:
     rest is read off the merged members' stars in one walk (``stars``) and
     off the window's rows, when first asked for; ``row(c)`` gives one row
     alone, and ``graph`` holds them all.  No other table of rows is kept.
+    Suites name window vertices in their witnesses through ``key``, which
+    formats each vertex's key once, and lift quotient edges through
+    ``lift``, which gives the lifted vertex's window index.
     """
 
     def __init__(self, window: Window, contract: InstanceContract, class_of: tuple[int, ...],
@@ -295,8 +298,23 @@ class QuotientWindow:
         return {}  # the rows ``row`` has made
 
     @cached_property
-    def lift(self) -> Callable[[int, int], tuple]:
-        """The lift of a quotient edge at a window vertex.
+    def key(self) -> Callable[[int], str]:
+        """``key(i)``: the ``contract.key_str`` of window vertex i, the text
+        by which every witness names it.  It is formatted when first asked
+        for and kept for the quotient's life, at most one string per vertex."""
+        keys, key_str, vertices = {}, self.contract.key_str, self.window.vertices
+
+        def key(i: int) -> str:
+            text = keys.get(i)
+            if text is None:
+                text = keys[i] = key_str(vertices[i])
+            return text
+
+        return key
+
+    @cached_property
+    def lift(self) -> Callable[[int, int], int | None]:
+        """The lift of a quotient edge at a window vertex, as a window index.
 
         For each quotient edge and endpoint class one witnessing window edge
         (u0, v0) is fixed, with u0 in the class: the least window edge
@@ -305,9 +323,9 @@ class QuotientWindow:
         under the element carrying u0 to i (transporter of u0 inverted, then
         transporter of i).  That map is built at most once per (u0, i), and
         not at all when i is u0.  ``lift(i, other_class)`` returns the
-        neighbour's key and its window index, or None when it lies outside
-        the window.  Two singleton classes are joined by one window edge,
-        which is its own witness.
+        neighbour's window index, or None when it lies outside the window;
+        witnesses name it by ``key``.  Two singleton classes are joined by
+        one window edge, which is its own witness.
         """
         w, contract = self.window, self.contract
         class_of, classes = self.class_of, self.classes
@@ -318,21 +336,19 @@ class QuotientWindow:
             rep_edge[class_of[j], class_of[i]] = (j, i)
         transports: dict[tuple[int, int], Callable] = {}
 
-        def lift(i: int, other_class: int):
+        def lift(i: int, other_class: int) -> int | None:
             witness = rep_edge.get((class_of[i], other_class))
             if witness is None:  # i and the one member of other_class
-                v0 = classes[other_class][0]
-                return vertices[v0], v0
+                return classes[other_class][0]
             u0, v0 = witness
             if u0 == i:
-                return vertices[v0], v0
+                return v0
             fn = transports.get((u0, i))
             if fn is None:
                 transporter = self.transporter
                 g = contract.compose(contract.invert(transporter[u0]), transporter[i])
                 fn = transports[(u0, i)] = contract.act(g)
-            v_key = fn(vertices[v0])
-            return v_key, index.get(v_key)
+            return index.get(fn(vertices[v0]))
 
         return lift
 
@@ -358,9 +374,11 @@ class QuotientWindow:
         )
 
     def json_fields(self) -> dict[str, str]:
-        """The JSON text of the fields the quotient adds to ``Window.json_fields``."""
+        """The JSON text of the fields the quotient adds to ``Window.json_fields``;
+        a singleton class is formatted by ``%``, in C."""
         return {
-            "classes": json_list("[" + ",".join(map(str, c)) + "]" for c in self.classes),
+            "classes": json_list("[%d]" % c if len(c) == 1 else f"[{','.join(map(str, c))}]"
+                                 for c in self.classes),
             "displacement": canonical_json(self.displacement)[:-1],  # no newline
         }
 

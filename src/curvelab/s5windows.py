@@ -8,9 +8,10 @@ numbers (``curves.witness_reader``), which read a window's pairs in groups,
 one per reader, and serve the S5 quotient contract too; the puncture pair
 each curve cuts off, which rules pairs out unread and gives an arc's
 endpoints in the arc complex; the boundary vertices; and each vertex's
-curve.  Pentagons are chordless 5-cycles — since window edges capture all
-disjointness, a chordless cycle automatically has intersecting non-adjacent
-pairs, which is isometric embeddedness at the decidable level.  A half-twist
+curve.  A sample word's image of the window is kept per window too
+(``word_images``).  Pentagons are chordless 5-cycles — since window edges
+capture all disjointness, a chordless cycle automatically has intersecting
+non-adjacent pairs, which is isometric embeddedness at the decidable level.  A half-twist
 pair about beta is detected purely combinatorially from two pentagons
 sharing an edge, for curves alpha and beta meeting twice.
 """
@@ -193,6 +194,21 @@ def build_window(
     return w
 
 
+@per_window
+def _word_images(w: Window) -> dict[str, list[tuple]]:
+    return {}  # word -> its image of each vertex, by index (``word_images``)
+
+
+def word_images(w: Window, word: str) -> list[tuple]:
+    """The image of each vertex of w under ``word``, by index: the word is
+    mapped over the whole window at once (``mcg.apply_word_many``), once per
+    window, and the list is kept as long as the window."""
+    images = _word_images(w)
+    if word not in images:
+        images[word] = apply_word_many(word, w.vertices)
+    return images[word]
+
+
 def check_edges(w: Window) -> None:
     """Raise ValueError, naming one wrong pair, unless the rows of w are the
     disjointness graph that its witness words give (``disjointness_rows``)."""
@@ -222,13 +238,20 @@ def window_curve(w: Window, i: int) -> NormalCurve:
 def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     """Least representative under rotation and reflection.
 
-    The representative starts at an occurrence of the least entry, so only
-    the rotations starting there, read both ways, are compared.
+    The representative starts at an occurrence of the least entry.  When
+    that entry occurs once and its two cycle neighbours differ, it reads on
+    towards the lesser of them; otherwise the rotations starting at each
+    occurrence, read both ways, are compared.
     """
+    cycle = tuple(cycle)
     low = min(cycle)
+    s = cycle.index(low)
+    after, before = cycle[(s + 1) % len(cycle)], cycle[s - 1]
+    if after != before and cycle.count(low) == 1:
+        return cycle[s:] + cycle[:s] if after < before else cycle[s::-1] + cycle[:s:-1]
     return min(
         seq[s:] + seq[:s]
-        for seq in (tuple(cycle), tuple(reversed(cycle)))
+        for seq in (cycle, cycle[::-1])
         for s, x in enumerate(seq)
         if x == low
     )

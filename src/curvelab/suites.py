@@ -26,9 +26,12 @@ sites, and the distance-2 class pairs away from the merges are the
 window's pairs at distance 2, counted by the contract's
 ``distance_two_pairs`` (the Farey graph has it), less those near a merge.
 Without that count, or where the merges reach most of the window, lifting
-walks every class, row by row.  Pentagon transfer and support sets read the
-whole window; support sets count the quotient edges off the walk, as its
-singleton edges plus its least edges.
+walks every class, row by row.  ``QuotientWindow.lift`` gives a lift as a
+window index, or None outside the window, and every witness names window
+vertices through ``QuotientWindow.key``, so each key is formatted once per
+quotient however many witnesses name it.  Pentagon transfer and support
+sets read the whole window; support sets count the quotient edges off the
+walk, as its singleton edges plus its least edges.
 
 When violations occur while the sampled displacement is below the
 governing threshold (3 for simpliciality, 8 for the lifting, 2-ball,
@@ -105,20 +108,16 @@ def check_simplicial(q: QuotientWindow) -> dict:
     class only if it is merged, so only stars next to one are read.
     """
     witnesses = []
-    w, key = q.window, q.contract.key_str
+    w, key = q.window, q.key
     for c, i, j in q.stars.loops:
-        witnesses.append({
-            "kind": "loop", "class": c,
-            "edge": [key(w.vertices[i]), key(w.vertices[j])],
-        })
+        witnesses.append({"kind": "loop", "class": c, "edge": [key(i), key(j)]})
     for i in sorted(q.stars.near):
         seen: dict[int, int] = {}
         for j in w.neighbors[i]:
             c = q.class_of[j]
             if c in seen and q.class_of[i] != c:
                 witnesses.append({
-                    "kind": "parallel", "at": key(w.vertices[i]),
-                    "neighbors": [key(w.vertices[seen[c]]), key(w.vertices[j])],
+                    "kind": "parallel", "at": key(i), "neighbors": [key(seen[c]), key(j)],
                 })
             else:
                 seen[c] = j
@@ -162,16 +161,13 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
     pairs of the first two kinds.  Without that count, or where the merges
     reach most of the window and a walk costs less, every class is walked.
     """
-    w, key = q.window, q.contract.key_str
+    w, key = q.window, q.key
     witnesses = []
     eligible = truncated = 0
 
     for c, i, j in q.stars.loops:
         eligible += 1
-        witnesses.append({
-            "kind": "collapsed-edge",
-            "edge": [key(w.vertices[i]), key(w.vertices[j])],
-        })
+        witnesses.append({"kind": "collapsed-edge", "edge": [key(i), key(j)]})
 
     lift = q.lift
     nbrs, class_of, classes = w.neighbors, q.class_of, q.classes
@@ -184,14 +180,13 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
                 continue
             for i in classes[a]:
                 eligible += 1
-                v_key, v = lift(i, b)
+                v = lift(i, b)
                 if v is None:
                     truncated += 1
                     continue
                 if not (v in nbrs[i] and class_of[v] == b):
                     witnesses.append({
-                        "kind": "edge-lift", "at": key(w.vertices[i]),
-                        "to_class": b, "lift": key(v_key),
+                        "kind": "edge-lift", "at": key(i), "to_class": b, "lift": key(v),
                     })
 
     # distance-2 geodesics over class pairs a < b, each taken over its least
@@ -211,7 +206,7 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
     def witness(mid, a, b, lifted, **extra):
         geodesic.append(((mid, a, b), {
             "kind": "geodesic-lift", "classes": [a, b],
-            "lift": [key(x) for x in lifted], **extra,
+            "lift": list(map(key, lifted)), **extra,
         }))
 
     for a in starts:
@@ -224,26 +219,23 @@ def verify_lipschitz_lifting(q: QuotientWindow) -> dict:
             if a not in merged and mid not in merged:
                 seen.update(later)  # decided without a lift
                 continue
-            lifted = None  # lift(i, mid), once the first unseen b needs it
+            m = -1  # lift(i, mid), once the first unseen b needs it
             for b in later:
                 if b in seen:
                     continue
                 seen.add(b)
-                if lifted is None:
-                    lifted = lift(i, mid)
-                m_key, m = lifted
+                if m == -1:
+                    m = lift(i, mid)
                 if m is None:
                     truncated += 1
                 elif class_of[m] != mid:
-                    witness(mid, a, b, (w.vertices[i], m_key),
-                            mid_class=mid, reached_class=class_of[m])
+                    witness(mid, a, b, (i, m), mid_class=mid, reached_class=class_of[m])
                 else:
-                    v_key, v = lift(m, b)
+                    v = lift(m, b)
                     if v is None:
                         truncated += 1
                     elif class_of[v] != b:
-                        witness(mid, a, b, (w.vertices[i], m_key, v_key),
-                                reached_class=class_of[v])
+                        witness(mid, a, b, (i, m, v), reached_class=class_of[v])
         seen.difference_update(row_a)  # the classes b > a at distance 2
         if near is None:
             pairs += len(seen)
@@ -272,7 +264,7 @@ def verify_ball2_isometry(q: QuotientWindow) -> dict:
     edge between singleton classes is one window edge, a site decided
     without a distance.
     """
-    w, key = q.window, q.contract.key_str
+    w, key = q.window, q.key
     witnesses = []
     eligible = truncated = 0
 
@@ -287,10 +279,7 @@ def verify_ball2_isometry(q: QuotientWindow) -> dict:
             if far is None:
                 truncated += 1
             elif not far:
-                witnesses.append({
-                    "kind": "ball-injectivity",
-                    "pair": [key(w.vertices[i]), key(w.vertices[j])],
-                })
+                witnesses.append({"kind": "ball-injectivity", "pair": [key(i), key(j)]})
     nbrs = w.neighbors
     eligible += q.stars.singleton_edges
     for a, b in sorted(q.stars.least):
@@ -299,14 +288,12 @@ def verify_ball2_isometry(q: QuotientWindow) -> dict:
                 eligible += 1
                 if j in nbrs[i]:  # the window is an induced subgraph
                     continue
-                x, y = w.vertices[i], w.vertices[j]
-                far = far_apart(x, y)
+                far = far_apart(w.vertices[i], w.vertices[j])
                 if far is None:
                     truncated += 1
                 elif not far:
                     witnesses.append({
-                        "kind": "distance-distortion",
-                        "pair": [key(x), key(y)],
+                        "kind": "distance-distortion", "pair": [key(i), key(j)],
                         "classes": [a, b],
                     })
     return _report(
@@ -327,7 +314,7 @@ def verify_local_covering(q: QuotientWindow) -> dict:
     their members are, since quotient edges are the window edges between
     classes.  The pairs it reads come in the order of
     ``itertools.combinations`` over the star."""
-    w, key = q.window, q.contract.key_str
+    w, key = q.window, q.key
     witnesses = []
     truncated = 0
     lift = q.lift
@@ -341,20 +328,17 @@ def verify_local_covering(q: QuotientWindow) -> dict:
             cj = class_of[j]
             if cj in by_class:
                 witnesses.append({
-                    "kind": "star-collapse", "at": key(w.vertices[i]),
-                    "neighbors": [key(w.vertices[by_class[cj]]), key(w.vertices[j])],
+                    "kind": "star-collapse", "at": key(i),
+                    "neighbors": [key(by_class[cj]), key(j)],
                 })
             by_class[cj] = j
         for b in q.row(ci):
             if b in by_class:
                 continue
-            if lift(i, b)[1] is None:
+            if lift(i, b) is None:
                 truncated += 1
             else:
-                witnesses.append({
-                    "kind": "star-missing-edge", "at": key(w.vertices[i]),
-                    "to_class": b,
-                })
+                witnesses.append({"kind": "star-missing-edge", "at": key(i), "to_class": b})
         larger = [p for p, j in enumerate(star) if class_of[j] in merged]
         if not larger:
             continue
@@ -369,8 +353,7 @@ def verify_local_covering(q: QuotientWindow) -> dict:
             for k in later:
                 if class_of[k] in row_j and k not in nbrs[j]:
                     witnesses.append({
-                        "kind": "star-false-triangle", "at": key(w.vertices[i]),
-                        "pair": [key(w.vertices[j]), key(w.vertices[k])],
+                        "kind": "star-false-triangle", "at": key(i), "pair": [key(j), key(k)],
                     })
     return _report(
         "local-covering", _status(witnesses, q, LIFTING_THRESHOLD),
@@ -396,7 +379,7 @@ def transfer_pentagons(q: QuotientWindow) -> dict:
     quotient graph shares the window's vertices and rows, so its pentagons
     are the window's and are not walked again.
     """
-    w, key = q.window, q.contract.key_str
+    w, key = q.window, q.key
     witnesses = []
     eligible = truncated = 0
     up = s5windows.enumerate_pentagons(w)
@@ -409,10 +392,8 @@ def transfer_pentagons(q: QuotientWindow) -> dict:
         if canon in quotient_pentagons:
             projected.add(canon)
         else:
-            witnesses.append({
-                "kind": "projection-not-pentagon",
-                "pentagon": [key(w.vertices[v]) for v in pent],
-            })
+            witnesses.append({"kind": "projection-not-pentagon",
+                              "pentagon": list(map(key, pent))})
 
     boundary = s5windows.boundary(w)
     lifted = 0
@@ -493,11 +474,10 @@ def check_support_sets(q: QuotientWindow) -> dict:
     window boundary being truncated; (d) every interior curve lies in two
     pants decompositions meeting exactly in it (two distinct neighbors).
     """
-    w = q.window
+    w, key = q.window, q.key
     witnesses = []
     eligible = truncated = 0
     boundary = s5windows.boundary(w)
-    key = s5windows.curve_key_str
 
     nbrs = w.neighbors
     adj = [set(ns) for ns in nbrs]  # for this call only
@@ -506,11 +486,8 @@ def check_support_sets(q: QuotientWindow) -> dict:
             eligible += 1
             common = adj[i] & adj[j]
             if common:
-                k = min(common)
-                witnesses.append({
-                    "kind": "triple-disjoint",
-                    "curves": [key(w.vertices[v]) for v in (i, j, k)],
-                })
+                curves = [key(i), key(j), key(min(common))]
+                witnesses.append({"kind": "triple-disjoint", "curves": curves})
     eligible += q.stars.singleton_edges + len(q.stars.least)  # (b): the quotient edges
 
     # sorted neighbour tuples are equal exactly when the links are
@@ -523,10 +500,7 @@ def check_support_sets(q: QuotientWindow) -> dict:
                 truncated += 1
             else:
                 eligible += 1
-                witnesses.append({
-                    "kind": "equal-links",
-                    "curves": [key(w.vertices[other]), key(w.vertices[i])],
-                })
+                witnesses.append({"kind": "equal-links", "curves": [key(other), key(i)]})
         else:
             links[link] = i
             eligible += 1
@@ -538,9 +512,7 @@ def check_support_sets(q: QuotientWindow) -> dict:
             truncated += 1
         else:
             eligible += 1
-            witnesses.append({
-                "kind": "missing-pants-pair", "curve": key(w.vertices[i]),
-            })
+            witnesses.append({"kind": "missing-pants-pair", "curve": key(i)})
 
     status = "pass" if not witnesses else "fail"
     return _report("support-sets", status, eligible=eligible,

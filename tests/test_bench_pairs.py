@@ -46,6 +46,7 @@ def test_scenarios_cover_the_north_star_list():
         assert {f"farey verify h={h}", f"farey verify h={h} --out"} <= names
     for b in (3, 4, 5):
         assert {f"s5 verify bound {b} aa --out", f"s5 ball --word-bound {b}"} <= names
+    assert "s5 verify bound 4 cdcd --out" in names
     assert {"farey window --height 220", "arc2 fill case5", "farey dist 2/5 1/0"} <= names
     assert {"farey closure --conj-len 2 --depth 2", "farey displacement --height 220"} <= names
 

@@ -320,6 +320,31 @@ def test_verify_never_reads_the_edge_tuple(runner, tmp_path, monkeypatch, args, 
     assert (tmp_path / "out" / "window.json").exists() == out
 
 
+def test_s5_verify_formats_each_key_once(runner, tmp_path, monkeypatch):
+    # every witness names its vertices through the quotient's key memo, so
+    # beyond the window JSON's keys and basepoint and one displacement
+    # argmin per word, a report names at most one new key per vertex
+    # (1,641 keys were formatted here when each witness formatted its own)
+    real, calls = s5windows.curve_key_str, []
+
+    def counting(coords):
+        calls.append(coords)
+        return real(coords)
+
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.setattr(s5windows, "curve_key_str", counting)
+    out = tmp_path / "out"
+    args = ["--instance", "s5", "--word-bound", "3", "--sample", "cdcd", "--suites",
+            "simplicial,lift,ball2,covering,transfer,support,relations", "--out", str(out)]
+    assert invoke(runner, ["verify", *args]).exit_code == 0
+    window = json.loads((out / "window.json").read_text())
+    words = json.loads((out / "quotient.json").read_text())["displacement"]
+    witnesses = sum(len(json.loads(p.read_text())["witnesses"])
+                    for p in out.glob("report-*.json"))
+    assert len(window["vertices"]) == 119 and len(words) == 2 and witnesses > 400
+    assert len(calls) <= 2 * len(window["vertices"]) + 1 + len(words)
+
+
 @pytest.mark.parametrize("args", [
     ["--instance", "farey", "--height", "30", "--power", "6", "--conj-len", "1",
      "--suites", "simplicial,lift,ball2,covering"],

@@ -35,6 +35,7 @@ from curvelab import farey, quotient, suites
 from curvelab.farey import IntMatrix
 from curvelab.mcg import WORD_ALPHABET
 from oracles import (
+    _edge_lifts,
     apply_and_lookup_moves,
     check_rows,
     per_site_lipschitz_lifting,
@@ -209,11 +210,13 @@ def test_lifts_are_taken_next_to_a_merge():
     members = {i for c in q.merged for i in q.classes[c]}
     near = members.union(*map(w.neighbors.__getitem__, members))
     assert q.stars.near == near and 10 * len(near) < len(w)
-    lift, at = q.lift, []
+    lift, at, every_edge = q.lift, [], _edge_lifts(q, contract)
 
     def spy(i, other_class):
         at.append(i)
-        return lift(i, other_class)
+        v = lift(i, other_class)
+        assert v == every_edge(i, other_class)[1]  # the lift's window index, or None
+        return v
 
     q.__dict__["lift"] = spy  # where cached_property stores it
     for suite in (suites.check_simplicial, suites.verify_lipschitz_lifting,

@@ -188,6 +188,27 @@ def test_quotient_json(q20, contract, w20):
     assert len(data["vertices"]) == len(w20)
 
 
+def test_s5_quotient_maps_each_word_over_its_window_once(monkeypatch):
+    # the images hook and the displacement hook read one mapping per word
+    # and window (s5windows.word_images), made on its first use
+    from curvelab import s5windows
+
+    real, calls = s5windows.apply_word_many, []
+
+    def counting(word, coords):
+        calls.append(word)
+        return real(word, coords)
+
+    monkeypatch.setattr(s5windows, "apply_word_many", counting)
+    w = s5windows.build_window(2)
+    calls.clear()  # the build maps its own generator words
+    words = s5_sample(("ab", "cdcd"))
+    q = build_quotient(w, words, s5_contract())
+    assert sorted(calls) == sorted(words) and q.displacement
+    assert build_quotient(w, words, s5_contract()).displacement == q.displacement
+    assert sorted(calls) == sorted(words)  # a second quotient of w maps none again
+
+
 def test_s5_sample_inverse_closed():
     s = s5_sample(("ab", "r"))
     assert set(s) == {"ab", "BA", "r"}

@@ -175,6 +175,16 @@ def test_canonical_cycle_matches_all_rotations(cycle):
     assert canonical_cycle(tuple(cycle)) == all_rotations_canonical(cycle)
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=8))
+def test_canonical_cycle_read_off_a_single_least_entry(cycle):
+    # wider entries: mostly the least entry occurs once between distinct
+    # neighbours, where the cycle is read off directly, with repeats still
+    # drawn elsewhere, as a merged pentagon's class cycle repeats classes
+    assert canonical_cycle(tuple(cycle)) == all_rotations_canonical(cycle)
+    assert canonical_cycle(cycle) == all_rotations_canonical(cycle)  # a list too
+
+
 def test_base_pentagon_is_the_unique_bound_zero_pentagon():
     w0 = build_window(0)
     pents = enumerate_pentagons(w0)
