@@ -11,7 +11,8 @@ pairs BEFORE first, odd pairs AFTER first):
   --trace 0`` from each tree, one seed per pair, for every workload; the
   end-to-end metrics are read off the run's last line.
 - CLI scenarios (``SCENARIOS``: Farey ``verify`` at heights 55, 110 and 220
-  with and without ``--out``, S5 ``verify --out`` and ``s5 ball`` at word
+  with and without ``--out``, a small Farey ``verify --out`` at height 40
+  (power 8, conjugator length 1), S5 ``verify --out`` and ``s5 ball`` at word
   bounds 3, 4 and 5, a witness-heavy S5 ``verify --out`` (sample ``cdcd``
   at word bound 4), ``farey window`` at height 220, one case-5 ``arc2
   fill``, ``farey dist``, whose wall time is mostly start-up, and ``farey
@@ -46,9 +47,9 @@ S5 = "simplicial,lift,ball2,covering,transfer,support,relations"
 HEIGHTS, BOUNDS = (55, 110, 220), (3, 4, 5)
 
 
-def farey_verify(height: int) -> list[str]:
+def farey_verify(height: int, conj_len: int = 2) -> list[str]:
     return ["verify", "--instance", "farey", "--height", str(height), "--power", "8",
-            "--conj-len", "2", "--suites", FAREY]
+            "--conj-len", str(conj_len), "--suites", FAREY]
 
 
 def s5_verify(bound: int, sample: str = "aa") -> list[str]:
@@ -60,6 +61,8 @@ def s5_verify(bound: int, sample: str = "aa") -> list[str]:
 SCENARIOS = {
     **{f"farey verify h={h}": farey_verify(h) for h in HEIGHTS},
     **{f"farey verify h={h} --out": [*farey_verify(h), "--out"] for h in HEIGHTS},
+    # farey-verify's median curvebench op, where start-up costs weigh most
+    "farey verify h=40 K=8 c=1 --out": [*farey_verify(40, 1), "--out"],
     **{f"s5 verify bound {b} aa --out": [*s5_verify(b), "--out"] for b in BOUNDS},
     "s5 verify bound 4 cdcd --out": [*s5_verify(4, "cdcd"), "--out"],
     "farey window --height 220": ["farey", "window", "--height", "220"],

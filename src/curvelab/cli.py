@@ -10,6 +10,9 @@ points at a directory, from a cache entry keyed by their build description;
 either JSON goes through one reader, which exits 2 on a window that is
 malformed or whose witness words do not give its vertices (or a file's edges).
 Only the ``arc2`` commands import ``arc2``; the others start without it.
+Each ``--help`` option is spelled out (``_LiteralHelp``): click makes it
+while parsing, through gettext, whose first lookup imports ``locale``; click
+ships no message catalogs, so the text is the same.
 
 Exit codes: 0 success (out-of-hypothesis included), 1 a verification suite
 failed, 2 malformed input, I/O error or running out of memory.
@@ -111,11 +114,37 @@ def _one_line_errors(call, *args, **kwargs):
     _fail("out of memory")
 
 
-class _OneLineErrors(click.Group):
+class _LiteralHelp:
+    """click's help option with its text written out, made once and kept on
+    the command: click keeps none before 8.1.8, where it makes one per call."""
+
+    def get_help_option(self, ctx):
+        names = self.get_help_option_names(ctx)
+        if not names or not self.add_help_option:
+            return None
+        if getattr(self, "_literal_help", None) is None:
+            self._literal_help = click.Option(
+                names, is_flag=True, expose_value=False, is_eager=True,
+                help="Show this message and exit.", callback=self._show_help)
+        return self._literal_help
+
+    def _show_help(self, ctx, param, value) -> None:
+        if value and not ctx.resilient_parsing:
+            click.echo(ctx.get_help(), color=ctx.color)
+            ctx.exit()
+
+
+_Command = type("_Command", (_LiteralHelp, click.Command), {})
+_Group = type("_Group", (_LiteralHelp, click.Group), {"command_class": _Command})
+
+
+class _OneLineErrors(_Group):
     """The root group: a malformed command line anywhere below it (an
     unknown option or command, a bad value, an extra argument) prints one
     ``error:`` line and exits 2, where click would print its usage block;
     so does running out of memory, since exit 1 means a suite failed."""
+
+    group_class = _Group
 
     def make_context(self, *args, **kwargs):
         return _one_line_errors(super().make_context, *args, **kwargs)

@@ -81,6 +81,8 @@ class InstanceContract(NamedTuple):
 
 
 def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
+    """The Farey graph.  A matrix m is an isometry, d(v, m^-1 v) = d(m v, v)
+    at every v, so m and m^-1 share one displacement measurement per window."""
     @lru_cache(maxsize=4096)
     def element(word: str) -> farey_mod.IntMatrix:
         return farey_mod.word_matrix(word, base)
@@ -94,8 +96,12 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
         index, scan = w.index, None
 
         def per_word(word: str) -> tuple[int | None, int | None]:
-            nonlocal scan
             m = element(word)
+            return measure(min(m, m.inverse()))
+
+        @lru_cache(maxsize=None)  # one measurement per inverse pair
+        def measure(m: farey_mod.IntMatrix) -> tuple[int | None, int | None]:
+            nonlocal scan
             found = farey_mod.window_minimisers(m, w.bound)
             if found is not None:
                 hits = [i for i in map(index.get, found[1]) if i is not None]
@@ -394,7 +400,8 @@ def displacement_report(
     With exact distances the minimum is exact; on S0,5 it is at most 2.  On the
     Farey graph that vertex is read off the axis ladder when a whole-graph
     minimiser lies in the window (``farey.window_minimisers``), and every
-    window vertex is scanned otherwise.
+    window vertex is scanned otherwise, once for an element and its inverse:
+    an isometry n has d(v, n^-1 v) = d(n v, v) at every vertex.
     """
     per_word = contract.displacement(w)
     report = []

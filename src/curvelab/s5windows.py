@@ -36,13 +36,13 @@ def curve_key_str(coords) -> str:
 
 
 def parse_curve_key(text: str):
-    """The coordinates a curve key names; ValueError unless it is nine
-    comma-separated integers."""
+    """The coordinates a curve key names; ValueError unless it is the
+    ``curve_key_str`` of nine integers."""
     try:
         coords = tuple(int(x) for x in text.split(","))
     except (AttributeError, ValueError):
         coords = ()
-    if len(coords) != NUM_EDGES:
+    if len(coords) != NUM_EDGES or curve_key_str(coords) != text:
         raise ValueError(f"curve key {text!r} is not {NUM_EDGES} comma-separated integers")
     return coords
 

@@ -89,8 +89,9 @@ class Window:
         nonnegative integer, the vertex ids are 0..n-1, the keys increase
         strictly with the ids, each edge is two integers 0 <= i < j < n,
         the edges increase strictly (so none repeats) and the basepoint is
-        a vertex; the constructor checks the words.  The rows built from
-        such edges are sorted, symmetric and loop-free.
+        a vertex; the constructor refuses words given for some vertices
+        only.  The rows built from such edges are sorted, symmetric and
+        loop-free.
         """
         if data["instance"] != instance:
             raise ValueError(f"expected a {instance} window, got {data['instance']!r}")
@@ -113,9 +114,7 @@ class Window:
             last = edge
             rows[i].append(j)  # each row gets its lower ends, then its higher ones
             rows[j].append(i)
-        words = None
-        if verts and "word" in verts[0]:
-            words = tuple(r["word"] for r in verts)
+        words = tuple(r["word"] for r in verts if "word" in r) or None
         w = Window(
             instance=instance,
             basepoint=str_key(data["basepoint"]),

@@ -44,6 +44,7 @@ def test_scenarios_cover_the_north_star_list():
     names = set(load_bench_pairs().SCENARIOS)
     for h in (55, 110, 220):
         assert {f"farey verify h={h}", f"farey verify h={h} --out"} <= names
+    assert "farey verify h=40 K=8 c=1 --out" in names
     for b in (3, 4, 5):
         assert {f"s5 verify bound {b} aa --out", f"s5 ball --word-bound {b}"} <= names
     assert "s5 verify bound 4 cdcd --out" in names

@@ -179,7 +179,12 @@ def test_arc2_rejects_malformed_key(runner):
     assert result.exit_code == cli.EXIT_IO_ERROR
 
 
-@pytest.mark.parametrize("key", ["1,2", "1,2,x", "0,0,1,0,1,0,1,0,1,0", "0,,1"])
+@pytest.mark.parametrize("key", [
+    "1,2", "1,2,x", "0,0,1,0,1,0,1,0,1,0", "0,,1",
+    # nine integers that int() reads, but not as curve_key_str writes them
+    " 0,0,1,0,1,0,1,0,1", "0,0,1,0,1,0,1,0,1 ", "+0,0,1,0,1,0,1,0,1",
+    "00,0,1,0,1,0,1,0,1", "0,-0,1,0,1,0,1,0,1", "1_0,0,1,0,1,0,1,0,1",
+])
 def test_arc2_fill_names_a_key_that_is_not_nine_integers(key):
     result = CliRunner().invoke(cli.main, ["arc2", "fill", key, "3,4", "5,6"],
                                 catch_exceptions=False)
@@ -681,10 +686,68 @@ def test_unknown_option_names_give_one_error_line(path, name):
     assert_one_error_line([*path, *_required(cmd), f"--{name}"])
 
 
+HELP_TEXTS = {
+    (): """\
+Usage: main [OPTIONS] COMMAND [ARGS]...
+
+  Exact-arithmetic laboratory for curve graphs and their quotients.
+
+Options:
+  --help  Show this message and exit.
+
+Commands:
+  arc2      The arc complex of arcs between distinct punctures.
+  farey     The Farey graph: slopes, distances, windows, closure samples.
+  quotient  Quotients of windows by closure samples.
+  s5        The curve graph of the five-punctured sphere.
+  verify    Run verification suites over a window and its quotient.
+""",
+    ("farey",): """\
+Usage: main farey [OPTIONS] COMMAND [ARGS]...
+
+  The Farey graph: slopes, distances, windows, closure samples.
+
+Options:
+  --help  Show this message and exit.
+
+Commands:
+  closure       Sample the normal closure of a hyperbolic matrix power.
+  displacement  Per-element window displacement of a closure sample.
+  dist          Exact distance between two slopes, e.g.
+  window        Induced subgraph on all slopes of height at most the bound.
+""",
+    ("verify",): """\
+Usage: main verify [OPTIONS]
+
+  Run verification suites over a window and its quotient.
+
+Options:
+  --instance [farey|s5]     [default: farey]
+  --height INTEGER          farey window height  [default: 55]
+  --matrix TEXT             base matrix a,b,c,d  [default: 2,1,1,1]
+  --power INTEGER           [default: 8]
+  --conj-len INTEGER        [default: 2]
+  --depth INTEGER           [default: 1]
+  --word-bound INTEGER      s5 window word bound  [default: 2]
+  --sample TEXT             s5 sample words, comma separated
+  --suites TEXT             comma-separated suite names  [required]
+  --out TEXT                directory for report artifacts
+  --seed INTEGER            seed for randomized relation checks  [default: 0]
+  --format [json|dot|text]  [default: text]
+  --help                    Show this message and exit.
+""",
+}
+
+
 def test_help_is_unchanged(runner):
     result = invoke(runner, ["farey", "window", "--help"])
     assert result.exit_code == 0
     assert result.output.startswith("Usage: main farey window [OPTIONS]")
+    # the help option's text is written out rather than looked up through
+    # gettext; every help page reads as click wrote it, byte for byte
+    for path, text in HELP_TEXTS.items():
+        result = invoke(runner, [*path, "--help"], terminal_width=80)
+        assert result.exit_code == 0 and result.output == text, path
 
 
 def test_cached_window_with_wrong_witness_exits_two(runner, tmp_path, monkeypatch):
@@ -903,6 +966,17 @@ def test_window_file_with_true_edges_or_no_words_is_read(runner, tmp_path):
     path.write_text(json.dumps(data))
     result = invoke(runner, ["s5", "pentagons", "--window", str(path), "--format", "text"])
     assert result.exit_code == 0 and result.output == "80 pentagons\n"
+
+
+@pytest.mark.parametrize("bare", [0, 1, -1], ids=["first", "second", "last"])
+def test_window_file_with_words_on_some_vertices_only_exits_two(tmp_path, bare):
+    # words on every vertex but one: neither a witnessed window nor a bare graph
+    path = _window_file_with_edges(tmp_path / "window.json", lambda edges: edges)
+    data = json.loads(path.read_text())
+    del data["vertices"][bare]["word"]
+    path.write_text(json.dumps(data))
+    line = assert_one_error_line(["s5", "pentagons", "--window", str(path)])
+    assert line.endswith("words must align with vertices")
 
 
 @FUZZ

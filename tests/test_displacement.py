@@ -7,9 +7,10 @@ and scans the window only when none is in it.  These tests check that the
 floor never exceeds the minimum that a scan of every window vertex with
 ``farey.distance`` finds, that the report is exactly that scan's first
 minimum, and that the report scans the window exactly when no minimiser is
-in it.  Scans are observed through ``farey.displacement_measure``, which the
-tests replace with a wrapper that records each matrix measured over all of
-the window's vertices.
+in it, once for an element and its inverse, whose displacements agree at
+every vertex.  Scans are observed through ``farey.displacement_measure``,
+which the tests replace with a wrapper that records each matrix measured
+over all of the window's vertices.
 
 On the five-punctured sphere only distances 0 and 1 are decided exactly, and
 2 where the window holds a common neighbour or a vertex meets its image
@@ -83,13 +84,15 @@ def check_report(w, sample, base, plain) -> int:
         first = ds.index(best)
         assert rec == {"word": elem.word, "min": best, "argmin": str(w.vertices[first])}
         floor = axis_displacement(elem.matrix)
+        pair = {elem.matrix, elem.matrix.inverse()}  # d(v, m^-1 v) = d(m v, v)
         if floor is None or floor < best:
             below += floor is not None
-            assert scanned.count(elem.matrix) == 1, elem.word  # a full scan
+            # one full scan for the element and its inverse together
+            assert sum(m in pair for m in scanned) == 1, elem.word
         else:
             assert floor == best, elem.word  # never above the window minimum
             # a minimiser is in the window: read off the ladder orbits
-            assert elem.matrix not in scanned, elem.word
+            assert pair.isdisjoint(scanned), elem.word
     return below
 
 

@@ -94,3 +94,17 @@ def test_cli_import_loads_neither_openssl_nor_tempfile():
                                "from curvelab import arc2\n"
                                "print(*sys.modules)").split()
     assert "curvelab.arc2" in alone and "dataclasses" not in alone
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--height", "30", "--power", "8", "--conj-len", "1",
+     "--suites", "simplicial,lift,ball2,covering"],
+    ["verify", "--instance", "s5", "--word-bound", "1", "--sample", "aa",
+     "--suites", "simplicial,lift,ball2,covering,transfer,support,relations"],
+], ids=["farey", "s5"])
+def test_verify_never_imports_locale(args):
+    # click makes each command's help option while parsing its command line;
+    # gettext's first lookup of the option's text imported locale, which took
+    # 1.3-2.1 ms of every cold verify (-X importtime, 2-core box)
+    probe = PEAK_PROBE + "print('locale' in sys.modules)\n"
+    assert fresh_python("-c", probe, *args).split()[-1] == "False"

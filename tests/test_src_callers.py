@@ -9,7 +9,8 @@ nested in one of them, defined in ``src/curvelab``, must be referenced
 somewhere else in ``src/curvelab``: by an ``ast.Name`` or an
 ``ast.Attribute`` with its name that reads it.  Exempt are dunders, which
 Python calls; the click commands and groups, which the command line calls;
-and the functions the benchmark's layer tracer wraps
+the click hooks that ``cli`` overrides (``CLICK_HOOKS``), which click calls
+by name on each command; and the functions the benchmark's layer tracer wraps
 (``test_layer_names.TARGETS``), which it finds by name even where only the
 tests call them.  Likewise every name that a module-level assignment binds
 must be read somewhere in ``src/curvelab``; dunders such as ``__version__``
@@ -39,6 +40,8 @@ from test_layer_names import TARGETS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "curvelab"
 CLICK_DECORATORS = {"command", "group"}
+# methods of click's Command that click itself calls; cli overrides them
+CLICK_HOOKS = {"get_help_option"}
 DICT_WRITERS = {"curvelab.window.per_window.table", "curvelab.farey.farey_window",
                 "curvelab.s5windows.build_window"}
 
@@ -119,7 +122,7 @@ def uncalled(src: Path) -> list[str]:
     out = []
     for module, tree in trees.items():
         for qualname, fn in definitions(tree):
-            if is_dunder(fn.name) or is_click_command(fn):
+            if is_dunder(fn.name) or is_click_command(fn) or fn.name in CLICK_HOOKS:
                 continue
             if fn.name not in names and (module, qualname) not in exempt:
                 out.append(f"{module}.{qualname}")
