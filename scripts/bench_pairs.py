@@ -25,7 +25,9 @@ pairs BEFORE first, odd pairs AFTER first):
   artifact must be equal on both sides.
 
 Each metric is reported per side as median, quartiles and runs, with the
-ratio of the medians and the number of pairs AFTER read lower.
+ratio of the medians and the number of pairs AFTER read lower.  Once OUT.json
+is written, the script exits 1, naming each, if any scenario's outputs differ
+or any curvebench run is not correct.
 """
 
 from __future__ import annotations
@@ -195,6 +197,16 @@ def scenario_pairs(trees: dict, pairs: int, scenarios: dict) -> dict:
     return result
 
 
+def failures(report: dict) -> list[str]:
+    """Every scenario whose outputs differ and every workload with an
+    incorrect run, one line each."""
+    return ([f"scenario {name!r}: outputs differ"
+             for name, run in report["cli_scenarios"].items() if not run["outputs_equal"]]
+            + [f"curvebench {name!r}: a run is not correct"
+               for name, run in report.get("curvebench", {}).items()
+               if not run["all_correct"]])
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("before", type=Path)
@@ -214,6 +226,9 @@ def main(argv=None) -> None:
     if args.curvebench_pairs:
         report["curvebench"] = curvebench_pairs(trees, args.curvebench_pairs, args.seed)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    problems = failures(report)
+    if problems:
+        sys.exit("\n".join([f"wrote {args.out}, but:", *problems]))
 
 
 if __name__ == "__main__":

@@ -233,9 +233,9 @@ def _with(options):
 @farey.command("closure")
 @_with(closure_options)
 @_format_option()
-def farey_closure(matrix, power, conj_len, depth, fmt):
+def farey_closure(fmt, **closure):
     """Sample the normal closure of a hyperbolic matrix power."""
-    _, sample = _closure_sample(matrix, power, conj_len, depth)
+    _, sample = _closure_sample(**closure)
     _emit(
         [{"word": word, "matrix": list(m)} for word, m in sample], fmt,
         text_fn=lambda: f"closure sample: {len(sample)} elements\n",
@@ -246,9 +246,9 @@ def farey_closure(matrix, power, conj_len, depth, fmt):
 @_with(closure_options)
 @click.option("--height", type=int, default=55, show_default=True)
 @_format_option()
-def farey_displacement(matrix, power, conj_len, depth, height, fmt):
+def farey_displacement(height, fmt, **closure):
     """Per-element window displacement of a closure sample."""
-    base, sample = _closure_sample(matrix, power, conj_len, depth)
+    base, sample = _closure_sample(**closure)
     w = _farey_window(height, "0/1")
     words = tuple(e.word for e in sample)
     report = quotient_mod.displacement_report(w, words, quotient_mod.farey_contract(base))
@@ -420,11 +420,11 @@ def arc2_fill(arcs, word_bound, fmt):
 # ---------------------------------------------------------------- quotient
 
 
-def _build_quotient(instance, height, matrix, power, conj_len, depth,
-                    word_bound, sample_csv) -> quotient_mod.QuotientWindow:
+def _build_quotient(instance, height, word_bound, sample_csv,
+                    **closure) -> quotient_mod.QuotientWindow:
     if instance == "farey":
-        base, closure = _closure_sample(matrix, power, conj_len, depth)
-        sample = tuple(e.word for e in closure)
+        base, elements = _closure_sample(**closure)
+        sample = tuple(e.word for e in elements)
         contract = quotient_mod.farey_contract(base)
         w = _farey_window(height, "0/1")
     else:
@@ -459,13 +459,9 @@ def quotient_group():
 @quotient_group.command("build")
 @_with(quotient_options)
 @_format_option(graph=True)
-def quotient_build(instance, height, matrix, power, conj_len, depth,
-                   word_bound, sample_csv, fmt):
+def quotient_build(instance, fmt, **options):
     """Build the quotient window and its displacement report."""
-    q = _build_quotient(
-        instance, height, matrix, power, conj_len, depth,
-        word_bound, sample_csv,
-    )
+    q = _build_quotient(instance, **options)
     key_str = q.contract.key_str
     _emit(
         lambda: {**q.window.json_fields(key_str), **q.json_fields()}, fmt,
@@ -488,25 +484,21 @@ def quotient_build(instance, height, matrix, power, conj_len, depth,
 @click.option("--seed", type=int, default=0, show_default=True,
               help="seed for randomized relation checks")
 @_format_option(default="text")
-def verify(instance, height, matrix, power, conj_len, depth,
-           word_bound, sample_csv, suite_csv, out_dir, seed, fmt):
+def verify(instance, suite_csv, out_dir, seed, fmt, **options):
     """Run verification suites over a window and its quotient."""
-    names = []
+    names = {}  # each suite once, in the order first named
     for raw in suite_csv.split(","):
         raw = raw.strip()
         name = next((n for n, (aliases, _, _) in SUITES.items()
                      if raw == n or raw in aliases), None)
         if name is None:
             _fail(f"unknown suite {raw!r}")
-        names.append(name)
+        names[name] = None
     for name in names:
         if instance not in SUITES[name][1]:
             _fail(f"suite {name!r} is not available for instance {instance!r}")
 
-    q = _build_quotient(
-        instance, height, matrix, power, conj_len, depth,
-        word_bound, sample_csv,
-    )
+    q = _build_quotient(instance, **options)
     reports = [SUITES[n][2](q, seed) for n in names]
 
     if out_dir is not None:

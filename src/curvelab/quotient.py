@@ -12,8 +12,9 @@ Instances are described by a small contract (key type, group elements and
 their action, available distance or adjacency information, and each
 element's window displacement) so the same machinery runs on the Farey
 graph, where distances are exact, and on the five-punctured sphere, where a
-certificate (floor, exact) may give only the floor 2.  Each instance finds
-its own displacement minima; ``displacement_report`` only writes them down.
+certificate (floor, exact) from a window index to a curve may give only the
+floor 2.  Each instance finds its own displacement minima;
+``displacement_report`` only writes them down.
 """
 
 from __future__ import annotations
@@ -54,30 +55,30 @@ class InstanceContract(NamedTuple):
     # window -> word -> (least floor, least index where it is exact, or None)
     displacement: Callable[[Window], Callable[[str], tuple[int | None, int | None]]]
     exact_distance: Callable[[Any, Any], int] | None = None
-    # (window, a, b) -> adjacency of a window vertex a and a distinct curve
-    # b outside the window; what certificates read when distances are not
-    # exact (every caller passes a window vertex first)
-    adjacent: Callable[[Window, Any, Any], bool] | None = None
+    # (window, i, x) -> adjacency of window vertex i and a distinct curve x
+    # outside the window; what certificates read when distances are not exact
+    adjacent: Callable[[Window, int, Any], bool] | None = None
     # window -> the number of vertex pairs at distance 2 in the window graph,
     # counted without a walk; the lifting suite walks the pairs when None
     distance_two_pairs: Callable[[Window], int] | None = None
 
-    def certificate(self, a: Any, b: Any, w: Window) -> tuple[int, bool]:
-        """(floor, exact): a lower bound on d(a, b) and whether it is d(a, b).
-        Exact with exact distances, else at 0, 1, and at 2 through a common
-        window neighbour; other distinct non-adjacent curves have the floor 2."""
+    def certificate(self, w: Window, i: int, x: Any) -> tuple[int, bool]:
+        """(floor, exact): a lower bound on d(v, x) from the window index i
+        of v, and whether it is d(v, x).  Exact with exact distances, else
+        at 0, 1, and at 2 through a common window neighbour; other distinct
+        non-adjacent curves have the floor 2."""
         if self.exact_distance is not None:
-            return self.exact_distance(a, b), True
-        if a == b:
+            return self.exact_distance(w.vertices[i], x), True
+        j = w.index.get(x)
+        if j is None:
+            return (1, True) if self.adjacent(w, i, x) else (2, False)
+        if j == i:
             return 0, True
-        ia, ib = w.index.get(a), w.index.get(b)
-        if ia is None or ib is None:
-            return (1, True) if self.adjacent(w, a, b) else (2, False)
         # a window is an induced subgraph, so its edges decide adjacency
-        near = w.neighbors[ia]
-        if ib in near:
+        near = w.neighbors[i]
+        if j in near:
             return 1, True
-        return 2, not set(near).isdisjoint(w.neighbors[ib])
+        return 2, not set(near).isdisjoint(w.neighbors[j])
 
 
 def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
@@ -154,9 +155,9 @@ def farey_contract(base: farey_mod.IntMatrix) -> InstanceContract:
 def s5_contract() -> InstanceContract:
     """The five-punctured sphere: curves are coordinate tuples, elements words.
 
-    Certificates come from window edges when both curves are window
-    vertices, and otherwise from ``s5windows.adjacent``, which reads the
-    witness word of the first curve, a window vertex in every call.
+    A certificate's first vertex is given by its window index.  It comes
+    from window edges when the other curve is a window vertex too, and
+    otherwise from ``s5windows.adjacent``, which reads that index's witness.
     Both in-window images and displacements read the word's image of every
     vertex, mapped over the window at once and once per window
     (``s5windows.word_images``); displacements certify each vertex against
@@ -172,11 +173,11 @@ def s5_contract() -> InstanceContract:
                 yield i, j
 
     def displacement(w: Window) -> Callable[[str], tuple[int | None, int | None]]:
-        vertices, certificate = w.vertices, contract.certificate
+        certificate = contract.certificate
 
         def per_word(word: str) -> tuple[int | None, int | None]:
             images = s5windows.word_images(w, word)
-            certs = list(map(certificate, vertices, images, repeat(w)))
+            certs = list(map(certificate, repeat(w), range(len(images)), images))
             best = min(certs, default=(None,))[0]  # the least floor
             if best != 2:
                 return best, certs.index((best, True)) if (best, True) in certs else None

@@ -221,14 +221,11 @@ def check_edges(w: Window) -> None:
                              f"disjoint curves {i} and {j}")
 
 
-def adjacent(w: Window, a: tuple, b: tuple) -> bool:
-    """Disjointness of a vertex a of w from a distinct curve b, both given
-    as coordinates, read off a's witness word."""
-    i = w.index.get(a)
-    if i is None:
-        raise ValueError(f"curve {curve_key_str(a)} is not a window vertex")
+def adjacent(w: Window, i: int, x: tuple) -> bool:
+    """Disjointness of window vertex i of w, given by its index, from a
+    distinct curve x, given as coordinates, read off vertex i's witness word."""
     inverse, edge = witness_readers(w)[i]
-    return apply_word(inverse, b)[edge] == 0
+    return apply_word(inverse, x)[edge] == 0
 
 
 def window_curve(w: Window, i: int) -> NormalCurve:

@@ -268,14 +268,14 @@ def verify_ball2_isometry(q: QuotientWindow) -> dict:
     witnesses = []
     eligible = truncated = 0
 
-    def far_apart(x, y) -> bool | None:
-        d, exact = q.contract.certificate(x, y, w)
+    def far_apart(i: int, j: int) -> bool | None:
+        d, exact = q.contract.certificate(w, i, w.vertices[j])
         return None if d < 5 and not exact else d >= 5
 
     for c in q.merged:
         for i, j in combinations(q.classes[c], 2):
             eligible += 1
-            far = far_apart(w.vertices[i], w.vertices[j])
+            far = far_apart(i, j)
             if far is None:
                 truncated += 1
             elif not far:
@@ -288,7 +288,7 @@ def verify_ball2_isometry(q: QuotientWindow) -> dict:
                 eligible += 1
                 if j in nbrs[i]:  # the window is an induced subgraph
                     continue
-                far = far_apart(w.vertices[i], w.vertices[j])
+                far = far_apart(i, j)
                 if far is None:
                     truncated += 1
                 elif not far:

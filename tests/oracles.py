@@ -979,7 +979,7 @@ def per_site_lipschitz_lifting(w: Window, q, contract,
                         witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                 reached_class=class_of[v])
                     elif not window_certifies_two(w, i, m, v):
-                        d, exact = contract.certificate(w.vertices[i], v_key, w)
+                        d, exact = contract.certificate(w, i, v_key)
                         if not exact:
                             truncated += 1
                             sites.append(("geodesic", a, mid, b))
@@ -1169,7 +1169,7 @@ def walk_lipschitz_lifting(q) -> dict:
                         witness(mid, a, b, (w.vertices[i], m_key, v_key),
                                 reached_class=class_of[v])
                     elif not window_certifies_two(w, i, m, v):
-                        d, exact = q.contract.certificate(w.vertices[i], v_key, w)
+                        d, exact = q.contract.certificate(w, i, v_key)
                         if not exact:
                             truncated += 1
                         elif d != 2:
@@ -1202,14 +1202,14 @@ def walk_ball2_isometry(q) -> dict:
     witnesses = []
     eligible = truncated = 0
 
-    def far_apart(x, y) -> bool | None:
-        d, exact = q.contract.certificate(x, y, w)
+    def far_apart(i, j) -> bool | None:
+        d, exact = q.contract.certificate(w, i, w.vertices[j])
         return None if d < 5 and not exact else d >= 5
 
     for members in q.classes:
         for i, j in combinations(members, 2):
             eligible += 1
-            far = far_apart(w.vertices[i], w.vertices[j])
+            far = far_apart(i, j)
             if far is None:
                 truncated += 1
             elif not far:
@@ -1225,7 +1225,7 @@ def walk_ball2_isometry(q) -> dict:
                 if j in nbrs[i]:  # the window is an induced subgraph
                     continue
                 x, y = w.vertices[i], w.vertices[j]
-                far = far_apart(x, y)
+                far = far_apart(i, j)
                 if far is None:
                     truncated += 1
                 elif not far:

@@ -89,7 +89,7 @@ def reference_displacement(w, word, contract):
     # the least floor, and the first vertex where a certificate is exact at it
     best, first = None, None
     for i, v in enumerate(w.vertices):
-        d, exact = contract.certificate(v, apply_word(word, v), w)
+        d, exact = contract.certificate(w, i, apply_word(word, v))
         if best is None or d < best:
             best, first = d, None
         if d == best and exact and first is None:

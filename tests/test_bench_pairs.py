@@ -4,6 +4,7 @@ must report its own peak memory, which the script reads from Linux's
 ``/proc/self/status``."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -58,3 +59,26 @@ def test_a_single_pair_is_its_own_median_and_quartiles():
     result = bench.compare([2.0], [1.0])
     assert result["after_over_before"] == 0.5
     assert (result["pairs_after_lower"], result["pairs"]) == (1, 1)
+
+
+def test_unequal_outputs_and_incorrect_runs_exit_one(monkeypatch, tmp_path):
+    # a synthetic report: main writes it, then exits 1 naming each failure
+    bench = load_bench_pairs()
+    scenarios = {"same": {"outputs_equal": True}, "differs": {"outputs_equal": False}}
+    workloads = {"farey-verify": {"all_correct": True}, "s5-verify": {"all_correct": False}}
+    monkeypatch.setattr(bench, "scenario_pairs", lambda *args: scenarios)
+    monkeypatch.setattr(bench, "curvebench_pairs", lambda *args: workloads)
+    out = tmp_path / "OUT.json"
+    with pytest.raises(SystemExit) as exc:
+        bench.main([str(ROOT), str(ROOT), str(out)])
+    assert exc.value.code.splitlines() == [
+        f"wrote {out}, but:", "scenario 'differs': outputs differ",
+        "curvebench 's5-verify': a run is not correct"]
+    report = json.loads(out.read_text())
+    assert (report["cli_scenarios"], report["curvebench"]) == (scenarios, workloads)
+    # all equal and correct, with curvebench skipped: no exit
+    scenarios.pop("differs")
+    bench.main([str(ROOT), str(ROOT), str(out), "--curvebench-pairs", "0"])
+    assert "curvebench" not in json.loads(out.read_text())
+    assert bench.failures({"cli_scenarios": scenarios, "curvebench": workloads}) == [
+        "curvebench 's5-verify': a run is not correct"]

@@ -235,6 +235,29 @@ def test_verify_suite_instance_mismatch(runner):
     assert result.exit_code == cli.EXIT_IO_ERROR
 
 
+@pytest.mark.parametrize("args,suites,expected", [
+    (["--height", "20", "--conj-len", "1"], "lift,simplicial,lifting",
+     ["lipschitz-lifting", "simplicial"]),
+    (["--instance", "s5", "--word-bound", "1", "--sample", "aa"],
+     "simplicial,support,simplicial,support-sets", ["simplicial", "support-sets"]),
+])
+def test_verify_runs_a_suite_named_twice_once(runner, tmp_path, monkeypatch, args, suites,
+                                              expected):
+    # each suite runs once, in the order first named, and writes one report
+    written, real = [], Path.write_text
+    monkeypatch.setattr(Path, "write_text",
+                        lambda path, text: written.append(path.name) or real(path, text))
+    result = invoke(runner, ["verify", *args, "--suites", suites, "--out", str(tmp_path)])
+    assert result.exit_code == 0
+    assert [line.split(":")[0] for line in result.output.splitlines()] == expected
+    assert written == [f"report-{name}.json" for name in expected]
+
+
+def test_verify_refuses_an_unknown_suite_before_an_unavailable_one():
+    line = assert_one_error_line(["verify", "--suites", "relations,relations,bogus"])
+    assert line == "error: unknown suite 'bogus'"
+
+
 def test_verify_writes_artifacts(runner, tmp_path):
     out = tmp_path / "artifacts"
     result = invoke(
@@ -734,6 +757,50 @@ Options:
   --out TEXT                directory for report artifacts
   --seed INTEGER            seed for randomized relation checks  [default: 0]
   --format [json|dot|text]  [default: text]
+  --help                    Show this message and exit.
+""",
+    ("quotient", "build"): """\
+Usage: main quotient build [OPTIONS]
+
+  Build the quotient window and its displacement report.
+
+Options:
+  --instance [farey|s5]     [default: farey]
+  --height INTEGER          farey window height  [default: 55]
+  --matrix TEXT             base matrix a,b,c,d  [default: 2,1,1,1]
+  --power INTEGER           [default: 8]
+  --conj-len INTEGER        [default: 2]
+  --depth INTEGER           [default: 1]
+  --word-bound INTEGER      s5 window word bound  [default: 2]
+  --sample TEXT             s5 sample words, comma separated
+  --format [json|dot|text]  [default: json]
+  --help                    Show this message and exit.
+""",
+    ("farey", "closure"): """\
+Usage: main farey closure [OPTIONS]
+
+  Sample the normal closure of a hyperbolic matrix power.
+
+Options:
+  --matrix TEXT             base matrix a,b,c,d  [default: 2,1,1,1]
+  --power INTEGER           [default: 8]
+  --conj-len INTEGER        [default: 2]
+  --depth INTEGER           [default: 1]
+  --format [json|dot|text]  [default: json]
+  --help                    Show this message and exit.
+""",
+    ("farey", "displacement"): """\
+Usage: main farey displacement [OPTIONS]
+
+  Per-element window displacement of a closure sample.
+
+Options:
+  --matrix TEXT             base matrix a,b,c,d  [default: 2,1,1,1]
+  --power INTEGER           [default: 8]
+  --conj-len INTEGER        [default: 2]
+  --depth INTEGER           [default: 1]
+  --height INTEGER          [default: 55]
+  --format [json|dot|text]  [default: json]
   --help                    Show this message and exit.
 """,
 }

@@ -233,7 +233,7 @@ def s5_short_distances(w, w5, word: str) -> list[int | None]:
         elif oracles.disjoint(v, u):
             out.append(1)
         elif oracles.intersection(v, u) == 2 or any(
-                s5windows.adjacent(w5, w5.vertices[x], u) for x in w5.neighbors[w5.index[v]]):
+                s5windows.adjacent(w5, x, u) for x in w5.neighbors[w5.index[v]]):
             out.append(2)
         else:
             out.append(None)
@@ -264,7 +264,7 @@ def test_s5_report_floor_is_the_certified_two():
     for word in sample:
         u = apply_word(word, v)
         assert oracles.intersection(v, u) == 2  # by flip reduction
-        assert quotient.s5_contract().certificate(v, u, w) == (2, False)
+        assert quotient.s5_contract().certificate(w, w.index[v], u) == (2, False)
 
 
 def test_s5_floor_is_read_only_from_the_certificate(monkeypatch, w2, w3, w4):
@@ -285,7 +285,7 @@ def test_s5_floor_is_read_only_from_the_certificate(monkeypatch, w2, w3, w4):
                 if r["argmin"] is not None:
                     v = s5windows.parse_curve_key(r["argmin"])
                     u = apply_word(r["word"], v)
-                    cert = contract.certificate(v, u, w)
+                    cert = contract.certificate(w, w.index[v], u)
                     assert cert == (r["min"], True) or (
                         r["min"] == 2 and oracles.intersection(v, u) == 2)
             reports = suites.verify_ball2_isometry(q), suites.verify_lipschitz_lifting(q)
@@ -296,8 +296,8 @@ def test_s5_floor_is_read_only_from_the_certificate(monkeypatch, w2, w3, w4):
     before = run()
     real = quotient.InstanceContract.certificate
 
-    def floor_three(self, a, b, w):
-        cert = real(self, a, b, w)
+    def floor_three(self, w, i, x):
+        cert = real(self, w, i, x)
         return (3, False) if cert == (2, False) else cert
 
     monkeypatch.setattr(quotient.InstanceContract, "certificate", floor_three)

@@ -61,10 +61,10 @@ def test_wordless_window_file_text_matches_oracle(w2, tmp_path):
 def _quotient_of(args):
     opts = dict(zip(args[1::2], args[2::2]))
     return cli._build_quotient(
-        opts["--instance"], int(opts.get("--height", 55)),
-        opts.get("--matrix", "2,1,1,1"), int(opts.get("--power", 8)),
-        int(opts.get("--conj-len", 2)), 1, int(opts.get("--word-bound", 2)),
-        opts.get("--sample", ""))
+        instance=opts["--instance"], height=int(opts.get("--height", 55)),
+        matrix=opts.get("--matrix", "2,1,1,1"), power=int(opts.get("--power", 8)),
+        conj_len=int(opts.get("--conj-len", 2)), depth=1,
+        word_bound=int(opts.get("--word-bound", 2)), sample_csv=opts.get("--sample", ""))
 
 
 QUOTIENT_ENTRIES = {**{entry: args for entry, (args, _, _) in MENU.items()},

@@ -26,8 +26,9 @@ made.  Only ``window.per_window`` and the hand-overs of
 tables) may make one, so that a per-window table is kept one way.
 
 The gate matches by name only, not by binding.  A function that shares its
-name with another function or attribute escapes it: ``farey.adjacent``, which
-only the tests called, passed it because ``s5windows.adjacent`` is called.
+name with another function or attribute escapes it: an uncalled
+``farey.adjacent`` would pass it because ``s5windows.adjacent`` is called
+(the Farey one, which only the tests call, lives in ``tests/oracles.py``).
 A reference in the function's own body counts too, so that an override
 calling ``super().invoke`` passes, and so does a helper that only calls
 itself.

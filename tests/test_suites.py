@@ -419,7 +419,7 @@ def test_window_distance_two_agrees_with_certificate(
     adj = set_adjacency(w)
     for i, m, v in sites:
         assert m in adj[i] and v in adj[m]
-        assert contract.certificate(w.vertices[i], w.vertices[v], w) == (2, True)
+        assert contract.certificate(w, i, w.vertices[v]) == (2, True)
 
 
 def test_no_distance_is_measured_across_classes_over_sample_sweep(
@@ -429,8 +429,8 @@ def test_no_distance_is_measured_across_classes_over_sample_sweep(
         for n in (1, 2, 3) for letters in product("abcdr", repeat=n)]
     real, answers = quotient.InstanceContract.certificate, []
 
-    def spy(self, a, b, w):
-        answers.append(real(self, a, b, w))
+    def spy(self, w, i, x):
+        answers.append(real(self, w, i, x))
         return answers[-1]
 
     monkeypatch.setattr(quotient.InstanceContract, "certificate", spy)
@@ -454,8 +454,8 @@ def test_lifting_truncates_a_distance_with_only_a_floor(monkeypatch, w2, scontra
     before = walk_lipschitz_lifting(q)
     answers = []
 
-    def floor(self, a, b, w):
-        answers.append((a, b))
+    def floor(self, w, i, x):
+        answers.append((i, x))
         return 2, False
 
     monkeypatch.setattr(oracles, "window_certifies_two", lambda *args: False)
