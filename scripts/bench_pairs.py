@@ -18,10 +18,13 @@ pairs BEFORE first, odd pairs AFTER first):
   fill``, ``farey dist``, whose wall time is mostly start-up, and ``farey
   closure`` and ``farey displacement``, which read a closure sample): one
   fresh interpreter per run with ``PYTHONHASHSEED=0`` and
-  ``CURVELAB_CACHE`` unset.  Wall time is taken around the process, and
-  peak memory is the process's own ``VmHWM`` (Linux), read at exit: the
-  rusage ``ru_maxrss`` of a child carries the high-water mark of the
-  process it was forked from.  The SHA-256 of stdout and of every ``--out``
+  ``CURVELAB_CACHE`` unset.  Wall time is taken around the process; inside
+  it, ``import_ms`` times ``from curvelab import cli`` and ``op_ms`` times
+  ``cli.main``, so that a gain shows whether it moved between the import
+  and the command, and the command's time without the noise of process
+  start-up.  Peak memory is the process's own ``VmHWM`` (Linux), read at
+  exit: the rusage ``ru_maxrss`` of a child carries the high-water mark of
+  the process it was forked from.  The SHA-256 of stdout and of every ``--out``
   artifact must be equal on both sides.
 
 Each metric is reported per side as median, quartiles and runs, with the
@@ -81,19 +84,24 @@ SCENARIOS = {
 WORKLOADS = ("farey-verify", "s5-verify", "arc2-fill")
 END_TO_END = ("op_p50_ms", "op_tail_ms", "setup_s", "peak_rss_mb")
 
-# runs the CLI with argv[1:]; the last stderr line is the process's VmHWM in KiB
+# runs the CLI with argv[1:]; the last stderr line is the process's VmHWM in
+# KiB, its exit code, and the seconds that importing the CLI and running it took
 PROBE = """
 import sys
+import time
+t0 = time.perf_counter()
 from curvelab import cli
+t1 = time.perf_counter()
 code = 0
 try:
     cli.main(args=sys.argv[1:], prog_name="curvelab")
 except SystemExit as exc:
     code = exc.code
 sys.stdout.flush()
+t2 = time.perf_counter()
 with open("/proc/self/status") as fh:
     hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
-sys.stderr.write(f"VmHWM {hwm} {code}\\n")
+sys.stderr.write(f"VmHWM {hwm} {code} {t1 - t0} {t2 - t1}\\n")
 """
 
 
@@ -161,11 +169,12 @@ def scenario_run(tree: Path, args: list[str], work: Path) -> dict:
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                           capture_output=True, check=True)
     wall = time.perf_counter() - t0
-    _, hwm, code = proc.stderr.decode().strip().splitlines()[-1].split()
+    _, hwm, code, import_s, op_s = proc.stderr.decode().strip().splitlines()[-1].split()
     files = {}
     if out_dir.is_dir():
         files = {p.name: sha256(p.read_bytes()) for p in sorted(out_dir.iterdir())}
-    return {"wall_s": wall, "vmhwm_mb": int(hwm) / 1024, "exit": int(code),
+    return {"wall_s": wall, "import_ms": float(import_s) * 1000,
+            "op_ms": float(op_s) * 1000, "vmhwm_mb": int(hwm) / 1024, "exit": int(code),
             "digests": {"stdout": sha256(proc.stdout), **files}}
 
 
@@ -183,10 +192,9 @@ def scenario_pairs(trees: dict, pairs: int, scenarios: dict) -> dict:
             result[name] = {
                 "args": args,
                 "exit": exits,
-                "wall_s": compare([r["wall_s"] for r in runs["before"]],
-                                  [r["wall_s"] for r in runs["after"]]),
-                "vmhwm_mb": compare([r["vmhwm_mb"] for r in runs["before"]],
-                                    [r["vmhwm_mb"] for r in runs["after"]]),
+                **{metric: compare([r[metric] for r in runs["before"]],
+                                   [r[metric] for r in runs["after"]])
+                   for metric in ("wall_s", "import_ms", "op_ms", "vmhwm_mb")},
                 "sha256": runs["after"][0]["digests"],
                 "outputs_equal": all(d == digests["before"][0]
                                      for s in trees for d in digests[s]),

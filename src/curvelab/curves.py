@@ -4,6 +4,8 @@ A curve is its normal-coordinate vector with respect to the base
 triangulation; coordinates are a complete isotopy invariant, so coordinate
 equality is isotopy.  Every essential curve cuts off a twice-punctured disk,
 and the five base curves c_k bound disk neighbourhoods of base edges e_k.
+Their coordinates are written out here; the tests derive them from the
+base triangulation.
 
 Intersection numbers have one path: a curve carries a witness (g, k) with
 curve = g(c_k), and i(g(c_k), x) = i(c_k, g^-1 x) = 2 * (g^-1 x)[e_k], since
@@ -23,8 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .mcg import WORD_ALPHABET, apply_word, invert_word
-from .triangulation import BASE, Coords
+from .mcg import WORD_ALPHABET, Coords, apply_word, invert_word
 
 
 class NormalCurve(NamedTuple):
@@ -50,20 +51,16 @@ class NormalCurve(NamedTuple):
 # The base edge whose disk neighborhood c_j bounds: E12, E34, E51, E23, E45.
 BASE_CURVE_EDGES = (0, 2, 4, 1, 3)
 
-
-def base_curves() -> tuple[NormalCurve, ...]:
-    """The five curves c1..c5, cyclically adjacent in the curve graph.
-
-    c_j bounds a disk around the puncture pair p_j, with consecutive pairs
-    disjoint: p1={1,2}, p2={3,4}, p3={5,1}, p4={2,3}, p5={4,5}.
-    """
-    return tuple(
-        NormalCurve(BASE.neighborhood_pattern(e), witness=("", j + 1))
-        for j, e in enumerate(BASE_CURVE_EDGES)
-    )
-
-
-BASE_CURVES = base_curves()
+# The five curves c1..c5, cyclically adjacent in the curve graph: c_j bounds
+# a disk around the puncture pair p_j, with consecutive pairs disjoint:
+# p1={1,2}, p2={3,4}, p3={5,1}, p4={2,3}, p5={4,5}.
+BASE_CURVES = (
+    NormalCurve((0, 1, 0, 0, 1, 1, 1, 1, 1), ("", 1)),
+    NormalCurve((0, 1, 0, 1, 0, 1, 1, 1, 1), ("", 2)),
+    NormalCurve((1, 0, 0, 1, 0, 1, 1, 1, 1), ("", 3)),
+    NormalCurve((1, 0, 1, 0, 0, 1, 0, 1, 0), ("", 4)),
+    NormalCurve((0, 0, 1, 0, 1, 0, 1, 0, 1), ("", 5)),
+)
 BASE_CURVE_PAIRS = ((1, 2), (3, 4), (5, 1), (2, 3), (4, 5))
 
 

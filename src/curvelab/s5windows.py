@@ -23,9 +23,8 @@ from operator import itemgetter, not_
 
 from .curves import (BASE_CURVE_PAIRS, BASE_CURVES, NormalCurve,
                      intersection_number, witness_reader)
-from .mcg import (WORD_ALPHABET, apply_word, apply_word_many, puncture_permutation,
-                  reduce_word)
-from .triangulation import NUM_EDGES
+from .mcg import (NUM_EDGES, WORD_ALPHABET, apply_word, apply_word_many,
+                  puncture_permutation, reduce_word)
 from .window import Window, per_window
 
 S5_INSTANCE = "s5"
@@ -53,10 +52,16 @@ def witness_str(witness: tuple[str, int]) -> str:
 
 
 def parse_witness(text: str) -> tuple[str, int]:
-    if not isinstance(text, str):
-        raise ValueError(f"witness {text!r} is not text")
-    word, _, base = text.rpartition(".") if "." in text else ("", "", text)
-    return word, int(base.lstrip("c"))
+    """The witness (g, k) a witness text names; ValueError unless it is the
+    ``witness_str`` of one."""
+    try:
+        word, _, base = text.rpartition(".")
+        witness = (word, int(base.removeprefix("c")))
+    except (AttributeError, ValueError):
+        witness = None
+    if witness is None or witness_str(witness) != text:
+        raise ValueError(f"witness {text!r} is not a word and a base curve such as 'ab.c3'")
+    return witness
 
 
 def puncture_pair(witness: tuple[str, int]) -> frozenset[int]:

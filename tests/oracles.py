@@ -7,8 +7,14 @@ fraction.  The tests check both against the slower methods kept here:
 - a best-first flip-reduction search that computes i(a, b) from normal
   coordinates alone, with no witness;
 - each generator's action replayed flip by flip through
-  ``Triangulation.flip_coords``, with no generated code, against which
-  ``mcg``'s straight-line kernels are checked;
+  ``Triangulation.flip_coords``, against which ``mcg``'s straight-line
+  kernels are checked;
+- the derivations of ``mcg``'s and ``curves``' constants, which ``src``
+  writes out as literals: the base triangulation (``BASE``), each letter's
+  flips and relabelling (``ATOMS``, the inverses by ``_invert_atom``), its
+  flip program (``compile_flips``), the text of its kernel generated from
+  those (``kernel_source``), and the five base curves as boundaries of disk
+  neighbourhoods of base edges (``neighborhood_pattern``);
 - breadth-first search on height-bounded Farey windows;
 - the Farey window built with a checked slope per neighbour and a sort,
   against which ``farey.farey_window``'s build off the Stern-Brocot tree
@@ -66,7 +72,7 @@ from bisect import bisect_right
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 from curvelab import farey
 from curvelab.suites import (
@@ -78,11 +84,9 @@ from curvelab.suites import (
 from curvelab.curves import (BASE_CURVE_EDGES, BASE_CURVES, NormalCurve,
                              intersection_number)
 from curvelab.mcg import (
-    ATOMS,
-    R_ATOM,
+    NUM_EDGES,
     WORD_ALPHABET,
-    Atom,
-    _invert_atom,
+    Coords,
     apply_word,
     invert_word,
     reduce_word,
@@ -96,17 +100,180 @@ from curvelab.s5windows import (
     window_curve,
     witness_str,
 )
-from curvelab.triangulation import (
-    BASE,
-    NUM_EDGES,
-    PUNCTURES,
-    Coords,
-    FlipStep,
-    Triangulation,
-    compile_flips,
-)
+from curvelab.triangulation import Triangulation
 from curvelab.quotient import QuotientWindow, displacement_report
 from curvelab.window import Window
+
+
+# ---------------------------------------------------------------- base triangulation
+
+PUNCTURES = (1, 2, 3, 4, 5)
+
+# One step of a flip program: (e, x, y, z, w) sets coordinate e to
+# max(x + z, y + w) - e, the tropical exchange across a flip of edge e inside
+# the square with sides x, y, z, w (Triangulation.flip_quad).
+FlipStep = tuple[int, int, int, int, int]
+
+
+def side_ends(state: Triangulation, t: int, j: int) -> tuple[int, int]:
+    """Directed endpoints (from, to) of side j of triangle t."""
+    c = state.tri_corners[t]
+    return c[(j + 1) % 3], c[(j + 2) % 3]
+
+
+def edge_endpoints(state: Triangulation, e: int) -> tuple[int, int]:
+    """Unordered puncture pair (with multiplicity) at the ends of e."""
+    t, j = state.slots[e][0]
+    u, v = side_ends(state, t, j)
+    return (u, v) if u <= v else (v, u)
+
+
+def validate(state: Triangulation) -> None:
+    """Raise RuntimeError unless the gluing is a triangulated sphere."""
+    if len(state.tri_edges) != 6 or len(state.tri_corners) != 6:
+        raise RuntimeError("a triangulation needs six triangles")
+    for e, slot in enumerate(state.slots):
+        if len(slot) != 2:
+            raise RuntimeError(f"edge {e} appears {len(slot)} times")
+        (t1, j1), (t2, j2) = slot
+        u1, v1 = side_ends(state, t1, j1)
+        u2, v2 = side_ends(state, t2, j2)
+        if (u1, v1) != (v2, u2):
+            raise RuntimeError(f"edge {e} glued with matching orientation")
+    # Euler characteristic of the sphere
+    if len(PUNCTURES) - NUM_EDGES + len(state.tri_edges) != 2:
+        raise RuntimeError("gluing is not a sphere")
+
+
+def ends_at(state: Triangulation, e: int, v: int) -> int:
+    """Number of ends of edge e at puncture v (0, 1, or 2)."""
+    u, w = edge_endpoints(state, e)
+    return (u == v) + (w == v)
+
+
+def neighborhood_pattern(state: Triangulation, e: int) -> Coords:
+    """Coordinates of the boundary of a disk neighborhood of edge e.
+
+    Requires distinct endpoints; the curve crosses every edge-end at
+    either endpoint except the two ends of e itself, so it cuts off a
+    twice-punctured disk containing e.
+    """
+    u, v = edge_endpoints(state, e)
+    if u == v:
+        raise ValueError(f"edge {e} is a loop at puncture {u}")
+    return tuple(
+        ends_at(state, f, u) + ends_at(state, f, v) - (2 if f == e else 0)
+        for f in range(NUM_EDGES)
+    )
+
+
+def _base() -> Triangulation:
+    # The punctures 1..5 lie on an equatorial circle, edges 0..4 run along
+    # the equator between consecutive punctures, and each hemisphere is
+    # fanned from puncture 1.
+    # triangle order: N123, N134, N145, S123, S134, S145
+    # edges: 0=E12 1=E23 2=E34 3=E45 4=E51 (equator), 5=N13 6=N14, 7=S13 8=S14
+    tri = Triangulation(
+        tri_edges=(
+            (1, 5, 0),
+            (2, 6, 5),
+            (3, 4, 6),
+            (1, 0, 7),
+            (2, 7, 8),
+            (3, 8, 4),
+        ),
+        tri_corners=(
+            (1, 2, 3),
+            (1, 3, 4),
+            (1, 4, 5),
+            (1, 3, 2),
+            (1, 4, 3),
+            (1, 5, 4),
+        ),
+    )
+    validate(tri)
+    return tri
+
+
+BASE = _base()
+
+
+def compile_flips(flips: tuple[int, ...]) -> tuple[FlipStep, ...]:
+    """The flip program of a flip sequence starting from the base triangulation."""
+    program, state = [], BASE
+    for f in flips:
+        program.append((f, *state.flip_quad(f)))
+        state = state.flip(f)
+    return tuple(program)
+
+
+# ---------------------------------------------------------------- flip programs
+
+
+class Atom(NamedTuple):
+    """A mapping class as flips-then-relabel from the base triangulation.
+
+    ``relabel[e]`` is the base-edge id that edge e of the flipped
+    triangulation is carried to; ``vertex_perm[v-1]`` the image of puncture v.
+    """
+
+    flips: tuple[int, ...]
+    relabel: tuple[int, ...]
+    vertex_perm: tuple[int, int, int, int, int]
+
+
+def kernel_source(atom: Atom, name: str) -> str:
+    """The text of the straight-line function ``name`` doing the atom's
+    action, as ``mcg`` writes each letter's kernel out.
+
+    Coordinate e lives in the local ``c{e}``; each flip step (e, x, y, z, w)
+    sets it to max(x + z, y + w) - e, as a conditional expression.  The
+    result puts coordinate e at ``relabel[e]``.
+    """
+    names = ", ".join(f"c{e}" for e in range(NUM_EDGES))
+    lines = [f"def {name}(coords):", f"    {names} = coords"]
+    for e, x, y, z, w in compile_flips(atom.flips):
+        lines += [f"    s = c{x} + c{z}", f"    t = c{y} + c{w}",
+                  f"    c{e} = (s if s > t else t) - c{e}"]
+    unlabel = [0] * NUM_EDGES
+    for e in range(NUM_EDGES):
+        unlabel[atom.relabel[e]] = e
+    lines.append("    return (" + ", ".join(f"c{e}" for e in unlabel) + ")")
+    return "\n".join(lines) + "\n"
+
+
+def _invert_atom(atom: Atom) -> Atom:
+    unlabel = [0] * NUM_EDGES
+    for e in range(NUM_EDGES):
+        unlabel[atom.relabel[e]] = e
+    # run the flips backwards through the relabelling
+    flips = tuple(atom.relabel[f] for f in reversed(atom.flips))
+    inv_perm = [0] * 5
+    for v in range(1, 6):
+        inv_perm[atom.vertex_perm[v - 1] - 1] = v
+    return Atom(flips, tuple(unlabel), tuple(inv_perm))
+
+
+# Reflection through the plane of the punctures: swaps the two hemispheres,
+# i.e. the northern fan edges with the southern ones; no flips needed.
+R_ATOM = Atom((), (0, 1, 2, 3, 4, 7, 8, 5, 6), (1, 2, 3, 4, 5))
+
+# Shortest flip encodings of the half-twists (re-derived and certified by
+# test_derive.py); c is the least of its six 4-flip programs.
+_HALF_TWISTS = {
+    "a": Atom((5, 6, 4, 8), (0, 5, 2, 3, 8, 6, 4, 1, 7), (2, 1, 3, 4, 5)),
+    "b": Atom((7, 2), (7, 1, 5, 3, 4, 0, 6, 2, 8), (1, 3, 2, 4, 5)),
+    "c": Atom((5, 1, 8, 3), (0, 7, 2, 6, 4, 1, 5, 8, 3), (1, 2, 4, 3, 5)),
+    "d": Atom((6, 2), (0, 1, 8, 3, 6, 5, 2, 7, 4), (1, 2, 3, 5, 4)),
+}
+
+# Each letter of mcg's kernels as flips and a relabelling: the kernel text
+# is generated from these (kernel_source) and checked against mcg's.
+ATOMS: dict[str, Atom] = {
+    **_HALF_TWISTS,
+    **{k.upper(): _invert_atom(v) for k, v in _HALF_TWISTS.items()},
+    "r": R_ATOM,
+}
 
 
 # ---------------------------------------------------------------- flip replay
@@ -171,7 +338,7 @@ def reduce_to_boundary(coords: Coords) -> tuple[tuple[FlipStep, ...], int]:
     """Flip program carrying coords to a neighborhood-boundary pattern.
 
     Returns (program, edge) such that replaying the program on coords gives
-    state.neighborhood_pattern(edge), where state is the triangulation the
+    neighborhood_pattern(state, edge), where state is the triangulation the
     program's flips lead to from the base one.  Best-first search on total
     weight; flips that reduce weight are always explored, plateaus are
     crossed by the priority queue.
@@ -180,8 +347,8 @@ def reduce_to_boundary(coords: Coords) -> tuple[tuple[FlipStep, ...], int]:
     def terminal_edge(state: Triangulation, cur: Coords) -> int | None:
         for e in range(NUM_EDGES):
             if cur[e] == 0:
-                u, v = state.edge_endpoints(e)
-                if u != v and cur == state.neighborhood_pattern(e):
+                u, v = edge_endpoints(state, e)
+                if u != v and cur == neighborhood_pattern(state, e):
                     return e
         return None
 
@@ -439,7 +606,7 @@ def is_valid_coords(state: Triangulation, coords: Coords) -> bool:
 
 def peripheral_coords(state: Triangulation, v: int) -> Coords:
     """Coordinates of the (inessential) loop around one puncture."""
-    return tuple(state.ends_at(e, v) for e in range(NUM_EDGES))
+    return tuple(ends_at(state, e, v) for e in range(NUM_EDGES))
 
 
 def count_components(state: Triangulation, coords: Coords) -> int:

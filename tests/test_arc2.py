@@ -13,8 +13,8 @@ from curvelab.arc2 import (
     fill_triangle,
 )
 from curvelab.curves import BASE_CURVES, BASE_CURVE_PAIRS, NormalCurve, intersection_number
-from oracles import act, arc_endpoints, is_pentagon_set, pentagon_cycle, witness_disjoint
-from curvelab.triangulation import BASE
+from oracles import (BASE, act, arc_endpoints, is_pentagon_set, pentagon_cycle,
+                     witness_disjoint)
 from curvelab.window import Window
 
 # One representative triple of arcs (by curve coordinates) per configuration

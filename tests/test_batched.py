@@ -136,3 +136,24 @@ def test_batched_paths_make_no_one_curve_calls(monkeypatch):
     for word in words:
         per_word(word)
     assert set(calls) == {"adjacent"}
+
+
+def test_relations_map_each_distinct_prefix_once(monkeypatch):
+    # the sides of the relations have 36 distinct non-empty prefixes, and
+    # each is one letter's kernel mapped once over all 105 curves, r's
+    # images of the base curves included; the sides have 48 letters
+    maps = Counter()
+    real = mcg.apply_word_many
+
+    def counting(word, curves):
+        curves = list(curves)
+        maps[len(curves)] += len(word)
+        return real(word, curves)
+
+    monkeypatch.setattr(mcg, "apply_word_many", counting)
+    report = suites.check_relations(0)
+    assert report == reference_relations(0)
+    prefixes = {side[:k] for _, *sides in suites.RELATIONS for side in sides
+                for k in range(1, len(side) + 1)}
+    assert len(prefixes) == 36
+    assert maps == {1: maps[1], 5 + suites.RELATION_CURVES: 36}

@@ -1,7 +1,7 @@
 """``scripts/bench_pairs.py`` on one tiny CLI scenario, with this tree on
 both sides: the outputs must be equal, every run must exit 0, and each run
 must report its own peak memory, which the script reads from Linux's
-``/proc/self/status``."""
+``/proc/self/status``, and the times of its import and its command."""
 
 import importlib.util
 import json
@@ -38,7 +38,12 @@ def test_one_tiny_scenario_with_this_tree_on_both_sides():
         assert len(run["vmhwm_mb"][side]["runs"]) == 2
         assert min(run["vmhwm_mb"][side]["runs"]) > 0
         assert min(run["wall_s"][side]["runs"]) > 0
-    assert run["vmhwm_mb"]["pairs"] == 2
+        # the import and the command are timed inside the process, and
+        # together take less than the whole process
+        walls, imports, ops = (run[m][side]["runs"] for m in ("wall_s", "import_ms", "op_ms"))
+        assert min(imports) > 0 and min(ops) > 0
+        assert all(i + o < 1000 * w for w, i, o in zip(walls, imports, ops))
+    assert run["vmhwm_mb"]["pairs"] == run["import_ms"]["pairs"] == run["op_ms"]["pairs"] == 2
 
 
 def test_scenarios_cover_the_north_star_list():

@@ -1046,6 +1046,25 @@ def test_window_file_with_words_on_some_vertices_only_exits_two(tmp_path, bare):
     assert line.endswith("words must align with vertices")
 
 
+@pytest.mark.parametrize("bare,edit", [
+    (True, lambda word: "c" + word),  # c1 -> cc1
+    (False, lambda word: word.replace(".c", ".cc")),  # a.c2 -> a.cc2
+    (True, lambda word: word[:-1] + "0" + word[-1]),  # c01
+    (True, lambda word: word[:-1] + "+" + word[-1]),  # c+1
+    (True, lambda word: word[:-1] + " " + word[-1]),  # c 1
+], ids=["cc1", "a.cc2", "c01", "c+1", "c 1"])
+def test_window_file_with_a_witness_not_as_written_exits_two(tmp_path, bare, edit):
+    # each edit names the same witness in text that witness_str never
+    # writes; such a file once loaded, as if the witness were true
+    path = _window_file_with_edges(tmp_path / "window.json", lambda edges: edges)
+    data = json.loads(path.read_text())
+    vertex = next(v for v in data["vertices"] if ("." not in v["word"]) == bare)
+    vertex["word"] = edit(vertex["word"])
+    path.write_text(json.dumps(data))
+    line = assert_one_error_line(["s5", "pentagons", "--window", str(path)])
+    assert "is not a word and a base curve" in line
+
+
 @FUZZ
 @given(st.sets(st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(
     lambda p: p[0] < p[1]), min_size=1, max_size=4))

@@ -12,8 +12,8 @@ from curvelab.curves import (
     intersection_number,
 )
 from curvelab.mcg import apply_word
-from curvelab.triangulation import BASE
 from oracles import (
+    BASE,
     ReductionError,
     witness_disjoint,
     check_base_reductions,
@@ -21,12 +21,21 @@ from oracles import (
     is_essential,
     peripheral_coords,
     reduce_to_boundary,
+    neighborhood_pattern,
     run_flip_program,
 )
 
 
 def test_base_curves_are_five_distinct():
     assert len({c.coords for c in BASE_CURVES}) == 5
+
+
+def test_base_curves_bound_disk_neighbourhoods_of_their_edges():
+    # curves writes the five coordinate tuples out; each is the boundary of
+    # a disk neighbourhood of its base edge, witnessed by the empty word
+    assert [c.witness for c in BASE_CURVES] == [("", k) for k in range(1, 6)]
+    assert [c.coords for c in BASE_CURVES] == [
+        neighborhood_pattern(BASE, e) for e in BASE_CURVE_EDGES]
 
 
 def test_base_pentagon_intersections():
@@ -122,4 +131,4 @@ def test_flip_program_matches_triangulation_replay(w3, data):
         state = state.flip(e)
     assert run_flip_program(program, b) == list(cur_b)
     assert run_flip_program(program, a) == list(cur_a)
-    assert list(cur_a) == list(state.neighborhood_pattern(edge))
+    assert list(cur_a) == list(neighborhood_pattern(state, edge))

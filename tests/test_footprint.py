@@ -96,15 +96,27 @@ def test_cli_import_loads_neither_openssl_nor_tempfile():
     assert "curvelab.arc2" in alone and "dataclasses" not in alone
 
 
-@pytest.mark.parametrize("args", [
+COLD_VERIFY = pytest.mark.parametrize("args", [
     ["verify", "--height", "30", "--power", "8", "--conj-len", "1",
      "--suites", "simplicial,lift,ball2,covering"],
     ["verify", "--instance", "s5", "--word-bound", "1", "--sample", "aa",
      "--suites", "simplicial,lift,ball2,covering,transfer,support,relations"],
 ], ids=["farey", "s5"])
+
+
+@COLD_VERIFY
 def test_verify_never_imports_locale(args):
     # click makes each command's help option while parsing its command line;
     # gettext's first lookup of the option's text imported locale, which took
     # 1.3-2.1 ms of every cold verify (-X importtime, 2-core box)
     probe = PEAK_PROBE + "print('locale' in sys.modules)\n"
+    assert fresh_python("-c", probe, *args).split()[-1] == "False"
+
+
+@COLD_VERIFY
+def test_verify_never_imports_the_flip_layer(args):
+    # the letter kernels and base curves are literals, so no command reads
+    # a triangulation; generating and compiling the nine kernels from their
+    # flips took about 1.9 ms of every cold S5 op
+    probe = PEAK_PROBE + "print('curvelab.triangulation' in sys.modules)\n"
     assert fresh_python("-c", probe, *args).split()[-1] == "False"

@@ -1,3 +1,4 @@
+import inspect
 from itertools import combinations
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from curvelab.curves import BASE_CURVES, intersection_number
 from curvelab.mcg import (
-    ATOMS,
+    KERNELS,
+    LETTERS,
     WORD_ALPHABET,
     apply_word,
     invert_word,
@@ -15,6 +17,7 @@ from curvelab.mcg import (
 )
 from curvelab.suites import RELATIONS
 from oracles import (
+    ATOMS,
     CONJUGATED_ATOMS,
     CONJUGATED_HALF_TWISTS,
     HALF_TWIST_WORDS,
@@ -27,6 +30,7 @@ from oracles import (
     replay_atom,
     replay_word,
     same_mapping_class,
+    kernel_source,
     word_atom,
 )
 
@@ -132,13 +136,26 @@ def test_orientation_parity():
 
 def test_alphabet_closed_under_inverse():
     assert set(invert_word(WORD_ALPHABET)) == set(WORD_ALPHABET)
-    assert set(ATOMS) == set(WORD_ALPHABET)
+    assert set(ATOMS) == set(KERNELS) == set(LETTERS) == set(WORD_ALPHABET)
+
+
+def test_kernels_are_the_text_their_flips_generate():
+    # each kernel is written out in mcg; it must be, word for word, the
+    # function generated from its letter's flip program and relabelling
+    for letter, atom in ATOMS.items():
+        kernel = KERNELS[letter]
+        assert inspect.getsource(kernel) == kernel_source(atom, kernel.__name__), letter
+
+
+def test_letters_permute_the_punctures_as_their_flips_do():
+    assert {letter: perm for letter, (_, perm) in LETTERS.items()} == {
+        letter: atom.vertex_perm for letter, atom in ATOMS.items()}
 
 
 def test_kernels_match_triangulation_replay(w4):
     for letter, atom in ATOMS.items():
         for coords in w4.vertices:
-            assert atom.kernel(coords) == replay_atom(atom, coords), letter
+            assert KERNELS[letter](coords) == replay_atom(atom, coords), letter
 
 
 # words mixing single letters with the pseudo-Anosov aBcD, whose powers
@@ -155,7 +172,7 @@ def test_kernels_match_triangulation_replay_on_random_curves(word, base):
     coords = replay_word(word, base.coords)
     assert apply_word(word, base.coords) == coords
     for letter, atom in ATOMS.items():
-        assert atom.kernel(coords) == replay_atom(atom, coords), letter
+        assert KERNELS[letter](coords) == replay_atom(atom, coords), letter
 
 
 def test_flip_counts():

@@ -311,6 +311,14 @@ def test_witness_word_parsing():
     assert s5windows.witness_str(("", 5)) == "c5"
 
 
+@pytest.mark.parametrize("text", ["cc1", "c01", "c+1", "c 1", "a.cc2", "1", "c",
+                                  ".c1", "ab.3", "c1 ", "c1_0", 5, None])
+def test_witness_parsing_takes_only_what_witness_str_writes(text):
+    # each of these once parsed, by stripping every leading c and calling int
+    with pytest.raises(ValueError, match="is not a word and a base curve"):
+        s5windows.parse_witness(text)
+
+
 def test_positions_raise_unless_given_a_pentagon_edge():
     pent = (0, 1, 2, 3, 4)
     assert s5windows._positions(pent, 0, 4)["near_delta"] == {3}

@@ -1,8 +1,8 @@
 """No code that nothing calls: every function in ``src/curvelab`` has a
 caller there, every module-level constant a reader, and every import a
-reader in its own module; and no code writes into a window's
-``__dict__`` but the one per-window table helper and the builders'
-hand-overs.
+reader in its own module; no code writes into a window's ``__dict__`` but
+the one per-window table helper and the builders' hand-overs; and no code
+is made from text.
 
 Every module-level function, every method of a class, and every function
 nested in one of them, defined in ``src/curvelab``, must be referenced
@@ -25,6 +25,10 @@ made.  Only ``window.per_window`` and the hand-overs of
 ``farey.farey_window`` (its index) and ``s5windows.build_window`` (its
 tables) may make one, so that a per-window table is kept one way.
 
+No module calls ``exec``, ``eval`` or ``compile``: code made from text at
+run time is compiled anew in every process, where code written out is
+compiled with its module, or read from cached bytecode.
+
 The gate matches by name only, not by binding.  A function that shares its
 name with another function or attribute escapes it: an uncalled
 ``farey.adjacent`` would pass it because ``s5windows.adjacent`` is called
@@ -43,6 +47,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "curvelab"
 CLICK_DECORATORS = {"command", "group"}
 # methods of click's Command that click itself calls; cli overrides them
 CLICK_HOOKS = {"get_help_option"}
+# builtins that turn text into code, which every process would pay for
+CODE_MAKERS = {"exec", "eval", "compile"}
 DICT_WRITERS = {"curvelab.window.per_window.table", "curvelab.farey.farey_window",
                 "curvelab.s5windows.build_window"}
 
@@ -173,6 +179,13 @@ def dict_writers(src: Path) -> list[str]:
     return out
 
 
+def code_makers(src: Path) -> list[str]:
+    """The modules under src that call ``exec``, ``eval`` or ``compile``."""
+    return [f"{module}.{node.func.id}" for module, tree in parse(src).items()
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id in CODE_MAKERS]
+
+
 def test_every_function_has_a_caller_in_src():
     assert uncalled(SRC) == []
 
@@ -234,3 +247,18 @@ def test_a_hand_written_table_is_flagged(tmp_path):
                 "        tables = w.__dict__\n        tables['_t'] = 0\n")
     assert dict_writers(tmp_path) == ["curvelab.arc2._memo", "curvelab.arc2._memo",
                                       "curvelab.arc2._Keeper.keep"]
+
+
+def test_no_module_makes_code_from_text():
+    assert code_makers(SRC) == []
+
+
+def test_code_made_from_text_is_flagged(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "mcg.py", "a") as f:
+        f.write("\n\nnamespace: dict = {}\nexec('x = 1', namespace)\n")
+    with open(tmp_path / "window.py", "a") as f:
+        f.write("\n\ndef _later(text):\n    return eval(compile(text, '', 'eval'))\n")
+    assert sorted(code_makers(tmp_path)) == [
+        "curvelab.mcg.exec", "curvelab.window.compile", "curvelab.window.eval"]

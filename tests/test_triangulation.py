@@ -2,19 +2,25 @@ import itertools
 
 import pytest
 
-from curvelab.triangulation import BASE, NUM_EDGES, PUNCTURES, Triangulation
+from curvelab.mcg import NUM_EDGES
+from curvelab.triangulation import Triangulation
 from oracles import (
+    BASE,
+    PUNCTURES,
     corner_counts,
     count_components,
+    edge_endpoints,
     flippable,
     is_essential,
     is_valid_coords,
+    neighborhood_pattern,
     peripheral_coords,
+    validate,
 )
 
 
 def test_base_is_valid():
-    BASE.validate()
+    validate(BASE)
 
 
 def test_validate_raises_on_matching_orientation():
@@ -23,14 +29,14 @@ def test_validate_raises_on_matching_orientation():
     edges = ((1, 0, 5),) + BASE.tri_edges[1:]
     corners = ((1, 3, 2),) + BASE.tri_corners[1:]
     with pytest.raises(RuntimeError, match="matching orientation"):
-        Triangulation(edges, corners).validate()
+        validate(Triangulation(edges, corners))
 
 
 def test_edge_endpoints():
-    assert BASE.edge_endpoints(0) == (1, 2)
-    assert BASE.edge_endpoints(2) == (3, 4)
-    assert BASE.edge_endpoints(5) == (1, 3)
-    assert BASE.edge_endpoints(8) == (1, 4)
+    assert edge_endpoints(BASE, 0) == (1, 2)
+    assert edge_endpoints(BASE, 2) == (3, 4)
+    assert edge_endpoints(BASE, 5) == (1, 3)
+    assert edge_endpoints(BASE, 8) == (1, 4)
 
 
 def test_every_edge_flippable_in_base():
@@ -40,16 +46,16 @@ def test_every_edge_flippable_in_base():
 def test_flip_involution():
     for e in range(NUM_EDGES):
         flipped = BASE.flip(e)
-        flipped.validate()
+        validate(flipped)
         back = flipped.flip(e)
-        back.validate()
+        validate(back)
         # same combinatorial type: identical edge endpoint multiset per edge
         for f in range(NUM_EDGES):
-            assert back.edge_endpoints(f) == BASE.edge_endpoints(f)
+            assert edge_endpoints(back, f) == edge_endpoints(BASE, f)
 
 
 def test_flip_coords_involution():
-    coords = BASE.neighborhood_pattern(5)
+    coords = neighborhood_pattern(BASE, 5)
     for e in range(NUM_EDGES):
         state = BASE.flip(e)
         once = BASE.flip_coords(e, coords)
@@ -67,7 +73,7 @@ def test_peripheral_coords_valid_but_inessential():
 
 def test_neighborhood_pattern_essential():
     for e in range(NUM_EDGES):
-        assert is_essential(BASE, BASE.neighborhood_pattern(e))
+        assert is_essential(BASE, neighborhood_pattern(BASE, e))
 
 
 def test_neighborhood_pattern_rejects_loops():
@@ -84,7 +90,7 @@ def test_neighborhood_pattern_rejects_loops():
         if not reachable:
             continue
         for e in range(NUM_EDGES):
-            u, v = cur.edge_endpoints(e)
+            u, v = edge_endpoints(cur, e)
             if u == v:
                 state, loop_edge = cur, e
                 break
@@ -92,20 +98,20 @@ def test_neighborhood_pattern_rejects_loops():
             break
     assert loop_edge is not None
     with pytest.raises(ValueError):
-        state.neighborhood_pattern(loop_edge)
+        neighborhood_pattern(state, loop_edge)
 
 
 def test_corner_counts_parity():
     assert corner_counts(BASE, 0, (1, 0, 0, 0, 0, 0, 0, 0, 0)) is None
-    coords = BASE.neighborhood_pattern(0)
+    coords = neighborhood_pattern(BASE, 0)
     for t in range(6):
         n = corner_counts(BASE, t, coords)
         assert n is not None and all(c >= 0 for c in n)
 
 
 def test_count_components_multicurve():
-    c1 = BASE.neighborhood_pattern(0)  # around punctures 1, 2
-    c2 = BASE.neighborhood_pattern(2)  # around punctures 3, 4 — disjoint
+    c1 = neighborhood_pattern(BASE, 0)  # around punctures 1, 2
+    c2 = neighborhood_pattern(BASE, 2)  # around punctures 3, 4 — disjoint
     both = tuple(a + b for a, b in zip(c1, c2))
     assert count_components(BASE, c1) == 1
     assert count_components(BASE, both) == 2
